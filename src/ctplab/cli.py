@@ -77,10 +77,7 @@ from .solve import (
     parse_qdimacs,
     qbf_eval,
     solve,
-    solve_dependent,
     solve_disjoint_bruteforce,
-    solve_independent,
-    solve_sensing,
 )
 
 DEFAULT_PRECISION = 20
@@ -250,7 +247,7 @@ def _suite_gadgets(args) -> list[CheckResult]:
                else [Fraction(3, 2), Fraction(2)])
     for length in lengths:
         instance, handle = baiting_harness(length)
-        result = solve_independent(instance)
+        result = solve(instance)
         expected = forward_policy_cost(length, length)
         out.equal(f"solver-matches-forward-walk-L={length}",
                   Cost.of(expected), result.optimal_cost)
@@ -303,7 +300,7 @@ def _suite_ctpdep(args) -> list[CheckResult]:
             continue
         assert qbf_eval(formula) is winnable
         instance, fee = qbf_to_ctpdep(formula)
-        result = solve_dependent(instance, belief_cap=cap)
+        result = solve(instance, belief_cap=cap)
         label = f"n={formula.n}-m={formula.m}-{'win' if winnable else 'loss'}"
         move = "enter" if winnable else "default"
         out.equal(f"first-move-{label}", str(Action.move(move)),
@@ -365,7 +362,7 @@ def _suite_sensing(args) -> list[CheckResult]:
         vc = named_vc(name, args.k if args.k is not None else 1)
         instance, cert = vc_to_sensing(vc, alpha)
         covered = has_vertex_cover(vc)
-        result = solve_sensing(instance)
+        result = solve(instance)
         default = result.optimal_first_action == Action.move("default")
         out.equal(f"default-exactly-when-uncovered-{name}-k={vc.k}",
                   not covered, default)
@@ -386,7 +383,7 @@ def _suite_oracle(args) -> list[CheckResult]:
     for i in range(25):
         instance = random_disjoint_instance(SplitMix64(seed + i))
         brute = solve_disjoint_bruteforce(instance)
-        exact = solve_independent(instance)
+        exact = solve(instance)
         if brute.optimal_cost == exact.optimal_cost:
             agree += 1
     out.equal("bruteforce-matches-solver", "25/25", f"{agree}/25")
@@ -395,8 +392,7 @@ def _suite_oracle(args) -> list[CheckResult]:
     for i in range(20):
         instance = random_disjoint_instance(SplitMix64(seed + 1000 + i))
         rewritten = normalize_half_prob(instance)
-        if (solve_independent(rewritten).optimal_cost
-                == solve_independent(instance).optimal_cost):
+        if solve(rewritten).optimal_cost == solve(instance).optimal_cost:
             preserved += 1
         if all(e.block_p == Fraction(1, 2) and e.cost == Cost.zero()
                for e in rewritten.edges if e.uncertain):

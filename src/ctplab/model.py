@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -93,11 +93,8 @@ class Cost:
         if isinstance(value, Cost):
             return value
         if isinstance(value, str):
-            if value == "inf":
-                return _INFINITE
-            frac = parse_rational(value)
-        else:
-            frac = Fraction(value)
+            return parse_cost(value)
+        frac = Fraction(value)
         if frac < 0:
             raise InvalidInstanceError(f"cost must be nonnegative, got {frac}")
         return Cost(frac)
@@ -155,14 +152,10 @@ _ZERO = Cost(Fraction(0))
 _INFINITE = Cost(None)
 
 
-def format_cost(cost: Cost) -> str:
-    return str(cost)
-
-
 def parse_cost(text: str) -> Cost:
     if text == "inf":
         return _INFINITE
-    return Cost(parse_rational(text))
+    return Cost.of(parse_rational(text))
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +437,6 @@ class JointModel:
         assert sum(p for _, p in partial) == 1
         return partial
 
-    def deduced(self, known: Mapping[str, bool]) -> dict[str, bool]:
-        """Unrevealed edges whose status the evidence already forces."""
-        out: dict[str, bool] = {}
-        for ci, comp in enumerate(self.components):
-            if len(comp.edge_ids) == 1 and len(comp.rows) == 2:
-                continue
-            rows = self.surviving_rows(ci, known)
-            for i, e in enumerate(comp.edge_ids):
-                if e in known:
-                    continue
-                values = {comp.rows[r][0][i] for r in rows}
-                if len(values) == 1:
-                    out[e] = values.pop()
-        return out
-
     def open_probability(self, known: Mapping[str, bool],
                          edge_id: str) -> Fraction:
         ci = self.component_of[edge_id]
@@ -715,25 +693,8 @@ class InstanceBuilder:
         self._edges: dict[str, EdgeSpec] = {}
         self._variables: list[NetVariable] = []
         self._sensing: list[SensingEntry] = []
-        self._max_in_degree = 2
         self.s: str | None = None
         self.t: str | None = None
-
-    @classmethod
-    def from_instance(cls, instance: CtpInstance) -> InstanceBuilder:
-        builder = cls(instance.variant)
-        for v in instance.vertices:
-            builder.add_vertex(v)
-        for e in instance.edges:
-            builder._edges[e.id] = e
-        if instance.dependency is not None:
-            builder._variables = list(instance.dependency.variables)
-            builder._max_in_degree = instance.dependency.max_in_degree
-        if instance.sensing is not None:
-            builder._sensing = list(instance.sensing.entries)
-        builder.s = instance.s
-        builder.t = instance.t
-        return builder
 
     def add_vertex(self, vertex: str) -> str:
         self._vertices.setdefault(vertex, None)
@@ -767,41 +728,12 @@ class InstanceBuilder:
         self.s = self.add_vertex(s)
         self.t = self.add_vertex(t)
 
-    def has_edge(self, id: str) -> bool:
-        return id in self._edges
-
-    def merge(self, keep: str, drop: str) -> None:
-        """Redirect every edge touching `drop` onto `keep`, delete `drop`."""
-        if keep == drop:
-            raise InvalidInstanceError("cannot merge a vertex with itself")
-        for name in (keep, drop):
-            if name not in self._vertices:
-                raise InvalidInstanceError(f"unknown vertex {name!r}")
-        for eid, e in list(self._edges.items()):
-            tail = keep if e.tail == drop else e.tail
-            head = keep if e.head == drop else e.head
-            if tail == head:
-                raise InvalidInstanceError(
-                    f"merging {drop!r} into {keep!r} would turn edge "
-                    f"{eid!r} into a loop")
-            if (tail, head) != (e.tail, e.head):
-                self._edges[eid] = replace(e, tail=tail, head=head)
-        del self._vertices[drop]
-        if self.s == drop:
-            self.s = keep
-        if self.t == drop:
-            self.t = keep
-        self._sensing = [
-            replace(entry, vertex=keep) if entry.vertex == drop else entry
-            for entry in self._sensing]
-
     def build(self) -> CtpInstance:
         if self.s is None or self.t is None:
             raise InvalidInstanceError("endpoints are not set")
         dependency = None
         if self.variant is Variant.DEPENDENT:
-            dependency = DependencyNet(tuple(self._variables),
-                                       self._max_in_degree)
+            dependency = DependencyNet(tuple(self._variables))
         sensing = None
         if self.variant is Variant.SENSING:
             sensing = SensingSpec(tuple(self._sensing))
@@ -816,13 +748,6 @@ class InstanceBuilder:
         )
         validate_instance(instance)
         return instance
-
-
-def merge_vertices(instance: CtpInstance, keep: str, drop: str) -> CtpInstance:
-    """Pure form of `InstanceBuilder.merge` on a frozen instance."""
-    builder = InstanceBuilder.from_instance(instance)
-    builder.merge(keep, drop)
-    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +814,7 @@ def instance_to_dict(instance: CtpInstance) -> dict:
                 "tail": e.tail,
                 "head": e.head,
                 "directed": e.directed,
-                "cost": format_cost(e.cost),
+                "cost": str(e.cost),
                 "block_p": format_rational(e.block_p),
             }
             for e in instance.edges
@@ -912,7 +837,7 @@ def instance_to_dict(instance: CtpInstance) -> dict:
         data["sensing"] = {
             "entries": [
                 {"vertex": x.vertex, "edge": x.edge,
-                 "cost": format_cost(x.cost)}
+                 "cost": str(x.cost)}
                 for x in instance.sensing.entries
             ],
         }
@@ -1032,14 +957,12 @@ __all__ = [
     "Weather",
     "as_fraction",
     "build_joint",
-    "format_cost",
     "format_rational",
     "instance_from_dict",
     "instance_from_json",
     "instance_to_dict",
     "instance_to_json",
     "load_instance",
-    "merge_vertices",
     "parse_cost",
     "parse_probability",
     "parse_rational",

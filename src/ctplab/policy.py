@@ -442,6 +442,10 @@ def _trace(instance: CtpInstance, policy: Policy, step_cap: int | None,
     return final, breakdown
 
 
+# Largest weather support that mode "auto" still enumerates.
+_WEATHER_CAP = 4096
+
+
 def _support_size(instance: CtpInstance) -> int:
     count = 1
     for comp in instance.joint.components:
@@ -449,8 +453,7 @@ def _support_size(instance: CtpInstance) -> int:
     return count
 
 
-def evaluate_exact(instance: CtpInstance, policy: Policy,
-                   mode: str = "auto", weather_cap: int = 4096,
+def evaluate_exact(instance: CtpInstance, policy: Policy, mode: str = "auto",
                    step_cap: int | None = None) -> EvalResult:
     """Exact expected cost of `policy`, with a per-event breakdown.
 
@@ -462,7 +465,8 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     if mode not in ("auto", "weathers", "tree"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if mode == "auto":
-        mode = "weathers" if _support_size(instance) <= weather_cap else "tree"
+        small = _support_size(instance) <= _WEATHER_CAP
+        mode = "weathers" if small else "tree"
     if mode == "tree":
         expected, breakdown = _trace(instance, policy, step_cap, None)
         return EvalResult(expected, tuple(breakdown))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -74,6 +75,58 @@ def _parse_provenance(data: object) -> dict:
     return dict(data)
 
 
+def _json_codec(cls):
+    """Give a certificate class `to_dict`/`from_dict`/`to_json`/`from_json`.
+
+    Counts named in `_INTEGERS` travel as JSON integers, entries named in
+    `_RATIONALS` as "num/den" strings, plus a free-form provenance object.
+    The methods land in each class's own namespace, where the traced
+    benchmark (`perfbench/tracing.py`) looks them up and patches them.
+    """
+
+    def to_dict(self) -> dict:
+        data: dict = {name: getattr(self, name) for name in self._INTEGERS}
+        for name in self._RATIONALS:
+            data[name] = format_rational(getattr(self, name))
+        data["provenance"] = dict(self.provenance)
+        return data
+
+    def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise InvalidInstanceError("certificate must be an object")
+        expected = set(cls._RATIONALS) | set(cls._INTEGERS) | {"provenance"}
+        extra = set(data) - expected
+        missing = (expected - {"provenance"}) - set(data)
+        if extra or missing:
+            raise InvalidInstanceError(
+                f"bad certificate keys: extra {sorted(extra)}, "
+                f"missing {sorted(missing)}")
+        kwargs: dict = {}
+        for name in cls._INTEGERS:
+            if type(data[name]) is not int:
+                raise InvalidInstanceError(
+                    f"certificate count {name!r} must be an integer, "
+                    f"got {data[name]!r}")
+            kwargs[name] = data[name]
+        for name in cls._RATIONALS:
+            kwargs[name] = parse_rational(data[name])
+        kwargs["provenance"] = _parse_provenance(data.get("provenance"))
+        return cls(**kwargs)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    cls.to_dict = to_dict
+    cls.from_dict = classmethod(from_dict)
+    cls.to_json = to_json
+    cls.from_json = classmethod(from_json)
+    return cls
+
+
+@_json_codec
 @dataclass(frozen=True)
 class CtpReductionCertificate:
     """Closed-form cost ledger for one game-to-graph translation.
@@ -110,40 +163,8 @@ class CtpReductionCertificate:
                   "B0", "B1", "q_st", "w_st", "z_st")
     _INTEGERS = ("n", "m", "vertex_count", "edge_count")
 
-    def to_dict(self) -> dict:
-        data: dict = {name: getattr(self, name) for name in self._INTEGERS}
-        for name in self._RATIONALS:
-            data[name] = format_rational(getattr(self, name))
-        data["provenance"] = dict(self.provenance)
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> CtpReductionCertificate:
-        expected = set(cls._RATIONALS) | set(cls._INTEGERS) | {"provenance"}
-        extra = set(data) - expected
-        missing = (expected - {"provenance"}) - set(data)
-        if extra or missing:
-            raise InvalidInstanceError(
-                f"bad certificate keys: extra {sorted(extra)}, "
-                f"missing {sorted(missing)}")
-        kwargs: dict = {name: int(data[name]) for name in cls._INTEGERS}
-        for name in cls._RATIONALS:
-            kwargs[name] = parse_rational(data[name])
-        kwargs["provenance"] = _parse_provenance(data.get("provenance"))
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> CtpReductionCertificate:
-        import json
-
-        return cls.from_dict(json.loads(text))
-
-
+@_json_codec
 @dataclass(frozen=True)
 class SensingCertificate:
     """Calibration record for one cover-to-sensing translation.
@@ -171,39 +192,6 @@ class SensingCertificate:
     _RATIONALS = ("eps", "C", "L", "alpha", "g_ub", "g_prime_lb",
                   "g_dprime_ub")
     _INTEGERS = ("k", "coin_count")
-
-    def to_dict(self) -> dict:
-        data: dict = {name: getattr(self, name) for name in self._INTEGERS}
-        for name in self._RATIONALS:
-            data[name] = format_rational(getattr(self, name))
-        data["provenance"] = dict(self.provenance)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> SensingCertificate:
-        expected = set(cls._RATIONALS) | set(cls._INTEGERS) | {"provenance"}
-        extra = set(data) - expected
-        missing = (expected - {"provenance"}) - set(data)
-        if extra or missing:
-            raise InvalidInstanceError(
-                f"bad certificate keys: extra {sorted(extra)}, "
-                f"missing {sorted(missing)}")
-        kwargs: dict = {name: int(data[name]) for name in cls._INTEGERS}
-        for name in cls._RATIONALS:
-            kwargs[name] = parse_rational(data[name])
-        kwargs["provenance"] = _parse_provenance(data.get("provenance"))
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> SensingCertificate:
-        import json
-
-        return cls.from_dict(json.loads(text))
 
 
 def _formula_digest(formula: QbfFormula) -> str:

@@ -9,10 +9,10 @@ Dijkstra seeded at the target and at every revealing step, which is sound
 because all costs are nonnegative.
 
 Branch probabilities always condition on everything revealed so far, so the
-same engine is exact for independent, dependent, and sensing instances; the
-sensing variant just adds stay-in-place revealing steps priced by the
-sensing map. No pruning beyond the memoization: this module is an oracle,
-and exactness wins over speed.
+one entry point `solve` is exact for independent, dependent, and sensing
+instances alike; the sensing variant just adds stay-in-place revealing steps
+priced by the sensing map. No pruning beyond the memoization: this module
+is an oracle, and exactness wins over speed.
 """
 from __future__ import annotations
 
@@ -227,7 +227,8 @@ def _first_action(tree: DecisionTreePolicy) -> Action | None:
     return None
 
 
-def _solve(instance: CtpInstance, belief_cap: int) -> OptResult:
+def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
+    """Exact optimum of an independent, dependent or sensing instance."""
     solver = _Solver(instance, belief_cap)
     fresh = solver.fresh_at(instance.s, {})
     if fresh:
@@ -238,38 +239,6 @@ def _solve(instance: CtpInstance, belief_cap: int) -> OptResult:
     assert result.expected_cost == expected
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded))
-
-
-def _require_variant(instance: CtpInstance, variant: Variant) -> None:
-    if instance.variant is not variant:
-        raise InvalidInstanceError(
-            f"expected a {variant.value} instance, got {instance.variant.value}")
-
-
-def solve_independent(instance: CtpInstance,
-                      belief_cap: int = 200_000) -> OptResult:
-    """Exact optimum for independently blocked edges."""
-    _require_variant(instance, Variant.INDEPENDENT)
-    return _solve(instance, belief_cap)
-
-
-def solve_dependent(instance: CtpInstance,
-                    belief_cap: int = 200_000) -> OptResult:
-    """Exact optimum when edge statuses are correlated through a net."""
-    _require_variant(instance, Variant.DEPENDENT)
-    return _solve(instance, belief_cap)
-
-
-def solve_sensing(instance: CtpInstance,
-                  belief_cap: int = 200_000) -> OptResult:
-    """Exact optimum when statuses can also be bought via the sensing map."""
-    _require_variant(instance, Variant.SENSING)
-    return _solve(instance, belief_cap)
-
-
-def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
-    """Variant-dispatching front door used by the command line."""
-    return _solve(instance, belief_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +569,5 @@ __all__ = [
     "qbf_eval",
     "qbf_strategy",
     "solve",
-    "solve_dependent",
     "solve_disjoint_bruteforce",
-    "solve_independent",
-    "solve_sensing",
 ]

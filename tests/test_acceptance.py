@@ -31,10 +31,8 @@ from ctplab.solve import (
     QbfFormula,
     decompose_into_paths,
     qbf_eval,
-    solve_dependent,
+    solve,
     solve_disjoint_bruteforce,
-    solve_independent,
-    solve_sensing,
 )
 
 F = Fraction
@@ -46,7 +44,7 @@ def test_c01_baiting_solver_matches_closed_form():
     baiting harness, entering the corridor first, at both spans."""
     for length in (F(3, 2), F(2)):
         instance, handle = baiting_harness(length)
-        result = solve_independent(instance)
+        result = solve(instance)
         assert result.optimal_cost == Cost.of(
             forward_policy_cost(length, length))
         assert result.optimal_first_action == Action.move(
@@ -88,7 +86,7 @@ def test_c04_dependent_game_first_moves():
         assert formula.m <= 3
         assert qbf_eval(formula) is winnable
         instance, fee = qbf_to_ctpdep(formula)
-        result = solve_dependent(instance)
+        result = solve(instance)
         if winnable:
             assert result.optimal_cost == Cost.zero()
             assert result.optimal_first_action == Action.move("enter")
@@ -133,11 +131,11 @@ def test_c07_sensing_separates_cover_from_no_cover():
     the default edge wins on the triangle, with calibrated gain signs."""
     alpha = F(1, 2)
     path_instance, path_cert = vc_to_sensing(named_vc("p3", 1), alpha)
-    covered = solve_sensing(path_instance)
+    covered = solve(path_instance)
     assert covered.optimal_first_action != Action.move("default")
     assert covered.optimal_cost < Cost.of(4)
     tri_instance, tri_cert = vc_to_sensing(named_vc("k3", 1), alpha)
-    uncovered = solve_sensing(tri_instance)
+    uncovered = solve(tri_instance)
     assert uncovered.optimal_first_action == Action.move("default")
     assert uncovered.optimal_cost == Cost.of(4)
     for cert in (path_cert, tri_cert):
@@ -156,8 +154,7 @@ def test_c08_normal_form_preserves_the_optimum():
             if edge.uncertain:
                 assert edge.block_p == F(1, 2)
                 assert edge.cost == Cost.zero()
-        assert (solve_independent(rewritten).optimal_cost
-                == solve_independent(toy).optimal_cost)
+        assert solve(rewritten).optimal_cost == solve(toy).optimal_cost
 
 
 def test_c09_solver_agrees_with_independent_oracles():
@@ -166,7 +163,7 @@ def test_c09_solver_agrees_with_independent_oracles():
     for i in range(25):
         toy = random_disjoint_instance(SplitMix64(SEED + i))
         assert (solve_disjoint_bruteforce(toy).optimal_cost
-                == solve_independent(toy).optimal_cost)
+                == solve(toy).optimal_cost)
     for i in range(10):
         toy = random_disjoint_instance(SplitMix64(SEED + 2000 + i))
         paths = decompose_into_paths(toy)

@@ -196,6 +196,18 @@ class TestExitCodes:
         assert main(["reduce", "ctpdep", str(game_file), "--h", "1/2",
                      "-o", str(tmp_path / "x.json")]) == 2
 
+    def test_negative_cost_is_input_error(self, tmp_path, capsys):
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "x", 1, id="a")
+        b.add_edge("x", "t", 3, id="b")
+        b.add_edge("s", "t", 5, id="c")
+        text = instance_to_json(b.build())
+        path = tmp_path / "negative.json"
+        path.write_text(text.replace('"cost": "1/1"', '"cost": "-1/1"'))
+        assert main(["solve", str(path)]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_cap_exhaustion(self, game_file, tmp_path, capsys):
         out = tmp_path / "dep.json"
         main(["reduce", "ctpdep", str(game_file), "-o", str(out)])

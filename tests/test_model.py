@@ -19,7 +19,6 @@ from ctplab.model import (
     format_rational,
     instance_from_json,
     instance_to_json,
-    merge_vertices,
     parse_cost,
     parse_rational,
     sample_weather,
@@ -68,8 +67,10 @@ class TestCost:
             Cost.of(1).scale(Fraction(0))
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidInstanceError):
-            Cost.of(-1)
+        for make, bad in ((Cost.of, -1), (Cost.of, "-1/2"),
+                          (parse_cost, "-1/1"), (parse_cost, 3)):
+            with pytest.raises(InvalidInstanceError):
+                make(bad)
 
     def test_text_forms(self):
         assert parse_cost("inf").is_infinite
@@ -135,38 +136,22 @@ class TestBuilderAndValidation:
         inst = b.build()
         assert len(inst.moves_from("u")) == 2
 
+    def test_negative_json_costs_rejected(self):
+        edge = instance_to_json(two_path_instance()).replace(
+            '"cost": "2/1"', '"cost": "-1/1"')
+        assert '"-1/1"' in edge
+        sensing = instance_to_json(TestSensingSection().make()).replace(
+            '"cost": "1/8"', '"cost": "-1/1"')
+        assert '"-1/1"' in sensing
+        for text in (edge, sensing):
+            with pytest.raises(InvalidInstanceError, match="nonnegative"):
+                instance_from_json(text)
+
     def test_unknown_json_key_rejected(self):
         text = instance_to_json(two_path_instance())
         broken = text.replace('"variant"', '"flavor"')
         with pytest.raises(InvalidInstanceError):
             instance_from_json(broken)
-
-
-class TestMerge:
-    def test_merge_rewires(self):
-        b = InstanceBuilder(Variant.INDEPENDENT)
-        b.set_endpoints("s", "t")
-        b.add_edge("s", "mid_a", 1, id="left")
-        b.add_edge("mid_b", "t", 1, id="right")
-        b.merge("mid_a", "mid_b")
-        inst = b.build()
-        assert "mid_b" not in inst.vertices
-        assert inst.edge_map["right"].tail == "mid_a"
-
-    def test_merge_refuses_loop(self):
-        inst = two_path_instance()
-        with pytest.raises(InvalidInstanceError):
-            merge_vertices(inst, "s", "x")
-
-    def test_pure_merge_keeps_original(self):
-        b = InstanceBuilder(Variant.INDEPENDENT)
-        b.set_endpoints("s", "t")
-        b.add_edge("s", "a", 1, id="sa")
-        b.add_edge("b", "t", 1, id="bt")
-        inst = b.build()
-        merged = merge_vertices(inst, "a", "b")
-        assert inst.edge_map["bt"].tail == "b"
-        assert merged.edge_map["bt"].tail == "a"
 
 
 class TestObservation:
@@ -226,12 +211,6 @@ class TestDependentJoint:
         assert all(p == HALF for _, p in outcomes)
         for statuses, _ in outcomes:
             assert statuses["e_true"] != statuses["e_false"]
-
-    def test_deduction(self):
-        inst = xor_net_instance()
-        forced = inst.joint.deduced({"e_true": True})
-        assert forced == {"e_false": False}
-        assert inst.joint.deduced({}) == {}
 
     def test_open_probability(self):
         inst = xor_net_instance()

@@ -33,13 +33,7 @@ from ctplab.reductions import (
     sensing_cost_bound,
     vc_to_sensing,
 )
-from ctplab.solve import (
-    QbfFormula,
-    qbf_eval,
-    solve_dependent,
-    solve_independent,
-    solve_sensing,
-)
+from ctplab.solve import QbfFormula, qbf_eval, solve
 
 F = Fraction
 
@@ -123,7 +117,7 @@ class TestDependentGame:
         for formula in (SAT_SMALL, UNSAT_SMALL, SAT_TWO,
                         QbfFormula.of(4, ((1, 3),))):
             instance, fee = qbf_to_ctpdep(formula)
-            result = solve_dependent(instance)
+            result = solve(instance)
             if qbf_eval(formula):
                 assert result.optimal_cost == Cost.zero()
                 assert result.optimal_first_action == Action.move("enter")
@@ -143,6 +137,12 @@ class TestDependentGame:
     def test_walk_policy_refused_without_a_plan(self):
         with pytest.raises(InvalidInstanceError):
             assignment_walk_policy(UNSAT_SMALL)
+
+
+def sample_certificates():
+    """One certificate of each class that carries the JSON codec."""
+    _, sensing = vc_to_sensing(named_vc("p3", 1), F(1, 2))
+    return certificate(2, 1), sensing
 
 
 class TestCertificate:
@@ -177,10 +177,31 @@ class TestCertificate:
         assert again == cert
 
     def test_rejects_bad_keys(self):
-        data = certificate(2, 1).to_dict()
-        data["extra"] = 1
-        with pytest.raises(InvalidInstanceError):
-            CtpReductionCertificate.from_dict(data)
+        for cert in sample_certificates():
+            data = cert.to_dict()
+            data["extra"] = 1
+            with pytest.raises(InvalidInstanceError, match="extra"):
+                type(cert).from_dict(data)
+            data = cert.to_dict()
+            del data[cert._RATIONALS[0]]
+            with pytest.raises(InvalidInstanceError, match="missing"):
+                type(cert).from_dict(data)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["ctp", "sensing"])
+    @pytest.mark.parametrize("count", [2.5, True, "2"])
+    def test_rejects_counts_that_are_not_integers(self, kind, count):
+        cert = sample_certificates()[kind]
+        data = cert.to_dict()
+        data[cert._INTEGERS[0]] = count
+        with pytest.raises(InvalidInstanceError, match="integer"):
+            type(cert).from_dict(data)
+
+    @pytest.mark.parametrize(
+        "cls", [CtpReductionCertificate, SensingCertificate])
+    def test_rejects_documents_that_are_not_objects(self, cls):
+        for text in ("[]", '"n"', "3", "null"):
+            with pytest.raises(InvalidInstanceError, match="object"):
+                cls.from_json(text)
 
 
 class TestUndirectedGame:
@@ -296,8 +317,7 @@ class TestNormalForm:
         original = self.build_single(2, F(1, 2), directed=True)
         normal = normalize_half_prob(original)
         self.assert_normal(normal)
-        assert (solve_independent(normal).optimal_cost
-                == solve_independent(original).optimal_cost)
+        assert solve(normal).optimal_cost == solve(original).optimal_cost
 
     def test_variant_is_checked(self):
         instance, _ = qbf_to_ctpdep(SAT_SMALL)
@@ -314,8 +334,7 @@ class TestNormalForm:
         original = self.build_single(cost, F(numerator, denominator))
         normal = normalize_half_prob(original)
         self.assert_normal(normal)
-        assert (solve_independent(normal).optimal_cost
-                == solve_independent(original).optimal_cost)
+        assert solve(normal).optimal_cost == solve(original).optimal_cost
 
 
 class TestVertexCover:
@@ -372,10 +391,10 @@ class TestSensing:
             assert cert.g_dprime_ub < 0
 
     def test_solver_separates_cover_from_no_cover(self):
-        covered = solve_sensing(self.path_instance)
+        covered = solve(self.path_instance)
         assert covered.optimal_first_action != Action.move("default")
         assert covered.optimal_cost < Cost.of(4)
-        uncovered = solve_sensing(self.tri_instance)
+        uncovered = solve(self.tri_instance)
         assert uncovered.optimal_first_action == Action.move("default")
         assert uncovered.optimal_cost == Cost.of(4)
 
@@ -395,7 +414,7 @@ class TestSensing:
     def test_cover_policy_is_optimal_on_the_path(self):
         policy = CoverSensingPolicy(self.path, ("b",))
         outcome = evaluate_exact(self.path_instance, policy)
-        assert outcome.expected_cost == solve_sensing(
+        assert outcome.expected_cost == solve(
             self.path_instance).optimal_cost
 
     def test_spend_bound(self):

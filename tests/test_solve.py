@@ -21,10 +21,7 @@ from ctplab.solve import (
     qbf_eval,
     qbf_strategy,
     solve,
-    solve_dependent,
     solve_disjoint_bruteforce,
-    solve_independent,
-    solve_sensing,
 )
 
 
@@ -45,26 +42,26 @@ def two_path_instance():
 
 class TestSolveIndependent:
     def test_sure_edge(self):
-        result = solve_independent(sure_edge_instance())
+        result = solve(sure_edge_instance())
         assert result.optimal_cost == Cost.of(5)
         assert result.optimal_first_action == Action.move("direct")
 
     def test_two_paths(self):
-        result = solve_independent(two_path_instance())
+        result = solve(two_path_instance())
         assert result.optimal_cost == Cost.of(2)
         # the cheap edge is visible at s, so the first step depends on it
         assert result.optimal_first_action is None
 
     def test_baiting_gadget_forward_policy_is_optimal(self):
         inst, handle = baiting_harness(2)
-        result = solve_independent(inst)
+        result = solve(inst)
         assert result.optimal_cost == Cost.of(Fraction(263, 512))
         assert result.optimal_first_action == Action.move(
             handle.path_edges[0])
 
     def test_optimum_lower_bounds_reference_policies(self):
         inst, handle = baiting_harness(2)
-        best = solve_independent(inst).optimal_cost
+        best = solve(inst).optimal_cost
         forward = reference_policy("baiting_pi", handle=handle,
                                    terminal=handle.exit_shortcut)
         assert best <= evaluate_exact(inst, forward).expected_cost
@@ -75,15 +72,15 @@ class TestSolveIndependent:
 
     def test_returned_policy_achieves_the_optimum(self):
         inst, _ = baiting_harness(2)
-        result = solve_independent(inst)
+        result = solve(inst)
         replay = evaluate_exact(inst, result.policy, mode="tree")
         assert replay.expected_cost == result.optimal_cost
         assert result.stats.beliefs_expanded > 0
 
     def test_solving_twice_is_identical(self):
         inst, _ = baiting_harness(Fraction(3, 2))
-        a = solve_independent(inst)
-        b = solve_independent(inst)
+        a = solve(inst)
+        b = solve(inst)
         assert a.optimal_cost == b.optimal_cost
         assert a.policy == b.policy
 
@@ -91,31 +88,20 @@ class TestSolveIndependent:
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
         b.add_edge("s", "t", 1, id="only", block_p=Fraction(1, 2))
-        result = solve_independent(b.build())
+        result = solve(b.build())
         assert result.optimal_cost.is_infinite
 
     def test_belief_cap(self):
         inst, _ = baiting_harness(2)
         with pytest.raises(EnumerationCapError):
-            solve_independent(inst, belief_cap=3)
-
-    def test_variant_check(self):
-        b = InstanceBuilder(Variant.DEPENDENT)
-        b.set_endpoints("s", "t")
-        b.add_edge("s", "t", 1, id="e")
-        with pytest.raises(InvalidInstanceError, match="independent"):
-            solve_independent(b.build())
-
-    def test_dispatcher_matches_direct_call(self):
-        inst, _ = baiting_harness(2)
-        assert solve(inst).optimal_cost == Cost.of(Fraction(263, 512))
+            solve(inst, belief_cap=3)
 
 
 class TestSolveDependent:
     def test_complementary_pair(self):
         from test_model import xor_net_instance
         inst = xor_net_instance()
-        result = solve_dependent(inst)
+        result = solve(inst)
         # one zero-cost route is open in every weather, so riding the
         # coin beats the sure unit edge outright
         assert result.optimal_cost == Cost.of(0)
@@ -132,7 +118,7 @@ class TestSolveDependent:
         b.add_variable("coin", (), [Fraction(1, 2)])
         b.add_variable("e_true", ("coin",), [0, 1])
         b.add_variable("e_false", ("coin",), [1, 0])
-        result = solve_dependent(b.build())
+        result = solve(b.build())
         assert result.optimal_cost == Cost.of(Fraction(3, 2))
         assert result.optimal_first_action == Action.move("walk")
 
@@ -148,17 +134,17 @@ class TestSolveSensing:
         return b.build()
 
     def test_free_information_is_taken(self):
-        result = solve_sensing(self.build(0))
+        result = solve(self.build(0))
         assert result.optimal_cost == Cost.of(Fraction(3, 2))
         assert result.optimal_first_action == Action.sense("far")
 
     def test_priced_information(self):
-        result = solve_sensing(self.build(Fraction(1, 4)))
+        result = solve(self.build(Fraction(1, 4)))
         assert result.optimal_cost == Cost.of(Fraction(7, 4))
         assert result.optimal_first_action == Action.sense("far")
 
     def test_overpriced_information_is_skipped(self):
-        result = solve_sensing(self.build(Fraction(2, 3)))
+        result = solve(self.build(Fraction(2, 3)))
         assert result.optimal_cost == Cost.of(2)
         assert result.optimal_first_action == Action.move("out")
 
@@ -200,7 +186,7 @@ class TestDisjointBruteforce:
     def test_matches_full_solver(self, case):
         inst = three_path_instance(case)
         brute = solve_disjoint_bruteforce(inst)
-        full = solve_independent(inst)
+        full = solve(inst)
         assert brute.optimal_cost == full.optimal_cost
 
     def test_decomposition_shape(self):
