@@ -44,6 +44,7 @@ from .model import (
     SplitMix64,
     Variant,
     as_fraction,
+    format_rational,
     load_instance,
     save_instance,
 )
@@ -100,13 +101,17 @@ GAME_BATTERY: tuple[tuple[QbfFormula, bool], ...] = (
 # ---------------------------------------------------------------------------
 # rendering
 
+def _decimal(value: Fraction, precision: int) -> str:
+    """`value` as a decimal with `precision` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = max(1, precision)
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
 def render_rational(value: Fraction, precision: int = DEFAULT_PRECISION,
                     ) -> str:
     """Rational as `num/den (decimal)` with `precision` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = max(1, precision)
-        decimal = Decimal(value.numerator) / Decimal(value.denominator)
-    text = str(decimal)
+    text = _decimal(value, precision)
     if "E" not in text and "e" not in text and "." not in text:
         text += ".0"
     return f"{value.numerator}/{value.denominator} ({text})"
@@ -120,10 +125,8 @@ def render_cost(cost: Cost, precision: int = DEFAULT_PRECISION) -> str:
 
 def _dot_quantity(value: Fraction, precision: int) -> str:
     if value.denominator <= 1024:
-        return f"{value.numerator}/{value.denominator}"
-    with localcontext() as ctx:
-        ctx.prec = max(1, precision)
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return format_rational(value)
+    return _decimal(value, precision)
 
 
 def instance_to_dot(instance: CtpInstance,
@@ -220,7 +223,7 @@ def _show(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return format_rational(value)
     if value is None:
         return "none"
     return str(value)
@@ -451,8 +454,7 @@ def _cmd_reduce(args) -> int:
         vc = named_vc(args.graph, args.k if args.k is not None else 1)
         alpha = as_fraction(args.alpha) if args.alpha else Fraction(1, 2)
         instance, cert = vc_to_sensing(vc, alpha)
-        out_path = Path(args.out) if args.out else Path(
-            f"{args.graph}.instance.json")
+        stem = args.graph
         summary = (f"eps {cert.eps} visit fee "
                    f"{render_rational(cert.C, args.precision)}")
     else:
@@ -464,15 +466,12 @@ def _cmd_reduce(args) -> int:
         if args.target == "ctpdep":
             instance, fee = qbf_to_ctpdep(formula, h=args.h)
             cert = None
-            out_path = Path(args.out) if args.out else Path(
-                f"{stem}.instance.json")
             summary = f"direct fee {render_rational(fee, args.precision)}"
         else:
             instance, cert = qbf_to_ctp(formula)
-            out_path = Path(args.out) if args.out else Path(
-                f"{stem}.instance.json")
             summary = (f"fee {render_rational(cert.h, args.precision)} "
                        f"over {cert.vertex_count} vertices")
+    out_path = Path(args.out) if args.out else Path(f"{stem}.instance.json")
     save_instance(instance, out_path)
     print(f"wrote {out_path} ({len(instance.vertices)} vertices, "
           f"{len(instance.edges)} edges)")

@@ -304,6 +304,20 @@ def build_observation(builder: InstanceBuilder, entry: str, exit: str,
 # ---------------------------------------------------------------------------
 # standalone harnesses
 
+def _close_harness(builder: InstanceBuilder, span: Fraction,
+                   charge: Fraction | int | None,
+                   fallback: Fraction | int) -> CtpInstance:
+    """Add the fallback edge (u, t) and the optional charge edge (v, t)."""
+    builder.add_edge("u", "t", fallback, id="fallback")
+    if charge is not None:
+        fee = as_fraction(charge)
+        if not 0 <= fee < span:
+            raise GadgetParameterError(
+                f"harness charge must lie in [0, {span}), got {fee}")
+        builder.add_edge("v", "t", fee, id="charge")
+    return builder.build()
+
+
 def baiting_harness(length: Fraction | int,
                     charge: Fraction | int | None = None,
                     fallback: Fraction | int = 1,
@@ -318,14 +332,7 @@ def baiting_harness(length: Fraction | int,
     builder = InstanceBuilder(Variant.INDEPENDENT)
     builder.set_endpoints("u", "t")
     handle = build_baiting(builder, "u", "v", "t", span, "bg")
-    builder.add_edge("u", "t", fallback, id="fallback")
-    if charge is not None:
-        fee = as_fraction(charge)
-        if not 0 <= fee < span:
-            raise GadgetParameterError(
-                f"harness charge must lie in [0, {span}), got {fee}")
-        builder.add_edge("v", "t", fee, id="charge")
-    return builder.build(), handle
+    return _close_harness(builder, span, charge, fallback), handle
 
 
 def observation_harness(length: Fraction | int,
@@ -337,14 +344,7 @@ def observation_harness(length: Fraction | int,
     builder = InstanceBuilder(Variant.INDEPENDENT)
     builder.set_endpoints("u", "t")
     handle = build_observation(builder, "u", "v", "o", "t", span, "og")
-    builder.add_edge("u", "t", fallback, id="fallback")
-    if charge is not None:
-        fee = as_fraction(charge)
-        if not 0 <= fee < span:
-            raise GadgetParameterError(
-                f"harness charge must lie in [0, {span}), got {fee}")
-        builder.add_edge("v", "t", fee, id="charge")
-    return builder.build(), handle
+    return _close_harness(builder, span, charge, fallback), handle
 
 
 __all__ = [

@@ -547,18 +547,24 @@ class CtpInstance:
         return {v: tuple(edges) for v, edges in table.items()}
 
     def visible_from(self, vertex: str) -> tuple[EdgeSpec, ...]:
-        return self._incident_uncertain[vertex]
-
-    def observe(self, weather: Weather, vertex: str) -> tuple[tuple[str, bool], ...]:
-        """Statuses revealed on arrival at `vertex`.
+        """Uncertain edges whose status shows to a walker at `vertex`.
 
         Every uncertain edge incident on `vertex` shows its true status,
-        whichever endpoint the walker stands at; nothing else does. No
-        deduction happens here.
+        whichever endpoint the walker stands at; nothing else does.
         """
-        pairs = [(e.id, weather.is_open(e.id))
-                 for e in self.visible_from(vertex)]
-        return tuple(sorted(pairs))
+        return self._incident_uncertain[vertex]
+
+    def fresh_at(self, vertex: str, known: Mapping[str, bool]) -> list[str]:
+        """Unrevealed statuses that arriving at `vertex` exposes.
+
+        Arriving at t ends the trip, so nothing revealed there can matter
+        (and branching on it at a gadget sink with hundreds of incident
+        cut edges would explode). No deduction happens here.
+        """
+        if vertex == self.t:
+            return []
+        return [e.id for e in self._incident_uncertain[vertex]
+                if e.id not in known]
 
     @cached_property
     def joint(self) -> JointModel:
@@ -619,13 +625,13 @@ def _validate_net(instance: CtpInstance) -> None:
 
 def validate_instance(instance: CtpInstance) -> None:
     """Raise InvalidInstanceError if any structural rule fails."""
-    if len(set(instance.vertices)) != len(instance.vertices):
-        raise InvalidInstanceError("duplicate vertex name")
-    vertex_set = set(instance.vertices)
     if not all(isinstance(v, str) and v for v in instance.vertices):
         raise InvalidInstanceError("vertex names must be nonempty strings")
+    vertex_set = set(instance.vertices)
+    if len(vertex_set) != len(instance.vertices):
+        raise InvalidInstanceError("duplicate vertex name")
     for endpoint in (instance.s, instance.t):
-        if endpoint not in vertex_set:
+        if not isinstance(endpoint, str) or endpoint not in vertex_set:
             raise InvalidInstanceError(f"endpoint {endpoint!r} is not a vertex")
     if instance.s == instance.t:
         raise InvalidInstanceError("s and t must differ")
@@ -845,6 +851,8 @@ def instance_to_dict(instance: CtpInstance) -> dict:
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidInstanceError(f"{where} must be an object")
     extra = set(obj) - allowed
     if extra:
         raise InvalidInstanceError(
@@ -852,8 +860,6 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def instance_from_dict(data: dict) -> CtpInstance:
-    if not isinstance(data, dict):
-        raise InvalidInstanceError("instance document must be an object")
     _require_keys(data, _TOP_KEYS, "instance")
     try:
         variant = Variant(data["variant"])
@@ -862,21 +868,33 @@ def instance_from_dict(data: dict) -> CtpInstance:
     for key in ("s", "t", "vertices", "edges"):
         if key not in data:
             raise InvalidInstanceError(f"missing key {key!r}")
+    for key in ("vertices", "edges"):
+        if not isinstance(data[key], list):
+            raise InvalidInstanceError(f"{key!r} must be a list")
     edges = []
     for i, item in enumerate(data["edges"]):
         _require_keys(item, _EDGE_KEYS, f"edge #{i}")
+        directed = item.get("directed", False)
+        if not isinstance(directed, bool):
+            raise InvalidInstanceError(
+                f"edge #{i} has directed {directed!r}; need true or false")
         try:
-            edges.append(EdgeSpec(
+            edge = EdgeSpec(
                 id=item["id"],
                 tail=item["tail"],
                 head=item["head"],
                 cost=parse_cost(item["cost"]),
-                directed=bool(item.get("directed", False)),
+                directed=directed,
                 block_p=parse_probability(item.get("block_p", "0/1")),
-            ))
+            )
         except KeyError as exc:
             raise InvalidInstanceError(
                 f"edge #{i} is missing {exc}") from exc
+        if not (isinstance(edge.id, str) and isinstance(edge.tail, str)
+                and isinstance(edge.head, str)):
+            raise InvalidInstanceError(
+                f"edge #{i} needs a string id and string endpoints")
+        edges.append(edge)
     dependency = None
     if "dependency" in data:
         dep = data["dependency"]

@@ -2,11 +2,15 @@
 
 A policy is a deterministic rule mapping each belief (position plus revealed
 edge statuses) to an action. This module provides the action vocabulary, an
-explicit decision-tree representation with JSON round-tripping, two exact
-evaluators (full weather enumeration, and recursion over observation
-outcomes that copes with gadget chains far too long to enumerate), a seeded
-Monte Carlo simulator, and the library of named reference policies for the
-baiting and observation gadgets.
+explicit decision-tree representation with JSON round-tripping, one exact
+evaluator with two modes (full weather enumeration, and a depth-first stack
+of observation outcomes that copes with gadget chains far too long to
+enumerate), a seeded Monte Carlo simulator, and the library of named
+reference policies for the baiting and observation gadgets.
+
+Every walk starts by seeing the uncertain edges at s; after that, what it
+sees on arriving at a vertex is `CtpInstance.fresh_at`, the one arrival
+rule the solver follows too.
 
 Expected costs are exact rationals throughout; the only floats live in the
 simulator's summary statistics.
@@ -26,6 +30,8 @@ from .model import (
     Belief,
     Cost,
     CtpInstance,
+    EnumerationCapError,
+    InvalidInstanceError,
     Variant,
     Weather,
     sample_weather,
@@ -109,7 +115,9 @@ def action_to_dict(action: Action | None) -> dict | None:
 def action_from_dict(data: dict | None) -> Action | None:
     if data is None:
         return None
-    return Action(ActionKind(data["kind"]), data.get("edge"))
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(f"action {data!r} must be an object")
+    return Action(ActionKind(data.get("kind")), data.get("edge"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +183,19 @@ class DecisionTreePolicy(Policy):
 
     @classmethod
     def from_dict(cls, data: dict) -> DecisionTreePolicy:
+        raw_nodes = data.get("nodes") if isinstance(data, dict) else None
+        if not isinstance(raw_nodes, dict):
+            raise InvalidInstanceError(
+                'decision tree must be an object with a "nodes" object')
         nodes = {}
-        for key, raw in data["nodes"].items():
-            children = tuple(sorted(raw.get("children", {}).items()))
-            nodes[key] = TreeNode(action_from_dict(raw.get("action")), children)
+        for key, raw in raw_nodes.items():
+            children = raw.get("children", {}) if isinstance(raw, dict) else 0
+            if not isinstance(children, dict):
+                raise InvalidInstanceError(
+                    f"decision tree node {key!r} must be an object whose "
+                    "children are an object")
+            nodes[key] = TreeNode(action_from_dict(raw.get("action")),
+                                  tuple(sorted(children.items())))
         return cls(nodes, data.get("root"))
 
     def to_json(self) -> str:
@@ -204,7 +221,8 @@ class EvalResult:
     outcome_breakdown: tuple[tuple[str, Fraction, Cost], ...]
 
 
-def default_step_cap(instance: CtpInstance) -> int:
+def _step_cap(instance: CtpInstance) -> int:
+    """Steps a walk may take before it counts as looping."""
     return max(64, 16 * len(instance.edges))
 
 
@@ -251,12 +269,12 @@ def _action_price(instance: CtpInstance, belief: Belief,
     return edge.cost
 
 
-def walk_weather(instance: CtpInstance, policy: Policy, weather: Weather,
-                 step_cap: int | None = None) -> Cost:
+def walk_weather(instance: CtpInstance, policy: Policy,
+                 weather: Weather) -> Cost:
     """Run the policy against one fixed weather; return the realized cost."""
-    cap = default_step_cap(instance) if step_cap is None else step_cap
+    cap = _step_cap(instance)
     pos = instance.s
-    known: dict[str, bool] = dict(instance.observe(weather, pos))
+    known = {e: weather.is_open(e) for e in instance.fresh_at(pos, {})}
     total = Cost.zero()
     belief = Belief.make(pos, known)
     for _ in range(cap):
@@ -271,9 +289,8 @@ def walk_weather(instance: CtpInstance, policy: Policy, weather: Weather,
             known[action.edge] = weather.is_open(action.edge)
             continue
         pos = instance.edge_map[action.edge].other_end(pos)
-        # the trip ends at t, so nothing revealed there can matter
-        if pos != instance.t:
-            known.update(instance.observe(weather, pos))
+        for e in instance.fresh_at(pos, known):
+            known[e] = weather.is_open(e)
     raise PolicyLoopError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
 
@@ -283,34 +300,19 @@ def _outcome_label(assignment: Mapping[str, bool]) -> str:
                     for e, v in sorted(assignment.items()))
 
 
-class _Frame:
-    """One pending branch node of the outcome-recursion evaluator."""
+def _trace(instance: CtpInstance, policy: Policy,
+           record: dict[str, TreeNode] | None) -> EvalResult:
+    """Evaluate by enumerating observation outcomes depth first.
 
-    __slots__ = ("children", "index", "walked", "acc", "labels", "prob",
-                 "base")
-
-    def __init__(self, children, walked, labels, prob, base):
-        self.children = children    # list of (label, probability, belief)
-        self.index = 0
-        self.walked = walked        # Fraction spent inside this frame
-        self.acc = Cost.zero()      # probability-weighted finished children
-        self.labels = labels
-        self.prob = prob
-        self.base = base
-
-
-def _trace(instance: CtpInstance, policy: Policy, step_cap: int | None,
-           record: dict[str, TreeNode] | None,
-           ) -> tuple[Cost, list[tuple[str, Fraction, Cost]]]:
-    """Evaluate by recursing over observation outcomes (iteratively).
-
-    Between observations the walk is deterministic, so each frame advances
-    until the policy halts, gives up, or triggers a branch: arriving where
-    unrevealed edges become visible, or sensing. Branch probabilities come
-    from the joint model conditioned on everything revealed so far, which
-    makes the recursion exact for dependent instances too.
+    Between observations the walk is deterministic, so each pending entry
+    advances until the policy halts, declares the situation infeasible, or
+    triggers a branch: arriving where unrevealed edges become visible, or
+    sensing. Branch probabilities come from the joint model conditioned on
+    everything revealed so far, which makes the evaluation exact for
+    dependent instances too. Every leaf adds one breakdown row, and the
+    expected cost is the probability-weighted sum of those rows.
     """
-    cap = default_step_cap(instance) if step_cap is None else step_cap
+    cap = _step_cap(instance)
     joint = instance.joint
     breakdown: list[tuple[str, Fraction, Cost]] = []
 
@@ -330,47 +332,43 @@ def _trace(instance: CtpInstance, policy: Policy, step_cap: int | None,
             node = TreeNode(action, tuple(sorted(merged.items())))
         record[key] = node
 
-    def branch_children(belief: Belief, position: str,
-                        targets: list[str]) -> list[tuple[str, Fraction, Belief]]:
-        outcomes = joint.branch(belief.known_map, targets)
+    def branch(belief: Belief, action: Action | None, position: str,
+               targets: list[str]) -> list[tuple[str, Fraction, Belief]]:
+        """Reveal `targets` at `position`; note and return the outcomes."""
         children = []
-        for assignment, prob in outcomes:
+        for assignment, prob in joint.branch(belief.known_map, targets):
             grown = dict(belief.known_map)
             grown.update(assignment)
             children.append((_outcome_label(assignment), prob,
                              Belief.make(position, grown)))
+        note(belief, action,
+             tuple((label, belief_key(b)) for label, _, b in children))
         return children
 
     def advance(belief: Belief):
-        """Walk deterministically; stop at a leaf or a branch point."""
+        """Walk deterministically to a leaf or a branch point.
+
+        Returns the cost walked (None if the policy declared the situation
+        infeasible) and the branch outcomes (None at a leaf).
+        """
         walked = Fraction(0)
         for _ in range(cap):
             action = policy.decide(instance, belief)
             if action is None:
                 note(belief, None)
-                return "dead", walked, None
+                return None, None
             price = _action_price(instance, belief, action)
             if action.kind is ActionKind.HALT:
                 note(belief, action)
-                return "halt", walked, None
+                return walked, None
             walked += price.fraction
             if action.kind is ActionKind.SENSE:
-                children = branch_children(belief, belief.position,
-                                           [action.edge])
-                note(belief, action,
-                     tuple((label, belief_key(b)) for label, _, b in children))
-                return "branch", walked, children
+                return walked, branch(belief, action, belief.position,
+                                      [action.edge])
             nxt = instance.edge_map[action.edge].other_end(belief.position)
-            # observations at t are moot (and branching on them at a gadget
-            # sink with hundreds of incident cut edges would explode)
-            fresh = [] if nxt == instance.t else [
-                e.id for e in instance.visible_from(nxt)
-                if belief.status(e.id) is None]
+            fresh = instance.fresh_at(nxt, belief.known_map)
             if fresh:
-                children = branch_children(belief, nxt, fresh)
-                note(belief, action,
-                     tuple((label, belief_key(b)) for label, _, b in children))
-                return "branch", walked, children
+                return walked, branch(belief, action, nxt, fresh)
             succ = Belief.make(nxt, belief.known_map)
             note(belief, action, (("", belief_key(succ)),))
             belief = succ
@@ -378,133 +376,86 @@ def _trace(instance: CtpInstance, policy: Policy, step_cap: int | None,
             f"no branch or arrival within {cap} steps; "
             f"last {describe_belief(belief)}")
 
-    def leaf_value(kind: str, walked: Fraction, labels: tuple[str, ...],
-                   prob: Fraction, base: Fraction) -> Cost:
-        if kind == "halt":
-            cost = Cost.of(base + walked)
-            value = Cost.of(walked)
-        else:
-            cost = Cost.infinite()
-            value = Cost.infinite()
-        breakdown.append((" ; ".join(labels) or "no observations",
-                          prob, cost))
-        return value
+    # pending entries: belief, outcome labels, probability, cost so far
+    stack: list[tuple[Belief, tuple[str, ...], Fraction, Fraction]] = []
 
-    def open_frame(belief: Belief, labels: tuple[str, ...], prob: Fraction,
-                   base: Fraction) -> Cost | None:
-        """Push a frame for `belief`, or return its value if it is a leaf."""
-        kind, walked, children = advance(belief)
-        if kind != "branch":
-            return leaf_value(kind, walked, labels, prob, base)
-        stack.append(_Frame(children, walked, labels, prob, base))
-        return None
+    def push(children, labels, prob, spent) -> None:
+        # reversed, so that outcomes pop in the order the model lists them
+        for label, p, child in reversed(children):
+            stack.append((child, labels + (label,), prob * p, spent))
 
-    stack: list[_Frame] = []
     start = Belief.make(instance.s, {})
-    fresh = [e.id for e in instance.visible_from(instance.s)]
+    fresh = instance.fresh_at(instance.s, {})
     if fresh:
-        children = branch_children(start, instance.s, fresh)
-        if record is not None:
-            note(start, None,
-                 tuple((label, belief_key(b)) for label, _, b in children))
-        stack.append(_Frame(children, Fraction(0), (), Fraction(1),
-                            Fraction(0)))
-        final: Cost | None = None
+        push(branch(start, None, instance.s, fresh), (), Fraction(1),
+             Fraction(0))
     else:
-        final = open_frame(start, (), Fraction(1), Fraction(0))
-
+        stack.append((start, (), Fraction(1), Fraction(0)))
     while stack:
-        top = stack[-1]
-        if top.index == len(top.children):
-            value = Cost.of(top.walked) + top.acc
-            stack.pop()
-            if stack:
-                parent = stack[-1]
-                prob = parent.children[parent.index - 1][1]
-                parent.acc = parent.acc + value.scale(prob)
-            else:
-                final = value
+        belief, labels, prob, spent = stack.pop()
+        walked, children = advance(belief)
+        if children is not None:
+            push(children, labels, prob, spent + walked)
             continue
-        label, prob, child = top.children[top.index]
-        top.index += 1
-        value = open_frame(child, top.labels + (label,), top.prob * prob,
-                           top.base + top.walked)
-        if value is not None:
-            top.acc = top.acc + value.scale(prob)
+        cost = Cost.infinite() if walked is None else Cost.of(spent + walked)
+        breakdown.append((" ; ".join(labels) or "no observations", prob, cost))
 
-    assert final is not None
-    total_prob = sum((p for _, p, _ in breakdown), Fraction(0))
-    assert total_prob == 1
-    flat = Cost.zero()
+    assert sum((p for _, p, _ in breakdown), Fraction(0)) == 1
+    expected = Cost.zero()
     for _, prob, cost in breakdown:
-        flat = flat + cost.scale(prob)
-    assert flat == final
-    return final, breakdown
+        expected = expected + cost.scale(prob)
+    return EvalResult(expected, tuple(breakdown))
 
 
 # Largest weather support that mode "auto" still enumerates.
 _WEATHER_CAP = 4096
 
 
-def _support_size(instance: CtpInstance) -> int:
-    count = 1
-    for comp in instance.joint.components:
-        count *= len(comp.rows)
-    return count
-
-
-def evaluate_exact(instance: CtpInstance, policy: Policy, mode: str = "auto",
-                   step_cap: int | None = None) -> EvalResult:
+def evaluate_exact(instance: CtpInstance, policy: Policy,
+                   mode: str = "auto") -> EvalResult:
     """Exact expected cost of `policy`, with a per-event breakdown.
 
     mode "weathers" enumerates the full weather support and replays the
-    policy against each one; mode "tree" recurses over observation outcomes
+    policy against each one; mode "tree" enumerates observation outcomes
     instead and handles instances whose support is astronomically large;
     "auto" picks by support size.
     """
     if mode not in ("auto", "weathers", "tree"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if mode == "auto":
-        small = _support_size(instance) <= _WEATHER_CAP
-        mode = "weathers" if small else "tree"
+        try:
+            support = weather_support(instance, _WEATHER_CAP)
+        except EnumerationCapError:
+            mode = "tree"
+    elif mode == "weathers":
+        support = weather_support(instance)
     if mode == "tree":
-        expected, breakdown = _trace(instance, policy, step_cap, None)
-        return EvalResult(expected, tuple(breakdown))
-    support = weather_support(instance)
-    breakdown_w: list[tuple[str, Fraction, Cost]] = []
+        return _trace(instance, policy, None)
+    breakdown: list[tuple[str, Fraction, Cost]] = []
     expected = Cost.zero()
     ids = sorted(e.id for e in instance.uncertain_edges)
     for weather, prob in support:
-        cost = walk_weather(instance, policy, weather, step_cap)
+        cost = walk_weather(instance, policy, weather)
         label = ",".join(
             f"{e}={'blocked' if e in weather.blocked else 'open'}"
             for e in ids) or "no observations"
-        breakdown_w.append((label, prob, cost))
+        breakdown.append((label, prob, cost))
         expected = expected + cost.scale(prob)
-    assert sum((p for _, p, _ in breakdown_w), Fraction(0)) == 1
-    return EvalResult(expected, tuple(breakdown_w))
+    assert sum((p for _, p, _ in breakdown), Fraction(0)) == 1
+    return EvalResult(expected, tuple(breakdown))
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,
-                         step_cap: int | None = None,
                          ) -> tuple[EvalResult, DecisionTreePolicy]:
     """Unfold `policy` over every belief it can reach, as an explicit tree."""
     nodes: dict[str, TreeNode] = {}
-    expected, breakdown = _trace(instance, policy, step_cap, nodes)
-    start = Belief.make(instance.s, {})
-    root = belief_key(start)
-    if root not in nodes:
-        # the very first observation happens at s before any action
-        root = None
-        for key in nodes:
-            root = key
-            break
-    tree = DecisionTreePolicy(nodes, root)
-    return EvalResult(expected, tuple(breakdown)), tree
+    result = _trace(instance, policy, nodes)
+    root = belief_key(Belief.make(instance.s, {}))
+    return result, DecisionTreePolicy(nodes, root)
 
 
 def simulate(instance: CtpInstance, policy: Policy, trials: int,
-             seed: int, step_cap: int | None = None) -> tuple[float, float]:
+             seed: int) -> tuple[float, float]:
     """Average realized cost over seeded weather draws.
 
     Deterministic given (seed, trials): trial i always consumes the stream
@@ -516,7 +467,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     for trial in range(trials):
         stream = trial_stream(seed, trial)
         weather = sample_weather(instance, stream)
-        cost = walk_weather(instance, policy, weather, step_cap)
+        cost = walk_weather(instance, policy, weather)
         if cost.is_infinite:
             raise InfeasibleWeatherError(
                 f"trial {trial} hit a weather the policy declares infeasible")
@@ -687,7 +638,6 @@ __all__ = [
     "action_from_dict",
     "action_to_dict",
     "belief_key",
-    "default_step_cap",
     "describe_belief",
     "evaluate_exact",
     "export_decision_tree",

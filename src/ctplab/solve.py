@@ -8,10 +8,13 @@ the recursion is well founded). Within a stratum, values come from a reverse
 Dijkstra seeded at the target and at every revealing step, which is sound
 because all costs are nonnegative.
 
-Branch probabilities always condition on everything revealed so far, so the
-one entry point `solve` is exact for independent, dependent, and sensing
-instances alike; the sensing variant just adds stay-in-place revealing steps
-priced by the sensing map. No pruning beyond the memoization: this module
+A step reveals what `CtpInstance.fresh_at` says arriving at its far end
+exposes, the rule the policy evaluators walk by too. Branch probabilities
+always condition on everything revealed so far, so the one entry point
+`solve` is exact for independent, dependent, and sensing instances alike;
+the sensing variant just adds stay-in-place revealing steps priced by the
+sensing map. Every solve checks its value against the tree evaluator
+(`export_decision_tree`). No pruning beyond the memoization: this module
 is an oracle, and exactness wins over speed.
 """
 from __future__ import annotations
@@ -89,13 +92,6 @@ class _Solver:
 
     # -- structure ---------------------------------------------------------
 
-    def fresh_at(self, vertex: str, known: Mapping[str, bool]) -> list[str]:
-        """Unrevealed statuses that arriving at `vertex` would expose."""
-        if vertex == self.instance.t:
-            return []
-        return [e.id for e in self.instance.visible_from(vertex)
-                if e.id not in known]
-
     def _passable(self, edge, known: Mapping[str, bool]) -> bool:
         if edge.cost.is_infinite:
             return False
@@ -116,7 +112,7 @@ class _Solver:
             for edge, far in self.instance.moves_from(u):
                 if far in seen or not self._passable(edge, known):
                     continue
-                if self.fresh_at(far, known):
+                if self.instance.fresh_at(far, known):
                     continue
                 seen.add(far)
                 queue.append(far)
@@ -162,7 +158,7 @@ class _Solver:
             for edge, far in self.instance.moves_from(u):
                 if not self._passable(edge, known):
                     continue
-                fresh = self.fresh_at(far, known)
+                fresh = self.instance.fresh_at(far, known)
                 if fresh:
                     value = edge.cost + self.branch_value(known, fresh, far)
                     if not value.is_infinite:
@@ -213,28 +209,19 @@ class _SolvedPolicy(Policy):
 
 
 def _first_action(tree: DecisionTreePolicy) -> Action | None:
-    if tree.root is None:
-        return None
-    node = tree.nodes.get(tree.root)
-    if node is None:
-        return None
+    node = tree.nodes[tree.root]
     if node.action is not None:
         return node.action
     # chance root: a single first action exists only if all outcomes agree
     seen = {tree.nodes[child].action for _, child in node.children}
-    if len(seen) == 1:
-        return seen.pop()
-    return None
+    return seen.pop() if len(seen) == 1 else None
 
 
 def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
     """Exact optimum of an independent, dependent or sensing instance."""
     solver = _Solver(instance, belief_cap)
-    fresh = solver.fresh_at(instance.s, {})
-    if fresh:
-        expected = solver.branch_value({}, fresh, instance.s)
-    else:
-        expected = solver.value_at((), instance.s)
+    expected = solver.branch_value({}, instance.fresh_at(instance.s, {}),
+                                   instance.s)
     result, tree = export_decision_tree(instance, _SolvedPolicy(solver))
     assert result.expected_cost == expected
     return OptResult(expected, _first_action(tree), tree,

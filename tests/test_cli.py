@@ -208,6 +208,48 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @staticmethod
+    def _one_edge_document():
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("t", "s", 1, id="back")
+        return json.loads(instance_to_json(b.build()))
+
+    def test_string_directed_flag_is_input_error(self, tmp_path, capsys):
+        data = self._one_edge_document()
+        data["edges"][0]["directed"] = "false"
+        path = tmp_path / "directed.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 2
+        assert "directed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value", [
+        ("edges", 5), ("vertices", [["s"], "t"]), ("s", ["s"]),
+        ("edges", [5]), ("edges", [{"id": ["back"], "tail": "t",
+                                    "head": "s", "cost": "1/1"}])])
+    def test_mistyped_section_is_input_error(self, tmp_path, capsys,
+                                             section, value):
+        data = self._one_edge_document()
+        data[section] = value
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("document", [
+        [1], {"nodes": 5}, {"nodes": {"s|": {"action": "move"}}},
+        {"nodes": {"s|": 5}}, {"nodes": {"s|": {"action": {}}}}])
+    def test_malformed_decision_tree_is_input_error(self, tmp_path, capsys,
+                                                    document):
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps(self._one_edge_document()))
+        tree = tmp_path / "bad.json"
+        tree.write_text(json.dumps(document))
+        assert main(["solve", str(instance), "--policy", str(tree)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_exhaustion(self, game_file, tmp_path, capsys):
         out = tmp_path / "dep.json"
         main(["reduce", "ctpdep", str(game_file), "-o", str(out)])

@@ -157,22 +157,32 @@ class TestBuilderAndValidation:
 class TestObservation:
     def test_undirected_seen_from_both_ends(self):
         inst = two_path_instance()
-        wet = Weather(frozenset({"xt"}))
-        assert inst.observe(wet, "x") == (("xt", False),)
-        assert inst.observe(wet, "t") == (("xt", False),)
-        assert inst.observe(wet, "s") == ()
+        assert [e.id for e in inst.visible_from("x")] == ["xt"]
+        assert [e.id for e in inst.visible_from("t")] == ["xt"]
+        assert inst.visible_from("s") == ()
+        assert inst.fresh_at("x", {}) == ["xt"]
+        assert inst.fresh_at("x", {"xt": False}) == []
+        assert inst.fresh_at("s", {}) == []
+        # arriving at t ends the trip, so nothing shown there is fresh
+        assert inst.fresh_at("t", {}) == []
 
     def test_directed_seen_from_both_ends_traversed_from_tail(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
         b.add_edge("s", "t", 1, id="st")
         b.add_edge("s", "t", 0, id="risky", directed=True, block_p=HALF)
+        b.add_edge("m", "s", 1, id="ms")
+        b.add_edge("m", "s", 0, id="back", directed=True, block_p=HALF)
         inst = b.build()
-        dry = Weather(frozenset())
-        assert inst.observe(dry, "s") == (("risky", True),)
-        assert inst.observe(dry, "t") == (("risky", True),)
-        assert [e.id for e, _ in inst.moves_from("s")] == ["st", "risky"]
+        assert [e.id for e in inst.visible_from("s")] == ["risky", "back"]
+        assert [e.id for e in inst.visible_from("t")] == ["risky"]
+        assert inst.fresh_at("s", {}) == ["risky", "back"]
+        assert inst.fresh_at("s", {"risky": True}) == ["back"]
+        assert inst.fresh_at("m", {}) == ["back"]
+        assert [e.id for e, _ in inst.moves_from("s")] == [
+            "st", "risky", "ms"]
         assert [e.id for e, _ in inst.moves_from("t")] == ["st"]
+        assert [e.id for e, _ in inst.moves_from("m")] == ["ms", "back"]
 
     def test_belief_lookup(self):
         belief = Belief.make("x", {"b": False, "a": True})

@@ -8,6 +8,7 @@ policy walker, the joint-outcome recursion, and the closed forms together.
 """
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,8 @@ from ctplab.policy import (
     simulate,
     walk_weather,
 )
+from ctplab.reductions import named_vc, vc_to_sensing
+from ctplab.solve import solve
 
 
 def sure_edge_instance(cost=5):
@@ -322,6 +325,83 @@ class TestDecisionTrees:
         tree = DecisionTreePolicy({})
         with pytest.raises(IllegalActionError, match="no action"):
             evaluate_exact(inst, tree, mode="tree")
+
+
+def _pinned_case(name):
+    if name == "baiting":
+        inst, handle = baiting_harness(2)
+        return inst, reference_policy("baiting_pi", handle=handle,
+                                      terminal=handle.exit_shortcut)
+    if name == "observation":
+        inst, handle = observation_harness(9, charge=0)
+        return inst, reference_policy("og_pi_g", handle=handle,
+                                      terminal="charge")
+    if name == "xor":
+        from test_model import xor_net_instance
+        inst = xor_net_instance()
+    else:
+        inst, _ = vc_to_sensing(named_vc("p3", 1), Fraction(1, 2))
+    return inst, solve(inst).policy
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFrozenTreeEvaluation:
+    """The tree evaluator's exact outputs, frozen bit for bit.
+
+    Each case pins the expected cost, the outcome breakdown (labels, order,
+    probabilities and costs, one tab-separated row each) and the exported
+    decision tree's JSON, so a rewrite of the evaluator cannot reorder
+    outcomes or change a recorded node unnoticed.
+    """
+
+    @pytest.mark.parametrize("name, expected, rows, breakdown_sha, tree_sha", [
+        ("baiting", "263/512", 8,
+         "4755ff33aed48a64f774f31f8d8bce44b48c9c440a8fe8c716b10b0dc02598a3",
+         "3978831d2ba7ef4c7add7f79811001b10b814d78c8085acacc7e351374ee2b82"),
+        ("observation",
+         "225975662473920507522588749653783560473987565347027346784247/"
+         "803469022129495137770981046170581301261101496891396417650688", 256,
+         "1b9d3b82eedee407290a4924dca419582142d90b1599245ec553e40a6d18bfd7",
+         "b3000897120dd33d9cfe14cf90025d82379b97bf4b2d3837d381b2dce433df9b"),
+        ("xor", "0/1", 2,
+         "8c564d2ffeafa63f418cccec167148eaa6d0a1e6fa4fab4d6e69aa2a24ad9eb3",
+         "87685a0dacd2bf20a86cd0c868d60c3690dc379feefddfd7d68d4bffff70b1e5"),
+        ("p3", "3161165579761560626969914950619/"
+         "792281625142643375935439503360", 4,
+         "ea3a92876fc46cc03637607a8e77bee7f83fa863db9a977e0352dfe8f97cc442",
+         "273f03560ad4355c68312fda15809bb638467d3e49925604657597a5032883d7"),
+    ])
+    def test_frozen(self, name, expected, rows, breakdown_sha, tree_sha):
+        inst, policy = _pinned_case(name)
+        result = evaluate_exact(inst, policy, mode="tree")
+        assert str(result.expected_cost) == expected
+        assert len(result.outcome_breakdown) == rows
+        text = "\n".join(f"{label}\t{prob}\t{cost}"
+                         for label, prob, cost in result.outcome_breakdown)
+        assert _sha256(text) == breakdown_sha
+        exported, tree = export_decision_tree(inst, policy)
+        assert exported == result
+        assert _sha256(tree.to_json()) == tree_sha
+
+    def test_baiting_rows_in_order(self):
+        inst, policy = _pinned_case("baiting")
+        breakdown = evaluate_exact(inst, policy, mode="tree").outcome_breakdown
+        cuts = [f"bg.cut{i:03d}" for i in range(1, 8)]
+        want = []
+        for opened in range(6, -1, -1):
+            labels = [f"{cut}=blocked" for cut in cuts[:opened]]
+            want.append(" ; ".join(labels + [f"{cuts[opened]}=open"]))
+        want.insert(0, " ; ".join(f"{cut}=blocked" for cut in cuts))
+        assert [label for label, _, _ in breakdown] == want
+        assert [p for _, p, _ in breakdown] == [
+            Fraction(1, 128), Fraction(1, 128), Fraction(1, 64),
+            Fraction(1, 32), Fraction(1, 16), Fraction(1, 8), Fraction(1, 4),
+            Fraction(1, 2)]
+        assert [str(c) for _, _, c in breakdown] == [
+            "4/1", "7/4", "3/2", "5/4", "1/1", "3/4", "1/2", "1/4"]
 
 
 class TestRegistry:
