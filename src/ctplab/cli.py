@@ -12,8 +12,8 @@ Subcommands:
 * `export-dot` renders an instance as Graphviz text.
 * `verify` runs a named check suite and reports one line per check.
 
-Exit codes: 0 success, 1 verify checks failed, 2 bad input, 3 an
-enumeration or step cap was exceeded.
+Exit codes: 0 success, 1 verify checks failed or an internal self-check
+failed, 2 bad input, 3 an enumeration or step cap was exceeded.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from .model import (
     CtpInstance,
     EnumerationCapError,
     InstanceBuilder,
+    InternalCheckError,
     InvalidInstanceError,
     SplitMix64,
     Variant,
@@ -61,7 +62,6 @@ from .policy import (
 )
 from .reductions import (
     CertificateError,
-    CoverSensingPolicy,
     certificate,
     has_vertex_cover,
     named_vc,
@@ -301,7 +301,9 @@ def _suite_ctpdep(args) -> list[CheckResult]:
             continue
         if args.m and formula.m != args.m:
             continue
-        assert qbf_eval(formula) is winnable
+        if qbf_eval(formula) is not winnable:
+            raise InternalCheckError(
+                f"battery game {formula.clauses} has the wrong truth value")
         instance, fee = qbf_to_ctpdep(formula)
         result = solve(instance, belief_cap=cap)
         label = f"n={formula.n}-m={formula.m}-{'win' if winnable else 'loss'}"
@@ -340,19 +342,17 @@ def _suite_ctp_cert(args) -> list[CheckResult]:
             continue
         formula = QbfFormula.of(n, ((1,),) * m)
         instance, cert = qbf_to_ctp(formula)
-        edges = {e.id: e for e in instance.edges}
         position = instance.s
         total = Fraction(0)
-        intact = True
         for eid in reference_trip(formula):
-            edge = edges.get(eid)
-            if edge is None or position not in (edge.tail, edge.head):
-                intact = False
+            move = instance.moves_from(position).get(eid)
+            if move is None:
+                position = None
                 break
-            position = (edge.head if position == edge.tail else edge.tail)
+            edge, position = move
             total += edge.cost.fraction
-        intact = intact and position == "exam.r0"
-        out.holds(f"trip-walks-to-exam-entrance-n={n}-m={m}", intact)
+        out.holds(f"trip-walks-to-exam-entrance-n={n}-m={m}",
+                  position == "exam.r0")
         out.equal(f"trip-cost-matches-ledger-n={n}-m={m}", cert.D_pt, total)
     return out.checks
 
@@ -650,6 +650,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
     except (EnumerationCapError, PolicyLoopError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

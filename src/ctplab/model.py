@@ -35,6 +35,10 @@ class EnumerationCapError(RuntimeError):
     """An exact enumeration would exceed its configured cap."""
 
 
+class InternalCheckError(RuntimeError):
+    """A self-check failed: the program contradicted its own invariant."""
+
+
 # ---------------------------------------------------------------------------
 # rationals
 
@@ -320,14 +324,6 @@ class SensingSpec:
 
     entries: tuple[SensingEntry, ...]
 
-    @cached_property
-    def _table(self) -> dict[tuple[str, str], Cost]:
-        return {(e.vertex, e.edge): e.cost for e in self.entries}
-
-    def cost(self, vertex: str, edge: str) -> Cost | None:
-        """Price of sensing `edge` from `vertex`, None when unavailable."""
-        return self._table.get((vertex, edge))
-
 
 @dataclass(frozen=True)
 class Weather:
@@ -434,7 +430,8 @@ class JointModel:
                         for key, p in sorted(proj.items())]
             partial = [({**got, **add}, pa * pb)
                        for got, pa in partial for add, pb in outcomes]
-        assert sum(p for _, p in partial) == 1
+        if sum(p for _, p in partial) != 1:
+            raise InternalCheckError(f"outcomes of {wanted} do not sum to 1")
         return partial
 
     def open_probability(self, known: Mapping[str, bool],
@@ -524,18 +521,36 @@ class CtpInstance:
         return tuple(e for e in self.edges if e.uncertain)
 
     @cached_property
-    def _moves(self) -> dict[str, tuple[tuple[EdgeSpec, str], ...]]:
-        table: dict[str, list[tuple[EdgeSpec, str]]] = {
-            v: [] for v in self.vertices}
+    def _moves(self) -> dict[str, dict[str, tuple[EdgeSpec, str]]]:
+        table: dict[str, dict[str, tuple[EdgeSpec, str]]] = {
+            v: {} for v in self.vertices}
         for e in self.edges:
-            table[e.tail].append((e, e.head))
-            if not e.directed:
-                table[e.head].append((e, e.tail))
-        return {v: tuple(moves) for v, moves in table.items()}
+            if not e.cost.is_infinite:
+                table[e.tail][e.id] = (e, e.head)
+                if not e.directed:
+                    table[e.head][e.id] = (e, e.tail)
+        return table
 
-    def moves_from(self, vertex: str) -> tuple[tuple[EdgeSpec, str], ...]:
-        """Edges traversable out of `vertex`, paired with their far ends."""
+    def moves_from(self, vertex: str) -> Mapping[str, tuple[EdgeSpec, str]]:
+        """Each edge id that may leave `vertex`, mapped to (edge, far end).
+
+        The move rule of the solver and every walker: a directed edge
+        leaves its tail only, an infinite-cost anchor never, and an
+        uncertain edge only once it is known open.
+        """
         return self._moves[vertex]
+
+    @cached_property
+    def _sense_fees(self) -> dict[str, dict[str, Cost]]:
+        table: dict[str, dict[str, Cost]] = {v: {} for v in self.vertices}
+        if self.variant is Variant.SENSING and self.sensing is not None:
+            for entry in sorted(self.sensing.entries, key=lambda x: x.edge):
+                table[entry.vertex][entry.edge] = entry.cost
+        return table
+
+    def senses_from(self, vertex: str) -> Mapping[str, Cost]:
+        """Each edge id sensable from `vertex`, mapped to its fee."""
+        return self._sense_fees[vertex]
 
     @cached_property
     def _incident_uncertain(self) -> dict[str, tuple[EdgeSpec, ...]]:
@@ -576,7 +591,6 @@ class CtpInstance:
 
 def _validate_net(instance: CtpInstance) -> None:
     net = instance.dependency
-    assert net is not None
     seen: set[str] = set()
     for var in net.variables:
         if var.id in seen:
@@ -850,10 +864,20 @@ def instance_to_dict(instance: CtpInstance) -> dict:
     return data
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", bool: "true or false"}
+
+
+def require_type(value, kind: type, what: str):
+    """`value`, refused unless it has JSON type `kind` (bool is no int)."""
+    if type(value) is not kind:
+        raise InvalidInstanceError(
+            f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise InvalidInstanceError(f"{where} must be an object")
-    extra = set(obj) - allowed
+    extra = set(require_type(obj, dict, where)) - allowed
     if extra:
         raise InvalidInstanceError(
             f"unknown keys {sorted(extra)} in {where}")
@@ -868,16 +892,13 @@ def instance_from_dict(data: dict) -> CtpInstance:
     for key in ("s", "t", "vertices", "edges"):
         if key not in data:
             raise InvalidInstanceError(f"missing key {key!r}")
-    for key in ("vertices", "edges"):
-        if not isinstance(data[key], list):
-            raise InvalidInstanceError(f"{key!r} must be a list")
+        if key in ("vertices", "edges"):
+            require_type(data[key], list, repr(key))
     edges = []
     for i, item in enumerate(data["edges"]):
         _require_keys(item, _EDGE_KEYS, f"edge #{i}")
-        directed = item.get("directed", False)
-        if not isinstance(directed, bool):
-            raise InvalidInstanceError(
-                f"edge #{i} has directed {directed!r}; need true or false")
+        directed = require_type(item.get("directed", False), bool,
+                                f"edge #{i} directed")
         try:
             edge = EdgeSpec(
                 id=item["id"],
@@ -900,28 +921,36 @@ def instance_from_dict(data: dict) -> CtpInstance:
         dep = data["dependency"]
         _require_keys(dep, {"max_in_degree", "variables"}, "dependency")
         variables = []
-        for item in dep.get("variables", ()):
+        for item in require_type(dep.get("variables", []), list, "variables"):
             _require_keys(item, {"id", "parents", "cpt"}, "net variable")
+            name = require_type(item.get("id"), str, "net variable id")
+            parents = tuple(
+                require_type(p, str, f"a parent of {name!r}")
+                for p in require_type(item.get("parents", []), list,
+                                      f"parents of {name!r}"))
             cpt = []
-            for row in item["cpt"]:
-                p0, p1 = (parse_probability(x) for x in row)
-                if p0 + p1 != 1:
+            for row in require_type(item.get("cpt"), list, f"cpt of {name!r}"):
+                probs = [parse_probability(x) for x in
+                         require_type(row, list, f"a cpt row of {name!r}")]
+                if len(probs) != 2 or sum(probs) != 1:
                     raise InvalidInstanceError(
-                        f"cpt row {row} of {item['id']!r} does not sum to 1")
-                cpt.append(p1)
-            variables.append(NetVariable(
-                item["id"], tuple(item.get("parents", ())), tuple(cpt)))
-        dependency = DependencyNet(
-            tuple(variables), int(dep.get("max_in_degree", 2)))
+                        f"cpt row {row} of {name!r} is not two "
+                        "probabilities summing to 1")
+                cpt.append(probs[1])
+            variables.append(NetVariable(name, parents, tuple(cpt)))
+        dependency = DependencyNet(tuple(variables), require_type(
+            dep.get("max_in_degree", 2), int, "max_in_degree"))
     sensing = None
     if "sensing" in data:
         sec = data["sensing"]
         _require_keys(sec, {"entries"}, "sensing")
         entries = []
-        for item in sec.get("entries", ()):
+        for item in require_type(sec.get("entries", []), list, "entries"):
             _require_keys(item, {"vertex", "edge", "cost"}, "sensing entry")
             entries.append(SensingEntry(
-                item["vertex"], item["edge"], parse_cost(item["cost"])))
+                require_type(item.get("vertex"), str, "sensing vertex"),
+                require_type(item.get("edge"), str, "sensing edge"),
+                parse_cost(item.get("cost"))))
         sensing = SensingSpec(tuple(entries))
     instance = CtpInstance(
         variant=variant,
@@ -965,6 +994,7 @@ __all__ = [
     "EdgeSpec",
     "EnumerationCapError",
     "InstanceBuilder",
+    "InternalCheckError",
     "InvalidInstanceError",
     "JointModel",
     "NetVariable",
@@ -984,6 +1014,7 @@ __all__ = [
     "parse_cost",
     "parse_probability",
     "parse_rational",
+    "require_type",
     "sample_weather",
     "save_instance",
     "trial_stream",

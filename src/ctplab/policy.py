@@ -8,9 +8,9 @@ of observation outcomes that copes with gadget chains far too long to
 enumerate), a seeded Monte Carlo simulator, and the library of named
 reference policies for the baiting and observation gadgets.
 
-Every walk starts by seeing the uncertain edges at s; after that, what it
-sees on arriving at a vertex is `CtpInstance.fresh_at`, the one arrival
-rule the solver follows too.
+Every walk starts by seeing the uncertain edges at s; after that each step
+obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
+list what may be done where, and arrival reveals `fresh_at`.
 
 Expected costs are exact rationals throughout; the only floats live in the
 simulator's summary statistics.
@@ -31,9 +31,10 @@ from .model import (
     Cost,
     CtpInstance,
     EnumerationCapError,
-    InvalidInstanceError,
+    InternalCheckError,
     Variant,
     Weather,
+    require_type,
     sample_weather,
     trial_stream,
     weather_support,
@@ -78,7 +79,7 @@ class Action:
         if self.kind is ActionKind.HALT:
             if self.edge is not None:
                 raise ValueError("halt carries no edge")
-        elif self.edge is None:
+        elif not isinstance(self.edge, str):
             raise ValueError(f"{self.kind.value} needs an edge id")
 
     @staticmethod
@@ -115,8 +116,7 @@ def action_to_dict(action: Action | None) -> dict | None:
 def action_from_dict(data: dict | None) -> Action | None:
     if data is None:
         return None
-    if not isinstance(data, dict):
-        raise InvalidInstanceError(f"action {data!r} must be an object")
+    require_type(data, dict, "action")
     return Action(ActionKind(data.get("kind")), data.get("edge"))
 
 
@@ -183,17 +183,14 @@ class DecisionTreePolicy(Policy):
 
     @classmethod
     def from_dict(cls, data: dict) -> DecisionTreePolicy:
-        raw_nodes = data.get("nodes") if isinstance(data, dict) else None
-        if not isinstance(raw_nodes, dict):
-            raise InvalidInstanceError(
-                'decision tree must be an object with a "nodes" object')
+        require_type(data, dict, "decision tree")
         nodes = {}
-        for key, raw in raw_nodes.items():
-            children = raw.get("children", {}) if isinstance(raw, dict) else 0
-            if not isinstance(children, dict):
-                raise InvalidInstanceError(
-                    f"decision tree node {key!r} must be an object whose "
-                    "children are an object")
+        for key, raw in require_type(data.get("nodes"), dict,
+                                     "decision tree nodes").items():
+            where = f"decision tree node {key!r}"
+            raw = require_type(raw, dict, where)
+            children = require_type(raw.get("children", {}), dict,
+                                    f"children of {where}")
             nodes[key] = TreeNode(action_from_dict(raw.get("action")),
                                   tuple(sorted(children.items())))
         return cls(nodes, data.get("root"))
@@ -221,52 +218,65 @@ class EvalResult:
     outcome_breakdown: tuple[tuple[str, Fraction, Cost], ...]
 
 
+def _summed(breakdown: list[tuple[str, Fraction, Cost]]) -> EvalResult:
+    """The expected cost of breakdown rows whose chances must sum to one."""
+    if sum((p for _, p, _ in breakdown), Fraction(0)) != 1:
+        raise InternalCheckError("outcome probabilities do not sum to one")
+    expected = Cost.zero()
+    for _, prob, cost in breakdown:
+        expected = expected + cost.scale(prob)
+    return EvalResult(expected, tuple(breakdown))
+
+
 def _step_cap(instance: CtpInstance) -> int:
     """Steps a walk may take before it counts as looping."""
     return max(64, 16 * len(instance.edges))
 
 
-def _action_price(instance: CtpInstance, belief: Belief,
-                  action: Action) -> Cost:
-    """Check legality of `action` at a settled belief; return its price."""
-    where = describe_belief(belief)
+def _illegal(message: str, belief: Belief) -> IllegalActionError:
+    return IllegalActionError(f"{message}, {describe_belief(belief)}")
+
+
+def _step(instance: CtpInstance, belief: Belief, action: Action,
+          ) -> tuple[Cost, str, list[str] | None]:
+    """Price, next position and revealed edges (None at halt) of `action`.
+
+    Legal exactly when the solver could take it: moves and fees come from
+    `CtpInstance.moves_from`/`senses_from`, arrival reveals `fresh_at`.
+    """
     pos = belief.position
     if action.kind is ActionKind.HALT:
         if pos != instance.t:
-            raise IllegalActionError(f"halt away from the target, {where}")
-        return Cost.zero()
-    edge = instance.edge_map.get(action.edge or "")
-    if edge is None:
-        raise IllegalActionError(f"unknown edge {action.edge!r}, {where}")
+            raise _illegal("halt away from the target", belief)
+        return Cost.zero(), pos, None
+    edge_id = action.edge
     if action.kind is ActionKind.SENSE:
-        if instance.variant is not Variant.SENSING or instance.sensing is None:
-            raise IllegalActionError(
-                f"sensing is not available in this variant, {where}")
-        fee = instance.sensing.cost(pos, edge.id)
+        fee = instance.senses_from(pos).get(edge_id)
         if fee is None:
-            raise IllegalActionError(
-                f"no sensing entry for {edge.id} from {pos}, {where}")
-        if belief.status(edge.id) is not None:
-            raise IllegalActionError(
-                f"sensing {edge.id} whose status is already known, {where}")
-        return fee
-    # MOVE or GIVE_UP
-    if edge.cost.is_infinite:
-        raise IllegalActionError(
-            f"edge {edge.id} is an untraversable anchor, {where}")
-    if edge.directed:
-        if edge.tail != pos:
-            raise IllegalActionError(
-                f"directed edge {edge.id} does not leave {pos}, {where}")
-    elif pos not in (edge.tail, edge.head):
-        raise IllegalActionError(f"edge {edge.id} is not incident, {where}")
-    if action.kind is ActionKind.GIVE_UP and edge.uncertain:
-        raise IllegalActionError(
-            f"give-up edge {edge.id} is not always open, {where}")
-    if edge.uncertain and belief.status(edge.id) is not True:
-        state = "blocked" if belief.status(edge.id) is False else "unobserved"
-        raise IllegalActionError(f"edge {edge.id} is {state}, {where}")
-    return edge.cost
+            if instance.variant is not Variant.SENSING:
+                raise _illegal("sensing is not available in this variant",
+                               belief)
+            raise _illegal(f"no sensing entry for {edge_id!r} from {pos}",
+                           belief)
+        if edge_id in belief.known_map:
+            raise _illegal(
+                f"sensing {edge_id} whose status is already known", belief)
+        return fee, pos, [edge_id]
+    move = instance.moves_from(pos).get(edge_id)
+    if move is None:
+        if edge_id not in instance.edge_map:
+            raise _illegal(f"unknown edge {edge_id!r}", belief)
+        raise _illegal(f"edge {edge_id} cannot be taken out of {pos}", belief)
+    edge, far = move
+    if edge.uncertain:
+        if action.kind is ActionKind.GIVE_UP:
+            raise _illegal(f"give-up edge {edge_id} is not always open",
+                           belief)
+        status = belief.status(edge_id)
+        if status is not True:
+            state = "blocked" if status is False else "unobserved"
+            raise _illegal(f"edge {edge_id} is {state}", belief)
+    return edge.cost, far, instance.fresh_at(far, belief.known_map)
 
 
 def walk_weather(instance: CtpInstance, policy: Policy,
@@ -276,20 +286,16 @@ def walk_weather(instance: CtpInstance, policy: Policy,
     pos = instance.s
     known = {e: weather.is_open(e) for e in instance.fresh_at(pos, {})}
     total = Cost.zero()
-    belief = Belief.make(pos, known)
     for _ in range(cap):
         belief = Belief.make(pos, known)
         action = policy.decide(instance, belief)
         if action is None:
             return Cost.infinite()
-        total = total + _action_price(instance, belief, action)
-        if action.kind is ActionKind.HALT:
+        price, pos, revealed = _step(instance, belief, action)
+        total = total + price
+        if revealed is None:
             return total
-        if action.kind is ActionKind.SENSE:
-            known[action.edge] = weather.is_open(action.edge)
-            continue
-        pos = instance.edge_map[action.edge].other_end(pos)
-        for e in instance.fresh_at(pos, known):
+        for e in revealed:
             known[e] = weather.is_open(e)
     raise PolicyLoopError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
@@ -357,18 +363,13 @@ def _trace(instance: CtpInstance, policy: Policy,
             if action is None:
                 note(belief, None)
                 return None, None
-            price = _action_price(instance, belief, action)
-            if action.kind is ActionKind.HALT:
+            price, nxt, revealed = _step(instance, belief, action)
+            if revealed is None:
                 note(belief, action)
                 return walked, None
             walked += price.fraction
-            if action.kind is ActionKind.SENSE:
-                return walked, branch(belief, action, belief.position,
-                                      [action.edge])
-            nxt = instance.edge_map[action.edge].other_end(belief.position)
-            fresh = instance.fresh_at(nxt, belief.known_map)
-            if fresh:
-                return walked, branch(belief, action, nxt, fresh)
+            if revealed:
+                return walked, branch(belief, action, nxt, revealed)
             succ = Belief.make(nxt, belief.known_map)
             note(belief, action, (("", belief_key(succ)),))
             belief = succ
@@ -400,11 +401,7 @@ def _trace(instance: CtpInstance, policy: Policy,
         cost = Cost.infinite() if walked is None else Cost.of(spent + walked)
         breakdown.append((" ; ".join(labels) or "no observations", prob, cost))
 
-    assert sum((p for _, p, _ in breakdown), Fraction(0)) == 1
-    expected = Cost.zero()
-    for _, prob, cost in breakdown:
-        expected = expected + cost.scale(prob)
-    return EvalResult(expected, tuple(breakdown))
+    return _summed(breakdown)
 
 
 # Largest weather support that mode "auto" still enumerates.
@@ -432,7 +429,6 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     if mode == "tree":
         return _trace(instance, policy, None)
     breakdown: list[tuple[str, Fraction, Cost]] = []
-    expected = Cost.zero()
     ids = sorted(e.id for e in instance.uncertain_edges)
     for weather, prob in support:
         cost = walk_weather(instance, policy, weather)
@@ -440,9 +436,7 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
             f"{e}={'blocked' if e in weather.blocked else 'open'}"
             for e in ids) or "no observations"
         breakdown.append((label, prob, cost))
-        expected = expected + cost.scale(prob)
-    assert sum((p for _, p, _ in breakdown), Fraction(0)) == 1
-    return EvalResult(expected, tuple(breakdown))
+    return _summed(breakdown)
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,

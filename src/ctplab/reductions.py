@@ -48,11 +48,13 @@ from .model import (
     Cost,
     CtpInstance,
     InstanceBuilder,
+    InternalCheckError,
     InvalidInstanceError,
     Variant,
     as_fraction,
     format_rational,
     parse_rational,
+    require_type,
 )
 from .policy import Action, Policy
 from .solve import QbfFormula, qbf_strategy
@@ -70,9 +72,7 @@ class CertificateError(ValueError):
 def _parse_provenance(data: object) -> dict:
     if data is None:
         return {}
-    if not isinstance(data, dict):
-        raise InvalidInstanceError("provenance must be an object")
-    return dict(data)
+    return dict(require_type(data, dict, "provenance"))
 
 
 def _json_codec(cls):
@@ -92,8 +92,7 @@ def _json_codec(cls):
         return data
 
     def from_dict(cls, data: dict):
-        if not isinstance(data, dict):
-            raise InvalidInstanceError("certificate must be an object")
+        require_type(data, dict, "certificate")
         expected = set(cls._RATIONALS) | set(cls._INTEGERS) | {"provenance"}
         extra = set(data) - expected
         missing = (expected - {"provenance"}) - set(data)
@@ -103,11 +102,8 @@ def _json_codec(cls):
                 f"missing {sorted(missing)}")
         kwargs: dict = {}
         for name in cls._INTEGERS:
-            if type(data[name]) is not int:
-                raise InvalidInstanceError(
-                    f"certificate count {name!r} must be an integer, "
-                    f"got {data[name]!r}")
-            kwargs[name] = data[name]
+            kwargs[name] = require_type(data[name], int,
+                                        f"certificate count {name!r}")
         for name in cls._RATIONALS:
             kwargs[name] = parse_rational(data[name])
         kwargs["provenance"] = _parse_provenance(data.get("provenance"))
@@ -408,7 +404,6 @@ def qbf_to_ctpdep(formula: QbfFormula,
             # odd count so far, updated by whether this coin is open
             builder.add_variable(aux, (previous, root), (1, 0, 0, 1))
         previous = aux
-    assert previous is not None
     builder.add_variable(layout.choice_edges[0], (previous,), (1, 0))
     builder.add_variable(layout.choice_edges[1], (previous,), (0, 1))
     return builder.build(), fee
@@ -715,7 +710,9 @@ def qbf_to_ctp(formula: QbfFormula,
     n_first = section_count(L)
     n_second = section_count(second_chain_length(L))
     expect = _construction_counts(total, m, n_first, n_second, merged)
-    assert (len(instance.vertices), len(instance.edges)) == expect
+    if (len(instance.vertices), len(instance.edges)) != expect:
+        raise InternalCheckError(
+            f"game graph misses the ledger's {expect} vertices and edges")
     cert = replace(
         cert,
         vertex_count=len(instance.vertices),

@@ -8,21 +8,20 @@ the recursion is well founded). Within a stratum, values come from a reverse
 Dijkstra seeded at the target and at every revealing step, which is sound
 because all costs are nonnegative.
 
-A step reveals what `CtpInstance.fresh_at` says arriving at its far end
-exposes, the rule the policy evaluators walk by too. Branch probabilities
-always condition on everything revealed so far, so the one entry point
-`solve` is exact for independent, dependent, and sensing instances alike;
-the sensing variant just adds stay-in-place revealing steps priced by the
-sensing map. Every solve checks its value against the tree evaluator
-(`export_decision_tree`). No pruning beyond the memoization: this module
-is an oracle, and exactness wins over speed.
+The one move rule, which the policy evaluators walk by too: moves come
+from `CtpInstance.moves_from`, stay-in-place sensing steps and their fees
+from `CtpInstance.senses_from`, and a move reveals what `fresh_at` says
+arriving at its far end exposes. Branch probabilities always condition on
+everything revealed so far, so the one entry point `solve` is exact for
+independent, dependent, and sensing instances alike. Every solve checks
+its value against the tree evaluator (`export_decision_tree`). No pruning
+beyond the memoization: this module is an oracle, and exactness wins.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -30,16 +29,16 @@ from .model import (
     Belief,
     Cost,
     CtpInstance,
+    EdgeSpec,
     EnumerationCapError,
+    InternalCheckError,
     InvalidInstanceError,
-    Variant,
 )
 from .policy import (
     Action,
     DecisionTreePolicy,
     EvalResult,
     Policy,
-    belief_key,
     export_decision_tree,
 )
 
@@ -75,57 +74,21 @@ class _Region:
 _KindKey = tuple[tuple[str, bool], ...]
 
 
-class _Solver:
+class _Solver(Policy):
+    """Belief-space search; once solved it replays its choices as a policy."""
+
     def __init__(self, instance: CtpInstance, belief_cap: int):
         self.instance = instance
         self.joint = instance.joint
         self.belief_cap = belief_cap
         self.expanded = 0
-        self._regions: dict[tuple[_KindKey, frozenset[str]], _Region] = {}
-        self._patches: dict[tuple[_KindKey, str], frozenset[str]] = {}
-        senses: dict[str, list[tuple[str, Cost]]] = {}
-        if instance.variant is Variant.SENSING and instance.sensing:
-            for entry in instance.sensing.entries:
-                senses.setdefault(entry.vertex, []).append(
-                    (entry.edge, entry.cost))
-        self._senses = {v: tuple(sorted(pairs)) for v, pairs in senses.items()}
+        self._regions: dict[tuple[_KindKey, str], _Region] = {}
 
-    # -- structure ---------------------------------------------------------
-
-    def _passable(self, edge, known: Mapping[str, bool]) -> bool:
-        if edge.cost.is_infinite:
-            return False
-        return not edge.uncertain or known.get(edge.id) is True
-
-    def patch(self, key: _KindKey, start: str) -> frozenset[str]:
-        """Positions reachable from `start` without revealing anything."""
-        cached = self._patches.get((key, start))
-        if cached is not None:
-            return cached
-        known = dict(key)
-        seen = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            if u == self.instance.t:
-                continue
-            for edge, far in self.instance.moves_from(u):
-                if far in seen or not self._passable(edge, known):
-                    continue
-                if self.instance.fresh_at(far, known):
-                    continue
-                seen.add(far)
-                queue.append(far)
-        patch = frozenset(seen)
-        for v in patch:
-            self._patches[(key, v)] = patch
-        return patch
-
-    # -- values ------------------------------------------------------------
-
-    def value_at(self, key: _KindKey, position: str) -> Cost:
-        region = self.region(key, position)
-        return region.values.get(position, Cost.infinite())
+    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
+        if belief.position == instance.t:
+            return Action.halt()
+        region = self.region(belief.known, belief.position)
+        return region.choices.get(belief.position)
 
     def branch_value(self, known: Mapping[str, bool], fresh: Sequence[str],
                      position: str) -> Cost:
@@ -134,17 +97,38 @@ class _Solver:
         for assignment, prob in self.joint.branch(known, fresh):
             grown = dict(known)
             grown.update(assignment)
-            deeper = tuple(sorted(grown.items()))
-            total = total + self.value_at(deeper, position).scale(prob)
+            region = self.region(tuple(sorted(grown.items())), position)
+            value = region.values.get(position, Cost.infinite())
+            total = total + value.scale(prob)
         return total
 
     def region(self, key: _KindKey, start: str) -> _Region:
-        patch = self.patch(key, start)
-        cached = self._regions.get((key, patch))
+        """Values over the patch of positions `start` reaches unrevealing.
+
+        The finished region is cached for every position of its patch, so
+        all of them share it.
+        """
+        cached = self._regions.get((key, start))
         if cached is not None:
             return cached
+        instance = self.instance
         known = dict(key)
-        t = self.instance.t
+        t = instance.t
+        # open moves out of each patch position but t, with what they reveal
+        steps: dict[str, list[tuple[EdgeSpec, str, list[str]]]] = {}
+        patch = {start}
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            if u == t:
+                continue
+            steps[u] = [(edge, far, instance.fresh_at(far, known))
+                        for edge, far in instance.moves_from(u).values()
+                        if not edge.uncertain or known.get(edge.id) is True]
+            for _, far, fresh in steps[u]:
+                if not fresh and far not in patch:
+                    patch.add(far)
+                    queue.append(far)
         seq = itertools.count()
         # heap entries: cost, action-rank, edge id, tiebreak, vertex, action
         heap: list[tuple[Cost, int, str, int, str, Action]] = []
@@ -152,13 +136,8 @@ class _Solver:
         if t in patch:
             heapq.heappush(heap, (Cost.zero(), 0, "", next(seq), t,
                                   Action.halt()))
-        for u in sorted(patch):
-            if u == t:
-                continue
-            for edge, far in self.instance.moves_from(u):
-                if not self._passable(edge, known):
-                    continue
-                fresh = self.instance.fresh_at(far, known)
+        for u in sorted(steps):
+            for edge, far, fresh in steps[u]:
                 if fresh:
                     value = edge.cost + self.branch_value(known, fresh, far)
                     if not value.is_infinite:
@@ -166,7 +145,7 @@ class _Solver:
                                               u, Action.move(edge.id)))
                 else:
                     radj.setdefault(far, []).append((u, edge.cost, edge.id))
-            for edge_id, fee in self._senses.get(u, ()):
+            for edge_id, fee in instance.senses_from(u).items():
                 if edge_id in known:
                     continue
                 value = fee + self.branch_value(known, [edge_id], u)
@@ -187,25 +166,13 @@ class _Solver:
                 heapq.heappush(heap, (step + cost, 0, via, next(seq),
                                       u, Action.move(via)))
         region = _Region(values, choices)
-        self._regions[(key, patch)] = region
+        for v in patch:
+            self._regions[(key, v)] = region
         self.expanded += len(patch)
         if self.expanded > self.belief_cap:
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
         return region
-
-
-class _SolvedPolicy(Policy):
-    """Replays a finished solve as a plain policy."""
-
-    def __init__(self, solver: _Solver):
-        self._solver = solver
-
-    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        if belief.position == instance.t:
-            return Action.halt()
-        region = self._solver.region(belief.known, belief.position)
-        return region.choices.get(belief.position)
 
 
 def _first_action(tree: DecisionTreePolicy) -> Action | None:
@@ -222,8 +189,11 @@ def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
     solver = _Solver(instance, belief_cap)
     expected = solver.branch_value({}, instance.fresh_at(instance.s, {}),
                                    instance.s)
-    result, tree = export_decision_tree(instance, _SolvedPolicy(solver))
-    assert result.expected_cost == expected
+    result, tree = export_decision_tree(instance, solver)
+    if result.expected_cost != expected:
+        raise InternalCheckError(
+            f"solver value {expected} but its exported tree prices "
+            f"{result.expected_cost}")
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded))
 
@@ -336,10 +306,12 @@ def solve_disjoint_bruteforce(instance: CtpInstance,
         result = evaluate_exact(instance, policy, mode="tree")
         if best is None or result.expected_cost < best[0]:
             best = (result.expected_cost, policy, result)
-    assert best is not None
     _, policy, result = best
     checked, tree = export_decision_tree(instance, policy)
-    assert checked.expected_cost == result.expected_cost
+    if checked.expected_cost != result.expected_cost:
+        raise InternalCheckError(
+            f"best committing order prices {result.expected_cost} but its "
+            f"exported tree prices {checked.expected_cost}")
     return OptResult(result.expected_cost, _first_action(tree), tree,
                      SolveStats(len(tree.nodes)))
 

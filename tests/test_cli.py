@@ -226,11 +226,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, value", [
         ("edges", 5), ("vertices", [["s"], "t"]), ("s", ["s"]),
         ("edges", [5]), ("edges", [{"id": ["back"], "tail": "t",
-                                    "head": "s", "cost": "1/1"}])])
+                                    "head": "s", "cost": "1/1"}]),
+        ("sensing", {"entries": 5}),
+        ("sensing", {"entries": [{"vertex": ["s"], "edge": "back",
+                                  "cost": "1/1"}]}),
+        ("sensing", {"entries": [{"vertex": "s", "cost": "1/1"}]}),
+        ("dependency", {"variables": 5}),
+        ("dependency", {"variables": [{"id": "x", "cpt": 5}]}),
+        ("dependency", {"variables": [{"id": "x", "parents": 5,
+                                       "cpt": []}]}),
+        ("dependency", {"variables": [{"id": ["x"],
+                                       "cpt": [["1/2", "1/2"]]}]}),
+        ("dependency", {"variables": [{"cpt": []}]}),
+        ("dependency", {"max_in_degree": [1], "variables": []}),
+        ("dependency", {"variables": [{"id": "x",
+                                       "cpt": [["1/2", "1/2", "0/1"]]}]})])
     def test_mistyped_section_is_input_error(self, tmp_path, capsys,
                                              section, value):
         data = self._one_edge_document()
         data[section] = value
+        variants = {"sensing": "sensing", "dependency": "dependent"}
+        data["variant"] = variants.get(section, data["variant"])
         path = tmp_path / "mistyped.json"
         path.write_text(json.dumps(data))
         assert main(["solve", str(path)]) == 2
@@ -239,7 +255,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("document", [
         [1], {"nodes": 5}, {"nodes": {"s|": {"action": "move"}}},
-        {"nodes": {"s|": 5}}, {"nodes": {"s|": {"action": {}}}}])
+        {"nodes": {"s|": 5}}, {"nodes": {"s|": {"action": {}}}},
+        {"nodes": {"s|": {"action": {"kind": "move", "edge": ["back"]}}}}])
     def test_malformed_decision_tree_is_input_error(self, tmp_path, capsys,
                                                     document):
         instance = tmp_path / "inst.json"
@@ -249,6 +266,14 @@ class TestExitCodes:
         assert main(["solve", str(instance), "--policy", str(tree)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_self_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr("ctplab.cli.qbf_eval",
+                            lambda formula: not qbf_eval(formula))
+        assert main(["verify", "ctpdep", "--n", "2", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: ")
+        assert err.count("\n") == 1
 
     def test_cap_exhaustion(self, game_file, tmp_path, capsys):
         out = tmp_path / "dep.json"

@@ -26,6 +26,7 @@ from ctplab.model import (
     validate_instance,
     weather_support,
 )
+from ctplab.reductions import named_vc, vc_to_sensing
 
 HALF = Fraction(1, 2)
 
@@ -179,10 +180,15 @@ class TestObservation:
         assert inst.fresh_at("s", {}) == ["risky", "back"]
         assert inst.fresh_at("s", {"risky": True}) == ["back"]
         assert inst.fresh_at("m", {}) == ["back"]
-        assert [e.id for e, _ in inst.moves_from("s")] == [
-            "st", "risky", "ms"]
-        assert [e.id for e, _ in inst.moves_from("t")] == ["st"]
-        assert [e.id for e, _ in inst.moves_from("m")] == ["ms", "back"]
+        assert list(inst.moves_from("s")) == ["st", "risky", "ms"]
+        assert list(inst.moves_from("t")) == ["st"]
+        assert list(inst.moves_from("m")) == ["ms", "back"]
+
+    def test_anchors_are_not_moves(self):
+        inst, _ = vc_to_sensing(named_vc("p3", 1), HALF)
+        assert inst.edge_map["anchor.a"].cost.is_infinite
+        assert list(inst.moves_from("node.a")) == ["visit.a"]
+        assert "anchor.a" not in inst.moves_from("t")
 
     def test_belief_lookup(self):
         belief = Belief.make("x", {"b": False, "a": True})
@@ -306,9 +312,8 @@ class TestSensingSection:
 
     def test_lookup(self):
         inst = self.make()
-        assert inst.sensing is not None
-        assert inst.sensing.cost("s", "risky") == Cost.of("1/8")
-        assert inst.sensing.cost("t", "risky") is None
+        assert inst.senses_from("s") == {"risky": Cost.of("1/8")}
+        assert inst.senses_from("t") == {}
 
     def test_round_trip(self):
         inst = self.make()

@@ -1,6 +1,8 @@
-"""Package surface: exported names and access to the submodules."""
+"""Package surface: exported names, submodule access, no bare asserts."""
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,12 @@ def test_solve_submodule_is_not_shadowed():
 
     assert isinstance(S, types.ModuleType)
     assert callable(S.solve)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips asserts, so a check that must hold raises instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

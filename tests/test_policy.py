@@ -62,6 +62,33 @@ def two_path_instance():
     return b.build()
 
 
+def anchor_instance():
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "t", Cost.infinite(), id="anchor")
+    b.add_edge("s", "t", 2, id="road")
+    return b.build()
+
+
+def one_way_instance():
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("t", "s", 1, id="back", directed=True)
+    b.add_edge("s", "t", 2, id="road")
+    return b.build()
+
+
+def remote_sensing_instance():
+    """The uncertain edge can be sensed from m only."""
+    b = InstanceBuilder(Variant.SENSING)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "m", 1, id="hop")
+    b.add_edge("m", "t", 0, id="risky", block_p=Fraction(1, 2))
+    b.add_edge("s", "t", 4, id="direct")
+    b.add_sensing("m", "risky", Fraction(1, 8))
+    return b.build()
+
+
 class RulePolicy(Policy):
     """Ad-hoc policy from a plain function, for tests only."""
 
@@ -130,6 +157,21 @@ class TestLegality:
         policy = RulePolicy(lambda i, b: Action.give_up("cheap"))
         with pytest.raises(IllegalActionError, match="always open"):
             evaluate_exact(inst, policy, mode="tree")
+
+    @pytest.mark.parametrize("walk", [
+        lambda inst, policy: evaluate_exact(inst, policy, mode="tree"),
+        lambda inst, policy: walk_weather(inst, policy, Weather(frozenset())),
+    ], ids=["tree", "weather"])
+    @pytest.mark.parametrize("make, action", [
+        (anchor_instance, Action.move("anchor")),
+        (one_way_instance, Action.move("back")),
+        (remote_sensing_instance, Action.sense("risky")),
+    ], ids=["anchor", "against-direction", "sense-without-entry"])
+    def test_move_rule_refusals(self, make, action, walk):
+        policy = RulePolicy(lambda i, b: action)
+        with pytest.raises(IllegalActionError,
+                           match="cannot be taken out of s|no sensing entry"):
+            walk(make(), policy)
 
     def test_endless_walk_hits_cap(self):
         b = InstanceBuilder(Variant.INDEPENDENT)

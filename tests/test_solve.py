@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from ctplab.gadgets import baiting_harness, forward_policy_cost
+import ctplab.solve as S
 from ctplab.model import (
     Cost,
     EnumerationCapError,
     InstanceBuilder,
+    InternalCheckError,
     InvalidInstanceError,
     Variant,
 )
-from ctplab.policy import Action, evaluate_exact, reference_policy
+from ctplab.policy import Action, EvalResult, evaluate_exact, reference_policy
 from ctplab.solve import (
     QbfFormula,
     decompose_into_paths,
@@ -95,6 +97,18 @@ class TestSolveIndependent:
         inst, _ = baiting_harness(2)
         with pytest.raises(EnumerationCapError):
             solve(inst, belief_cap=3)
+
+    def test_self_check_failure_raises(self, monkeypatch):
+        exported = S.export_decision_tree
+
+        def skewed(instance, policy):
+            result, tree = exported(instance, policy)
+            return EvalResult(result.expected_cost + Cost.of(1),
+                              result.outcome_breakdown), tree
+
+        monkeypatch.setattr(S, "export_decision_tree", skewed)
+        with pytest.raises(InternalCheckError, match="exported tree"):
+            solve(two_path_instance())
 
 
 class TestSolveDependent:
