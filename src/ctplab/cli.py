@@ -536,17 +536,22 @@ def _cmd_solve(args) -> int:
     result = solve(instance, belief_cap=args.cap or 200_000)
     first = (str(result.optimal_first_action)
              if result.optimal_first_action else "depends on opening statuses")
+    stats = result.stats
     if args.json:
         print(json.dumps({
             "optimal_cost": render_cost(result.optimal_cost, args.precision),
             "first_action": first,
-            "beliefs_expanded": result.stats.beliefs_expanded,
+            "beliefs_expanded": stats.beliefs_expanded,
+            "boundary_evaluated": stats.boundary_evaluated,
+            "boundary_skipped": stats.boundary_skipped,
         }))
     else:
         print("optimal cost: "
               f"{render_cost(result.optimal_cost, args.precision)}")
         print(f"first action: {first}")
-        print(f"beliefs expanded: {result.stats.beliefs_expanded}")
+        print(f"beliefs expanded: {stats.beliefs_expanded}")
+        print(f"boundary steps evaluated: {stats.boundary_evaluated}, "
+              f"skipped: {stats.boundary_skipped}")
     return 0
 
 

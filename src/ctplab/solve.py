@@ -14,13 +14,24 @@ from `CtpInstance.senses_from`, and a move reveals what `fresh_at` says
 arriving at its far end exposes. Branch probabilities always condition on
 everything revealed so far, so the one entry point `solve` is exact for
 independent, dependent, and sensing instances alike. Every solve checks
-its value against the tree evaluator (`export_decision_tree`). No pruning
-beyond the memoization: this module is an oracle, and exactness wins.
+its value against the tree evaluator (`export_decision_tree`).
+
+Revealing steps are priced lazily. Each enters its stratum's Dijkstra
+keyed by its price plus the free-space distance to t from where it
+reveals (every uncertain edge taken as open: the optimistic distance of
+Eyerich, Keller & Helmert, AAAI 2010). No weather lets a walk reach t for
+less, so the key never exceeds the step's exact value; that value (and
+the deeper strata behind it) is computed only when the entry pops while
+its vertex is unsettled, and pushed back under the same rank, edge id and
+tiebreak. The heap therefore settles every vertex with the same entry as
+an eager search would, so values and decision trees stay exact, and a
+zero bound reproduces them.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -45,7 +56,15 @@ from .policy import (
 
 @dataclass(frozen=True)
 class SolveStats:
+    """What a search did; the boundary counts split its revealing steps.
+
+    A revealing step is evaluated when its exact value is computed and
+    skipped when its vertex settled first or t is out of its reach.
+    """
+
     beliefs_expanded: int
+    boundary_evaluated: int = 0
+    boundary_skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -82,6 +101,9 @@ class _Solver(Policy):
         self.joint = instance.joint
         self.belief_cap = belief_cap
         self.expanded = 0
+        self.evaluated = 0
+        self.skipped = 0
+        self.bound = _free_space_bound(instance)
         self._regions: dict[tuple[_KindKey, str], _Region] = {}
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
@@ -130,33 +152,49 @@ class _Solver(Policy):
                     patch.add(far)
                     queue.append(far)
         seq = itertools.count()
-        # heap entries: cost, action-rank, edge id, tiebreak, vertex, action
-        heap: list[tuple[Cost, int, str, int, str, Action]] = []
+        # heap entries: cost, action-rank, edge id, tiebreak, vertex, action,
+        # and for a revealing step not yet priced, (price, fresh, where);
+        # its cost is then price plus the bound, a lower bound
+        heap: list[tuple] = []
         radj: dict[str, list[tuple[str, Cost, str]]] = {}
         if t in patch:
             heapq.heappush(heap, (Cost.zero(), 0, "", next(seq), t,
-                                  Action.halt()))
+                                  Action.halt(), None))
+        reveals = []
         for u in sorted(steps):
             for edge, far, fresh in steps[u]:
                 if fresh:
-                    value = edge.cost + self.branch_value(known, fresh, far)
-                    if not value.is_infinite:
-                        heapq.heappush(heap, (value, 0, edge.id, next(seq),
-                                              u, Action.move(edge.id)))
+                    reveals.append((edge.cost, fresh, far, 0, edge.id, u,
+                                    Action.move(edge.id)))
                 else:
                     radj.setdefault(far, []).append((u, edge.cost, edge.id))
             for edge_id, fee in instance.senses_from(u).items():
-                if edge_id in known:
-                    continue
-                value = fee + self.branch_value(known, [edge_id], u)
-                if not value.is_infinite:
-                    heapq.heappush(heap, (value, 1, edge_id, next(seq),
-                                          u, Action.sense(edge_id)))
+                if edge_id not in known:
+                    reveals.append((fee, [edge_id], u, 1, edge_id, u,
+                                    Action.sense(edge_id)))
+        for price, fresh, where, rank, edge_id, u, action in reveals:
+            floor = self.bound.get(where)
+            if floor is None:
+                self.skipped += 1
+                continue
+            heapq.heappush(heap, (price + floor, rank, edge_id, next(seq), u,
+                                  action, (price, fresh, where)))
         values: dict[str, Cost] = {}
         choices: dict[str, Action] = {}
         while heap:
-            cost, rank, edge_id, _, vertex, action = heapq.heappop(heap)
+            cost, rank, edge_id, tie, vertex, action, reveal = \
+                heapq.heappop(heap)
             if vertex in values:
+                if reveal is not None:
+                    self.skipped += 1
+                continue
+            if reveal is not None:
+                price, fresh, where = reveal
+                self.evaluated += 1
+                value = price + self.branch_value(known, fresh, where)
+                if not value.is_infinite:
+                    heapq.heappush(heap, (value, rank, edge_id, tie, vertex,
+                                          action, None))
                 continue
             values[vertex] = cost
             choices[vertex] = action
@@ -164,7 +202,7 @@ class _Solver(Policy):
                 if u in values:
                     continue
                 heapq.heappush(heap, (step + cost, 0, via, next(seq),
-                                      u, Action.move(via)))
+                                      u, Action.move(via), None))
         region = _Region(values, choices)
         for v in patch:
             self._regions[(key, v)] = region
@@ -173,6 +211,30 @@ class _Solver(Policy):
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
         return region
+
+
+def _free_space_bound(instance: CtpInstance) -> dict[str, Cost]:
+    """Distance to t from each vertex that can reach it, in free space.
+
+    Every uncertain edge counts as open, so no weather and no revealed
+    knowledge lets a walk from `v` reach t for less than `bound[v]`; a
+    vertex missing from the map cannot reach t at all.
+    """
+    into: dict[str, list[tuple[str, Cost]]] = {}
+    for u in instance.vertices:
+        for edge, far in instance.moves_from(u).values():
+            into.setdefault(far, []).append((u, edge.cost))
+    bound: dict[str, Cost] = {}
+    heap = [(Cost.zero(), instance.t)]
+    while heap:
+        cost, v = heapq.heappop(heap)
+        if v in bound:
+            continue
+        bound[v] = cost
+        for u, step in into.get(v, ()):
+            if u not in bound:
+                heapq.heappush(heap, (step + cost, u))
+    return bound
 
 
 def _first_action(tree: DecisionTreePolicy) -> Action | None:
@@ -187,15 +249,22 @@ def _first_action(tree: DecisionTreePolicy) -> Action | None:
 def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
     """Exact optimum of an independent, dependent or sensing instance."""
     solver = _Solver(instance, belief_cap)
-    expected = solver.branch_value({}, instance.fresh_at(instance.s, {}),
-                                   instance.s)
+    try:
+        expected = solver.branch_value(
+            {}, instance.fresh_at(instance.s, {}), instance.s)
+    except RecursionError:
+        # each reveal nests one stratum deeper on the Python stack
+        raise EnumerationCapError(
+            "knowledge strata nest deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()}") from None
     result, tree = export_decision_tree(instance, solver)
     if result.expected_cost != expected:
         raise InternalCheckError(
             f"solver value {expected} but its exported tree prices "
             f"{result.expected_cost}")
     return OptResult(expected, _first_action(tree), tree,
-                     SolveStats(solver.expanded))
+                     SolveStats(solver.expanded, solver.evaluated,
+                                solver.skipped))
 
 
 # ---------------------------------------------------------------------------

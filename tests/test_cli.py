@@ -133,6 +133,12 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["optimal_cost"] == "0/1 (0.0)"
         assert data["first_action"] == "move(enter)"
+        assert {"beliefs_expanded", "boundary_evaluated",
+                "boundary_skipped"} <= set(data)
+        assert main(["solve", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert (f"boundary steps evaluated: {data['boundary_evaluated']}, "
+                f"skipped: {data['boundary_skipped']}") in text
 
     def test_reduce_ctp_writes_certificate(self, game_file, tmp_path,
                                            capsys):
@@ -280,6 +286,17 @@ class TestExitCodes:
         main(["reduce", "ctpdep", str(game_file), "-o", str(out)])
         capsys.readouterr()
         assert main(["solve", str(out), "--cap", "10"]) == 3
+
+    def test_deep_strata_exceed_cap(self, tmp_path, capsys):
+        # one Python frame pair per reveal: 128 sections nest too deep
+        path = tmp_path / "bait.json"
+        assert main(["gadget", "baiting", "--L", "128",
+                     "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: ")
+        assert err.count("\n") == 1
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -4,7 +4,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctplab.cli import GAME_BATTERY, random_disjoint_instance
 from ctplab.gadgets import baiting_harness, forward_policy_cost
 import ctplab.solve as S
 from ctplab.model import (
@@ -13,9 +15,16 @@ from ctplab.model import (
     InstanceBuilder,
     InternalCheckError,
     InvalidInstanceError,
+    SplitMix64,
     Variant,
 )
 from ctplab.policy import Action, EvalResult, evaluate_exact, reference_policy
+from ctplab.reductions import (
+    named_vc,
+    normalize_half_prob,
+    qbf_to_ctpdep,
+    vc_to_sensing,
+)
 from ctplab.solve import (
     QbfFormula,
     decompose_into_paths,
@@ -109,6 +118,97 @@ class TestSolveIndependent:
         monkeypatch.setattr(S, "export_decision_tree", skewed)
         with pytest.raises(InternalCheckError, match="exported tree"):
             solve(two_path_instance())
+
+
+def zero_bound(instance):
+    return {v: Cost.zero() for v in instance.vertices}
+
+
+def assert_matches_zero_bound(instance):
+    """The free-space bound changes which steps get priced, nothing else."""
+    bounded = solve(instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "_free_space_bound", zero_bound)
+        eager = solve(instance)
+    assert bounded.optimal_cost == eager.optimal_cost
+    assert bounded.optimal_first_action == eager.optimal_first_action
+    assert bounded.policy.to_json() == eager.policy.to_json()
+
+
+def sensing_instance(graph):
+    return vc_to_sensing(named_vc(graph, 1), Fraction(1, 2))[0]
+
+
+class TestBoundedSearch:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def test_random_toys_match_zero_bound(self, seed):
+        assert_matches_zero_bound(random_disjoint_instance(SplitMix64(seed)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: baiting_harness(Fraction(3, 2))[0],
+        lambda: baiting_harness(2)[0],
+        lambda: sensing_instance("p3"),
+        lambda: sensing_instance("k3"),
+        lambda: qbf_to_ctpdep(GAME_BATTERY[0][0])[0],
+        lambda: qbf_to_ctpdep(GAME_BATTERY[1][0])[0],
+    ], ids=["baiting-3/2", "baiting-2", "p3", "k3", "game0", "game1"])
+    def test_harnesses_match_zero_bound(self, build):
+        assert_matches_zero_bound(build())
+
+    def test_bound_prunes_baiting_three(self):
+        # the whole belief space holds 1,081,344 beliefs
+        inst, handle = baiting_harness(3)
+        result = solve(inst, belief_cap=1_000)
+        assert result.optimal_cost == Cost.of(forward_policy_cost(3, 3))
+        assert result.optimal_cost == Cost.of(Fraction(196653, 524288))
+        assert result.optimal_first_action == Action.move(
+            handle.path_edges[0])
+
+    def test_bound_prunes_normal_form_toy(self):
+        # the whole belief space holds 113,148 beliefs
+        toy = random_disjoint_instance(SplitMix64(20260819 + 1000 + 6))
+        result = solve(normalize_half_prob(toy), belief_cap=2_000)
+        assert result.optimal_cost == solve_disjoint_bruteforce(
+            toy).optimal_cost
+        assert result.optimal_cost == Cost.of(1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: baiting_harness(2)[0],
+        lambda: sensing_instance("p3"),
+    ], ids=["baiting-2", "p3"])
+    def test_boundary_counts_add_up(self, build, monkeypatch):
+        instance = build()
+        stats = solve(instance).stats
+        priced = []
+        branch_value = S._Solver.branch_value
+
+        def counted(solver, known, fresh, position):
+            priced.append(position)
+            return branch_value(solver, known, fresh, position)
+
+        monkeypatch.setattr(S._Solver, "branch_value", counted)
+        solver = S._Solver(instance, 200_000)
+        solver.branch_value({}, instance.fresh_at(instance.s, {}), instance.s)
+        assert (solver.evaluated, solver.skipped) == (
+            stats.boundary_evaluated, stats.boundary_skipped)
+        # one pricing per evaluated step, plus the root
+        assert len(priced) == stats.boundary_evaluated + 1
+        # every revealing step of every solved patch is one or the other
+        patches: dict[int, tuple[dict, set]] = {}
+        for (key, v), region in solver._regions.items():
+            patches.setdefault(id(region), (dict(key), set()))[1].add(v)
+        steps = 0
+        for known, patch in patches.values():
+            for u in patch - {instance.t}:
+                steps += sum(
+                    1 for edge, far in instance.moves_from(u).values()
+                    if (not edge.uncertain or known.get(edge.id) is True)
+                    and instance.fresh_at(far, known))
+                steps += sum(1 for e in instance.senses_from(u)
+                             if e not in known)
+        assert stats.boundary_evaluated + stats.boundary_skipped == steps
+        assert stats.boundary_skipped > 0
 
 
 class TestSolveDependent:
