@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -168,13 +168,30 @@ def parse_cost(text: str) -> Cost:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
+_SPAN64 = 1 << 64
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix64(x: int) -> int:
     x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
+
+
+# (key, numerator, denominator, rejection limit) of one chance
+DrawRow = tuple[object, int, int, int | None]
+
+
+def _draw_row(key, p: Fraction) -> DrawRow:
+    """The plain-int row `SplitMix64.hits` draws chance `p` from."""
+    num, den = p.numerator, p.denominator
+    if num == 0 or num == den:
+        return key, num, den, 0
+    if den > _SPAN64:
+        return key, num, den, None
+    return key, num, den, _SPAN64 - _SPAN64 % den
 
 
 class SplitMix64:
@@ -208,13 +225,43 @@ class SplitMix64:
             if value < limit:
                 return value % n
 
+    def hits(self, rows: Iterable[DrawRow]) -> list:
+        """Keys of the rows whose chance comes true, drawn in row order.
+
+        Each row is `(key, numerator, denominator, limit)` from
+        `_draw_row`. The one draw rule: v = next64(), redrawn while
+        v >= limit; the chance comes true when v % denominator <
+        numerator. For denominators up to 2^64 that is exactly
+        `uniform_below(denominator) < numerator`, draw for draw. A limit
+        of 0 (chance 0 or 1) takes no draw; a limit of None (denominator
+        above 2^64) goes through `uniform_below`.
+        """
+        state = self._state
+        out = []
+        for key, num, den, limit in rows:
+            if limit:
+                while True:  # next64, inlined
+                    state = (state + _GOLDEN) & _MASK64
+                    v = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                    v = ((v ^ (v >> 27)) * _MIX2) & _MASK64
+                    v ^= v >> 31
+                    if v < limit:
+                        break
+                if v % den < num:
+                    out.append(key)
+            elif limit is None:
+                self._state = state
+                if self.uniform_below(den) < num:
+                    out.append(key)
+                state = self._state
+            elif num:
+                out.append(key)
+        self._state = state
+        return out
+
     def bernoulli(self, p: Fraction) -> bool:
-        """True with probability exactly p."""
-        if p == 0:
-            return False
-        if p == 1:
-            return True
-        return self.uniform_below(p.denominator) < p.numerator
+        """True with probability exactly p, by the rule of `hits`."""
+        return bool(self.hits((_draw_row(True, p),)))
 
 
 def trial_stream(seed: int, trial: int) -> SplitMix64:
@@ -585,6 +632,26 @@ class CtpInstance:
     def joint(self) -> JointModel:
         return build_joint(self)
 
+    @cached_property
+    def draw_table(self) -> tuple:
+        """What `sample_weather` draws, as plain-int `_draw_row` rows.
+
+        Without a net: one row per uncertain edge, keyed by its id. With
+        a net: per variable in listed order, the positions of its parents
+        and one row per CPT entry, keyed by the variable id when it drives
+        an uncertain edge and by None otherwise.
+        """
+        if self.dependency is None:
+            return tuple(_draw_row(e.id, e.block_p)
+                         for e in self.uncertain_edges)
+        uncertain = {e.id for e in self.uncertain_edges}
+        position = {v.id: i for i, v in enumerate(self.dependency.variables)}
+        return tuple(
+            (tuple(position[p] for p in var.parents),
+             tuple(_draw_row(var.id if var.id in uncertain else None, p)
+                   for p in var.cpt))
+            for var in self.dependency.variables)
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -796,22 +863,27 @@ def weather_support(instance: CtpInstance,
 
 
 def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
-    """Draw one weather; dependent nets sample in listed (ancestral) order."""
+    """Draw one weather from `instance.draw_table` by `SplitMix64.hits`.
+
+    Edges draw in listed order; dependent nets draw each variable from
+    its CPT row in listed (ancestral) order. Every draw is the integer rule
+    of `hits`, so chances 0 and 1 take no draw, and the blocked sets and
+    the stream state left behind are bit-identical to drawing each chance
+    with `uniform_below(denominator) < numerator`.
+    """
+    table = instance.draw_table
     if instance.dependency is None:
-        blocked = {e.id for e in instance.uncertain_edges
-                   if stream.bernoulli(e.block_p)}
-        return Weather(frozenset(blocked))
-    uncertain = {e.id for e in instance.uncertain_edges}
-    values: dict[str, int] = {}
-    blocked = set()
-    for var in instance.dependency.variables:
+        return Weather(frozenset(stream.hits(table)))
+    values: list[int] = []
+    blocked = []
+    for parents, rows in table:
         row = 0
-        for j, parent in enumerate(var.parents):
-            row |= values[parent] << j
-        value = 1 if stream.bernoulli(var.cpt[row]) else 0
-        values[var.id] = value
-        if value and var.id in uncertain:
-            blocked.add(var.id)
+        for j, k in enumerate(parents):
+            row |= values[k] << j
+        hit = stream.hits((rows[row],))
+        values.append(len(hit))
+        if hit and hit[0] is not None:
+            blocked.append(hit[0])
     return Weather(frozenset(blocked))
 
 

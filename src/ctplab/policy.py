@@ -448,24 +448,39 @@ def export_decision_tree(instance: CtpInstance, policy: Policy,
     return result, DecisionTreePolicy(nodes, root)
 
 
+_WEATHER_MEMO_CAP = 4096
+
+
 def simulate(instance: CtpInstance, policy: Policy, trials: int,
              seed: int) -> tuple[float, float]:
     """Average realized cost over seeded weather draws.
 
     Deterministic given (seed, trials): trial i always consumes the stream
-    trial_stream(seed, i) no matter how calls are scheduled.
+    trial_stream(seed, i) no matter how calls are scheduled, and draws its
+    weather by the integer rule of `sample_weather`. Policies are
+    deterministic, so each distinct weather is walked once per call: the
+    realized costs of the first `_WEATHER_MEMO_CAP` (4,096) distinct
+    weathers are remembered by blocked set, and any weather after those is
+    walked every time it recurs. The outputs are bit-identical to walking
+    every trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    costs: dict[frozenset[str], float] = {}
     samples: list[float] = []
     for trial in range(trials):
-        stream = trial_stream(seed, trial)
-        weather = sample_weather(instance, stream)
-        cost = walk_weather(instance, policy, weather)
-        if cost.is_infinite:
-            raise InfeasibleWeatherError(
-                f"trial {trial} hit a weather the policy declares infeasible")
-        samples.append(float(cost.fraction))
+        weather = sample_weather(instance, trial_stream(seed, trial))
+        sample = costs.get(weather.blocked)
+        if sample is None:
+            cost = walk_weather(instance, policy, weather)
+            if cost.is_infinite:
+                raise InfeasibleWeatherError(
+                    f"trial {trial} hit a weather the policy declares "
+                    "infeasible")
+            sample = float(cost.fraction)
+            if len(costs) < _WEATHER_MEMO_CAP:
+                costs[weather.blocked] = sample
+        samples.append(sample)
     mean = math.fsum(samples) / trials
     if trials == 1:
         return mean, 0.0
