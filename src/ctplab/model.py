@@ -187,7 +187,7 @@ DrawRow = tuple[object, int, int, int | None]
 def _draw_row(key, p: Fraction) -> DrawRow:
     """The plain-int row `SplitMix64.hits` draws chance `p` from."""
     num, den = p.numerator, p.denominator
-    if num == 0 or num == den:
+    if den == 1:
         return key, num, den, 0
     if den > _SPAN64:
         return key, num, den, None
@@ -233,8 +233,9 @@ class SplitMix64:
         v >= limit; the chance comes true when v % denominator <
         numerator. For denominators up to 2^64 that is exactly
         `uniform_below(denominator) < numerator`, draw for draw. A limit
-        of 0 (chance 0 or 1) takes no draw; a limit of None (denominator
-        above 2^64) goes through `uniform_below`.
+        of 0 (denominator 1, so chance 0 or 1) takes no draw, as
+        `uniform_below(1)` takes none; a limit of None (denominator above
+        2^64) goes through `uniform_below`.
         """
         state = self._state
         out = []
@@ -254,7 +255,7 @@ class SplitMix64:
                 if self.uniform_below(den) < num:
                     out.append(key)
                 state = self._state
-            elif num:
+            elif num > 0:
                 out.append(key)
         self._state = state
         return out

@@ -207,7 +207,7 @@ class TestDrawRule:
         Fraction(1, 3), Fraction(5, 7), Fraction(1, 2**64),
         Fraction(2**64 - 1, 2**64), Fraction(1, 2**64 - 59),
         Fraction(2**64 - 60, 2**64 - 59), Fraction(1, 2**64 + 1),
-        Fraction(2**70 - 1, 2**70)])
+        Fraction(2**70 - 1, 2**70), Fraction(2), Fraction(-1)])
     def test_edge_denominators_match_oracle(self, p):
         for seed in range(64):
             oracle, fast = SplitMix64(seed), SplitMix64(seed)
@@ -233,8 +233,7 @@ class CountingPolicy(Policy):
 
 
 def counting(monkeypatch, name):
-    """Record what each call `simulate` makes to `policy_module.<name>`
-    returns."""
+    """Record the result of each call to `policy_module.<name>`."""
     calls = []
     original = getattr(policy_module, name)
 
@@ -272,17 +271,14 @@ class TestWeatherMemo:
         # first shows at trial 36, after 29 repeats of the other seven
         inst = chances_instance([Fraction(1, 2)] * 3)
 
-        def rule(instance, belief):
-            if belief.position == "t":
-                return Action.halt()
-            for e in ("e0", "e1", "e2"):
-                if belief.status(e):
-                    return Action.move(e)
-            return None
-
         class Rule(Policy):
             def decide(self, instance, belief):
-                return rule(instance, belief)
+                if belief.position == "t":
+                    return Action.halt()
+                for e in ("e0", "e1", "e2"):
+                    if belief.status(e):
+                        return Action.move(e)
+                return None
 
         seen = []
         for trial in range(100):
