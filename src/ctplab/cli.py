@@ -544,6 +544,8 @@ def _cmd_solve(args) -> int:
             "beliefs_expanded": stats.beliefs_expanded,
             "boundary_evaluated": stats.boundary_evaluated,
             "boundary_skipped": stats.boundary_skipped,
+            "branch_tables": stats.branch_tables,
+            "regions": stats.regions,
         }))
     else:
         print("optimal cost: "
@@ -552,6 +554,8 @@ def _cmd_solve(args) -> int:
         print(f"beliefs expanded: {stats.beliefs_expanded}")
         print(f"boundary steps evaluated: {stats.boundary_evaluated}, "
               f"skipped: {stats.boundary_skipped}")
+        print(f"branch tables: {stats.branch_tables}, "
+              f"regions: {stats.regions}")
     return 0
 
 

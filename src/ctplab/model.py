@@ -126,14 +126,20 @@ class Cost:
             return NotImplemented
         if self._value is None or other._value is None:
             return _INFINITE
+        # adding zero returns the other operand; no Fraction is built
+        if not other._value:
+            return self
+        if not self._value:
+            return other
         return Cost(self._value + other._value)
 
     def scale(self, weight: Fraction) -> Cost:
         """Multiply by a positive probability weight."""
         if weight <= 0:
             raise ValueError(f"scale weight must be positive, got {weight}")
-        if self._value is None:
-            return _INFINITE
+        if not self._value:
+            # infinity (None) and zero are fixed points of scaling
+            return self
         return Cost(self._value * weight)
 
     def __lt__(self, other: Cost) -> bool:

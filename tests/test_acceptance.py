@@ -76,17 +76,17 @@ def test_c03_observation_gadget_inequalities():
         assert retry < 1 + p1 * (1 + retry)
 
 
-def test_c04_dependent_game_first_moves():
+def test_c04_dependent_game_first_moves(solve_battery_game):
     """On at least six games of two and four variables, the solver
     enters the rows exactly on winnable games, at the exact fee."""
     assert len(GAME_BATTERY) >= 6
     assert {f.n for f, _ in GAME_BATTERY} == {2, 4}
     assert {w for _, w in GAME_BATTERY} == {True, False}
-    for formula, winnable in GAME_BATTERY:
+    for k, (formula, winnable) in enumerate(GAME_BATTERY):
         assert formula.m <= 3
         assert qbf_eval(formula) is winnable
-        instance, fee = qbf_to_ctpdep(formula)
-        result = solve(instance)
+        _, fee = qbf_to_ctpdep(formula)
+        result = solve_battery_game(k)
         if winnable:
             assert result.optimal_cost == Cost.zero()
             assert result.optimal_first_action == Action.move("enter")

@@ -22,7 +22,7 @@ from ctplab.model import (
     load_instance,
 )
 from ctplab.reductions import CtpReductionCertificate, SensingCertificate
-from ctplab.solve import qbf_eval
+from ctplab.solve import qbf_eval, solve
 
 F = Fraction
 
@@ -134,11 +134,17 @@ class TestCommands:
         assert data["optimal_cost"] == "0/1 (0.0)"
         assert data["first_action"] == "move(enter)"
         assert {"beliefs_expanded", "boundary_evaluated",
-                "boundary_skipped"} <= set(data)
+                "boundary_skipped", "branch_tables", "regions"} <= set(data)
+        stats = solve(load_instance(out)).stats
+        assert (data["branch_tables"], data["regions"]) == (
+            stats.branch_tables, stats.regions)
+        assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
         assert main(["solve", str(out)]) == 0
         text = capsys.readouterr().out
         assert (f"boundary steps evaluated: {data['boundary_evaluated']}, "
                 f"skipped: {data['boundary_skipped']}") in text
+        assert (f"branch tables: {data['branch_tables']}, "
+                f"regions: {data['regions']}") in text
 
     def test_reduce_ctp_writes_certificate(self, game_file, tmp_path,
                                            capsys):

@@ -67,6 +67,25 @@ class TestCost:
         with pytest.raises(ValueError):
             Cost.of(1).scale(Fraction(0))
 
+    def test_zero_is_the_additive_identity(self):
+        x = Cost.of(Fraction(7, 3))
+        zero = Cost.of(0)
+        assert x + zero == x
+        assert zero + x == x
+        assert zero + zero == Cost.zero()
+        assert (Cost.infinite() + zero).is_infinite
+        assert (zero + Cost.infinite()).is_infinite
+
+    def test_zero_scales_to_zero(self):
+        zero = Cost.zero()
+        assert zero.scale(Fraction(1, 3)) == zero
+        assert zero.scale(Fraction(1)) == Cost.of(0)
+        for weight in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                zero.scale(weight)
+            with pytest.raises(ValueError):
+                Cost.infinite().scale(weight)
+
     def test_rejects_negative(self):
         for make, bad in ((Cost.of, -1), (Cost.of, "-1/2"),
                           (parse_cost, "-1/1"), (parse_cost, 3)):

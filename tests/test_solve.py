@@ -1,6 +1,8 @@
 """Solver tests: exact optima on toys, the committing brute force, and QBF."""
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -261,6 +263,142 @@ class TestSolveSensing:
         result = solve(self.build(Fraction(2, 3)))
         assert result.optimal_cost == Cost.of(2)
         assert result.optimal_first_action == Action.move("out")
+
+
+FROZEN_BUILDS = {
+    "baiting-2": lambda: baiting_harness(2)[0],
+    "p3": lambda: sensing_instance("p3"),
+}
+
+# every unwinnable game is solved by taking the default edge at once
+TREE_OF_DEFAULT = (
+    "0c3411cccb648b7662cc4260bd518fb72e596235b13f0a8242248d78b28c8348")
+# name: optimal cost, first action, sha256 of policy.to_json(),
+# beliefs expanded, boundary steps evaluated, boundary steps skipped
+FROZEN_SOLVES = {
+    "game0": ("0/1", "move(enter)", "bb55b696db8b29f229eb89bea6646a67"
+              "208d8d3289c57813a5275fde2a64c7cf", 124, 29, 6),
+    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 896, 183, 0),
+    "game2": ("0/1", "move(enter)", "65f0ddd2eccffc6839fd537ed5ba0f1b"
+              "dae1aa914744464c4ef3a177684284f2", 384, 107, 20),
+    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 2104, 503, 16),
+    "game4": ("0/1", "move(enter)", "f5044011705e288a82ce15c95f9abf14"
+              "6ce5c5e9213c15565a11069803ff902a", 2352, 575, 32),
+    "game5": ("0/1", "move(enter)", "ba3e895c054944759f6f4deee0f8dad5"
+              "69fe29041cf7c35cd037a177da3707a9", 28344, 6651, 644),
+    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 1420, 317, 58),
+    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 57408, 11767, 0),
+    "baiting-2": ("263/512", "move(bg.path000)", "3978831d2ba7ef4c7add7f79"
+                  "811001b10b814d78c8085acacc7e351374ee2b82", 88, 7, 6),
+    "p3": ("3161165579761560626969914950619/"
+           "792281625142643375935439503360", "move(visit.b)",
+           "273f03560ad4355c68312fda15809bb638467d3e49925604657597a5032883d7",
+           180, 43, 15),
+}
+
+
+# name: branch tables, regions
+FROZEN_COUNTERS = {
+    "game0": (14, 47), "game1": (18, 367), "game2": (30, 159),
+    "game3": (70, 903), "game4": (67, 1007), "game5": (75, 11639),
+    "game6": (24, 547), "game7": (27, 23535), "baiting-2": (8, 15),
+    "p3": (4, 27),
+}
+
+
+@pytest.fixture
+def frozen_solve(solve_battery_game):
+    """`solve` of a frozen instance; battery games come from the session."""
+    def solved(name):
+        build = FROZEN_BUILDS.get(name)
+        return solve(build()) if build else solve_battery_game(int(name[4:]))
+    return solved
+
+
+class TestFrozenSolves:
+    """Outputs and search counts of the solver, frozen bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+    def test_frozen(self, name, frozen_solve):
+        result = frozen_solve(name)
+        stats = result.stats
+        got = (str(result.optimal_cost), str(result.optimal_first_action),
+               hashlib.sha256(result.policy.to_json().encode()).hexdigest(),
+               stats.beliefs_expanded, stats.boundary_evaluated,
+               stats.boundary_skipped)
+        assert got == FROZEN_SOLVES[name]
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_COUNTERS))
+    def test_counters(self, name, frozen_solve):
+        stats = frozen_solve(name).stats
+        assert (stats.branch_tables, stats.regions) == FROZEN_COUNTERS[name]
+        # each pricing, and the root, asks for one table or reuses one
+        assert stats.branch_tables <= stats.boundary_evaluated + 1
+        assert stats.regions <= stats.beliefs_expanded
+
+
+def random_known(joint, rng):
+    """Some statuses of one support row per component."""
+    known = {}
+    for comp in joint.components:
+        statuses, _ = comp.rows[rng.randrange(len(comp.rows))]
+        for e, status in zip(comp.edge_ids, statuses):
+            if rng.random() < 0.5:
+                known[e] = status
+    return known
+
+
+def random_branch(joint, rng):
+    """Random consistent statuses and up to three unknown targets."""
+    known = random_known(joint, rng)
+    unknown = [e for e in sorted(joint.component_of) if e not in known]
+    return known, rng.sample(unknown, rng.randint(0, min(3, len(unknown))))
+
+
+class TestBranchMemo:
+    """The memo key holds exactly what `JointModel.branch` reads."""
+
+    @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
+    def test_branch_reads_only_the_targets_components(self, k):
+        instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        joint = instance.joint
+        rng = random.Random(k)
+        for _ in range(200):
+            known, targets = random_branch(joint, rng)
+            comps = {joint.component_of[e] for e in targets}
+            restricted = {e: status for e, status in known.items()
+                          if joint.component_of[e] in comps}
+            assert joint.branch(known, targets) == joint.branch(
+                restricted, targets)
+
+    @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
+    def test_memo_matches_branch_across_conditionings(self, k):
+        instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        joint = instance.joint
+        rng = random.Random(100 + k)
+        solver = S._Solver(instance, 200_000)
+        for _ in range(300):
+            known, targets = random_branch(joint, rng)
+            assert solver.outcomes(known, targets) == joint.branch(
+                known, targets)
+        # the 300 lookups shared tables
+        assert len(solver._branches) < 300
+
+    @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
+    def test_memo_hit_equals_miss(self, k):
+        instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        rng = random.Random(k)
+        vertices = sorted(instance.vertices)
+        for _ in range(5):
+            known = random_known(instance.joint, rng)
+            position = rng.choice(vertices)
+            fresh = instance.fresh_at(position, known)
+            solver = S._Solver(instance, 200_000)
+            first = solver.branch_value(known, fresh, position)
+            tables = dict(solver._branches)
+            again = solver.branch_value(known, fresh, position)
+            assert again == first
+            assert solver._branches == tables
 
 
 def three_path_instance(case):
