@@ -7,158 +7,9 @@ policies on them in exact rational arithmetic, and verifies optimality
 by exhaustive search. The headline constructions turn quantified
 formulas and vertex cover questions into such networks and come with
 closed-form cost certificates.
+
+Names are imported from the submodules: `ctplab.model`, `ctplab.gadgets`,
+`ctplab.policy`, `ctplab.solve`, `ctplab.reductions` and `ctplab.cli`.
 """
 
-from ctplab.gadgets import (
-    BaitingHandle,
-    GadgetParameterError,
-    ObservationHandle,
-    bailout_policy_cost,
-    baiting_harness,
-    build_baiting,
-    build_observation,
-    detour_price,
-    forward_policy_cost,
-    observation_harness,
-    observation_pass_cost,
-    observation_pass_probability,
-    section_count,
-    section_length,
-)
-from ctplab.model import (
-    Belief,
-    Cost,
-    CtpInstance,
-    DependencyNet,
-    EdgeSpec,
-    EnumerationCapError,
-    InstanceBuilder,
-    InternalCheckError,
-    InvalidInstanceError,
-    SensingSpec,
-    Variant,
-    Weather,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    sample_weather,
-    save_instance,
-    weather_support,
-)
-from ctplab.policy import (
-    Action,
-    BaitingBailoutPolicy,
-    BaitingForwardPolicy,
-    DecisionTreePolicy,
-    IllegalActionError,
-    ObservationForwardPolicy,
-    Policy,
-    PolicyLoopError,
-    evaluate_exact,
-    export_decision_tree,
-    reference_policy,
-    simulate,
-)
-from ctplab.reductions import (
-    AssignmentWalkPolicy,
-    CertificateError,
-    CoverSensingPolicy,
-    CtpReductionCertificate,
-    SensingCertificate,
-    VcInstance,
-    assignment_walk_policy,
-    certificate,
-    dep_layout,
-    has_vertex_cover,
-    named_vc,
-    normalize_half_prob,
-    qbf_to_ctp,
-    qbf_to_ctpdep,
-    reference_trip,
-    sensing_cost_bound,
-    vc_to_sensing,
-)
-from ctplab.solve import (
-    CommittingPolicy,
-    OptResult,
-    QbfFormula,
-    decompose_into_paths,
-    parse_qdimacs,
-    qbf_eval,
-    qbf_strategy,
-    solve_disjoint_bruteforce,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Action",
-    "AssignmentWalkPolicy",
-    "BaitingBailoutPolicy",
-    "BaitingForwardPolicy",
-    "BaitingHandle",
-    "Belief",
-    "CertificateError",
-    "CommittingPolicy",
-    "Cost",
-    "CoverSensingPolicy",
-    "CtpInstance",
-    "CtpReductionCertificate",
-    "DecisionTreePolicy",
-    "DependencyNet",
-    "EdgeSpec",
-    "EnumerationCapError",
-    "GadgetParameterError",
-    "IllegalActionError",
-    "InstanceBuilder",
-    "InternalCheckError",
-    "InvalidInstanceError",
-    "ObservationForwardPolicy",
-    "ObservationHandle",
-    "OptResult",
-    "Policy",
-    "PolicyLoopError",
-    "QbfFormula",
-    "SensingCertificate",
-    "SensingSpec",
-    "Variant",
-    "VcInstance",
-    "Weather",
-    "assignment_walk_policy",
-    "bailout_policy_cost",
-    "baiting_harness",
-    "build_baiting",
-    "build_observation",
-    "certificate",
-    "decompose_into_paths",
-    "dep_layout",
-    "detour_price",
-    "evaluate_exact",
-    "export_decision_tree",
-    "forward_policy_cost",
-    "has_vertex_cover",
-    "instance_from_json",
-    "instance_to_json",
-    "load_instance",
-    "named_vc",
-    "normalize_half_prob",
-    "observation_harness",
-    "observation_pass_cost",
-    "observation_pass_probability",
-    "parse_qdimacs",
-    "qbf_eval",
-    "qbf_strategy",
-    "qbf_to_ctp",
-    "qbf_to_ctpdep",
-    "reference_policy",
-    "reference_trip",
-    "sample_weather",
-    "save_instance",
-    "section_count",
-    "section_length",
-    "sensing_cost_bound",
-    "simulate",
-    "solve_disjoint_bruteforce",
-    "vc_to_sensing",
-    "weather_support",
-]

@@ -72,6 +72,8 @@ from .reductions import (
     vc_to_sensing,
 )
 from .solve import (
+    BELIEF_CAP,
+    QBF_CAP,
     QbfFormula,
     decompose_into_paths,
     CommittingPolicy,
@@ -158,12 +160,11 @@ def instance_to_dot(instance: CtpInstance,
 # ---------------------------------------------------------------------------
 # toy generators shared by the oracle suite and the test battery
 
-def random_disjoint_instance(stream: SplitMix64, max_paths: int = 4,
-                             max_edges: int = 3,
-                             max_uncertain: int = 10) -> CtpInstance:
-    """Random instance made of internally disjoint routes from s to t.
+def random_disjoint_instance(stream: SplitMix64) -> CtpInstance:
+    """Random instance made of 2 to 4 internally disjoint routes from s to t.
 
-    The last route is always sure, so the optimum is finite. Blocking
+    Each route has 1 to 3 edges. The last route is always sure, so the
+    optimum is finite and at most 9 edges are uncertain. Blocking
     chances are dyadic, which also makes these instances valid inputs
     for the normal-form rewrite.
     """
@@ -171,19 +172,16 @@ def random_disjoint_instance(stream: SplitMix64, max_paths: int = 4,
                Fraction(3, 8), Fraction(7, 8))
     builder = InstanceBuilder(Variant.INDEPENDENT)
     builder.set_endpoints("s", "t")
-    paths = 2 + stream.uniform_below(max_paths - 1)
-    uncertain = 0
+    paths = 2 + stream.uniform_below(3)
     for p in range(paths):
-        edges = 1 + stream.uniform_below(max_edges)
+        edges = 1 + stream.uniform_below(3)
         prev = "s"
         for j in range(edges):
             nxt = "t" if j == edges - 1 else f"p{p}v{j}"
             cost = Fraction(stream.uniform_below(9), 2)
             block = Fraction(0)
-            if p < paths - 1 and uncertain < max_uncertain:
-                if stream.uniform_below(3):
-                    block = chances[stream.uniform_below(len(chances))]
-                    uncertain += 1
+            if p < paths - 1 and stream.uniform_below(3):
+                block = chances[stream.uniform_below(len(chances))]
             builder.add_edge(prev, nxt, cost, id=f"p{p}e{j}", block_p=block)
             prev = nxt
     return builder.build()
@@ -295,7 +293,6 @@ def _suite_gadgets(args) -> list[CheckResult]:
 
 def _suite_ctpdep(args) -> list[CheckResult]:
     out = _Checker()
-    cap = args.cap or 200_000
     for formula, winnable in GAME_BATTERY:
         if args.n and formula.n != args.n:
             continue
@@ -305,7 +302,7 @@ def _suite_ctpdep(args) -> list[CheckResult]:
             raise InternalCheckError(
                 f"battery game {formula.clauses} has the wrong truth value")
         instance, fee = qbf_to_ctpdep(formula)
-        result = solve(instance, belief_cap=cap)
+        result = solve(instance, belief_cap=args.cap)
         label = f"n={formula.n}-m={formula.m}-{'win' if winnable else 'loss'}"
         move = "enter" if winnable else "default"
         out.equal(f"first-move-{label}", str(Action.move(move)),
@@ -450,7 +447,7 @@ def _cmd_reduce(args) -> int:
     if args.target == "sensing":
         if not args.graph:
             raise InvalidInstanceError(
-                "reduce sensing needs --graph (k3 or p3)")
+                "reduce sensing needs --graph")
         vc = named_vc(args.graph, args.k if args.k is not None else 1)
         alpha = as_fraction(args.alpha) if args.alpha else Fraction(1, 2)
         instance, cert = vc_to_sensing(vc, alpha)
@@ -533,7 +530,7 @@ def _cmd_solve(args) -> int:
                   f"{render_cost(outcome.expected_cost, args.precision)}")
             print(f"outcome branches: {len(outcome.outcome_breakdown)}")
         return 0
-    result = solve(instance, belief_cap=args.cap or 200_000)
+    result = solve(instance, belief_cap=args.cap)
     first = (str(result.optimal_first_action)
              if result.optimal_first_action else "depends on opening statuses")
     stats = result.stats
@@ -574,6 +571,8 @@ def _cmd_verify(args) -> int:
     runner = _SUITES[args.suite]
     start = time.monotonic()
     checks = runner(args)
+    if not checks:
+        raise ValueError(f"suite {args.suite}: the filters select no check")
     report = VerifyReport(args.suite, checks, time.monotonic() - start)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -595,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qbf = sub.add_parser("qbf", help="evaluate a QDIMACS game")
     p_qbf.add_argument("formula")
-    p_qbf.add_argument("--cap", type=int, default=24)
+    p_qbf.add_argument("--cap", type=int, default=QBF_CAP)
     p_qbf.add_argument("--json", action="store_true")
     p_qbf.set_defaults(func=_cmd_qbf)
 
@@ -605,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="QDIMACS file for ctpdep and ctp")
     p_red.add_argument("-o", "--out")
     p_red.add_argument("--h", help="direct fee override for ctpdep")
-    p_red.add_argument("--graph", choices=["k3", "p3"])
+    p_red.add_argument("--graph", help="builtin graph name")
     p_red.add_argument("--k", type=int)
     p_red.add_argument("--alpha")
     p_red.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
@@ -627,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol = sub.add_parser("solve", help="solve or evaluate an instance")
     p_sol.add_argument("instance")
     p_sol.add_argument("--policy", help="decision tree file to evaluate")
-    p_sol.add_argument("--cap", type=int)
+    p_sol.add_argument("--cap", type=int, default=BELIEF_CAP)
     p_sol.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_sol.add_argument("--json", action="store_true")
     p_sol.set_defaults(func=_cmd_solve)
@@ -643,12 +642,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--L")
     p_ver.add_argument("--n", type=int)
     p_ver.add_argument("--m", type=int)
-    p_ver.add_argument("--graph", choices=["k3", "p3"])
+    p_ver.add_argument("--graph", help="builtin graph name")
     p_ver.add_argument("--k", type=int)
     p_ver.add_argument("--alpha")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--trials", type=int, default=4096)
-    p_ver.add_argument("--cap", type=int)
+    p_ver.add_argument("--cap", type=int, default=BELIEF_CAP)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

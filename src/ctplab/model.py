@@ -488,22 +488,12 @@ class JointModel:
             raise InternalCheckError(f"outcomes of {wanted} do not sum to 1")
         return partial
 
-    def open_probability(self, known: Mapping[str, bool],
-                         edge_id: str) -> Fraction:
-        ci = self.component_of[edge_id]
-        comp = self.components[ci]
-        rows = self.surviving_rows(ci, known)
-        total = sum((comp.rows[r][1] for r in rows), Fraction(0))
-        if total == 0:
-            raise ValueError("revealed statuses are inconsistent")
-        i = comp.edge_index[edge_id]
-        hit = sum((comp.rows[r][1] for r in rows if comp.rows[r][0][i]),
-                  Fraction(0))
-        return hit / total
+
+_LEAF_CAP = 1 << 22
 
 
 def _component_table(variables: Sequence[NetVariable],
-                     edge_ids: Sequence[str], leaf_cap: int) -> ComponentTable:
+                     edge_ids: Sequence[str]) -> ComponentTable:
     ordered_edges = tuple(sorted(edge_ids))
     rows: dict[tuple[bool, ...], Fraction] = {}
     assign: dict[str, int] = {}
@@ -513,9 +503,9 @@ def _component_table(variables: Sequence[NetVariable],
         nonlocal leaves
         if i == len(variables):
             leaves += 1
-            if leaves > leaf_cap:
+            if leaves > _LEAF_CAP:
                 raise EnumerationCapError(
-                    f"dependency component support exceeds {leaf_cap} rows")
+                    f"dependency component support exceeds {_LEAF_CAP} rows")
             key = tuple(assign[e] == 0 for e in ordered_edges)
             rows[key] = rows.get(key, Fraction(0)) + prob
             return
@@ -535,7 +525,7 @@ def _component_table(variables: Sequence[NetVariable],
     return ComponentTable(ordered_edges, tuple(sorted(rows.items())))
 
 
-def build_joint(instance: CtpInstance, leaf_cap: int = 1 << 22) -> JointModel:
+def build_joint(instance: CtpInstance) -> JointModel:
     """Factor the instance's edge-status distribution into component tables."""
     uncertain = {e.id for e in instance.uncertain_edges}
     if instance.dependency is None:
@@ -549,7 +539,7 @@ def build_joint(instance: CtpInstance, leaf_cap: int = 1 << 22) -> JointModel:
         edge_ids = [v.id for v in group if v.id in uncertain]
         if not edge_ids:
             continue
-        comps.append(_component_table(group, edge_ids, leaf_cap))
+        comps.append(_component_table(group, edge_ids))
     return JointModel(tuple(comps))
 
 
@@ -701,10 +691,14 @@ def _validate_net(instance: CtpInstance) -> None:
             raise InvalidInstanceError(
                 f"variable {var.id!r} names a sure edge")
 
-    # Stored marginals must match what the net induces.
+    # Stored marginals must match what the net induces: the blocked rows
+    # of the edge's own component table (its rows sum to one).
     joint = instance.joint
     for eid, edge in uncertain.items():
-        marginal = 1 - joint.open_probability({}, eid)
+        comp = joint.components[joint.component_of[eid]]
+        i = comp.edge_index[eid]
+        marginal = sum((p for statuses, p in comp.rows if not statuses[i]),
+                       Fraction(0))
         if marginal != edge.block_p:
             raise InvalidInstanceError(
                 f"edge {eid!r} stores block_p {edge.block_p} but the net "

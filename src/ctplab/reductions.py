@@ -920,14 +920,11 @@ def named_vc(name: str, k: int) -> VcInstance:
     return VcInstance(vertices, edges, k)
 
 
-def has_vertex_cover(vc: VcInstance, size: int | None = None) -> bool:
-    """Brute-force test for a cover of at most `size` vertices."""
-    budget = vc.k if size is None else size
-    if budget < 0:
-        return False
-    if budget >= len(vc.vertices):
+def has_vertex_cover(vc: VcInstance) -> bool:
+    """Brute-force test for a cover of at most `vc.k` vertices."""
+    if vc.k >= len(vc.vertices):
         return True
-    for combo in itertools.combinations(vc.vertices, budget):
+    for combo in itertools.combinations(vc.vertices, vc.k):
         chosen = set(combo)
         if all(u in chosen or v in chosen for u, v in vc.edges):
             return True

@@ -66,6 +66,9 @@ from .policy import (
     export_decision_tree,
 )
 
+# Beliefs one solve may expand before it gives up (`ctplab solve --cap`).
+BELIEF_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class SolveStats:
@@ -285,7 +288,7 @@ def _first_action(tree: DecisionTreePolicy) -> Action | None:
     return seen.pop() if len(seen) == 1 else None
 
 
-def solve(instance: CtpInstance, belief_cap: int = 200_000) -> OptResult:
+def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     """Exact optimum of an independent, dependent or sensing instance."""
     solver = _Solver(instance, belief_cap)
     try:
@@ -400,15 +403,17 @@ def decompose_into_paths(instance: CtpInstance) -> tuple[PathInfo, ...]:
     return tuple(paths)
 
 
-def solve_disjoint_bruteforce(instance: CtpInstance,
-                              max_paths: int = 6) -> OptResult:
+_ORDERING_CAP = 6
+
+
+def solve_disjoint_bruteforce(instance: CtpInstance) -> OptResult:
     """Best committing policy, found by trying every path ordering."""
     from .policy import evaluate_exact
 
     paths = decompose_into_paths(instance)
-    if len(paths) > max_paths:
+    if len(paths) > _ORDERING_CAP:
         raise EnumerationCapError(
-            f"{len(paths)} paths exceed the ordering cap of {max_paths}")
+            f"{len(paths)} paths exceed the ordering cap of {_ORDERING_CAP}")
     best: tuple[Cost, CommittingPolicy, EvalResult] | None = None
     for order in itertools.permutations(range(len(paths))):
         policy = CommittingPolicy(paths, order)
@@ -467,13 +472,17 @@ class QbfFormula:
         return len(self.clauses)
 
 
+# Variables a game-tree evaluation may enumerate (`ctplab qbf --cap`).
+QBF_CAP = 24
+
+
 def _cnf_value(formula: QbfFormula, assignment: list[bool]) -> bool:
     return all(
         any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
         for clause in formula.clauses)
 
 
-def qbf_eval(formula: QbfFormula, cap: int = 24) -> bool:
+def qbf_eval(formula: QbfFormula, cap: int = QBF_CAP) -> bool:
     """Game-tree truth value: AND at universals, OR at existentials."""
     if formula.n > cap:
         raise EnumerationCapError(
@@ -494,8 +503,7 @@ def qbf_eval(formula: QbfFormula, cap: int = 24) -> bool:
     return play(0)
 
 
-def qbf_strategy(formula: QbfFormula,
-                 cap: int = 24) -> dict[tuple[bool, ...], bool] | None:
+def qbf_strategy(formula: QbfFormula) -> dict[tuple[bool, ...], bool] | None:
     """Winning existential strategy, or None if there is none.
 
     Maps each reachable prefix of earlier variable values (as a tuple,
@@ -503,9 +511,9 @@ def qbf_strategy(formula: QbfFormula,
     existential variable that comes next. Universal prefixes enumerate
     both branches; when both choices win, False is recorded.
     """
-    if formula.n > cap:
+    if formula.n > QBF_CAP:
         raise EnumerationCapError(
-            f"{formula.n} variables exceed the evaluation cap of {cap}")
+            f"{formula.n} variables exceed the evaluation cap of {QBF_CAP}")
     assignment: list[bool] = [False] * formula.n
     plan: dict[tuple[bool, ...], bool] = {}
     memo: dict[tuple[bool, ...], bool] = {}
@@ -627,9 +635,11 @@ def parse_qdimacs(text: str) -> QbfFormula:
 
 
 __all__ = [
+    "BELIEF_CAP",
     "CommittingPolicy",
     "OptResult",
     "PathInfo",
+    "QBF_CAP",
     "QbfFormula",
     "SolveStats",
     "decompose_into_paths",

@@ -107,10 +107,11 @@ class TestToyGenerator:
         assert instance_to_json(one) == instance_to_json(two)
 
     def test_respects_uncertain_cap(self):
-        for seed in range(10):
-            toy = random_disjoint_instance(SplitMix64(seed),
-                                           max_uncertain=3)
-            assert sum(1 for e in toy.edges if e.uncertain) <= 3
+        # 2 to 4 routes of 1 to 3 edges, the last one sure
+        for seed in range(200):
+            toy = random_disjoint_instance(SplitMix64(seed))
+            assert sum(1 for e in toy.edges if e.uncertain) <= 9
+            assert len(toy.edges) <= 12
 
 
 class TestCommands:
@@ -292,6 +293,33 @@ class TestExitCodes:
         main(["reduce", "ctpdep", str(game_file), "-o", str(out)])
         capsys.readouterr()
         assert main(["solve", str(out), "--cap", "10"]) == 3
+
+    def test_zero_cap_is_not_the_default(self, game_file, tmp_path, capsys):
+        out = tmp_path / "dep.json"
+        main(["reduce", "ctpdep", str(game_file), "-o", str(out)])
+        capsys.readouterr()
+        assert main(["solve", str(out), "--cap", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "beliefs exceed the cap of 0" in err
+        assert err.count("\n") == 1
+        assert main(["verify", "ctpdep", "--n", "2", "--cap", "0"]) == 3
+        assert "beliefs exceed the cap of 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("filters", [["--n", "3"],
+                                         ["--n", "4", "--m", "3"]])
+    def test_verify_selecting_no_check_is_input_error(self, filters, capsys):
+        assert main(["verify", "ctpdep", *filters]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: suite ctpdep: the filters select no check\n")
+
+    @pytest.mark.parametrize("command", [["reduce", "sensing"],
+                                         ["verify", "sensing"]])
+    def test_unknown_graph_is_input_error(self, command, capsys):
+        assert main([*command, "--graph", "c4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown graph 'c4'; known: k3, p3\n")
 
     def test_deep_strata_exceed_cap(self, tmp_path, capsys):
         # one Python frame pair per reveal: 128 sections nest too deep

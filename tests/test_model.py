@@ -249,9 +249,10 @@ class TestDependentJoint:
 
     def test_open_probability(self):
         inst = xor_net_instance()
-        assert inst.joint.open_probability({}, "e_true") == HALF
-        assert inst.joint.open_probability(
-            {"e_false": False}, "e_true") == 1
+        assert inst.joint.branch({}, ["e_true"]) == [
+            ({"e_true": False}, HALF), ({"e_true": True}, HALF)]
+        assert inst.joint.branch({"e_false": False}, ["e_true"]) == [
+            ({"e_true": True}, 1)]
 
     def test_weather_support_is_exclusive(self):
         inst = xor_net_instance()
@@ -270,7 +271,8 @@ class TestDependentJoint:
         # Blocked only when a=1 and b=0: rows ordered a + 2b.
         b.add_variable("e", ("a", "b"), [0, 1, 0, 0])
         inst = b.build()
-        assert inst.joint.open_probability({}, "e") == Fraction(3, 4)
+        assert inst.joint.branch({}, ["e"]) == [
+            ({"e": False}, Fraction(1, 4)), ({"e": True}, Fraction(3, 4))]
 
     def test_in_degree_cap(self):
         b = InstanceBuilder(Variant.DEPENDENT)

@@ -1,6 +1,7 @@
 """Package surface: exported names, submodule access, no bare asserts."""
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -17,8 +18,12 @@ def test_module_exports_exist(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_exports_exist():
-    assert [n for n in ctplab.__all__ if not hasattr(ctplab, n)] == []
+def test_readme_library_example_runs():
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_solve_submodule_is_not_shadowed():

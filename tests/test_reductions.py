@@ -347,8 +347,8 @@ class TestVertexCover:
     def test_cover_search(self):
         assert has_vertex_cover(named_vc("p3", 1)) is True
         assert has_vertex_cover(named_vc("k3", 1)) is False
-        assert has_vertex_cover(named_vc("k3", 1), 2) is True
-        assert has_vertex_cover(named_vc("k3", 1), 0) is False
+        assert has_vertex_cover(named_vc("k3", 2)) is True
+        assert has_vertex_cover(named_vc("k3", 0)) is False
 
     def test_validation(self):
         with pytest.raises(InvalidInstanceError):
