@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import CtpInstance, InstanceBuilder, Variant, as_fraction
+from .model import Cost, CtpInstance, InstanceBuilder, Variant, as_fraction
 
 HALF = Fraction(1, 2)
 
@@ -218,7 +218,7 @@ def build_baiting(builder: InstanceBuilder, entry: str, exit: str, sink: str,
     """Add one baiting gadget between `entry` and `exit` to `builder`."""
     span = as_fraction(length)
     n = section_count(span)
-    step = span / (n + 1)
+    step = Cost.of(span / (n + 1))  # one shared Cost for every path edge
     for name in (entry, exit, sink):
         builder.add_vertex(name)
     sections = tuple(builder.add_vertex(f"{prefix}.v{i:03d}")
@@ -229,7 +229,7 @@ def build_baiting(builder: InstanceBuilder, entry: str, exit: str, sink: str,
                          id=f"{prefix}.path{i:03d}")
         for i in range(n + 1))
     cut_edges = tuple(
-        builder.add_edge(sections[i - 1], sink, 0,
+        builder.add_edge(sections[i - 1], sink, Cost.zero(),
                          id=f"{prefix}.cut{i:03d}", block_p=HALF)
         for i in range(1, n + 1))
     entry_shortcut = builder.add_edge(entry, sink, span, id=f"{prefix}.exit_u")

@@ -43,6 +43,8 @@ class InternalCheckError(RuntimeError):
 # rationals
 
 def as_fraction(value: Fraction | int | str) -> Fraction:
+    if type(value) is Fraction:
+        return value  # immutable, so shared rather than copied
     if isinstance(value, str):
         return parse_rational(value)
     return Fraction(value)
@@ -98,8 +100,8 @@ class Cost:
             return value
         if isinstance(value, str):
             return parse_cost(value)
-        frac = Fraction(value)
-        if frac < 0:
+        frac = value if type(value) is Fraction else Fraction(value)
+        if frac.numerator < 0:
             raise InvalidInstanceError(f"cost must be nonnegative, got {frac}")
         return Cost(frac)
 
@@ -302,7 +304,7 @@ class EdgeSpec:
 
     @property
     def uncertain(self) -> bool:
-        return self.block_p != 0
+        return self.block_p.numerator != 0
 
     def other_end(self, vertex: str) -> str:
         if vertex == self.tail:
@@ -530,8 +532,13 @@ def build_joint(instance: CtpInstance) -> JointModel:
     uncertain = {e.id for e in instance.uncertain_edges}
     if instance.dependency is None:
         comps = []
+        open_p: dict[Fraction, Fraction] = {}
         for e in instance.uncertain_edges:
-            rows = (((False,), e.block_p), ((True,), 1 - e.block_p))
+            p = e.block_p
+            q = open_p.get(p)
+            if q is None:
+                q = open_p[p] = 1 - p
+            rows = (((False,), p), ((True,), q))
             comps.append(ComponentTable((e.id,), rows))
         return JointModel(tuple(comps))
     comps = []
@@ -727,7 +734,8 @@ def validate_instance(instance: CtpInstance) -> None:
             raise InvalidInstanceError(f"edge {e.id!r} leaves the vertex set")
         if e.tail == e.head:
             raise InvalidInstanceError(f"edge {e.id!r} is a loop")
-        if not 0 <= e.block_p < 1:
+        p = e.block_p
+        if not 0 <= p.numerator < p.denominator:
             raise InvalidInstanceError(
                 f"edge {e.id!r} has block_p {e.block_p}, need [0, 1)")
         if e.uncertain and e.cost.is_infinite:
@@ -956,6 +964,16 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
             f"unknown keys {sorted(extra)} in {where}")
 
 
+def _parse_once(memo: dict, parse, text):
+    """`parse(text)`, remembered in `memo` when `text` is a string."""
+    if type(text) is not str:
+        return parse(text)  # refused there, with the parser's message
+    value = memo.get(text)
+    if value is None:
+        value = memo[text] = parse(text)
+    return value
+
+
 def instance_from_dict(data: dict) -> CtpInstance:
     _require_keys(data, _TOP_KEYS, "instance")
     try:
@@ -967,6 +985,9 @@ def instance_from_dict(data: dict) -> CtpInstance:
             raise InvalidInstanceError(f"missing key {key!r}")
         if key in ("vertices", "edges"):
             require_type(data[key], list, repr(key))
+    # a document holds few distinct rationals: parse each string once
+    costs: dict[str, Cost] = {}
+    probs: dict[str, Fraction] = {}
     edges = []
     for i, item in enumerate(data["edges"]):
         _require_keys(item, _EDGE_KEYS, f"edge #{i}")
@@ -977,9 +998,10 @@ def instance_from_dict(data: dict) -> CtpInstance:
                 id=item["id"],
                 tail=item["tail"],
                 head=item["head"],
-                cost=parse_cost(item["cost"]),
+                cost=_parse_once(costs, parse_cost, item["cost"]),
                 directed=directed,
-                block_p=parse_probability(item.get("block_p", "0/1")),
+                block_p=_parse_once(probs, parse_probability,
+                                    item.get("block_p", "0/1")),
             )
         except KeyError as exc:
             raise InvalidInstanceError(
@@ -1038,8 +1060,37 @@ def instance_from_dict(data: dict) -> CtpInstance:
     return instance
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+# one edge of `instance_to_dict`, its keys in the same order
+_JSON_EDGE = ('{\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n'
+              '      "directed": %s,\n      "cost": %s,\n      "block_p": %s'
+              '\n    }')
+
+
 def instance_to_json(instance: CtpInstance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    """`json.dumps(instance_to_dict(instance), indent=2)` and a newline.
+
+    `indent` turns off the C encoder, so the vertex and edge lists, nearly
+    all of a large instance, are written here instead, byte for byte the
+    same: strings escaped as `json.dumps` escapes them, one template per
+    edge.
+    """
+    data = instance_to_dict(instance)
+    members = []
+    for key, value in data.items():
+        if key == "vertices" and value:
+            text = "[\n    " + ",\n    ".join(map(_JSON_STR, value)) + "\n  ]"
+        elif key == "edges" and value:
+            text = "[\n    " + ",\n    ".join(
+                _JSON_EDGE % (_JSON_STR(e["id"]), _JSON_STR(e["tail"]),
+                              _JSON_STR(e["head"]),
+                              "true" if e["directed"] else "false",
+                              _JSON_STR(e["cost"]), _JSON_STR(e["block_p"]))
+                for e in value) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        members.append(f"  {_JSON_STR(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def instance_from_json(text: str) -> CtpInstance:

@@ -69,6 +69,8 @@ from .policy import (
 # Beliefs one solve may expand before it gives up (`ctplab solve --cap`).
 BELIEF_CAP = 200_000
 
+_HALT = Action.halt()  # actions are frozen, so one serves every solve
+
 
 @dataclass(frozen=True)
 class SolveStats:
@@ -124,6 +126,7 @@ class _Solver(Policy):
         self.evaluated = 0
         self.skipped = 0
         self.bound = _free_space_bound(instance)
+        self.moves = {e.id: Action.move(e.id) for e in instance.edges}
         self._regions: dict[tuple[_KindKey, str], _Region] = {}
         self.regions = 0
         # `outcomes` tables; never mutated, so a hit equals a fresh call
@@ -131,7 +134,7 @@ class _Solver(Policy):
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if belief.position == instance.t:
-            return Action.halt()
+            return _HALT
         region = self.region(belief.known, belief.position)
         return region.choices.get(belief.position)
 
@@ -200,13 +203,13 @@ class _Solver(Policy):
         radj: dict[str, list[tuple[str, Cost, str]]] = {}
         if t in patch:
             heapq.heappush(heap, (Cost.zero(), 0, "", next(seq), t,
-                                  Action.halt(), None))
+                                  _HALT, None))
         reveals = []
         for u in sorted(steps):
             for edge, far, fresh in steps[u]:
                 if fresh:
                     reveals.append((edge.cost, fresh, far, 0, edge.id, u,
-                                    Action.move(edge.id)))
+                                    self.moves[edge.id]))
                 else:
                     radj.setdefault(far, []).append((u, edge.cost, edge.id))
             for edge_id, fee in instance.senses_from(u).items():
@@ -243,7 +246,7 @@ class _Solver(Policy):
                 if u in values:
                     continue
                 heapq.heappush(heap, (step + cost, 0, via, next(seq),
-                                      u, Action.move(via), None))
+                                      u, self.moves[via], None))
         region = _Region(values, choices)
         for v in patch:
             self._regions[(key, v)] = region

@@ -1,9 +1,12 @@
 """Command line behavior: rendering, files, suites, and exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ctplab.cli import (
     GAME_BATTERY,
@@ -16,8 +19,10 @@ from ctplab.cli import (
 from ctplab.model import (
     Cost,
     InstanceBuilder,
+    InvalidInstanceError,
     SplitMix64,
     Variant,
+    instance_from_dict,
     instance_to_json,
     load_instance,
 )
@@ -201,6 +206,15 @@ class TestCommands:
         assert {c["status"] for c in data["checks"]} == {"pass"}
 
 
+RATIONAL_FIELD = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from(["1/2", "0/1", "3/1", "inf", "1/0", "-1/2", "3/2",
+                     "1.5", "", "1/-2", "1 /2", "0x1", "½"]),
+    st.text(max_size=6))
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["qbf", str(tmp_path / "nope.qdimacs")]) == 2
@@ -265,6 +279,40 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @given(cost=RATIONAL_FIELD, block_p=RATIONAL_FIELD,
+           edge=st.integers(min_value=0, max_value=2))
+    def test_malformed_rational_fields_are_input_errors(
+            self, tmp_path_factory, cost, block_p, edge):
+        """Junk in an edge's `cost` or `block_p`: refused, never a crash.
+
+        Each value lands on one edge and, to reach the parse memo's hit
+        path, on the edge before it too.
+        """
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "x", 1, id="a")
+        b.add_edge("x", "t", 0, id="b", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 5, id="c")
+        data = json.loads(instance_to_json(b.build()))
+        for item in data["edges"][max(edge - 1, 0):edge + 1]:
+            item["cost"], item["block_p"] = cost, block_p
+        try:
+            instance_from_dict(data)
+            refused = False
+        except InvalidInstanceError:
+            refused = True
+        path = tmp_path_factory.getbasetemp() / "junk_rationals.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["solve", str(path)])
+        if refused:
+            assert code == 2
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert code in (0, 3)
 
     @pytest.mark.parametrize("document", [
         [1], {"nodes": 5}, {"nodes": {"s|": {"action": "move"}}},

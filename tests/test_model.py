@@ -1,10 +1,14 @@
 """Model layer: costs, instances, joints, weathers, serialization."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ctplab.cli import GAME_BATTERY, random_disjoint_instance
+from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
     Belief,
     Cost,
@@ -18,6 +22,7 @@ from ctplab.model import (
     as_fraction,
     format_rational,
     instance_from_json,
+    instance_to_dict,
     instance_to_json,
     parse_cost,
     parse_rational,
@@ -26,7 +31,9 @@ from ctplab.model import (
     validate_instance,
     weather_support,
 )
-from ctplab.reductions import named_vc, vc_to_sensing
+from ctplab.reductions import (
+    named_vc, qbf_to_ctp, qbf_to_ctpdep, vc_to_sensing)
+from ctplab.solve import QbfFormula
 
 HALF = Fraction(1, 2)
 
@@ -88,6 +95,7 @@ class TestCost:
 
     def test_rejects_negative(self):
         for make, bad in ((Cost.of, -1), (Cost.of, "-1/2"),
+                          (Cost.of, Fraction(-1, 2)),
                           (parse_cost, "-1/1"), (parse_cost, 3)):
             with pytest.raises(InvalidInstanceError):
                 make(bad)
@@ -147,6 +155,15 @@ class TestBuilderAndValidation:
         b.add_edge("a", "b", 1, block_p=1)
         with pytest.raises(InvalidInstanceError):
             b.build()
+
+    @pytest.mark.parametrize("block_p", [1, Fraction(1), Fraction(3, 2),
+                                         Fraction(-1, 2), -1])
+    def test_block_p_outside_range_rejected_directly(self, block_p):
+        inst = two_path_instance()
+        edges = tuple(replace(e, block_p=block_p) if e.id == "xt" else e
+                      for e in inst.edges)
+        with pytest.raises(InvalidInstanceError, match="need \\[0, 1\\)"):
+            validate_instance(replace(inst, edges=edges))
 
     def test_multiedges_allowed(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
@@ -361,3 +378,47 @@ def test_as_fraction_forms():
     assert as_fraction("2/3") == Fraction(2, 3)
     assert as_fraction(2) == Fraction(2)
     assert as_fraction(Fraction(1, 7)) == Fraction(1, 7)
+    shared = Fraction(3, 8)
+    assert as_fraction(shared) is shared
+
+
+def odd_names_instance() -> CtpInstance:
+    """Names that JSON must escape: non-ASCII, quotes, backslashes."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s\u00e9", 't"\\')
+    b.add_edge("s\u00e9", "\u4e2d\U0001f600", 3, id='e"\\\u00fc',
+               directed=True)
+    b.add_edge("\u4e2d\U0001f600", 't"\\', 0, id="tab\tline\n",
+               block_p=Fraction(1, 3))
+    b.add_edge("s\u00e9", 't"\\', Cost.infinite(), id="anchor")
+    return b.build()
+
+
+def edgeless_instance() -> CtpInstance:
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    return b.build()
+
+
+WRITER_CASES = {
+    "qbf_to_ctp(2,1)": lambda: qbf_to_ctp(QbfFormula.of(2, ((1,),)))[0],
+    **{f"ctpdep game {k}": (lambda k=k: qbf_to_ctpdep(GAME_BATTERY[k][0])[0])
+       for k in range(len(GAME_BATTERY))},
+    "sensing p3": lambda: vc_to_sensing(named_vc("p3", 1), HALF)[0],
+    "baiting harness": lambda: baiting_harness(2)[0],
+    "observation harness": lambda: observation_harness(9, charge=0)[0],
+    **{f"random disjoint {seed}":
+       (lambda seed=seed: random_disjoint_instance(SplitMix64(seed)))
+       for seed in range(6)},
+    "odd names": odd_names_instance,
+    "no edges": edgeless_instance,
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_json_writer_matches_json_dumps(case):
+    """The template writer against the encoder it replaces, the oracle."""
+    inst = WRITER_CASES[case]()
+    text = instance_to_json(inst)
+    assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    assert instance_from_json(text) == inst
