@@ -50,7 +50,7 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -58,7 +58,7 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InvalidInstanceError(
             f"rational must be a string, got {type(text).__name__}")
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise InvalidInstanceError(f"bad rational {text!r}")
     num, den = match.groups()
@@ -849,16 +849,19 @@ class InstanceBuilder:
 # ---------------------------------------------------------------------------
 # weathers
 
-def weather_support(instance: CtpInstance,
-                    cap: int = 1 << 20) -> list[tuple[Weather, Fraction]]:
+# Largest weather support `weather_support` lists.
+_SUPPORT_CAP = 1 << 20
+
+
+def weather_support(instance: CtpInstance) -> list[tuple[Weather, Fraction]]:
     """Every positive-probability weather with its exact probability."""
     joint = instance.joint
     count = 1
     for comp in joint.components:
         count *= len(comp.rows)
-    if count > cap:
+    if count > _SUPPORT_CAP:
         raise EnumerationCapError(
-            f"{count} weathers exceed the cap of {cap}")
+            f"{count} weathers exceed the cap of {_SUPPORT_CAP}")
     acc: list[tuple[frozenset[str], Fraction]] = [(frozenset(), Fraction(1))]
     for comp in joint.components:
         step = []

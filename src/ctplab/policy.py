@@ -3,10 +3,14 @@
 A policy is a deterministic rule mapping each belief (position plus revealed
 edge statuses) to an action. This module provides the action vocabulary, an
 explicit decision-tree representation with JSON round-tripping, one exact
-evaluator with two modes (full weather enumeration, and a depth-first stack
-of observation outcomes that copes with gadget chains far too long to
-enumerate), a seeded Monte Carlo simulator, and the library of named
+evaluator, a seeded Monte Carlo simulator, and the library of named
 reference policies for the baiting and observation gadgets.
+
+The evaluator walks a depth-first stack of observation outcomes, which
+copes with gadget chains far too long to enumerate; it prices every
+policy and exports decision trees. Replaying the policy on every weather
+of the support (`evaluate_exact(..., mode="weathers")`) stays as the
+independent oracle that the walk is checked against.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
@@ -30,7 +34,6 @@ from .model import (
     Belief,
     Cost,
     CtpInstance,
-    EnumerationCapError,
     InternalCheckError,
     Variant,
     Weather,
@@ -328,15 +331,10 @@ def _trace(instance: CtpInstance, policy: Policy,
             return
         key = belief_key(belief)
         seen = record.get(key)
-        node = TreeNode(action, children)
-        if seen is not None and seen != node:
-            merged = dict(seen.children)
-            merged.update(children)
-            if seen.action != action:
-                raise IllegalActionError(
-                    f"policy is not a function of the belief at {key}")
-            node = TreeNode(action, tuple(sorted(merged.items())))
-        record[key] = node
+        if seen is not None and seen.action != action:
+            raise IllegalActionError(
+                f"policy is not a function of the belief at {key}")
+        record[key] = TreeNode(action, children)
 
     def branch(belief: Belief, action: Action | None, position: str,
                targets: list[str]) -> list[tuple[str, Fraction, Belief]]:
@@ -404,30 +402,21 @@ def _trace(instance: CtpInstance, policy: Policy,
     return _summed(breakdown)
 
 
-# Largest weather support that mode "auto" still enumerates.
-_WEATHER_CAP = 4096
-
-
 def evaluate_exact(instance: CtpInstance, policy: Policy,
-                   mode: str = "auto") -> EvalResult:
+                   mode: str = "tree") -> EvalResult:
     """Exact expected cost of `policy`, with a per-event breakdown.
 
-    mode "weathers" enumerates the full weather support and replays the
-    policy against each one; mode "tree" enumerates observation outcomes
-    instead and handles instances whose support is astronomically large;
-    "auto" picks by support size.
+    mode "tree" walks the observation outcomes, one breakdown row per
+    leaf, and copes with instances whose weather support is far too
+    large to list. mode "weathers" replays the policy against every
+    weather of the support instead, one row per weather; it is the
+    independent oracle the tree walk is checked against.
     """
-    if mode not in ("auto", "weathers", "tree"):
-        raise ValueError(f"unknown evaluation mode {mode!r}")
-    if mode == "auto":
-        try:
-            support = weather_support(instance, _WEATHER_CAP)
-        except EnumerationCapError:
-            mode = "tree"
-    elif mode == "weathers":
-        support = weather_support(instance)
     if mode == "tree":
         return _trace(instance, policy, None)
+    if mode != "weathers":
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+    support = weather_support(instance)
     breakdown: list[tuple[str, Fraction, Cost]] = []
     ids = sorted(e.id for e in instance.uncertain_edges)
     for weather, prob in support:

@@ -422,22 +422,23 @@ def assignment_walk_policy(formula: QbfFormula) -> AssignmentWalkPolicy:
 class AssignmentWalkPolicy(Policy):
     """Play a fixed existential plan through the dependent game graph.
 
-    At a universal row the entry pair is visible on arrival and exactly
-    one entry is open, so the walk is forced. At an existential row the
-    plan is consulted with the values of all earlier variables, read back
-    from the entry statuses already seen (universal rows) or replayed
-    from the plan itself (existential rows). At the exam entrance the
-    walk counts the clause coins it has seen open and commits to the room
-    of matching parity; unseen coins count as blocked, which never
-    happens under a winning plan. A blocked choice edge falls back to the
-    flunk edge so the walk stays total off plan.
+    At each row the walk reads the values of every variable up to and
+    including this one, and takes the entry of the last. A universal
+    row's value comes from its entry pair, visible on arrival with
+    exactly one entry open, so the walk there is forced; an existential
+    row's value is the plan's choice under the values before it. At the
+    exam entrance the walk counts the clause coins it has seen open and
+    commits to the room of matching parity; unseen coins count as
+    blocked, which never happens under a winning plan. A blocked choice
+    edge falls back to the flunk edge so the walk stays total off plan.
     """
 
     layout: DepLayout
     plan: Mapping[tuple[bool, ...], bool]
 
-    def _values_before(self, count: int,
-                       belief) -> tuple[bool, ...] | None:
+    def _values_through(self, count: int,
+                        belief) -> tuple[bool, ...] | None:
+        """Values of the first `count` variables, None if one is unread."""
         values: list[bool] = []
         for var in self.layout.variables[:count]:
             if var.universal:
@@ -464,22 +465,11 @@ class AssignmentWalkPolicy(Policy):
             return Action.move(lay.enter_edge)
         var = lay.entry_map.get(pos)
         if var is not None:
-            if var.universal:
-                status = belief.status(var.true_entry)
-                if status is None:
-                    other = belief.status(var.false_entry)
-                    if other is None:
-                        return None
-                    status = not other
-                return Action.move(var.true_entry if status
-                                   else var.false_entry)
-            values = self._values_before(var.index - 1, belief)
+            values = self._values_through(var.index, belief)
             if values is None:
                 return None
-            choice = self.plan.get(values)
-            if choice is None:
-                return None
-            return Action.move(var.true_entry if choice else var.false_entry)
+            return Action.move(var.true_entry if values[-1]
+                               else var.false_entry)
         step = lay.step_map.get(pos)
         if step is not None:
             return Action.move(step)

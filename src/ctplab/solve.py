@@ -8,7 +8,7 @@ the recursion is well founded). Within a stratum, values come from a reverse
 Dijkstra seeded at the target and at every revealing step, which is sound
 because all costs are nonnegative.
 
-The one move rule, which the policy evaluators walk by too: moves come
+The one move rule, which the policy walks follow too: moves come
 from `CtpInstance.moves_from`, stay-in-place sensing steps and their fees
 from `CtpInstance.senses_from`, and a move reveals what `fresh_at` says
 arriving at its far end exposes. Branch probabilities always condition on
@@ -420,7 +420,7 @@ def solve_disjoint_bruteforce(instance: CtpInstance) -> OptResult:
     best: tuple[Cost, CommittingPolicy, EvalResult] | None = None
     for order in itertools.permutations(range(len(paths))):
         policy = CommittingPolicy(paths, order)
-        result = evaluate_exact(instance, policy, mode="tree")
+        result = evaluate_exact(instance, policy)
         if best is None or result.expected_cost < best[0]:
             best = (result.expected_cost, policy, result)
     _, policy, result = best
@@ -441,22 +441,16 @@ class QbfFormula:
     """Alternating-prefix quantified 3-CNF, universals first.
 
     Variables are 1..n; a literal is +i or -i. The prefix strictly
-    alternates starting with a universal, so it is fully determined by n,
-    but it is stored for readability and checked.
+    alternates starting with a universal, so n fixes it and only n and
+    the clauses are stored; `quantifiers` derives the prefix.
     """
 
     n: int
-    quantifiers: tuple[str, ...]
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one variable")
-        want = tuple("A" if i % 2 == 0 else "E" for i in range(self.n))
-        if self.quantifiers != want:
-            raise ValueError(
-                "prefix must strictly alternate starting universal, "
-                f"expected {want}, got {self.quantifiers}")
         for clause in self.clauses:
             if not 1 <= len(clause) <= 3:
                 raise ValueError(f"clause {clause} must have 1 to 3 literals")
@@ -466,9 +460,11 @@ class QbfFormula:
 
     @staticmethod
     def of(n: int, clauses: Sequence[Sequence[int]]) -> QbfFormula:
-        quantifiers = tuple("A" if i % 2 == 0 else "E" for i in range(n))
-        return QbfFormula(n, quantifiers,
-                          tuple(tuple(c) for c in clauses))
+        return QbfFormula(n, tuple(tuple(c) for c in clauses))
+
+    @property
+    def quantifiers(self) -> tuple[str, ...]:
+        return tuple("A" if i % 2 == 0 else "E" for i in range(self.n))
 
     @property
     def m(self) -> int:
@@ -485,25 +481,51 @@ def _cnf_value(formula: QbfFormula, assignment: list[bool]) -> bool:
         for clause in formula.clauses)
 
 
-def qbf_eval(formula: QbfFormula, cap: int = QBF_CAP) -> bool:
-    """Game-tree truth value: AND at universals, OR at existentials."""
+def _play(formula: QbfFormula, cap: int,
+          plan: dict[tuple[bool, ...], bool] | None) -> bool:
+    """Game value by a short-circuiting AND/OR search over the prefix.
+
+    Universal variables are AND nodes and existential ones OR nodes; each
+    tries False first and stops at the first choice that settles it. With
+    `plan`, every existential choice is recorded under the values of the
+    earlier variables, and a choice whose subtree loses is taken back with
+    all recorded beneath it, so a won game leaves the winning subtree
+    only, False preferred.
+    """
     if formula.n > cap:
         raise EnumerationCapError(
             f"{formula.n} variables exceed the evaluation cap of {cap}")
     assignment: list[bool] = [False] * formula.n
 
-    def play(i: int) -> bool:
+    def wins(i: int) -> bool:
         if i == formula.n:
             return _cnf_value(formula, assignment)
-        results = []
-        for value in (False, True):
+        if i % 2 == 0:  # universal: both choices must win
+            for value in (False, True):
+                assignment[i] = value
+                if not wins(i + 1):
+                    return False
+            return True
+        for value in (False, True):  # existential: one winning choice will do
             assignment[i] = value
-            results.append(play(i + 1))
-        if formula.quantifiers[i] == "A":
-            return results[0] and results[1]
-        return results[0] or results[1]
+            if plan is None:
+                if wins(i + 1):
+                    return True
+                continue
+            mark = len(plan)
+            plan[tuple(assignment[:i])] = value
+            if wins(i + 1):
+                return True
+            while len(plan) > mark:
+                plan.popitem()  # a dict pops its newest entry first
+        return False
 
-    return play(0)
+    return wins(0)
+
+
+def qbf_eval(formula: QbfFormula, cap: int = QBF_CAP) -> bool:
+    """Game-tree truth value: AND at universals, OR at existentials."""
+    return _play(formula, cap, None)
 
 
 def qbf_strategy(formula: QbfFormula) -> dict[tuple[bool, ...], bool] | None:
@@ -511,52 +533,12 @@ def qbf_strategy(formula: QbfFormula) -> dict[tuple[bool, ...], bool] | None:
 
     Maps each reachable prefix of earlier variable values (as a tuple,
     one entry per preceding variable) to the winning choice for the
-    existential variable that comes next. Universal prefixes enumerate
-    both branches; when both choices win, False is recorded.
+    existential variable that comes next. The plan covers both values of
+    every universal on the winning subtree; when both choices of an
+    existential win, False is recorded.
     """
-    if formula.n > QBF_CAP:
-        raise EnumerationCapError(
-            f"{formula.n} variables exceed the evaluation cap of {QBF_CAP}")
-    assignment: list[bool] = [False] * formula.n
     plan: dict[tuple[bool, ...], bool] = {}
-    memo: dict[tuple[bool, ...], bool] = {}
-
-    def wins(i: int) -> bool:
-        if i == formula.n:
-            return _cnf_value(formula, assignment)
-        key = tuple(assignment[:i])
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        results = []
-        for value in (False, True):
-            assignment[i] = value
-            results.append(wins(i + 1))
-        out = (results[0] and results[1]) if formula.quantifiers[i] == "A" \
-            else (results[0] or results[1])
-        memo[key] = out
-        return out
-
-    def record(i: int) -> None:
-        """Walk the winning subtree; preferring False keeps it canonical."""
-        if i == formula.n:
-            return
-        if formula.quantifiers[i] == "A":
-            for value in (False, True):
-                assignment[i] = value
-                record(i + 1)
-            return
-        for value in (False, True):
-            assignment[i] = value
-            if wins(i + 1):
-                plan[tuple(assignment[:i])] = value
-                record(i + 1)
-                return
-
-    if not wins(0):
-        return None
-    record(0)
-    return plan
+    return plan if _play(formula, QBF_CAP, plan) else None
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
@@ -568,7 +550,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
     """
     n = None
     m = None
-    quantifiers: list[str] = []
+    declared = 0  # quantifier lines read so far
     clauses: list[tuple[int, ...]] = []
 
     def fail(line_no: int, message: str) -> ValueError:
@@ -598,7 +580,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
             if len(parts) != 3 or parts[2] != "0":
                 raise fail(line_no,
                            "quantifier lines declare one variable then 0")
-            expected = "a" if len(quantifiers) % 2 == 0 else "e"
+            expected = "a" if declared % 2 == 0 else "e"
             if parts[0] != expected:
                 raise fail(line_no,
                            f"expected a {expected!r} line here; the prefix "
@@ -607,11 +589,11 @@ def parse_qdimacs(text: str) -> QbfFormula:
                 var = int(parts[1])
             except ValueError:
                 raise fail(line_no, f"bad variable {parts[1]!r}") from None
-            if var != len(quantifiers) + 1:
+            declared += 1
+            if var != declared:
                 raise fail(line_no,
                            f"variables must appear in order; expected "
-                           f"{len(quantifiers) + 1}, got {var}")
-            quantifiers.append(parts[0].upper())
+                           f"{declared}, got {var}")
             continue
         try:
             lits = [int(p) for p in line.split()]
@@ -628,13 +610,13 @@ def parse_qdimacs(text: str) -> QbfFormula:
         clauses.append(tuple(lits))
     if n is None:
         raise ValueError("line 0: missing p cnf header")
-    if len(quantifiers) != n:
+    if declared != n:
         raise ValueError(
-            f"line 0: {len(quantifiers)} quantifier lines for {n} variables")
+            f"line 0: {declared} quantifier lines for {n} variables")
     if m is not None and m != len(clauses):
         raise ValueError(
             f"line 0: header promised {m} clauses, found {len(clauses)}")
-    return QbfFormula(n, tuple(quantifiers), tuple(clauses))
+    return QbfFormula(n, tuple(clauses))
 
 
 __all__ = [

@@ -2,7 +2,7 @@
 
 import io
 import json
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -27,7 +27,7 @@ from ctplab.model import (
     load_instance,
 )
 from ctplab.reductions import CtpReductionCertificate, SensingCertificate
-from ctplab.solve import qbf_eval, solve
+from ctplab.solve import parse_qdimacs, qbf_eval, solve
 
 F = Fraction
 
@@ -183,6 +183,12 @@ class TestCommands:
         assert "263/512" in text
         assert main(["solve", str(out), "--policy", str(tree)]) == 0
         assert "263/512" in capsys.readouterr().out
+        # 8 leaves of the outcome tree, not one per weather of 128
+        assert main(["solve", str(out), "--policy", str(tree),
+                     "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"expected_cost": "263/512 (0.513671875)",
+                        "outcomes": 8}
 
     def test_export_dot_stdout(self, tmp_path, capsys):
         out = tmp_path / "bait.json"
@@ -213,6 +219,21 @@ RATIONAL_FIELD = st.one_of(
     st.sampled_from(["1/2", "0/1", "3/1", "inf", "1/0", "-1/2", "3/2",
                      "1.5", "", "1/-2", "1 /2", "0x1", "½"]),
     st.text(max_size=6))
+
+
+QDIMACS_LINE = st.one_of(
+    st.sampled_from(["1 2 0", "-1 0", "2 -1 0", "1 2 3 4 0", "0", "3 0",
+                     "1 -2", "a 1 0", "e 2 0", "p cnf 2 1", "c note", ""]),
+    st.text(st.sampled_from("ace p01-2 \t"), max_size=8))
+
+
+@st.composite
+def near_qdimacs(draw):
+    """A header and an alternating prefix for n in -1..4, then any lines."""
+    n = draw(st.integers(min_value=-1, max_value=4))
+    lines = draw(st.lists(QDIMACS_LINE, max_size=5))
+    prefix = [f"{'ae'[i % 2]} {i + 1} 0" for i in range(n)]
+    return "\n".join([f"p cnf {n} {len(lines)}", *prefix, *lines])
 
 
 class TestExitCodes:
@@ -313,6 +334,36 @@ class TestExitCodes:
             assert err.getvalue().count("\n") == 1
         else:
             assert code in (0, 3)
+
+    def test_trailing_newline_in_a_cost_is_input_error(self, tmp_path,
+                                                       capsys):
+        data = self._one_edge_document()
+        data["edges"][0]["cost"] = "1/1\n"
+        path = tmp_path / "newline.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad rational ")
+        assert err.count("\n") == 1
+
+    @given(text=st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",))),
+        near_qdimacs()))
+    def test_any_qdimacs_text_ends_in_a_documented_code(
+            self, tmp_path_factory, text):
+        """The parser raises only ValueError; `qbf` exits 0, 2 or 3."""
+        try:
+            parse_qdimacs(text)
+        except ValueError:
+            pass
+        path = tmp_path_factory.getbasetemp() / "fuzz.qdimacs"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["qbf", str(path)])
+        assert code in (0, 2, 3)
+        assert (code == 0) == (err.getvalue() == "")
+        assert err.getvalue().count("\n") <= 1
 
     @pytest.mark.parametrize("document", [
         [1], {"nodes": 5}, {"nodes": {"s|": {"action": "move"}}},

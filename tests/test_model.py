@@ -45,7 +45,8 @@ class TestRationals:
         assert format_rational(Fraction(10, 4)) == "5/2"
 
     def test_rejects_garbage(self):
-        for text in ("", "a/b", "1/0", "1.5", "1 / 2"):
+        for text in ("", "a/b", "1/0", "1.5", "1 / 2", "1/2\n", "١/٢",
+                     "３/1"):
             with pytest.raises(InvalidInstanceError):
                 parse_rational(text)
 
@@ -310,15 +311,16 @@ class TestWeathers:
             (tuple(sorted(w.blocked)), p) for w, p in weather_support(inst))
         assert support == {(): HALF, ("xt",): HALF}
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
         b.add_edge("s", "t", 1, id="sure")
         for i in range(8):
             b.add_edge("s", "t", 0, id=f"u{i}", block_p=HALF)
         inst = b.build()
-        with pytest.raises(EnumerationCapError):
-            weather_support(inst, cap=100)
+        monkeypatch.setattr("ctplab.model._SUPPORT_CAP", 100)
+        with pytest.raises(EnumerationCapError, match="256 weathers"):
+            weather_support(inst)
 
     def test_sampling_matches_support(self):
         inst = xor_net_instance()

@@ -246,9 +246,10 @@ class TestEvaluate:
         assert by_weather.expected_cost == by_tree.expected_cost
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            evaluate_exact(sure_edge_instance(), RulePolicy(lambda i, b: None),
-                           mode="guess")
+        for mode in ("guess", "auto"):
+            with pytest.raises(ValueError, match="mode"):
+                evaluate_exact(sure_edge_instance(),
+                               RulePolicy(lambda i, b: None), mode=mode)
 
 
 class TestBaitingPolicies:

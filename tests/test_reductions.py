@@ -1,10 +1,12 @@
 """Game-to-graph translations, certificates, normal form, and sensing."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctplab.cli import GAME_BATTERY
 from ctplab.gadgets import second_chain_length, section_count
 from ctplab.model import (
     Cost,
@@ -13,7 +15,7 @@ from ctplab.model import (
     Variant,
     weather_support,
 )
-from ctplab.policy import Action, evaluate_exact
+from ctplab.policy import Action, evaluate_exact, export_decision_tree
 from ctplab.reductions import (
     AssignmentWalkPolicy,
     CertificateError,
@@ -133,6 +135,26 @@ class TestDependentGame:
             assert isinstance(policy, AssignmentWalkPolicy)
             outcome = evaluate_exact(instance, policy)
             assert outcome.expected_cost == Cost.zero()
+
+    # SHA-256 of the assignment walk's exported tree on each winnable
+    # battery game, keyed by the game's place in GAME_BATTERY
+    WALK_TREE_DIGESTS = {
+        0: "bb55b696db8b29f229eb89bea6646a67208d8d3289c57813a5275fde2a64c7cf",
+        2: "65f0ddd2eccffc6839fd537ed5ba0f1bdae1aa914744464c4ef3a177684284f2",
+        4: "f5044011705e288a82ce15c95f9abf146ce5c5e9213c15565a11069803ff902a",
+        5: "ba3e895c054944759f6f4deee0f8dad569fe29041cf7c35cd037a177da3707a9",
+    }
+
+    def test_walk_policy_trees_are_frozen(self):
+        winnable = [k for k, (_, w) in enumerate(GAME_BATTERY) if w]
+        assert winnable == sorted(self.WALK_TREE_DIGESTS)
+        for k in winnable:
+            formula = GAME_BATTERY[k][0]
+            instance, _ = qbf_to_ctpdep(formula)
+            _, tree = export_decision_tree(
+                instance, assignment_walk_policy(formula))
+            digest = hashlib.sha256(tree.to_json().encode()).hexdigest()
+            assert digest == self.WALK_TREE_DIGESTS[k], k
 
     def test_walk_policy_refused_without_a_plan(self):
         with pytest.raises(InvalidInstanceError):

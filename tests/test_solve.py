@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -491,13 +492,18 @@ class TestQbf:
         g = QbfFormula.of(4, [(1, 2, 3), (-2,), (-3,), (-1,)])
         assert qbf_eval(g) is False
 
-    def test_prefix_validation(self):
-        with pytest.raises(ValueError, match="alternate"):
-            QbfFormula(2, ("E", "A"), ())
+    def test_clause_validation(self):
+        with pytest.raises(ValueError, match="variable"):
+            QbfFormula.of(0, [])
         with pytest.raises(ValueError, match="literal"):
             QbfFormula.of(2, [(3,)])
         with pytest.raises(ValueError, match="clause"):
             QbfFormula.of(2, [(1, 2, 1, 2)])
+
+    def test_prefix_is_derived_from_n(self):
+        f = QbfFormula.of(3, [(1, -3)])
+        assert f == QbfFormula(3, ((1, -3),))
+        assert f.quantifiers == ("A", "E", "A")
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -513,6 +519,78 @@ class TestQbf:
 
     def test_no_strategy_when_false(self):
         assert qbf_strategy(UNSAT) is None
+
+
+def reference_value(formula: QbfFormula,
+                    prefix: tuple[bool, ...] = ()) -> bool:
+    """Game value after `prefix`, searching both choices at every node.
+
+    An independent oracle for the short-circuiting search behind
+    `qbf_eval` and `qbf_strategy`: no early exit, no plan.
+    """
+    assignment = list(prefix) + [False] * (formula.n - len(prefix))
+
+    def play(i: int) -> bool:
+        if i == formula.n:
+            return all(any(assignment[abs(lit) - 1] == (lit > 0)
+                           for lit in clause) for clause in formula.clauses)
+        results = []
+        for value in (False, True):
+            assignment[i] = value
+            results.append(play(i + 1))
+        if formula.quantifiers[i] == "A":
+            return results[0] and results[1]
+        return results[0] or results[1]
+
+    return play(len(prefix))
+
+
+def small_formulas():
+    """Every game on n <= 4 variables with few distinct clauses.
+
+    Clauses are sets of 1 to 3 distinct literals and formulas sets of
+    distinct clauses: up to 3 clauses for n <= 2, up to 2 for n = 3, 4.
+    """
+    for n in range(1, 5):
+        lits = [sign * i for i in range(1, n + 1) for sign in (1, -1)]
+        clauses = [c for k in (1, 2, 3)
+                   for c in itertools.combinations(lits, k)]
+        for m in range(4 if n <= 2 else 3):
+            for chosen in itertools.combinations(clauses, m):
+                yield QbfFormula.of(n, chosen)
+
+
+class TestGameOracle:
+    def test_value_matches_full_search(self):
+        formulas = list(small_formulas())
+        assert len(formulas) == 5619
+        for formula in formulas:
+            assert qbf_eval(formula) is reference_value(formula), formula
+
+    def test_plan_wins_and_prefers_false(self):
+        for formula in small_formulas():
+            plan = qbf_strategy(formula)
+            if not reference_value(formula):
+                assert plan is None, formula
+                continue
+            consulted = set()
+
+            def follow(values: tuple[bool, ...]) -> None:
+                i = len(values)
+                if i == formula.n:
+                    assert reference_value(formula, values), (formula, values)
+                elif formula.quantifiers[i] == "A":
+                    for value in (False, True):
+                        follow(values + (value,))
+                else:
+                    choice = plan[values]
+                    consulted.add(values)
+                    if choice:  # False is recorded whenever it wins
+                        assert not reference_value(formula, values + (False,))
+                    follow(values + (choice,))
+
+            follow(())
+            assert consulted == set(plan), formula
 
 
 QDIMACS_OK = """\
