@@ -543,6 +543,7 @@ def _cmd_solve(args) -> int:
             "boundary_skipped": stats.boundary_skipped,
             "branch_tables": stats.branch_tables,
             "regions": stats.regions,
+            "region_hits": stats.region_hits,
         }))
     else:
         print("optimal cost: "
@@ -552,7 +553,8 @@ def _cmd_solve(args) -> int:
         print(f"boundary steps evaluated: {stats.boundary_evaluated}, "
               f"skipped: {stats.boundary_skipped}")
         print(f"branch tables: {stats.branch_tables}, "
-              f"regions: {stats.regions}")
+              f"regions: {stats.regions}, "
+              f"region hits: {stats.region_hits}")
     return 0
 
 

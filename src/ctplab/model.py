@@ -268,10 +268,6 @@ class SplitMix64:
         self._state = state
         return out
 
-    def bernoulli(self, p: Fraction) -> bool:
-        """True with probability exactly p, by the rule of `hits`."""
-        return bool(self.hits((_draw_row(True, p),)))
-
 
 def trial_stream(seed: int, trial: int) -> SplitMix64:
     """Stable independent stream for one Monte Carlo trial."""

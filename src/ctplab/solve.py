@@ -27,33 +27,35 @@ tiebreak. The heap therefore settles every vertex with the same entry as
 an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
 
+The search holds knowledge as two ints: uncertain edge i is bit `1 << i`
+and a stratum is (opened, blocked). Costs are an `int` when integral and
+a `Fraction` otherwise; mixed arithmetic and comparison are exact, so
+every value, heap order and tie is what `Cost` would give.
+
 Branch tables are memoized for one solve. `_Solver.outcomes` keys each
-`JointModel.branch(known, fresh)` call by `fresh` and the statuses, known
-or not, of every edge in the dependency components `fresh` touches.
-`branch` reads nothing else: the components are independent (the
-factored model of Papadimitriou & Yannakakis, TCS 1991), so statuses
-revealed in other components do not move these outcomes, and a hit
-returns exactly what a fresh call would. Many beliefs differ only
-outside those components (game 7 of the ctpdep battery prices 11,767
-revealing steps from 27 tables). The memo lives on the `_Solver` and
-dies with it; `JointModel` itself stays unmemoized, so no table carries
-over between solves, and the tree export still calls `branch` directly.
+`JointModel.branch` call by the mask `fresh` and by opened and blocked
+restricted to the dependency components `fresh` touches. `branch` reads
+nothing else, as the components are independent (the factored model of
+Papadimitriou & Yannakakis, TCS 1991), so a hit returns exactly what a
+fresh call would: game 7 of the ctpdep battery prices 11,767 revealing
+steps from 27 tables. `JointModel` itself stays unmemoized.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Collection, Sequence
 
 from .model import (
     Belief,
     Cost,
     CtpInstance,
-    EdgeSpec,
     EnumerationCapError,
     InternalCheckError,
     InvalidInstanceError,
@@ -79,7 +81,8 @@ class SolveStats:
     A revealing step is evaluated when its exact value is computed and
     skipped when its vertex settled first or t is out of its reach.
     `branch_tables` counts the distinct branch tables the search asked
-    `JointModel.branch` for, and `regions` the strata patches it solved.
+    `JointModel.branch` for, `regions` the strata patches it solved and
+    `region_hits` the lookups, the export's too, that found one solved.
     """
 
     beliefs_expanded: int
@@ -87,6 +90,7 @@ class SolveStats:
     boundary_skipped: int = 0
     branch_tables: int = 0
     regions: int = 0
+    region_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -104,15 +108,13 @@ class OptResult:
     stats: SolveStats
 
 
-@dataclass
-class _Region:
-    """Values and best actions for one knowledge stratum's reachable patch."""
-
-    values: dict[str, Cost]
-    choices: dict[str, Action]
+_INF = math.inf  # the value of a step after which t may be out of reach
 
 
-_KindKey = tuple[tuple[str, bool], ...]
+def _plain(cost: Cost) -> Fraction | int:
+    """A finite cost as the search holds it: an int when it is integral."""
+    value = cost.fraction
+    return value.numerator if value.denominator == 1 else value
 
 
 class _Solver(Policy):
@@ -122,108 +124,129 @@ class _Solver(Policy):
         self.instance = instance
         self.joint = instance.joint
         self.belief_cap = belief_cap
-        self.expanded = 0
-        self.evaluated = 0
-        self.skipped = 0
-        self.bound = _free_space_bound(instance)
-        self.moves = {e.id: Action.move(e.id) for e in instance.edges}
-        self._regions: dict[tuple[_KindKey, str], _Region] = {}
-        self.regions = 0
+        self.expanded = self.evaluated = self.skipped = 0
+        self.regions = self.region_hits = 0
+        self.bound = {v: _plain(c)
+                      for v, c in _free_space_bound(instance).items()}
+        bits = self.bits = {e.id: 1 << i for i, e in
+                            enumerate(instance.uncertain_edges)}
+        # what arriving at v exposes, by `fresh_at`'s rule: nothing at t
+        self.sight = {v: 0 if v == instance.t else
+                      sum(bits[e.id] for e in instance.visible_from(v))
+                      for v in instance.vertices}
+        self.moves = {u: [(_plain(edge.cost), edge.id, far,
+                           bits.get(edge.id, 0), Action.move(edge.id))
+                          for edge, far in instance.moves_from(u).values()]
+                      for u in instance.vertices}
+        self.senses = {u: [(_plain(fee), e, bits[e], Action.sense(e))
+                           for e, fee in instance.senses_from(u).items()]
+                       for u in instance.vertices}
+        self._touched: dict[int, int] = {}  # fresh -> mask of its components
+        self._regions: dict[tuple[int, int, str], tuple[dict, dict]] = {}
         # `outcomes` tables; never mutated, so a hit equals a fresh call
-        self._branches: dict[tuple, list] = {}
+        self._branches: dict[tuple[int, int, int], list] = {}
+
+    def masks(self, known: Collection[tuple[str, bool]]) -> tuple[int, int]:
+        """(opened, blocked) masks of `(edge id, status)` pairs."""
+        return (sum(self.bits[e] for e, status in known if status),
+                sum(self.bits[e] for e, status in known if not status))
+
+    def known_of(self, opened: int, blocked: int) -> dict[str, bool]:
+        """The statuses two masks hold, keyed by edge id in bit order."""
+        return {e: bool(opened & bit) for e, bit in self.bits.items()
+                if (opened | blocked) & bit}
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if belief.position == instance.t:
             return _HALT
-        region = self.region(belief.known, belief.position)
-        return region.choices.get(belief.position)
+        _, choices = self.region(*self.masks(belief.known), belief.position)
+        return choices.get(belief.position)
 
-    def branch_value(self, known: Mapping[str, bool], fresh: Sequence[str],
-                     position: str) -> Cost:
-        """Expected value after `fresh` get revealed on arrival."""
-        total = Cost.zero()
-        for assignment, prob in self.outcomes(known, fresh):
-            grown = dict(known)
-            grown.update(assignment)
-            region = self.region(tuple(sorted(grown.items())), position)
-            value = region.values.get(position, Cost.infinite())
-            total = total + value.scale(prob)
-        return total
+    def branch_value(self, opened: int, blocked: int, fresh: int,
+                     position: str) -> Fraction | int | float:
+        """Expected value after `fresh` get revealed on arrival, `_INF` if
+        an outcome strands the walker; every outcome is solved even then."""
+        total, stranded = 0, False
+        for opened_by, blocked_by, prob in self.outcomes(opened, blocked,
+                                                         fresh):
+            values, _ = self.region(opened | opened_by, blocked | blocked_by,
+                                    position)
+            value = values.get(position)
+            if value is None:
+                stranded = True
+            elif value:
+                total += value * prob
+        return _INF if stranded else total
 
-    def outcomes(self, known: Mapping[str, bool], fresh: Sequence[str],
-                 ) -> list[tuple[dict[str, bool], Fraction]]:
-        """`joint.branch(known, fresh)`, computed once per key in a solve.
-
-        The key is `fresh` with the statuses, known or not, of every edge
-        in the components `fresh` touch: all that `branch` reads.
-        """
-        joint = self.joint
-        restricted = tuple(
-            known.get(e)
-            for ci in sorted({joint.component_of[e] for e in fresh})
-            for e in joint.components[ci].edge_ids)
-        key = (tuple(fresh), restricted)
+    def outcomes(self, opened: int, blocked: int, fresh: int,
+                 ) -> list[tuple[int, int, Fraction]]:
+        """`joint.branch` over `fresh` as (opened, blocked, probability)."""
+        cm = self._touched.get(fresh)
+        if cm is None:
+            of = self.joint.component_of
+            touched = {of[e] for e in self.known_of(fresh, 0)}
+            cm = self._touched[fresh] = sum(
+                self.bits[e] for e, ci in of.items() if ci in touched)
+        key = (fresh, opened & cm, blocked & cm)
         table = self._branches.get(key)
         if table is None:
-            table = self._branches[key] = joint.branch(known, fresh)
+            table = self._branches[key] = [
+                (*self.masks(got.items()), prob) for got, prob in
+                self.joint.branch(self.known_of(opened & cm, blocked & cm),
+                                  list(self.known_of(fresh, 0)))]
         return table
 
-    def region(self, key: _KindKey, start: str) -> _Region:
-        """Values over the patch of positions `start` reaches unrevealing.
-
-        The finished region is cached for every position of its patch, so
-        all of them share it.
-        """
-        cached = self._regions.get((key, start))
+    def region(self, opened: int, blocked: int,
+               start: str) -> tuple[dict, dict]:
+        """Values and choices over the patch `start` reaches unrevealing,
+        cached for every position of the patch."""
+        cached = self._regions.get((opened, blocked, start))
         if cached is not None:
+            self.region_hits += 1
             return cached
-        instance = self.instance
-        known = dict(key)
-        t = instance.t
-        # open moves out of each patch position but t, with what they reveal
-        steps: dict[str, list[tuple[EdgeSpec, str, list[str]]]] = {}
+        t = self.instance.t
+        unknown = ~(opened | blocked)
+        # the patch, the unrevealing moves into each of its positions, and
+        # the revealing steps out of them, each tagged with where it starts
         patch = {start}
         queue = [start]
+        radj: dict[str, list[tuple]] = {}
+        reveals = []
         while queue:
             u = queue.pop()
             if u == t:
                 continue
-            steps[u] = [(edge, far, instance.fresh_at(far, known))
-                        for edge, far in instance.moves_from(u).values()
-                        if not edge.uncertain or known.get(edge.id) is True]
-            for _, far, fresh in steps[u]:
-                if not fresh and far not in patch:
+            for cost, edge_id, far, bit, action in self.moves[u]:
+                if bit & ~opened:
+                    continue
+                fresh = self.sight[far] & unknown
+                if fresh:
+                    reveals.append((u, cost, fresh, far, 0, edge_id, action))
+                    continue
+                radj.setdefault(far, []).append((u, cost, edge_id, action))
+                if far not in patch:
                     patch.add(far)
                     queue.append(far)
+            reveals += [(u, fee, bit, u, 1, edge_id, action)
+                        for fee, edge_id, bit, action in self.senses[u]
+                        if bit & unknown]
         seq = itertools.count()
         # heap entries: cost, action-rank, edge id, tiebreak, vertex, action,
         # and for a revealing step not yet priced, (price, fresh, where);
         # its cost is then price plus the bound, a lower bound
-        heap: list[tuple] = []
-        radj: dict[str, list[tuple[str, Cost, str]]] = {}
-        if t in patch:
-            heapq.heappush(heap, (Cost.zero(), 0, "", next(seq), t,
-                                  _HALT, None))
-        reveals = []
-        for u in sorted(steps):
-            for edge, far, fresh in steps[u]:
-                if fresh:
-                    reveals.append((edge.cost, fresh, far, 0, edge.id, u,
-                                    self.moves[edge.id]))
-                else:
-                    radj.setdefault(far, []).append((u, edge.cost, edge.id))
-            for edge_id, fee in instance.senses_from(u).items():
-                if edge_id not in known:
-                    reveals.append((fee, [edge_id], u, 1, edge_id, u,
-                                    Action.sense(edge_id)))
-        for price, fresh, where, rank, edge_id, u, action in reveals:
+        heap = [(0, 0, "", next(seq), t, _HALT, None)] if t in patch else []
+        # tiebreaks in position order, each position's moves before senses
+        reveals.sort(key=lambda step: step[0])
+        for u, price, fresh, where, rank, edge_id, action in reveals:
             floor = self.bound.get(where)
             if floor is None:
                 self.skipped += 1
                 continue
-            heapq.heappush(heap, (price + floor, rank, edge_id, next(seq), u,
-                                  action, (price, fresh, where)))
-        values: dict[str, Cost] = {}
+            heap.append((price + floor, rank, edge_id, next(seq), u,
+                         action, (price, fresh, where)))
+        # every key is distinct, so the pop order is the push order's
+        heapq.heapify(heap)
+        values: dict[str, Fraction | int] = {}
         choices: dict[str, Action] = {}
         while heap:
             cost, rank, edge_id, tie, vertex, action, reveal = \
@@ -235,21 +258,22 @@ class _Solver(Policy):
             if reveal is not None:
                 price, fresh, where = reveal
                 self.evaluated += 1
-                value = price + self.branch_value(known, fresh, where)
-                if not value.is_infinite:
-                    heapq.heappush(heap, (value, rank, edge_id, tie, vertex,
-                                          action, None))
+                rest = self.branch_value(opened, blocked, fresh, where)
+                if rest is not _INF:
+                    # a zero price (every ctpdep edge) adds no Fraction
+                    heapq.heappush(heap, (price + rest if price else rest,
+                                          rank, edge_id, tie, vertex, action,
+                                          None))
                 continue
             values[vertex] = cost
             choices[vertex] = action
-            for u, step, via in radj.get(vertex, ()):
-                if u in values:
-                    continue
-                heapq.heappush(heap, (step + cost, 0, via, next(seq),
-                                      u, self.moves[via], None))
-        region = _Region(values, choices)
+            for u, step, via, move in radj.get(vertex, ()):
+                if u not in values:
+                    heapq.heappush(heap, (step + cost if step else cost, 0,
+                                          via, next(seq), u, move, None))
+        region = values, choices
         for v in patch:
-            self._regions[(key, v)] = region
+            self._regions[(opened, blocked, v)] = region
         self.regions += 1
         self.expanded += len(patch)
         if self.expanded > self.belief_cap:
@@ -295,13 +319,13 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     """Exact optimum of an independent, dependent or sensing instance."""
     solver = _Solver(instance, belief_cap)
     try:
-        expected = solver.branch_value(
-            {}, instance.fresh_at(instance.s, {}), instance.s)
+        value = solver.branch_value(0, 0, solver.sight[instance.s], instance.s)
     except RecursionError:
         # each reveal nests one stratum deeper on the Python stack
         raise EnumerationCapError(
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
+    expected = Cost.infinite() if value is _INF else Cost.of(value)
     result, tree = export_decision_tree(instance, solver)
     if result.expected_cost != expected:
         raise InternalCheckError(
@@ -310,7 +334,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
                                 solver.skipped, len(solver._branches),
-                                solver.regions))
+                                solver.regions, solver.region_hits))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +565,9 @@ def qbf_strategy(formula: QbfFormula) -> dict[tuple[bool, ...], bool] | None:
     return plan if _play(formula, QBF_CAP, plan) else None
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
 def parse_qdimacs(text: str) -> QbfFormula:
     """Read the QDIMACS subset: p-header, one variable per quantifier line.
 
@@ -556,6 +583,11 @@ def parse_qdimacs(text: str) -> QbfFormula:
     def fail(line_no: int, message: str) -> ValueError:
         return ValueError(f"line {line_no}: {message}")
 
+    def number(token: str) -> int:  # ASCII digits only, as `parse_rational`
+        if _INTEGER_RE.fullmatch(token) is None:
+            raise ValueError(token)
+        return int(token)
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -567,7 +599,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
             if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise fail(line_no, f"malformed header {line!r}")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = number(parts[2]), number(parts[3])
             except ValueError:
                 raise fail(line_no, f"malformed header {line!r}") from None
             continue
@@ -586,7 +618,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
                            f"expected a {expected!r} line here; the prefix "
                            "alternates starting universal")
             try:
-                var = int(parts[1])
+                var = number(parts[1])
             except ValueError:
                 raise fail(line_no, f"bad variable {parts[1]!r}") from None
             declared += 1
@@ -596,7 +628,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
                            f"{declared}, got {var}")
             continue
         try:
-            lits = [int(p) for p in line.split()]
+            lits = [number(p) for p in line.split()]
         except ValueError:
             raise fail(line_no, f"unreadable clause {line!r}") from None
         if not lits or lits[-1] != 0:

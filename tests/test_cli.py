@@ -140,17 +140,20 @@ class TestCommands:
         assert data["optimal_cost"] == "0/1 (0.0)"
         assert data["first_action"] == "move(enter)"
         assert {"beliefs_expanded", "boundary_evaluated",
-                "boundary_skipped", "branch_tables", "regions"} <= set(data)
+                "boundary_skipped", "branch_tables", "regions",
+                "region_hits"} <= set(data)
         stats = solve(load_instance(out)).stats
-        assert (data["branch_tables"], data["regions"]) == (
-            stats.branch_tables, stats.regions)
+        assert (data["branch_tables"], data["regions"],
+                data["region_hits"]) == (
+            stats.branch_tables, stats.regions, stats.region_hits)
         assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
         assert main(["solve", str(out)]) == 0
         text = capsys.readouterr().out
         assert (f"boundary steps evaluated: {data['boundary_evaluated']}, "
                 f"skipped: {data['boundary_skipped']}") in text
         assert (f"branch tables: {data['branch_tables']}, "
-                f"regions: {data['regions']}") in text
+                f"regions: {data['regions']}, "
+                f"region hits: {data['region_hits']}") in text
 
     def test_reduce_ctp_writes_certificate(self, game_file, tmp_path,
                                            capsys):
@@ -239,6 +242,16 @@ def near_qdimacs(draw):
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["qbf", str(tmp_path / "nope.qdimacs")]) == 2
+
+    def test_non_ascii_digits_in_qdimacs_are_input_error(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "wide.qdimacs"
+        path.write_text("p cnf \uff12 1\na 1 0\ne 2 0\n1 2 0\n",
+                        encoding="utf-8")
+        assert main(["qbf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: malformed header")
+        assert err.count("\n") == 1
 
     def test_bad_fee_is_input_error(self, game_file, tmp_path, capsys):
         assert main(["reduce", "ctpdep", str(game_file), "--h", "1/2",

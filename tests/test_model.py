@@ -34,6 +34,7 @@ from ctplab.model import (
 from ctplab.reductions import (
     named_vc, qbf_to_ctp, qbf_to_ctpdep, vc_to_sensing)
 from ctplab.solve import QbfFormula
+from test_sampling import bernoulli
 
 HALF = Fraction(1, 2)
 
@@ -337,7 +338,7 @@ class TestWeathers:
 
     def test_bernoulli_is_exact_for_thirds(self):
         stream = SplitMix64(123)
-        hits = sum(stream.bernoulli(Fraction(1, 3)) for _ in range(3000))
+        hits = sum(bernoulli(stream, Fraction(1, 3)) for _ in range(3000))
         assert 850 < hits < 1150
 
 

@@ -22,6 +22,7 @@ from ctplab.model import (
     InstanceBuilder,
     SplitMix64,
     Variant,
+    _draw_row,
     sample_weather,
     trial_stream,
 )
@@ -168,6 +169,11 @@ def _uniform_below(stream, n):
             return value % n
 
 
+def bernoulli(stream, p):
+    """One draw of chance `p` by the rule of `SplitMix64.hits`."""
+    return bool(stream.hits((_draw_row(True, p),)))
+
+
 def oracle_bernoulli(stream, p):
     """The original Bernoulli draw; 0 and 1 take no draw."""
     if p == 0:
@@ -190,7 +196,7 @@ class TestDrawRule:
     def test_matches_uniform_below_oracle(self, seed, ps):
         oracle, fast = SplitMix64(seed), SplitMix64(seed)
         want = [oracle_bernoulli(oracle, p) for p in ps]
-        assert [fast.bernoulli(p) for p in ps] == want
+        assert [bernoulli(fast, p) for p in ps] == want
         assert fast._state == oracle._state
         # sample_weather over edges of these chances (edges need p < 1,
         # and a zero chance makes a sure edge that takes no draw)
@@ -212,13 +218,13 @@ class TestDrawRule:
         for seed in range(64):
             oracle, fast = SplitMix64(seed), SplitMix64(seed)
             for _ in range(4):
-                assert fast.bernoulli(p) == oracle_bernoulli(oracle, p)
+                assert bernoulli(fast, p) == oracle_bernoulli(oracle, p)
             assert fast._state == oracle._state
 
     def test_certain_chances_take_no_draw(self):
         stream = SplitMix64(9)
-        assert stream.bernoulli(Fraction(0)) is False
-        assert stream.bernoulli(Fraction(1)) is True
+        assert bernoulli(stream, Fraction(0)) is False
+        assert bernoulli(stream, Fraction(1)) is True
         assert stream._state == SplitMix64(9)._state
 
 

@@ -186,21 +186,22 @@ class TestBoundedSearch:
         priced = []
         branch_value = S._Solver.branch_value
 
-        def counted(solver, known, fresh, position):
+        def counted(solver, opened, blocked, fresh, position):
             priced.append(position)
-            return branch_value(solver, known, fresh, position)
+            return branch_value(solver, opened, blocked, fresh, position)
 
         monkeypatch.setattr(S._Solver, "branch_value", counted)
         solver = S._Solver(instance, 200_000)
-        solver.branch_value({}, instance.fresh_at(instance.s, {}), instance.s)
+        solver.branch_value(0, 0, solver.sight[instance.s], instance.s)
         assert (solver.evaluated, solver.skipped) == (
             stats.boundary_evaluated, stats.boundary_skipped)
         # one pricing per evaluated step, plus the root
         assert len(priced) == stats.boundary_evaluated + 1
         # every revealing step of every solved patch is one or the other
         patches: dict[int, tuple[dict, set]] = {}
-        for (key, v), region in solver._regions.items():
-            patches.setdefault(id(region), (dict(key), set()))[1].add(v)
+        for (opened, blocked, v), region in solver._regions.items():
+            known = solver.known_of(opened, blocked)
+            patches.setdefault(id(region), (known, set()))[1].add(v)
         steps = 0
         for known, patch in patches.values():
             for u in patch - {instance.t}:
@@ -298,12 +299,12 @@ FROZEN_SOLVES = {
 }
 
 
-# name: branch tables, regions
+# name: branch tables, regions, region-cache hits
 FROZEN_COUNTERS = {
-    "game0": (14, 47), "game1": (18, 367), "game2": (30, 159),
-    "game3": (70, 903), "game4": (67, 1007), "game5": (75, 11639),
-    "game6": (24, 547), "game7": (27, 23535), "baiting-2": (8, 15),
-    "p3": (4, 27),
+    "game0": (14, 47, 55), "game1": (18, 367, 1), "game2": (30, 159, 207),
+    "game3": (70, 903, 1), "game4": (67, 1007, 463),
+    "game5": (75, 11639, 6703), "game6": (24, 547, 1),
+    "game7": (27, 23535, 1), "baiting-2": (8, 15, 16), "p3": (4, 27, 81),
 }
 
 
@@ -329,10 +330,18 @@ class TestFrozenSolves:
                stats.boundary_skipped)
         assert got == FROZEN_SOLVES[name]
 
+    @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+    def test_costs_stay_fractions(self, name, frozen_solve):
+        # the search holds integral costs as ints; none reach the result
+        cost = frozen_solve(name).optimal_cost
+        assert type(cost.fraction) is Fraction
+        assert str(cost) == FROZEN_SOLVES[name][0]
+
     @pytest.mark.parametrize("name", sorted(FROZEN_COUNTERS))
     def test_counters(self, name, frozen_solve):
         stats = frozen_solve(name).stats
-        assert (stats.branch_tables, stats.regions) == FROZEN_COUNTERS[name]
+        assert (stats.branch_tables, stats.regions,
+                stats.region_hits) == FROZEN_COUNTERS[name]
         # each pricing, and the root, asks for one table or reuses one
         assert stats.branch_tables <= stats.boundary_evaluated + 1
         assert stats.regions <= stats.beliefs_expanded
@@ -380,7 +389,12 @@ class TestBranchMemo:
         solver = S._Solver(instance, 200_000)
         for _ in range(300):
             known, targets = random_branch(joint, rng)
-            assert solver.outcomes(known, targets) == joint.branch(
+            # the solver asks for its targets in uncertain-edge order
+            targets.sort(key=solver.bits.get)
+            fresh = sum(solver.bits[e] for e in targets)
+            table = solver.outcomes(*solver.masks(known.items()), fresh)
+            assert [(solver.known_of(opened, blocked), prob)
+                    for opened, blocked, prob in table] == joint.branch(
                 known, targets)
         # the 300 lookups shared tables
         assert len(solver._branches) < 300
@@ -393,13 +407,26 @@ class TestBranchMemo:
         for _ in range(5):
             known = random_known(instance.joint, rng)
             position = rng.choice(vertices)
-            fresh = instance.fresh_at(position, known)
             solver = S._Solver(instance, 200_000)
-            first = solver.branch_value(known, fresh, position)
+            opened, blocked = solver.masks(known.items())
+            fresh = sum(solver.bits[e]
+                        for e in instance.fresh_at(position, known))
+            first = solver.branch_value(opened, blocked, fresh, position)
             tables = dict(solver._branches)
-            again = solver.branch_value(known, fresh, position)
+            again = solver.branch_value(opened, blocked, fresh, position)
             assert again == first
             assert solver._branches == tables
+
+    @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
+    def test_masks_round_trip(self, k):
+        instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        solver = S._Solver(instance, 200_000)
+        rng = random.Random(200 + k)
+        for _ in range(100):
+            known = random_known(instance.joint, rng)
+            opened, blocked = solver.masks(known.items())
+            assert not opened & blocked
+            assert solver.known_of(opened, blocked) == known
 
 
 def three_path_instance(case):
@@ -630,6 +657,17 @@ class TestQdimacs:
     def test_clause_count_mismatch(self):
         text = "p cnf 2 3\na 1 0\ne 2 0\n1 0\n"
         with pytest.raises(ValueError, match="promised"):
+            parse_qdimacs(text)
+
+    @pytest.mark.parametrize("text,where", [
+        ("p cnf \uff12 1\na 1 0\ne 2 0\n1 2 0\n", "line 1: malformed"),
+        ("p cnf 2 1\na 1 0\ne \u0662 0\n1 2 0\n", "line 3: bad variable"),
+        ("p cnf 2 1\na 1 0\ne 2 0\n1 +2 0\n", "line 4: unreadable"),
+        ("p cnf 2 1\na 1 0\ne 2 0\n1_0 0\n", "line 4: unreadable"),
+    ], ids=["fullwidth-header", "arabic-indic-variable", "plus-literal",
+            "underscore-literal"])
+    def test_numbers_are_ascii_digits_only(self, text, where):
+        with pytest.raises(ValueError, match=where):
             parse_qdimacs(text)
 
     def test_quantifier_after_clause(self):
