@@ -80,7 +80,7 @@ from .solve import (
     parse_qdimacs,
     qbf_eval,
     solve,
-    solve_disjoint_bruteforce,
+    solve_disjoint_paths,
 )
 
 DEFAULT_PRECISION = 20
@@ -366,6 +366,9 @@ def _suite_sensing(args) -> list[CheckResult]:
         default = result.optimal_first_action == Action.move("default")
         out.equal(f"default-exactly-when-uncovered-{name}-k={vc.k}",
                   not covered, default)
+        blind = solve_disjoint_paths(instance)
+        out.equal(f"no-sensing-beaten-exactly-when-covered-{name}-k={vc.k}",
+                  covered, result.optimal_cost < blind.optimal_cost)
         out.holds(f"cover-gain-positive-{name}-k={vc.k}",
                   cert.g_prime_lb > 0, _show(cert.g_prime_lb))
         out.holds(f"overbudget-gain-negative-{name}-k={vc.k}",
@@ -382,11 +385,11 @@ def _suite_oracle(args) -> list[CheckResult]:
     agree = 0
     for i in range(25):
         instance = random_disjoint_instance(SplitMix64(seed + i))
-        brute = solve_disjoint_bruteforce(instance)
+        rule = solve_disjoint_paths(instance)
         exact = solve(instance)
-        if brute.optimal_cost == exact.optimal_cost:
+        if rule.optimal_cost == exact.optimal_cost:
             agree += 1
-    out.equal("bruteforce-matches-solver", "25/25", f"{agree}/25")
+    out.equal("index-rule-matches-solver", "25/25", f"{agree}/25")
     preserved = 0
     normal = 0
     for i in range(20):
@@ -403,7 +406,7 @@ def _suite_oracle(args) -> list[CheckResult]:
     for i in range(10):
         instance = random_disjoint_instance(SplitMix64(seed + 2000 + i))
         paths = decompose_into_paths(instance)
-        policy = CommittingPolicy(paths, tuple(range(len(paths))))
+        policy = CommittingPolicy(paths)
         by_weather = evaluate_exact(instance, policy, mode="weathers")
         by_tree = evaluate_exact(instance, policy, mode="tree")
         if by_weather.expected_cost == by_tree.expected_cost:
@@ -481,22 +484,23 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    observing = args.kind == "observation"
+    if args.policy and (args.policy == "og_pi_g") != observing:
+        raise InvalidInstanceError(
+            f"policy {args.policy} does not walk the {args.kind} gadget")
     length = as_fraction(args.L)
     charge = as_fraction(args.charge) if args.charge else None
     fallback = as_fraction(args.fallback)
-    if args.kind == "baiting":
-        instance, handle = baiting_harness(length, charge=charge,
-                                           fallback=fallback)
-    else:
-        instance, handle = observation_harness(length, charge=charge,
-                                               fallback=fallback)
+    harness = observation_harness if observing else baiting_harness
+    instance, handle = harness(length, charge=charge, fallback=fallback)
     out_path = Path(args.out) if args.out else Path(
         f"{args.kind}.instance.json")
     save_instance(instance, out_path)
     print(f"wrote {out_path} ({len(instance.vertices)} vertices, "
           f"{len(instance.edges)} edges)")
     if args.policy:
-        terminal = "charge" if charge is not None else handle.exit_shortcut
+        last = handle.third if observing else handle
+        terminal = "charge" if charge is not None else last.exit_shortcut
         if args.policy == "baiting_pi_j":
             walker = reference_policy(args.policy, handle=handle,
                                       rounds=args.rounds,

@@ -32,7 +32,7 @@ from ctplab.solve import (
     decompose_into_paths,
     qbf_eval,
     solve,
-    solve_disjoint_bruteforce,
+    solve_disjoint_paths,
 )
 
 F = Fraction
@@ -158,16 +158,16 @@ def test_c08_normal_form_preserves_the_optimum():
 
 
 def test_c09_solver_agrees_with_independent_oracles():
-    """Twenty-five random route bundles match the brute-force policy
-    enumeration, and ten policy evaluations agree across both engines."""
+    """Twenty-five random route bundles match the disjoint-path index
+    rule, and ten policy evaluations agree across both engines."""
     for i in range(25):
         toy = random_disjoint_instance(SplitMix64(SEED + i))
-        assert (solve_disjoint_bruteforce(toy).optimal_cost
+        assert (solve_disjoint_paths(toy).optimal_cost
                 == solve(toy).optimal_cost)
     for i in range(10):
         toy = random_disjoint_instance(SplitMix64(SEED + 2000 + i))
         paths = decompose_into_paths(toy)
-        policy = CommittingPolicy(paths, tuple(range(len(paths))))
+        policy = CommittingPolicy(paths)
         assert (evaluate_exact(toy, policy, mode="weathers").expected_cost
                 == evaluate_exact(toy, policy, mode="tree").expected_cost)
 

@@ -1,12 +1,16 @@
 """Command line behavior: rendering, files, suites, and exit codes."""
 
+import copy
 import io
 import json
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctplab.cli import (
     GAME_BATTERY,
@@ -15,6 +19,12 @@ from ctplab.cli import (
     random_disjoint_instance,
     render_cost,
     render_rational,
+)
+from ctplab.gadgets import (
+    decomposed_cost,
+    observation_early_exit_expectation,
+    observation_pass_cost,
+    observation_pass_probability,
 )
 from ctplab.model import (
     Cost,
@@ -26,7 +36,13 @@ from ctplab.model import (
     instance_to_json,
     load_instance,
 )
-from ctplab.reductions import CtpReductionCertificate, SensingCertificate
+from ctplab.reductions import (
+    CtpReductionCertificate,
+    SensingCertificate,
+    certificate,
+    named_vc,
+    vc_to_sensing,
+)
 from ctplab.solve import parse_qdimacs, qbf_eval, solve
 
 F = Fraction
@@ -193,6 +209,45 @@ class TestCommands:
         assert data == {"expected_cost": "263/512 (0.513671875)",
                         "outcomes": 8}
 
+    @pytest.mark.parametrize("kind", ["baiting", "observation"])
+    @pytest.mark.parametrize("policy",
+                             ["baiting_pi", "baiting_pi_j", "og_pi_g"])
+    def test_gadget_policy_pairs(self, tmp_path, capsys, kind, policy):
+        out = tmp_path / "harness.json"
+        code = main(["gadget", kind, "--L", "16", "-o", str(out),
+                     "--policy", policy])
+        captured = capsys.readouterr()
+        if (policy == "og_pi_g") != (kind == "observation"):
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: policy {policy} does not walk the {kind} gadget\n")
+            assert not out.exists()
+            return
+        assert code == 0 and captured.err == ""
+        assert (tmp_path / f"{policy}.tree.json").exists()
+        if policy == "og_pi_g":
+            price = decomposed_cost(observation_early_exit_expectation(16),
+                                    observation_pass_probability(16),
+                                    observation_pass_cost(16), 16)
+            assert f"expected cost: {render_cost(Cost.of(price))}" in (
+                captured.out)
+
+    def test_readme_command_lines_run(self, tmp_path, monkeypatch, capsys):
+        """Every non-verify `ctplab` line of README's command-line
+        section runs, in order, next to a 2-variable game file."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        lines = [line.split("#", 1)[0].split()[1:]
+                 for line in re.findall(r"^ctplab .*$", section, re.M)]
+        commands = [argv for argv in lines if argv[0] != "verify"]
+        assert len(commands) == 10
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "game.qdimacs").write_text(GAME)
+        for argv in commands:
+            assert main(argv) == 0, shlex.join(argv)
+            assert capsys.readouterr().err == ""
+
     def test_export_dot_stdout(self, tmp_path, capsys):
         out = tmp_path / "bait.json"
         main(["gadget", "baiting", "--L", "2", "-o", str(out)])
@@ -204,7 +259,18 @@ class TestCommands:
         assert main(["verify", "sensing"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
-        assert "8/8 checks passed" in lines[-1]
+        assert "10/10 checks passed" in lines[-1]
+
+    @pytest.mark.parametrize("filters, checked", [
+        ([], {"p3-k=1": "true", "k3-k=1": "false"}),
+        (["--graph", "k3", "--k", "2"], {"k3-k=2": "true"})])
+    def test_verify_sensing_beats_no_sensing_when_covered(
+            self, capsys, filters, checked):
+        assert main(["verify", "sensing", *filters]) == 0
+        out = capsys.readouterr().out
+        for graph, covered in checked.items():
+            assert (f"PASS no-sensing-beaten-exactly-when-covered-{graph}: "
+                    f"expected {covered}, got {covered}") in out
 
     def test_verify_json(self, capsys):
         assert main(["verify", "ctp-cert", "--n", "2", "--m", "1",
@@ -448,3 +514,113 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["verify", "nope"])
         assert info.value.code == 2
+
+
+def _instance_documents():
+    plain = InstanceBuilder(Variant.INDEPENDENT)
+    plain.set_endpoints("s", "t")
+    plain.add_edge("s", "a", 1, id="walk")
+    plain.add_edge("a", "t", 0, id="coin", block_p=F(1, 2))
+    plain.add_edge("s", "t", 3, id="sure")
+    sensing = vc_to_sensing(named_vc("p3", 1), F(1, 2))[0]
+    dependent = InstanceBuilder(Variant.DEPENDENT)
+    dependent.set_endpoints("s", "t")
+    dependent.add_edge("s", "t", 1, id="e1", block_p=F(1, 2))
+    dependent.add_edge("s", "t", 2, id="e2", block_p=F(1, 2))
+    dependent.add_edge("s", "t", 5, id="sure")
+    dependent.add_variable("e1", (), [F(1, 2)])
+    dependent.add_variable("e2", ("e1",), [0, 1])
+    return [json.loads(instance_to_json(inst))
+            for inst in (plain.build(), sensing, dependent.build())]
+
+
+INSTANCE_DOCUMENTS = _instance_documents()
+TREE_DOCUMENT = json.loads(solve(instance_from_dict(
+    INSTANCE_DOCUMENTS[0])).policy.to_json())
+CERTIFICATES = {
+    CtpReductionCertificate: json.loads(certificate(2, 1).to_json()),
+    SensingCertificate: json.loads(
+        vc_to_sensing(named_vc("p3", 1), F(1, 2))[1].to_json()),
+}
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2, max_value=3),
+    st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from(["1/2", "0/1", "inf", "1/0", "s", "t", "move", "halt",
+                     "independent", "sensing", "dependent"]))
+
+
+def _retyped(value):
+    """The same content as another JSON type."""
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return {str(i): v for i, v in enumerate(value)}
+    return [value]
+
+
+@st.composite
+def mutated(draw, document):
+    """`document` with one to three slots replaced, dropped or retyped."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(
+                    st.booleans()):
+                node = child
+                continue
+            how = draw(st.sampled_from(["junk", "drop", "retype"]))
+            if how == "drop":
+                del node[key]
+            elif how == "retype":
+                node[key] = _retyped(child)
+            else:
+                node[key] = draw(JUNK)
+            break
+    return doc
+
+
+def _run_documented(argv):
+    """Run the command line; its code and stderr must be documented."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err.getvalue() == "")
+    assert err.getvalue().count("\n") <= 1
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_instances(self, tmp_path_factory, data):
+        document = data.draw(st.sampled_from(INSTANCE_DOCUMENTS))
+        path = tmp_path_factory.getbasetemp() / "mutated_instance.json"
+        path.write_text(json.dumps(data.draw(mutated(document))))
+        _run_documented(["solve", str(path)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(tree=mutated(TREE_DOCUMENT))
+    def test_mutated_trees(self, tmp_path_factory, tree):
+        base = tmp_path_factory.getbasetemp()
+        instance = base / "fuzz_instance.json"
+        instance.write_text(json.dumps(INSTANCE_DOCUMENTS[0]))
+        path = base / "mutated_tree.json"
+        path.write_text(json.dumps(tree))
+        _run_documented(["solve", str(instance), "--policy", str(path)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_certificates(self, data):
+        kind = data.draw(st.sampled_from(sorted(CERTIFICATES,
+                                                key=lambda k: k.__name__)))
+        text = json.dumps(data.draw(mutated(CERTIFICATES[kind])))
+        try:
+            kind.from_json(text)
+        except (InvalidInstanceError, ValueError):
+            pass

@@ -1,4 +1,4 @@
-"""Solver tests: exact optima on toys, the committing brute force, and QBF."""
+"""Solver tests: exact optima on toys, the disjoint-path index rule, and QBF."""
 from __future__ import annotations
 
 import hashlib
@@ -21,7 +21,13 @@ from ctplab.model import (
     SplitMix64,
     Variant,
 )
-from ctplab.policy import Action, EvalResult, evaluate_exact, reference_policy
+from ctplab.policy import (
+    Action,
+    EvalResult,
+    evaluate_exact,
+    export_decision_tree,
+    reference_policy,
+)
 from ctplab.reductions import (
     named_vc,
     normalize_half_prob,
@@ -29,13 +35,14 @@ from ctplab.reductions import (
     vc_to_sensing,
 )
 from ctplab.solve import (
+    CommittingPolicy,
     QbfFormula,
     decompose_into_paths,
     parse_qdimacs,
     qbf_eval,
     qbf_strategy,
     solve,
-    solve_disjoint_bruteforce,
+    solve_disjoint_paths,
 )
 
 
@@ -172,7 +179,7 @@ class TestBoundedSearch:
         # the whole belief space holds 113,148 beliefs
         toy = random_disjoint_instance(SplitMix64(20260819 + 1000 + 6))
         result = solve(normalize_half_prob(toy), belief_cap=2_000)
-        assert result.optimal_cost == solve_disjoint_bruteforce(
+        assert result.optimal_cost == solve_disjoint_paths(
             toy).optimal_cost
         assert result.optimal_cost == Cost.of(1)
 
@@ -453,19 +460,51 @@ def three_path_instance(case):
     return b.build()
 
 
+def committing_bruteforce(instance):
+    """The best committing policy found by pricing every route order.
+
+    The k! orders are tried lexicographically and the first best one
+    wins; its tree is exported, as the index rule exports its own.
+    """
+    best = None
+    for order in itertools.permutations(decompose_into_paths(instance)):
+        policy = CommittingPolicy(order)
+        cost = evaluate_exact(instance, policy).expected_cost
+        if best is None or cost < best[0]:
+            best = (cost, policy)
+    cost, policy = best
+    _, tree = export_decision_tree(instance, policy)
+    return S.OptResult(cost, S._first_action(tree), tree,
+                       S.SolveStats(len(tree.nodes)))
+
+
+def route_bundle(routes):
+    """3-edge routes on fair coins; only the last, dearest one is sure."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    for i in range(routes):
+        sure = i == routes - 1
+        p = Fraction(0) if sure else Fraction(1, 2)
+        cost = 4 * routes if sure else 1
+        b.add_edge("s", f"a{i}", cost, id=f"r{i}a", block_p=p)
+        b.add_edge(f"a{i}", f"b{i}", cost + i, id=f"r{i}b", block_p=p)
+        b.add_edge(f"b{i}", "t", cost, id=f"r{i}c", block_p=p)
+    return b.build()
+
+
 class TestDisjointBruteforce:
     def test_single_sure_path(self):
-        result = solve_disjoint_bruteforce(sure_edge_instance(7))
+        result = solve_disjoint_paths(sure_edge_instance(7))
         assert result.optimal_cost == Cost.of(7)
 
     def test_two_paths(self):
-        result = solve_disjoint_bruteforce(two_path_instance())
+        result = solve_disjoint_paths(two_path_instance())
         assert result.optimal_cost == Cost.of(2)
 
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_matches_full_solver(self, case):
         inst = three_path_instance(case)
-        brute = solve_disjoint_bruteforce(inst)
+        brute = solve_disjoint_paths(inst)
         full = solve(inst)
         assert brute.optimal_cost == full.optimal_cost
 
@@ -480,22 +519,68 @@ class TestDisjointBruteforce:
         b.add_edge("a", "t", 1, id="e2")
         b.add_edge("a", "t", 1, id="e3")
         with pytest.raises(InvalidInstanceError, match="degree"):
-            solve_disjoint_bruteforce(b.build())
+            solve_disjoint_paths(b.build())
 
     def test_rejects_directed(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
         b.add_edge("s", "t", 1, id="e1", directed=True)
         with pytest.raises(InvalidInstanceError, match="undirected"):
-            solve_disjoint_bruteforce(b.build())
+            solve_disjoint_paths(b.build())
 
-    def test_ordering_cap(self):
+    def test_opening_cap(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
         for i in range(7):
             b.add_edge("s", "t", i + 1, id=f"w{i}")
-        with pytest.raises(EnumerationCapError):
-            solve_disjoint_bruteforce(b.build())
+        assert solve_disjoint_paths(b.build()).optimal_cost == Cost.of(1)
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        for i in range(11):
+            b.add_edge("s", "t", i + 1, id=f"w{i}", block_p=Fraction(1, 2))
+        with pytest.raises(EnumerationCapError, match="cap of 10"):
+            solve_disjoint_paths(b.build())
+
+    def test_matches_committing_bruteforce(self):
+        for seed in range(12345, 12445):
+            toy = random_disjoint_instance(SplitMix64(seed))
+            rule = solve_disjoint_paths(toy)
+            brute = committing_bruteforce(toy)
+            assert rule.optimal_cost == brute.optimal_cost
+            assert rule.optimal_first_action == brute.optimal_first_action
+            assert rule.policy.to_json() == brute.policy.to_json()
+
+    @pytest.mark.parametrize("routes", [4, 6])
+    def test_bundle_matches_full_solver(self, routes):
+        inst = route_bundle(routes)
+        assert (solve_disjoint_paths(inst).optimal_cost
+                == solve(inst).optimal_cost)
+
+    def test_skips_routes_with_an_infinite_edge(self):
+        # the cover gadget's anchor routes can never be finished
+        assert (solve_disjoint_paths(sensing_instance("p3")).optimal_cost
+                == Cost.of(4))
+
+    def test_rejects_dependent(self):
+        b = InstanceBuilder(Variant.DEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="e1", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 3, id="e2")
+        b.add_variable("e1", (), [Fraction(1, 2)])
+        with pytest.raises(InvalidInstanceError, match="independent edges"):
+            solve_disjoint_paths(b.build())
+
+    def test_self_check_failure_raises(self, monkeypatch):
+        exported = S.export_decision_tree
+
+        def skewed(instance, policy):
+            result, tree = exported(instance, policy)
+            return EvalResult(result.expected_cost + Cost.of(1),
+                              result.outcome_breakdown), tree
+
+        monkeypatch.setattr(S, "export_decision_tree", skewed)
+        with pytest.raises(InternalCheckError, match="index rule"):
+            solve_disjoint_paths(two_path_instance())
 
 
 SAT = QbfFormula.of(2, [(1, 2), (-1, 2)])
