@@ -548,6 +548,8 @@ def _cmd_solve(args) -> int:
             "branch_tables": stats.branch_tables,
             "regions": stats.regions,
             "region_hits": stats.region_hits,
+            "search_s": stats.search_s,
+            "export_s": stats.export_s,
         }))
     else:
         print("optimal cost: "
@@ -559,6 +561,8 @@ def _cmd_solve(args) -> int:
         print(f"branch tables: {stats.branch_tables}, "
               f"regions: {stats.regions}, "
               f"region hits: {stats.region_hits}")
+        print(f"search: {stats.search_s:.3f} s, "
+              f"export and self-check: {stats.export_s:.3f} s")
     return 0
 
 

@@ -35,6 +35,11 @@ class EnumerationCapError(RuntimeError):
     """An exact enumeration would exceed its configured cap."""
 
 
+# Beliefs one solve may expand before it gives up (`ctplab solve --cap`);
+# an exported decision tree is held to the same size.
+BELIEF_CAP = 200_000
+
+
 class InternalCheckError(RuntimeError):
     """A self-check failed: the program contradicted its own invariant."""
 
@@ -122,6 +127,16 @@ class Cost:
         if self._value is None:
             raise ValueError("infinite cost has no finite value")
         return self._value
+
+    @property
+    def plain(self) -> Fraction | int:
+        """The finite value as an `int` when integral, else the Fraction.
+
+        Mixed int and Fraction arithmetic is exact, and int sums are
+        far cheaper, so hot loops add these instead of `Cost`s.
+        """
+        value = self.fraction
+        return value.numerator if value.denominator == 1 else value
 
     def __add__(self, other: Cost) -> Cost:
         if not isinstance(other, Cost):
@@ -1109,6 +1124,7 @@ def load_instance(path: str | Path) -> CtpInstance:
 
 
 __all__ = [
+    "BELIEF_CAP",
     "Belief",
     "ComponentTable",
     "Cost",

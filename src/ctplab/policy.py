@@ -8,9 +8,11 @@ reference policies for the baiting and observation gadgets.
 
 The evaluator walks a depth-first stack of observation outcomes, which
 copes with gadget chains far too long to enumerate; it prices every
-policy and exports decision trees. Replaying the policy on every weather
-of the support (`evaluate_exact(..., mode="weathers")`) stays as the
-independent oracle that the walk is checked against.
+policy and exports decision trees. A walk asks the joint model once per
+distinct branch table, keeps the tables only until it ends, and builds
+each tree key once. Replaying the policy on every weather of the support
+(`evaluate_exact(..., mode="weathers")`) stays as the independent oracle
+that the walk is checked against.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
@@ -31,9 +33,11 @@ from typing import Callable, Mapping
 
 from .gadgets import BaitingHandle, ObservationHandle
 from .model import (
+    BELIEF_CAP,
     Belief,
     Cost,
     CtpInstance,
+    EnumerationCapError,
     InternalCheckError,
     Variant,
     Weather,
@@ -126,11 +130,14 @@ def action_from_dict(data: dict | None) -> Action | None:
 # ---------------------------------------------------------------------------
 # policies
 
+def _known_part(known: tuple[tuple[str, bool], ...]) -> str:
+    """The known statuses as `belief_key` writes them after the bar."""
+    return ",".join(f"{e}={'O' if is_open else 'B'}" for e, is_open in known)
+
+
 def belief_key(belief: Belief) -> str:
     """Canonical string key for a belief, used by decision trees."""
-    parts = ",".join(f"{e}={'O' if is_open else 'B'}"
-                     for e, is_open in belief.known)
-    return f"{belief.position}|{parts}"
+    return f"{belief.position}|{_known_part(belief.known)}"
 
 
 def describe_belief(belief: Belief) -> str:
@@ -320,81 +327,118 @@ def _trace(instance: CtpInstance, policy: Policy,
     everything revealed so far, which makes the evaluation exact for
     dependent instances too. Every leaf adds one breakdown row, and the
     expected cost is the probability-weighted sum of those rows.
+
+    Each piece of work is done once per walk. A branch table is asked of
+    `JointModel.branch` once per key of the targets and the known statuses
+    in their dependency components, which is all it reads, and kept only
+    until the walk ends. Each outcome formats its known statuses once and
+    carries that text on the stack: the deterministic steps after it keep
+    the same statuses, so their keys reuse it. Walked costs are plain
+    numbers (`Cost.plain`), and zero steps add nothing. With `record`, the
+    walk fills it with the tree and raises `EnumerationCapError` once the
+    tree holds more than `BELIEF_CAP` nodes past its root.
     """
     cap = _step_cap(instance)
     joint = instance.joint
+    component_of = joint.component_of
+    tables: dict[tuple, list[tuple[str, dict[str, bool], Fraction]]] = {}
     breakdown: list[tuple[str, Fraction, Cost]] = []
 
-    def note(belief: Belief, action: Action | None,
+    def note(key: str, action: Action | None,
              children: tuple[tuple[str, str], ...] = ()) -> None:
         if record is None:
             return
-        key = belief_key(belief)
         seen = record.get(key)
         if seen is not None and seen.action != action:
             raise IllegalActionError(
                 f"policy is not a function of the belief at {key}")
         record[key] = TreeNode(action, children)
+        # past its root, every node of a solve's tree is a belief it
+        # expanded, so a solve within the belief cap never trips this
+        if len(record) > BELIEF_CAP + 1:
+            raise EnumerationCapError(
+                f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
+                "past its root")
 
-    def branch(belief: Belief, action: Action | None, position: str,
-               targets: list[str]) -> list[tuple[str, Fraction, Belief]]:
-        """Reveal `targets` at `position`; note and return the outcomes."""
+    def outcomes(belief: Belief, targets: list[str],
+                 ) -> list[tuple[str, dict[str, bool], Fraction]]:
+        """`joint.branch` over `targets` as (label, assignment, chance)."""
+        comps = {component_of[e] for e in targets}
+        key = (tuple(targets), tuple(kv for kv in belief.known
+                                     if component_of[kv[0]] in comps))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = [
+                (_outcome_label(got), got, prob)
+                for got, prob in joint.branch(belief.known_map, targets)]
+        return table
+
+    def branch(belief: Belief, key: str, action: Action | None,
+               position: str, targets: list[str],
+               ) -> list[tuple[str, Fraction, Belief, str]]:
+        """Reveal `targets` at `position`; note and return the outcomes,
+        each with its known statuses formatted."""
         children = []
-        for assignment, prob in joint.branch(belief.known_map, targets):
+        for label, got, prob in outcomes(belief, targets):
             grown = dict(belief.known_map)
-            grown.update(assignment)
-            children.append((_outcome_label(assignment), prob,
-                             Belief.make(position, grown)))
-        note(belief, action,
-             tuple((label, belief_key(b)) for label, _, b in children))
+            grown.update(got)
+            child = Belief.make(position, grown)
+            children.append((label, prob, child, _known_part(child.known)))
+        note(key, action, tuple((label, f"{position}|{parts}")
+                                for label, _, _, parts in children))
         return children
 
-    def advance(belief: Belief):
+    def advance(belief: Belief, parts: str):
         """Walk deterministically to a leaf or a branch point.
 
         Returns the cost walked (None if the policy declared the situation
         infeasible) and the branch outcomes (None at a leaf).
         """
-        walked = Fraction(0)
+        walked: Fraction | int = 0
+        key = f"{belief.position}|{parts}"
         for _ in range(cap):
             action = policy.decide(instance, belief)
             if action is None:
-                note(belief, None)
+                note(key, None)
                 return None, None
             price, nxt, revealed = _step(instance, belief, action)
             if revealed is None:
-                note(belief, action)
+                note(key, action)
                 return walked, None
-            walked += price.fraction
+            step = price.plain
+            if step:
+                walked += step
             if revealed:
-                return walked, branch(belief, action, nxt, revealed)
-            succ = Belief.make(nxt, belief.known_map)
-            note(belief, action, (("", belief_key(succ)),))
-            belief = succ
+                return walked, branch(belief, key, action, nxt, revealed)
+            succ = f"{nxt}|{parts}"
+            note(key, action, (("", succ),))
+            belief, key = Belief(nxt, belief.known), succ
         raise PolicyLoopError(
             f"no branch or arrival within {cap} steps; "
             f"last {describe_belief(belief)}")
 
-    # pending entries: belief, outcome labels, probability, cost so far
-    stack: list[tuple[Belief, tuple[str, ...], Fraction, Fraction]] = []
+    # pending entries: belief, its known statuses formatted, outcome
+    # labels, probability, cost so far
+    stack: list[tuple[Belief, str, tuple[str, ...], Fraction,
+                      Fraction | int]] = []
 
     def push(children, labels, prob, spent) -> None:
         # reversed, so that outcomes pop in the order the model lists them
-        for label, p, child in reversed(children):
-            stack.append((child, labels + (label,), prob * p, spent))
+        for label, p, child, parts in reversed(children):
+            stack.append((child, parts, labels + (label,), prob * p, spent))
 
-    start = Belief.make(instance.s, {})
+    start = Belief(instance.s, ())
     fresh = instance.fresh_at(instance.s, {})
     if fresh:
-        push(branch(start, None, instance.s, fresh), (), Fraction(1),
-             Fraction(0))
+        push(branch(start, belief_key(start), None, instance.s, fresh), (),
+             Fraction(1), 0)
     else:
-        stack.append((start, (), Fraction(1), Fraction(0)))
+        stack.append((start, "", (), Fraction(1), 0))
     while stack:
-        belief, labels, prob, spent = stack.pop()
-        walked, children = advance(belief)
+        belief, parts, labels, prob, spent = stack.pop()
+        walked, children = advance(belief, parts)
         if children is not None:
-            push(children, labels, prob, spent + walked)
+            push(children, labels, prob, spent + walked if walked else spent)
             continue
         cost = Cost.infinite() if walked is None else Cost.of(spent + walked)
         breakdown.append((" ; ".join(labels) or "no observations", prob, cost))
@@ -433,7 +477,7 @@ def export_decision_tree(instance: CtpInstance, policy: Policy,
     """Unfold `policy` over every belief it can reach, as an explicit tree."""
     nodes: dict[str, TreeNode] = {}
     result = _trace(instance, policy, nodes)
-    root = belief_key(Belief.make(instance.s, {}))
+    root = belief_key(Belief(instance.s, ()))
     return result, DecisionTreePolicy(nodes, root)
 
 

@@ -38,7 +38,8 @@ restricted to the dependency components `fresh` touches. `branch` reads
 nothing else, as the components are independent (the factored model of
 Papadimitriou & Yannakakis, TCS 1991), so a hit returns exactly what a
 fresh call would: game 7 of the ctpdep battery prices 11,767 revealing
-steps from 27 tables. `JointModel` itself stays unmemoized.
+steps from 27 tables. `JointModel` is memoized only per search and per
+walk, never across calls.
 """
 from __future__ import annotations
 
@@ -47,12 +48,14 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Sequence
 
 from .model import (
+    BELIEF_CAP,
     Belief,
     Cost,
     CtpInstance,
@@ -68,9 +71,6 @@ from .policy import (
     export_decision_tree,
 )
 
-# Beliefs one solve may expand before it gives up (`ctplab solve --cap`).
-BELIEF_CAP = 200_000
-
 _HALT = Action.halt()  # actions are frozen, so one serves every solve
 
 
@@ -83,6 +83,9 @@ class SolveStats:
     `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, `regions` the strata patches it solved and
     `region_hits` the lookups, the export's too, that found one solved.
+    `search_s` and `export_s` are the wall seconds `solve` spent in the
+    search and in the tree export with its self-check; they vary from run
+    to run, so equality ignores them.
     """
 
     beliefs_expanded: int
@@ -91,6 +94,8 @@ class SolveStats:
     branch_tables: int = 0
     regions: int = 0
     region_hits: int = 0
+    search_s: float = field(default=0.0, compare=False)
+    export_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,12 +116,6 @@ class OptResult:
 _INF = math.inf  # the value of a step after which t may be out of reach
 
 
-def _plain(cost: Cost) -> Fraction | int:
-    """A finite cost as the search holds it: an int when it is integral."""
-    value = cost.fraction
-    return value.numerator if value.denominator == 1 else value
-
-
 class _Solver(Policy):
     """Belief-space search; once solved it replays its choices as a policy."""
 
@@ -126,7 +125,7 @@ class _Solver(Policy):
         self.belief_cap = belief_cap
         self.expanded = self.evaluated = self.skipped = 0
         self.regions = self.region_hits = 0
-        self.bound = {v: _plain(c)
+        self.bound = {v: c.plain
                       for v, c in _free_space_bound(instance).items()}
         bits = self.bits = {e.id: 1 << i for i, e in
                             enumerate(instance.uncertain_edges)}
@@ -134,11 +133,11 @@ class _Solver(Policy):
         self.sight = {v: 0 if v == instance.t else
                       sum(bits[e.id] for e in instance.visible_from(v))
                       for v in instance.vertices}
-        self.moves = {u: [(_plain(edge.cost), edge.id, far,
+        self.moves = {u: [(edge.cost.plain, edge.id, far,
                            bits.get(edge.id, 0), Action.move(edge.id))
                           for edge, far in instance.moves_from(u).values()]
                       for u in instance.vertices}
-        self.senses = {u: [(_plain(fee), e, bits[e], Action.sense(e))
+        self.senses = {u: [(fee.plain, e, bits[e], Action.sense(e))
                            for e, fee in instance.senses_from(u).items()]
                        for u in instance.vertices}
         self._touched: dict[int, int] = {}  # fresh -> mask of its components
@@ -317,6 +316,7 @@ def _first_action(tree: DecisionTreePolicy) -> Action | None:
 
 def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     """Exact optimum of an independent, dependent or sensing instance."""
+    began = time.perf_counter()
     solver = _Solver(instance, belief_cap)
     try:
         value = solver.branch_value(0, 0, solver.sight[instance.s], instance.s)
@@ -326,6 +326,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
     expected = Cost.infinite() if value is _INF else Cost.of(value)
+    searched = time.perf_counter()
     result, tree = export_decision_tree(instance, solver)
     if result.expected_cost != expected:
         raise InternalCheckError(
@@ -334,7 +335,9 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
                                 solver.skipped, len(solver._branches),
-                                solver.regions, solver.region_hits))
+                                solver.regions, solver.region_hits,
+                                searched - began,
+                                time.perf_counter() - searched))
 
 
 # ---------------------------------------------------------------------------

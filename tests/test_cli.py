@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctplab.policy as policy_module
 from ctplab.cli import (
     GAME_BATTERY,
     instance_to_dot,
@@ -170,6 +171,33 @@ class TestCommands:
         assert (f"branch tables: {data['branch_tables']}, "
                 f"regions: {data['regions']}, "
                 f"region hits: {data['region_hits']}") in text
+
+    def test_solve_reports_phase_times(self, game_file, tmp_path, capsys):
+        out = tmp_path / "dep.json"
+        assert main(["reduce", "ctpdep", str(game_file),
+                     "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(out), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for key in ("search_s", "export_s"):
+            assert type(data[key]) is float and data[key] >= 0
+        assert main(["solve", str(out)]) == 0
+        assert re.search(r"^search: \d+\.\d{3} s, export and self-check: "
+                         r"\d+\.\d{3} s$", capsys.readouterr().out, re.M)
+
+    def test_solve_exits_3_past_the_tree_cap(self, game_file, tmp_path,
+                                             capsys, monkeypatch):
+        out = tmp_path / "dep.json"
+        assert main(["reduce", "ctpdep", str(game_file),
+                     "-o", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(policy_module, "BELIEF_CAP", 2)
+        assert main(["solve", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "cap exceeded: the decision tree exceeds the cap of 2 nodes "
+            "past its root"]
 
     def test_reduce_ctp_writes_certificate(self, game_file, tmp_path,
                                            capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,13 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
 from ctplab.gadgets import baiting_harness, forward_policy_cost
+import ctplab.policy as P
 import ctplab.solve as S
 from ctplab.model import (
+    Belief,
     Cost,
     EnumerationCapError,
     InstanceBuilder,
     InternalCheckError,
     InvalidInstanceError,
+    JointModel,
     SplitMix64,
     Variant,
 )
@@ -346,12 +350,15 @@ class TestFrozenSolves:
 
     @pytest.mark.parametrize("name", sorted(FROZEN_COUNTERS))
     def test_counters(self, name, frozen_solve):
-        stats = frozen_solve(name).stats
+        result = frozen_solve(name)
+        stats = result.stats
         assert (stats.branch_tables, stats.regions,
                 stats.region_hits) == FROZEN_COUNTERS[name]
         # each pricing, and the root, asks for one table or reuses one
         assert stats.branch_tables <= stats.boundary_evaluated + 1
         assert stats.regions <= stats.beliefs_expanded
+        # so a solve within the belief cap stays within the tree cap
+        assert len(result.policy.nodes) <= stats.beliefs_expanded + 1
 
 
 def random_known(joint, rng):
@@ -434,6 +441,101 @@ class TestBranchMemo:
             opened, blocked = solver.masks(known.items())
             assert not opened & blocked
             assert solver.known_of(opened, blocked) == known
+
+
+def branch_every_time(instance, policy):
+    """The outcome walk with `JointModel.branch` asked at every branch.
+
+    A plain recursion over the same move rule, with no table kept and
+    every cost a Fraction: the oracle for the memoized walk.
+    """
+    joint = instance.joint
+    cap = P._step_cap(instance)
+    rows = []
+
+    def leaf(labels, prob, cost):
+        rows.append((" ; ".join(labels) or "no observations", prob, cost))
+
+    def walk(belief, labels, prob, spent):
+        for _ in range(cap):
+            action = policy.decide(instance, belief)
+            if action is None:
+                return leaf(labels, prob, Cost.infinite())
+            price, nxt, revealed = P._step(instance, belief, action)
+            if revealed is None:
+                return leaf(labels, prob, Cost.of(spent))
+            spent += price.fraction
+            if revealed:
+                return reveal(belief.known_map, nxt, revealed, labels, prob,
+                              spent)
+            belief = Belief.make(nxt, belief.known_map)
+        raise AssertionError("the walk loops")
+
+    def reveal(known, position, targets, labels, prob, spent):
+        for got, p in joint.branch(known, targets):
+            label = ",".join(f"{e}={'open' if v else 'blocked'}"
+                             for e, v in sorted(got.items()))
+            walk(Belief.make(position, {**known, **got}), labels + (label,),
+                 prob * p, spent)
+
+    fresh = instance.fresh_at(instance.s, {})
+    if fresh:
+        reveal({}, instance.s, fresh, (), Fraction(1), Fraction(0))
+    else:
+        walk(Belief.make(instance.s, {}), (), Fraction(1), Fraction(0))
+    return P._summed(rows)
+
+
+class TestWalkMemo:
+    """The outcome walk's per-walk tables and carried keys change nothing."""
+
+    @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
+    def test_tree_price_matches_unmemoized_walk(self, k,
+                                                solve_battery_game):
+        instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        result = solve_battery_game(k)
+        walked = evaluate_exact(instance, result.policy, mode="tree")
+        assert walked == branch_every_time(instance, result.policy)
+        assert walked.expected_cost == result.optimal_cost
+        components = instance.joint.components
+        if math.prod(len(comp.rows) for comp in components) <= 4096:
+            assert evaluate_exact(instance, result.policy,
+                                  mode="weathers").expected_cost == (
+                walked.expected_cost)
+
+    def test_export_asks_each_table_once(self, monkeypatch,
+                                         solve_battery_game):
+        instance = qbf_to_ctpdep(GAME_BATTERY[5][0])[0]
+        result = solve_battery_game(5)
+        calls = []
+        branch = JointModel.branch
+
+        def counted(self, known, targets):
+            calls.append(tuple(targets))
+            return branch(self, known, targets)
+
+        monkeypatch.setattr(JointModel, "branch", counted)
+        priced, tree = export_decision_tree(instance, result.policy)
+        assert tree.to_json() == result.policy.to_json()
+        assert priced.expected_cost == result.optimal_cost
+        # 2,047 calls when every branch asked the model
+        assert len(calls) <= 40
+
+    def test_tree_cap(self, monkeypatch):
+        # the cap counts nodes past the root: a 2,450-node tree passes at
+        # 2,449 and not at 2,448
+        inst = route_bundle(6)
+        nodes = len(solve_disjoint_paths(inst).policy.nodes)
+        monkeypatch.setattr(P, "BELIEF_CAP", nodes - 1)
+        assert len(solve_disjoint_paths(inst).policy.nodes) == nodes
+        monkeypatch.setattr(P, "BELIEF_CAP", nodes - 2)
+        with pytest.raises(EnumerationCapError, match="decision tree"):
+            solve_disjoint_paths(inst)
+        with pytest.raises(EnumerationCapError, match="decision tree"):
+            solve(inst)
+        # pricing without a tree is not capped
+        paths = CommittingPolicy(decompose_into_paths(inst))
+        assert not evaluate_exact(inst, paths).expected_cost.is_infinite
 
 
 def three_path_instance(case):
