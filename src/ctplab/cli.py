@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -542,14 +542,7 @@ def _cmd_solve(args) -> int:
         print(json.dumps({
             "optimal_cost": render_cost(result.optimal_cost, args.precision),
             "first_action": first,
-            "beliefs_expanded": stats.beliefs_expanded,
-            "boundary_evaluated": stats.boundary_evaluated,
-            "boundary_skipped": stats.boundary_skipped,
-            "branch_tables": stats.branch_tables,
-            "regions": stats.regions,
-            "region_hits": stats.region_hits,
-            "search_s": stats.search_s,
-            "export_s": stats.export_s,
+            **asdict(stats),
         }))
     else:
         print("optimal cost: "

@@ -11,13 +11,15 @@ Dependent instances replace the independent coin flips with a small Bayes
 net over binary variables. A variable named after an edge drives that edge,
 value 1 meaning blocked; variables with other names are auxiliary coins.
 
-All arithmetic is `fractions.Fraction`. Costs that may diverge are `Cost`,
-a nonnegative rational with a single absorbing infinity.
+All arithmetic is exact. Costs are computed as plain numbers (`Cost.plain`:
+an `int` or a `Fraction`, `math.inf` when infinite); `Cost` parses,
+validates, compares and prints them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -52,6 +54,9 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
         return value  # immutable, so shared rather than copied
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, float):
+        raise InvalidInstanceError(
+            f"{value!r} is a float; give an exact int, Fraction or string")
     return Fraction(value)
 
 
@@ -90,22 +95,24 @@ def parse_probability(text: str) -> Fraction:
 @total_ordering
 @dataclass(frozen=True)
 class Cost:
-    """Nonnegative travel cost, possibly infinite.
+    """Nonnegative travel cost, possibly infinite, as a result reports it.
 
-    Infinity absorbs addition and dominates every finite value, so the
-    expected cost of a policy that can strand the walker propagates on its
-    own instead of through sentinels.
+    Infinity dominates every finite value. Computations add `plain`
+    numbers, where infinity is `math.inf`, and `Cost.of` turns a sum back
+    into a `Cost`.
     """
 
     _value: Fraction | None
 
     @staticmethod
-    def of(value: Cost | Fraction | int | str) -> Cost:
+    def of(value: Cost | Fraction | int | float | str) -> Cost:
         if isinstance(value, Cost):
             return value
         if isinstance(value, str):
             return parse_cost(value)
-        frac = value if type(value) is Fraction else Fraction(value)
+        if isinstance(value, float) and value == math.inf:
+            return _INFINITE
+        frac = as_fraction(value)  # refuses every other float
         if frac.numerator < 0:
             raise InvalidInstanceError(f"cost must be nonnegative, got {frac}")
         return Cost(frac)
@@ -129,35 +136,17 @@ class Cost:
         return self._value
 
     @property
-    def plain(self) -> Fraction | int:
-        """The finite value as an `int` when integral, else the Fraction.
+    def plain(self) -> Fraction | int | float:
+        """The value to compute with: an `int` when integral, else the
+        Fraction, and `math.inf` when infinite.
 
-        Mixed int and Fraction arithmetic is exact, and int sums are
-        far cheaper, so hot loops add these instead of `Cost`s.
+        Mixed int and Fraction arithmetic is exact, and int sums are far
+        cheaper; `Cost.of(c.plain) == c` for every cost.
         """
-        value = self.fraction
+        value = self._value
+        if value is None:
+            return math.inf
         return value.numerator if value.denominator == 1 else value
-
-    def __add__(self, other: Cost) -> Cost:
-        if not isinstance(other, Cost):
-            return NotImplemented
-        if self._value is None or other._value is None:
-            return _INFINITE
-        # adding zero returns the other operand; no Fraction is built
-        if not other._value:
-            return self
-        if not self._value:
-            return other
-        return Cost(self._value + other._value)
-
-    def scale(self, weight: Fraction) -> Cost:
-        """Multiply by a positive probability weight."""
-        if weight <= 0:
-            raise ValueError(f"scale weight must be positive, got {weight}")
-        if not self._value:
-            # infinity (None) and zero are fixed points of scaling
-            return self
-        return Cost(self._value * weight)
 
     def __lt__(self, other: Cost) -> bool:
         if not isinstance(other, Cost):
@@ -473,13 +462,14 @@ class JointModel:
                targets: Sequence[str]) -> list[tuple[dict[str, bool], Fraction]]:
         """Joint outcomes over `targets` given the revealed statuses.
 
-        Probabilities are exact, positive, and sum to one.
+        Probabilities are exact, positive, and sum to one. More than
+        `BELIEF_CAP` outcomes raise `EnumerationCapError` before any is built.
         """
         wanted = list(dict.fromkeys(targets))
         by_comp: dict[int, list[str]] = {}
         for e in wanted:
             by_comp.setdefault(self.component_of[e], []).append(e)
-        partial: list[tuple[dict[str, bool], Fraction]] = [({}, Fraction(1))]
+        factors = []
         for ci in sorted(by_comp):
             comp = self.components[ci]
             rows = self.surviving_rows(ci, known)
@@ -493,8 +483,15 @@ class JointModel:
                 statuses, prob = comp.rows[r]
                 key = tuple(statuses[i] for i in picks)
                 proj[key] = proj.get(key, Fraction(0)) + prob
-            outcomes = [(dict(zip(by_comp[ci], key)), p / total)
-                        for key, p in sorted(proj.items())]
+            factors.append([(dict(zip(by_comp[ci], key)), p / total)
+                            for key, p in sorted(proj.items())])
+        size = math.prod(map(len, factors))
+        if size > BELIEF_CAP:
+            raise EnumerationCapError(
+                f"{size} outcomes of one observation exceed the cap of "
+                f"{BELIEF_CAP}")
+        partial: list[tuple[dict[str, bool], Fraction]] = [({}, Fraction(1))]
+        for outcomes in factors:
             partial = [({**got, **add}, pa * pb)
                        for got, pa in partial for add, pb in outcomes]
         if sum(p for _, p in partial) != 1:

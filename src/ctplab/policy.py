@@ -18,8 +18,9 @@ Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
 list what may be done where, and arrival reveals `fresh_at`.
 
-Expected costs are exact rationals throughout; the only floats live in the
-simulator's summary statistics.
+Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
+skip zero prices. The only floats are `math.inf`, for a walk the policy
+declares infeasible, and the simulator's summary statistics.
 """
 from __future__ import annotations
 
@@ -232,10 +233,11 @@ def _summed(breakdown: list[tuple[str, Fraction, Cost]]) -> EvalResult:
     """The expected cost of breakdown rows whose chances must sum to one."""
     if sum((p for _, p, _ in breakdown), Fraction(0)) != 1:
         raise InternalCheckError("outcome probabilities do not sum to one")
-    expected = Cost.zero()
-    for _, prob, cost in breakdown:
-        expected = expected + cost.scale(prob)
-    return EvalResult(expected, tuple(breakdown))
+    # an infinite row is not multiplied out: below the smallest float, a
+    # chance times math.inf is nan
+    expected = (math.inf if any(c.is_infinite for _, _, c in breakdown) else
+                sum(p * c.plain for _, p, c in breakdown if c.plain))
+    return EvalResult(Cost.of(expected), tuple(breakdown))
 
 
 def _step_cap(instance: CtpInstance) -> int:
@@ -248,8 +250,8 @@ def _illegal(message: str, belief: Belief) -> IllegalActionError:
 
 
 def _step(instance: CtpInstance, belief: Belief, action: Action,
-          ) -> tuple[Cost, str, list[str] | None]:
-    """Price, next position and revealed edges (None at halt) of `action`.
+          ) -> tuple[Fraction | int, str, list[str] | None]:
+    """Plain price, next position and revealed edges (None at halt).
 
     Legal exactly when the solver could take it: moves and fees come from
     `CtpInstance.moves_from`/`senses_from`, arrival reveals `fresh_at`.
@@ -258,7 +260,7 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
     if action.kind is ActionKind.HALT:
         if pos != instance.t:
             raise _illegal("halt away from the target", belief)
-        return Cost.zero(), pos, None
+        return 0, pos, None
     edge_id = action.edge
     if action.kind is ActionKind.SENSE:
         fee = instance.senses_from(pos).get(edge_id)
@@ -271,7 +273,7 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         if edge_id in belief.known_map:
             raise _illegal(
                 f"sensing {edge_id} whose status is already known", belief)
-        return fee, pos, [edge_id]
+        return fee.plain, pos, [edge_id]
     move = instance.moves_from(pos).get(edge_id)
     if move is None:
         if edge_id not in instance.edge_map:
@@ -286,7 +288,7 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         if status is not True:
             state = "blocked" if status is False else "unobserved"
             raise _illegal(f"edge {edge_id} is {state}", belief)
-    return edge.cost, far, instance.fresh_at(far, belief.known_map)
+    return edge.cost.plain, far, instance.fresh_at(far, belief.known_map)
 
 
 def walk_weather(instance: CtpInstance, policy: Policy,
@@ -295,16 +297,17 @@ def walk_weather(instance: CtpInstance, policy: Policy,
     cap = _step_cap(instance)
     pos = instance.s
     known = {e: weather.is_open(e) for e in instance.fresh_at(pos, {})}
-    total = Cost.zero()
+    total: Fraction | int = 0
     for _ in range(cap):
         belief = Belief.make(pos, known)
         action = policy.decide(instance, belief)
         if action is None:
             return Cost.infinite()
         price, pos, revealed = _step(instance, belief, action)
-        total = total + price
+        if price:  # neither a zero price nor a zero total builds a Fraction
+            total = total + price if total else price
         if revealed is None:
-            return total
+            return Cost.of(total)
         for e in revealed:
             known[e] = weather.is_open(e)
     raise PolicyLoopError(
@@ -333,8 +336,8 @@ def _trace(instance: CtpInstance, policy: Policy,
     in their dependency components, which is all it reads, and kept only
     until the walk ends. Each outcome formats its known statuses once and
     carries that text on the stack: the deterministic steps after it keep
-    the same statuses, so their keys reuse it. Walked costs are plain
-    numbers (`Cost.plain`), and zero steps add nothing. With `record`, the
+    the same statuses, so their keys reuse it. Each entry carries the plain
+    cost spent to reach it, and zero steps add nothing. With `record`, the
     walk fills it with the tree and raises `EnumerationCapError` once the
     tree holds more than `BELIEF_CAP` nodes past its root.
     """
@@ -388,28 +391,27 @@ def _trace(instance: CtpInstance, policy: Policy,
                                 for label, _, _, parts in children))
         return children
 
-    def advance(belief: Belief, parts: str):
+    def advance(belief: Belief, parts: str, spent: Fraction | int):
         """Walk deterministically to a leaf or a branch point.
 
-        Returns the cost walked (None if the policy declared the situation
-        infeasible) and the branch outcomes (None at a leaf).
+        Returns the cost spent on arrival there (`math.inf` if the policy
+        declared the situation infeasible) and the branch outcomes (None
+        at a leaf).
         """
-        walked: Fraction | int = 0
         key = f"{belief.position}|{parts}"
         for _ in range(cap):
             action = policy.decide(instance, belief)
             if action is None:
                 note(key, None)
-                return None, None
+                return math.inf, None
             price, nxt, revealed = _step(instance, belief, action)
             if revealed is None:
                 note(key, action)
-                return walked, None
-            step = price.plain
-            if step:
-                walked += step
+                return spent, None
+            if price:
+                spent += price
             if revealed:
-                return walked, branch(belief, key, action, nxt, revealed)
+                return spent, branch(belief, key, action, nxt, revealed)
             succ = f"{nxt}|{parts}"
             note(key, action, (("", succ),))
             belief, key = Belief(nxt, belief.known), succ
@@ -436,12 +438,12 @@ def _trace(instance: CtpInstance, policy: Policy,
         stack.append((start, "", (), Fraction(1), 0))
     while stack:
         belief, parts, labels, prob, spent = stack.pop()
-        walked, children = advance(belief, parts)
+        spent, children = advance(belief, parts, spent)
         if children is not None:
-            push(children, labels, prob, spent + walked if walked else spent)
+            push(children, labels, prob, spent)
             continue
-        cost = Cost.infinite() if walked is None else Cost.of(spent + walked)
-        breakdown.append((" ; ".join(labels) or "no observations", prob, cost))
+        breakdown.append((" ; ".join(labels) or "no observations", prob,
+                          Cost.of(spent)))
 
     return _summed(breakdown)
 

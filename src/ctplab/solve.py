@@ -28,9 +28,10 @@ an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
 
 The search holds knowledge as two ints: uncertain edge i is bit `1 << i`
-and a stratum is (opened, blocked). Costs are an `int` when integral and
-a `Fraction` otherwise; mixed arithmetic and comparison are exact, so
-every value, heap order and tie is what `Cost` would give.
+and a stratum is (opened, blocked). Costs are plain numbers (`Cost.plain`),
+`math.inf` after a step that may leave t out of reach; mixed arithmetic
+and comparison are exact, so every value, heap order and tie is what
+`Cost` would give.
 
 Branch tables are memoized for one solve. `_Solver.outcomes` keys each
 `JointModel.branch` call by the mask `fresh` and by opened and blocked
@@ -113,9 +114,6 @@ class OptResult:
     stats: SolveStats
 
 
-_INF = math.inf  # the value of a step after which t may be out of reach
-
-
 class _Solver(Policy):
     """Belief-space search; once solved it replays its choices as a policy."""
 
@@ -125,8 +123,7 @@ class _Solver(Policy):
         self.belief_cap = belief_cap
         self.expanded = self.evaluated = self.skipped = 0
         self.regions = self.region_hits = 0
-        self.bound = {v: c.plain
-                      for v, c in _free_space_bound(instance).items()}
+        self.bound = _free_space_bound(instance)
         bits = self.bits = {e.id: 1 << i for i, e in
                             enumerate(instance.uncertain_edges)}
         # what arriving at v exposes, by `fresh_at`'s rule: nothing at t
@@ -163,8 +160,8 @@ class _Solver(Policy):
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
                      position: str) -> Fraction | int | float:
-        """Expected value after `fresh` get revealed on arrival, `_INF` if
-        an outcome strands the walker; every outcome is solved even then."""
+        """Expected value once `fresh` is revealed on arrival; `math.inf`
+        if an outcome strands the walker, all outcomes solved even then."""
         total, stranded = 0, False
         for opened_by, blocked_by, prob in self.outcomes(opened, blocked,
                                                          fresh):
@@ -175,7 +172,7 @@ class _Solver(Policy):
                 stranded = True
             elif value:
                 total += value * prob
-        return _INF if stranded else total
+        return math.inf if stranded else total
 
     def outcomes(self, opened: int, blocked: int, fresh: int,
                  ) -> list[tuple[int, int, Fraction]]:
@@ -258,7 +255,7 @@ class _Solver(Policy):
                 price, fresh, where = reveal
                 self.evaluated += 1
                 rest = self.branch_value(opened, blocked, fresh, where)
-                if rest is not _INF:
+                if rest < math.inf:
                     # a zero price (every ctpdep edge) adds no Fraction
                     heapq.heappush(heap, (price + rest if price else rest,
                                           rank, edge_id, tie, vertex, action,
@@ -281,19 +278,19 @@ class _Solver(Policy):
         return region
 
 
-def _free_space_bound(instance: CtpInstance) -> dict[str, Cost]:
-    """Distance to t from each vertex that can reach it, in free space.
+def _free_space_bound(instance: CtpInstance) -> dict[str, Fraction | int]:
+    """Plain distance to t from each vertex that can reach it, in free space.
 
     Every uncertain edge counts as open, so no weather and no revealed
     knowledge lets a walk from `v` reach t for less than `bound[v]`; a
     vertex missing from the map cannot reach t at all.
     """
-    into: dict[str, list[tuple[str, Cost]]] = {}
+    into: dict[str, list[tuple[str, Fraction | int]]] = {}
     for u in instance.vertices:
         for edge, far in instance.moves_from(u).values():
-            into.setdefault(far, []).append((u, edge.cost))
-    bound: dict[str, Cost] = {}
-    heap = [(Cost.zero(), instance.t)]
+            into.setdefault(far, []).append((u, edge.cost.plain))
+    bound: dict[str, Fraction | int] = {}
+    heap = [(0, instance.t)]
     while heap:
         cost, v = heapq.heappop(heap)
         if v in bound:
@@ -325,7 +322,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
         raise EnumerationCapError(
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
-    expected = Cost.infinite() if value is _INF else Cost.of(value)
+    expected = Cost.of(value)
     searched = time.perf_counter()
     result, tree = export_decision_tree(instance, solver)
     if result.expected_cost != expected:

@@ -6,12 +6,14 @@ import json
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctplab.model as model_module
 import ctplab.policy as policy_module
 from ctplab.cli import (
     GAME_BATTERY,
@@ -36,6 +38,7 @@ from ctplab.model import (
     instance_from_dict,
     instance_to_json,
     load_instance,
+    save_instance,
 )
 from ctplab.reductions import (
     CtpReductionCertificate,
@@ -44,7 +47,8 @@ from ctplab.reductions import (
     named_vc,
     vc_to_sensing,
 )
-from ctplab.solve import parse_qdimacs, qbf_eval, solve
+from ctplab.solve import SolveStats, parse_qdimacs, qbf_eval, solve
+from test_model import coin_star
 
 F = Fraction
 
@@ -184,6 +188,29 @@ class TestCommands:
         assert main(["solve", str(out)]) == 0
         assert re.search(r"^search: \d+\.\d{3} s, export and self-check: "
                          r"\d+\.\d{3} s$", capsys.readouterr().out, re.M)
+
+    def test_solve_json_lists_every_stats_field(self, game_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "dep.json"
+        assert main(["reduce", "ctpdep", str(game_file),
+                     "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(out), "--json"]) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys[:2] == ["optimal_cost", "first_action"]
+        assert keys[2:] == [f.name for f in fields(SolveStats)]
+
+    def test_solve_exits_3_on_a_branch_past_the_cap(self, tmp_path, capsys,
+                                                    monkeypatch):
+        path = tmp_path / "star.json"
+        save_instance(coin_star(12), path)
+        monkeypatch.setattr(model_module, "BELIEF_CAP", 1000)
+        assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "cap exceeded: 4096 outcomes of one observation exceed the cap "
+            "of 1000"]
 
     def test_solve_exits_3_past_the_tree_cap(self, game_file, tmp_path,
                                              capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Model layer: costs, instances, joints, weathers, serialization."""
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ctplab.model as model_module
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
 from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
@@ -59,41 +61,26 @@ class TestRationals:
 
 
 class TestCost:
-    def test_addition_and_order(self):
-        assert Cost.of(2) + Cost.of("1/2") == Cost.of(Fraction(5, 2))
+    def test_order(self):
         assert Cost.zero() < Cost.of("1/1000000")
         assert Cost.of(10) < Cost.infinite()
         assert not Cost.infinite() < Cost.infinite()
 
     def test_infinity_absorbs(self):
-        top = Cost.infinite() + Cost.of(3)
-        assert top.is_infinite
-        assert top == Cost.infinite()
-        assert top.scale(Fraction(1, 8)).is_infinite
+        assert Cost.of(Cost.infinite().plain + 3) == Cost.infinite()
 
-    def test_scale(self):
-        assert Cost.of(6).scale(Fraction(1, 3)) == Cost.of(2)
-        with pytest.raises(ValueError):
-            Cost.of(1).scale(Fraction(0))
+    def test_plain_round_trips(self):
+        for cost in (Cost.zero(), Cost.of(0), Cost.of(7), Cost.of("7/2"),
+                     Cost.infinite()):
+            assert Cost.of(cost.plain) == cost
+        assert type(Cost.of(7).plain) is int
+        assert Cost.of("7/2").plain == Fraction(7, 2)
+        assert Cost.infinite().plain == math.inf
 
-    def test_zero_is_the_additive_identity(self):
-        x = Cost.of(Fraction(7, 3))
-        zero = Cost.of(0)
-        assert x + zero == x
-        assert zero + x == x
-        assert zero + zero == Cost.zero()
-        assert (Cost.infinite() + zero).is_infinite
-        assert (zero + Cost.infinite()).is_infinite
-
-    def test_zero_scales_to_zero(self):
-        zero = Cost.zero()
-        assert zero.scale(Fraction(1, 3)) == zero
-        assert zero.scale(Fraction(1)) == Cost.of(0)
-        for weight in (Fraction(0), Fraction(-1, 2)):
-            with pytest.raises(ValueError):
-                zero.scale(weight)
-            with pytest.raises(ValueError):
-                Cost.infinite().scale(weight)
+    def test_refuses_inexact_floats(self):
+        for bad in (0.5, float("nan"), -math.inf, 2.0):
+            with pytest.raises(InvalidInstanceError):
+                Cost.of(bad)
 
     def test_rejects_negative(self):
         for make, bad in ((Cost.of, -1), (Cost.of, "-1/2"),
@@ -185,6 +172,19 @@ class TestBuilderAndValidation:
         for text in (edge, sensing):
             with pytest.raises(InvalidInstanceError, match="nonnegative"):
                 instance_from_json(text)
+
+    def test_floats_refused(self):
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        with pytest.raises(InvalidInstanceError, match="float"):
+            b.add_edge("s", "t", 1, id="coin", block_p=0.3)
+        with pytest.raises(InvalidInstanceError, match="exact"):
+            b.add_edge("s", "t", 0.1, id="short")
+        with pytest.raises(InvalidInstanceError, match="float"):
+            b.add_variable("coin", (), [0.5])
+        b.add_edge("s", "t", 1, id="sure")
+        b.add_edge("s", "t", math.inf, id="anchor")
+        assert b.build().edge_map["anchor"].cost == Cost.infinite()
 
     def test_unknown_json_key_rejected(self):
         text = instance_to_json(two_path_instance())
@@ -303,6 +303,28 @@ class TestDependentJoint:
         b.add_variable("e", ("a", "b", "c"), [0, 0, 0, 1, 1, 1, 0, 1])
         with pytest.raises(InvalidInstanceError):
             b.build()
+
+
+def coin_star(n: int) -> CtpInstance:
+    """s and t joined by `n` fair coins of cost 1 and a sure edge of cost 2."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    for i in range(n):
+        b.add_edge("s", "t", 1, id=f"c{i:02d}", block_p=HALF)
+    b.add_edge("s", "t", 2, id="sure")
+    return b.build()
+
+
+class TestBranchCap:
+    def test_product_past_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(model_module, "BELIEF_CAP", 1000)
+        star = coin_star(10)
+        coins = [e.id for e in star.uncertain_edges]
+        assert len(star.joint.branch({}, coins[:9])) == 512
+        with pytest.raises(EnumerationCapError,
+                           match="1024 outcomes of one observation exceed "
+                                 "the cap of 1000"):
+            star.joint.branch({}, coins)
 
 
 class TestWeathers:

@@ -206,10 +206,9 @@ class TestEvaluate:
                                 mode="tree")
         total = sum((p for _, p, _ in result.outcome_breakdown), Fraction(0))
         assert total == 1
-        recombined = Cost.zero()
-        for _, p, c in result.outcome_breakdown:
-            recombined = recombined + c.scale(p)
-        assert recombined == result.expected_cost
+        recombined = sum((p * c.plain for _, p, c in result.outcome_breakdown),
+                         Fraction(0))
+        assert Cost.of(recombined) == result.expected_cost
 
     def test_declaring_infeasible_costs_infinity(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
@@ -229,6 +228,22 @@ class TestEvaluate:
         labels = {label: cost for label, _, cost in result.outcome_breakdown}
         assert labels["only=blocked"].is_infinite
         assert labels["only=open"] == Cost.of(1)
+
+    def test_rare_infeasible_outcome_costs_infinity(self):
+        # the chance is below the smallest float: chance * math.inf is nan
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="only", block_p=Fraction(1, 1 << 1100))
+        inst = b.build()
+
+        def rule(instance, belief):
+            if belief.position == "t":
+                return Action.halt()
+            return Action.move("only") if belief.status("only") else None
+
+        for mode in ("tree", "weathers"):
+            result = evaluate_exact(inst, RulePolicy(rule), mode=mode)
+            assert result.expected_cost.is_infinite
 
     def test_modes_agree_on_dependent_instance(self):
         from test_model import xor_net_instance

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
 from ctplab.gadgets import baiting_harness, forward_policy_cost
+import ctplab.model as M
 import ctplab.policy as P
 import ctplab.solve as S
 from ctplab.model import (
@@ -48,6 +49,7 @@ from ctplab.solve import (
     solve,
     solve_disjoint_paths,
 )
+from test_model import coin_star
 
 
 def sure_edge_instance(cost=5):
@@ -126,7 +128,7 @@ class TestSolveIndependent:
 
         def skewed(instance, policy):
             result, tree = exported(instance, policy)
-            return EvalResult(result.expected_cost + Cost.of(1),
+            return EvalResult(Cost.of(result.expected_cost.plain + 1),
                               result.outcome_breakdown), tree
 
         monkeypatch.setattr(S, "export_decision_tree", skewed)
@@ -135,7 +137,7 @@ class TestSolveIndependent:
 
 
 def zero_bound(instance):
-    return {v: Cost.zero() for v in instance.vertices}
+    return {v: 0 for v in instance.vertices}
 
 
 def assert_matches_zero_bound(instance):
@@ -151,6 +153,17 @@ def assert_matches_zero_bound(instance):
 
 def sensing_instance(graph):
     return vc_to_sensing(named_vc(graph, 1), Fraction(1, 2))[0]
+
+
+class TestBranchCap:
+    def test_star_past_the_cap_raises(self, monkeypatch):
+        star = coin_star(12)
+        monkeypatch.setattr(M, "BELIEF_CAP", 1000)
+        with pytest.raises(EnumerationCapError, match="4096 outcomes"):
+            solve(star)
+        policy = CommittingPolicy(decompose_into_paths(star))
+        with pytest.raises(EnumerationCapError, match="4096 outcomes"):
+            evaluate_exact(star, policy)
 
 
 class TestBoundedSearch:
@@ -464,7 +477,7 @@ def branch_every_time(instance, policy):
             price, nxt, revealed = P._step(instance, belief, action)
             if revealed is None:
                 return leaf(labels, prob, Cost.of(spent))
-            spent += price.fraction
+            spent += price
             if revealed:
                 return reveal(belief.known_map, nxt, revealed, labels, prob,
                               spent)
@@ -677,7 +690,7 @@ class TestDisjointBruteforce:
 
         def skewed(instance, policy):
             result, tree = exported(instance, policy)
-            return EvalResult(result.expected_cost + Cost.of(1),
+            return EvalResult(Cost.of(result.expected_cost.plain + 1),
                               result.outcome_breakdown), tree
 
         monkeypatch.setattr(S, "export_decision_tree", skewed)
