@@ -12,8 +12,10 @@ Subcommands:
 * `export-dot` renders an instance as Graphviz text.
 * `verify` runs a named check suite and reports one line per check.
 
-Exit codes: 0 success, 1 verify checks failed or an internal self-check
-failed, 2 bad input, 3 an enumeration or step cap was exceeded.
+Exit codes: 0 success; 1 verify checks failed or a self-check failed
+(`InternalCheckError`); 2 bad input (`InvalidInstanceError`, any other
+`ValueError`, or `OSError`); 3 an enumeration or step cap was exceeded
+(`EnumerationCapError`). The three classes live in `ctplab.model`.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .gadgets import (
-    GadgetParameterError,
     bailout_policy_cost,
     baiting_harness,
     detour_price,
@@ -51,9 +52,6 @@ from .model import (
 )
 from .policy import (
     Action,
-    IllegalActionError,
-    InfeasibleWeatherError,
-    PolicyLoopError,
     evaluate_exact,
     export_decision_tree,
     load_policy,
@@ -61,7 +59,6 @@ from .policy import (
     simulate,
 )
 from .reductions import (
-    CertificateError,
     certificate,
     has_vertex_cover,
     named_vc,
@@ -664,12 +661,10 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    except (EnumerationCapError, PolicyLoopError) as exc:
+    except EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInstanceError, GadgetParameterError, CertificateError,
-            IllegalActionError, InfeasibleWeatherError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

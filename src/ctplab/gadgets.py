@@ -24,20 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Cost, CtpInstance, InstanceBuilder, Variant, as_fraction
+from .model import (Cost, CtpInstance, InstanceBuilder,
+                    InvalidInstanceError, Variant, as_fraction)
 
 HALF = Fraction(1, 2)
-
-
-class GadgetParameterError(ValueError):
-    """A gadget was asked for with parameters outside its valid range."""
 
 
 def ceil_log2(value: Fraction | int) -> int:
     """Smallest z >= 0 with 2**z >= value."""
     x = as_fraction(value)
     if x <= 0:
-        raise GadgetParameterError(f"ceil_log2 needs a positive value, got {x}")
+        raise InvalidInstanceError(f"ceil_log2 needs a positive value, got {x}")
     z = 0
     power = Fraction(1)
     while power < x:
@@ -50,7 +47,7 @@ def section_count(length: Fraction | int) -> int:
     """Number of interior junctions N for corridor length L."""
     span = as_fraction(length)
     if span <= 1:
-        raise GadgetParameterError(f"corridor length must exceed 1, got {span}")
+        raise InvalidInstanceError(f"corridor length must exceed 1, got {span}")
     return (1 << ceil_log2(4 * span)) - 1
 
 
@@ -80,7 +77,7 @@ def forward_policy_cost(length: Fraction | int,
     span = as_fraction(length)
     fee = as_fraction(charge)
     if not 0 <= fee <= span:
-        raise GadgetParameterError(
+        raise InvalidInstanceError(
             f"terminal charge must lie in [0, {span}], got {fee}")
     n = section_count(span)
     return (2 * span / (n + 1)) * (1 - Fraction(1, 1 << (n + 1))) \
@@ -98,7 +95,7 @@ def bailout_policy_cost(length: Fraction | int, rounds: int,
     out = as_fraction(fallback)
     n = section_count(span)
     if not 1 <= rounds <= n:
-        raise GadgetParameterError(
+        raise InvalidInstanceError(
             f"rounds must lie in [1, {n}], got {rounds}")
     tail = Fraction(1, 1 << rounds)
     return (2 * span / (n + 1)) * (1 - tail) \
@@ -128,7 +125,7 @@ def chain_early_exit_expectation(passing: Fraction, walk: Fraction,
     identity true for the whole chain with any terminal charge.
     """
     if copies < 1:
-        raise GadgetParameterError("need at least one copy")
+        raise InvalidInstanceError("need at least one copy")
     acc = early_exit
     for k in range(2, copies + 1):
         acc = early_exit + passing * (
@@ -274,7 +271,7 @@ def build_observation(builder: InstanceBuilder, entry: str, exit: str,
     """Add one observation gadget to `builder`; its bait detours via `obs`."""
     span = as_fraction(length)
     if span <= 8:
-        raise GadgetParameterError(
+        raise InvalidInstanceError(
             f"observation gadget needs length above 8, got {span}")
     spur = detour_price(span)
     gate = builder.add_vertex(f"{prefix}.gate")
@@ -312,7 +309,7 @@ def _close_harness(builder: InstanceBuilder, span: Fraction,
     if charge is not None:
         fee = as_fraction(charge)
         if not 0 <= fee < span:
-            raise GadgetParameterError(
+            raise InvalidInstanceError(
                 f"harness charge must lie in [0, {span}), got {fee}")
         builder.add_edge("v", "t", fee, id="charge")
     return builder.build()
@@ -349,7 +346,6 @@ def observation_harness(length: Fraction | int,
 
 __all__ = [
     "BaitingHandle",
-    "GadgetParameterError",
     "ObservationHandle",
     "bailout_gap",
     "bailout_policy_cost",

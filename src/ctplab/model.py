@@ -30,11 +30,13 @@ from pathlib import Path
 
 
 class InvalidInstanceError(ValueError):
-    """A structural rule of the instance format was violated."""
+    """Bad input (`ctplab` exit 2): a document, a policy's action or a
+    construction parameter breaks a rule of its format or range."""
 
 
 class EnumerationCapError(RuntimeError):
-    """An exact enumeration would exceed its configured cap."""
+    """A cap was hit (`ctplab` exit 3): an enumeration or a walk outgrew
+    its limit."""
 
 
 # Beliefs one solve may expand before it gives up (`ctplab solve --cap`);
@@ -43,7 +45,7 @@ BELIEF_CAP = 200_000
 
 
 class InternalCheckError(RuntimeError):
-    """A self-check failed: the program contradicted its own invariant."""
+    """A broken invariant (`ctplab` exit 1): a self-check failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +510,13 @@ def _component_table(variables: Sequence[NetVariable],
     rows: dict[tuple[bool, ...], Fraction] = {}
     assign: dict[str, int] = {}
     leaves = 0
-
-    def descend(i: int, prob: Fraction) -> None:
-        nonlocal leaves
+    # depth-first over the support, value 0 before 1; an entry is the
+    # number of variables fixed, the value of the last one and the chance
+    stack = [(0, 0, Fraction(1))]
+    while stack:
+        i, value, prob = stack.pop()
+        if i:  # parents are listed first, so deeper stale values go unread
+            assign[variables[i - 1].id] = value
         if i == len(variables):
             leaves += 1
             if leaves > _LEAF_CAP:
@@ -518,20 +524,15 @@ def _component_table(variables: Sequence[NetVariable],
                     f"dependency component support exceeds {_LEAF_CAP} rows")
             key = tuple(assign[e] == 0 for e in ordered_edges)
             rows[key] = rows.get(key, Fraction(0)) + prob
-            return
+            continue
         var = variables[i]
         row = 0
         for j, parent in enumerate(var.parents):
             row |= assign[parent] << j
         p_one = var.cpt[row]
-        for value, p in ((0, 1 - p_one), (1, p_one)):
-            if p == 0:
-                continue
-            assign[var.id] = value
-            descend(i + 1, prob * p)
-        assign.pop(var.id, None)
-
-    descend(0, Fraction(1))
+        for value, p in ((1, p_one), (0, 1 - p_one)):
+            if p:
+                stack.append((i + 1, value, prob * p))
     return ComponentTable(ordered_edges, tuple(sorted(rows.items())))
 
 
@@ -1104,12 +1105,16 @@ def instance_to_json(instance: CtpInstance) -> str:
     return "{\n" + ",\n".join(members) + "\n}\n"
 
 
-def instance_from_json(text: str) -> CtpInstance:
+def load_json(text: str):
+    """Parse a JSON document; malformed or too deeply nested is bad input."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
-    return instance_from_dict(data)
+
+
+def instance_from_json(text: str) -> CtpInstance:
+    return instance_from_dict(load_json(text))
 
 
 def save_instance(instance: CtpInstance, path: str | Path) -> None:
@@ -1147,6 +1152,7 @@ __all__ = [
     "instance_to_dict",
     "instance_to_json",
     "load_instance",
+    "load_json",
     "parse_cost",
     "parse_probability",
     "parse_rational",

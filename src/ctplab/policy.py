@@ -40,25 +40,15 @@ from .model import (
     CtpInstance,
     EnumerationCapError,
     InternalCheckError,
+    InvalidInstanceError,
     Variant,
     Weather,
+    load_json,
     require_type,
     sample_weather,
     trial_stream,
     weather_support,
 )
-
-
-class IllegalActionError(RuntimeError):
-    """A policy issued an action that is not legal at the current belief."""
-
-
-class PolicyLoopError(RuntimeError):
-    """A policy walked past the step cap without reaching the target."""
-
-
-class InfeasibleWeatherError(RuntimeError):
-    """A sampled weather was declared infeasible, so no cost can be averaged."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ class DecisionTreePolicy(Policy):
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         node = self.nodes.get(belief_key(belief))
         if node is None:
-            raise IllegalActionError(
+            raise InvalidInstanceError(
                 f"decision tree has no action {describe_belief(belief)}")
         return node.action
 
@@ -211,7 +201,7 @@ class DecisionTreePolicy(Policy):
 
     @classmethod
     def from_json(cls, text: str) -> DecisionTreePolicy:
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(load_json(text))
 
 
 def load_policy(path: str | Path) -> DecisionTreePolicy:
@@ -245,8 +235,8 @@ def _step_cap(instance: CtpInstance) -> int:
     return max(64, 16 * len(instance.edges))
 
 
-def _illegal(message: str, belief: Belief) -> IllegalActionError:
-    return IllegalActionError(f"{message}, {describe_belief(belief)}")
+def _illegal(message: str, belief: Belief) -> InvalidInstanceError:
+    return InvalidInstanceError(f"{message}, {describe_belief(belief)}")
 
 
 def _step(instance: CtpInstance, belief: Belief, action: Action,
@@ -310,7 +300,7 @@ def walk_weather(instance: CtpInstance, policy: Policy,
             return Cost.of(total)
         for e in revealed:
             known[e] = weather.is_open(e)
-    raise PolicyLoopError(
+    raise EnumerationCapError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
 
 
@@ -353,7 +343,7 @@ def _trace(instance: CtpInstance, policy: Policy,
             return
         seen = record.get(key)
         if seen is not None and seen.action != action:
-            raise IllegalActionError(
+            raise InvalidInstanceError(
                 f"policy is not a function of the belief at {key}")
         record[key] = TreeNode(action, children)
         # past its root, every node of a solve's tree is a belief it
@@ -415,7 +405,7 @@ def _trace(instance: CtpInstance, policy: Policy,
             succ = f"{nxt}|{parts}"
             note(key, action, (("", succ),))
             belief, key = Belief(nxt, belief.known), succ
-        raise PolicyLoopError(
+        raise EnumerationCapError(
             f"no branch or arrival within {cap} steps; "
             f"last {describe_belief(belief)}")
 
@@ -509,7 +499,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
         if sample is None:
             cost = walk_weather(instance, policy, weather)
             if cost.is_infinite:
-                raise InfeasibleWeatherError(
+                raise InvalidInstanceError(
                     f"trial {trial} hit a weather the policy declares "
                     "infeasible")
             sample = float(cost.fraction)
@@ -673,11 +663,8 @@ __all__ = [
     "BaitingForwardPolicy",
     "DecisionTreePolicy",
     "EvalResult",
-    "IllegalActionError",
-    "InfeasibleWeatherError",
     "ObservationForwardPolicy",
     "Policy",
-    "PolicyLoopError",
     "TreeNode",
     "action_from_dict",
     "action_to_dict",

@@ -53,6 +53,7 @@ from .model import (
     Variant,
     as_fraction,
     format_rational,
+    load_json,
     parse_rational,
     require_type,
 )
@@ -60,10 +61,6 @@ from .policy import Action, Policy
 from .solve import QbfFormula, qbf_strategy
 
 HALF = Fraction(1, 2)
-
-
-class CertificateError(ValueError):
-    """A certificate request is out of range or its invariant failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ def _json_codec(cls):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(load_json(text))
 
     cls.to_dict = to_dict
     cls.from_dict = classmethod(from_dict)
@@ -538,13 +535,13 @@ def certificate(n: int, m: int) -> CtpReductionCertificate:
 
     Requires n even and at least 2, and m at least 1. The counts assume
     every observation slot stands alone; `qbf_to_ctp` replaces them with
-    the counts of the graph it actually built. Raises CertificateError,
+    the counts of the graph it actually built. Raises InternalCheckError,
     quoting all three values, if the fee sandwich B0 < h < B1 fails.
     """
     if n < 2 or n % 2:
-        raise CertificateError(f"n must be even and at least 2, got {n}")
+        raise InvalidInstanceError(f"n must be even and at least 2, got {n}")
     if m < 1:
-        raise CertificateError(f"m must be at least 1, got {m}")
+        raise InvalidInstanceError(f"m must be at least 1, got {m}")
     L = Fraction(8 * m + 16)
     half_n = n // 2
     n_first = section_count(L)
@@ -589,7 +586,7 @@ def certificate(n: int, m: int) -> CtpReductionCertificate:
     B1 = D_st + P_r0 * (D_pt + lost * L + (1 - lost) * exam_leg)
     h = B0 + Fraction(1, 4 ** half_n) * m * P_rt * P_r0
     if not B0 < h < B1:
-        raise CertificateError(
+        raise InternalCheckError(
             "the fee sandwich failed: "
             f"B0 = {format_rational(B0)}, h = {format_rational(h)}, "
             f"B1 = {format_rational(B1)}")
@@ -1099,7 +1096,6 @@ class CoverSensingPolicy(Policy):
 
 __all__ = [
     "AssignmentWalkPolicy",
-    "CertificateError",
     "CoverSensingPolicy",
     "CtpReductionCertificate",
     "DepLayout",

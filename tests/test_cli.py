@@ -36,10 +36,12 @@ from ctplab.model import (
     SplitMix64,
     Variant,
     instance_from_dict,
+    instance_from_json,
     instance_to_json,
     load_instance,
     save_instance,
 )
+from ctplab.policy import DecisionTreePolicy
 from ctplab.reductions import (
     CtpReductionCertificate,
     SensingCertificate,
@@ -48,7 +50,7 @@ from ctplab.reductions import (
     vc_to_sensing,
 )
 from ctplab.solve import SolveStats, parse_qdimacs, qbf_eval, solve
-from test_model import coin_star
+from test_model import coin_star, copy_chain_instance
 
 F = Fraction
 
@@ -360,6 +362,10 @@ def near_qdimacs(draw):
     return "\n".join([f"p cnf {n} {len(lines)}", *prefix, *lines])
 
 
+# nested past Python's recursion limit, which the JSON decoder obeys
+DEEP_JSON = "[" * 5000
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["qbf", str(tmp_path / "nope.qdimacs")]) == 2
@@ -513,6 +519,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [DEEP_JSON, "{"], ids=["deep", "cut"])
+    @pytest.mark.parametrize("as_policy", [False, True],
+                             ids=["instance", "policy"])
+    def test_unreadable_json_is_input_error(self, tmp_path, capsys, text,
+                                            as_policy):
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps(self._one_edge_document()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = (["solve", str(instance), "--policy", str(bad)] if as_policy
+                else ["solve", str(bad)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_long_copy_chain_solves(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        save_instance(copy_chain_instance(1100), path)
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("optimal cost: 2/1 ")
+
+    def test_failed_fee_sandwich_exits_1(self, monkeypatch, capsys):
+        # no corridor is ever passed, so the fee gap vanishes: h = B0
+        monkeypatch.setattr("ctplab.reductions.pass_probability",
+                            lambda *args: Fraction(0))
+        assert main(["verify", "ctp-cert", "--n", "2", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "internal check failed: the fee sandwich failed: B0 = ")
+        assert err.count("\n") == 1
+
     def test_failed_self_check_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr("ctplab.cli.qbf_eval",
                             lambda formula: not qbf_eval(formula))
@@ -597,6 +635,43 @@ CERTIFICATES = {
     SensingCertificate: json.loads(
         vc_to_sensing(named_vc("p3", 1), F(1, 2))[1].to_json()),
 }
+@pytest.mark.parametrize("read", [
+    instance_from_json, DecisionTreePolicy.from_json,
+    CtpReductionCertificate.from_json, SensingCertificate.from_json],
+    ids=["instance", "tree", "ctp-certificate", "sensing-certificate"])
+def test_too_deep_json_is_invalid(read):
+    with pytest.raises(InvalidInstanceError,
+                       match="^not valid JSON: .*recursion"):
+        read(DEEP_JSON)
+
+
+@pytest.mark.parametrize("kind, changes, message", [
+    (2, {"dependency": None}, "dependent instance without a net"),
+    (2, {"sensing": {"entries": []}}, "dependent instance with sensing costs"),
+    (1, {"sensing": None}, "sensing instance without sensing costs"),
+    (1, {"dependency": {"variables": []}},
+     "sensing instance with a dependency net"),
+    (0, {"sensing": {"entries": []}},
+     "independent instance with extra sections")],
+    ids=["dependent-no-net", "dependent-sensing", "sensing-no-costs",
+         "sensing-net", "independent-extra"])
+def test_variant_sections_are_checked(tmp_path, capsys, kind, changes,
+                                      message):
+    """Each variant needs its own section and refuses the other."""
+    data = copy.deepcopy(INSTANCE_DOCUMENTS[kind])
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+        instance_from_dict(data)
+    path = tmp_path / "sections.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-2, max_value=3),
     st.floats(allow_nan=False), st.text(max_size=3),

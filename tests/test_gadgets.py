@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctplab.gadgets import (
-    GadgetParameterError,
     bailout_gap,
     bailout_policy_cost,
     baiting_harness,
@@ -28,7 +27,8 @@ from ctplab.gadgets import (
     section_count,
     section_length,
 )
-from ctplab.model import Cost, InstanceBuilder, Variant, validate_instance
+from ctplab.model import (Cost, InstanceBuilder, InvalidInstanceError,
+                          Variant, validate_instance)
 
 F = Fraction
 
@@ -42,7 +42,8 @@ class TestSectionCount:
 
     def test_rejects_short_corridor(self):
         for bad in (1, F(1), F(1, 2), 0, -3):
-            with pytest.raises(GadgetParameterError):
+            with pytest.raises(InvalidInstanceError,
+                               match="corridor length must exceed 1"):
                 section_count(bad)
 
     def test_ceil_log2(self):
@@ -50,7 +51,8 @@ class TestSectionCount:
         assert ceil_log2(2) == 1
         assert ceil_log2(F(3, 2)) == 1
         assert ceil_log2(96) == 7
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="ceil_log2 needs a positive"):
             ceil_log2(0)
 
     @given(st.integers(min_value=2, max_value=400))
@@ -72,9 +74,11 @@ class TestClosedForms:
         assert forward_policy_cost(F(3, 2), F(3, 2)) == F(789, 2048)
 
     def test_forward_charge_range(self):
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="terminal charge must lie in"):
             forward_policy_cost(2, 3)
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="terminal charge must lie in"):
             forward_policy_cost(2, -1)
 
     def test_bailout_values(self):
@@ -83,9 +87,9 @@ class TestClosedForms:
         assert bailout_policy_cost(2, 7, 1) == F(265, 512)
 
     def test_bailout_rounds_range(self):
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError, match="rounds must lie in"):
             bailout_policy_cost(2, 0, 1)
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError, match="rounds must lie in"):
             bailout_policy_cost(2, 8, 1)
 
     def test_giving_up_never_pays_at_small_length(self):
@@ -123,7 +127,8 @@ class TestClosedForms:
         assert chain_early_exit_expectation(q, w1, w2, 1) == w2
         assert chain_early_exit_expectation(q, w1, w2, 2) \
             == w2 + q * ((1 - q) * w1 + w2)
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="need at least one copy"):
             chain_early_exit_expectation(q, w1, w2, 0)
 
     def test_chain_split_matches_nested_forward(self):
@@ -181,13 +186,15 @@ class TestBuilders:
 
     def test_baiting_rejects_unit_length(self):
         builder = InstanceBuilder(Variant.INDEPENDENT)
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="corridor length must exceed 1"):
             build_baiting(builder, "a", "b", "t", 1, "bg")
 
     def test_harness_charge(self):
         inst, _ = baiting_harness(2, charge=F(1, 2))
         assert inst.edge_map["charge"].cost == Cost.of(F(1, 2))
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="harness charge must lie in"):
             baiting_harness(2, charge=2)
 
     def test_observation_structure(self):
@@ -215,7 +222,8 @@ class TestBuilders:
 
     def test_observation_rejects_short_length(self):
         builder = InstanceBuilder(Variant.INDEPENDENT)
-        with pytest.raises(GadgetParameterError):
+        with pytest.raises(InvalidInstanceError,
+                           match="observation gadget needs length above 8"):
             build_observation(builder, "a", "b", "o", "t", 8, "og")
 
     def test_prefixes_keep_ids_distinct(self):

@@ -248,6 +248,19 @@ def xor_net_instance() -> CtpInstance:
     return b.build()
 
 
+def copy_chain_instance(length: int) -> CtpInstance:
+    """One fair coin copied down `length` net variables; the last drives e."""
+    b = InstanceBuilder(Variant.DEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "t", 1, id="e", block_p=HALF)
+    b.add_edge("s", "t", 3, id="sure")
+    names = [f"x{i}" for i in range(length - 1)] + ["e"]
+    b.add_variable(names[0], (), [HALF])
+    for parent, child in zip(names, names[1:]):
+        b.add_variable(child, (parent,), [0, 1])
+    return b.build()
+
+
 class TestDependentJoint:
     def test_marginal_consistency_enforced(self):
         b = InstanceBuilder(Variant.DEPENDENT)
@@ -292,6 +305,24 @@ class TestDependentJoint:
         inst = b.build()
         assert inst.joint.branch({}, ["e"]) == [
             ({"e": False}, Fraction(1, 4)), ({"e": True}, Fraction(3, 4))]
+
+    def test_long_copy_chain_loads(self):
+        # one Python frame per variable would pass the recursion limit
+        inst = instance_from_json(instance_to_json(copy_chain_instance(1100)))
+        (comp,) = inst.joint.components
+        assert comp.rows == (((False,), HALF), ((True,), HALF))
+
+    def test_component_support_cap(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_LEAF_CAP", 3)
+        b = InstanceBuilder(Variant.DEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 0, id="e", block_p=Fraction(1, 4))
+        b.add_variable("a", (), [HALF])
+        b.add_variable("b", (), [HALF])
+        b.add_variable("e", ("a", "b"), [0, 1, 0, 0])
+        with pytest.raises(EnumerationCapError,
+                           match="component support exceeds 3 rows"):
+            b.build()
 
     def test_in_degree_cap(self):
         b = InstanceBuilder(Variant.DEPENDENT)

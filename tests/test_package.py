@@ -40,3 +40,26 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_three_exception_classes():
+    # one class per exit code: bad input 2, a cap 3, a broken invariant 1
+    defined = {(value.__module__, value.__qualname__)
+               for name in MODULES
+               for value in vars(importlib.import_module(
+                   f"ctplab.{name}")).values()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__.startswith("ctplab")}
+    assert defined == {("ctplab.model", "EnumerationCapError"),
+                       ("ctplab.model", "InternalCheckError"),
+                       ("ctplab.model", "InvalidInstanceError")}
+
+
+def test_main_handles_by_class_alone():
+    source = (Path(ctplab.__file__).parent / "cli.py").read_text()
+    main = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = [ast.unparse(handler.type) for node in ast.walk(main)
+               if isinstance(node, ast.Try) for handler in node.handlers]
+    assert handled == ["InternalCheckError", "EnumerationCapError",
+                       "(ValueError, OSError)"]

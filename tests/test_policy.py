@@ -25,15 +25,14 @@ from ctplab.gadgets import (
     pass_cost,
     pass_probability,
 )
-from ctplab.model import Belief, Cost, InstanceBuilder, Variant, Weather
+from ctplab.model import (Belief, Cost, EnumerationCapError,
+                          InstanceBuilder, InvalidInstanceError, Variant,
+                          Weather)
 from ctplab.policy import (
     Action,
     ActionKind,
     DecisionTreePolicy,
-    IllegalActionError,
-    InfeasibleWeatherError,
     Policy,
-    PolicyLoopError,
     action_from_dict,
     action_to_dict,
     evaluate_exact,
@@ -130,32 +129,32 @@ class TestLegality:
     def test_halt_away_from_target(self):
         inst = sure_edge_instance()
         policy = RulePolicy(lambda i, b: Action.halt())
-        with pytest.raises(IllegalActionError, match="at s"):
+        with pytest.raises(InvalidInstanceError, match="at s"):
             evaluate_exact(inst, policy)
 
     def test_move_on_blocked_edge(self):
         inst = two_path_instance()
         policy = RulePolicy(lambda i, b: Action.halt()
                             if b.position == "t" else Action.move("cheap"))
-        with pytest.raises(IllegalActionError, match="blocked"):
+        with pytest.raises(InvalidInstanceError, match="blocked"):
             evaluate_exact(inst, policy, mode="tree")
 
     def test_move_on_missing_edge(self):
         inst = sure_edge_instance()
         policy = RulePolicy(lambda i, b: Action.move("nope"))
-        with pytest.raises(IllegalActionError, match="unknown edge"):
+        with pytest.raises(InvalidInstanceError, match="unknown edge"):
             evaluate_exact(inst, policy)
 
     def test_sense_outside_sensing_variant(self):
         inst = two_path_instance()
         policy = RulePolicy(lambda i, b: Action.sense("cheap"))
-        with pytest.raises(IllegalActionError, match="variant"):
+        with pytest.raises(InvalidInstanceError, match="variant"):
             evaluate_exact(inst, policy, mode="tree")
 
     def test_give_up_requires_sure_edge(self):
         inst = two_path_instance()
         policy = RulePolicy(lambda i, b: Action.give_up("cheap"))
-        with pytest.raises(IllegalActionError, match="always open"):
+        with pytest.raises(InvalidInstanceError, match="always open"):
             evaluate_exact(inst, policy, mode="tree")
 
     @pytest.mark.parametrize("walk", [
@@ -169,7 +168,7 @@ class TestLegality:
     ], ids=["anchor", "against-direction", "sense-without-entry"])
     def test_move_rule_refusals(self, make, action, walk):
         policy = RulePolicy(lambda i, b: action)
-        with pytest.raises(IllegalActionError,
+        with pytest.raises(InvalidInstanceError,
                            match="cannot be taken out of s|no sensing entry"):
             walk(make(), policy)
 
@@ -180,7 +179,8 @@ class TestLegality:
         b.add_edge("s", "t", 9, id="out")
         inst = b.build()
         policy = RulePolicy(lambda i, b_: Action.move("hop"))
-        with pytest.raises(PolicyLoopError):
+        with pytest.raises(EnumerationCapError,
+                           match="no branch or arrival within"):
             evaluate_exact(inst, policy, mode="tree")
 
 
@@ -381,7 +381,7 @@ class TestDecisionTrees:
     def test_missing_node_names_belief(self):
         inst = two_path_instance()
         tree = DecisionTreePolicy({})
-        with pytest.raises(IllegalActionError, match="no action"):
+        with pytest.raises(InvalidInstanceError, match="no action"):
             evaluate_exact(inst, tree, mode="tree")
 
 
@@ -518,5 +518,6 @@ class TestSimulate:
                 return Action.move("only")
             return None
 
-        with pytest.raises(InfeasibleWeatherError):
+        with pytest.raises(InvalidInstanceError,
+                           match="declares infeasible"):
             simulate(inst, RulePolicy(rule), trials=60, seed=5)

@@ -18,7 +18,6 @@ from ctplab.model import (
 from ctplab.policy import Action, evaluate_exact, export_decision_tree
 from ctplab.reductions import (
     AssignmentWalkPolicy,
-    CertificateError,
     CoverSensingPolicy,
     CtpReductionCertificate,
     SensingCertificate,
@@ -190,7 +189,9 @@ class TestCertificate:
 
     def test_rejects_bad_sizes(self):
         for n, m in ((1, 1), (3, 2), (0, 1), (2, 0), (-2, 1)):
-            with pytest.raises(CertificateError):
+            with pytest.raises(InvalidInstanceError, match=(
+                    "^(n must be even and at least 2|m must be at least 1), "
+                    "got")):
                 certificate(n, m)
 
     def test_json_round_trip(self):

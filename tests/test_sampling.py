@@ -20,6 +20,7 @@ from ctplab.cli import GAME_BATTERY
 from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
     InstanceBuilder,
+    InvalidInstanceError,
     SplitMix64,
     Variant,
     _draw_row,
@@ -28,7 +29,6 @@ from ctplab.model import (
 )
 from ctplab.policy import (
     Action,
-    InfeasibleWeatherError,
     Policy,
     reference_policy,
     simulate,
@@ -294,5 +294,5 @@ class TestWeatherMemo:
             seen.append(blocked)
         assert trial == 36
         assert len(seen) - len(set(seen)) == 29
-        with pytest.raises(InfeasibleWeatherError, match=r"^trial 36 "):
+        with pytest.raises(InvalidInstanceError, match=r"^trial 36 "):
             simulate(inst, Rule(), 100, seed=16)
