@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+import struct
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -208,6 +209,35 @@ def _draw_row(key, p: Fraction) -> DrawRow:
     return key, num, den, _SPAN64 - _SPAN64 % den
 
 
+def _lanes(n: int) -> tuple:
+    """Constants that pack n counters into 128-bit lanes of one int."""
+    ones = sum(1 << 128 * k for k in range(n))
+    ramp = sum((k + 1) << 128 * k for k in range(n))
+    return (ones, _GOLDEN * ramp, _MASK64 * ones,
+            struct.Struct("<" + "Q8x" * n).unpack, 16 * n)
+
+
+# `_LANES[b]` computes a batch of 2^b words; 256 words at most
+_LANES = tuple(_lanes(1 << b) for b in range(9))
+
+
+def _next_words(state: int, n: int) -> tuple[int, ...]:
+    """The `next64` outputs that follow counter `state`, in one batch:
+    the next n, rounded up to a power of two and at most 256 of them.
+
+    SplitMix64 is counter-based: word k mixes only state + k * GOLDEN.
+    Lane k of one int holds that counter, and the mix's rounds run on
+    all lanes at once. Every shift and multiply is masked back to the
+    low 64 bits of each lane, and a lane times a 64-bit constant stays
+    below 2^128, so no carry crosses into the next lane.
+    """
+    ones, ramp, low, unpack, size = _LANES[min((n - 1).bit_length(), 8)]
+    x = (state * ones + ramp) & low
+    x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
+    x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
+    return unpack((x ^ ((x >> 31) & low)).to_bytes(size, "little"))
+
+
 class SplitMix64:
     """Counter-based 64-bit generator with exact rational Bernoulli draws."""
 
@@ -239,7 +269,8 @@ class SplitMix64:
             if value < limit:
                 return value % n
 
-    def hits(self, rows: Iterable[DrawRow]) -> list:
+    def hits(self, rows: Sequence,
+             parents: Sequence[tuple[int, ...]] | None = None) -> list:
         """Keys of the rows whose chance comes true, drawn in row order.
 
         Each row is `(key, numerator, denominator, limit)` from
@@ -250,28 +281,52 @@ class SplitMix64:
         of 0 (denominator 1, so chance 0 or 1) takes no draw, as
         `uniform_below(1)` takes none; a limit of None (denominator above
         2^64) goes through `uniform_below`.
+
+        With `parents`, the rows are a Bayes net's, in ancestral order:
+        `rows[i]` holds variable i's rows, one per parent assignment, and
+        the row drawn is `rows[i][r]`, where bit j of r is the outcome of
+        variable `parents[i][j]`. Keys of None are drawn, not returned.
+
+        The words come from `_next_words` batches, taken in order: the
+        first batch covers one word per row, a rejection takes one more,
+        and a spent batch is followed by the next one. The stream state
+        left behind counts the words taken, so the blocked sets and the
+        state are bit-identical to calling `next64` word by word.
         """
         state = self._state
+        words, used = _next_words(state, len(rows)), 0
+        values: list[bool] = []  # every outcome so far, for the parents
         out = []
-        for key, num, den, limit in rows:
+        for row in rows:
+            if parents is not None:
+                pick = 0
+                for j, k in enumerate(parents[len(values)]):
+                    pick |= values[k] << j
+                row = row[pick]
+            key, num, den, limit = row
             if limit:
-                while True:  # next64, inlined
-                    state = (state + _GOLDEN) & _MASK64
-                    v = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                    v = ((v ^ (v >> 27)) * _MIX2) & _MASK64
-                    v ^= v >> 31
+                while True:
+                    try:
+                        v = words[used]
+                    except IndexError:
+                        state = (state + used * _GOLDEN) & _MASK64
+                        words, used = _next_words(
+                            state, len(rows) - len(values)), 0
+                        continue
+                    used += 1
                     if v < limit:
                         break
-                if v % den < num:
-                    out.append(key)
+                hit = v % den < num
             elif limit is None:
-                self._state = state
-                if self.uniform_below(den) < num:
-                    out.append(key)
-                state = self._state
-            elif num > 0:
+                self._state = (state + used * _GOLDEN) & _MASK64
+                hit = self.uniform_below(den) < num
+                state, words, used = self._state, (), 0
+            else:
+                hit = num > 0
+            values.append(hit)
+            if hit and key is not None:
                 out.append(key)
-        self._state = state
+        self._state = (state + used * _GOLDEN) & _MASK64
         return out
 
 
@@ -402,11 +457,26 @@ class Belief:
 
     @staticmethod
     def make(position: str, known: Mapping[str, bool]) -> Belief:
-        return Belief(position, tuple(sorted(known.items())))
+        items = tuple(sorted(known.items()))
+        return Belief._mapped(position, items, dict(items))
+
+    @staticmethod
+    def _mapped(position: str, known: tuple[tuple[str, bool], ...],
+                known_map: dict[str, bool]) -> Belief:
+        """A belief whose `known_map` is given, stored where
+        `cached_property` would store it."""
+        belief = Belief(position, known)
+        belief.__dict__["known_map"] = known_map
+        return belief
 
     @cached_property
     def known_map(self) -> dict[str, bool]:
         return dict(self.known)
+
+    def moved(self, position: str) -> Belief:
+        """The same knowledge at `position`, sharing the known tuple and
+        its map instead of rebuilding them."""
+        return Belief._mapped(position, self.known, self.known_map)
 
     def status(self, edge_id: str) -> bool | None:
         """True open, False blocked, None still unknown."""
@@ -647,23 +717,25 @@ class CtpInstance:
 
     @cached_property
     def draw_table(self) -> tuple:
-        """What `sample_weather` draws, as plain-int `_draw_row` rows.
+        """What `sample_weather` draws: the `(rows, parents)` arguments of
+        `SplitMix64.hits`, built of plain-int `_draw_row` rows.
 
-        Without a net: one row per uncertain edge, keyed by its id. With
-        a net: per variable in listed order, the positions of its parents
-        and one row per CPT entry, keyed by the variable id when it drives
-        an uncertain edge and by None otherwise.
+        Without a net: one row per uncertain edge, keyed by its id, and no
+        parents. With a net: per variable in listed order, one row per
+        CPT entry, keyed by the variable id when it drives an uncertain
+        edge and by None otherwise, and the positions of its parents.
         """
         if self.dependency is None:
             return tuple(_draw_row(e.id, e.block_p)
-                         for e in self.uncertain_edges)
+                         for e in self.uncertain_edges), None
         uncertain = {e.id for e in self.uncertain_edges}
         position = {v.id: i for i, v in enumerate(self.dependency.variables)}
-        return tuple(
-            (tuple(position[p] for p in var.parents),
-             tuple(_draw_row(var.id if var.id in uncertain else None, p)
-                   for p in var.cpt))
-            for var in self.dependency.variables)
+        variables = self.dependency.variables
+        return (tuple(tuple(_draw_row(var.id if var.id in uncertain else None,
+                                      p) for p in var.cpt)
+                      for var in variables),
+                tuple(tuple(position[p] for p in var.parents)
+                      for var in variables))
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +956,8 @@ def weather_support(instance: CtpInstance) -> list[tuple[Weather, Fraction]]:
 
 
 def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
-    """Draw one weather from `instance.draw_table` by `SplitMix64.hits`.
+    """Draw one weather from `instance.draw_table` by one `SplitMix64.hits`
+    call, so every draw of the weather comes from the same batches.
 
     Edges draw in listed order; dependent nets draw each variable from
     its CPT row in listed (ancestral) order. Every draw is the integer rule
@@ -892,20 +965,7 @@ def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
     the stream state left behind are bit-identical to drawing each chance
     with `uniform_below(denominator) < numerator`.
     """
-    table = instance.draw_table
-    if instance.dependency is None:
-        return Weather(frozenset(stream.hits(table)))
-    values: list[int] = []
-    blocked = []
-    for parents, rows in table:
-        row = 0
-        for j, k in enumerate(parents):
-            row |= values[k] << j
-        hit = stream.hits((rows[row],))
-        values.append(len(hit))
-        if hit and hit[0] is not None:
-            blocked.append(hit[0])
-    return Weather(frozenset(blocked))
+    return Weather(frozenset(stream.hits(*instance.draw_table)))
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +976,20 @@ _TOP_KEYS = {"variant", "s", "t", "vertices", "edges", "dependency", "sensing"}
 
 
 def instance_to_dict(instance: CtpInstance) -> dict:
+    # a document holds few distinct rationals: format each one once, keyed
+    # by its integer ratio, which hashes and compares far faster than a
+    # Fraction (None, an infinite cost's value, is "inf")
+    texts: dict[tuple[int, int], str] = {}
+
+    def text(value: Fraction | None) -> str:
+        if value is None:
+            return "inf"
+        key = value.as_integer_ratio()
+        out = texts.get(key)
+        if out is None:
+            out = texts[key] = format_rational(value)
+        return out
+
     data: dict = {
         "variant": instance.variant.value,
         "s": instance.s,
@@ -927,8 +1001,8 @@ def instance_to_dict(instance: CtpInstance) -> dict:
                 "tail": e.tail,
                 "head": e.head,
                 "directed": e.directed,
-                "cost": str(e.cost),
-                "block_p": format_rational(e.block_p),
+                "cost": text(e.cost._value),
+                "block_p": text(e.block_p),
             }
             for e in instance.edges
         ],
@@ -940,7 +1014,7 @@ def instance_to_dict(instance: CtpInstance) -> dict:
                 {
                     "id": v.id,
                     "parents": list(v.parents),
-                    "cpt": [[format_rational(1 - p), format_rational(p)]
+                    "cpt": [[text(1 - p), text(p)]
                             for p in v.cpt],
                 }
                 for v in instance.dependency.variables
@@ -950,7 +1024,7 @@ def instance_to_dict(instance: CtpInstance) -> dict:
         data["sensing"] = {
             "entries": [
                 {"vertex": x.vertex, "edge": x.edge,
-                 "cost": str(x.cost)}
+                 "cost": text(x.cost._value)}
                 for x in instance.sensing.entries
             ],
         }

@@ -283,13 +283,16 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
 
 def walk_weather(instance: CtpInstance, policy: Policy,
                  weather: Weather) -> Cost:
-    """Run the policy against one fixed weather; return the realized cost."""
+    """Run the policy against one fixed weather; return the realized cost.
+
+    Only a step that reveals something sorts the known statuses into a
+    new `Belief`; any other step moves the belief, sharing them.
+    """
     cap = _step_cap(instance)
-    pos = instance.s
-    known = {e: weather.is_open(e) for e in instance.fresh_at(pos, {})}
+    known = {e: weather.is_open(e) for e in instance.fresh_at(instance.s, {})}
+    belief = Belief.make(instance.s, known)
     total: Fraction | int = 0
     for _ in range(cap):
-        belief = Belief.make(pos, known)
         action = policy.decide(instance, belief)
         if action is None:
             return Cost.infinite()
@@ -298,8 +301,12 @@ def walk_weather(instance: CtpInstance, policy: Policy,
             total = total + price if total else price
         if revealed is None:
             return Cost.of(total)
-        for e in revealed:
-            known[e] = weather.is_open(e)
+        if revealed:
+            for e in revealed:
+                known[e] = weather.is_open(e)
+            belief = Belief.make(pos, known)
+        else:
+            belief = belief.moved(pos)
     raise EnumerationCapError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
 
@@ -404,7 +411,7 @@ def _trace(instance: CtpInstance, policy: Policy,
                 return spent, branch(belief, key, action, nxt, revealed)
             succ = f"{nxt}|{parts}"
             note(key, action, (("", succ),))
-            belief, key = Belief(nxt, belief.known), succ
+            belief, key = belief.moved(nxt), succ
         raise EnumerationCapError(
             f"no branch or arrival within {cap} steps; "
             f"last {describe_belief(belief)}")

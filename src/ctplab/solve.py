@@ -141,6 +141,9 @@ class _Solver(Policy):
         self._regions: dict[tuple[int, int, str], tuple[dict, dict]] = {}
         # `outcomes` tables; never mutated, so a hit equals a fresh call
         self._branches: dict[tuple[int, int, int], list] = {}
+        # the last known tuple `decide` saw, with its masks: the steps
+        # between two reveals share one tuple
+        self._last_masks: tuple = (None, None)
 
     def masks(self, known: Collection[tuple[str, bool]]) -> tuple[int, int]:
         """(opened, blocked) masks of `(edge id, status)` pairs."""
@@ -155,7 +158,11 @@ class _Solver(Policy):
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if belief.position == instance.t:
             return _HALT
-        _, choices = self.region(*self.masks(belief.known), belief.position)
+        known, masks = self._last_masks
+        if belief.known is not known:
+            masks = self.masks(belief.known)
+            self._last_masks = belief.known, masks
+        _, choices = self.region(*masks, belief.position)
         return choices.get(belief.position)
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
@@ -429,7 +436,9 @@ def decompose_into_paths(instance: CtpInstance) -> tuple[PathInfo, ...]:
 
 
 # Routes that open on an uncertain edge, at most: each one doubles the
-# exported tree's outcomes at s (10 such routes give 121,137 nodes).
+# exported tree's outcomes at s, and every later uncertain edge branches
+# again. Ten routes of three fair-coin edges beside one sure route pass
+# this cap, and their 642,372-node tree stops at the `BELIEF_CAP` node cap.
 _OPENING_CAP = 10
 
 

@@ -296,3 +296,101 @@ class TestWeatherMemo:
         assert len(seen) - len(set(seen)) == 29
         with pytest.raises(InvalidInstanceError, match=r"^trial 36 "):
             simulate(inst, Rule(), 100, seed=16)
+
+
+def oracle_net(stream, parents, cpts):
+    """Ancestral sampling, one `oracle_bernoulli` per variable: variable
+    i draws `cpts[i][r]`, where bit j of r is the outcome of variable
+    `parents[i][j]`. Returns every outcome."""
+    values = []
+    for pa, cpt in zip(parents, cpts):
+        row = sum(values[k] << j for j, k in enumerate(pa))
+        values.append(oracle_bernoulli(stream, cpt[row]))
+    return values
+
+
+# denominators at the edges of the draw rule: 1 takes no word, 2^63 + 1
+# rejects about half of all words, 2^64 - 1 rejects one word value, and
+# those above 2^64 go through `uniform_below`
+HARD_DENOMINATORS = [1, 2, 3, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**70]
+
+
+@st.composite
+def hard_chances(draw):
+    den = draw(st.sampled_from(HARD_DENOMINATORS)
+               | st.integers(min_value=1, max_value=2**70))
+    return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+class TestBatchedDraws:
+    """`hits` takes its words from lane-parallel batches of at most 256;
+    every table must match one scalar oracle draw per row, word for word."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1),
+           st.lists(hard_chances(), max_size=300))
+    def test_tables_match_scalar_oracle(self, seed, ps):
+        oracle, fast = SplitMix64(seed), SplitMix64(seed)
+        want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
+        assert fast.hits([_draw_row(i, p) for i, p in enumerate(ps)]) == want
+        assert fast._state == oracle._state
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 255, 256, 257, 300])
+    @pytest.mark.parametrize("den", [2, 2**63 + 1, 2**64 - 1])
+    def test_long_tables_refill_in_order(self, size, den):
+        # with 2^63 + 1 about half of all words are redrawn, so the first
+        # batch runs out well before the last row
+        ps = [Fraction(i % den, den) for i in range(size)]
+        for seed in range(8):
+            oracle, fast = SplitMix64(seed), SplitMix64(seed)
+            want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
+            got = fast.hits([_draw_row(i, p) for i, p in enumerate(ps)])
+            assert got == want
+            assert fast._state == oracle._state
+
+    def test_wide_and_certain_rows_inside_a_batch(self):
+        # rows that take no word or more than one sit between batch rows
+        ps = []
+        for i in range(40):
+            ps += [Fraction(1, 3), Fraction(i % 2), Fraction(i, 2**64 + 1),
+                   Fraction(2**63, 2**63 + 1), Fraction(1)]
+        for seed in range(16):
+            oracle, fast = SplitMix64(seed), SplitMix64(seed)
+            want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
+            assert fast.hits([_draw_row(i, p) for i, p in enumerate(ps)]) \
+                == want
+            assert fast._state == oracle._state
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
+    def test_nets_match_scalar_oracle(self, seed, data):
+        # a random net with up to two parents per variable; even variables
+        # are keyed None, as auxiliary coins are
+        size = data.draw(st.integers(min_value=0, max_value=40))
+        parents = [tuple(sorted(data.draw(st.sets(
+            st.integers(min_value=0, max_value=i - 1), max_size=2))))
+            if i else () for i in range(size)]
+        cpts = [[data.draw(hard_chances()) for _ in range(1 << len(pa))]
+                for pa in parents]
+        rows = [tuple(_draw_row(i if i % 2 else None, p) for p in cpt)
+                for i, cpt in enumerate(cpts)]
+        oracle, fast = SplitMix64(seed), SplitMix64(seed)
+        values = oracle_net(oracle, parents, cpts)
+        want = [i for i, hit in enumerate(values) if hit and i % 2]
+        assert fast.hits(rows, parents) == want
+        assert fast._state == oracle._state
+
+    @pytest.mark.parametrize("game", range(len(GAME_BATTERY)))
+    def test_battery_nets_match_scalar_oracle(self, game):
+        inst = qbf_to_ctpdep(GAME_BATTERY[game][0])[0]
+        net = inst.dependency.variables
+        position = {v.id: i for i, v in enumerate(net)}
+        parents = [[position[p] for p in v.parents] for v in net]
+        uncertain = {e.id for e in inst.uncertain_edges}
+        for trial in range(64):
+            oracle, fast = trial_stream(7, trial), trial_stream(7, trial)
+            values = oracle_net(oracle, parents, [v.cpt for v in net])
+            assert sample_weather(inst, fast).blocked == {
+                v.id for v, hit in zip(net, values)
+                if hit and v.id in uncertain}
+            assert fast._state == oracle._state
