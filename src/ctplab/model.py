@@ -11,6 +11,12 @@ Dependent instances replace the independent coin flips with a small Bayes
 net over binary variables. A variable named after an edge drives that edge,
 value 1 meaning blocked; variables with other names are auxiliary coins.
 
+What a walker knows has one representation: a `Belief` is a position and
+two masks over `CtpInstance.bits`, the uncertain edges known open and
+known blocked. `fresh_at` is what an arrival adds, `outcomes` branches on
+it, and the id-sorted text of keys, labels and messages is built only
+where it is written.
+
 All arithmetic is exact. Costs are computed as plain numbers (`Cost.plain`:
 an `int` or a `Fraction`, `math.inf` when infinite); `Cost` parses,
 validates, compares and prints them.
@@ -23,7 +29,7 @@ import math
 import re
 import struct
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -444,43 +450,35 @@ class Weather:
 
     blocked: frozenset[str]
 
-    def is_open(self, edge_id: str) -> bool:
-        return edge_id not in self.blocked
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Belief:
-    """What the walker knows: its position and every revealed status."""
+    """What the walker knows: its position and every revealed status.
+
+    The statuses are two masks over the instance's numbering
+    (`CtpInstance.bits`): an uncertain edge's bit is set in `opened` once
+    it is known open and in `blocked` once it is known blocked. Knowledge
+    only grows, so a reveal ORs bits in.
+    """
 
     position: str
-    known: tuple[tuple[str, bool], ...]
-
-    @staticmethod
-    def make(position: str, known: Mapping[str, bool]) -> Belief:
-        items = tuple(sorted(known.items()))
-        return Belief._mapped(position, items, dict(items))
-
-    @staticmethod
-    def _mapped(position: str, known: tuple[tuple[str, bool], ...],
-                known_map: dict[str, bool]) -> Belief:
-        """A belief whose `known_map` is given, stored where
-        `cached_property` would store it."""
-        belief = Belief(position, known)
-        belief.__dict__["known_map"] = known_map
-        return belief
-
-    @cached_property
-    def known_map(self) -> dict[str, bool]:
-        return dict(self.known)
-
-    def moved(self, position: str) -> Belief:
-        """The same knowledge at `position`, sharing the known tuple and
-        its map instead of rebuilding them."""
-        return Belief._mapped(position, self.known, self.known_map)
+    opened: int
+    blocked: int
+    instance: CtpInstance = field(repr=False)
 
     def status(self, edge_id: str) -> bool | None:
         """True open, False blocked, None still unknown."""
-        return self.known_map.get(edge_id)
+        bit = self.instance.bits.get(edge_id, 0)
+        if self.opened & bit:
+            return True
+        if self.blocked & bit:
+            return False
+        return None
+
+    @property
+    def known(self) -> list[tuple[str, bool]]:
+        """Every revealed `(edge id, status)`, sorted by edge id."""
+        return self.instance.statuses(self.opened, self.blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +514,6 @@ class JointModel:
                 table[e] = i
         return table
 
-    def surviving_rows(self, component: int,
-                       known: Mapping[str, bool]) -> tuple[int, ...]:
-        """Indices of component rows consistent with the revealed statuses."""
-        comp = self.components[component]
-        checks = [(i, known[e]) for i, e in enumerate(comp.edge_ids)
-                  if e in known]
-        if not checks:
-            return tuple(range(len(comp.rows)))
-        out = []
-        for r, (statuses, _) in enumerate(comp.rows):
-            if all(statuses[i] == want for i, want in checks):
-                out.append(r)
-        return tuple(out)
-
     def branch(self, known: Mapping[str, bool],
                targets: Sequence[str]) -> list[tuple[dict[str, bool], Fraction]]:
         """Joint outcomes over `targets` given the revealed statuses.
@@ -544,15 +528,19 @@ class JointModel:
         factors = []
         for ci in sorted(by_comp):
             comp = self.components[ci]
-            rows = self.surviving_rows(ci, known)
-            total = sum((comp.rows[r][1] for r in rows), Fraction(0))
+            checks = [(i, known[e]) for i, e in enumerate(comp.edge_ids)
+                      if e in known]
+            rows = [(statuses, prob) for statuses, prob in comp.rows
+                    if all(statuses[i] == want for i, want in checks)]
+            total = sum((prob for _, prob in rows), Fraction(0))
             if total == 0:
-                raise ValueError(
+                # every status revealed came from a weather or an outcome
+                # of positive chance, so only a broken invariant gets here
+                raise InternalCheckError(
                     f"revealed statuses are inconsistent in component {ci}")
             picks = [comp.edge_index[e] for e in by_comp[ci]]
             proj: dict[tuple[bool, ...], Fraction] = {}
-            for r in rows:
-                statuses, prob = comp.rows[r]
+            for statuses, prob in rows:
                 key = tuple(statuses[i] for i in picks)
                 proj[key] = proj.get(key, Fraction(0)) + prob
             factors.append([(dict(zip(by_comp[ci], key)), p / total)
@@ -683,13 +671,18 @@ class CtpInstance:
         return self._sense_fees[vertex]
 
     @cached_property
-    def _incident_uncertain(self) -> dict[str, tuple[EdgeSpec, ...]]:
-        table: dict[str, list[EdgeSpec]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.uncertain:
-                table[e.tail].append(e)
-                table[e.head].append(e)
-        return {v: tuple(edges) for v, edges in table.items()}
+    def bits(self) -> dict[str, int]:
+        """The numbering of a belief's masks: the i-th uncertain edge, in
+        listing order, is bit `1 << i`."""
+        return {e.id: 1 << i for i, e in enumerate(self.uncertain_edges)}
+
+    @cached_property
+    def _sight(self) -> dict[str, int]:
+        sight = dict.fromkeys(self.vertices, 0)
+        for e in self.uncertain_edges:
+            sight[e.tail] |= self.bits[e.id]
+            sight[e.head] |= self.bits[e.id]
+        return sight
 
     def visible_from(self, vertex: str) -> tuple[EdgeSpec, ...]:
         """Uncertain edges whose status shows to a walker at `vertex`.
@@ -697,19 +690,66 @@ class CtpInstance:
         Every uncertain edge incident on `vertex` shows its true status,
         whichever endpoint the walker stands at; nothing else does.
         """
-        return self._incident_uncertain[vertex]
+        seen = self.edges_in(self._sight[vertex])
+        return tuple(map(self.edge_map.get, seen))
 
-    def fresh_at(self, vertex: str, known: Mapping[str, bool]) -> list[str]:
-        """Unrevealed statuses that arriving at `vertex` exposes.
+    def fresh_at(self, vertex: str, known: int) -> int:
+        """Mask of the unrevealed statuses that arriving at `vertex`
+        exposes, given the mask `known` of those revealed.
 
         Arriving at t ends the trip, so nothing revealed there can matter
         (and branching on it at a gadget sink with hundreds of incident
         cut edges would explode). No deduction happens here.
         """
-        if vertex == self.t:
-            return []
-        return [e.id for e in self._incident_uncertain[vertex]
-                if e.id not in known]
+        return 0 if vertex == self.t else self._sight[vertex] & ~known
+
+    def edges_in(self, mask: int) -> list[str]:
+        """Ids of the uncertain edges whose bits `mask` sets, in bit order;
+        the cost grows with the bits set, not with the uncertain edges."""
+        edges, out = self.uncertain_edges, []
+        while mask:
+            low = mask & -mask
+            out.append(edges[low.bit_length() - 1].id)
+            mask ^= low
+        return out
+
+    def statuses(self, opened: int, blocked: int) -> list[tuple[str, bool]]:
+        """`(edge id, status)` of every bit the two masks set, sorted by
+        edge id: the order in which keys, labels and messages write them."""
+        return sorted([(e, True) for e in self.edges_in(opened)]
+                      + [(e, False) for e in self.edges_in(blocked)])
+
+    def outcomes(self, tables: dict, fresh: int, opened: int, blocked: int,
+                 ) -> list[tuple[int, int, Fraction]]:
+        """`joint.branch` over the edges of mask `fresh`, given the statuses
+        of masks `opened` and `blocked`, as rows (opened, blocked, chance)
+        over the fresh edges, in the model's order.
+
+        `tables` memoizes the rows for one caller: `tables[fresh]` holds
+        the mask of the dependency components `fresh` touches and the
+        rows by (opened, blocked) restricted to it. `branch` reads nothing
+        else, as the components are independent (the factored model of
+        Papadimitriou & Yannakakis, TCS 1991), so a hit returns exactly
+        what a fresh call would. The rows are never mutated.
+        """
+        memo = tables.get(fresh)
+        if memo is None:
+            of = self.joint.component_of
+            touched = {of[e] for e in self.edges_in(fresh)}
+            memo = tables[fresh] = (sum(self.bits[e] for e, ci in of.items()
+                                        if ci in touched), {})
+        mask, rows = memo
+        key = (opened & mask, blocked & mask)
+        table = rows.get(key)
+        if table is None:
+            bits = self.bits
+            table = rows[key] = [
+                (sum(bits[e] for e, status in got.items() if status),
+                 sum(bits[e] for e, status in got.items() if not status),
+                 prob)
+                for got, prob in self.joint.branch(
+                    dict(self.statuses(*key)), self.edges_in(fresh))]
+        return table
 
     @cached_property
     def joint(self) -> JointModel:

@@ -8,15 +8,17 @@ reference policies for the baiting and observation gadgets.
 
 The evaluator walks a depth-first stack of observation outcomes, which
 copes with gadget chains far too long to enumerate; it prices every
-policy and exports decision trees. A walk asks the joint model once per
-distinct branch table, keeps the tables only until it ends, and builds
-each tree key once. Replaying the policy on every weather of the support
+policy and exports decision trees. A walk keeps its branch tables from
+`CtpInstance.outcomes` only until it ends, and builds each tree key once.
+Replaying the policy on every weather of the support
 (`evaluate_exact(..., mode="weathers")`) stays as the independent oracle
 that the walk is checked against.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
-list what may be done where, and arrival reveals `fresh_at`.
+list what may be done where, and arrival reveals `fresh_at`. A walk's
+beliefs hold masks, and a reveal ORs the revealed bits into them; a
+weather walk looks each revealed edge up in the weather's blocked set.
 
 Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
 skip zero prices. The only floats are `math.inf`, for a walk the policy
@@ -121,14 +123,15 @@ def action_from_dict(data: dict | None) -> Action | None:
 # ---------------------------------------------------------------------------
 # policies
 
-def _known_part(known: tuple[tuple[str, bool], ...]) -> str:
+def _known_part(belief: Belief) -> str:
     """The known statuses as `belief_key` writes them after the bar."""
-    return ",".join(f"{e}={'O' if is_open else 'B'}" for e, is_open in known)
+    return ",".join(f"{e}={'O' if is_open else 'B'}"
+                    for e, is_open in belief.known)
 
 
 def belief_key(belief: Belief) -> str:
     """Canonical string key for a belief, used by decision trees."""
-    return f"{belief.position}|{_known_part(belief.known)}"
+    return f"{belief.position}|{_known_part(belief)}"
 
 
 def describe_belief(belief: Belief) -> str:
@@ -240,8 +243,9 @@ def _illegal(message: str, belief: Belief) -> InvalidInstanceError:
 
 
 def _step(instance: CtpInstance, belief: Belief, action: Action,
-          ) -> tuple[Fraction | int, str, list[str] | None]:
-    """Plain price, next position and revealed edges (None at halt).
+          ) -> tuple[Fraction | int, str, int | None]:
+    """Plain price, next position and the mask of the edges it reveals
+    (None at halt).
 
     Legal exactly when the solver could take it: moves and fees come from
     `CtpInstance.moves_from`/`senses_from`, arrival reveals `fresh_at`.
@@ -260,10 +264,10 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
                                belief)
             raise _illegal(f"no sensing entry for {edge_id!r} from {pos}",
                            belief)
-        if edge_id in belief.known_map:
+        if belief.status(edge_id) is not None:
             raise _illegal(
                 f"sensing {edge_id} whose status is already known", belief)
-        return fee.plain, pos, [edge_id]
+        return fee.plain, pos, instance.bits[edge_id]
     move = instance.moves_from(pos).get(edge_id)
     if move is None:
         if edge_id not in instance.edge_map:
@@ -278,19 +282,18 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         if status is not True:
             state = "blocked" if status is False else "unobserved"
             raise _illegal(f"edge {edge_id} is {state}", belief)
-    return edge.cost.plain, far, instance.fresh_at(far, belief.known_map)
+    return edge.cost.plain, far, instance.fresh_at(
+        far, belief.opened | belief.blocked)
 
 
 def walk_weather(instance: CtpInstance, policy: Policy,
                  weather: Weather) -> Cost:
-    """Run the policy against one fixed weather; return the realized cost.
-
-    Only a step that reveals something sorts the known statuses into a
-    new `Belief`; any other step moves the belief, sharing them.
-    """
+    """Run the policy against one fixed weather; return the realized cost."""
     cap = _step_cap(instance)
-    known = {e: weather.is_open(e) for e in instance.fresh_at(instance.s, {})}
-    belief = Belief.make(instance.s, known)
+    bits, shut = instance.bits, weather.blocked
+    seen = instance.fresh_at(instance.s, 0)
+    blocked = sum(bits[e] for e in instance.edges_in(seen) if e in shut)
+    belief = Belief(instance.s, seen & ~blocked, blocked, instance)
     total: Fraction | int = 0
     for _ in range(cap):
         action = policy.decide(instance, belief)
@@ -301,19 +304,12 @@ def walk_weather(instance: CtpInstance, policy: Policy,
             total = total + price if total else price
         if revealed is None:
             return Cost.of(total)
-        if revealed:
-            for e in revealed:
-                known[e] = weather.is_open(e)
-            belief = Belief.make(pos, known)
-        else:
-            belief = belief.moved(pos)
+        blocked = sum(bits[e] for e in instance.edges_in(revealed)
+                      if e in shut)
+        belief = Belief(pos, belief.opened | (revealed & ~blocked),
+                        belief.blocked | blocked, instance)
     raise EnumerationCapError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
-
-
-def _outcome_label(assignment: Mapping[str, bool]) -> str:
-    return ",".join(f"{e}={'open' if v else 'blocked'}"
-                    for e, v in sorted(assignment.items()))
 
 
 def _trace(instance: CtpInstance, policy: Policy,
@@ -328,20 +324,17 @@ def _trace(instance: CtpInstance, policy: Policy,
     dependent instances too. Every leaf adds one breakdown row, and the
     expected cost is the probability-weighted sum of those rows.
 
-    Each piece of work is done once per walk. A branch table is asked of
-    `JointModel.branch` once per key of the targets and the known statuses
-    in their dependency components, which is all it reads, and kept only
-    until the walk ends. Each outcome formats its known statuses once and
-    carries that text on the stack: the deterministic steps after it keep
-    the same statuses, so their keys reuse it. Each entry carries the plain
-    cost spent to reach it, and zero steps add nothing. With `record`, the
-    walk fills it with the tree and raises `EnumerationCapError` once the
-    tree holds more than `BELIEF_CAP` nodes past its root.
+    Each piece of work is done once per walk. The branch tables come from
+    `CtpInstance.outcomes`, kept only until the walk ends. With `record`,
+    each outcome formats its known statuses once and carries that text on
+    the stack: the deterministic steps after it keep the same statuses, so
+    their keys reuse it. Each entry carries the plain cost spent to reach
+    it, and zero steps add nothing. With `record`, the walk fills it with
+    the tree and raises `EnumerationCapError` once the tree holds more
+    than `BELIEF_CAP` nodes past its root.
     """
     cap = _step_cap(instance)
-    joint = instance.joint
-    component_of = joint.component_of
-    tables: dict[tuple, list[tuple[str, dict[str, bool], Fraction]]] = {}
+    tables: dict = {}
     breakdown: list[tuple[str, Fraction, Cost]] = []
 
     def note(key: str, action: Action | None,
@@ -360,30 +353,22 @@ def _trace(instance: CtpInstance, policy: Policy,
                 f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
                 "past its root")
 
-    def outcomes(belief: Belief, targets: list[str],
-                 ) -> list[tuple[str, dict[str, bool], Fraction]]:
-        """`joint.branch` over `targets` as (label, assignment, chance)."""
-        comps = {component_of[e] for e in targets}
-        key = (tuple(targets), tuple(kv for kv in belief.known
-                                     if component_of[kv[0]] in comps))
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = [
-                (_outcome_label(got), got, prob)
-                for got, prob in joint.branch(belief.known_map, targets)]
-        return table
-
     def branch(belief: Belief, key: str, action: Action | None,
-               position: str, targets: list[str],
+               position: str, fresh: int,
                ) -> list[tuple[str, Fraction, Belief, str]]:
-        """Reveal `targets` at `position`; note and return the outcomes,
-        each with its known statuses formatted."""
+        """Reveal mask `fresh` at `position`; note and return the outcomes,
+        their known statuses formatted when a tree is recorded."""
+        opened, blocked = belief.opened, belief.blocked
         children = []
-        for label, got, prob in outcomes(belief, targets):
-            grown = dict(belief.known_map)
-            grown.update(got)
-            child = Belief.make(position, grown)
-            children.append((label, prob, child, _known_part(child.known)))
+        for opened_by, blocked_by, prob in instance.outcomes(
+                tables, fresh, opened, blocked):
+            child = Belief(position, opened | opened_by, blocked | blocked_by,
+                           instance)
+            label = ",".join(f"{e}={'open' if is_open else 'blocked'}"
+                             for e, is_open in instance.statuses(opened_by,
+                                                                 blocked_by))
+            parts = "" if record is None else _known_part(child)
+            children.append((label, prob, child, parts))
         note(key, action, tuple((label, f"{position}|{parts}")
                                 for label, _, _, parts in children))
         return children
@@ -411,7 +396,8 @@ def _trace(instance: CtpInstance, policy: Policy,
                 return spent, branch(belief, key, action, nxt, revealed)
             succ = f"{nxt}|{parts}"
             note(key, action, (("", succ),))
-            belief, key = belief.moved(nxt), succ
+            belief = Belief(nxt, belief.opened, belief.blocked, instance)
+            key = succ
         raise EnumerationCapError(
             f"no branch or arrival within {cap} steps; "
             f"last {describe_belief(belief)}")
@@ -426,8 +412,8 @@ def _trace(instance: CtpInstance, policy: Policy,
         for label, p, child, parts in reversed(children):
             stack.append((child, parts, labels + (label,), prob * p, spent))
 
-    start = Belief(instance.s, ())
-    fresh = instance.fresh_at(instance.s, {})
+    start = Belief(instance.s, 0, 0, instance)
+    fresh = instance.fresh_at(instance.s, 0)
     if fresh:
         push(branch(start, belief_key(start), None, instance.s, fresh), (),
              Fraction(1), 0)
@@ -476,7 +462,7 @@ def export_decision_tree(instance: CtpInstance, policy: Policy,
     """Unfold `policy` over every belief it can reach, as an explicit tree."""
     nodes: dict[str, TreeNode] = {}
     result = _trace(instance, policy, nodes)
-    root = belief_key(Belief(instance.s, ()))
+    root = belief_key(Belief(instance.s, 0, 0, instance))
     return result, DecisionTreePolicy(nodes, root)
 
 

@@ -27,20 +27,13 @@ tiebreak. The heap therefore settles every vertex with the same entry as
 an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
 
-The search holds knowledge as two ints: uncertain edge i is bit `1 << i`
-and a stratum is (opened, blocked). Costs are plain numbers (`Cost.plain`),
-`math.inf` after a step that may leave t out of reach; mixed arithmetic
-and comparison are exact, so every value, heap order and tie is what
-`Cost` would give.
-
-Branch tables are memoized for one solve. `_Solver.outcomes` keys each
-`JointModel.branch` call by the mask `fresh` and by opened and blocked
-restricted to the dependency components `fresh` touches. `branch` reads
-nothing else, as the components are independent (the factored model of
-Papadimitriou & Yannakakis, TCS 1991), so a hit returns exactly what a
-fresh call would: game 7 of the ctpdep battery prices 11,767 revealing
-steps from 27 tables. `JointModel` is memoized only per search and per
-walk, never across calls.
+A stratum is the (opened, blocked) masks of a `Belief`, over the bits
+of `CtpInstance.bits`. Costs are plain numbers (`Cost.plain`), `math.inf`
+after a step that may leave t out of reach; mixed arithmetic and
+comparison are exact, so every value, heap order and tie is what `Cost`
+would give. Branch tables come from `CtpInstance.outcomes`, kept for one
+solve: game 7 of the ctpdep battery prices 11,767 revealing steps from
+27 tables.
 """
 from __future__ import annotations
 
@@ -53,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Sequence
 
 from .model import (
     BELIEF_CAP,
@@ -119,50 +112,28 @@ class _Solver(Policy):
 
     def __init__(self, instance: CtpInstance, belief_cap: int):
         self.instance = instance
-        self.joint = instance.joint
         self.belief_cap = belief_cap
         self.expanded = self.evaluated = self.skipped = 0
         self.regions = self.region_hits = 0
         self.bound = _free_space_bound(instance)
-        bits = self.bits = {e.id: 1 << i for i, e in
-                            enumerate(instance.uncertain_edges)}
-        # what arriving at v exposes, by `fresh_at`'s rule: nothing at t
-        self.sight = {v: 0 if v == instance.t else
-                      sum(bits[e.id] for e in instance.visible_from(v))
-                      for v in instance.vertices}
+        bits = instance.bits
+        # each move with the mask its arrival exposes when nothing is known
         self.moves = {u: [(edge.cost.plain, edge.id, far,
-                           bits.get(edge.id, 0), Action.move(edge.id))
+                           bits.get(edge.id, 0), instance.fresh_at(far, 0),
+                           Action.move(edge.id))
                           for edge, far in instance.moves_from(u).values()]
                       for u in instance.vertices}
         self.senses = {u: [(fee.plain, e, bits[e], Action.sense(e))
                            for e, fee in instance.senses_from(u).items()]
                        for u in instance.vertices}
-        self._touched: dict[int, int] = {}  # fresh -> mask of its components
         self._regions: dict[tuple[int, int, str], tuple[dict, dict]] = {}
-        # `outcomes` tables; never mutated, so a hit equals a fresh call
-        self._branches: dict[tuple[int, int, int], list] = {}
-        # the last known tuple `decide` saw, with its masks: the steps
-        # between two reveals share one tuple
-        self._last_masks: tuple = (None, None)
-
-    def masks(self, known: Collection[tuple[str, bool]]) -> tuple[int, int]:
-        """(opened, blocked) masks of `(edge id, status)` pairs."""
-        return (sum(self.bits[e] for e, status in known if status),
-                sum(self.bits[e] for e, status in known if not status))
-
-    def known_of(self, opened: int, blocked: int) -> dict[str, bool]:
-        """The statuses two masks hold, keyed by edge id in bit order."""
-        return {e: bool(opened & bit) for e, bit in self.bits.items()
-                if (opened | blocked) & bit}
+        self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if belief.position == instance.t:
             return _HALT
-        known, masks = self._last_masks
-        if belief.known is not known:
-            masks = self.masks(belief.known)
-            self._last_masks = belief.known, masks
-        _, choices = self.region(*masks, belief.position)
+        _, choices = self.region(belief.opened, belief.blocked,
+                                 belief.position)
         return choices.get(belief.position)
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
@@ -170,8 +141,8 @@ class _Solver(Policy):
         """Expected value once `fresh` is revealed on arrival; `math.inf`
         if an outcome strands the walker, all outcomes solved even then."""
         total, stranded = 0, False
-        for opened_by, blocked_by, prob in self.outcomes(opened, blocked,
-                                                         fresh):
+        for opened_by, blocked_by, prob in self.instance.outcomes(
+                self.tables, fresh, opened, blocked):
             values, _ = self.region(opened | opened_by, blocked | blocked_by,
                                     position)
             value = values.get(position)
@@ -180,24 +151,6 @@ class _Solver(Policy):
             elif value:
                 total += value * prob
         return math.inf if stranded else total
-
-    def outcomes(self, opened: int, blocked: int, fresh: int,
-                 ) -> list[tuple[int, int, Fraction]]:
-        """`joint.branch` over `fresh` as (opened, blocked, probability)."""
-        cm = self._touched.get(fresh)
-        if cm is None:
-            of = self.joint.component_of
-            touched = {of[e] for e in self.known_of(fresh, 0)}
-            cm = self._touched[fresh] = sum(
-                self.bits[e] for e, ci in of.items() if ci in touched)
-        key = (fresh, opened & cm, blocked & cm)
-        table = self._branches.get(key)
-        if table is None:
-            table = self._branches[key] = [
-                (*self.masks(got.items()), prob) for got, prob in
-                self.joint.branch(self.known_of(opened & cm, blocked & cm),
-                                  list(self.known_of(fresh, 0)))]
-        return table
 
     def region(self, opened: int, blocked: int,
                start: str) -> tuple[dict, dict]:
@@ -219,10 +172,10 @@ class _Solver(Policy):
             u = queue.pop()
             if u == t:
                 continue
-            for cost, edge_id, far, bit, action in self.moves[u]:
+            for cost, edge_id, far, bit, exposed, action in self.moves[u]:
                 if bit & ~opened:
                     continue
-                fresh = self.sight[far] & unknown
+                fresh = exposed & unknown
                 if fresh:
                     reveals.append((u, cost, fresh, far, 0, edge_id, action))
                     continue
@@ -323,7 +276,8 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     began = time.perf_counter()
     solver = _Solver(instance, belief_cap)
     try:
-        value = solver.branch_value(0, 0, solver.sight[instance.s], instance.s)
+        value = solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
+                                    instance.s)
     except RecursionError:
         # each reveal nests one stratum deeper on the Python stack
         raise EnumerationCapError(
@@ -338,7 +292,9 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
             f"{result.expected_cost}")
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
-                                solver.skipped, len(solver._branches),
+                                solver.skipped,
+                                sum(len(rows) for _, rows in
+                                    solver.tables.values()),
                                 solver.regions, solver.region_hits,
                                 searched - began,
                                 time.perf_counter() - searched))
@@ -435,11 +391,26 @@ def decompose_into_paths(instance: CtpInstance) -> tuple[PathInfo, ...]:
     return tuple(paths)
 
 
-# Routes that open on an uncertain edge, at most: each one doubles the
-# exported tree's outcomes at s, and every later uncertain edge branches
-# again. Ten routes of three fair-coin edges beside one sure route pass
-# this cap, and their 642,372-node tree stops at the `BELIEF_CAP` node cap.
-_OPENING_CAP = 10
+def _tree_size(instance: CtpInstance, routes: Sequence[PathInfo]) -> int:
+    """Nodes of the tree `CommittingPolicy(routes)` exports.
+
+    Every uncertain edge is blocked with a chance in (0, 1), so each one
+    revealed branches in two. The root is a chance node over what s shows.
+    From s the walk skips a route whose first edge is blocked and else
+    attempts it: m + 1 nodes from s to t, and the j-th edge blocked turns
+    back through j nodes to s, where the later routes follow. `nodes` sums
+    that over the outcomes of the later routes' `later` uncertain openings.
+    """
+    edges = instance.edge_map
+    nodes, later = 1, 0  # at s with every route dead: no action
+    for path in reversed(routes):
+        route = [edges[e] for e in path.edges]
+        turns = [j for j in range(1, len(route)) if route[j].uncertain]
+        attempt = ((len(route) + 1 + sum(turns)) << later) + len(turns) * nodes
+        nodes = attempt + nodes if route[0].uncertain else attempt
+        later += route[0].uncertain
+    openings = instance.fresh_at(instance.s, 0).bit_count()
+    return (openings > 0) + (nodes << (openings - later))
 
 
 def solve_disjoint_paths(instance: CtpInstance) -> OptResult:
@@ -450,16 +421,13 @@ def solve_disjoint_paths(instance: CtpInstance) -> OptResult:
     to the blocked one. Trying routes by increasing A / P, ties in listed
     order, is optimal (Bnaya, Felner & Shimony, IJCAI 2009). Routes with an
     infinite-cost edge are left out and sensing is unused; the exported
-    tree of the one policy must price the same value.
+    tree of the one policy must price the same value. A tree that would
+    pass `BELIEF_CAP` nodes past its root is refused before it is walked.
     """
     if instance.variant is Variant.DEPENDENT:
         raise InvalidInstanceError("the index rule needs independent edges")
     paths = decompose_into_paths(instance)
     edges = instance.edge_map
-    openings = sum(edges[p.edges[0]].uncertain for p in paths)
-    if openings > _OPENING_CAP:
-        raise EnumerationCapError(
-            f"{openings} uncertain openings exceed the cap of {_OPENING_CAP}")
     ranked = []
     for path in paths:
         route = [edges[e] for e in path.edges]
@@ -479,8 +447,13 @@ def solve_disjoint_paths(instance: CtpInstance) -> OptResult:
         value += remaining * (1 - first.block_p) * attempt
         remaining *= 1 - (1 - first.block_p) * passing
     expected = Cost.infinite() if remaining else Cost.of(value)
-    checked, tree = export_decision_tree(
-        instance, CommittingPolicy(tuple(r[1] for r in ranked)))
+    routes = tuple(r[1] for r in ranked)
+    size = _tree_size(instance, routes)
+    if size > BELIEF_CAP + 1:
+        raise EnumerationCapError(
+            f"the decision tree would hold {size} nodes, past the cap of "
+            f"{BELIEF_CAP} nodes past its root")
+    checked, tree = export_decision_tree(instance, CommittingPolicy(routes))
     if checked.expected_cost != expected:
         raise InternalCheckError(
             f"index rule prices {expected} but its exported tree prices "

@@ -17,6 +17,7 @@ from ctplab.model import (
     CtpInstance,
     EnumerationCapError,
     InstanceBuilder,
+    InternalCheckError,
     InvalidInstanceError,
     SplitMix64,
     Variant,
@@ -199,11 +200,12 @@ class TestObservation:
         assert [e.id for e in inst.visible_from("x")] == ["xt"]
         assert [e.id for e in inst.visible_from("t")] == ["xt"]
         assert inst.visible_from("s") == ()
-        assert inst.fresh_at("x", {}) == ["xt"]
-        assert inst.fresh_at("x", {"xt": False}) == []
-        assert inst.fresh_at("s", {}) == []
+        xt = inst.bits["xt"]
+        assert inst.edges_in(inst.fresh_at("x", 0)) == ["xt"]
+        assert inst.fresh_at("x", xt) == 0
+        assert inst.fresh_at("s", 0) == 0
         # arriving at t ends the trip, so nothing shown there is fresh
-        assert inst.fresh_at("t", {}) == []
+        assert inst.fresh_at("t", 0) == 0
 
     def test_directed_seen_from_both_ends_traversed_from_tail(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
@@ -215,9 +217,10 @@ class TestObservation:
         inst = b.build()
         assert [e.id for e in inst.visible_from("s")] == ["risky", "back"]
         assert [e.id for e in inst.visible_from("t")] == ["risky"]
-        assert inst.fresh_at("s", {}) == ["risky", "back"]
-        assert inst.fresh_at("s", {"risky": True}) == ["back"]
-        assert inst.fresh_at("m", {}) == ["back"]
+        assert inst.edges_in(inst.fresh_at("s", 0)) == ["risky", "back"]
+        assert inst.edges_in(
+            inst.fresh_at("s", inst.bits["risky"])) == ["back"]
+        assert inst.edges_in(inst.fresh_at("m", 0)) == ["back"]
         assert list(inst.moves_from("s")) == ["st", "risky", "ms"]
         assert list(inst.moves_from("t")) == ["st"]
         assert list(inst.moves_from("m")) == ["ms", "back"]
@@ -229,10 +232,15 @@ class TestObservation:
         assert "anchor.a" not in inst.moves_from("t")
 
     def test_belief_lookup(self):
-        belief = Belief.make("x", {"b": False, "a": True})
-        assert belief.known == (("a", True), ("b", False))
+        inst = unsorted_instance("bca")
+        # bits follow the listing, not the ids
+        assert inst.bits == {"b": 1, "c": 2, "a": 4}
+        belief = Belief("x", inst.bits["a"], inst.bits["b"], inst)
+        assert belief.known == [("a", True), ("b", False)]
         assert belief.status("a") is True
+        assert belief.status("b") is False
         assert belief.status("c") is None
+        assert belief.status("sure") is None
 
 
 def xor_net_instance() -> CtpInstance:
@@ -357,6 +365,15 @@ class TestBranchCap:
                                  "the cap of 1000"):
             star.joint.branch({}, coins)
 
+    def test_inconsistent_statuses_are_a_broken_invariant(self):
+        # one coin blocks exactly one of the pair, so both open has chance
+        # 0: no weather or outcome reveals that, and no input reaches it
+        inst = xor_net_instance()
+        with pytest.raises(InternalCheckError,
+                           match="revealed statuses are inconsistent"):
+            inst.joint.branch({"e_true": True, "e_false": True},
+                              ["e_true"])
+
 
 class TestWeathers:
     def test_support_probabilities(self):
@@ -423,11 +440,25 @@ class TestSensingSection:
             b.build()
 
 
-@given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=0,
-                max_size=4, unique=True))
-def test_belief_known_is_sorted(ids):
-    belief = Belief.make("s", {i: True for i in ids})
-    assert list(belief.known) == sorted(belief.known)
+def unsorted_instance(ids) -> CtpInstance:
+    """Fair coins from s to t listed in the order of `ids`, and a sure edge."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "t", 1, id="sure")
+    for i in ids:
+        b.add_edge("s", "t", 1, id=i, block_p=HALF)
+    return b.build()
+
+
+@given(st.permutations(["a", "b", "c", "d"]),
+       st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=0,
+                max_size=4, unique=True), st.integers(0, 15))
+def test_belief_known_is_sorted(listing, ids, shut):
+    inst = unsorted_instance(listing)
+    known = {i: not shut >> k & 1 for k, i in enumerate(ids)}
+    belief = Belief("s", sum(inst.bits[i] for i in ids if known[i]),
+                    sum(inst.bits[i] for i in ids if not known[i]), inst)
+    assert belief.known == sorted(known.items())
 
 
 def test_as_fraction_forms():

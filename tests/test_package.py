@@ -63,3 +63,53 @@ def test_main_handles_by_class_alone():
                if isinstance(node, ast.Try) for handler in node.handlers]
     assert handled == ["InternalCheckError", "EnumerationCapError",
                        "(ValueError, OSError)"]
+
+
+def _defined_names(tree: ast.Module):
+    """(name, whether it is a class member) of the functions and classes
+    a module defines, their methods and the names it assigns."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, False
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.name, True) for item in node.body
+                            if isinstance(item, (ast.FunctionDef,
+                                                 ast.ClassDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from ((name.id, False) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
+def _references(tree: ast.Module, names: set[str], members: set[str]):
+    """Add the names `tree` reads to `names`, and the attributes it takes
+    and the strings it writes to both (`__all__` and the benchmark's
+    tracer name what they export or patch as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            members.add(node.value)
+
+
+def test_no_dead_code_in_src():
+    # every name src/ctplab defines has a caller in the package or in the
+    # benchmark: a method one taken as an attribute. Dunder methods are
+    # called by Python itself.
+    root = Path(__file__).parents[1]
+    package = sorted((root / "src" / "ctplab").glob("*.py"))
+    names: set[str] = set()
+    members: set[str] = set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        _references(ast.parse(path.read_text()), names, members)
+    names |= members
+    unused = sorted(f"{path.name}:{name}" for path in package
+                    for name, member in _defined_names(
+                        ast.parse(path.read_text()))
+                    if name not in (members if member else names)
+                    and not (name.startswith("__") and name.endswith("__")))
+    assert unused == []

@@ -91,15 +91,15 @@ class TestDependentGame:
         assert len(support) == 128
         assert sum(prob for _, prob in support) == 1
         for weather, _ in support:
-            odd = weather.is_open("exam.choice.odd")
-            even = weather.is_open("exam.choice.even")
+            odd = "exam.choice.odd" not in weather.blocked
+            even = "exam.choice.even" not in weather.blocked
             assert odd != even
-            x_true = weather.is_open("x1.true")
-            x_false = weather.is_open("x1.false")
+            x_true = "x1.true" not in weather.blocked
+            x_false = "x1.false" not in weather.blocked
             assert x_true != x_false
             open_clauses = 0
             for ids in layout.clause_members:
-                statuses = {weather.is_open(eid) for eid in ids}
+                statuses = {eid not in weather.blocked for eid in ids}
                 assert len(statuses) == 1
                 if statuses.pop():
                     open_clauses += 1

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,43 @@ class TestSolveIndependent:
         with pytest.raises(InternalCheckError, match="exported tree"):
             solve(two_path_instance())
 
+    def test_listing_order_is_not_id_order(self):
+        # zz shows at s; zb then ya, listed out of id order, show at m
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "m", 1, id="zz", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 10, id="sure")
+        b.add_edge("m", "t", 1, id="zb", block_p=Fraction(1, 2))
+        b.add_edge("m", "t", 2, id="ya", block_p=Fraction(1, 2))
+        inst = b.build()
+        assert inst.bits == {"zz": 1, "zb": 2, "ya": 4}
+        result = solve(inst)
+        assert result.optimal_cost == Cost.of(Fraction(59, 8))
+        # keys and labels write statuses in id order
+        nodes = result.policy.nodes
+        assert nodes["s|zz=O"].children == (
+            ("ya=blocked,zb=blocked", "m|ya=B,zb=B,zz=O"),
+            ("ya=open,zb=blocked", "m|ya=O,zb=B,zz=O"),
+            ("ya=blocked,zb=open", "m|ya=B,zb=O,zz=O"),
+            ("ya=open,zb=open", "m|ya=O,zb=O,zz=O"))
+        for key in nodes:
+            ids = [part.split("=")[0] for part in key.split("|")[1].split(",")
+                   if part]
+            assert ids == sorted(ids), key
+        # breakdown rows in the model's order: zb's outcomes, then ya's
+        walked = evaluate_exact(inst, result.policy)
+        assert [label for label, _, _ in walked.outcome_breakdown] == [
+            "zz=blocked",
+            "zz=open ; ya=blocked,zb=blocked",
+            "zz=open ; ya=open,zb=blocked",
+            "zz=open ; ya=blocked,zb=open",
+            "zz=open ; ya=open,zb=open"]
+        # the exported tree replays, and the weathers oracle agrees
+        replayed = P.DecisionTreePolicy.from_json(result.policy.to_json())
+        assert evaluate_exact(inst, replayed) == walked
+        assert evaluate_exact(inst, replayed, mode="weathers").expected_cost \
+            == result.optimal_cost
+
 
 def zero_bound(instance):
     return {v: 0 for v in instance.vertices}
@@ -216,25 +254,27 @@ class TestBoundedSearch:
 
         monkeypatch.setattr(S._Solver, "branch_value", counted)
         solver = S._Solver(instance, 200_000)
-        solver.branch_value(0, 0, solver.sight[instance.s], instance.s)
+        solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
+                            instance.s)
         assert (solver.evaluated, solver.skipped) == (
             stats.boundary_evaluated, stats.boundary_skipped)
         # one pricing per evaluated step, plus the root
         assert len(priced) == stats.boundary_evaluated + 1
         # every revealing step of every solved patch is one or the other
-        patches: dict[int, tuple[dict, set]] = {}
+        patches: dict[int, tuple[M.Belief, set]] = {}
         for (opened, blocked, v), region in solver._regions.items():
-            known = solver.known_of(opened, blocked)
+            known = M.Belief(v, opened, blocked, instance)
             patches.setdefault(id(region), (known, set()))[1].add(v)
         steps = 0
         for known, patch in patches.values():
+            seen = known.opened | known.blocked
             for u in patch - {instance.t}:
                 steps += sum(
                     1 for edge, far in instance.moves_from(u).values()
-                    if (not edge.uncertain or known.get(edge.id) is True)
-                    and instance.fresh_at(far, known))
+                    if (not edge.uncertain or known.status(edge.id) is True)
+                    and instance.fresh_at(far, seen))
                 steps += sum(1 for e in instance.senses_from(u)
-                             if e not in known)
+                             if known.status(e) is None)
         assert stats.boundary_evaluated + stats.boundary_skipped == steps
         assert stats.boundary_skipped > 0
 
@@ -385,6 +425,18 @@ def random_known(joint, rng):
     return known
 
 
+def masks(instance, known):
+    """The (opened, blocked) masks of a dict of statuses."""
+    bits = instance.bits
+    return (sum(bits[e] for e, status in known.items() if status),
+            sum(bits[e] for e, status in known.items() if not status))
+
+
+def tables_copy(tables):
+    return {fresh: (mask, dict(rows)) for fresh, (mask, rows) in
+            tables.items()}
+
+
 def random_branch(joint, rng):
     """Random consistent statuses and up to three unknown targets."""
     known = random_known(joint, rng)
@@ -413,18 +465,18 @@ class TestBranchMemo:
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         joint = instance.joint
         rng = random.Random(100 + k)
-        solver = S._Solver(instance, 200_000)
+        tables = {}
         for _ in range(300):
             known, targets = random_branch(joint, rng)
-            # the solver asks for its targets in uncertain-edge order
-            targets.sort(key=solver.bits.get)
-            fresh = sum(solver.bits[e] for e in targets)
-            table = solver.outcomes(*solver.masks(known.items()), fresh)
-            assert [(solver.known_of(opened, blocked), prob)
+            # targets are asked for in bit order, the order of `fresh_at`
+            targets.sort(key=instance.bits.get)
+            fresh = sum(instance.bits[e] for e in targets)
+            table = instance.outcomes(tables, fresh, *masks(instance, known))
+            assert [(dict(instance.statuses(opened, blocked)), prob)
                     for opened, blocked, prob in table] == joint.branch(
                 known, targets)
         # the 300 lookups shared tables
-        assert len(solver._branches) < 300
+        assert sum(len(rows) for _, rows in tables.values()) < 300
 
     @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
     def test_memo_hit_equals_miss(self, k):
@@ -435,25 +487,27 @@ class TestBranchMemo:
             known = random_known(instance.joint, rng)
             position = rng.choice(vertices)
             solver = S._Solver(instance, 200_000)
-            opened, blocked = solver.masks(known.items())
-            fresh = sum(solver.bits[e]
-                        for e in instance.fresh_at(position, known))
+            opened, blocked = masks(instance, known)
+            fresh = instance.fresh_at(position, opened | blocked)
             first = solver.branch_value(opened, blocked, fresh, position)
-            tables = dict(solver._branches)
+            tables = tables_copy(solver.tables)
             again = solver.branch_value(opened, blocked, fresh, position)
             assert again == first
-            assert solver._branches == tables
+            assert tables_copy(solver.tables) == tables
 
     @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
     def test_masks_round_trip(self, k):
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
-        solver = S._Solver(instance, 200_000)
         rng = random.Random(200 + k)
         for _ in range(100):
             known = random_known(instance.joint, rng)
-            opened, blocked = solver.masks(known.items())
+            opened, blocked = masks(instance, known)
             assert not opened & blocked
-            assert solver.known_of(opened, blocked) == known
+            assert instance.statuses(opened, blocked) == sorted(known.items())
+            belief = Belief("s", opened, blocked, instance)
+            assert belief.known == sorted(known.items())
+            assert all(belief.status(e) is status
+                       for e, status in known.items())
 
 
 def branch_every_time(instance, policy):
@@ -469,7 +523,11 @@ def branch_every_time(instance, policy):
     def leaf(labels, prob, cost):
         rows.append((" ; ".join(labels) or "no observations", prob, cost))
 
-    def walk(belief, labels, prob, spent):
+    def targets(mask):
+        return [e.id for e in instance.uncertain_edges
+                if instance.bits[e.id] & mask]
+
+    def walk(belief, known, labels, prob, spent):
         for _ in range(cap):
             action = policy.decide(instance, belief)
             if action is None:
@@ -479,23 +537,25 @@ def branch_every_time(instance, policy):
                 return leaf(labels, prob, Cost.of(spent))
             spent += price
             if revealed:
-                return reveal(belief.known_map, nxt, revealed, labels, prob,
+                return reveal(known, nxt, targets(revealed), labels, prob,
                               spent)
-            belief = Belief.make(nxt, belief.known_map)
+            belief = Belief(nxt, belief.opened, belief.blocked, instance)
         raise AssertionError("the walk loops")
 
     def reveal(known, position, targets, labels, prob, spent):
         for got, p in joint.branch(known, targets):
             label = ",".join(f"{e}={'open' if v else 'blocked'}"
                              for e, v in sorted(got.items()))
-            walk(Belief.make(position, {**known, **got}), labels + (label,),
-                 prob * p, spent)
+            grown = {**known, **got}
+            walk(Belief(position, *masks(instance, grown), instance), grown,
+                 labels + (label,), prob * p, spent)
 
-    fresh = instance.fresh_at(instance.s, {})
+    fresh = instance.fresh_at(instance.s, 0)
     if fresh:
-        reveal({}, instance.s, fresh, (), Fraction(1), Fraction(0))
+        reveal({}, instance.s, targets(fresh), (), Fraction(1), Fraction(0))
     else:
-        walk(Belief.make(instance.s, {}), (), Fraction(1), Fraction(0))
+        walk(Belief(instance.s, 0, 0, instance), {}, (), Fraction(1),
+             Fraction(0))
     return P._summed(rows)
 
 
@@ -649,12 +709,38 @@ class TestDisjointBruteforce:
         for i in range(7):
             b.add_edge("s", "t", i + 1, id=f"w{i}")
         assert solve_disjoint_paths(b.build()).optimal_cost == Cost.of(1)
+        # the tree's size bounds the walk, not the openings: eleven coins
+        # make a 4,096-node tree
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
         for i in range(11):
             b.add_edge("s", "t", i + 1, id=f"w{i}", block_p=Fraction(1, 2))
-        with pytest.raises(EnumerationCapError, match="cap of 10"):
-            solve_disjoint_paths(b.build())
+        result = solve_disjoint_paths(b.build())
+        assert result.optimal_cost.is_infinite
+        assert len(result.policy.nodes) == 4096
+        # ten 3-coin routes make 642,372 nodes, refused before any is built
+        began = time.perf_counter()
+        with pytest.raises(EnumerationCapError,
+                           match="642372 nodes, past the cap of 200000"):
+            solve_disjoint_paths(route_bundle(11))
+        assert time.perf_counter() - began < 1
+
+    def test_tree_size_is_derived(self, monkeypatch):
+        sizes = []
+        derive = S._tree_size
+
+        def recorded(instance, routes):
+            sizes.append(derive(instance, routes))
+            return sizes[-1]
+
+        monkeypatch.setattr(S, "_tree_size", recorded)
+        instances = [random_disjoint_instance(SplitMix64(seed))
+                     for seed in range(400)]
+        instances += [route_bundle(k) for k in range(1, 7)]
+        for inst in instances:
+            nodes = len(solve_disjoint_paths(inst).policy.nodes)
+            assert sizes == [nodes]
+            sizes.clear()
 
     def test_matches_committing_bruteforce(self):
         for seed in range(12345, 12445):
