@@ -128,6 +128,11 @@ def _dot_quantity(value: Fraction, precision: int) -> str:
     return _decimal(value, precision)
 
 
+def _dot_id(name: str) -> str:
+    """`name` as a quoted DOT id, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def instance_to_dot(instance: CtpInstance,
                     precision: int = DEFAULT_PRECISION) -> str:
     """Graphviz text: dashed uncertain edges labeled `cost|chance`."""
@@ -136,9 +141,9 @@ def instance_to_dot(instance: CtpInstance,
     lines = [f"{kind} ctp {{", "  rankdir=LR;"]
     for vertex in instance.vertices:
         if vertex == instance.s:
-            lines.append(f'  "{vertex}" [shape=doublecircle];')
+            lines.append(f"  {_dot_id(vertex)} [shape=doublecircle];")
         elif vertex == instance.t:
-            lines.append(f'  "{vertex}" [shape=doubleoctagon];')
+            lines.append(f"  {_dot_id(vertex)} [shape=doubleoctagon];")
     for e in instance.edges:
         label = ("inf" if e.cost.is_infinite
                  else _dot_quantity(e.cost.fraction, precision))
@@ -149,7 +154,8 @@ def instance_to_dot(instance: CtpInstance,
         if directed and not e.directed:
             attrs.append("dir=none")
         attrs.insert(0, f'label="{label}"')
-        lines.append(f'  "{e.tail}" {op} "{e.head}" [{", ".join(attrs)}];')
+        lines.append(f"  {_dot_id(e.tail)} {op} {_dot_id(e.head)} "
+                     f"[{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -291,9 +297,8 @@ def _suite_gadgets(args) -> list[CheckResult]:
 def _suite_ctpdep(args) -> list[CheckResult]:
     out = _Checker()
     for formula, winnable in GAME_BATTERY:
-        if args.n and formula.n != args.n:
-            continue
-        if args.m and formula.m != args.m:
+        if (args.n not in (None, formula.n)
+                or args.m not in (None, formula.m)):
             continue
         if qbf_eval(formula) is not winnable:
             raise InternalCheckError(
@@ -312,8 +317,8 @@ def _suite_ctpdep(args) -> list[CheckResult]:
 def _suite_ctp_cert(args) -> list[CheckResult]:
     out = _Checker()
     sizes = [(n, m)
-             for n in ([args.n] if args.n else [2, 4, 6, 8])
-             for m in ([args.m] if args.m else range(1, 9))]
+             for n in ([args.n] if args.n is not None else [2, 4, 6, 8])
+             for m in ([args.m] if args.m is not None else range(1, 9))]
     sandwich = True
     gap_ok = True
     witness = ""
@@ -330,9 +335,7 @@ def _suite_ctp_cert(args) -> list[CheckResult]:
               witness or f"{len(sizes)} sizes")
     out.holds("fee-gap-identity", gap_ok, witness or f"{len(sizes)} sizes")
     for n, m in ((2, 1), (2, 2), (4, 2)):
-        if args.n and n != args.n:
-            continue
-        if args.m and m != args.m:
+        if (n, m) not in sizes:
             continue
         formula = QbfFormula.of(n, ((1,),) * m)
         instance, cert = qbf_to_ctp(formula)

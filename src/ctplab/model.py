@@ -11,11 +11,12 @@ Dependent instances replace the independent coin flips with a small Bayes
 net over binary variables. A variable named after an edge drives that edge,
 value 1 meaning blocked; variables with other names are auxiliary coins.
 
-What a walker knows has one representation: a `Belief` is a position and
-two masks over `CtpInstance.bits`, the uncertain edges known open and
-known blocked. `fresh_at` is what an arrival adds, `outcomes` branches on
-it, and the id-sorted text of keys, labels and messages is built only
-where it is written.
+Edge statuses have one numbering, the bits of `CtpInstance.bits`. A
+`Belief` holds masks of the uncertain edges known open and known blocked,
+a `Weather` the mask of the blocked ones, a joint-model component its rows
+as open masks, and `JointModel.branch` returns outcome masks. `fresh_at`
+is what an arrival adds, `outcomes` branches on it, and the id-sorted
+text of keys, labels and messages is built only where it is written.
 
 All arithmetic is exact. Costs are computed as plain numbers (`Cost.plain`:
 an `int` or a `Fraction`, `math.inf` when infinite); `Cost` parses,
@@ -296,7 +297,7 @@ class SplitMix64:
         The words come from `_next_words` batches, taken in order: the
         first batch covers one word per row, a rejection takes one more,
         and a spent batch is followed by the next one. The stream state
-        left behind counts the words taken, so the blocked sets and the
+        left behind counts the words taken, so the keys returned and the
         state are bit-identical to calling `next64` word by word.
         """
         state = self._state
@@ -398,10 +399,6 @@ class DependencyNet:
     max_in_degree: int = 2
 
     @cached_property
-    def variable_map(self) -> dict[str, NetVariable]:
-        return {v.id: v for v in self.variables}
-
-    @cached_property
     def moral_components(self) -> tuple[tuple[NetVariable, ...], ...]:
         """Connected components of the moralized graph, in listing order."""
         neighbors: dict[str, set[str]] = {v.id: set() for v in self.variables}
@@ -446,9 +443,9 @@ class SensingSpec:
 
 @dataclass(frozen=True)
 class Weather:
-    """Full realization of the uncertain edges, stored as the blocked set."""
+    """The blocked mask of one full realization of the uncertain edges."""
 
-    blocked: frozenset[str]
+    blocked: int
 
 
 @dataclass(slots=True)
@@ -484,78 +481,90 @@ class Belief:
 # ---------------------------------------------------------------------------
 # joint distribution over uncertain edges
 
+def _low_bits(mask: int):
+    """The bits `mask` sets, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _by_flags(bits: Sequence[int]):
+    """Sort key of an `(open mask, ...)` item: its open flags over `bits`."""
+    return lambda item: [item[0] & bit != 0 for bit in bits]
+
+
 @dataclass(frozen=True)
 class ComponentTable:
     """Joint support of one dependency component, projected onto its edges.
 
-    Rows pair a tuple of open flags (aligned with `edge_ids`) with the prior
-    probability of that projection; auxiliary variables are summed out.
+    `mask` sets the bits of its uncertain edges. Each row pairs an open mask
+    over them with that projection's prior probability, auxiliary variables
+    summed out; rows are sorted by open flags over the id-sorted edges.
     """
 
-    edge_ids: tuple[str, ...]
-    rows: tuple[tuple[tuple[bool, ...], Fraction], ...]
-
-    @cached_property
-    def edge_index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.edge_ids)}
+    mask: int
+    rows: tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
 class JointModel:
     """Factored distribution over edge statuses, one table per component."""
 
-    components: tuple[ComponentTable, ...]
+    components: Sequence[ComponentTable]
 
     @cached_property
-    def component_of(self) -> dict[str, int]:
-        table: dict[str, int] = {}
-        for i, comp in enumerate(self.components):
-            for e in comp.edge_ids:
-                table[e] = i
-        return table
+    def _component_at(self) -> dict[int, int]:
+        return {bit: i for i, comp in enumerate(self.components)
+                for bit in _low_bits(comp.mask)}
 
-    def branch(self, known: Mapping[str, bool],
-               targets: Sequence[str]) -> list[tuple[dict[str, bool], Fraction]]:
-        """Joint outcomes over `targets` given the revealed statuses.
+    def touched(self, mask: int) -> list[ComponentTable]:
+        """The components that set a bit of `mask`, in model order."""
+        at = self._component_at
+        return [self.components[i]
+                for i in sorted({at[bit] for bit in _low_bits(mask)})]
 
-        Probabilities are exact, positive, and sum to one. More than
-        `BELIEF_CAP` outcomes raise `EnumerationCapError` before any is built.
+    def branch(self, opened: int, blocked: int, fresh: int,
+               ) -> list[tuple[int, int, Fraction]]:
+        """Joint outcomes over the bits of `fresh`, given the statuses of
+        masks `opened` and `blocked`, as rows (opened, blocked, chance).
+
+        Components multiply out in model order, each one's outcomes sorted
+        by open flags over its fresh bits, lowest bit first, False first.
+        Chances are exact, positive and sum to one; more than `BELIEF_CAP`
+        outcomes raise `EnumerationCapError` before any is built.
         """
-        wanted = list(dict.fromkeys(targets))
-        by_comp: dict[int, list[str]] = {}
-        for e in wanted:
-            by_comp.setdefault(self.component_of[e], []).append(e)
         factors = []
-        for ci in sorted(by_comp):
-            comp = self.components[ci]
-            checks = [(i, known[e]) for i, e in enumerate(comp.edge_ids)
-                      if e in known]
-            rows = [(statuses, prob) for statuses, prob in comp.rows
-                    if all(statuses[i] == want for i, want in checks)]
-            total = sum((prob for _, prob in rows), Fraction(0))
+        for comp in self.touched(fresh):
+            known = (opened | blocked) & comp.mask
+            picks = fresh & comp.mask
+            proj: dict[int, Fraction] = {}
+            for row, prob in comp.rows:
+                if row & known == opened & known:  # agrees with the masks
+                    key = row & picks
+                    proj[key] = proj.get(key, Fraction(0)) + prob
+            total = sum(proj.values())
             if total == 0:
                 # every status revealed came from a weather or an outcome
                 # of positive chance, so only a broken invariant gets here
                 raise InternalCheckError(
-                    f"revealed statuses are inconsistent in component {ci}")
-            picks = [comp.edge_index[e] for e in by_comp[ci]]
-            proj: dict[tuple[bool, ...], Fraction] = {}
-            for statuses, prob in rows:
-                key = tuple(statuses[i] for i in picks)
-                proj[key] = proj.get(key, Fraction(0)) + prob
-            factors.append([(dict(zip(by_comp[ci], key)), p / total)
-                            for key, p in sorted(proj.items())])
+                    "revealed statuses are inconsistent in the component "
+                    f"of mask {comp.mask:#x}")
+            factors.append([(key, picks ^ key, p / total) for key, p in sorted(
+                proj.items(), key=_by_flags(list(_low_bits(picks))))])
         size = math.prod(map(len, factors))
         if size > BELIEF_CAP:
             raise EnumerationCapError(
                 f"{size} outcomes of one observation exceed the cap of "
                 f"{BELIEF_CAP}")
-        partial: list[tuple[dict[str, bool], Fraction]] = [({}, Fraction(1))]
+        partial: list[tuple[int, int, Fraction]] = [(0, 0, Fraction(1))]
         for outcomes in factors:
-            partial = [({**got, **add}, pa * pb)
-                       for got, pa in partial for add, pb in outcomes]
-        if sum(p for _, p in partial) != 1:
-            raise InternalCheckError(f"outcomes of {wanted} do not sum to 1")
+            partial = [(got | add, shut | more, pa * pb)
+                       for got, shut, pa in partial
+                       for add, more, pb in outcomes]
+        if sum(p for _, _, p in partial) != 1:
+            raise InternalCheckError(
+                f"outcomes of mask {fresh:#x} do not sum to 1")
         return partial
 
 
@@ -563,9 +572,9 @@ _LEAF_CAP = 1 << 22
 
 
 def _component_table(variables: Sequence[NetVariable],
-                     edge_ids: Sequence[str]) -> ComponentTable:
-    ordered_edges = tuple(sorted(edge_ids))
-    rows: dict[tuple[bool, ...], Fraction] = {}
+                     edge_bits: Mapping[str, int]) -> ComponentTable:
+    ordered = sorted(edge_bits.items())
+    rows: dict[int, Fraction] = {}
     assign: dict[str, int] = {}
     leaves = 0
     # depth-first over the support, value 0 before 1; an entry is the
@@ -580,7 +589,7 @@ def _component_table(variables: Sequence[NetVariable],
             if leaves > _LEAF_CAP:
                 raise EnumerationCapError(
                     f"dependency component support exceeds {_LEAF_CAP} rows")
-            key = tuple(assign[e] == 0 for e in ordered_edges)
+            key = sum(bit for e, bit in ordered if assign[e] == 0)
             rows[key] = rows.get(key, Fraction(0)) + prob
             continue
         var = variables[i]
@@ -591,29 +600,36 @@ def _component_table(variables: Sequence[NetVariable],
         for value, p in ((1, p_one), (0, 1 - p_one)):
             if p:
                 stack.append((i + 1, value, prob * p))
-    return ComponentTable(ordered_edges, tuple(sorted(rows.items())))
+    bits = [bit for _, bit in ordered]
+    return ComponentTable(sum(bits), tuple(sorted(rows.items(),
+                                                  key=_by_flags(bits))))
+
+
+class _EdgeTables(Sequence):
+    """An independent instance's one-edge tables, each built when read: U
+    edges' masks take O(U^2) bits, so the model itself holds none."""
+
+    def __init__(self, edges: tuple[EdgeSpec, ...]):
+        self._edges = edges
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __getitem__(self, i: int) -> ComponentTable:
+        p, bit = self._edges[i].block_p, 1 << i  # as `CtpInstance.bits`
+        return ComponentTable(bit, ((0, p), (bit, 1 - p)))
 
 
 def build_joint(instance: CtpInstance) -> JointModel:
     """Factor the instance's edge-status distribution into component tables."""
-    uncertain = {e.id for e in instance.uncertain_edges}
     if instance.dependency is None:
-        comps = []
-        open_p: dict[Fraction, Fraction] = {}
-        for e in instance.uncertain_edges:
-            p = e.block_p
-            q = open_p.get(p)
-            if q is None:
-                q = open_p[p] = 1 - p
-            rows = (((False,), p), ((True,), q))
-            comps.append(ComponentTable((e.id,), rows))
-        return JointModel(tuple(comps))
+        return JointModel(_EdgeTables(instance.uncertain_edges))
+    bits = instance.bits
     comps = []
     for group in instance.dependency.moral_components:
-        edge_ids = [v.id for v in group if v.id in uncertain]
-        if not edge_ids:
-            continue
-        comps.append(_component_table(group, edge_ids))
+        edge_bits = {v.id: bits[v.id] for v in group if v.id in bits}
+        if edge_bits:
+            comps.append(_component_table(group, edge_bits))
     return JointModel(tuple(comps))
 
 
@@ -706,12 +722,8 @@ class CtpInstance:
     def edges_in(self, mask: int) -> list[str]:
         """Ids of the uncertain edges whose bits `mask` sets, in bit order;
         the cost grows with the bits set, not with the uncertain edges."""
-        edges, out = self.uncertain_edges, []
-        while mask:
-            low = mask & -mask
-            out.append(edges[low.bit_length() - 1].id)
-            mask ^= low
-        return out
+        edges = self.uncertain_edges
+        return [edges[low.bit_length() - 1].id for low in _low_bits(mask)]
 
     def statuses(self, opened: int, blocked: int) -> list[tuple[str, bool]]:
         """`(edge id, status)` of every bit the two masks set, sorted by
@@ -721,34 +733,26 @@ class CtpInstance:
 
     def outcomes(self, tables: dict, fresh: int, opened: int, blocked: int,
                  ) -> list[tuple[int, int, Fraction]]:
-        """`joint.branch` over the edges of mask `fresh`, given the statuses
-        of masks `opened` and `blocked`, as rows (opened, blocked, chance)
-        over the fresh edges, in the model's order.
+        """`joint.branch(opened, blocked, fresh)`, memoized: the rows
+        (opened, blocked, chance) over the edges of mask `fresh`.
 
         `tables` memoizes the rows for one caller: `tables[fresh]` holds
         the mask of the dependency components `fresh` touches and the
         rows by (opened, blocked) restricted to it. `branch` reads nothing
         else, as the components are independent (the factored model of
         Papadimitriou & Yannakakis, TCS 1991), so a hit returns exactly
-        what a fresh call would. The rows are never mutated.
+        what a fresh call would, and a miss passes its key straight to
+        `branch`. The rows are never mutated.
         """
         memo = tables.get(fresh)
         if memo is None:
-            of = self.joint.component_of
-            touched = {of[e] for e in self.edges_in(fresh)}
-            memo = tables[fresh] = (sum(self.bits[e] for e, ci in of.items()
-                                        if ci in touched), {})
+            memo = tables[fresh] = (
+                sum(comp.mask for comp in self.joint.touched(fresh)), {})
         mask, rows = memo
         key = (opened & mask, blocked & mask)
         table = rows.get(key)
         if table is None:
-            bits = self.bits
-            table = rows[key] = [
-                (sum(bits[e] for e, status in got.items() if status),
-                 sum(bits[e] for e, status in got.items() if not status),
-                 prob)
-                for got, prob in self.joint.branch(
-                    dict(self.statuses(*key)), self.edges_in(fresh))]
+            table = rows[key] = self.joint.branch(*key, fresh)
         return table
 
     @cached_property
@@ -760,19 +764,18 @@ class CtpInstance:
         """What `sample_weather` draws: the `(rows, parents)` arguments of
         `SplitMix64.hits`, built of plain-int `_draw_row` rows.
 
-        Without a net: one row per uncertain edge, keyed by its id, and no
+        Without a net: one row per uncertain edge, keyed by its bit, and no
         parents. With a net: per variable in listed order, one row per
-        CPT entry, keyed by the variable id when it drives an uncertain
-        edge and by None otherwise, and the positions of its parents.
+        CPT entry, keyed by the bit of the uncertain edge it drives and by
+        None for an auxiliary variable, and the positions of its parents.
         """
+        bits = self.bits
         if self.dependency is None:
-            return tuple(_draw_row(e.id, e.block_p)
+            return tuple(_draw_row(bits[e.id], e.block_p)
                          for e in self.uncertain_edges), None
-        uncertain = {e.id for e in self.uncertain_edges}
         position = {v.id: i for i, v in enumerate(self.dependency.variables)}
         variables = self.dependency.variables
-        return (tuple(tuple(_draw_row(var.id if var.id in uncertain else None,
-                                      p) for p in var.cpt)
+        return (tuple(tuple(_draw_row(bits.get(var.id), p) for p in var.cpt)
                       for var in variables),
                 tuple(tuple(position[p] for p in var.parents)
                       for var in variables))
@@ -809,9 +812,9 @@ def _validate_net(instance: CtpInstance) -> None:
                     f"variable {var.id!r} has probability {p} outside [0, 1]")
         seen.add(var.id)
 
-    uncertain = {e.id: e for e in instance.uncertain_edges}
+    uncertain = instance.bits
     for eid in uncertain:
-        if eid not in net.variable_map:
+        if eid not in seen:
             raise InvalidInstanceError(
                 f"uncertain edge {eid!r} has no dependency variable")
     for var in net.variables:
@@ -822,15 +825,14 @@ def _validate_net(instance: CtpInstance) -> None:
     # Stored marginals must match what the net induces: the blocked rows
     # of the edge's own component table (its rows sum to one).
     joint = instance.joint
-    for eid, edge in uncertain.items():
-        comp = joint.components[joint.component_of[eid]]
-        i = comp.edge_index[eid]
-        marginal = sum((p for statuses, p in comp.rows if not statuses[i]),
-                       Fraction(0))
+    for edge in instance.uncertain_edges:
+        bit = uncertain[edge.id]
+        (comp,) = joint.touched(bit)
+        marginal = sum(p for row, p in comp.rows if not row & bit)
         if marginal != edge.block_p:
             raise InvalidInstanceError(
-                f"edge {eid!r} stores block_p {edge.block_p} but the net "
-                f"gives {marginal}")
+                f"edge {edge.id!r} stores block_p {edge.block_p} but the "
+                f"net gives {marginal}")
 
 
 def validate_instance(instance: CtpInstance) -> None:
@@ -975,37 +977,34 @@ _SUPPORT_CAP = 1 << 20
 
 
 def weather_support(instance: CtpInstance) -> list[tuple[Weather, Fraction]]:
-    """Every positive-probability weather with its exact probability."""
+    """Every positive-probability weather with its exact probability.
+
+    The components' rows are multiplied out in model order, the first
+    component varying slowest."""
     joint = instance.joint
-    count = 1
-    for comp in joint.components:
-        count *= len(comp.rows)
+    count = math.prod(len(comp.rows) for comp in joint.components)
     if count > _SUPPORT_CAP:
         raise EnumerationCapError(
             f"{count} weathers exceed the cap of {_SUPPORT_CAP}")
-    acc: list[tuple[frozenset[str], Fraction]] = [(frozenset(), Fraction(1))]
+    acc: list[tuple[int, Fraction]] = [(0, Fraction(1))]
     for comp in joint.components:
-        step = []
-        for blocked, p in acc:
-            for statuses, rp in comp.rows:
-                extra = {e for e, is_open in zip(comp.edge_ids, statuses)
-                         if not is_open}
-                step.append((blocked | extra, p * rp))
-        acc = step
+        acc = [(blocked | (comp.mask ^ row), p * rp)
+               for blocked, p in acc for row, rp in comp.rows]
     return [(Weather(blocked), p) for blocked, p in acc]
 
 
 def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
     """Draw one weather from `instance.draw_table` by one `SplitMix64.hits`
-    call, so every draw of the weather comes from the same batches.
+    call, so every draw of the weather comes from the same batches; the
+    bits it returns, each at most once, sum to the blocked mask.
 
     Edges draw in listed order; dependent nets draw each variable from
     its CPT row in listed (ancestral) order. Every draw is the integer rule
-    of `hits`, so chances 0 and 1 take no draw, and the blocked sets and
+    of `hits`, so chances 0 and 1 take no draw, and the blocked masks and
     the stream state left behind are bit-identical to drawing each chance
     with `uniform_below(denominator) < numerator`.
     """
-    return Weather(frozenset(stream.hits(*instance.draw_table)))
+    return Weather(sum(stream.hits(*instance.draw_table)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
 list what may be done where, and arrival reveals `fresh_at`. A walk's
 beliefs hold masks, and a reveal ORs the revealed bits into them; a
-weather walk looks each revealed edge up in the weather's blocked set.
+weather walk splits them into open and blocked by one AND with the
+weather's blocked mask.
 
 Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
 skip zero prices. The only floats are `math.inf`, for a walk the policy
@@ -290,10 +291,9 @@ def walk_weather(instance: CtpInstance, policy: Policy,
                  weather: Weather) -> Cost:
     """Run the policy against one fixed weather; return the realized cost."""
     cap = _step_cap(instance)
-    bits, shut = instance.bits, weather.blocked
+    shut = weather.blocked
     seen = instance.fresh_at(instance.s, 0)
-    blocked = sum(bits[e] for e in instance.edges_in(seen) if e in shut)
-    belief = Belief(instance.s, seen & ~blocked, blocked, instance)
+    belief = Belief(instance.s, seen & ~shut, seen & shut, instance)
     total: Fraction | int = 0
     for _ in range(cap):
         action = policy.decide(instance, belief)
@@ -304,10 +304,8 @@ def walk_weather(instance: CtpInstance, policy: Policy,
             total = total + price if total else price
         if revealed is None:
             return Cost.of(total)
-        blocked = sum(bits[e] for e in instance.edges_in(revealed)
-                      if e in shut)
-        belief = Belief(pos, belief.opened | (revealed & ~blocked),
-                        belief.blocked | blocked, instance)
+        belief = Belief(pos, belief.opened | (revealed & ~shut),
+                        belief.blocked | (revealed & shut), instance)
     raise EnumerationCapError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
 
@@ -445,14 +443,13 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
         return _trace(instance, policy, None)
     if mode != "weathers":
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    support = weather_support(instance)
     breakdown: list[tuple[str, Fraction, Cost]] = []
-    ids = sorted(e.id for e in instance.uncertain_edges)
-    for weather, prob in support:
+    ids = sorted(instance.bits.items())
+    for weather, prob in weather_support(instance):
         cost = walk_weather(instance, policy, weather)
         label = ",".join(
-            f"{e}={'blocked' if e in weather.blocked else 'open'}"
-            for e in ids) or "no observations"
+            f"{e}={'blocked' if weather.blocked & bit else 'open'}"
+            for e, bit in ids) or "no observations"
         breakdown.append((label, prob, cost))
     return _summed(breakdown)
 
@@ -478,13 +475,13 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     weather by the integer rule of `sample_weather`. Policies are
     deterministic, so each distinct weather is walked once per call: the
     realized costs of the first `_WEATHER_MEMO_CAP` (4,096) distinct
-    weathers are remembered by blocked set, and any weather after those is
+    weathers are remembered by blocked mask, and any weather after those is
     walked every time it recurs. The outputs are bit-identical to walking
     every trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    costs: dict[frozenset[str], float] = {}
+    costs: dict[int, float] = {}
     samples: list[float] = []
     for trial in range(trials):
         weather = sample_weather(instance, trial_stream(seed, trial))

@@ -115,6 +115,16 @@ class TestDotExport:
         assert "1048576" not in text
         assert "9.5367431640625E-7" in text
 
+    def test_quotes_and_backslashes_are_escaped(self):
+        builder = InstanceBuilder(Variant.INDEPENDENT)
+        builder.set_endpoints('s"x', "t")
+        builder.add_edge('s"x', "a\\", 1, id="in")
+        builder.add_edge("a\\", "t", 2, id="out")
+        text = instance_to_dot(builder.build())
+        assert '  "s\\"x" [shape=doublecircle];' in text
+        assert '  "s\\"x" -- "a\\\\" [label="1/1"];' in text
+        assert '  "a\\\\" -- "t" [label="2/1"];' in text
+
 
 class TestBattery:
     def test_recorded_outcomes_match_the_oracle(self):
@@ -291,14 +301,15 @@ class TestCommands:
                 captured.out)
 
     def test_readme_command_lines_run(self, tmp_path, monkeypatch, capsys):
-        """Every non-verify `ctplab` line of README's command-line
-        section runs, in order, next to a 2-variable game file."""
+        """Every `ctplab` line of README's command-line section runs, in
+        order, next to a 2-variable game file, and exits 0: the verify
+        suites pass every check."""
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-        lines = [line.split("#", 1)[0].split()[1:]
-                 for line in re.findall(r"^ctplab .*$", section, re.M)]
-        commands = [argv for argv in lines if argv[0] != "verify"]
-        assert len(commands) == 10
+        commands = [line.split("#", 1)[0].split()[1:]
+                    for line in re.findall(r"^ctplab .*$", section, re.M)]
+        assert len(commands) == 15
+        assert sum(argv[0] == "verify" for argv in commands) == 5
         monkeypatch.chdir(tmp_path)
         (tmp_path / "game.qdimacs").write_text(GAME)
         for argv in commands:
@@ -577,13 +588,21 @@ class TestExitCodes:
         assert "beliefs exceed the cap of 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("filters", [["--n", "3"],
-                                         ["--n", "4", "--m", "3"]])
+                                         ["--n", "4", "--m", "3"],
+                                         ["--n", "0"]])
     def test_verify_selecting_no_check_is_input_error(self, filters, capsys):
         assert main(["verify", "ctpdep", *filters]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "error: suite ctpdep: the filters select no check\n")
+
+    def test_verify_ctp_cert_zero_filter_is_input_error(self, capsys):
+        # 0 is a size like any other, not "no filter"
+        assert main(["verify", "ctp-cert", "--n", "0", "--m", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be even and at least 2, got 0\n"
 
     @pytest.mark.parametrize("command", [["reduce", "sensing"],
                                          ["verify", "sensing"]])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ctplab.cli import GAME_BATTERY, random_disjoint_instance
 from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
     Belief,
+    ComponentTable,
     Cost,
     CtpInstance,
     EnumerationCapError,
@@ -281,24 +283,27 @@ class TestDependentJoint:
 
     def test_branch_conditionals(self):
         inst = xor_net_instance()
-        outcomes = inst.joint.branch({}, ["e_true", "e_false"])
+        assert inst.bits == {"e_true": 1, "e_false": 2}
+        outcomes = inst.joint.branch(0, 0, 3)
         assert len(outcomes) == 2
-        assert all(p == HALF for _, p in outcomes)
-        for statuses, _ in outcomes:
-            assert statuses["e_true"] != statuses["e_false"]
+        assert all(p == HALF for _, _, p in outcomes)
+        for opened, blocked, _ in outcomes:
+            assert opened | blocked == 3
+            assert len(inst.edges_in(opened)) == 1
 
     def test_open_probability(self):
         inst = xor_net_instance()
-        assert inst.joint.branch({}, ["e_true"]) == [
-            ({"e_true": False}, HALF), ({"e_true": True}, HALF)]
-        assert inst.joint.branch({"e_false": False}, ["e_true"]) == [
-            ({"e_true": True}, 1)]
+        e_true, e_false = inst.bits["e_true"], inst.bits["e_false"]
+        assert inst.joint.branch(0, 0, e_true) == [
+            (0, e_true, HALF), (e_true, 0, HALF)]
+        assert inst.joint.branch(0, e_false, e_true) == [(e_true, 0, 1)]
 
     def test_weather_support_is_exclusive(self):
         inst = xor_net_instance()
         support = weather_support(inst)
         assert sum(p for _, p in support) == 1
-        patterns = {tuple(sorted(w.blocked)) for w, _ in support}
+        patterns = {tuple(sorted(inst.edges_in(w.blocked)))
+                    for w, _ in support}
         assert patterns == {("e_false",), ("e_true",)}
 
     def test_parent_order_matters(self):
@@ -311,14 +316,16 @@ class TestDependentJoint:
         # Blocked only when a=1 and b=0: rows ordered a + 2b.
         b.add_variable("e", ("a", "b"), [0, 1, 0, 0])
         inst = b.build()
-        assert inst.joint.branch({}, ["e"]) == [
-            ({"e": False}, Fraction(1, 4)), ({"e": True}, Fraction(3, 4))]
+        e = inst.bits["e"]
+        assert inst.joint.branch(0, 0, e) == [
+            (0, e, Fraction(1, 4)), (e, 0, Fraction(3, 4))]
 
     def test_long_copy_chain_loads(self):
         # one Python frame per variable would pass the recursion limit
         inst = instance_from_json(instance_to_json(copy_chain_instance(1100)))
         (comp,) = inst.joint.components
-        assert comp.rows == (((False,), HALF), ((True,), HALF))
+        assert comp.mask == inst.bits["e"]
+        assert comp.rows == ((0, HALF), (comp.mask, HALF))
 
     def test_component_support_cap(self, monkeypatch):
         monkeypatch.setattr(model_module, "_LEAF_CAP", 3)
@@ -354,16 +361,28 @@ def coin_star(n: int) -> CtpInstance:
     return b.build()
 
 
+class TestIndependentJoint:
+    def test_tables_are_built_when_read(self):
+        star = coin_star(3)
+        joint = star.joint
+        # building the model numbers no edge: U masks take O(U^2) bits
+        assert "bits" not in vars(star)
+        assert len(joint.components) == 3
+        assert list(joint.components) == [
+            ComponentTable(bit, ((0, HALF), (bit, HALF))) for bit in (1, 2, 4)]
+        assert star.bits == {"c00": 1, "c01": 2, "c02": 4}
+
+
 class TestBranchCap:
     def test_product_past_the_cap_raises(self, monkeypatch):
         monkeypatch.setattr(model_module, "BELIEF_CAP", 1000)
         star = coin_star(10)
-        coins = [e.id for e in star.uncertain_edges]
-        assert len(star.joint.branch({}, coins[:9])) == 512
+        coins = [star.bits[e.id] for e in star.uncertain_edges]
+        assert len(star.joint.branch(0, 0, sum(coins[:9]))) == 512
         with pytest.raises(EnumerationCapError,
                            match="1024 outcomes of one observation exceed "
                                  "the cap of 1000"):
-            star.joint.branch({}, coins)
+            star.joint.branch(0, 0, sum(coins))
 
     def test_inconsistent_statuses_are_a_broken_invariant(self):
         # one coin blocks exactly one of the pair, so both open has chance
@@ -371,15 +390,80 @@ class TestBranchCap:
         inst = xor_net_instance()
         with pytest.raises(InternalCheckError,
                            match="revealed statuses are inconsistent"):
-            inst.joint.branch({"e_true": True, "e_false": True},
-                              ["e_true"])
+            inst.joint.branch(inst.bits["e_true"] | inst.bits["e_false"],
+                              0, inst.bits["e_true"])
+
+
+def uneven_net_instance() -> CtpInstance:
+    """Three edges over two hidden coins of chances 1/3 and 1/4: the rows
+    of their one component differ in chance, so a projection sums rows of
+    unequal weight."""
+    b = InstanceBuilder(Variant.DEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "t", 1, id="e1", block_p=HALF)
+    b.add_edge("s", "t", 2, id="e2", block_p=Fraction(3, 10))
+    b.add_edge("s", "t", 3, id="e3", block_p=Fraction(1, 4))
+    b.add_edge("s", "t", 9, id="sure")
+    b.add_variable("a", (), [Fraction(1, 3)])
+    b.add_variable("b", (), [Fraction(1, 4)])
+    b.add_variable("e1", ("a", "b"), [0, 1, 1, 1])
+    b.add_variable("e2", ("a",), [Fraction(1, 5), HALF])
+    b.add_variable("e3", ("b",), [0, 1])
+    return b.build()
+
+
+def branch_by_weathers(support, opened, blocked, fresh):
+    """`JointModel.branch` by brute force, as a map from (opened_by,
+    blocked_by) to chance: the weathers that agree with the masks, grouped
+    by their statuses on `fresh`, normalized."""
+    groups: dict[tuple[int, int], Fraction] = {}
+    for weather, p in support:
+        shut = weather.blocked
+        if opened & shut or blocked & ~shut:
+            continue
+        key = (fresh & ~shut, fresh & shut)
+        groups[key] = groups.get(key, 0) + p
+    total = sum(groups.values())
+    return {key: p / total for key, p in groups.items()}
+
+
+class TestBranchByWeathers:
+    """`branch` against weather enumeration, which shares none of its
+    conditioning or projection code."""
+
+    @pytest.mark.parametrize("name", [
+        "game0", "game1", "game2", "game3", "game4", "game6", "baiting-2",
+        "uneven"])
+    def test_matches_grouped_weathers(self, name):
+        if name.startswith("game"):
+            k = int(name[4:])
+            inst = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        elif name == "baiting-2":
+            inst = baiting_harness(2)[0]
+        else:
+            inst = uneven_net_instance()
+        support = weather_support(inst)
+        assert len(support) <= 4096  # the guard `TestWalkMemo` uses
+        width = len(inst.uncertain_edges)
+        rng = random.Random(name)
+        for _ in range(200):
+            # reveal some statuses of one weather, then branch on a random
+            # subset of the rest
+            shut = rng.choice(support)[0].blocked
+            known = rng.getrandbits(width)
+            fresh = rng.getrandbits(width) & ~known
+            opened, blocked = known & ~shut, known & shut
+            got = inst.joint.branch(opened, blocked, fresh)
+            want = branch_by_weathers(support, opened, blocked, fresh)
+            assert len(got) == len(want)
+            assert {(o, b): p for o, b, p in got} == want
 
 
 class TestWeathers:
     def test_support_probabilities(self):
         inst = two_path_instance()
-        support = dict(
-            (tuple(sorted(w.blocked)), p) for w, p in weather_support(inst))
+        support = dict((tuple(inst.edges_in(w.blocked)), p)
+                       for w, p in weather_support(inst))
         assert support == {(): HALF, ("xt",): HALF}
 
     def test_cap(self, monkeypatch):
@@ -395,7 +479,7 @@ class TestWeathers:
 
     def test_sampling_matches_support(self):
         inst = xor_net_instance()
-        legal = {frozenset({"e_true"}), frozenset({"e_false"})}
+        legal = {inst.bits["e_true"], inst.bits["e_false"]}
         stream = SplitMix64(7)
         seen = {sample_weather(inst, stream).blocked for _ in range(64)}
         assert seen == legal

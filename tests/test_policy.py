@@ -159,7 +159,7 @@ class TestLegality:
 
     @pytest.mark.parametrize("walk", [
         lambda inst, policy: evaluate_exact(inst, policy, mode="tree"),
-        lambda inst, policy: walk_weather(inst, policy, Weather(frozenset())),
+        lambda inst, policy: walk_weather(inst, policy, Weather(0)),
     ], ids=["tree", "weather"])
     @pytest.mark.parametrize("make, action", [
         (anchor_instance, Action.move("anchor")),
@@ -336,10 +336,10 @@ class TestBaitingPolicies:
         policy = reference_policy("baiting_pi", handle=handle,
                                   terminal=handle.exit_shortcut)
         # every cut blocked: pay the full corridor plus the exit shortcut
-        blocked = frozenset(handle.cut_edges)
-        assert walk_weather(inst, policy, Weather(blocked)) == Cost.of(4)
+        cuts = [inst.bits[e] for e in handle.cut_edges]
+        assert walk_weather(inst, policy, Weather(sum(cuts))) == Cost.of(4)
         # first cut open: one section then a free drop to the sink
-        open_first = frozenset(handle.cut_edges[1:])
+        open_first = sum(cuts[1:])
         assert walk_weather(inst, policy, Weather(open_first)) == Cost.of(
             Fraction(1, 4))
 

@@ -91,15 +91,16 @@ class TestDependentGame:
         assert len(support) == 128
         assert sum(prob for _, prob in support) == 1
         for weather, _ in support:
-            odd = "exam.choice.odd" not in weather.blocked
-            even = "exam.choice.even" not in weather.blocked
+            blocked = set(instance.edges_in(weather.blocked))
+            odd = "exam.choice.odd" not in blocked
+            even = "exam.choice.even" not in blocked
             assert odd != even
-            x_true = "x1.true" not in weather.blocked
-            x_false = "x1.false" not in weather.blocked
+            x_true = "x1.true" not in blocked
+            x_false = "x1.false" not in blocked
             assert x_true != x_false
             open_clauses = 0
             for ids in layout.clause_members:
-                statuses = {eid not in weather.blocked for eid in ids}
+                statuses = {eid not in blocked for eid in ids}
                 assert len(statuses) == 1
                 if statuses.pop():
                     open_clauses += 1

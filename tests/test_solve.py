@@ -170,8 +170,20 @@ class TestSolveIndependent:
         # the exported tree replays, and the weathers oracle agrees
         replayed = P.DecisionTreePolicy.from_json(result.policy.to_json())
         assert evaluate_exact(inst, replayed) == walked
-        assert evaluate_exact(inst, replayed, mode="weathers").expected_cost \
-            == result.optimal_cost
+        by_weather = evaluate_exact(inst, replayed, mode="weathers")
+        assert by_weather.expected_cost == result.optimal_cost
+        # one row per weather, in support order: the listed edges' rows
+        # multiplied out, zz slowest and blocked first; labels in id order
+        assert [(label, str(cost)) for label, _, cost in
+                by_weather.outcome_breakdown] == [
+            ("ya=blocked,zb=blocked,zz=blocked", "10/1"),
+            ("ya=open,zb=blocked,zz=blocked", "10/1"),
+            ("ya=blocked,zb=open,zz=blocked", "10/1"),
+            ("ya=open,zb=open,zz=blocked", "10/1"),
+            ("ya=blocked,zb=blocked,zz=open", "12/1"),
+            ("ya=open,zb=blocked,zz=open", "3/1"),
+            ("ya=blocked,zb=open,zz=open", "2/1"),
+            ("ya=open,zb=open,zz=open", "2/1")]
 
 
 def zero_bound(instance):
@@ -414,14 +426,14 @@ class TestFrozenSolves:
         assert len(result.policy.nodes) <= stats.beliefs_expanded + 1
 
 
-def random_known(joint, rng):
+def random_known(instance, rng):
     """Some statuses of one support row per component."""
     known = {}
-    for comp in joint.components:
-        statuses, _ = comp.rows[rng.randrange(len(comp.rows))]
-        for e, status in zip(comp.edge_ids, statuses):
+    for comp in instance.joint.components:
+        row, _ = comp.rows[rng.randrange(len(comp.rows))]
+        for e in sorted(instance.edges_in(comp.mask)):
             if rng.random() < 0.5:
-                known[e] = status
+                known[e] = bool(row & instance.bits[e])
     return known
 
 
@@ -437,11 +449,14 @@ def tables_copy(tables):
             tables.items()}
 
 
-def random_branch(joint, rng):
-    """Random consistent statuses and up to three unknown targets."""
-    known = random_known(joint, rng)
-    unknown = [e for e in sorted(joint.component_of) if e not in known]
-    return known, rng.sample(unknown, rng.randint(0, min(3, len(unknown))))
+def random_branch(instance, rng):
+    """Random consistent (opened, blocked) masks and the mask of up to
+    three unknown targets."""
+    known = random_known(instance, rng)
+    unknown = [e for e in sorted(instance.bits) if e not in known]
+    targets = rng.sample(unknown, rng.randint(0, min(3, len(unknown))))
+    return (*masks(instance, known),
+            sum(instance.bits[e] for e in targets))
 
 
 class TestBranchMemo:
@@ -453,12 +468,11 @@ class TestBranchMemo:
         joint = instance.joint
         rng = random.Random(k)
         for _ in range(200):
-            known, targets = random_branch(joint, rng)
-            comps = {joint.component_of[e] for e in targets}
-            restricted = {e: status for e, status in known.items()
-                          if joint.component_of[e] in comps}
-            assert joint.branch(known, targets) == joint.branch(
-                restricted, targets)
+            opened, blocked, fresh = random_branch(instance, rng)
+            cover = sum(comp.mask for comp in joint.components
+                        if comp.mask & fresh)
+            assert joint.branch(opened, blocked, fresh) == joint.branch(
+                opened & cover, blocked & cover, fresh)
 
     @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
     def test_memo_matches_branch_across_conditionings(self, k):
@@ -467,14 +481,9 @@ class TestBranchMemo:
         rng = random.Random(100 + k)
         tables = {}
         for _ in range(300):
-            known, targets = random_branch(joint, rng)
-            # targets are asked for in bit order, the order of `fresh_at`
-            targets.sort(key=instance.bits.get)
-            fresh = sum(instance.bits[e] for e in targets)
-            table = instance.outcomes(tables, fresh, *masks(instance, known))
-            assert [(dict(instance.statuses(opened, blocked)), prob)
-                    for opened, blocked, prob in table] == joint.branch(
-                known, targets)
+            opened, blocked, fresh = random_branch(instance, rng)
+            table = instance.outcomes(tables, fresh, opened, blocked)
+            assert table == joint.branch(opened, blocked, fresh)
         # the 300 lookups shared tables
         assert sum(len(rows) for _, rows in tables.values()) < 300
 
@@ -484,7 +493,7 @@ class TestBranchMemo:
         rng = random.Random(k)
         vertices = sorted(instance.vertices)
         for _ in range(5):
-            known = random_known(instance.joint, rng)
+            known = random_known(instance, rng)
             position = rng.choice(vertices)
             solver = S._Solver(instance, 200_000)
             opened, blocked = masks(instance, known)
@@ -500,7 +509,7 @@ class TestBranchMemo:
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         rng = random.Random(200 + k)
         for _ in range(100):
-            known = random_known(instance.joint, rng)
+            known = random_known(instance, rng)
             opened, blocked = masks(instance, known)
             assert not opened & blocked
             assert instance.statuses(opened, blocked) == sorted(known.items())
@@ -523,11 +532,7 @@ def branch_every_time(instance, policy):
     def leaf(labels, prob, cost):
         rows.append((" ; ".join(labels) or "no observations", prob, cost))
 
-    def targets(mask):
-        return [e.id for e in instance.uncertain_edges
-                if instance.bits[e.id] & mask]
-
-    def walk(belief, known, labels, prob, spent):
+    def walk(belief, labels, prob, spent):
         for _ in range(cap):
             action = policy.decide(instance, belief)
             if action is None:
@@ -537,25 +542,26 @@ def branch_every_time(instance, policy):
                 return leaf(labels, prob, Cost.of(spent))
             spent += price
             if revealed:
-                return reveal(known, nxt, targets(revealed), labels, prob,
-                              spent)
+                return reveal(belief, nxt, revealed, labels, prob, spent)
             belief = Belief(nxt, belief.opened, belief.blocked, instance)
         raise AssertionError("the walk loops")
 
-    def reveal(known, position, targets, labels, prob, spent):
-        for got, p in joint.branch(known, targets):
-            label = ",".join(f"{e}={'open' if v else 'blocked'}"
-                             for e, v in sorted(got.items()))
-            grown = {**known, **got}
-            walk(Belief(position, *masks(instance, grown), instance), grown,
-                 labels + (label,), prob * p, spent)
+    def reveal(belief, position, fresh, labels, prob, spent):
+        opened, blocked = belief.opened, belief.blocked
+        for opened_by, blocked_by, p in joint.branch(opened, blocked, fresh):
+            got = sorted([(e, "open") for e in instance.edges_in(opened_by)]
+                         + [(e, "blocked")
+                            for e in instance.edges_in(blocked_by)])
+            label = ",".join(f"{e}={status}" for e, status in got)
+            walk(Belief(position, opened | opened_by, blocked | blocked_by,
+                        instance), labels + (label,), prob * p, spent)
 
+    start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
     if fresh:
-        reveal({}, instance.s, targets(fresh), (), Fraction(1), Fraction(0))
+        reveal(start, instance.s, fresh, (), Fraction(1), Fraction(0))
     else:
-        walk(Belief(instance.s, 0, 0, instance), {}, (), Fraction(1),
-             Fraction(0))
+        walk(start, (), Fraction(1), Fraction(0))
     return P._summed(rows)
 
 
@@ -583,9 +589,9 @@ class TestWalkMemo:
         calls = []
         branch = JointModel.branch
 
-        def counted(self, known, targets):
-            calls.append(tuple(targets))
-            return branch(self, known, targets)
+        def counted(self, opened, blocked, fresh):
+            calls.append(fresh)
+            return branch(self, opened, blocked, fresh)
 
         monkeypatch.setattr(JointModel, "branch", counted)
         priced, tree = export_decision_tree(instance, result.policy)
