@@ -228,21 +228,60 @@ def _lanes(n: int) -> tuple:
 _LANES = tuple(_lanes(1 << b) for b in range(9))
 
 
-def _next_words(state: int, n: int) -> tuple[int, ...]:
-    """The `next64` outputs that follow counter `state`, in one batch:
-    the next n, rounded up to a power of two and at most 256 of them.
+def _mix_lanes(state: int, lanes: tuple) -> int:
+    """The `next64` outputs that follow counter `state`, packed: lane k
+    of the int returned holds the word of counter state + (k+1) * GOLDEN.
 
-    SplitMix64 is counter-based: word k mixes only state + k * GOLDEN.
-    Lane k of one int holds that counter, and the mix's rounds run on
-    all lanes at once. Every shift and multiply is masked back to the
-    low 64 bits of each lane, and a lane times a 64-bit constant stays
-    below 2^128, so no carry crosses into the next lane.
+    SplitMix64 is counter-based: word k mixes only its own counter. Lane
+    k of one int holds that counter, and the mix's rounds run on all
+    lanes at once. Every shift and multiply is masked back to the low 64
+    bits of each lane, and a lane times a 64-bit constant stays below
+    2^128, so no carry crosses into the next lane.
     """
-    ones, ramp, low, unpack, size = _LANES[min((n - 1).bit_length(), 8)]
+    ones, ramp, low = lanes[:3]
     x = (state * ones + ramp) & low
     x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
     x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
-    return unpack((x ^ ((x >> 31) & low)).to_bytes(size, "little"))
+    return x ^ ((x >> 31) & low)
+
+
+def _next_words(state: int, n: int) -> tuple[int, ...]:
+    """The next n `next64` outputs after counter `state`, in one batch,
+    n rounded up to a power of two and at most 256 of them."""
+    lanes = _LANES[min((n - 1).bit_length(), 8)]
+    return lanes[3](_mix_lanes(state, lanes).to_bytes(lanes[4], "little"))
+
+
+def _lane_batches(rows: Sequence[DrawRow]) -> tuple | None:
+    """The constants `SplitMix64.lane_hits` decides `rows` by, or None
+    unless every denominator is 2^k with 1 <= k <= 64.
+
+    Such a row's limit is 2^64, so its one word never rejects, and it
+    comes true when word & (den - 1) < num, that is when bit 64 of
+    (word & (den - 1)) + (2^64 - num) stays clear. Per batch of up to
+    256 rows: the lanes, the lane mask of den - 1, the lane offset of
+    2^64 - num (2^64 on a padding lane, which always misses) and the
+    row count.
+    """
+    if any(den & (den - 1) or not 1 < den <= _SPAN64
+           for _, _, den, _ in rows):
+        return None
+    batches = []
+    for start in range(0, len(rows), 256):
+        chunk = rows[start:start + 256]
+        lanes = _LANES[(len(chunk) - 1).bit_length()]
+        mask = offset = 0
+        for k, (_, num, den, _) in enumerate(chunk):
+            mask |= den - 1 << 128 * k
+            offset |= _SPAN64 - num << 128 * k
+        for k in range(len(chunk), lanes[4] // 16):
+            offset |= _SPAN64 << 128 * k
+        batches.append((lanes, mask, offset, len(chunk)))
+    return tuple(batches)
+
+
+# the hit mask's binary digits: a lane's miss byte 0 is a hit, 1 a miss
+_HIT_DIGITS = bytes.maketrans(b"\0\1", b"10")
 
 
 class SplitMix64:
@@ -299,6 +338,11 @@ class SplitMix64:
         and a spent batch is followed by the next one. The stream state
         left behind counts the words taken, so the keys returned and the
         state are bit-identical to calling `next64` word by word.
+
+        `sample_weather` runs this loop on nets and on independent tables
+        with a denominator that is not a power of two from 2 to 2^64, where
+        a draw may reject or take no word; it decides the other tables by
+        `lane_hits`, whose outcomes and stream state equal this loop's.
         """
         state = self._state
         words, used = _next_words(state, len(rows)), 0
@@ -335,6 +379,30 @@ class SplitMix64:
                 out.append(key)
         self._state = (state + used * _GOLDEN) & _MASK64
         return out
+
+    def lane_hits(self, batches: tuple) -> int:
+        """Mask of the rows whose chance comes true, bit i for row i, of
+        rows whose denominators are all powers of two from 2 to 2^64,
+        as `_lane_batches` packs them.
+
+        No such row rejects, so row i takes word i and every outcome is
+        one compare in its lane, done on the whole batch at once: bit 64
+        of (word & mask) + offset is set exactly when the draw misses.
+        The outcomes and the stream state left behind (one word per row)
+        are bit-identical to `hits` on the same rows.
+        """
+        state, blocked, shift = self._state, 0, 0
+        for lanes, mask, offset, count in batches:
+            x = (_mix_lanes(state, lanes) & mask) + offset
+            miss = (x >> 64) & lanes[0]
+            # lane k's miss is byte 16k of the little-endian bytes, so the
+            # big-endian bytes from 15 on list the lanes top down
+            digits = miss.to_bytes(lanes[4], "big")[15::16]
+            blocked |= int(digits.translate(_HIT_DIGITS), 2) << shift
+            state = (state + count * _GOLDEN) & _MASK64
+            shift += count
+        self._state = state
+        return blocked
 
 
 def trial_stream(seed: int, trial: int) -> SplitMix64:
@@ -762,23 +830,29 @@ class CtpInstance:
     @cached_property
     def draw_table(self) -> tuple:
         """What `sample_weather` draws: the `(rows, parents)` arguments of
-        `SplitMix64.hits`, built of plain-int `_draw_row` rows.
+        `SplitMix64.hits`, built of plain-int `_draw_row` rows, and the
+        `_lane_batches` of those rows for `SplitMix64.lane_hits`.
 
         Without a net: one row per uncertain edge, keyed by its bit, and no
-        parents. With a net: per variable in listed order, one row per
-        CPT entry, keyed by the bit of the uncertain edge it drives and by
-        None for an auxiliary variable, and the positions of its parents.
+        parents. The batches are built when every chance has denominator
+        2^k, 1 <= k <= 64: such a draw never rejects, so each row takes
+        exactly one word and all of them are decided at once. With a net:
+        per variable in listed order, one row per CPT entry, keyed by the
+        bit of the uncertain edge it drives and by None for an auxiliary
+        variable, and the positions of its parents; a net's draws depend
+        on earlier outcomes, so it has no batches.
         """
         bits = self.bits
         if self.dependency is None:
-            return tuple(_draw_row(bits[e.id], e.block_p)
-                         for e in self.uncertain_edges), None
+            rows = tuple(_draw_row(bits[e.id], e.block_p)
+                         for e in self.uncertain_edges)
+            return rows, None, _lane_batches(rows)
         position = {v.id: i for i, v in enumerate(self.dependency.variables)}
         variables = self.dependency.variables
         return (tuple(tuple(_draw_row(bits.get(var.id), p) for p in var.cpt)
                       for var in variables),
                 tuple(tuple(position[p] for p in var.parents)
-                      for var in variables))
+                      for var in variables), None)
 
 
 # ---------------------------------------------------------------------------
@@ -994,17 +1068,23 @@ def weather_support(instance: CtpInstance) -> list[tuple[Weather, Fraction]]:
 
 
 def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
-    """Draw one weather from `instance.draw_table` by one `SplitMix64.hits`
-    call, so every draw of the weather comes from the same batches; the
-    bits it returns, each at most once, sum to the blocked mask.
+    """Draw one weather from `instance.draw_table`.
 
     Edges draw in listed order; dependent nets draw each variable from
-    its CPT row in listed (ancestral) order. Every draw is the integer rule
-    of `hits`, so chances 0 and 1 take no draw, and the blocked masks and
-    the stream state left behind are bit-identical to drawing each chance
-    with `uniform_below(denominator) < numerator`.
+    its CPT row in listed (ancestral) order. An independent instance
+    whose chances all have denominators 2^k, 1 <= k <= 64, is decided by
+    `SplitMix64.lane_hits`: none of its draws can reject, so row i takes
+    word i and the lane mask is the blocked mask. Every other instance
+    goes through one `hits` call, whose bits, each at most once, sum to
+    the blocked mask. Either way every draw is the integer rule of
+    `hits`, and the blocked masks and the stream state left behind are
+    bit-identical to drawing each chance with
+    `uniform_below(denominator) < numerator`.
     """
-    return Weather(sum(stream.hits(*instance.draw_table)))
+    rows, parents, batches = instance.draw_table
+    if batches is not None:
+        return Weather(stream.lane_hits(batches))
+    return Weather(sum(stream.hits(rows, parents)))
 
 
 # ---------------------------------------------------------------------------

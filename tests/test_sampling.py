@@ -24,6 +24,7 @@ from ctplab.model import (
     SplitMix64,
     Variant,
     _draw_row,
+    _lane_batches,
     sample_weather,
     trial_stream,
 )
@@ -66,6 +67,11 @@ def sampling_case(name):
         return chances_instance(
             [Fraction(1, 3**41), Fraction(2**69 + 1, 2**70 + 3),
              Fraction(7, 2**70), Fraction(1, 2**64), Fraction(1, 3)])
+    if name == "dyadic-300":
+        # more than one 256-lane batch, every draw decided by its lane
+        cycle = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
+                 Fraction(1, 2**64)]
+        return chances_instance([cycle[i % 4] for i in range(300)])
     # battery game 1: CPT rows hold 0, 1 and 1/2, two parents at most
     return qbf_to_ctpdep(GAME_BATTERY[1][0])[0]
 
@@ -83,6 +89,8 @@ class TestFrozenSampling:
          "6c88e364ad62aea055592aab02f0f1266fc5610cc78af7fbf3b9ecd9e92fd829"),
         ("wide", 4, "e1\t6c6fdbd5098a1b25",
          "e4ce794b6abd18428c6dba0928181babcee18a0c4c95aa31808ebea2cd57a186"),
+        ("dyadic-300", 64, None,
+         "186e73f1ca78b2167afece4d39deef5b8e1bda84cefc189a9fee12939dabd6b3"),
         ("game1", 60,
          "exam.choice.odd,x1.false,x1.obs.f2,x1.obs.t1,x2.obs.t1,x2.obs.t2"
          "\taa7558e88d4973a",
@@ -190,10 +198,34 @@ def chances(draw):
     return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
 
 
+@st.composite
+def dyadic_chances(draw):
+    den = 1 << draw(st.integers(min_value=1, max_value=64))
+    return Fraction(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+@st.composite
+def chance_lists(draw):
+    """1 to 600 chances, so up to three 256-lane batches, cycling through
+    up to 8 drawn ones: half the lists all dyadic, the rest mixing
+    dyadic chances with any others."""
+    chance = (dyadic_chances() if draw(st.booleans())
+              else dyadic_chances() | chances())
+    pool = draw(st.lists(chance, min_size=1, max_size=8))
+    size = draw(st.integers(min_value=1, max_value=600))
+    return [pool[i % len(pool)] for i in range(size)]
+
+
+def is_dyadic(p):
+    den = p.denominator
+    return den & (den - 1) == 0 and den <= 2**64
+
+
 class TestDrawRule:
+    # all-dyadic lists are decided by lanes in `sample_weather`; the rest
+    # mix in other denominators and must take the loop
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**64 - 1),
-           st.lists(chances(), min_size=1, max_size=8))
+    @given(st.integers(min_value=0, max_value=2**64 - 1), chance_lists())
     def test_matches_uniform_below_oracle(self, seed, ps):
         oracle, fast = SplitMix64(seed), SplitMix64(seed)
         want = [oracle_bernoulli(oracle, p) for p in ps]
@@ -207,6 +239,8 @@ class TestDrawRule:
                 if oracle_bernoulli(oracle, p)}
         stream = SplitMix64(seed)
         inst = chances_instance(open_ps)
+        assert (inst.draw_table[2] is not None) == all(
+            is_dyadic(p) for p in open_ps if p)
         weather = sample_weather(inst, stream)
         assert set(inst.edges_in(weather.blocked)) == want
         assert stream._state == oracle._state
@@ -348,6 +382,23 @@ class TestBatchedDraws:
             want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
             got = fast.hits([_draw_row(i, p) for i, p in enumerate(ps)])
             assert got == want
+            assert fast._state == oracle._state
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 255, 256, 257, 600])
+    def test_dyadic_tables_decide_by_lanes(self, size):
+        # lane widths 1 to 256, denominators 2^1 to 2^64 in turn with
+        # 2^64 - 1 over 2^64 last, and tables of several batches, each
+        # starting where the last one ended
+        ps = [Fraction((2 * i + 1) % (1 << k), 1 << k)
+              for i in range(size) for k in [1 + i % 64]]
+        ps[-1] = Fraction(2**64 - 1, 2**64)
+        for seed in range(8):
+            oracle, fast = SplitMix64(seed), SplitMix64(seed)
+            want = sum(1 << i for i, p in enumerate(ps)
+                       if oracle_bernoulli(oracle, p))
+            batches = _lane_batches([_draw_row(1 << i, p)
+                                     for i, p in enumerate(ps)])
+            assert fast.lane_hits(batches) == want
             assert fast._state == oracle._state
 
     def test_wide_and_certain_rows_inside_a_batch(self):
