@@ -29,7 +29,7 @@ import json
 import math
 import re
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -405,9 +405,17 @@ class SplitMix64:
         return blocked
 
 
+def trial_counters(seed: int, trials) -> Iterator[int]:
+    """The counter each trial of `trials` (ints) starts its stream from:
+    a stable, independent stream per Monte Carlo trial."""
+    base = _mix64(seed)
+    return (_mix64(base + _STREAM_SALT * trial) for trial in trials)
+
+
 def trial_stream(seed: int, trial: int) -> SplitMix64:
-    """Stable independent stream for one Monte Carlo trial."""
-    return SplitMix64(_mix64(_mix64(seed) + _STREAM_SALT * trial))
+    """The stream of trial `trial` under `seed`."""
+    (counter,) = trial_counters(seed, (trial,))
+    return SplitMix64(counter)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +844,8 @@ class CtpInstance:
         Without a net: one row per uncertain edge, keyed by its bit, and no
         parents. The batches are built when every chance has denominator
         2^k, 1 <= k <= 64: such a draw never rejects, so each row takes
-        exactly one word and all of them are decided at once. With a net:
+        exactly one word and all of them are decided at once, and one row
+        can be decided alone from its own word (`reveal_rule`). With a net:
         per variable in listed order, one row per CPT entry, keyed by the
         bit of the uncertain edge it drives and by None for an auxiliary
         variable, and the positions of its parents; a net's draws depend
@@ -1085,6 +1094,29 @@ def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
     if batches is not None:
         return Weather(stream.lane_hits(batches))
     return Weather(sum(stream.hits(rows, parents)))
+
+
+def reveal_rule(instance: CtpInstance, fresh: int,
+                ) -> Callable[[int], int] | None:
+    """The rule that decides, from a trial's counter alone, which edges of
+    mask `fresh` its weather blocks, or None when only the whole weather
+    (`sample_weather`) decides them.
+
+    On a table of dyadic rows (`draw_table` has batches), row i takes the
+    word of counter state + (i+1) * GOLDEN whatever the other rows draw,
+    so one edge is decided alone, with exactly the outcome of the whole
+    draw, by word & (den - 1) < num. Nets and other denominators draw in
+    order with rejections, so their rows have no fixed word; a reveal of
+    several edges takes the whole draw, which decides them all at once.
+    """
+    if not fresh:
+        return lambda state: 0
+    rows, _, batches = instance.draw_table
+    if batches is None or fresh & (fresh - 1):
+        return None
+    _, num, den, _ = rows[fresh.bit_length() - 1]
+    step, low = fresh.bit_length() * _GOLDEN, den - 1
+    return lambda state: fresh if _mix64(state + step) & low < num else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1350,8 +1382,10 @@ __all__ = [
     "parse_probability",
     "parse_rational",
     "require_type",
+    "reveal_rule",
     "sample_weather",
     "save_instance",
+    "trial_counters",
     "trial_stream",
     "validate_instance",
     "weather_support",

@@ -19,7 +19,11 @@ obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
 list what may be done where, and arrival reveals `fresh_at`. A walk's
 beliefs hold masks, and a reveal ORs the revealed bits into them; a
 weather walk splits them into open and blocked by one AND with the
-weather's blocked mask.
+weather's blocked mask. `walk_weather` and `simulate` share one
+stepping loop (`_walk`), which runs from one reveal to the next. The
+simulator keeps the walks its trials share in a prefix tree of
+trajectories; on a dyadic table a trial decides a one-edge reveal from
+that edge's draw alone.
 
 Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
 skip zero prices. The only floats are `math.inf`, for a walk the policy
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -44,12 +48,14 @@ from .model import (
     EnumerationCapError,
     InternalCheckError,
     InvalidInstanceError,
+    SplitMix64,
     Variant,
     Weather,
     load_json,
     require_type,
+    reveal_rule,
     sample_weather,
-    trial_stream,
+    trial_counters,
     weather_support,
 )
 
@@ -162,13 +168,28 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DecisionTreePolicy(Policy):
-    """Explicit policy: one recorded action per reachable belief."""
+    """Explicit policy: one recorded action per reachable belief.
+
+    `decide` keeps its last key text with the instance and masks it was
+    written from, as one tuple it reads once and replaces whole, so a run
+    of steps with equal masks writes that text once; the belief's
+    instance is part of the key, as two instances number their edges
+    differently.
+    """
 
     nodes: Mapping[str, TreeNode]
     root: str | None = None
+    _last: list = field(default_factory=lambda: [(None, 0, 0, "")],
+                        init=False, repr=False, compare=False)
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        node = self.nodes.get(belief_key(belief))
+        last = self._last[0]
+        if (last[0] is not belief.instance or last[1] != belief.opened
+                or last[2] != belief.blocked):
+            last = (belief.instance, belief.opened, belief.blocked,
+                    _known_part(belief))
+            self._last[0] = last
+        node = self.nodes.get(f"{belief.position}|{last[3]}")
         if node is None:
             raise InvalidInstanceError(
                 f"decision tree has no action {describe_belief(belief)}")
@@ -287,27 +308,47 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         far, belief.opened | belief.blocked)
 
 
-def walk_weather(instance: CtpInstance, policy: Policy,
-                 weather: Weather) -> Cost:
-    """Run the policy against one fixed weather; return the realized cost."""
+def _walk(instance: CtpInstance, policy: Policy, belief: Belief,
+          total: Fraction | int, steps: int,
+          ) -> tuple[Fraction | int | float, int, Belief, int | None]:
+    """Walk from `belief`, `total` spent in `steps` steps, to the next
+    reveal, halt or action of None: the total then (`math.inf` after
+    None), the steps, the belief on arrival and the mask revealed (None
+    once the walk is over). Past `_step_cap` steps in all it raises."""
     cap = _step_cap(instance)
-    shut = weather.blocked
-    seen = instance.fresh_at(instance.s, 0)
-    belief = Belief(instance.s, seen & ~shut, seen & shut, instance)
-    total: Fraction | int = 0
-    for _ in range(cap):
+    while steps < cap:
         action = policy.decide(instance, belief)
         if action is None:
-            return Cost.infinite()
+            return math.inf, steps, belief, None
         price, pos, revealed = _step(instance, belief, action)
+        steps += 1
         if price:  # neither a zero price nor a zero total builds a Fraction
             total = total + price if total else price
         if revealed is None:
-            return Cost.of(total)
-        belief = Belief(pos, belief.opened | (revealed & ~shut),
-                        belief.blocked | (revealed & shut), instance)
+            return total, steps, belief, None
+        belief = Belief(pos, belief.opened, belief.blocked, instance)
+        if revealed:
+            return total, steps, belief, revealed
     raise EnumerationCapError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
+
+
+def _reveal(belief: Belief, fresh: int, blocked: int) -> Belief:
+    """`belief` once mask `fresh` shows, the bits `blocked` blocked."""
+    return Belief(belief.position, belief.opened | (fresh ^ blocked),
+                  belief.blocked | blocked, belief.instance)
+
+
+def walk_weather(instance: CtpInstance, policy: Policy,
+                 weather: Weather) -> Cost:
+    """Run the policy against one fixed weather; return the realized cost."""
+    belief = Belief(instance.s, 0, 0, instance)
+    fresh, total, steps = instance.fresh_at(instance.s, 0), 0, 0
+    while fresh is not None:
+        total, steps, belief, fresh = _walk(
+            instance, policy, _reveal(belief, fresh, fresh & weather.blocked),
+            total, steps)
+    return Cost.infinite() if total == math.inf else Cost.of(total)
 
 
 def _trace(instance: CtpInstance, policy: Policy,
@@ -463,39 +504,63 @@ def export_decision_tree(instance: CtpInstance, policy: Policy,
     return result, DecisionTreePolicy(nodes, root)
 
 
-_WEATHER_MEMO_CAP = 4096
+_TRAJECTORY_MEMO_CAP = 4096
 
 
 def simulate(instance: CtpInstance, policy: Policy, trials: int,
              seed: int) -> tuple[float, float]:
     """Average realized cost over seeded weather draws.
 
-    Deterministic given (seed, trials): trial i always consumes the stream
-    trial_stream(seed, i) no matter how calls are scheduled, and draws its
-    weather by the integer rule of `sample_weather`. Policies are
-    deterministic, so each distinct weather is walked once per call: the
-    realized costs of the first `_WEATHER_MEMO_CAP` (4,096) distinct
-    weathers are remembered by blocked mask, and any weather after those is
-    walked every time it recurs. The outputs are bit-identical to walking
-    every trial.
+    Deterministic given (seed, trials): trial i's weather is that of
+    `sample_weather` on trial_stream(seed, i), however calls are
+    scheduled. A walk's cost depends only on the statuses it reveals, so
+    the trials of one call share a prefix tree of trajectories. A node is
+    a reveal point (the belief on arrival, the mask `fresh` shown there,
+    the cost and steps so far), its children are keyed by the blocked bits
+    of `fresh`, and a leaf is a realized cost. On a dyadic table a trial
+    decides a one-edge reveal from that edge's word alone (`reveal_rule`);
+    for any other reveal it draws its whole weather, once per trial, and
+    reads the bits of `fresh`. It walks (`_walk`) only where a child is
+    missing; the first `_TRAJECTORY_MEMO_CAP` (4,096) nodes and leaves
+    are kept. Trial i thus takes exactly the steps of
+    `walk_weather` on its weather, with the same cap and errors, and the
+    outputs are bit-identical to walking every trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    costs: dict[int, float] = {}
+
+    def node(belief: Belief, fresh: int, total, steps: int) -> tuple:
+        return belief, fresh, total, steps, {}, reveal_rule(instance, fresh)
+
+    root = node(Belief(instance.s, 0, 0, instance),
+                instance.fresh_at(instance.s, 0), 0, 0)
+    stored = 1
     samples: list[float] = []
-    for trial in range(trials):
-        weather = sample_weather(instance, trial_stream(seed, trial))
-        sample = costs.get(weather.blocked)
-        if sample is None:
-            cost = walk_weather(instance, policy, weather)
-            if cost.is_infinite:
-                raise InvalidInstanceError(
-                    f"trial {trial} hit a weather the policy declares "
-                    "infeasible")
-            sample = float(cost.fraction)
-            if len(costs) < _WEATHER_MEMO_CAP:
-                costs[weather.blocked] = sample
-        samples.append(sample)
+    for trial, counter in enumerate(trial_counters(seed, range(trials))):
+        here, shut = root, None
+        while type(here) is tuple:
+            belief, fresh, total, steps, children, rule = here
+            if rule is not None:
+                blocked = rule(counter)
+            else:
+                if shut is None:
+                    shut = sample_weather(instance, SplitMix64(counter)).blocked
+                blocked = shut & fresh
+            child = children.get(blocked)
+            if child is None:
+                total, steps, belief, fresh = _walk(
+                    instance, policy, _reveal(belief, fresh, blocked),
+                    total, steps)
+                child = (float(total) if fresh is None else
+                         node(belief, fresh, total, steps))
+                if stored < _TRAJECTORY_MEMO_CAP:
+                    children[blocked] = child
+                    stored += 1
+            here = child
+        if here == math.inf:
+            raise InvalidInstanceError(
+                f"trial {trial} hit a weather the policy declares infeasible")
+        samples.append(here)
     mean = math.fsum(samples) / trials
     if trials == 1:
         return mean, 0.0

@@ -33,6 +33,7 @@ from ctplab.policy import (
     ActionKind,
     DecisionTreePolicy,
     Policy,
+    TreeNode,
     action_from_dict,
     action_to_dict,
     evaluate_exact,
@@ -377,6 +378,27 @@ class TestDecisionTrees:
         assert back == tree
         replayed = evaluate_exact(inst, back, mode="tree")
         assert replayed.expected_cost == original.expected_cost
+
+    def test_one_tree_replays_on_two_numberings(self):
+        # x is bit 1 in one instance and y in the other: a key cached by
+        # masks alone would read one instance's bits by the other's ids
+        def listing(ids):
+            b = InstanceBuilder(Variant.INDEPENDENT)
+            b.set_endpoints("s", "t")
+            for e in ids:
+                b.add_edge("s", "t", 1, id=e, block_p=Fraction(1, 2))
+            return b.build()
+
+        xy, yx = listing(["x", "y"]), listing(["y", "x"])
+        tree = DecisionTreePolicy({
+            "s|x=O,y=B": TreeNode(Action.move("x")),
+            "s|x=B,y=O": TreeNode(Action.move("y"))})
+        for inst, want in [(xy, "x"), (yx, "y"), (xy, "x"), (yx, "y")]:
+            belief = Belief("s", 1, 2, inst)
+            assert tree.decide(inst, belief) == Action.move(want)
+        # the key is the belief's own, whatever instance the caller names
+        tree.decide(xy, Belief("s", 1, 2, xy))
+        assert tree.decide(xy, Belief("s", 1, 2, yx)) == Action.move("y")
 
     def test_missing_node_names_belief(self):
         inst = two_path_instance()

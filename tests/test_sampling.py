@@ -3,13 +3,14 @@
 The blocked edges `sample_weather` draws, the stream state it leaves
 behind, and the `(mean, sem)` pairs `simulate` returns are pinned at the
 values of the original `Fraction`-and-`uniform_below` draw. A faster draw
-rule or a weather memo must reproduce every one of them exactly. The draw
+rule or a memo of walks must reproduce every one of them exactly. The draw
 rule is also checked against that original rule, kept here as the slow
 oracle.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,14 @@ import ctplab.policy as policy_module
 from ctplab.cli import GAME_BATTERY
 from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
+    EnumerationCapError,
     InstanceBuilder,
     InvalidInstanceError,
     SplitMix64,
     Variant,
     _draw_row,
     _lane_batches,
+    reveal_rule,
     sample_weather,
     trial_stream,
 )
@@ -33,8 +36,9 @@ from ctplab.policy import (
     Policy,
     reference_policy,
     simulate,
+    walk_weather,
 )
-from ctplab.reductions import qbf_to_ctpdep
+from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
 from ctplab.solve import solve
 
 
@@ -274,39 +278,156 @@ class CountingPolicy(Policy):
         return self.inner.decide(instance, belief)
 
 
-def counting(monkeypatch, name):
-    """Record the result of each call to `policy_module.<name>`."""
-    calls = []
-    original = getattr(policy_module, name)
+class FirstOpen(Policy):
+    """On `chances_instance`: take the first of `order` seen open, else
+    the sure edge; with `force`, take `order[0]` whatever its status."""
 
-    def counted(*args):
-        calls.append(original(*args))
-        return calls[-1]
+    def __init__(self, order, force=False):
+        self.order, self.force = order, force
 
-    monkeypatch.setattr(policy_module, name, counted)
-    return calls
+    def decide(self, instance, belief):
+        if belief.position == "t":
+            return Action.halt()
+        if self.force:
+            return Action.move(self.order[0])
+        return Action.move(next((e for e in self.order if belief.status(e)),
+                                "sure"))
+
+
+class Bounce(Policy):
+    """Hop back and forth along `hop` forever, never reaching t."""
+
+    def decide(self, instance, belief):
+        return Action.move("hop")
+
+
+def bounce_instance():
+    """s -hop- m, and at m two coins whose statuses the bounce reveals."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "m", 1, id="hop")
+    b.add_edge("m", "t", 1, id="c0", block_p=Fraction(1, 2))
+    b.add_edge("m", "t", 1, id="c1", block_p=Fraction(1, 3))
+    return b.build()
+
+
+def simulation_case(name):
+    """An instance and a policy for `simulate`, covering every way a
+    trajectory node decides its bits."""
+    if name == "baiting":  # one fresh edge at a time, dyadic
+        return baiting_case()
+    if name == "observation":
+        inst, handle = observation_harness(9, charge=0)
+        return inst, reference_policy("og_pi_g", handle=handle,
+                                      terminal="charge")
+    if name == "non-dyadic":  # whole weathers from `hits`
+        inst = chances_instance(
+            [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)])
+        return inst, FirstOpen(["e2", "e0", "e1"])
+    if name == "dyadic-star":  # 300 edges at once: the whole lane draw
+        cycle = [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)]
+        inst = chances_instance([cycle[i % 3] for i in range(300)])
+        return inst, FirstOpen([f"e{i}" for i in (299, 3, 255, 256, 17)])
+    if name == "game2":  # a net, and a solved decision tree
+        inst, _ = qbf_to_ctpdep(GAME_BATTERY[2][0])
+        return inst, solve(inst).policy
+    inst = vc_to_sensing(named_vc("p3", 1), Fraction(1, 2))[0]
+    return inst, solve(inst).policy
+
+
+class RecordingPolicy(Policy):
+    def __init__(self, inner, path):
+        self.inner, self.path = inner, path
+
+    def decide(self, instance, belief):
+        self.path.append((belief.position, belief.opened, belief.blocked))
+        return self.inner.decide(instance, belief)
+
+
+def oracle_simulate(inst, policy, trials, seed):
+    """Walk every trial's whole weather: `simulate`'s (mean, sem), every
+    trial's decide calls, and the distinct decide points among them."""
+    samples, points, calls = [], set(), 0
+    for trial in range(trials):
+        path = []
+        counted = CountingPolicy(policy)
+        weather = sample_weather(inst, trial_stream(seed, trial))
+        cost = walk_weather(inst, RecordingPolicy(counted, path), weather)
+        calls += counted.decisions
+        points.update(enumerate(path))
+        samples.append(float(cost.fraction))
+    mean = math.fsum(samples) / trials
+    sem = 0.0 if trials == 1 else math.sqrt(
+        math.fsum((x - mean) ** 2 for x in samples) / (trials - 1) / trials)
+    return (mean, sem), calls, len(points)
+
+
+def walk_error(inst, policy, seed, trials, error):
+    """The message of the first trial's walk that raises `error`."""
+    for trial in range(trials):
+        weather = sample_weather(inst, trial_stream(seed, trial))
+        try:
+            walk_weather(inst, policy, weather)
+        except error as exc:
+            return str(exc)
+    raise AssertionError("no trial raised")
 
 
 class TestWeatherMemo:
-    def test_each_distinct_weather_is_walked_once(self, monkeypatch):
-        inst, policy = baiting_case()
-        plain = simulate(inst, policy, 2048, seed=3)
-        walks = counting(monkeypatch, "walk_weather")
-        draws = counting(monkeypatch, "sample_weather")
-        counted = CountingPolicy(policy)
-        assert simulate(inst, counted, 2048, seed=3) == plain
-        assert len(draws) == 2048
-        distinct = {weather.blocked for weather in draws}
-        assert len(walks) == len(distinct) <= 128
-        assert counted.decisions < 2048
+    """`simulate`'s trajectory tree against walking every trial's whole
+    weather, with the tree stored whole and capped at 1 and 4 nodes."""
 
-    def test_bounded_memo_gives_the_same_result(self, monkeypatch):
-        inst, policy = baiting_case()
-        plain = simulate(inst, policy, 600, seed=5)
-        monkeypatch.setattr(policy_module, "_WEATHER_MEMO_CAP", 4)
-        walks = counting(monkeypatch, "walk_weather")
-        assert simulate(inst, policy, 600, seed=5) == plain
-        assert 128 < len(walks) < 600
+    @pytest.mark.parametrize("cap", [None, 1, 4])
+    @pytest.mark.parametrize("name", ["baiting", "observation", "non-dyadic",
+                                      "dyadic-star", "game2", "sensing"])
+    def test_matches_the_per_trial_oracle(self, monkeypatch, name, cap):
+        inst, policy = simulation_case(name)
+        if cap is not None:
+            monkeypatch.setattr(policy_module, "_TRAJECTORY_MEMO_CAP", cap)
+        for seed in (4, 20260819):
+            for trials in (1, 2, 300):
+                want, calls, points = oracle_simulate(inst, policy, trials,
+                                                      seed)
+                counted = CountingPolicy(policy)
+                got = simulate(inst, counted, trials, seed)
+                assert (got[0].hex(), got[1].hex()) == (
+                    want[0].hex(), want[1].hex()), (seed, trials)
+                # each decide point is walked once while the tree holds
+                # it, and every trial walks from the root at cap 1
+                if cap is None:
+                    assert counted.decisions == points
+                elif cap == 1:
+                    assert counted.decisions == calls
+                else:
+                    assert points <= counted.decisions <= calls
+
+    @pytest.mark.parametrize("cap", [None, 1, 4])
+    def test_step_cap_message_matches_walk_weather(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(policy_module, "_TRAJECTORY_MEMO_CAP", cap)
+        inst = bounce_instance()
+        for seed in range(6):
+            want = walk_error(inst, Bounce(), seed, 1, EnumerationCapError)
+            assert want.startswith("no arrival within 64 steps; last at ")
+            with pytest.raises(EnumerationCapError) as caught:
+                simulate(inst, Bounce(), 40, seed)
+            assert str(caught.value) == want
+
+    @pytest.mark.parametrize("cap", [None, 1, 4])
+    def test_illegal_step_message_matches_walk_weather(self, monkeypatch,
+                                                       cap):
+        if cap is not None:
+            monkeypatch.setattr(policy_module, "_TRAJECTORY_MEMO_CAP", cap)
+        for chances in ([Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)],
+                        [Fraction(1, 4), Fraction(1, 2), Fraction(1, 8)]):
+            inst = chances_instance(chances)
+            policy = FirstOpen(["e1"], force=True)
+            for seed in range(30):
+                want = walk_error(inst, policy, seed, 64,
+                                  InvalidInstanceError)
+                with pytest.raises(InvalidInstanceError) as caught:
+                    simulate(inst, policy, 64, seed)
+                assert str(caught.value) == want
 
     def test_infeasible_weather_names_its_first_trial(self):
         # all three edges blocked is infeasible; under seed 16 that weather
@@ -448,3 +569,43 @@ class TestBatchedDraws:
                 v.id for v, hit in zip(net, values)
                 if hit and v.id in uncertain}
             assert fast._state == oracle._state
+
+
+def dyadic_table(size):
+    """`chances_instance` of `size` dyadic chances, denominators 2^1 to
+    2^64 in turn and 2^64 - 1 over 2^64 last."""
+    ps = [Fraction((2 * i + 1) % (1 << k), 1 << k)
+          for i in range(size) for k in [1 + i % 64]]
+    ps[-1] = Fraction(2**64 - 1, 2**64)
+    return chances_instance(ps)
+
+
+DYADIC_TABLES = {size: dyadic_table(size)
+                 for size in (1, 7, 255, 256, 257, 600)}
+
+
+class TestRevealRule:
+    """A trajectory node decides a one-edge reveal from the trial's
+    counter alone; that must equal the whole table's lane draw on that
+    edge. Any other reveal has no rule and takes the whole draw."""
+
+    @pytest.mark.parametrize("size", sorted(DYADIC_TABLES))
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
+    def test_one_edge_matches_lane_hits(self, size, state, data):
+        inst = DYADIC_TABLES[size]
+        # any row, and often the last of a 256-lane batch or the first
+        # of the next
+        row = data.draw(st.integers(min_value=0, max_value=size - 1)
+                        | st.sampled_from([r for r in (0, 255, 256, size - 1)
+                                           if r < size]))
+        whole = SplitMix64(state).lane_hits(inst.draw_table[2])
+        assert reveal_rule(inst, 1 << row)(state) == whole & 1 << row
+
+    def test_other_reveals_have_no_rule(self):
+        for inst in (sampling_case("non-dyadic"), sampling_case("game1")):
+            assert reveal_rule(inst, 0b1) is None
+            assert reveal_rule(inst, 0b11) is None
+            assert reveal_rule(inst, 0)(12345) == 0
+        assert reveal_rule(DYADIC_TABLES[7], 0b101) is None
+        assert reveal_rule(DYADIC_TABLES[7], 0)(12345) == 0
