@@ -18,9 +18,8 @@ as open masks, and `JointModel.branch` returns outcome masks. `fresh_at`
 is what an arrival adds, `outcomes` branches on it, and the id-sorted
 text of keys, labels and messages is built only where it is written.
 
-All arithmetic is exact. Costs are computed as plain numbers (`Cost.plain`:
-an `int` or a `Fraction`, `math.inf` when infinite); `Cost` parses,
-validates, compares and prints them.
+All arithmetic is exact: walks add `Cost.plain` numbers, the solver ints
+in its own unit, and `Cost` parses, validates, compares and prints them.
 """
 
 from __future__ import annotations
@@ -147,12 +146,9 @@ class Cost:
 
     @property
     def plain(self) -> Fraction | int | float:
-        """The value to compute with: an `int` when integral, else the
-        Fraction, and `math.inf` when infinite.
-
-        Mixed int and Fraction arithmetic is exact, and int sums are far
-        cheaper; `Cost.of(c.plain) == c` for every cost.
-        """
+        """The value walks compute with: an `int` when integral (int sums
+        are far cheaper), else the Fraction, and `math.inf` when infinite;
+        `Cost.of(c.plain) == c` for every cost."""
         value = self._value
         if value is None:
             return math.inf

@@ -27,11 +27,14 @@ tiebreak. The heap therefore settles every vertex with the same entry as
 an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
 
-A stratum is the (opened, blocked) masks of a `Belief`, over the bits
-of `CtpInstance.bits`. Costs are plain numbers (`Cost.plain`), `math.inf`
-after a step that may leave t out of reach; mixed arithmetic and
-comparison are exact, so every value, heap order and tie is what `Cost`
-would give. Branch tables come from `CtpInstance.outcomes`, kept for one
+A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
+of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
+costs and fees are multiples of 1/D, and M(K) = Z·P(K) is whole, Z the
+product over the joint model's components (Papadimitriou & Yannakakis,
+TCS 1991) of the lcm of their chances' denominators. One heap's keys
+share a positive scale, so pops, ties and choices are the rationals',
+and a branch's value is an int sum; `math.inf` marks a step that may
+strand. Branch tables come from `CtpInstance.outcomes`, kept for one
 solve: game 7 of the ctpdep battery prices 11,767 revealing steps from
 27 tables.
 """
@@ -115,15 +118,27 @@ class _Solver(Policy):
         self.belief_cap = belief_cap
         self.expanded = self.evaluated = self.skipped = 0
         self.regions = self.region_hits = 0
-        self.bound = _free_space_bound(instance)
+        costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
+        costs += [fee for u in instance.vertices
+                  for fee in instance.senses_from(u).values()]
+        self.denominator = unit = math.lcm(
+            *(cost.fraction.denominator for cost in costs))
+        self.total_mass = math.prod(
+            e.block_p.denominator for e in instance.uncertain_edges
+        ) if instance.dependency is None else math.prod(
+            math.lcm(*(p.denominator for _, p in comp.rows))
+            for comp in instance.joint.components)
+        self.bound = {v: _times(b, unit)
+                      for v, b in _free_space_bound(instance).items()}
         bits = instance.bits
-        # each move with the mask its arrival exposes when nothing is known
-        self.moves = {u: [(edge.cost.plain, edge.id, far,
+        # each move (cost in 1/D) and the mask it exposes when nothing is known
+        self.moves = {u: [(_times(edge.cost.fraction, unit), edge.id, far,
                            bits.get(edge.id, 0), instance.fresh_at(far, 0),
                            Action.move(edge.id))
                           for edge, far in instance.moves_from(u).values()]
                       for u in instance.vertices}
-        self.senses = {u: [(fee.plain, e, bits[e], Action.sense(e))
+        self.senses = {u: [(_times(fee.fraction, unit), e, bits[e],
+                            Action.sense(e))
                            for e, fee in instance.senses_from(u).items()]
                        for u in instance.vertices}
         self._regions: dict[tuple[int, int, str], tuple[dict, dict]] = {}
@@ -136,30 +151,37 @@ class _Solver(Policy):
                                  belief.position)
         return choices.get(belief.position)
 
+    def mass(self, opened: int, blocked: int) -> int:
+        """M(K) of the stratum K the masks reveal: Z times its chance."""
+        known = opened | blocked
+        return _times(math.prod(
+            sum(p for row, p in comp.rows if row & known == opened & comp.mask)
+            for comp in self.instance.joint.touched(known)), self.total_mass)
+
     def branch_value(self, opened: int, blocked: int, fresh: int,
-                     position: str) -> Fraction | int | float:
-        """Expected value once `fresh` is revealed on arrival; `math.inf`
-        if an outcome strands the walker, all outcomes solved even then."""
+                     position: str, mass: int) -> int | float:
+        """Value once `fresh` is revealed on arrival, in the masks' scale,
+        `mass` their M(K); `math.inf` if an outcome strands the walker."""
         total, stranded = 0, False
         for opened_by, blocked_by, prob in self.instance.outcomes(
                 self.tables, fresh, opened, blocked):
             values, _ = self.region(opened | opened_by, blocked | blocked_by,
-                                    position)
-            value = values.get(position)
-            if value is None:
-                stranded = True
-            elif value:
-                total += value * prob
+                                    position, _times(prob, mass))
+            stranded |= position not in values
+            total += values.get(position, 0)
         return math.inf if stranded else total
 
-    def region(self, opened: int, blocked: int,
-               start: str) -> tuple[dict, dict]:
+    def region(self, opened: int, blocked: int, start: str,
+               mass: int | None = None) -> tuple[dict, dict]:
         """Values and choices over the patch `start` reaches unrevealing,
-        cached for every position of the patch."""
+        cached for every position of the patch; `mass` is its M(K), found
+        from the masks when not given."""
         cached = self._regions.get((opened, blocked, start))
         if cached is not None:
             self.region_hits += 1
             return cached
+        if mass is None:
+            mass = self.mass(opened, blocked)
         t = self.instance.t
         unknown = ~(opened | blocked)
         # the patch, the unrevealing moves into each of its positions, and
@@ -198,11 +220,11 @@ class _Solver(Policy):
             if floor is None:
                 self.skipped += 1
                 continue
-            heap.append((price + floor, rank, edge_id, next(seq), u,
-                         action, (price, fresh, where)))
+            heap.append(((price + floor) * mass, rank, edge_id, next(seq), u,
+                         action, (price * mass, fresh, where)))
         # every key is distinct, so the pop order is the push order's
         heapq.heapify(heap)
-        values: dict[str, Fraction | int] = {}
+        values: dict[str, int] = {}
         choices: dict[str, Action] = {}
         while heap:
             cost, rank, edge_id, tie, vertex, action, reveal = \
@@ -214,19 +236,17 @@ class _Solver(Policy):
             if reveal is not None:
                 price, fresh, where = reveal
                 self.evaluated += 1
-                rest = self.branch_value(opened, blocked, fresh, where)
+                rest = self.branch_value(opened, blocked, fresh, where, mass)
                 if rest < math.inf:
-                    # a zero price (every ctpdep edge) adds no Fraction
-                    heapq.heappush(heap, (price + rest if price else rest,
-                                          rank, edge_id, tie, vertex, action,
-                                          None))
+                    heapq.heappush(heap, (price + rest, rank, edge_id, tie,
+                                          vertex, action, None))
                 continue
             values[vertex] = cost
             choices[vertex] = action
             for u, step, via, move in radj.get(vertex, ()):
                 if u not in values:
-                    heapq.heappush(heap, (step + cost if step else cost, 0,
-                                          via, next(seq), u, move, None))
+                    heapq.heappush(heap, (step * mass + cost, 0, via,
+                                          next(seq), u, move, None))
         region = values, choices
         for v in patch:
             self._regions[(opened, blocked, v)] = region
@@ -236,6 +256,14 @@ class _Solver(Policy):
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
         return region
+
+
+def _times(value: Fraction | int, scale: int) -> int:
+    """`value * scale` as an `int`; a remainder breaks the unit's invariant."""
+    whole, rest = divmod(value.numerator * scale, value.denominator)
+    if rest:
+        raise InternalCheckError(f"{value} times {scale} is not whole")
+    return whole
 
 
 def _free_space_bound(instance: CtpInstance) -> dict[str, Fraction | int]:
@@ -277,13 +305,14 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     solver = _Solver(instance, belief_cap)
     try:
         value = solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
-                                    instance.s)
+                                    instance.s, solver.total_mass)
     except RecursionError:
         # each reveal nests one stratum deeper on the Python stack
         raise EnumerationCapError(
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
-    expected = Cost.of(value)
+    expected = Cost.of(value if value == math.inf else Fraction(
+        value, solver.total_mass * solver.denominator))
     searched = time.perf_counter()
     result, tree = export_decision_tree(instance, solver)
     if result.expected_cost != expected:

@@ -4,7 +4,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -260,14 +263,15 @@ class TestBoundedSearch:
         priced = []
         branch_value = S._Solver.branch_value
 
-        def counted(solver, opened, blocked, fresh, position):
+        def counted(solver, opened, blocked, fresh, position, mass):
             priced.append(position)
-            return branch_value(solver, opened, blocked, fresh, position)
+            return branch_value(solver, opened, blocked, fresh, position,
+                                mass)
 
         monkeypatch.setattr(S._Solver, "branch_value", counted)
         solver = S._Solver(instance, 200_000)
         solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
-                            instance.s)
+                            instance.s, solver.total_mass)
         assert (solver.evaluated, solver.skipped) == (
             stats.boundary_evaluated, stats.boundary_skipped)
         # one pricing per evaluated step, plus the root
@@ -341,6 +345,205 @@ class TestSolveSensing:
         result = solve(self.build(Fraction(2, 3)))
         assert result.optimal_cost == Cost.of(2)
         assert result.optimal_first_action == Action.move("out")
+
+
+def odd_chance_instance():
+    """Chances 1/3, 2/5, 1/7 and 5/6 on costs over 3 and 7."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "a", Fraction(1, 3), id="sa", block_p=Fraction(1, 3))
+    b.add_edge("s", "b", Fraction(2, 7), id="sb", block_p=Fraction(2, 5))
+    b.add_edge("a", "b", Fraction(1, 7), id="ab", block_p=Fraction(1, 3))
+    b.add_edge("a", "t", Fraction(4, 3), id="at", block_p=Fraction(1, 7))
+    b.add_edge("b", "t", Fraction(5, 7), id="bt", block_p=Fraction(5, 6))
+    b.add_edge("s", "t", 5, id="out")
+    return b.build()
+
+
+def third_fee_instance():
+    """Two edges at chance 1/3 that s may sense for a fee of 1/3 each."""
+    b = InstanceBuilder(Variant.SENSING)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "x", 1, id="walk")
+    b.add_edge("x", "t", 0, id="near", block_p=Fraction(1, 3))
+    b.add_edge("x", "y", Fraction(8, 7), id="on")
+    b.add_edge("y", "t", Fraction(1, 3), id="far", block_p=Fraction(1, 3))
+    b.add_edge("s", "t", 3, id="out")
+    b.add_sensing("s", "near", Fraction(1, 3))
+    b.add_sensing("s", "far", Fraction(1, 3))
+    return b.build()
+
+
+def third_net_instance():
+    """A coin at chance 1/3 drives two edges with CPT entries 1/3 and 5/6."""
+    coin, low, high = Fraction(1, 3), Fraction(1, 3), Fraction(5, 6)
+    b = InstanceBuilder(Variant.DEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "m", Fraction(1, 7), id="walk")
+    b.add_edge("m", "t", 1, id="e_a",
+               block_p=(1 - coin) * low + coin * high)
+    b.add_edge("m", "t", Fraction(2, 3), id="e_b",
+               block_p=(1 - coin) * high + coin * low)
+    b.add_edge("s", "t", 3, id="out")
+    b.add_variable("coin", (), [coin])
+    b.add_variable("e_a", ("coin",), [low, high])
+    b.add_variable("e_b", ("coin",), [high, low])
+    return b.build()
+
+
+def ladder_instance(rungs):
+    """A corridor of steps 1/7 whose i-th vertex has a shortcut to t of
+    cost 1, blocked at chance 1/3; the last one also has a sure exit of
+    cost 10."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("v00", "t")
+    for i in range(rungs):
+        b.add_edge(f"v{i:02d}", "t", 1, id=f"cut{i:02d}",
+                   block_p=Fraction(1, 3))
+        if i + 1 < rungs:
+            b.add_edge(f"v{i:02d}", f"v{i + 1:02d}", Fraction(1, 7),
+                       id=f"step{i:02d}")
+    b.add_edge(f"v{rungs - 1:02d}", "t", 10, id="exit")
+    return b.build()
+
+
+def ladder_cost(rungs):
+    """Walk on until a shortcut shows open, else take the exit."""
+    step, blocked = Fraction(1, 7), Fraction(1, 3)
+    return sum(blocked ** i * (1 - blocked) * (i * step + 1)
+               for i in range(rungs)) + blocked ** rungs * (
+                   (rungs - 1) * step + 10)
+
+
+UNIT_BUILDS = {
+    "odd-chances": odd_chance_instance,
+    "third-fees": third_fee_instance,
+    "third-net": third_net_instance,
+    "ladder-6": lambda: ladder_instance(6),
+}
+
+
+class TestIntegerUnit:
+    """The search computes M(K)·D·value in ints, D the common denominator
+    of costs and fees and M(K) = Z·P(K) a stratum's integer mass."""
+
+    def test_units(self):
+        solver = S._Solver(odd_chance_instance(), 200_000)
+        assert solver.denominator == 21
+        assert solver.total_mass == 3 * 5 * 3 * 7 * 6
+        solver = S._Solver(third_fee_instance(), 200_000)
+        assert (solver.denominator, solver.total_mass) == (21, 9)
+        # one component, its rows' chances 5/18, 2/9, 7/18 and 1/9
+        solver = S._Solver(third_net_instance(), 200_000)
+        assert (solver.denominator, solver.total_mass) == (21, 18)
+
+    @pytest.mark.parametrize("name", ["odd-chances", "third-net"])
+    def test_mass_is_z_times_the_chance_of_the_statuses(self, name):
+        instance = UNIT_BUILDS[name]()
+        solver = S._Solver(instance, 200_000)
+        support = M.weather_support(instance)
+        for statuses in itertools.product((None, True, False),
+                                          repeat=len(instance.bits)):
+            opened = sum(1 << i for i, x in enumerate(statuses) if x)
+            blocked = sum(1 << i for i, x in enumerate(statuses)
+                          if x is False)
+            chance = sum(p for weather, p in support
+                         if weather.blocked & (opened | blocked) == blocked)
+            if chance:
+                assert solver.mass(opened, blocked) \
+                    == chance * solver.total_mass
+        assert solver.mass(0, 0) == solver.total_mass
+
+    def test_decide_finds_the_mass_from_the_masks(self):
+        instance = odd_chance_instance()
+        fresh = instance.fresh_at("s", 0)
+        searched = S._Solver(instance, 200_000)
+        searched.branch_value(0, 0, fresh, "s", searched.total_mass)
+        for opened, blocked, _ in instance.outcomes({}, fresh, 0, 0):
+            belief = Belief("s", opened, blocked, instance)
+            unsearched = S._Solver(instance, 200_000)
+            assert unsearched.decide(instance, belief) == searched.decide(
+                instance, belief)
+            assert unsearched.region(opened, blocked, "s") == \
+                searched.region(opened, blocked, "s")
+
+    def test_both_fees_are_paid(self):
+        result = solve(third_fee_instance())
+        assert result.optimal_cost == Cost.of(Fraction(377, 189))
+        assert result.optimal_first_action == Action.sense("far")
+        actions = {node.action for node in result.policy.nodes.values()}
+        assert Action.sense("near") in actions
+
+    @pytest.mark.parametrize("name", sorted(UNIT_BUILDS))
+    def test_matches_weathers_and_zero_bound(self, name):
+        instance = UNIT_BUILDS[name]()
+        result = solve(instance)
+        assert not result.optimal_cost.is_infinite
+        assert evaluate_exact(instance, result.policy,
+                              mode="weathers").expected_cost \
+            == result.optimal_cost
+        assert_matches_zero_bound(instance)
+
+    def test_long_ladder(self):
+        # 64 edges at chance 1/3: Z = 3^64, past 2^90
+        instance = ladder_instance(64)
+        assert S._Solver(instance, 200_000).total_mass > 2 ** 90
+        result = solve(instance)
+        assert result.optimal_cost == Cost.of(ladder_cost(64))
+        assert result.optimal_first_action is None
+
+    def test_baiting_sixty_four(self):
+        # a unit past 2^256
+        instance, _ = baiting_harness(64)
+        solver = S._Solver(instance, 200_000)
+        assert (solver.total_mass * solver.denominator).bit_length() > 256
+        assert solve(instance).optimal_cost == Cost.of(
+            forward_policy_cost(64, 64))
+
+    @pytest.mark.parametrize("build", [
+        lambda: baiting_harness(8)[0],
+        lambda: qbf_to_ctpdep(GAME_BATTERY[5][0])[0],
+        lambda: sensing_instance("k3"),
+    ], ids=["baiting-8", "game5", "k3"])
+    def test_regions_hold_ints(self, build):
+        instance = build()
+        solver = S._Solver(instance, 200_000)
+        root = solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
+                                   instance.s, solver.total_mass)
+        assert Cost.of(Fraction(root, solver.total_mass
+                                * solver.denominator)) == solve(
+            instance).optimal_cost
+        for values, _ in solver._regions.values():
+            for value in values.values():
+                assert type(value) is int or value == math.inf
+
+    def test_mass_that_does_not_divide_raises(self):
+        instance = ladder_instance(2)
+        solver = S._Solver(instance, 200_000)
+        with pytest.raises(InternalCheckError, match="not whole"):
+            solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
+                                instance.s, 1)
+
+    def test_mass_check_survives_optimize(self):
+        # python -O strips asserts; the remainder check must still raise
+        import ctplab
+        script = (
+            "import sys\n"
+            "from ctplab.model import InternalCheckError, instance_from_json\n"
+            "import ctplab.solve as S\n"
+            "inst = instance_from_json(sys.stdin.read())\n"
+            "solver = S._Solver(inst, 200_000)\n"
+            "try:\n"
+            "    solver.branch_value(0, 0, inst.fresh_at(inst.s, 0),"
+            " inst.s, 1)\n"
+            "except InternalCheckError:\n"
+            "    print('raised')\n")
+        src = os.path.dirname(os.path.dirname(ctplab.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            input=M.instance_to_json(ladder_instance(2)), capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.stdout == "raised\n", done.stderr
 
 
 FROZEN_BUILDS = {
@@ -498,9 +701,12 @@ class TestBranchMemo:
             solver = S._Solver(instance, 200_000)
             opened, blocked = masks(instance, known)
             fresh = instance.fresh_at(position, opened | blocked)
-            first = solver.branch_value(opened, blocked, fresh, position)
+            mass = solver.mass(opened, blocked)
+            first = solver.branch_value(opened, blocked, fresh, position,
+                                        mass)
             tables = tables_copy(solver.tables)
-            again = solver.branch_value(opened, blocked, fresh, position)
+            again = solver.branch_value(opened, blocked, fresh, position,
+                                        mass)
             assert again == first
             assert tables_copy(solver.tables) == tables
 
