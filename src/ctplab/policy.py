@@ -19,11 +19,12 @@ obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
 list what may be done where, and arrival reveals `fresh_at`. A walk's
 beliefs hold masks, and a reveal ORs the revealed bits into them; a
 weather walk splits them into open and blocked by one AND with the
-weather's blocked mask. `walk_weather` and `simulate` share one
-stepping loop (`_walk`), which runs from one reveal to the next. The
-simulator keeps the walks its trials share in a prefix tree of
-trajectories; on a dyadic table a trial decides a one-edge reveal from
-that edge's draw alone.
+weather's blocked mask. `walk_weather`, `simulate` and the evaluator
+share one stepping loop (`_walk`), which runs from one reveal to the
+next and counts its step cap from the last reveal. The simulator keeps
+the walks its trials share in a prefix tree of trajectories; on a
+dyadic table a trial decides a one-edge reveal from that edge's draw
+alone.
 
 Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
 skip zero prices. The only floats are `math.inf`, for a walk the policy
@@ -256,7 +257,8 @@ def _summed(breakdown: list[tuple[str, Fraction, Cost]]) -> EvalResult:
 
 
 def _step_cap(instance: CtpInstance) -> int:
-    """Steps a walk may take before it counts as looping."""
+    """Steps a walk may take between two reveals. The masks hold still
+    until the next one, so a longer walk repeats a belief: it loops."""
     return max(64, 16 * len(instance.edges))
 
 
@@ -308,27 +310,27 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         far, belief.opened | belief.blocked)
 
 
-def _walk(instance: CtpInstance, policy: Policy, belief: Belief,
-          total: Fraction | int, steps: int,
-          ) -> tuple[Fraction | int | float, int, Belief, int | None]:
-    """Walk from `belief`, `total` spent in `steps` steps, to the next
-    reveal, halt or action of None: the total then (`math.inf` after
-    None), the steps, the belief on arrival and the mask revealed (None
-    once the walk is over). Past `_step_cap` steps in all it raises."""
+def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
+          belief: Belief, total: Fraction | int,
+          ) -> tuple[Fraction | int | float, Belief, int | None]:
+    """Walk from `belief`, `total` spent, by a policy's `decide` to the
+    next reveal, halt or action of None: the total then (`math.inf` after
+    None), the belief on arrival and the mask revealed (None once the walk
+    is over). The one stepping loop of `walk_weather`, `simulate` and
+    `_trace`; past `_step_cap` steps it raises."""
     cap = _step_cap(instance)
-    while steps < cap:
-        action = policy.decide(instance, belief)
+    for _ in range(cap):
+        action = decide(instance, belief)
         if action is None:
-            return math.inf, steps, belief, None
+            return math.inf, belief, None
         price, pos, revealed = _step(instance, belief, action)
-        steps += 1
         if price:  # neither a zero price nor a zero total builds a Fraction
             total = total + price if total else price
         if revealed is None:
-            return total, steps, belief, None
+            return total, belief, None
         belief = Belief(pos, belief.opened, belief.blocked, instance)
         if revealed:
-            return total, steps, belief, revealed
+            return total, belief, revealed
     raise EnumerationCapError(
         f"no arrival within {cap} steps; last {describe_belief(belief)}")
 
@@ -343,11 +345,11 @@ def walk_weather(instance: CtpInstance, policy: Policy,
                  weather: Weather) -> Cost:
     """Run the policy against one fixed weather; return the realized cost."""
     belief = Belief(instance.s, 0, 0, instance)
-    fresh, total, steps = instance.fresh_at(instance.s, 0), 0, 0
+    fresh, total = instance.fresh_at(instance.s, 0), 0
     while fresh is not None:
-        total, steps, belief, fresh = _walk(
-            instance, policy, _reveal(belief, fresh, fresh & weather.blocked),
-            total, steps)
+        total, belief, fresh = _walk(
+            instance, policy.decide,
+            _reveal(belief, fresh, fresh & weather.blocked), total)
     return Cost.infinite() if total == math.inf else Cost.of(total)
 
 
@@ -356,7 +358,7 @@ def _trace(instance: CtpInstance, policy: Policy,
     """Evaluate by enumerating observation outcomes depth first.
 
     Between observations the walk is deterministic, so each pending entry
-    advances until the policy halts, declares the situation infeasible, or
+    walks until the policy halts, declares the situation infeasible, or
     triggers a branch: arriving where unrevealed edges become visible, or
     sensing. Branch probabilities come from the joint model conditioned on
     everything revealed so far, which makes the evaluation exact for
@@ -365,19 +367,18 @@ def _trace(instance: CtpInstance, policy: Policy,
 
     Each piece of work is done once per walk. The branch tables come from
     `CtpInstance.outcomes`, kept only until the walk ends. With `record`,
-    each outcome formats its known statuses once and carries that text on
-    the stack: the deterministic steps after it keep the same statuses, so
-    their keys reuse it. Each entry carries the plain cost spent to reach
-    it, and zero steps add nothing. With `record`, the walk fills it with
-    the tree and raises `EnumerationCapError` once the tree holds more
-    than `BELIEF_CAP` nodes past its root.
+    `_walk` steps with a `decide` that notes each step once the next
+    decision shows where it led, and each outcome formats its known
+    statuses once and carries that text on the stack: the steps after it
+    keep them, so their keys reuse it. The walk then fills `record` with
+    the tree and raises `EnumerationCapError` once it holds more than
+    `BELIEF_CAP` nodes past its root.
     """
-    cap = _step_cap(instance)
     tables: dict = {}
     breakdown: list[tuple[str, Fraction, Cost]] = []
 
-    def note(key: str, action: Action | None,
-             children: tuple[tuple[str, str], ...] = ()) -> None:
+    def note(children: tuple[tuple[str, str], ...] = ()) -> None:
+        """Record the step taken last, which led to `children`."""
         if record is None:
             return
         seen = record.get(key)
@@ -392,54 +393,34 @@ def _trace(instance: CtpInstance, policy: Policy,
                 f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
                 "past its root")
 
-    def branch(belief: Belief, key: str, action: Action | None,
-               position: str, fresh: int,
+    def noting(instance: CtpInstance, belief: Belief) -> Action | None:
+        """`policy.decide`, noting the step before once it shows where
+        that step led."""
+        nonlocal key, action
+        here = f"{belief.position}|{parts}"
+        if key is not None:  # the step before led here, revealing none
+            note((("", here),))
+        key, action = here, policy.decide(instance, belief)
+        return action
+
+    def branch(belief: Belief, fresh: int,
                ) -> list[tuple[str, Fraction, Belief, str]]:
-        """Reveal mask `fresh` at `position`; note and return the outcomes,
-        their known statuses formatted when a tree is recorded."""
+        """Reveal mask `fresh` on arrival at `belief`; note and return the
+        outcomes, their known statuses formatted when a tree is recorded."""
         opened, blocked = belief.opened, belief.blocked
         children = []
         for opened_by, blocked_by, prob in instance.outcomes(
                 tables, fresh, opened, blocked):
-            child = Belief(position, opened | opened_by, blocked | blocked_by,
-                           instance)
+            child = Belief(belief.position, opened | opened_by,
+                           blocked | blocked_by, instance)
             label = ",".join(f"{e}={'open' if is_open else 'blocked'}"
                              for e, is_open in instance.statuses(opened_by,
                                                                  blocked_by))
             parts = "" if record is None else _known_part(child)
             children.append((label, prob, child, parts))
-        note(key, action, tuple((label, f"{position}|{parts}")
-                                for label, _, _, parts in children))
+        note(tuple((label, f"{belief.position}|{parts}")
+                   for label, _, _, parts in children))
         return children
-
-    def advance(belief: Belief, parts: str, spent: Fraction | int):
-        """Walk deterministically to a leaf or a branch point.
-
-        Returns the cost spent on arrival there (`math.inf` if the policy
-        declared the situation infeasible) and the branch outcomes (None
-        at a leaf).
-        """
-        key = f"{belief.position}|{parts}"
-        for _ in range(cap):
-            action = policy.decide(instance, belief)
-            if action is None:
-                note(key, None)
-                return math.inf, None
-            price, nxt, revealed = _step(instance, belief, action)
-            if revealed is None:
-                note(key, action)
-                return spent, None
-            if price:
-                spent += price
-            if revealed:
-                return spent, branch(belief, key, action, nxt, revealed)
-            succ = f"{nxt}|{parts}"
-            note(key, action, (("", succ),))
-            belief = Belief(nxt, belief.opened, belief.blocked, instance)
-            key = succ
-        raise EnumerationCapError(
-            f"no branch or arrival within {cap} steps; "
-            f"last {describe_belief(belief)}")
 
     # pending entries: belief, its known statuses formatted, outcome
     # labels, probability, cost so far
@@ -451,19 +432,22 @@ def _trace(instance: CtpInstance, policy: Policy,
         for label, p, child, parts in reversed(children):
             stack.append((child, parts, labels + (label,), prob * p, spent))
 
+    decide = policy.decide if record is None else noting
     start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
+    key, action = belief_key(start), None  # of the step taken last
     if fresh:
-        push(branch(start, belief_key(start), None, instance.s, fresh), (),
-             Fraction(1), 0)
+        push(branch(start, fresh), (), Fraction(1), 0)
     else:
         stack.append((start, "", (), Fraction(1), 0))
     while stack:
         belief, parts, labels, prob, spent = stack.pop()
-        spent, children = advance(belief, parts, spent)
-        if children is not None:
-            push(children, labels, prob, spent)
+        key = None
+        spent, belief, fresh = _walk(instance, decide, belief, spent)
+        if fresh is not None:
+            push(branch(belief, fresh), labels, prob, spent)
             continue
+        note()
         breakdown.append((" ; ".join(labels) or "no observations", prob,
                           Cost.of(spent)))
 
@@ -516,8 +500,8 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     scheduled. A walk's cost depends only on the statuses it reveals, so
     the trials of one call share a prefix tree of trajectories. A node is
     a reveal point (the belief on arrival, the mask `fresh` shown there,
-    the cost and steps so far), its children are keyed by the blocked bits
-    of `fresh`, and a leaf is a realized cost. On a dyadic table a trial
+    the cost so far), its children are keyed by the blocked bits of
+    `fresh`, and a leaf is a realized cost. On a dyadic table a trial
     decides a one-edge reveal from that edge's word alone (`reveal_rule`);
     for any other reveal it draws its whole weather, once per trial, and
     reads the bits of `fresh`. It walks (`_walk`) only where a child is
@@ -529,17 +513,17 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
 
-    def node(belief: Belief, fresh: int, total, steps: int) -> tuple:
-        return belief, fresh, total, steps, {}, reveal_rule(instance, fresh)
+    def node(belief: Belief, fresh: int, total) -> tuple:
+        return belief, fresh, total, {}, reveal_rule(instance, fresh)
 
     root = node(Belief(instance.s, 0, 0, instance),
-                instance.fresh_at(instance.s, 0), 0, 0)
+                instance.fresh_at(instance.s, 0), 0)
     stored = 1
     samples: list[float] = []
     for trial, counter in enumerate(trial_counters(seed, range(trials))):
         here, shut = root, None
         while type(here) is tuple:
-            belief, fresh, total, steps, children, rule = here
+            belief, fresh, total, children, rule = here
             if rule is not None:
                 blocked = rule(counter)
             else:
@@ -548,11 +532,11 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
                 blocked = shut & fresh
             child = children.get(blocked)
             if child is None:
-                total, steps, belief, fresh = _walk(
-                    instance, policy, _reveal(belief, fresh, blocked),
-                    total, steps)
+                total, belief, fresh = _walk(
+                    instance, policy.decide, _reveal(belief, fresh, blocked),
+                    total)
                 child = (float(total) if fresh is None else
-                         node(belief, fresh, total, steps))
+                         node(belief, fresh, total))
                 if stored < _TRAJECTORY_MEMO_CAP:
                     children[blocked] = child
                     stored += 1

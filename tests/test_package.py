@@ -42,6 +42,28 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _scopes_naming(node: ast.AST, name: str, scope: str = "<module>"):
+    """The innermost function around each reference to `name`."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name):
+            yield scope
+        yield from _scopes_naming(
+            child, name, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+
+def test_one_stepping_loop():
+    # `_walk` is the package's only stepping loop: `walk_weather`,
+    # `simulate` and the outcome walk all step a policy through it, so
+    # they share one step cap and one cap message
+    callers = [f"{path.name}:{scope}"
+               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+               for scope in _scopes_naming(ast.parse(path.read_text()),
+                                           "_step")]
+    assert callers == ["policy.py:_walk"]
+
+
 def test_three_exception_classes():
     # one class per exit code: bad input 2, a cap 3, a broken invariant 1
     defined = {(value.__module__, value.__qualname__)

@@ -8,11 +8,13 @@ policy walker, the joint-outcome recursion, and the closed forms together.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 from fractions import Fraction
 
 import pytest
 
+import ctplab.policy as policy_module
 from ctplab.gadgets import (
     baiting_harness,
     bailout_policy_cost,
@@ -44,6 +46,7 @@ from ctplab.policy import (
 )
 from ctplab.reductions import named_vc, vc_to_sensing
 from ctplab.solve import solve
+from test_sampling import oracle_simulate
 
 
 def sure_edge_instance(cost=5):
@@ -68,6 +71,38 @@ def anchor_instance():
     b.add_edge("s", "t", Cost.infinite(), id="anchor")
     b.add_edge("s", "t", 2, id="road")
     return b.build()
+
+
+def hop_out_instance():
+    """A sure hop from s to a dead end m, and a sure way out to t."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "m", 1, id="hop")
+    b.add_edge("s", "t", 9, id="out")
+    return b.build()
+
+
+def zigzag_instance():
+    """A corridor s-a-b-m of sure unit edges, a coin `c` from m to t and
+    a sure `out` of cost 9 from s to t."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    for u, v in (("s", "a"), ("a", "b"), ("b", "m")):
+        b.add_edge(u, v, 1, id=u + v)
+    b.add_edge("m", "t", 1, id="c", block_p=Fraction(1, 2))
+    b.add_edge("s", "t", 9, id="out")
+    return b.build()
+
+
+def zigzag(instance, belief):
+    """Up the corridor to m; back down it and out if `c` is blocked."""
+    if belief.position == "t":
+        return Action.halt()
+    if belief.status("c") is False:
+        way = {"m": "bm", "b": "ab", "a": "sa", "s": "out"}
+    else:
+        way = {"s": "sa", "a": "ab", "b": "bm", "m": "c"}
+    return Action.move(way[belief.position])
 
 
 def one_way_instance():
@@ -174,15 +209,44 @@ class TestLegality:
             walk(make(), policy)
 
     def test_endless_walk_hits_cap(self):
-        b = InstanceBuilder(Variant.INDEPENDENT)
-        b.set_endpoints("s", "t")
-        b.add_edge("s", "m", 1, id="hop")
-        b.add_edge("s", "t", 9, id="out")
-        inst = b.build()
+        inst = hop_out_instance()
         policy = RulePolicy(lambda i, b_: Action.move("hop"))
-        with pytest.raises(EnumerationCapError,
-                           match="no branch or arrival within"):
-            evaluate_exact(inst, policy, mode="tree")
+        # every walker steps through `_walk`, so all give its one message
+        for walk in (lambda: evaluate_exact(inst, policy, mode="tree"),
+                     lambda: evaluate_exact(inst, policy, mode="weathers"),
+                     lambda: simulate(inst, policy, 3, 0)):
+            with pytest.raises(EnumerationCapError) as caught:
+                walk()
+            assert str(caught.value) == (
+                "no arrival within 64 steps; last at s knowing nothing")
+
+    def test_cap_counts_from_the_last_reveal(self, monkeypatch):
+        # 8 steps in all on the blocked weather, 3 before `c` shows and 5
+        # after: at a cap of 5 between two reveals every walker prices it
+        monkeypatch.setattr(policy_module, "_step_cap", lambda inst: 5)
+        inst, policy = zigzag_instance(), RulePolicy(zigzag)
+        for mode in ("tree", "weathers"):
+            assert evaluate_exact(inst, policy, mode=mode).expected_cost == (
+                Cost.of(Fraction(19, 2)))
+        assert walk_weather(inst, policy, Weather(0)) == Cost.of(4)
+        assert walk_weather(inst, policy,
+                            Weather(inst.bits["c"])) == Cost.of(15)
+        for seed in (4, 20260819):
+            want = oracle_simulate(inst, policy, 64, seed)[0]
+            got = simulate(inst, policy, 64, seed)
+            assert (got[0].hex(), got[1].hex()) == (want[0].hex(),
+                                                    want[1].hex())
+
+    def test_policy_must_be_a_function_of_the_belief(self):
+        # at s with nothing known it first hops to m, then takes `out`
+        answers = iter(["hop", "hop", "out"])
+        policy = RulePolicy(lambda i, b_: Action.halt()
+                            if b_.position == "t"
+                            else Action.move(next(answers)))
+        with pytest.raises(InvalidInstanceError) as caught:
+            export_decision_tree(hop_out_instance(), policy)
+        assert str(caught.value) == (
+            "policy is not a function of the belief at s|")
 
 
 class TestEvaluate:
@@ -405,6 +469,26 @@ class TestDecisionTrees:
         tree = DecisionTreePolicy({})
         with pytest.raises(InvalidInstanceError, match="no action"):
             evaluate_exact(inst, tree, mode="tree")
+
+    def test_walks_leave_no_reference_cycle(self):
+        # reference counting must free a walk's policy and tree at once: a
+        # cycle would hold a solver's whole search until the cyclic GC
+        # runs, and raise the peak memory of every solve
+        inst, handle = baiting_harness(Fraction(3, 2))
+        policy = reference_policy("baiting_pi", handle=handle,
+                                  terminal=handle.exit_shortcut)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            export_decision_tree(inst, policy)
+            evaluate_exact(inst, policy, mode="tree")
+            evaluate_exact(inst, policy, mode="weathers")
+            simulate(inst, policy, 8, 0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _pinned_case(name):
