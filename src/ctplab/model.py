@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import struct
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -198,88 +197,6 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-# (key, numerator, denominator, rejection limit) of one chance
-DrawRow = tuple[object, int, int, int | None]
-
-
-def _draw_row(key, p: Fraction) -> DrawRow:
-    """The plain-int row `SplitMix64.hits` draws chance `p` from."""
-    num, den = p.numerator, p.denominator
-    if den == 1:
-        return key, num, den, 0
-    if den > _SPAN64:
-        return key, num, den, None
-    return key, num, den, _SPAN64 - _SPAN64 % den
-
-
-def _lanes(n: int) -> tuple:
-    """Constants that pack n counters into 128-bit lanes of one int."""
-    ones = sum(1 << 128 * k for k in range(n))
-    ramp = sum((k + 1) << 128 * k for k in range(n))
-    return (ones, _GOLDEN * ramp, _MASK64 * ones,
-            struct.Struct("<" + "Q8x" * n).unpack, 16 * n)
-
-
-# `_LANES[b]` computes a batch of 2^b words; 256 words at most
-_LANES = tuple(_lanes(1 << b) for b in range(9))
-
-
-def _mix_lanes(state: int, lanes: tuple) -> int:
-    """The `next64` outputs that follow counter `state`, packed: lane k
-    of the int returned holds the word of counter state + (k+1) * GOLDEN.
-
-    SplitMix64 is counter-based: word k mixes only its own counter. Lane
-    k of one int holds that counter, and the mix's rounds run on all
-    lanes at once. Every shift and multiply is masked back to the low 64
-    bits of each lane, and a lane times a 64-bit constant stays below
-    2^128, so no carry crosses into the next lane.
-    """
-    ones, ramp, low = lanes[:3]
-    x = (state * ones + ramp) & low
-    x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
-    x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
-    return x ^ ((x >> 31) & low)
-
-
-def _next_words(state: int, n: int) -> tuple[int, ...]:
-    """The next n `next64` outputs after counter `state`, in one batch,
-    n rounded up to a power of two and at most 256 of them."""
-    lanes = _LANES[min((n - 1).bit_length(), 8)]
-    return lanes[3](_mix_lanes(state, lanes).to_bytes(lanes[4], "little"))
-
-
-def _lane_batches(rows: Sequence[DrawRow]) -> tuple | None:
-    """The constants `SplitMix64.lane_hits` decides `rows` by, or None
-    unless every denominator is 2^k with 1 <= k <= 64.
-
-    Such a row's limit is 2^64, so its one word never rejects, and it
-    comes true when word & (den - 1) < num, that is when bit 64 of
-    (word & (den - 1)) + (2^64 - num) stays clear. Per batch of up to
-    256 rows: the lanes, the lane mask of den - 1, the lane offset of
-    2^64 - num (2^64 on a padding lane, which always misses) and the
-    row count.
-    """
-    if any(den & (den - 1) or not 1 < den <= _SPAN64
-           for _, _, den, _ in rows):
-        return None
-    batches = []
-    for start in range(0, len(rows), 256):
-        chunk = rows[start:start + 256]
-        lanes = _LANES[(len(chunk) - 1).bit_length()]
-        mask = offset = 0
-        for k, (_, num, den, _) in enumerate(chunk):
-            mask |= den - 1 << 128 * k
-            offset |= _SPAN64 - num << 128 * k
-        for k in range(len(chunk), lanes[4] // 16):
-            offset |= _SPAN64 << 128 * k
-        batches.append((lanes, mask, offset, len(chunk)))
-    return tuple(batches)
-
-
-# the hit mask's binary digits: a lane's miss byte 0 is a hit, 1 a miss
-_HIT_DIGITS = bytes.maketrans(b"\0\1", b"10")
-
-
 class SplitMix64:
     """Counter-based 64-bit generator with exact rational Bernoulli draws."""
 
@@ -315,33 +232,15 @@ class SplitMix64:
              parents: Sequence[tuple[int, ...]] | None = None) -> list:
         """Keys of the rows whose chance comes true, drawn in row order.
 
-        Each row is `(key, numerator, denominator, limit)` from
-        `_draw_row`. The one draw rule: v = next64(), redrawn while
-        v >= limit; the chance comes true when v % denominator <
-        numerator. For denominators up to 2^64 that is exactly
-        `uniform_below(denominator) < numerator`, draw for draw. A limit
-        of 0 (denominator 1, so chance 0 or 1) takes no draw, as
-        `uniform_below(1)` takes none; a limit of None (denominator above
-        2^64) goes through `uniform_below`.
+        Each row is `(key, numerator, denominator)`, and it comes true
+        when `uniform_below(denominator) < numerator`, draw for draw, so a
+        denominator of 1 (chance 0 or 1) takes no word.
 
         With `parents`, the rows are a Bayes net's, in ancestral order:
         `rows[i]` holds variable i's rows, one per parent assignment, and
         the row drawn is `rows[i][r]`, where bit j of r is the outcome of
         variable `parents[i][j]`. Keys of None are drawn, not returned.
-
-        The words come from `_next_words` batches, taken in order: the
-        first batch covers one word per row, a rejection takes one more,
-        and a spent batch is followed by the next one. The stream state
-        left behind counts the words taken, so the keys returned and the
-        state are bit-identical to calling `next64` word by word.
-
-        `sample_weather` runs this loop on nets and on independent tables
-        with a denominator that is not a power of two from 2 to 2^64, where
-        a draw may reject or take no word; it decides the other tables by
-        `lane_hits`, whose outcomes and stream state equal this loop's.
         """
-        state = self._state
-        words, used = _next_words(state, len(rows)), 0
         values: list[bool] = []  # every outcome so far, for the parents
         out = []
         for row in rows:
@@ -350,55 +249,12 @@ class SplitMix64:
                 for j, k in enumerate(parents[len(values)]):
                     pick |= values[k] << j
                 row = row[pick]
-            key, num, den, limit = row
-            if limit:
-                while True:
-                    try:
-                        v = words[used]
-                    except IndexError:
-                        state = (state + used * _GOLDEN) & _MASK64
-                        words, used = _next_words(
-                            state, len(rows) - len(values)), 0
-                        continue
-                    used += 1
-                    if v < limit:
-                        break
-                hit = v % den < num
-            elif limit is None:
-                self._state = (state + used * _GOLDEN) & _MASK64
-                hit = self.uniform_below(den) < num
-                state, words, used = self._state, (), 0
-            else:
-                hit = num > 0
+            key, num, den = row
+            hit = self.uniform_below(den) < num
             values.append(hit)
             if hit and key is not None:
                 out.append(key)
-        self._state = (state + used * _GOLDEN) & _MASK64
         return out
-
-    def lane_hits(self, batches: tuple) -> int:
-        """Mask of the rows whose chance comes true, bit i for row i, of
-        rows whose denominators are all powers of two from 2 to 2^64,
-        as `_lane_batches` packs them.
-
-        No such row rejects, so row i takes word i and every outcome is
-        one compare in its lane, done on the whole batch at once: bit 64
-        of (word & mask) + offset is set exactly when the draw misses.
-        The outcomes and the stream state left behind (one word per row)
-        are bit-identical to `hits` on the same rows.
-        """
-        state, blocked, shift = self._state, 0, 0
-        for lanes, mask, offset, count in batches:
-            x = (_mix_lanes(state, lanes) & mask) + offset
-            miss = (x >> 64) & lanes[0]
-            # lane k's miss is byte 16k of the little-endian bytes, so the
-            # big-endian bytes from 15 on list the lanes top down
-            digits = miss.to_bytes(lanes[4], "big")[15::16]
-            blocked |= int(digits.translate(_HIT_DIGITS), 2) << shift
-            state = (state + count * _GOLDEN) & _MASK64
-            shift += count
-        self._state = state
-        return blocked
 
 
 def trial_counters(seed: int, trials) -> Iterator[int]:
@@ -834,30 +690,30 @@ class CtpInstance:
     @cached_property
     def draw_table(self) -> tuple:
         """What `sample_weather` draws: the `(rows, parents)` arguments of
-        `SplitMix64.hits`, built of plain-int `_draw_row` rows, and the
-        `_lane_batches` of those rows for `SplitMix64.lane_hits`.
+        `SplitMix64.hits`, each row `(key, numerator, denominator)`, and
+        whether the table is dyadic.
 
         Without a net: one row per uncertain edge, keyed by its bit, and no
-        parents. The batches are built when every chance has denominator
-        2^k, 1 <= k <= 64: such a draw never rejects, so each row takes
-        exactly one word and all of them are decided at once, and one row
-        can be decided alone from its own word (`reveal_rule`). With a net:
-        per variable in listed order, one row per CPT entry, keyed by the
-        bit of the uncertain edge it drives and by None for an auxiliary
-        variable, and the positions of its parents; a net's draws depend
-        on earlier outcomes, so it has no batches.
+        parents. The table is dyadic when every denominator is 2^k,
+        1 <= k <= 64: such a draw never rejects, so row i takes exactly
+        word i and can be decided alone from it (`reveal_rule`). With a
+        net: per variable in listed order, one row per CPT entry, keyed by
+        the bit of the uncertain edge it drives and by None for an
+        auxiliary variable, and the positions of its parents; a net's
+        draws depend on earlier outcomes, so it is never dyadic.
         """
         bits = self.bits
         if self.dependency is None:
-            rows = tuple(_draw_row(bits[e.id], e.block_p)
-                         for e in self.uncertain_edges)
-            return rows, None, _lane_batches(rows)
+            rows = tuple((bits[e.id], e.block_p.numerator,
+                          e.block_p.denominator) for e in self.uncertain_edges)
+            return rows, None, all(not den & (den - 1) and 1 < den <= _SPAN64
+                                   for _, _, den in rows)
         position = {v.id: i for i, v in enumerate(self.dependency.variables)}
         variables = self.dependency.variables
-        return (tuple(tuple(_draw_row(bits.get(var.id), p) for p in var.cpt)
-                      for var in variables),
+        return (tuple(tuple((bits.get(var.id), p.numerator, p.denominator)
+                            for p in var.cpt) for var in variables),
                 tuple(tuple(position[p] for p in var.parents)
-                      for var in variables), None)
+                      for var in variables), False)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,22 +929,13 @@ def weather_support(instance: CtpInstance) -> list[tuple[Weather, Fraction]]:
 
 
 def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
-    """Draw one weather from `instance.draw_table`.
+    """Draw one weather from `instance.draw_table` by one `hits` call.
 
     Edges draw in listed order; dependent nets draw each variable from
-    its CPT row in listed (ancestral) order. An independent instance
-    whose chances all have denominators 2^k, 1 <= k <= 64, is decided by
-    `SplitMix64.lane_hits`: none of its draws can reject, so row i takes
-    word i and the lane mask is the blocked mask. Every other instance
-    goes through one `hits` call, whose bits, each at most once, sum to
-    the blocked mask. Either way every draw is the integer rule of
-    `hits`, and the blocked masks and the stream state left behind are
-    bit-identical to drawing each chance with
-    `uniform_below(denominator) < numerator`.
+    its CPT row in listed (ancestral) order. The bits `hits` returns, each
+    at most once, sum to the blocked mask.
     """
-    rows, parents, batches = instance.draw_table
-    if batches is not None:
-        return Weather(stream.lane_hits(batches))
+    rows, parents, _ = instance.draw_table
     return Weather(sum(stream.hits(rows, parents)))
 
 
@@ -1098,19 +945,19 @@ def reveal_rule(instance: CtpInstance, fresh: int,
     mask `fresh` its weather blocks, or None when only the whole weather
     (`sample_weather`) decides them.
 
-    On a table of dyadic rows (`draw_table` has batches), row i takes the
-    word of counter state + (i+1) * GOLDEN whatever the other rows draw,
-    so one edge is decided alone, with exactly the outcome of the whole
-    draw, by word & (den - 1) < num. Nets and other denominators draw in
-    order with rejections, so their rows have no fixed word; a reveal of
+    On a dyadic table (see `draw_table`), row i takes the word of counter
+    state + (i+1) * GOLDEN whatever the other rows draw, so one edge is
+    decided alone, with exactly the outcome of the whole draw, by
+    word & (den - 1) < num. Nets and other denominators draw in order
+    with rejections, so their rows have no fixed word; a reveal of
     several edges takes the whole draw, which decides them all at once.
     """
     if not fresh:
         return lambda state: 0
-    rows, _, batches = instance.draw_table
-    if batches is None or fresh & (fresh - 1):
+    rows, _, dyadic = instance.draw_table
+    if not dyadic or fresh & (fresh - 1):
         return None
-    _, num, den, _ = rows[fresh.bit_length() - 1]
+    _, num, den = rows[fresh.bit_length() - 1]
     step, low = fresh.bit_length() * _GOLDEN, den - 1
     return lambda state: fresh if _mix64(state + step) & low < num else 0
 

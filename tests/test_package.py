@@ -64,6 +64,17 @@ def test_one_stepping_loop():
     assert callers == ["policy.py:_walk"]
 
 
+def test_one_mix():
+    # `_mix64` is the package's only SplitMix64 mix: every word a weather
+    # draws, whole or one edge at a time, is mixed there
+    for constant in ("_MIX1", "_MIX2"):
+        scopes = [f"{path.name}:{scope}"
+                  for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+                  for scope in _scopes_naming(ast.parse(path.read_text()),
+                                              constant)]
+        assert scopes == ["model.py:<module>", "model.py:_mix64"], constant
+
+
 def test_three_exception_classes():
     # one class per exit code: bad input 2, a cap 3, a broken invariant 1
     defined = {(value.__module__, value.__qualname__)

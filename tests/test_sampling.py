@@ -2,10 +2,10 @@
 
 The blocked edges `sample_weather` draws, the stream state it leaves
 behind, and the `(mean, sem)` pairs `simulate` returns are pinned at the
-values of the original `Fraction`-and-`uniform_below` draw. A faster draw
-rule or a memo of walks must reproduce every one of them exactly. The draw
-rule is also checked against that original rule, kept here as the slow
-oracle.
+values of the original `Fraction`-and-`uniform_below` draw. The one-edge
+rule of `simulate` and its prefix tree of walks must reproduce every one
+of them exactly. `SplitMix64.hits` is also checked against that original
+rule, kept here as the slow oracle.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ from ctplab.model import (
     InvalidInstanceError,
     SplitMix64,
     Variant,
-    _draw_row,
-    _lane_batches,
     reveal_rule,
     sample_weather,
     trial_stream,
@@ -72,7 +70,7 @@ def sampling_case(name):
             [Fraction(1, 3**41), Fraction(2**69 + 1, 2**70 + 3),
              Fraction(7, 2**70), Fraction(1, 2**64), Fraction(1, 3)])
     if name == "dyadic-300":
-        # more than one 256-lane batch, every draw decided by its lane
+        # 300 dyadic chances, so every row takes exactly one word
         cycle = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
                  Fraction(1, 2**64)]
         return chances_instance([cycle[i % 4] for i in range(300)])
@@ -182,9 +180,14 @@ def _uniform_below(stream, n):
             return value % n
 
 
+def draw_rows(keys, ps):
+    """`SplitMix64.hits` rows: chance `ps[i]` keyed by `keys[i]`."""
+    return [(key, p.numerator, p.denominator) for key, p in zip(keys, ps)]
+
+
 def bernoulli(stream, p):
     """One draw of chance `p` by the rule of `SplitMix64.hits`."""
-    return bool(stream.hits((_draw_row(True, p),)))
+    return bool(stream.hits(draw_rows([True], [p])))
 
 
 def oracle_bernoulli(stream, p):
@@ -210,9 +213,8 @@ def dyadic_chances(draw):
 
 @st.composite
 def chance_lists(draw):
-    """1 to 600 chances, so up to three 256-lane batches, cycling through
-    up to 8 drawn ones: half the lists all dyadic, the rest mixing
-    dyadic chances with any others."""
+    """1 to 600 chances, cycling through up to 8 drawn ones: half the
+    lists all dyadic, the rest mixing dyadic chances with any others."""
     chance = (dyadic_chances() if draw(st.booleans())
               else dyadic_chances() | chances())
     pool = draw(st.lists(chance, min_size=1, max_size=8))
@@ -226,8 +228,8 @@ def is_dyadic(p):
 
 
 class TestDrawRule:
-    # all-dyadic lists are decided by lanes in `sample_weather`; the rest
-    # mix in other denominators and must take the loop
+    # all-dyadic lists make a dyadic table, whose one-edge reveals
+    # `simulate` decides from one word; the rest mix in other denominators
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=2**64 - 1), chance_lists())
     def test_matches_uniform_below_oracle(self, seed, ps):
@@ -243,8 +245,7 @@ class TestDrawRule:
                 if oracle_bernoulli(oracle, p)}
         stream = SplitMix64(seed)
         inst = chances_instance(open_ps)
-        assert (inst.draw_table[2] is not None) == all(
-            is_dyadic(p) for p in open_ps if p)
+        assert inst.draw_table[2] == all(is_dyadic(p) for p in open_ps if p)
         weather = sample_weather(inst, stream)
         assert set(inst.edges_in(weather.blocked)) == want
         assert stream._state == oracle._state
@@ -324,7 +325,7 @@ def simulation_case(name):
         inst = chances_instance(
             [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)])
         return inst, FirstOpen(["e2", "e0", "e1"])
-    if name == "dyadic-star":  # 300 edges at once: the whole lane draw
+    if name == "dyadic-star":  # 300 edges at once: the whole draw
         cycle = [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)]
         inst = chances_instance([cycle[i % 3] for i in range(300)])
         return inst, FirstOpen([f"e{i}" for i in (299, 3, 255, 256, 17)])
@@ -480,8 +481,8 @@ def hard_chances(draw):
 
 
 class TestBatchedDraws:
-    """`hits` takes its words from lane-parallel batches of at most 256;
-    every table must match one scalar oracle draw per row, word for word."""
+    """`hits` draws whole tables and nets row by row; every table must
+    match one scalar oracle draw per row, word for word."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**64 - 1),
@@ -489,27 +490,26 @@ class TestBatchedDraws:
     def test_tables_match_scalar_oracle(self, seed, ps):
         oracle, fast = SplitMix64(seed), SplitMix64(seed)
         want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
-        assert fast.hits([_draw_row(i, p) for i, p in enumerate(ps)]) == want
+        assert fast.hits(draw_rows(range(len(ps)), ps)) == want
         assert fast._state == oracle._state
 
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 255, 256, 257, 300])
     @pytest.mark.parametrize("den", [2, 2**63 + 1, 2**64 - 1])
     def test_long_tables_refill_in_order(self, size, den):
-        # with 2^63 + 1 about half of all words are redrawn, so the first
-        # batch runs out well before the last row
+        # with 2^63 + 1 about half of all words are redrawn, so a table
+        # takes far more words than it has rows
         ps = [Fraction(i % den, den) for i in range(size)]
         for seed in range(8):
             oracle, fast = SplitMix64(seed), SplitMix64(seed)
             want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
-            got = fast.hits([_draw_row(i, p) for i, p in enumerate(ps)])
+            got = fast.hits(draw_rows(range(len(ps)), ps))
             assert got == want
             assert fast._state == oracle._state
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 255, 256, 257, 600])
     def test_dyadic_tables_decide_by_lanes(self, size):
-        # lane widths 1 to 256, denominators 2^1 to 2^64 in turn with
-        # 2^64 - 1 over 2^64 last, and tables of several batches, each
-        # starting where the last one ended
+        # dyadic tables, whose rows take one word each: denominators 2^1
+        # to 2^64 in turn with 2^64 - 1 over 2^64 last
         ps = [Fraction((2 * i + 1) % (1 << k), 1 << k)
               for i in range(size) for k in [1 + i % 64]]
         ps[-1] = Fraction(2**64 - 1, 2**64)
@@ -517,13 +517,12 @@ class TestBatchedDraws:
             oracle, fast = SplitMix64(seed), SplitMix64(seed)
             want = sum(1 << i for i, p in enumerate(ps)
                        if oracle_bernoulli(oracle, p))
-            batches = _lane_batches([_draw_row(1 << i, p)
-                                     for i, p in enumerate(ps)])
-            assert fast.lane_hits(batches) == want
+            rows = draw_rows([1 << i for i in range(size)], ps)
+            assert sum(fast.hits(rows)) == want
             assert fast._state == oracle._state
 
     def test_wide_and_certain_rows_inside_a_batch(self):
-        # rows that take no word or more than one sit between batch rows
+        # rows that take no word or more than one sit between one-word rows
         ps = []
         for i in range(40):
             ps += [Fraction(1, 3), Fraction(i % 2), Fraction(i, 2**64 + 1),
@@ -531,8 +530,7 @@ class TestBatchedDraws:
         for seed in range(16):
             oracle, fast = SplitMix64(seed), SplitMix64(seed)
             want = [i for i, p in enumerate(ps) if oracle_bernoulli(oracle, p)]
-            assert fast.hits([_draw_row(i, p) for i, p in enumerate(ps)]) \
-                == want
+            assert fast.hits(draw_rows(range(len(ps)), ps)) == want
             assert fast._state == oracle._state
 
     @settings(max_examples=60, deadline=None)
@@ -546,7 +544,7 @@ class TestBatchedDraws:
             if i else () for i in range(size)]
         cpts = [[data.draw(hard_chances()) for _ in range(1 << len(pa))]
                 for pa in parents]
-        rows = [tuple(_draw_row(i if i % 2 else None, p) for p in cpt)
+        rows = [tuple(draw_rows([i if i % 2 else None] * len(cpt), cpt))
                 for i, cpt in enumerate(cpts)]
         oracle, fast = SplitMix64(seed), SplitMix64(seed)
         values = oracle_net(oracle, parents, cpts)
@@ -586,20 +584,19 @@ DYADIC_TABLES = {size: dyadic_table(size)
 
 class TestRevealRule:
     """A trajectory node decides a one-edge reveal from the trial's
-    counter alone; that must equal the whole table's lane draw on that
-    edge. Any other reveal has no rule and takes the whole draw."""
+    counter alone; that must equal the whole weather's draw on that edge.
+    Any other reveal has no rule and takes the whole draw."""
 
     @pytest.mark.parametrize("size", sorted(DYADIC_TABLES))
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
     def test_one_edge_matches_lane_hits(self, size, state, data):
         inst = DYADIC_TABLES[size]
-        # any row, and often the last of a 256-lane batch or the first
-        # of the next
+        # any row, and often the first, the last, or rows 255 and 256
         row = data.draw(st.integers(min_value=0, max_value=size - 1)
                         | st.sampled_from([r for r in (0, 255, 256, size - 1)
                                            if r < size]))
-        whole = SplitMix64(state).lane_hits(inst.draw_table[2])
+        whole = sample_weather(inst, SplitMix64(state)).blocked
         assert reveal_rule(inst, 1 << row)(state) == whole & 1 << row
 
     def test_other_reveals_have_no_rule(self):
