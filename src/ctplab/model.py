@@ -279,12 +279,17 @@ class Variant(Enum):
     SENSING = "sensing"
 
 
-@dataclass(frozen=True)
+# the `block_p` of every sure edge, one shared value
+_SURE = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
 class EdgeSpec:
     """One edge; `block_p` is the marginal blocking probability.
 
     Zero `block_p` means surely traversable. In a dependent instance the
-    stored value must agree with the marginal the net induces.
+    stored value must agree with the marginal the net induces. Slots keep
+    the 60,000 edges of a large reduction free of per-edge dicts.
     """
 
     id: str
@@ -292,7 +297,7 @@ class EdgeSpec:
     head: str
     cost: Cost
     directed: bool = False
-    block_p: Fraction = Fraction(0)
+    block_p: Fraction = _SURE
 
     @property
     def uncertain(self) -> bool:
@@ -785,20 +790,21 @@ def validate_instance(instance: CtpInstance) -> None:
 
     seen_edges: set[str] = set()
     for e in instance.edges:
-        if e.id in seen_edges:
-            raise InvalidInstanceError(f"duplicate edge id {e.id!r}")
-        seen_edges.add(e.id)
-        if e.tail not in vertex_set or e.head not in vertex_set:
-            raise InvalidInstanceError(f"edge {e.id!r} leaves the vertex set")
-        if e.tail == e.head:
-            raise InvalidInstanceError(f"edge {e.id!r} is a loop")
-        p = e.block_p
-        if not 0 <= p.numerator < p.denominator:
+        eid, tail, head, p = e.id, e.tail, e.head, e.block_p
+        if eid in seen_edges:
+            raise InvalidInstanceError(f"duplicate edge id {eid!r}")
+        seen_edges.add(eid)
+        if tail not in vertex_set or head not in vertex_set:
+            raise InvalidInstanceError(f"edge {eid!r} leaves the vertex set")
+        if tail == head:
+            raise InvalidInstanceError(f"edge {eid!r} is a loop")
+        num = p.numerator
+        if not 0 <= num < p.denominator:
             raise InvalidInstanceError(
-                f"edge {e.id!r} has block_p {e.block_p}, need [0, 1)")
-        if e.uncertain and e.cost.is_infinite:
+                f"edge {eid!r} has block_p {p}, need [0, 1)")
+        if num and e.cost._value is None:
             raise InvalidInstanceError(
-                f"edge {e.id!r} is uncertain and infinite")
+                f"edge {eid!r} is uncertain and infinite")
 
     if instance.variant is Variant.DEPENDENT:
         if instance.dependency is None:
@@ -856,16 +862,17 @@ class InstanceBuilder:
 
     def add_edge(self, tail: str, head: str, cost: Cost | Fraction | int | str,
                  *, id: str | None = None, directed: bool = False,
-                 block_p: Fraction | int | str = 0) -> str:
+                 block_p: Fraction | int | str = _SURE) -> str:
+        edges = self._edges
         if id is None:
-            id = f"e{len(self._edges):04d}"
-        if id in self._edges:
+            id = f"e{len(edges):04d}"
+        if id in edges:
             raise InvalidInstanceError(f"duplicate edge id {id!r}")
-        self.add_vertex(tail)
-        self.add_vertex(head)
-        spec = EdgeSpec(id, tail, head, Cost.of(cost), directed,
-                        as_fraction(block_p))
-        self._edges[id] = spec
+        # `add_vertex` inlined: a key already present keeps its place
+        self._vertices[tail] = self._vertices[head] = None
+        edges[id] = EdgeSpec(
+            id, tail, head, cost if type(cost) is Cost else Cost.of(cost),
+            directed, as_fraction(block_p))
         return id
 
     def add_variable(self, id: str, parents: Sequence[str] = (),
@@ -1044,17 +1051,14 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
             f"unknown keys {sorted(extra)} in {where}")
 
 
-def _parse_once(memo: dict, parse, text):
-    """`parse(text)`, remembered in `memo` when `text` is a string."""
-    if type(text) is not str:
-        return parse(text)  # refused there, with the parser's message
-    value = memo.get(text)
-    if value is None:
-        value = memo[text] = parse(text)
-    return value
-
-
 def instance_from_dict(data: dict) -> CtpInstance:
+    """The instance a parsed JSON document describes.
+
+    Checks the document's shape (keys, JSON types, rational strings and
+    CPT rows) while reading it, then runs `validate_instance` once on the
+    result. Every malformed document raises `InvalidInstanceError` with a
+    one-line message, the first fault in reading order.
+    """
     _require_keys(data, _TOP_KEYS, "instance")
     try:
         variant = Variant(data["variant"])
@@ -1070,27 +1074,31 @@ def instance_from_dict(data: dict) -> CtpInstance:
     probs: dict[str, Fraction] = {}
     edges = []
     for i, item in enumerate(data["edges"]):
-        _require_keys(item, _EDGE_KEYS, f"edge #{i}")
-        directed = require_type(item.get("directed", False), bool,
-                                f"edge #{i} directed")
+        # each message is formatted only once its check has failed
+        if type(item) is not dict or not item.keys() <= _EDGE_KEYS:
+            _require_keys(item, _EDGE_KEYS, f"edge #{i}")
+        directed = item.get("directed", False)
+        if type(directed) is not bool:
+            require_type(directed, bool, f"edge #{i} directed")
         try:
-            edge = EdgeSpec(
-                id=item["id"],
-                tail=item["tail"],
-                head=item["head"],
-                cost=_parse_once(costs, parse_cost, item["cost"]),
-                directed=directed,
-                block_p=_parse_once(probs, parse_probability,
-                                    item.get("block_p", "0/1")),
-            )
+            eid, tail, head, text = (
+                item["id"], item["tail"], item["head"], item["cost"])
         except KeyError as exc:
             raise InvalidInstanceError(
                 f"edge #{i} is missing {exc}") from exc
-        if not (isinstance(edge.id, str) and isinstance(edge.tail, str)
-                and isinstance(edge.head, str)):
+        # a parser refuses every non-string, so only strings are memoized
+        cost = costs.get(text) if type(text) is str else None
+        if cost is None:
+            cost = costs[text] = parse_cost(text)
+        text = item.get("block_p", "0/1")
+        p = probs.get(text) if type(text) is str else None
+        if p is None:
+            p = probs[text] = parse_probability(text)
+        if not (isinstance(eid, str) and isinstance(tail, str)
+                and isinstance(head, str)):
             raise InvalidInstanceError(
                 f"edge #{i} needs a string id and string endpoints")
-        edges.append(edge)
+        edges.append(EdgeSpec(eid, tail, head, cost, directed, p))
     dependency = None
     if "dependency" in data:
         dep = data["dependency"]
@@ -1105,13 +1113,13 @@ def instance_from_dict(data: dict) -> CtpInstance:
                                       f"parents of {name!r}"))
             cpt = []
             for row in require_type(item.get("cpt"), list, f"cpt of {name!r}"):
-                probs = [parse_probability(x) for x in
-                         require_type(row, list, f"a cpt row of {name!r}")]
-                if len(probs) != 2 or sum(probs) != 1:
+                chances = [parse_probability(x) for x in
+                           require_type(row, list, f"a cpt row of {name!r}")]
+                if len(chances) != 2 or sum(chances) != 1:
                     raise InvalidInstanceError(
                         f"cpt row {row} of {name!r} is not two "
                         "probabilities summing to 1")
-                cpt.append(probs[1])
+                cpt.append(chances[1])
             variables.append(NetVariable(name, parents, tuple(cpt)))
         dependency = DependencyNet(tuple(variables), require_type(
             dep.get("max_in_degree", 2), int, "max_in_degree"))

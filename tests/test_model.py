@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -194,6 +194,96 @@ class TestBuilderAndValidation:
         broken = text.replace('"variant"', '"flavor"')
         with pytest.raises(InvalidInstanceError):
             instance_from_json(broken)
+
+
+_DROP = object()  # a field a loader case removes from its edge
+
+# case: (edge #, the edge's new fields or a whole new item, exact message);
+# edges 0, 1 and 2 of `two_path_instance` are "direct", "sx" and "xt"
+LOADER_MESSAGES = {
+    "edge not an object": (1, 5, "edge #1 must be an object, got 5"),
+    "unknown key": (1, {"colour": "red"},
+                    "unknown keys ['colour'] in edge #1"),
+    "directed not a bool": (
+        1, {"directed": "false"},
+        "edge #1 directed must be true or false, got 'false'"),
+    "missing id": (1, {"id": _DROP}, "edge #1 is missing 'id'"),
+    "missing cost": (1, {"cost": _DROP}, "edge #1 is missing 'cost'"),
+    "id not a string": (1, {"id": 7},
+                        "edge #1 needs a string id and string endpoints"),
+    "tail not a string": (1, {"tail": ["s"]},
+                          "edge #1 needs a string id and string endpoints"),
+    "cost a list": (1, {"cost": ["2/1"]},
+                    "rational must be a string, got list"),
+    "cost an int": (1, {"cost": 2}, "rational must be a string, got int"),
+    "negative cost": (1, {"cost": "-2/1"},
+                      "cost must be nonnegative, got -2"),
+    "uncertain and infinite": (2, {"cost": "inf"},
+                               "edge 'xt' is uncertain and infinite"),
+    "block_p 1/0": (2, {"block_p": "1/0"}, "bad rational '1/0'"),
+    "block_p 1/1": (2, {"block_p": "1/1"},
+                    "edge 'xt' has block_p 1, need [0, 1)"),
+    "block_p 2/1": (2, {"block_p": "2/1"},
+                    "probability '2/1' outside [0, 1]"),
+    "block_p null": (2, {"block_p": None},
+                     "rational must be a string, got NoneType"),
+    "duplicate id": (1, {"id": "direct"}, "duplicate edge id 'direct'"),
+    "loop": (1, {"head": "s"}, "edge 'sx' is a loop"),
+    # several faults in one edge: the first check in loading order speaks
+    "missing id, directed not a bool": (
+        1, {"id": _DROP, "directed": 0},
+        "edge #1 directed must be true or false, got 0"),
+    "missing head, bad cost": (1, {"head": _DROP, "cost": "x"},
+                               "edge #1 is missing 'head'"),
+    "id not a string, bad cost": (1, {"id": 7, "cost": "x"},
+                                  "bad rational 'x'"),
+    "negative cost, block_p 2/1": (
+        2, {"cost": "-1/1", "block_p": "2/1"},
+        "cost must be nonnegative, got -1"),
+    "id not a string, block_p 2/1": (
+        2, {"id": 7, "block_p": "2/1"}, "probability '2/1' outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_MESSAGES)
+def test_loader_messages(case):
+    index, fields, message = LOADER_MESSAGES[case]
+    data = instance_to_dict(two_path_instance())
+    if isinstance(fields, dict):
+        item = data["edges"][index]
+        for key, value in fields.items():
+            if value is _DROP:
+                del item[key]
+            else:
+                item[key] = value
+    else:
+        data["edges"][index] = fields
+    with pytest.raises(InvalidInstanceError) as caught:
+        instance_from_json(json.dumps(data))
+    assert str(caught.value) == message
+
+
+class TestEdgeSpecValue:
+    def test_fields_are_frozen(self):
+        edge = two_path_instance().edge_map["xt"]
+        with pytest.raises(FrozenInstanceError):
+            edge.cost = Cost.zero()
+
+    def test_equal_by_value(self):
+        edge = two_path_instance().edge_map["xt"]
+        twin = replace(edge, cost=parse_cost("0/1"))
+        assert twin == edge and twin is not edge
+        assert hash(twin) == hash(edge)
+        third = replace(edge, block_p=Fraction(1, 3))
+        assert third != edge and third.block_p == Fraction(1, 3)
+
+    def test_no_instance_dict(self):
+        # slots keep a large reduction's edges small
+        assert not hasattr(two_path_instance().edges[0], "__dict__")
+
+    def test_reduction_round_trips(self):
+        inst = qbf_to_ctp(QbfFormula.of(2, ((1,),)))[0]
+        assert instance_from_json(instance_to_json(inst)) == inst
 
 
 class TestObservation:

@@ -75,6 +75,32 @@ def test_one_mix():
         assert scopes == ["model.py:<module>", "model.py:_mix64"], constant
 
 
+def _scopes_calling(node: ast.AST, name: str, scope: str = "<module>"):
+    """The innermost function, with its class, around each call of `name`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = (child.name if scope == "<module>"
+                     else f"{scope}.{child.name}")
+        yield from _scopes_calling(child, name, inner)
+
+
+def test_two_edge_building_paths():
+    # an edge is built by the builder or by the loader, each with its own
+    # per-edge fast path; a third path would have to be made fast again
+    callers = [f"{path.name}:{scope}"
+               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+               for scope in _scopes_calling(ast.parse(path.read_text()),
+                                            "EdgeSpec")]
+    assert callers == ["model.py:InstanceBuilder.add_edge",
+                       "model.py:instance_from_dict"]
+
+
 def test_three_exception_classes():
     # one class per exit code: bad input 2, a cap 3, a broken invariant 1
     defined = {(value.__module__, value.__qualname__)
