@@ -283,13 +283,16 @@ class Variant(Enum):
 _SURE = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EdgeSpec:
     """One edge; `block_p` is the marginal blocking probability.
 
     Zero `block_p` means surely traversable. In a dependent instance the
     stored value must agree with the marginal the net induces. Slots keep
-    the 60,000 edges of a large reduction free of per-edge dicts.
+    the 60,000 edges of a large reduction free of per-edge dicts, and
+    `__init__` stores each field straight into its slot, skipping the
+    `object.__setattr__` call per field that a generated frozen
+    `__init__` makes; the fields stay frozen to every other assignment.
     """
 
     id: str
@@ -298,6 +301,15 @@ class EdgeSpec:
     cost: Cost
     directed: bool = False
     block_p: Fraction = _SURE
+
+    def __init__(self, id: str, tail: str, head: str, cost: Cost,
+                 directed: bool = False, block_p: Fraction = _SURE):
+        _set_id(self, id)
+        _set_tail(self, tail)
+        _set_head(self, head)
+        _set_cost(self, cost)
+        _set_directed(self, directed)
+        _set_block_p(self, block_p)
 
     @property
     def uncertain(self) -> bool:
@@ -309,6 +321,15 @@ class EdgeSpec:
         if vertex == self.head:
             return self.tail
         raise ValueError(f"{vertex} is not an endpoint of edge {self.id}")
+
+
+# the setters of `EdgeSpec`'s slots, which get past its frozen `__setattr__`
+_set_id = EdgeSpec.id.__set__
+_set_tail = EdgeSpec.tail.__set__
+_set_head = EdgeSpec.head.__set__
+_set_cost = EdgeSpec.cost.__set__
+_set_directed = EdgeSpec.directed.__set__
+_set_block_p = EdgeSpec.block_p.__set__
 
 
 @dataclass(frozen=True)
@@ -976,22 +997,65 @@ _EDGE_KEYS = {"id", "tail", "head", "directed", "cost", "block_p"}
 _TOP_KEYS = {"variant", "s", "t", "vertices", "edges", "dependency", "sensing"}
 
 
-def instance_to_dict(instance: CtpInstance) -> dict:
-    # a document holds few distinct rationals: format each one once, keyed
-    # by its integer ratio, which hashes and compares far faster than a
-    # Fraction (None, an infinite cost's value, is "inf")
-    texts: dict[tuple[int, int], str] = {}
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _rational_texts() -> Callable[[Fraction | None], str]:
+    """One document's memo from a rational to its JSON string, quoted.
+
+    A document holds few distinct rationals, so each is formatted once,
+    keyed by its integer ratio, which hashes and compares far faster than
+    a Fraction. None, an infinite cost's value, is "inf".
+    """
+    texts: dict[tuple[int, int] | None, str] = {None: '"inf"'}
 
     def text(value: Fraction | None) -> str:
-        if value is None:
-            return "inf"
-        key = value.as_integer_ratio()
+        key = None if value is None else value.as_integer_ratio()
         out = texts.get(key)
         if out is None:
-            out = texts[key] = format_rational(value)
+            out = texts[key] = _JSON_STR(format_rational(value))
         return out
 
-    data: dict = {
+    return text
+
+
+def _sections(instance: CtpInstance, text: Callable[[Fraction | None], str]
+              ) -> dict:
+    """The dependency and sensing sections `instance` has, rationals as
+    the unquoted strings of `text`, the document's `_rational_texts`."""
+    def plain(value: Fraction | None) -> str:
+        return text(value)[1:-1]
+
+    data: dict = {}
+    if instance.dependency is not None:
+        data["dependency"] = {
+            "max_in_degree": instance.dependency.max_in_degree,
+            "variables": [
+                {
+                    "id": v.id,
+                    "parents": list(v.parents),
+                    "cpt": [[plain(1 - p), plain(p)]
+                            for p in v.cpt],
+                }
+                for v in instance.dependency.variables
+            ],
+        }
+    if instance.sensing is not None:
+        data["sensing"] = {
+            "entries": [
+                {"vertex": x.vertex, "edge": x.edge,
+                 "cost": plain(x.cost._value)}
+                for x in instance.sensing.entries
+            ],
+        }
+    return data
+
+
+def instance_to_dict(instance: CtpInstance) -> dict:
+    """The JSON document of `instance` as plain values: what
+    `instance_to_json` writes, and the oracle its tests compare it with."""
+    text = _rational_texts()
+    return {
         "variant": instance.variant.value,
         "s": instance.s,
         "t": instance.t,
@@ -1002,34 +1066,13 @@ def instance_to_dict(instance: CtpInstance) -> dict:
                 "tail": e.tail,
                 "head": e.head,
                 "directed": e.directed,
-                "cost": text(e.cost._value),
-                "block_p": text(e.block_p),
+                "cost": text(e.cost._value)[1:-1],
+                "block_p": text(e.block_p)[1:-1],
             }
             for e in instance.edges
         ],
+        **_sections(instance, text),
     }
-    if instance.dependency is not None:
-        data["dependency"] = {
-            "max_in_degree": instance.dependency.max_in_degree,
-            "variables": [
-                {
-                    "id": v.id,
-                    "parents": list(v.parents),
-                    "cpt": [[text(1 - p), text(p)]
-                            for p in v.cpt],
-                }
-                for v in instance.dependency.variables
-            ],
-        }
-    if instance.sensing is not None:
-        data["sensing"] = {
-            "entries": [
-                {"vertex": x.vertex, "edge": x.edge,
-                 "cost": text(x.cost._value)}
-                for x in instance.sensing.entries
-            ],
-        }
-    return data
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
@@ -1148,11 +1191,16 @@ def instance_from_dict(data: dict) -> CtpInstance:
     return instance
 
 
-_JSON_STR = json.encoder.encode_basestring_ascii
-# one edge of `instance_to_dict`, its keys in the same order
+# one edge of the document, its keys in `instance_to_dict`'s order; its
+# last two slots take `_rational_texts` strings, already quoted
 _JSON_EDGE = ('{\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n'
               '      "directed": %s,\n      "cost": %s,\n      "block_p": %s'
               '\n    }')
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level list of JSON texts, laid out as `indent=2` lays it."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def instance_to_json(instance: CtpInstance) -> str:
@@ -1160,25 +1208,27 @@ def instance_to_json(instance: CtpInstance) -> str:
 
     `indent` turns off the C encoder, so the vertex and edge lists, nearly
     all of a large instance, are written here instead, byte for byte the
-    same: strings escaped as `json.dumps` escapes them, one template per
-    edge.
+    same: strings escaped as `json.dumps` escapes them, and one template
+    per edge filled straight from its `EdgeSpec`, with no dict between.
+    Only the small dependency and sensing sections go through `json.dumps`.
     """
-    data = instance_to_dict(instance)
-    members = []
-    for key, value in data.items():
-        if key == "vertices" and value:
-            text = "[\n    " + ",\n    ".join(map(_JSON_STR, value)) + "\n  ]"
-        elif key == "edges" and value:
-            text = "[\n    " + ",\n    ".join(
-                _JSON_EDGE % (_JSON_STR(e["id"]), _JSON_STR(e["tail"]),
-                              _JSON_STR(e["head"]),
-                              "true" if e["directed"] else "false",
-                              _JSON_STR(e["cost"]), _JSON_STR(e["block_p"]))
-                for e in value) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        members.append(f"  {_JSON_STR(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    text = _rational_texts()
+    esc = _JSON_STR
+    members = {
+        "variant": esc(instance.variant.value),
+        "s": esc(instance.s),
+        "t": esc(instance.t),
+        "vertices": _json_list(list(map(esc, instance.vertices))),
+        "edges": _json_list([
+            _JSON_EDGE % (esc(e.id), esc(e.tail), esc(e.head),
+                          "true" if e.directed else "false",
+                          text(e.cost._value), text(e.block_p))
+            for e in instance.edges]),
+    }
+    for key, value in _sections(instance, text).items():
+        members[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
+    return "{\n" + ",\n".join(
+        f"  {esc(key)}: {value}" for key, value in members.items()) + "\n}\n"
 
 
 def load_json(text: str):

@@ -1,9 +1,12 @@
 """Model layer: costs, instances, joints, weathers, serialization."""
 
+import copy
 import json
 import math
+import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
+import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from ctplab.model import (
     ComponentTable,
     Cost,
     CtpInstance,
+    EdgeSpec,
     EnumerationCapError,
     InstanceBuilder,
     InternalCheckError,
@@ -284,6 +288,39 @@ class TestEdgeSpecValue:
     def test_reduction_round_trips(self):
         inst = qbf_to_ctp(QbfFormula.of(2, ((1,),)))[0]
         assert instance_from_json(instance_to_json(inst)) == inst
+
+    def test_construction_forms_agree(self):
+        cost = parse_cost("2/1")
+        edge = EdgeSpec("e", "a", "b", cost, False, model_module._SURE)
+        assert EdgeSpec(id="e", tail="a", head="b", cost=cost,
+                        directed=False, block_p=Fraction(0)) == edge
+        assert EdgeSpec("e", "a", "b", cost) == edge
+        assert EdgeSpec("e", "a", "b", cost, block_p=HALF) == replace(
+            edge, block_p=HALF)
+
+    def test_default_block_p_is_shared(self):
+        edge = EdgeSpec("e", "a", "b", Cost.zero())
+        assert edge.block_p is model_module._SURE
+        assert edge.directed is False
+
+    def test_missing_argument(self):
+        with pytest.raises(TypeError):
+            EdgeSpec("e", "a", "b")
+        with pytest.raises(TypeError):
+            EdgeSpec(id="e", tail="a", cost=Cost.zero())
+
+    def test_fields_in_order(self):
+        assert [f.name for f in fields(EdgeSpec)] == [
+            "id", "tail", "head", "cost", "directed", "block_p"]
+
+    def test_copies_are_equal(self):
+        edge = two_path_instance().edge_map["xt"]
+        for twin in (replace(edge), copy.copy(edge), copy.deepcopy(edge),
+                     pickle.loads(pickle.dumps(edge))):
+            assert twin == edge and hash(twin) == hash(edge)
+            assert repr(twin) == repr(edge)
+            with pytest.raises(FrozenInstanceError):
+                twin.block_p = HALF
 
 
 class TestObservation:
@@ -661,6 +698,15 @@ def edgeless_instance() -> CtpInstance:
     return b.build()
 
 
+def shared_rational_instance() -> CtpInstance:
+    """One rational, one object, as an edge's cost and its `block_p`."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    third = Fraction(1, 3)
+    b.add_edge("s", "t", third, id="st", block_p=third)
+    return b.build()
+
+
 WRITER_CASES = {
     "qbf_to_ctp(2,1)": lambda: qbf_to_ctp(QbfFormula.of(2, ((1,),)))[0],
     **{f"ctpdep game {k}": (lambda k=k: qbf_to_ctpdep(GAME_BATTERY[k][0])[0])
@@ -673,6 +719,7 @@ WRITER_CASES = {
        for seed in range(6)},
     "odd names": odd_names_instance,
     "no edges": edgeless_instance,
+    "shared rational": shared_rational_instance,
 }
 
 
@@ -683,3 +730,21 @@ def test_json_writer_matches_json_dumps(case):
     text = instance_to_json(inst)
     assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
     assert instance_from_json(text) == inst
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_writer_refuses_a_cost_past_the_digit_limit():
+    # qbf_to_ctp's fee at (6, 3) is such a cost: writing it must fail as
+    # int-to-str conversion fails, not print a truncated number
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "t", Fraction(10 ** 4300 + 1, 3), id="fee")
+    inst = b.build()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            instance_to_json(inst)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -101,6 +101,17 @@ def test_two_edge_building_paths():
                        "model.py:instance_from_dict"]
 
 
+def test_writer_builds_no_document_dict():
+    # `instance_to_json` writes each edge once, straight from its EdgeSpec;
+    # `instance_to_dict` is the oracle its tests compare it with, so no
+    # code of the package calls it
+    callers = [f"{path.name}:{scope}"
+               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+               for scope in _scopes_calling(ast.parse(path.read_text()),
+                                            "instance_to_dict")]
+    assert callers == []
+
+
 def test_three_exception_classes():
     # one class per exit code: bad input 2, a cap 3, a broken invariant 1
     defined = {(value.__module__, value.__qualname__)
