@@ -521,7 +521,7 @@ def _cmd_gadget(args) -> int:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     if args.policy:
-        policy = load_policy(args.policy)
+        policy = load_policy(args.policy, instance)
         outcome = evaluate_exact(instance, policy)
         if args.json:
             print(json.dumps({

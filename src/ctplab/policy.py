@@ -9,7 +9,10 @@ reference policies for the baiting and observation gadgets.
 The evaluator walks a depth-first stack of observation outcomes, which
 copes with gadget chains far too long to enumerate; it prices every
 policy and exports decision trees. A walk keeps its branch tables from
-`CtpInstance.outcomes` only until it ends, and builds each tree key once.
+`CtpInstance.outcomes` only until it ends, and writes no text: tree
+nodes are keyed by a belief's masks, and breakdown rows hold the masks
+of their outcomes. Text is written only at the edges, in `to_json`,
+`outcome_breakdown`, `describe_belief` and error messages.
 Replaying the policy on every weather of the support
 (`evaluate_exact(..., mode="weathers")`) stays as the independent oracle
 that the walk is checked against.
@@ -32,11 +35,12 @@ declares infeasible, and the simulator's summary statistics.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache, cached_property, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -131,15 +135,38 @@ def action_from_dict(data: dict | None) -> Action | None:
 # ---------------------------------------------------------------------------
 # policies
 
-def _known_part(belief: Belief) -> str:
-    """The known statuses as `belief_key` writes them after the bar."""
-    return ",".join(f"{e}={'O' if is_open else 'B'}"
-                    for e, is_open in belief.known)
+# how a tree key and an outcome label write a status: blocked, open
+_KEY_WORDS = ("B", "O")
+_LABEL_WORDS = ("blocked", "open")
+_NO_REVEAL = (0, 0)  # the outcome masks of a step that reveals nothing
 
 
-def belief_key(belief: Belief) -> str:
-    """Canonical string key for a belief, used by decision trees."""
-    return f"{belief.position}|{_known_part(belief)}"
+def _text(instance: CtpInstance, opened: int, blocked: int,
+          words: tuple[str, str]) -> str:
+    """The statuses the masks set, in edge-id order, as `id=word` joined
+    by commas."""
+    return ",".join(f"{e}={words[is_open]}"
+                    for e, is_open in instance.statuses(opened, blocked))
+
+
+def _parse(instance: CtpInstance, text: str, words: tuple[str, str],
+           ) -> tuple[int, int] | None:
+    """The masks `(opened, blocked)` that `_text` writes as `text`, or None
+    if it writes no such text (an unknown edge id, another word, ids out
+    of order). An id may hold commas and equals signs."""
+    masks, pending = [0, 0], ""  # blocked, opened; an id cut at a comma
+    for part in text.split(",") if text else ():
+        edge, _, word = (pending + part).rpartition("=")
+        if edge in instance.bits and word in words:
+            masks[words.index(word)] |= instance.bits[edge]
+            pending = ""
+        else:
+            pending += part + ","
+    if pending:
+        return None
+    blocked, opened = masks
+    return ((opened, blocked) if _text(instance, opened, blocked, words)
+            == text else None)
 
 
 def describe_belief(belief: Belief) -> str:
@@ -163,75 +190,125 @@ class Policy:
 
 @dataclass(frozen=True)
 class TreeNode:
+    """One recorded action and the nodes it leads to, each child keyed by
+    the `(opened, blocked)` masks its outcome reveals (`(0, 0)` after a
+    step that reveals nothing)."""
+
     action: Action | None
-    children: tuple[tuple[str, str], ...] = ()
+    children: tuple[tuple[tuple[int, int], tuple[str, int, int]], ...] = ()
 
 
 @dataclass(frozen=True)
 class DecisionTreePolicy(Policy):
     """Explicit policy: one recorded action per reachable belief.
 
-    `decide` keeps its last key text with the instance and masks it was
-    written from, as one tuple it reads once and replaces whole, so a run
-    of steps with equal masks writes that text once; the belief's
-    instance is part of the key, as two instances number their edges
-    differently.
+    Nodes are keyed by a belief's `(position, opened, blocked)`, over the
+    numbering of `instance`: the instance the tree was exported on or
+    loaded against. `decide` is one dict lookup; a belief over an instance
+    that numbers its edges otherwise is refused. Text is written only at
+    the edges: `to_json` writes a key as `position|id=O,id=B` and an
+    outcome as `id=open,id=blocked` (ids sorted), and `from_json` and
+    `from_dict` parse them back into masks.
     """
 
-    nodes: Mapping[str, TreeNode]
-    root: str | None = None
-    _last: list = field(default_factory=lambda: [(None, 0, 0, "")],
-                        init=False, repr=False, compare=False)
+    instance: CtpInstance = field(repr=False)
+    nodes: Mapping[tuple[str, int, int], TreeNode]
+    root: tuple[str, int, int] | None = None
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        last = self._last[0]
-        if (last[0] is not belief.instance or last[1] != belief.opened
-                or last[2] != belief.blocked):
-            last = (belief.instance, belief.opened, belief.blocked,
-                    _known_part(belief))
-            self._last[0] = last
-        node = self.nodes.get(f"{belief.position}|{last[3]}")
+        if (belief.instance is not self.instance
+                and belief.instance.bits != self.instance.bits):
+            raise InvalidInstanceError(
+                "decision tree was built on an instance that numbers its "
+                "uncertain edges differently")
+        node = self.nodes.get((belief.position, belief.opened,
+                               belief.blocked))
         if node is None:
             raise InvalidInstanceError(
                 f"decision tree has no action {describe_belief(belief)}")
         return node.action
 
-    def to_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "nodes": {
-                key: {
-                    "action": action_to_dict(node.action),
-                    "children": {label: child for label, child in node.children},
-                }
-                for key, node in sorted(self.nodes.items())
-            },
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> DecisionTreePolicy:
+    def from_dict(cls, data: dict, instance: CtpInstance,
+                  ) -> DecisionTreePolicy:
+        """The tree `data` writes, its keys and labels parsed into masks of
+        `instance`. A key or label that `to_json` writes for no belief or
+        outcome on `instance` would never match: that node, child or root
+        is left out."""
         require_type(data, dict, "decision tree")
+        vertices = frozenset(instance.vertices)
+
+        def key(text) -> tuple[str, int, int] | None:
+            """The first split of `text` at a bar into a vertex and the
+            statuses of some belief (a vertex name may hold bars)."""
+            at = text.find("|") if isinstance(text, str) else -1
+            while at >= 0:
+                masks = (_parse(instance, text[at + 1:], _KEY_WORDS)
+                         if text[:at] in vertices else None)
+                if masks is not None:
+                    return (text[:at], *masks)
+                at = text.find("|", at + 1)
+            return None
+
         nodes = {}
-        for key, raw in require_type(data.get("nodes"), dict,
-                                     "decision tree nodes").items():
-            where = f"decision tree node {key!r}"
+        for text, raw in require_type(data.get("nodes"), dict,
+                                      "decision tree nodes").items():
+            where = f"decision tree node {text!r}"
             raw = require_type(raw, dict, where)
             children = require_type(raw.get("children", {}), dict,
                                     f"children of {where}")
-            nodes[key] = TreeNode(action_from_dict(raw.get("action")),
-                                  tuple(sorted(children.items())))
-        return cls(nodes, data.get("root"))
+            action = action_from_dict(raw.get("action"))
+            parsed = [(_parse(instance, label, _LABEL_WORDS), key(child))
+                      for label, child in sorted(children.items())]
+            if (node := key(text)) is not None:
+                nodes[node] = TreeNode(action, tuple(
+                    (masks, child) for masks, child in parsed
+                    if masks is not None and child is not None))
+        return cls(instance, nodes, key(data.get("root")))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The tree as `json.dumps(..., indent=2, sort_keys=True)` writes it
+        with text keys and labels, written node by node into one join;
+        each mask pair's text is written once."""
+        text = cache(partial(_text, self.instance))
+        quote = encode_basestring_ascii
+
+        def key(node: tuple[str, int, int]) -> str:
+            return f"{node[0]}|{text(node[1], node[2], _KEY_WORDS)}"
+
+        parts, sep = ['{\n  "nodes": {'], "\n"
+        for written, node in sorted((key(node), node) for node in self.nodes):
+            action = self.nodes[node].action
+            if action is None:
+                act = "null"
+            elif action.edge is None:
+                act = '{\n        "kind": "halt"\n      }'
+            else:
+                act = (f'{{\n        "edge": {quote(action.edge)},\n'
+                       f'        "kind": "{action.kind.value}"\n      }}')
+            kids = ",\n".join(
+                f"        {quote(label)}: {quote(child)}"
+                for label, child in sorted(
+                    (text(*masks, _LABEL_WORDS), key(child))
+                    for masks, child in self.nodes[node].children))
+            kids = f"{{\n{kids}\n      }}" if kids else "{}"
+            parts.append(f'{sep}    {quote(written)}: {{\n      "action": '
+                         f'{act},\n      "children": {kids}\n    }}')
+            sep = ",\n"
+        root = "null" if self.root is None else quote(key(self.root))
+        close = "}" if len(parts) == 1 else "\n  }"
+        parts.append(f'{close},\n  "root": {root}\n}}')
+        return "".join(parts)
 
     @classmethod
-    def from_json(cls, text: str) -> DecisionTreePolicy:
-        return cls.from_dict(load_json(text))
+    def from_json(cls, text: str, instance: CtpInstance,
+                  ) -> DecisionTreePolicy:
+        return cls.from_dict(load_json(text), instance)
 
 
-def load_policy(path: str | Path) -> DecisionTreePolicy:
-    return DecisionTreePolicy.from_json(Path(path).read_text())
+def load_policy(path: str | Path, instance: CtpInstance,
+                ) -> DecisionTreePolicy:
+    return DecisionTreePolicy.from_json(Path(path).read_text(), instance)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +316,38 @@ def load_policy(path: str | Path) -> DecisionTreePolicy:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Exact expected cost plus the per-event decomposition behind it."""
+    """Exact expected cost plus the per-event decomposition behind it.
+
+    Each row of `rows` is (event, chance, cost). An event is the outcomes
+    along one branch of the walk, each as the `(opened, blocked)` masks
+    it reveals over the numbering of `instance`; `outcome_breakdown`
+    writes them as text labels the first time it is read.
+    """
 
     expected_cost: Cost
-    outcome_breakdown: tuple[tuple[str, Fraction, Cost], ...]
+    rows: tuple[tuple[tuple[tuple[int, int], ...], Fraction, Cost], ...]
+    instance: CtpInstance = field(repr=False)
+
+    @cached_property
+    def outcome_breakdown(self) -> tuple[tuple[str, Fraction, Cost], ...]:
+        """The rows, each event written `id=open,id=blocked ; ...` (ids
+        sorted within an outcome), or "no observations" when it shows
+        nothing; each outcome's text is written once."""
+        text = cache(partial(_text, self.instance))
+        return tuple((" ; ".join(text(*masks, _LABEL_WORDS)
+                                 for masks in event) or "no observations",
+                      p, cost) for event, p, cost in self.rows)
 
 
-def _summed(breakdown: list[tuple[str, Fraction, Cost]]) -> EvalResult:
+def _summed(instance: CtpInstance, rows: list) -> EvalResult:
     """The expected cost of breakdown rows whose chances must sum to one."""
-    if sum((p for _, p, _ in breakdown), Fraction(0)) != 1:
+    if sum((p for _, p, _ in rows), Fraction(0)) != 1:
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite row is not multiplied out: below the smallest float, a
     # chance times math.inf is nan
-    expected = (math.inf if any(c.is_infinite for _, _, c in breakdown) else
-                sum(p * c.plain for _, p, c in breakdown if c.plain))
-    return EvalResult(Cost.of(expected), tuple(breakdown))
+    expected = (math.inf if any(c.is_infinite for _, _, c in rows) else
+                sum(p * c.plain for _, p, c in rows if c.plain))
+    return EvalResult(Cost.of(expected), tuple(rows), instance)
 
 
 def _step_cap(instance: CtpInstance) -> int:
@@ -354,7 +448,8 @@ def walk_weather(instance: CtpInstance, policy: Policy,
 
 
 def _trace(instance: CtpInstance, policy: Policy,
-           record: dict[str, TreeNode] | None) -> EvalResult:
+           record: dict[tuple[str, int, int], TreeNode] | None,
+           ) -> EvalResult:
     """Evaluate by enumerating observation outcomes depth first.
 
     Between observations the walk is deterministic, so each pending entry
@@ -365,26 +460,26 @@ def _trace(instance: CtpInstance, policy: Policy,
     dependent instances too. Every leaf adds one breakdown row, and the
     expected cost is the probability-weighted sum of those rows.
 
-    Each piece of work is done once per walk. The branch tables come from
-    `CtpInstance.outcomes`, kept only until the walk ends. With `record`,
-    `_walk` steps with a `decide` that notes each step once the next
-    decision shows where it led, and each outcome formats its known
-    statuses once and carries that text on the stack: the steps after it
-    keep them, so their keys reuse it. The walk then fills `record` with
-    the tree and raises `EnumerationCapError` once it holds more than
-    `BELIEF_CAP` nodes past its root.
+    Each piece of work is done once per walk, and none of it is text. The
+    branch tables come from `CtpInstance.outcomes`, kept only until the
+    walk ends. With `record`, `_walk` steps with a `decide` that notes
+    each step once the next decision shows where it led, under the
+    belief's masks. The walk then fills `record` with the tree and raises
+    `EnumerationCapError` once it holds more than `BELIEF_CAP` nodes past
+    its root.
     """
     tables: dict = {}
-    breakdown: list[tuple[str, Fraction, Cost]] = []
+    rows: list[tuple[tuple[tuple[int, int], ...], Fraction, Cost]] = []
 
-    def note(children: tuple[tuple[str, str], ...] = ()) -> None:
+    def note(children: tuple = ()) -> None:
         """Record the step taken last, which led to `children`."""
         if record is None:
             return
         seen = record.get(key)
         if seen is not None and seen.action != action:
             raise InvalidInstanceError(
-                f"policy is not a function of the belief at {key}")
+                "policy is not a function of the belief at "
+                f"{key[0]}|{_text(instance, key[1], key[2], _KEY_WORDS)}")
         record[key] = TreeNode(action, children)
         # past its root, every node of a solve's tree is a belief it
         # expanded, so a solve within the belief cap never trips this
@@ -397,61 +492,56 @@ def _trace(instance: CtpInstance, policy: Policy,
         """`policy.decide`, noting the step before once it shows where
         that step led."""
         nonlocal key, action
-        here = f"{belief.position}|{parts}"
+        here = (belief.position, belief.opened, belief.blocked)
         if key is not None:  # the step before led here, revealing none
-            note((("", here),))
+            note(((_NO_REVEAL, here),))
         key, action = here, policy.decide(instance, belief)
         return action
 
     def branch(belief: Belief, fresh: int,
-               ) -> list[tuple[str, Fraction, Belief, str]]:
+               ) -> list[tuple[tuple[int, int], Fraction, Belief]]:
         """Reveal mask `fresh` on arrival at `belief`; note and return the
-        outcomes, their known statuses formatted when a tree is recorded."""
-        opened, blocked = belief.opened, belief.blocked
-        children = []
-        for opened_by, blocked_by, prob in instance.outcomes(
-                tables, fresh, opened, blocked):
-            child = Belief(belief.position, opened | opened_by,
-                           blocked | blocked_by, instance)
-            label = ",".join(f"{e}={'open' if is_open else 'blocked'}"
-                             for e, is_open in instance.statuses(opened_by,
-                                                                 blocked_by))
-            parts = "" if record is None else _known_part(child)
-            children.append((label, prob, child, parts))
-        note(tuple((label, f"{belief.position}|{parts}")
-                   for label, _, _, parts in children))
+        outcomes."""
+        pos, opened, blocked = belief.position, belief.opened, belief.blocked
+        children = [((opened_by, blocked_by), prob,
+                     Belief(pos, opened | opened_by, blocked | blocked_by,
+                            instance))
+                    for opened_by, blocked_by, prob in instance.outcomes(
+                        tables, fresh, opened, blocked)]
+        if record is not None:
+            note(tuple((masks, (pos, child.opened, child.blocked))
+                       for masks, _, child in children))
         return children
 
-    # pending entries: belief, its known statuses formatted, outcome
-    # labels, probability, cost so far
-    stack: list[tuple[Belief, str, tuple[str, ...], Fraction,
+    # pending entries: belief, the outcomes that led to it, probability,
+    # cost so far
+    stack: list[tuple[Belief, tuple[tuple[int, int], ...], Fraction,
                       Fraction | int]] = []
 
-    def push(children, labels, prob, spent) -> None:
+    def push(children, event, prob, spent) -> None:
         # reversed, so that outcomes pop in the order the model lists them
-        for label, p, child, parts in reversed(children):
-            stack.append((child, parts, labels + (label,), prob * p, spent))
+        for masks, p, child in reversed(children):
+            stack.append((child, event + (masks,), prob * p, spent))
 
     decide = policy.decide if record is None else noting
     start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
-    key, action = belief_key(start), None  # of the step taken last
+    key, action = (instance.s, 0, 0), None  # of the step taken last
     if fresh:
         push(branch(start, fresh), (), Fraction(1), 0)
     else:
-        stack.append((start, "", (), Fraction(1), 0))
+        stack.append((start, (), Fraction(1), 0))
     while stack:
-        belief, parts, labels, prob, spent = stack.pop()
+        belief, event, prob, spent = stack.pop()
         key = None
         spent, belief, fresh = _walk(instance, decide, belief, spent)
         if fresh is not None:
-            push(branch(belief, fresh), labels, prob, spent)
+            push(branch(belief, fresh), event, prob, spent)
             continue
         note()
-        breakdown.append((" ; ".join(labels) or "no observations", prob,
-                          Cost.of(spent)))
+        rows.append((event, prob, Cost.of(spent)))
 
-    return _summed(breakdown)
+    return _summed(instance, rows)
 
 
 def evaluate_exact(instance: CtpInstance, policy: Policy,
@@ -461,31 +551,27 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     mode "tree" walks the observation outcomes, one breakdown row per
     leaf, and copes with instances whose weather support is far too
     large to list. mode "weathers" replays the policy against every
-    weather of the support instead, one row per weather; it is the
-    independent oracle the tree walk is checked against.
+    weather of the support instead, one row per weather, its event the
+    whole weather as one outcome; it is the independent oracle the tree
+    walk is checked against.
     """
     if mode == "tree":
         return _trace(instance, policy, None)
     if mode != "weathers":
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    breakdown: list[tuple[str, Fraction, Cost]] = []
-    ids = sorted(instance.bits.items())
-    for weather, prob in weather_support(instance):
-        cost = walk_weather(instance, policy, weather)
-        label = ",".join(
-            f"{e}={'blocked' if weather.blocked & bit else 'open'}"
-            for e, bit in ids) or "no observations"
-        breakdown.append((label, prob, cost))
-    return _summed(breakdown)
+    every = (1 << len(instance.uncertain_edges)) - 1
+    return _summed(instance, [
+        (((every ^ weather.blocked, weather.blocked),), prob,
+         walk_weather(instance, policy, weather))
+        for weather, prob in weather_support(instance)])
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,
                          ) -> tuple[EvalResult, DecisionTreePolicy]:
     """Unfold `policy` over every belief it can reach, as an explicit tree."""
-    nodes: dict[str, TreeNode] = {}
+    nodes: dict[tuple[str, int, int], TreeNode] = {}
     result = _trace(instance, policy, nodes)
-    root = belief_key(Belief(instance.s, 0, 0, instance))
-    return result, DecisionTreePolicy(nodes, root)
+    return result, DecisionTreePolicy(instance, nodes, (instance.s, 0, 0))
 
 
 _TRAJECTORY_MEMO_CAP = 4096
@@ -707,7 +793,6 @@ __all__ = [
     "TreeNode",
     "action_from_dict",
     "action_to_dict",
-    "belief_key",
     "describe_belief",
     "evaluate_exact",
     "export_decision_tree",

@@ -530,6 +530,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["s|x=O,z=B", "s|y=B,x=O", "s|x=O,y=b"],
+                             ids=["unknown-edge", "unsorted", "bad-status"])
+    def test_tree_key_off_the_instance_never_matches(self, tmp_path, capsys,
+                                                     key):
+        # a key no belief on the instance writes is no node of the tree
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="x", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 2, id="y", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 5, id="sure")
+        inst = b.build()
+        instance = tmp_path / "inst.json"
+        save_instance(inst, instance)
+        tree = json.loads(solve(inst).policy.to_json())
+        tree["nodes"][key] = tree["nodes"].pop("s|x=O,y=B")
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(tree))
+        assert main(["solve", str(instance), "--policy", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: decision tree has no action at s knowing "
+            "[x open, y blocked]\n")
+
     @pytest.mark.parametrize("text", [DEEP_JSON, "{"], ids=["deep", "cut"])
     @pytest.mark.parametrize("as_policy", [False, True],
                              ids=["instance", "policy"])
@@ -655,7 +677,9 @@ CERTIFICATES = {
         vc_to_sensing(named_vc("p3", 1), F(1, 2))[1].to_json()),
 }
 @pytest.mark.parametrize("read", [
-    instance_from_json, DecisionTreePolicy.from_json,
+    instance_from_json,
+    lambda text: DecisionTreePolicy.from_json(
+        text, instance_from_dict(INSTANCE_DOCUMENTS[0])),
     CtpReductionCertificate.from_json, SensingCertificate.from_json],
     ids=["instance", "tree", "ctp-certificate", "sensing-certificate"])
 def test_too_deep_json_is_invalid(read):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,6 @@ from ctplab.policy import (
     ActionKind,
     DecisionTreePolicy,
     Policy,
-    TreeNode,
     action_from_dict,
     action_to_dict,
     evaluate_exact,
@@ -438,14 +438,14 @@ class TestDecisionTrees:
         policy = reference_policy("baiting_pi", handle=handle,
                                   terminal=handle.exit_shortcut)
         original, tree = export_decision_tree(inst, policy)
-        back = DecisionTreePolicy.from_json(tree.to_json())
+        back = DecisionTreePolicy.from_json(tree.to_json(), inst)
         assert back == tree
         replayed = evaluate_exact(inst, back, mode="tree")
         assert replayed.expected_cost == original.expected_cost
 
-    def test_one_tree_replays_on_two_numberings(self):
-        # x is bit 1 in one instance and y in the other: a key cached by
-        # masks alone would read one instance's bits by the other's ids
+    def test_one_json_replays_on_two_numberings(self):
+        # x is bit 1 in one instance and y in the other: each load parses
+        # the keys into the masks of the instance it is loaded against
         def listing(ids):
             b = InstanceBuilder(Variant.INDEPENDENT)
             b.set_endpoints("s", "t")
@@ -453,20 +453,50 @@ class TestDecisionTrees:
                 b.add_edge("s", "t", 1, id=e, block_p=Fraction(1, 2))
             return b.build()
 
+        def node(edge):
+            return {"action": {"edge": edge, "kind": "move"}, "children": {}}
+
+        text = json.dumps({"root": "s|", "nodes": {
+            "s|x=O,y=B": node("x"), "s|x=B,y=O": node("y")}},
+            indent=2, sort_keys=True)
         xy, yx = listing(["x", "y"]), listing(["y", "x"])
-        tree = DecisionTreePolicy({
-            "s|x=O,y=B": TreeNode(Action.move("x")),
-            "s|x=B,y=O": TreeNode(Action.move("y"))})
-        for inst, want in [(xy, "x"), (yx, "y"), (xy, "x"), (yx, "y")]:
-            belief = Belief("s", 1, 2, inst)
-            assert tree.decide(inst, belief) == Action.move(want)
-        # the key is the belief's own, whatever instance the caller names
-        tree.decide(xy, Belief("s", 1, 2, xy))
-        assert tree.decide(xy, Belief("s", 1, 2, yx)) == Action.move("y")
+        assert xy.bits != yx.bits
+        for inst in (xy, yx):
+            tree = DecisionTreePolicy.from_json(text, inst)
+            x, y = inst.bits["x"], inst.bits["y"]
+            assert tree.decide(inst, Belief("s", x, y, inst)) == (
+                Action.move("x"))
+            assert tree.decide(inst, Belief("s", y, x, inst)) == (
+                Action.move("y"))
+            assert tree.to_json() == text
+        # masks read by another instance's numbering would mean other edges
+        tree = DecisionTreePolicy.from_json(text, xy)
+        with pytest.raises(InvalidInstanceError, match="numbers its"):
+            tree.decide(yx, Belief("s", 1, 2, yx))
+
+    def test_names_holding_separators_round_trip(self):
+        # key and label text joins names with "|", "," and "="; a name
+        # holding them still reads back to its own masks
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "m|1", 1, id="a,b=O", block_p=Fraction(1, 2))
+        b.add_edge("m|1", "t", 1, id="c|d", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 10, id="sure")
+        inst = b.build()
+        result = solve(inst)
+        text = result.policy.to_json()
+        assert '"m|1|a,b=O=O,c|d=B"' in text
+        back = DecisionTreePolicy.from_json(text, inst)
+        assert back == result.policy
+        assert back.to_json() == text
+        assert evaluate_exact(inst, back) == evaluate_exact(inst,
+                                                            result.policy)
 
     def test_missing_node_names_belief(self):
         inst = two_path_instance()
-        tree = DecisionTreePolicy({})
+        tree = DecisionTreePolicy(inst, {})
+        assert tree.to_json() == json.dumps({"nodes": {}, "root": None},
+                                            indent=2, sort_keys=True)
         with pytest.raises(InvalidInstanceError, match="no action"):
             evaluate_exact(inst, tree, mode="tree")
 

@@ -1,8 +1,10 @@
 """Solver tests: exact optima on toys, the disjoint-path index rule, and QBF."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -32,7 +34,6 @@ from ctplab.model import (
 )
 from ctplab.policy import (
     Action,
-    EvalResult,
     evaluate_exact,
     export_decision_tree,
     reference_policy,
@@ -132,8 +133,9 @@ class TestSolveIndependent:
 
         def skewed(instance, policy):
             result, tree = exported(instance, policy)
-            return EvalResult(Cost.of(result.expected_cost.plain + 1),
-                              result.outcome_breakdown), tree
+            return dataclasses.replace(
+                result, expected_cost=Cost.of(
+                    result.expected_cost.plain + 1)), tree
 
         monkeypatch.setattr(S, "export_decision_tree", skewed)
         with pytest.raises(InternalCheckError, match="exported tree"):
@@ -151,13 +153,17 @@ class TestSolveIndependent:
         assert inst.bits == {"zz": 1, "zb": 2, "ya": 4}
         result = solve(inst)
         assert result.optimal_cost == Cost.of(Fraction(59, 8))
-        # keys and labels write statuses in id order
-        nodes = result.policy.nodes
-        assert nodes["s|zz=O"].children == (
-            ("ya=blocked,zb=blocked", "m|ya=B,zb=B,zz=O"),
-            ("ya=open,zb=blocked", "m|ya=O,zb=B,zz=O"),
-            ("ya=blocked,zb=open", "m|ya=B,zb=O,zz=O"),
-            ("ya=open,zb=open", "m|ya=O,zb=O,zz=O"))
+        # children keep the model's order; keys and labels write
+        # statuses in id order
+        assert result.policy.nodes["s", 1, 0].children == (
+            ((0, 6), ("m", 1, 6)), ((4, 2), ("m", 5, 2)),
+            ((2, 4), ("m", 3, 4)), ((6, 0), ("m", 7, 0)))
+        nodes = json.loads(result.policy.to_json())["nodes"]
+        assert nodes["s|zz=O"]["children"] == {
+            "ya=blocked,zb=blocked": "m|ya=B,zb=B,zz=O",
+            "ya=open,zb=blocked": "m|ya=O,zb=B,zz=O",
+            "ya=blocked,zb=open": "m|ya=B,zb=O,zz=O",
+            "ya=open,zb=open": "m|ya=O,zb=O,zz=O"}
         for key in nodes:
             ids = [part.split("=")[0] for part in key.split("|")[1].split(",")
                    if part]
@@ -171,7 +177,8 @@ class TestSolveIndependent:
             "zz=open ; ya=blocked,zb=open",
             "zz=open ; ya=open,zb=open"]
         # the exported tree replays, and the weathers oracle agrees
-        replayed = P.DecisionTreePolicy.from_json(result.policy.to_json())
+        replayed = P.DecisionTreePolicy.from_json(result.policy.to_json(),
+                                                inst)
         assert evaluate_exact(inst, replayed) == walked
         by_weather = evaluate_exact(inst, replayed, mode="weathers")
         assert by_weather.expected_cost == result.optimal_cost
@@ -629,6 +636,64 @@ class TestFrozenSolves:
         assert len(result.policy.nodes) <= stats.beliefs_expanded + 1
 
 
+# the solve-indep inputs of perfbench, drawn from its default seed
+PERFBENCH_SEED = 20260819
+
+
+def perfbench_solve_inputs():
+    """The instances perfbench's solve-indep and solve-dep workloads solve,
+    by label."""
+    inputs = {}
+    for i in range(20):
+        toy = random_disjoint_instance(SplitMix64(PERFBENCH_SEED + 1000 + i))
+        inputs[f"toy{i:02d}"] = toy
+        inputs[f"toy{i:02d}.nf"] = normalize_half_prob(toy)
+    for length in (Fraction(3, 2), Fraction(2)):
+        inputs[f"baiting({length})"] = baiting_harness(length)[0]
+    for graph in ("p3", "k3"):
+        inputs[f"vc({graph})"] = sensing_instance(graph)
+    for k, (formula, _) in enumerate(GAME_BATTERY):
+        inputs[f"game{k}"] = qbf_to_ctpdep(formula)[0]
+    return inputs
+
+
+class TestTextAtTheEdges:
+    """A solve writes no status text; the tree's JSON and the breakdown
+    labels are written from masks, byte for byte as the text keys were."""
+
+    @pytest.mark.parametrize("name", ["game5", "baiting-2", "p3"])
+    def test_solve_writes_no_text(self, name, monkeypatch):
+        build = FROZEN_BUILDS.get(name)
+        instance = (build() if build else
+                    qbf_to_ctpdep(GAME_BATTERY[int(name[4:])][0])[0])
+
+        def refuse(*args):
+            raise AssertionError("the solve wrote status text")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(M.CtpInstance, "statuses", refuse)
+            patched.setattr(M.CtpInstance, "edges_in", refuse)
+            result = solve(instance)
+        assert hashlib.sha256(result.policy.to_json().encode()).hexdigest() \
+            == FROZEN_SOLVES[name][2]
+
+    def test_round_trip_and_breakdown_rows(self):
+        # every breakdown row of the benchmark's solves, one line each,
+        # frozen bit for bit
+        rows = hashlib.sha256()
+        for label, instance in perfbench_solve_inputs().items():
+            tree = solve(instance).policy
+            text = tree.to_json()
+            back = P.DecisionTreePolicy.from_json(text, instance)
+            assert back.to_json() == text, label
+            assert json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) == text, label
+            for row in evaluate_exact(instance, back).outcome_breakdown:
+                rows.update("{}\t{}\t{}\t{}\n".format(label, *row).encode())
+        assert rows.hexdigest() == (
+            "2c410e3be3e6287e03296a048a5f603a0d43c1b4eedffe8b840a93d9317868cd")
+
+
 def random_known(instance, rng):
     """Some statuses of one support row per component."""
     known = {}
@@ -768,7 +833,7 @@ def branch_every_time(instance, policy):
         reveal(start, instance.s, fresh, (), Fraction(1), Fraction(0))
     else:
         walk(start, (), Fraction(1), Fraction(0))
-    return P._summed(rows)
+    return P._summed(instance, rows)
 
 
 class TestWalkMemo:
@@ -780,7 +845,9 @@ class TestWalkMemo:
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         result = solve_battery_game(k)
         walked = evaluate_exact(instance, result.policy, mode="tree")
-        assert walked == branch_every_time(instance, result.policy)
+        oracle = branch_every_time(instance, result.policy)
+        assert (walked.expected_cost, walked.outcome_breakdown) == (
+            oracle.expected_cost, oracle.rows)
         assert walked.expected_cost == result.optimal_cost
         components = instance.joint.components
         if math.prod(len(comp.rows) for comp in components) <= 4096:
@@ -988,8 +1055,9 @@ class TestDisjointBruteforce:
 
         def skewed(instance, policy):
             result, tree = exported(instance, policy)
-            return EvalResult(Cost.of(result.expected_cost.plain + 1),
-                              result.outcome_breakdown), tree
+            return dataclasses.replace(
+                result, expected_cost=Cost.of(
+                    result.expected_cost.plain + 1)), tree
 
         monkeypatch.setattr(S, "export_decision_tree", skewed)
         with pytest.raises(InternalCheckError, match="index rule"):
