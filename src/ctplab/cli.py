@@ -259,7 +259,8 @@ def _suite_gadgets(args) -> list[CheckResult]:
                   str(Action.move(handle.path_edges[0])),
                   str(result.optimal_first_action))
     for m in range(1, 9):
-        length = Fraction(8 * m + 16)
+        cert = certificate(2, m)
+        length = cert.L
         forward = forward_policy_cost(length, length)
         out.holds(f"forward-under-three-quarters-m={m}",
                   forward < Fraction(3, 4), _show(forward))
@@ -273,12 +274,11 @@ def _suite_gadgets(args) -> list[CheckResult]:
                   2 * spur + 2 < 3 * length / 2)
         out.holds(f"second-corridor-beats-triple-spur-m={m}",
                   3 * length / 2 < 2 * spur + 3 * spur / 4 + spur)
-        p1 = certificate(2, m).p1
         out.holds(f"guard-blocking-floor-m={m}",
-                  p1 > 1 - Fraction(2, 3 * length + 1))
+                  cert.p1 > 1 - Fraction(2, 3 * length + 1))
         retry = spur + 2
         out.holds(f"retry-recursion-contracts-m={m}",
-                  retry < 1 + p1 * (1 + retry))
+                  retry < 1 + cert.p1 * (1 + retry))
     if args.trials:
         length = Fraction(2)
         instance, handle = baiting_harness(length)
@@ -527,12 +527,12 @@ def _cmd_solve(args) -> int:
             print(json.dumps({
                 "expected_cost": render_cost(outcome.expected_cost,
                                              args.precision),
-                "outcomes": len(outcome.outcome_breakdown),
+                "outcomes": len(outcome.rows),
             }))
         else:
             print("expected cost: "
                   f"{render_cost(outcome.expected_cost, args.precision)}")
-            print(f"outcome branches: {len(outcome.outcome_breakdown)}")
+            print(f"outcome branches: {len(outcome.rows)}")
         return 0
     result = solve(instance, belief_cap=args.cap)
     first = (str(result.optimal_first_action)

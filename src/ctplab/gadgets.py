@@ -51,11 +51,6 @@ def section_count(length: Fraction | int) -> int:
     return (1 << ceil_log2(4 * span)) - 1
 
 
-def section_length(length: Fraction | int) -> Fraction:
-    by = as_fraction(length)
-    return by / (section_count(by) + 1)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for one baiting gadget
 
@@ -131,13 +126,6 @@ def chain_early_exit_expectation(passing: Fraction, walk: Fraction,
         acc = early_exit + passing * (
             (1 - passing ** (k - 1)) * walk + acc)
     return acc
-
-
-def bailout_gap(length: Fraction | int, rounds: int) -> Fraction:
-    """How much worse giving up after `rounds` baits is than pressing on,
-    when both the fallback and the terminal charge cost the corridor length."""
-    span = as_fraction(length)
-    return bailout_policy_cost(span, rounds, span) - forward_policy_cost(span, span)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +335,6 @@ def observation_harness(length: Fraction | int,
 __all__ = [
     "BaitingHandle",
     "ObservationHandle",
-    "bailout_gap",
     "bailout_policy_cost",
     "baiting_harness",
     "build_baiting",
@@ -366,5 +353,4 @@ __all__ = [
     "pass_probability",
     "second_chain_length",
     "section_count",
-    "section_length",
 ]

@@ -116,15 +116,6 @@ class Action:
         return f"{self.kind.value}({self.edge})"
 
 
-def action_to_dict(action: Action | None) -> dict | None:
-    if action is None:
-        return None
-    out: dict = {"kind": action.kind.value}
-    if action.edge is not None:
-        out["edge"] = action.edge
-    return out
-
-
 def action_from_dict(data: dict | None) -> Action | None:
     if data is None:
         return None
@@ -792,7 +783,6 @@ __all__ = [
     "Policy",
     "TreeNode",
     "action_from_dict",
-    "action_to_dict",
     "describe_belief",
     "evaluate_exact",
     "export_decision_tree",

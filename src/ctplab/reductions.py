@@ -11,8 +11,8 @@ makes them checkable:
   statuses, assembled from baiting and observation gadgets plus a guards
   section and an exam section. `certificate` produces the closed-form cost
   ledger whose fee sandwich B0 < h < B1 separates the two outcomes, and
-  `reference_trip` spells out the canonical everything-passes walk that
-  the D_pt entry of the ledger prices.
+  `reference_trip` returns the canonical everything-passes walk that the
+  D_pt entry of the ledger prices, as the ids the same build returned.
 * `vc_to_sensing` recasts a vertex-cover decision as a sensing walk in
   which buying remote coin statuses beats the default route exactly when
   a small cover exists.
@@ -225,22 +225,24 @@ class DepLayout:
     is open exactly when the number of open clause coins has the matching
     parity, and the flunk edge prices a wrong commitment. clause_members
     lists, per clause, the observation edges that share that clause's
-    coin; every other observation edge is an independent decoy.
+    coin; every other observation edge is an independent decoy. The
+    names outside the variable rows are the same for every formula.
     """
 
     n: int
     m: int
     variables: tuple[DepVariable, ...]
-    default_edge: str
-    enter_edge: str
-    exam_entry: str
-    parity_rooms: tuple[str, str]
-    parity_entries: tuple[str, str]
-    choice_edges: tuple[str, str]
-    exit_edges: tuple[str, str]
-    flunk_edges: tuple[str, str]
-    far_rooms: tuple[str, str]
     clause_members: tuple[tuple[str, ...], ...]
+
+    default_edge = "default"
+    enter_edge = "enter"
+    exam_entry = "exam.r0"
+    parity_rooms = ("exam.odd", "exam.even")
+    parity_entries = ("exam.go.odd", "exam.go.even")
+    choice_edges = ("exam.choice.odd", "exam.choice.even")
+    exit_edges = ("exam.exit.odd", "exam.exit.even")
+    flunk_edges = ("exam.flunk.odd", "exam.flunk.even")
+    far_rooms = ("exam.odd.far", "exam.even.far")
 
     @cached_property
     def entry_map(self) -> dict[str, DepVariable]:
@@ -296,21 +298,8 @@ def dep_layout(formula: QbfFormula) -> DepLayout:
             var = variables[i - 1]
             ids.append(var.true_obs[l - 1] if side else var.false_obs[l - 1])
         members.append(tuple(ids))
-    return DepLayout(
-        n=formula.n,
-        m=m,
-        variables=tuple(variables),
-        default_edge="default",
-        enter_edge="enter",
-        exam_entry="exam.r0",
-        parity_rooms=("exam.odd", "exam.even"),
-        parity_entries=("exam.go.odd", "exam.go.even"),
-        choice_edges=("exam.choice.odd", "exam.choice.even"),
-        exit_edges=("exam.exit.odd", "exam.exit.even"),
-        flunk_edges=("exam.flunk.odd", "exam.flunk.even"),
-        far_rooms=("exam.odd.far", "exam.even.far"),
-        clause_members=tuple(members),
-    )
+    return DepLayout(n=formula.n, m=m, variables=tuple(variables),
+                     clause_members=tuple(members))
 
 
 def qbf_to_ctpdep(formula: QbfFormula,
@@ -504,13 +493,15 @@ def _folded_mass(mass: Fraction, passing: Fraction, walk: Fraction,
     return acc
 
 
-def _construction_counts(n: int, m: int, n_first: int, n_second: int,
+def _construction_counts(n: int, m: int, L: Fraction,
                          merged: int) -> tuple[int, int]:
     """Vertex and edge counts of the undirected game graph.
 
     `merged` counts the observation slots whose vertex lands on an exam
     row instead of standing alone; merging never changes the edge count.
     """
+    n_first = section_count(L)
+    n_second = section_count(second_chain_length(L))
     og_vertices = 5 + 2 * n_first + n_second
     og_edges = 4 * n_first + 2 * n_second + 14
     corridor_edges = 2 * n_first + 3
@@ -590,7 +581,7 @@ def certificate(n: int, m: int) -> CtpReductionCertificate:
             "the fee sandwich failed: "
             f"B0 = {format_rational(B0)}, h = {format_rational(h)}, "
             f"B1 = {format_rational(B1)}")
-    v_count, e_count = _construction_counts(n, m, n_first, n_second, 0)
+    v_count, e_count = _construction_counts(n, m, L, 0)
     return CtpReductionCertificate(
         n=n, m=m, L=L, p1=p1, h=h, D_pt=D_pt, D_st=D_st, P_r0=P_r0,
         P_rt=P_rt, B0=B0, B1=B1, q_st=q_st, w_st=w_st, z_st=z_st,
@@ -610,8 +601,28 @@ def qbf_to_ctp(formula: QbfFormula,
     lands on the fifth vertex of that clause's exam row exactly when the
     matching literal sits in the clause. The guard corridors thread the
     second vertex of every exam row, and their final junction pays a unit
-    edge into the exam entrance.
+    edge into the exam entrance. The same build records `reference_trip`.
     """
+    instance, cert, _ = _game_graph(formula)
+    return instance, cert
+
+
+def reference_trip(formula: QbfFormula) -> tuple[str, ...]:
+    """Edge ids of the everything-passes walk, start vertex to exam entrance.
+
+    The walk takes the true side of every variable row, runs the full
+    loop of each observation gadget, crosses every corridor end to end,
+    and stops at the exam entrance. Its total cost is the D_pt entry of
+    the certificate for the same formula. The ids are the ones that
+    building the graph of `qbf_to_ctp` returned along the way.
+    """
+    return _game_graph(formula)[2]
+
+
+def _game_graph(formula: QbfFormula) -> tuple[
+        CtpInstance, CtpReductionCertificate, tuple[str, ...]]:
+    """The graph and certificate of `qbf_to_ctp`, plus the reference trip
+    read off the edge ids the builder and the gadgets return."""
     if formula.m == 0:
         raise InvalidInstanceError("the exam needs at least one clause")
     n, m = formula.n, formula.m
@@ -653,25 +664,27 @@ def qbf_to_ctp(formula: QbfFormula,
     junctions = (["guards.z0"]
                  + [rows[i][1] for i in range(m + 1)]
                  + ["guards.zend"])
+    guard_trip: list[str] = []
     for k in range(m + 2):
-        build_baiting(builder, junctions[k], junctions[k + 1], "t", L,
-                      f"guards.bg{k}")
-    builder.add_edge("guards.zend", "exam.r0", 1, id="guards.exit")
+        guard_trip += build_baiting(builder, junctions[k], junctions[k + 1],
+                                    "t", L, f"guards.bg{k}").path_edges
+    guard_trip.append(
+        builder.add_edge("guards.zend", "exam.r0", 1, id="guards.exit"))
 
-    # variable section
+    # variable section; the trip walks the true side of every row
     clause_sets = [frozenset(clause) for clause in formula.clauses]
     merged = 0
-    builder.add_edge("s", "x1", 0, id="enter")
+    trip = [builder.add_edge("s", "x1", 0, id="enter")]
     for i in range(1, total + 1):
         universal = i % 2 == 1
         entry = f"x{i}"
         out = f"x{i}.out"
         block = HALF if universal else Fraction(0)
-        builder.add_edge(entry, f"x{i}.t1", 1, id=f"x{i}.true",
-                         block_p=block)
+        trip.append(builder.add_edge(entry, f"x{i}.t1", 1, id=f"x{i}.true",
+                                     block_p=block))
         builder.add_edge(entry, f"x{i}.f1", 1, id=f"x{i}.false",
                          block_p=block)
-        for tag, sign in (("t", 1), ("f", -1)):
+        for tag, sign, side in (("t", 1, trip), ("f", -1, [])):
             for j in range(1, m + 1):
                 member = i <= n and sign * i in clause_sets[j - 1]
                 if member:
@@ -679,24 +692,26 @@ def qbf_to_ctp(formula: QbfFormula,
                     merged += 1
                 else:
                     obs = f"x{i}.{tag}{j}.obs"
-                build_observation(builder, f"x{i}.{tag}{j}",
-                                  f"x{i}.{tag}{j}.out", obs, "t", L,
-                                  f"x{i}.{tag}{j}.og")
+                og = build_observation(builder, f"x{i}.{tag}{j}",
+                                       f"x{i}.{tag}{j}.out", obs, "t", L,
+                                       f"x{i}.{tag}{j}.og")
+                side += (*og.first.path_edges, *og.second.path_edges,
+                         og.blocker_out, og.spur_out, og.spur_in,
+                         og.blocker_in, og.sneak, *og.third.path_edges)
                 if j < m:
-                    builder.add_edge(f"x{i}.{tag}{j}.out",
-                                     f"x{i}.{tag}{j + 1}", 0,
-                                     id=f"x{i}.{tag}.link{j}")
-            builder.add_edge(f"x{i}.{tag}{m}.out", out, 1,
-                             id=f"x{i}.{tag}.close")
+                    side.append(builder.add_edge(
+                        f"x{i}.{tag}{j}.out", f"x{i}.{tag}{j + 1}", 0,
+                        id=f"x{i}.{tag}.link{j}"))
+            side.append(builder.add_edge(f"x{i}.{tag}{m}.out", out, 1,
+                                         id=f"x{i}.{tag}.close"))
         if i < total:
-            build_baiting(builder, out, f"x{i + 1}", "t", L,
-                          f"x{i}.bridge")
-    builder.add_edge(f"x{total}.out", "guards.z0", 0, id="guards.enter")
+            trip += build_baiting(builder, out, f"x{i + 1}", "t", L,
+                                  f"x{i}.bridge").path_edges
+    trip.append(builder.add_edge(f"x{total}.out", "guards.z0", 0,
+                                 id="guards.enter"))
 
     instance = builder.build()
-    n_first = section_count(L)
-    n_second = section_count(second_chain_length(L))
-    expect = _construction_counts(total, m, n_first, n_second, merged)
+    expect = _construction_counts(total, m, L, merged)
     if (len(instance.vertices), len(instance.edges)) != expect:
         raise InternalCheckError(
             f"game graph misses the ledger's {expect} vertices and edges")
@@ -713,48 +728,7 @@ def qbf_to_ctp(formula: QbfFormula,
             "merged_observation_slots": merged,
             "formula_sha256": _formula_digest(formula),
         })
-    return instance, cert
-
-
-def reference_trip(formula: QbfFormula) -> tuple[str, ...]:
-    """Edge ids of the everything-passes walk, start vertex to exam entrance.
-
-    The walk takes the true side of every variable row, runs the full
-    loop of each observation gadget, crosses every corridor end to end,
-    and stops at the exam entrance. Its total cost is the D_pt entry of
-    the certificate for the same formula.
-    """
-    if formula.m == 0:
-        raise InvalidInstanceError("the exam needs at least one clause")
-    m = formula.m
-    total = formula.n + formula.n % 2
-    L = Fraction(8 * m + 16)
-    n_first = section_count(L)
-    n_second = section_count(second_chain_length(L))
-
-    def corridor(prefix: str, sections: int) -> list[str]:
-        return [f"{prefix}.path{k:03d}" for k in range(sections + 1)]
-
-    trip: list[str] = ["enter"]
-    for i in range(1, total + 1):
-        trip.append(f"x{i}.true")
-        for j in range(1, m + 1):
-            og = f"x{i}.t{j}.og"
-            trip += corridor(f"{og}.bg1", n_first)
-            trip += corridor(f"{og}.bg2", n_second)
-            trip += [f"{og}.block_out", f"{og}.spur_out", f"{og}.spur_in",
-                     f"{og}.block_in", f"{og}.sneak"]
-            trip += corridor(f"{og}.bg3", n_first)
-            if j < m:
-                trip.append(f"x{i}.t.link{j}")
-        trip.append(f"x{i}.t.close")
-        if i < total:
-            trip += corridor(f"x{i}.bridge", n_first)
-    trip.append("guards.enter")
-    for k in range(m + 2):
-        trip += corridor(f"guards.bg{k}", n_first)
-    trip.append("guards.exit")
-    return tuple(trip)
+    return instance, cert, (*trip, *guard_trip)
 
 
 # ---------------------------------------------------------------------------

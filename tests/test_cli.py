@@ -276,6 +276,25 @@ class TestCommands:
         assert data == {"expected_cost": "263/512 (0.513671875)",
                         "outcomes": 8}
 
+    def test_solve_policy_counts_rows_without_labels(self, tmp_path,
+                                                     capsys, monkeypatch):
+        out = tmp_path / "bait.json"
+        tree = tmp_path / "pi.json"
+        assert main(["gadget", "baiting", "--L", "2", "-o", str(out),
+                     "--policy", "baiting_pi", "--policy-out", str(tree)]) == 0
+        capsys.readouterr()
+
+        def unwritten(self):
+            raise AssertionError("solve --policy wrote breakdown labels")
+
+        monkeypatch.setattr(policy_module.EvalResult, "outcome_breakdown",
+                            property(unwritten))
+        assert main(["solve", str(out), "--policy", str(tree)]) == 0
+        assert "outcome branches: 8\n" in capsys.readouterr().out
+        assert main(["solve", str(out), "--policy", str(tree),
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcomes"] == 8
+
     @pytest.mark.parametrize("kind", ["baiting", "observation"])
     @pytest.mark.parametrize("policy",
                              ["baiting_pi", "baiting_pi_j", "og_pi_g"])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctplab.gadgets import (
-    bailout_gap,
     bailout_policy_cost,
     baiting_harness,
     build_baiting,
@@ -25,7 +24,6 @@ from ctplab.gadgets import (
     pass_probability,
     second_chain_length,
     section_count,
-    section_length,
 )
 from ctplab.model import (Cost, InstanceBuilder, InvalidInstanceError,
                           Variant, validate_instance)
@@ -93,7 +91,9 @@ class TestClosedForms:
             bailout_policy_cost(2, 8, 1)
 
     def test_giving_up_never_pays_at_small_length(self):
-        assert all(bailout_gap(2, j) > 0 for j in range(1, 8))
+        # both the fallback and the terminal charge cost the length
+        assert all(bailout_policy_cost(2, j, 2) > forward_policy_cost(2, 2)
+                   for j in range(1, 8))
 
     def test_early_exit_value(self):
         assert early_exit_expectation(2) == F(247, 512)
@@ -101,7 +101,7 @@ class TestClosedForms:
     def test_early_exit_matches_junction_sum(self):
         for length in (F(2), F(3, 2), F(24)):
             n = section_count(length)
-            step = section_length(length)
+            step = length / (n + 1)
             total = sum(F(1, 1 << i) * i * step for i in range(1, n + 1))
             assert early_exit_expectation(length) == total
 

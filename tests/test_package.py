@@ -112,6 +112,20 @@ def test_writer_builds_no_document_dict():
     assert callers == []
 
 
+def test_gadget_names_are_spelled_in_gadgets_alone():
+    # the game graph and the checks read a gadget's edge ids off the
+    # handle its builder returns, never by spelling them again
+    suffixes = (".path", ".bg1", ".bg2", ".bg3", ".block_out", ".block_in",
+                ".spur_out", ".spur_in", ".sneak")
+    found = [f"{name}:{node.lineno}:{node.value}"
+             for name in ("reductions.py", "cli.py")
+             for node in ast.walk(ast.parse(
+                 (Path(ctplab.__file__).parent / name).read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(suffix in node.value for suffix in suffixes)]
+    assert found == []
+
+
 def test_three_exception_classes():
     # one class per exit code: bad input 2, a cap 3, a broken invariant 1
     defined = {(value.__module__, value.__qualname__)
@@ -155,9 +169,14 @@ def _defined_names(tree: ast.Module):
 
 def _references(tree: ast.Module, names: set[str], members: set[str]):
     """Add the names `tree` reads to `names`, and the attributes it takes
-    and the strings it writes to both (`__all__` and the benchmark's
-    tracer name what they export or patch as strings)."""
-    for node in ast.walk(tree):
+    and the strings it writes to both (the benchmark's tracer names what
+    it patches as strings). The strings of an `__all__` list export a
+    name; they do not use it."""
+    body = [node for node in tree.body
+            if not (isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__"
+                            for target in node.targets))]
+    for node in ast.walk(ast.Module(body, [])):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -166,16 +185,44 @@ def _references(tree: ast.Module, names: set[str], members: set[str]):
             members.add(node.value)
 
 
+# Names no code of the package calls, kept because a test compares the
+# code that does the work against them: the name, then that test.
+TEST_ORACLES = {
+    "instance_to_dict": "test_model.py::test_json_writer_matches_json_dumps",
+    "trial_stream":
+        "test_sampling.py::TestWeatherMemo::test_matches_the_per_trial_oracle",
+    "decomposed_cost":
+        "test_gadgets.py::TestClosedForms::test_split_reassembles_forward_cost",
+    "chain_early_exit_expectation": "test_gadgets.py::TestClosedForms"
+                                    "::test_chain_split_matches_nested_forward",
+    "observation_early_exit_expectation":
+        "test_policy.py::TestObservationPolicy::test_two_derivations_agree",
+    "assignment_walk_policy": "test_reductions.py::TestDependentGame"
+                              "::test_walk_policy_is_free_on_winnable_games",
+    "CoverSensingPolicy": "test_reductions.py::TestSensing"
+                          "::test_cover_policy_matches_its_closed_form",
+    "sensing_cost_bound": "test_reductions.py::TestSensing::test_spend_bound",
+    "outcome_breakdown":
+        "test_policy.py::TestFrozenTreeEvaluation::test_frozen",
+}
+
+
 def test_no_dead_code_in_src():
     # every name src/ctplab defines has a caller in the package or in the
-    # benchmark: a method one taken as an attribute. Dunder methods are
-    # called by Python itself.
+    # benchmark, or is a test's oracle: a method one taken as an
+    # attribute. Dunder methods are called by Python itself.
     root = Path(__file__).parents[1]
     package = sorted((root / "src" / "ctplab").glob("*.py"))
     names: set[str] = set()
     members: set[str] = set()
     for path in package + sorted((root / "perfbench").glob("*.py")):
         _references(ast.parse(path.read_text()), names, members)
+    # an oracle that gains a caller leaves the list, and each names a test
+    assert sorted(set(TEST_ORACLES) & (names | members)) == []
+    for test in TEST_ORACLES.values():
+        path, *_, function = test.split("::")
+        assert f"def {function}(" in (root / "tests" / path).read_text(), test
+    members |= set(TEST_ORACLES)
     names |= members
     unused = sorted(f"{path.name}:{name}" for path in package
                     for name, member in _defined_names(

@@ -37,7 +37,6 @@ from ctplab.policy import (
     DecisionTreePolicy,
     Policy,
     action_from_dict,
-    action_to_dict,
     evaluate_exact,
     export_decision_tree,
     reference_policy,
@@ -152,9 +151,13 @@ class TestActions:
             Action(ActionKind.MOVE)
 
     def test_round_trip(self):
-        for action in (Action.move("e1"), Action.sense("e2"),
-                       Action.give_up("e3"), Action.halt(), None):
-            assert action_from_dict(action_to_dict(action)) == action
+        for data, action in (
+                ({"kind": "move", "edge": "e1"}, Action.move("e1")),
+                ({"kind": "sense", "edge": "e2"}, Action.sense("e2")),
+                ({"kind": "give_up", "edge": "e3"}, Action.give_up("e3")),
+                ({"kind": "halt"}, Action.halt()),
+                (None, None)):
+            assert action_from_dict(data) == action
 
     def test_str(self):
         assert str(Action.move("e1")) == "move(e1)"

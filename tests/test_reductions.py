@@ -481,3 +481,22 @@ class TestLayoutGeometry:
                     + 1 * corridors
                     + 1 + (formula.m + 2) * corridors + 1)
         assert len(trip) == expected
+
+    # Length and SHA-256 of "\n".join(trip) for mixed-literal formulas, so
+    # that observation slots merge onto exam rows; (1, 1) is padded.
+    @pytest.mark.parametrize("n, clauses, length, digest", [
+        (1, ((1, -1),), 1553,
+         "91945cdbcdd1e2627d6614a30d2e55d6063a02219dedf9d6366db5eec476c5bf"),
+        (2, ((1, -2),), 1553,
+         "91945cdbcdd1e2627d6614a30d2e55d6063a02219dedf9d6366db5eec476c5bf"),
+        (2, ((1, -2), (-1, 2)), 2717,
+         "29abd968354b8c4e4b9e1eef89e3cda5f780a45df7bbd202d8225fe9a1256c4b"),
+        (3, ((1, -2, 3), (-1, 2, -3)), 5047,
+         "bb3ea378654b693f6d6ffb6f92de1dd7d533973d62e50887838963cff15b21f7"),
+        (4, ((1, -3, 4), (-2, 3, -4)), 5047,
+         "bb3ea378654b693f6d6ffb6f92de1dd7d533973d62e50887838963cff15b21f7"),
+    ])
+    def test_reference_trip_is_pinned(self, n, clauses, length, digest):
+        trip = reference_trip(QbfFormula.of(n, clauses))
+        assert len(trip) == length
+        assert hashlib.sha256("\n".join(trip).encode()).hexdigest() == digest
