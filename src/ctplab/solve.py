@@ -27,6 +27,16 @@ tiebreak. The heap therefore settles every vertex with the same entry as
 an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
 
+A popped step is priced against a cutoff, the cheapest exact key pushed
+for its vertex (or the stratum's budget) less its price, and gives up
+once its outcomes so far and the bound on the rest pass it: Ballard's
+Star1 pruning of chance nodes (*-minimax, AIJ 1983). An outcome's stratum
+gets the budget that leaves and stops at the first key past it; a
+position worth at most that still gets its exact value and choice. A
+cached patch answers a lookup with no larger budget, or that finds its
+start valued; else it is solved once more, unbudgeted. Cuts are strict,
+so ties are priced and settled by rank, edge id and tiebreak as before.
+
 A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
 of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
 costs and fees are multiples of 1/D, and M(K) = Z·P(K) is whole, Z the
@@ -35,8 +45,8 @@ TCS 1991) of the lcm of their chances' denominators. One heap's keys
 share a positive scale, so pops, ties and choices are the rationals',
 and a branch's value is an int sum; `math.inf` marks a step that may
 strand. Branch tables come from `CtpInstance.outcomes`, kept for one
-solve: game 7 of the ctpdep battery prices 11,767 revealing steps from
-27 tables.
+solve: game 5 of the ctpdep battery prices 6,651 revealing steps from
+75 tables.
 """
 from __future__ import annotations
 
@@ -75,8 +85,8 @@ _HALT = Action.halt()  # actions are frozen, so one serves every solve
 class SolveStats:
     """What a search did; the boundary counts split its revealing steps.
 
-    A revealing step is evaluated when its exact value is computed and
-    skipped when its vertex settled first or t is out of its reach.
+    A revealing step is evaluated when priced, cut if that ends at a finite
+    cutoff (`branch_value`), and skipped if never priced.
     `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, `regions` the strata patches it solved and
     `region_hits` the lookups, the export's too, that found one solved.
@@ -88,6 +98,7 @@ class SolveStats:
     beliefs_expanded: int
     boundary_evaluated: int = 0
     boundary_skipped: int = 0
+    boundary_cut: int = 0
     branch_tables: int = 0
     regions: int = 0
     region_hits: int = 0
@@ -116,7 +127,7 @@ class _Solver(Policy):
     def __init__(self, instance: CtpInstance, belief_cap: int):
         self.instance = instance
         self.belief_cap = belief_cap
-        self.expanded = self.evaluated = self.skipped = 0
+        self.expanded = self.evaluated = self.steps = self.cut = 0
         self.regions = self.region_hits = 0
         costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
         costs += [fee for u in instance.vertices
@@ -141,7 +152,7 @@ class _Solver(Policy):
                             Action.sense(e))
                            for e, fee in instance.senses_from(u).items()]
                        for u in instance.vertices}
-        self._regions: dict[tuple[int, int, str], tuple[dict, dict]] = {}
+        self._regions: dict[tuple[int, int, str], tuple] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
@@ -159,27 +170,38 @@ class _Solver(Policy):
             for comp in self.instance.joint.touched(known)), self.total_mass)
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
-                     position: str, mass: int) -> int | float:
+                     position: str, mass: int,
+                     cutoff: int | float = math.inf) -> int | float:
         """Value once `fresh` is revealed on arrival, in the masks' scale,
-        `mass` their M(K); `math.inf` if an outcome strands the walker."""
-        total, stranded = 0, False
+        `mass` their M(K); `math.inf` if an outcome strands the walker or
+        the outcomes and the bound on the rest pass `cutoff`."""
+        floor, total, seen = self.bound.get(position, 0), 0, 0
         for opened_by, blocked_by, prob in self.instance.outcomes(
                 self.tables, fresh, opened, blocked):
+            share = _times(prob, mass)
+            budget = cutoff if cutoff == math.inf else (
+                cutoff - total - floor * (mass - seen - share))
             values, _ = self.region(opened | opened_by, blocked | blocked_by,
-                                    position, _times(prob, mass))
-            stranded |= position not in values
-            total += values.get(position, 0)
-        return math.inf if stranded else total
+                                    position, share, budget)
+            if position not in values or values[position] > budget:
+                self.cut += cutoff < math.inf
+                return math.inf
+            total, seen = total + values[position], seen + share
+        return total
 
     def region(self, opened: int, blocked: int, start: str,
-               mass: int | None = None) -> tuple[dict, dict]:
+               mass: int | None = None,
+               budget: int | float = math.inf) -> tuple[dict, dict]:
         """Values and choices over the patch `start` reaches unrevealing,
-        cached for every position of the patch; `mass` is its M(K), found
-        from the masks when not given."""
+        of the positions worth at most `budget`, cached for every position
+        of the patch; `mass` is its M(K), found from the masks if not given."""
         cached = self._regions.get((opened, blocked, start))
         if cached is not None:
-            self.region_hits += 1
-            return cached
+            values, choices, solved = cached
+            if solved is None or start in values or budget <= solved:
+                self.region_hits += 1
+                return values, choices
+            budget = math.inf
         if mass is None:
             mass = self.mass(opened, blocked)
         t = self.instance.t
@@ -215,13 +237,14 @@ class _Solver(Policy):
         heap = [(0, 0, "", next(seq), t, _HALT, None)] if t in patch else []
         # tiebreaks in position order, each position's moves before senses
         reveals.sort(key=lambda step: step[0])
+        # each revealing position's cheapest exact key pushed, or the budget
+        best = {}
         for u, price, fresh, where, rank, edge_id, action in reveals:
             floor = self.bound.get(where)
-            if floor is None:
-                self.skipped += 1
-                continue
-            heap.append(((price + floor) * mass, rank, edge_id, next(seq), u,
-                         action, (price * mass, fresh, where)))
+            if floor is not None:
+                best[u] = budget
+                heap.append(((price + floor) * mass, rank, edge_id, next(seq),
+                             u, action, (price * mass, fresh, where)))
         # every key is distinct, so the pop order is the push order's
         heapq.heapify(heap)
         values: dict[str, int] = {}
@@ -229,15 +252,19 @@ class _Solver(Policy):
         while heap:
             cost, rank, edge_id, tie, vertex, action, reveal = \
                 heapq.heappop(heap)
+            if cost > budget:
+                break
             if vertex in values:
-                if reveal is not None:
-                    self.skipped += 1
                 continue
             if reveal is not None:
                 price, fresh, where = reveal
                 self.evaluated += 1
-                rest = self.branch_value(opened, blocked, fresh, where, mass)
+                bar = best[vertex]
+                rest = self.branch_value(
+                    opened, blocked, fresh, where, mass,
+                    bar if bar == math.inf else bar - price)
                 if rest < math.inf:
+                    best[vertex] = price + rest
                     heapq.heappush(heap, (price + rest, rank, edge_id, tie,
                                           vertex, action, None))
                 continue
@@ -245,17 +272,20 @@ class _Solver(Policy):
             choices[vertex] = action
             for u, step, via, move in radj.get(vertex, ()):
                 if u not in values:
-                    heapq.heappush(heap, (step * mass + cost, 0, via,
+                    heapq.heappush(heap, (key := step * mass + cost, 0, via,
                                           next(seq), u, move, None))
-        region = values, choices
+                    if key < best.get(u, -1):
+                        best[u] = key
+        region = values, choices, None if budget == math.inf else budget
         for v in patch:
             self._regions[(opened, blocked, v)] = region
         self.regions += 1
+        self.steps += len(reveals)
         self.expanded += len(patch)
         if self.expanded > self.belief_cap:
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
-        return region
+        return values, choices
 
 
 def _times(value: Fraction | int, scale: int) -> int:
@@ -321,7 +351,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
             f"{result.expected_cost}")
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
-                                solver.skipped,
+                                solver.steps - solver.evaluated, solver.cut,
                                 sum(len(rows) for _, rows in
                                     solver.tables.values()),
                                 solver.regions, solver.region_hits,

@@ -260,37 +260,51 @@ class TestBoundedSearch:
             toy).optimal_cost
         assert result.optimal_cost == Cost.of(1)
 
-    @pytest.mark.parametrize("build", [
-        lambda: baiting_harness(2)[0],
-        lambda: sensing_instance("p3"),
+    # baiting-2 still skips steps; p3's cutoffs price them instead
+    @pytest.mark.parametrize("build, busy", [
+        (lambda: baiting_harness(2)[0], "boundary_skipped"),
+        (lambda: sensing_instance("p3"), "boundary_cut"),
     ], ids=["baiting-2", "p3"])
-    def test_boundary_counts_add_up(self, build, monkeypatch):
+    def test_boundary_counts_add_up(self, build, busy, monkeypatch):
         instance = build()
         stats = solve(instance).stats
         priced = []
         branch_value = S._Solver.branch_value
 
-        def counted(solver, opened, blocked, fresh, position, mass):
+        def counted(solver, opened, blocked, fresh, position, mass,
+                    cutoff=math.inf):
             priced.append(position)
             return branch_value(solver, opened, blocked, fresh, position,
-                                mass)
+                                mass, cutoff)
+
+        # each patch solve, a second one of a patch included: a key, the
+        # positions and the region, kept alive so that ids stay unique
+        solves: dict[int, tuple[tuple, set, tuple]] = {}
+
+        class Recorded(dict):
+            def __setitem__(self, key, region):
+                solves.setdefault(id(region), (key, set(), region))[1].add(
+                    key[2])
+                super().__setitem__(key, region)
 
         monkeypatch.setattr(S._Solver, "branch_value", counted)
         solver = S._Solver(instance, 200_000)
+        solver._regions = Recorded()
         solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
                             instance.s, solver.total_mass)
-        assert (solver.evaluated, solver.skipped) == (
-            stats.boundary_evaluated, stats.boundary_skipped)
+        assert len(solves) == solver.regions == stats.regions
+        assert (solver.evaluated, solver.steps, solver.cut) == (
+            stats.boundary_evaluated,
+            stats.boundary_evaluated + stats.boundary_skipped,
+            stats.boundary_cut)
+        assert stats.boundary_cut <= stats.boundary_evaluated
         # one pricing per evaluated step, plus the root
         assert len(priced) == stats.boundary_evaluated + 1
         # every revealing step of every solved patch is one or the other
-        patches: dict[int, tuple[M.Belief, set]] = {}
-        for (opened, blocked, v), region in solver._regions.items():
-            known = M.Belief(v, opened, blocked, instance)
-            patches.setdefault(id(region), (known, set()))[1].add(v)
         steps = 0
-        for known, patch in patches.values():
-            seen = known.opened | known.blocked
+        for (opened, blocked, v), patch, _ in solves.values():
+            known = M.Belief(v, opened, blocked, instance)
+            seen = opened | blocked
             for u in patch - {instance.t}:
                 steps += sum(
                     1 for edge, far in instance.moves_from(u).values()
@@ -299,7 +313,46 @@ class TestBoundedSearch:
                 steps += sum(1 for e in instance.senses_from(u)
                              if known.status(e) is None)
         assert stats.boundary_evaluated + stats.boundary_skipped == steps
-        assert stats.boundary_skipped > 0
+        assert getattr(stats, busy) > 0
+
+
+def equal_offers_instance():
+    """Two one-way moves out of s, worth exactly 4 each: `b` shows a
+    cheaper bound, so it is priced first, and `a` then prices exactly at
+    its cutoff."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "x", 1, id="a", directed=True)
+    b.add_edge("x", "t", 1, id="ax", block_p=Fraction(1, 2))
+    b.add_edge("x", "t", 5, id="ax.sure")
+    b.add_edge("s", "y", 1, id="b", directed=True)
+    b.add_edge("y", "t", 0, id="by", block_p=Fraction(1, 2))
+    b.add_edge("y", "t", 6, id="by.sure")
+    return b.build()
+
+
+class TestCutoffs:
+    """A revealing step stops pricing once it cannot beat its vertex's best
+    exact option, and deeper strata stop at the budget that leaves."""
+
+    def test_false_game_fits_a_small_cap(self):
+        # without cutoffs game 7 expands 57,408 beliefs
+        result = solve(qbf_to_ctpdep(GAME_BATTERY[7][0])[0],
+                       belief_cap=30_000)
+        assert result.optimal_cost == Cost.of(Fraction(1, 16))
+        assert result.optimal_first_action == Action.move("default")
+        assert result.stats.boundary_cut > 0
+
+    def test_a_tie_is_priced_not_cut(self):
+        # `a` reaches its cutoff exactly; a cut there would hand s to `b`
+        result = solve(equal_offers_instance())
+        assert result.optimal_cost == Cost.of(4)
+        assert result.optimal_first_action == Action.move("a")
+        assert hashlib.sha256(result.policy.to_json().encode()).hexdigest() \
+            == ("6351d9c6a226afd6007ae2a60db65c2b"
+                "f929c460e2a06893d8c64384050b535f")
+        assert result.stats.boundary_cut == 0
+        assert_matches_zero_bound(equal_offers_instance())
 
 
 class TestSolveDependent:
@@ -520,9 +573,10 @@ class TestIntegerUnit:
         assert Cost.of(Fraction(root, solver.total_mass
                                 * solver.denominator)) == solve(
             instance).optimal_cost
-        for values, _ in solver._regions.values():
+        for values, _, budget in solver._regions.values():
             for value in values.values():
                 assert type(value) is int or value == math.inf
+            assert budget is None or type(budget) is int
 
     def test_mass_that_does_not_divide_raises(self):
         instance = ladder_instance(2)
@@ -562,35 +616,35 @@ FROZEN_BUILDS = {
 TREE_OF_DEFAULT = (
     "0c3411cccb648b7662cc4260bd518fb72e596235b13f0a8242248d78b28c8348")
 # name: optimal cost, first action, sha256 of policy.to_json(),
-# beliefs expanded, boundary steps evaluated, boundary steps skipped
+# beliefs expanded, boundary steps evaluated, skipped and cut
 FROZEN_SOLVES = {
     "game0": ("0/1", "move(enter)", "bb55b696db8b29f229eb89bea6646a67"
-              "208d8d3289c57813a5275fde2a64c7cf", 124, 29, 6),
-    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 896, 183, 0),
+              "208d8d3289c57813a5275fde2a64c7cf", 124, 29, 6, 0),
+    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 246, 56, 0, 11),
     "game2": ("0/1", "move(enter)", "65f0ddd2eccffc6839fd537ed5ba0f1b"
-              "dae1aa914744464c4ef3a177684284f2", 384, 107, 20),
-    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 2104, 503, 16),
+              "dae1aa914744464c4ef3a177684284f2", 384, 107, 20, 0),
+    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 701, 157, 0, 14),
     "game4": ("0/1", "move(enter)", "f5044011705e288a82ce15c95f9abf14"
-              "6ce5c5e9213c15565a11069803ff902a", 2352, 575, 32),
+              "6ce5c5e9213c15565a11069803ff902a", 2352, 575, 32, 0),
     "game5": ("0/1", "move(enter)", "ba3e895c054944759f6f4deee0f8dad5"
-              "69fe29041cf7c35cd037a177da3707a9", 28344, 6651, 644),
-    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 1420, 317, 58),
-    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 57408, 11767, 0),
+              "69fe29041cf7c35cd037a177da3707a9", 28344, 6651, 644, 0),
+    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 641, 146, 16, 24),
+    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 7230, 1499, 0, 29),
     "baiting-2": ("263/512", "move(bg.path000)", "3978831d2ba7ef4c7add7f79"
-                  "811001b10b814d78c8085acacc7e351374ee2b82", 88, 7, 6),
+                  "811001b10b814d78c8085acacc7e351374ee2b82", 88, 7, 6, 0),
     "p3": ("3161165579761560626969914950619/"
            "792281625142643375935439503360", "move(visit.b)",
            "273f03560ad4355c68312fda15809bb638467d3e49925604657597a5032883d7",
-           180, 43, 15),
+           153, 52, 0, 27),
 }
 
 
 # name: branch tables, regions, region-cache hits
 FROZEN_COUNTERS = {
-    "game0": (14, 47, 55), "game1": (18, 367, 1), "game2": (30, 159, 207),
-    "game3": (70, 903, 1), "game4": (67, 1007, 463),
-    "game5": (75, 11639, 6703), "game6": (24, 547, 1),
-    "game7": (27, 23535, 1), "baiting-2": (8, 15, 16), "p3": (4, 27, 81),
+    "game0": (14, 47, 55), "game1": (12, 103, 1), "game2": (30, 159, 207),
+    "game3": (26, 298, 1), "game4": (67, 1007, 463),
+    "game5": (75, 11639, 6703), "game6": (15, 250, 1),
+    "game7": (25, 2971, 1), "baiting-2": (8, 15, 16), "p3": (4, 23, 93),
 }
 
 
@@ -613,7 +667,7 @@ class TestFrozenSolves:
         got = (str(result.optimal_cost), str(result.optimal_first_action),
                hashlib.sha256(result.policy.to_json().encode()).hexdigest(),
                stats.beliefs_expanded, stats.boundary_evaluated,
-               stats.boundary_skipped)
+               stats.boundary_skipped, stats.boundary_cut)
         assert got == FROZEN_SOLVES[name]
 
     @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
