@@ -197,109 +197,39 @@ def _formula_digest(formula: QbfFormula) -> str:
 # the dependent-status game graph
 
 @dataclass(frozen=True)
-class DepVariable:
-    """Names for one variable row of the dependent game graph."""
-
-    index: int
-    universal: bool
-    entry: str
-    out: str
-    true_entry: str
-    false_entry: str
-    true_path: tuple[str, ...]
-    false_path: tuple[str, ...]
-    true_steps: tuple[str, ...]
-    false_steps: tuple[str, ...]
-    true_obs: tuple[str, ...]
-    false_obs: tuple[str, ...]
-    link: str
-
-
-@dataclass(frozen=True)
 class DepLayout:
-    """Complete naming plan for the dependent game graph of a formula.
+    """What the walker reads of the dependent game graph of a formula.
 
     The walker starts at s, takes the enter edge to the first variable
     row, walks one side per variable, and arrives at the exam entrance.
     There it commits to the odd or the even room; the room's choice edge
     is open exactly when the number of open clause coins has the matching
-    parity, and the flunk edge prices a wrong commitment. clause_members
-    lists, per clause, the observation edges that share that clause's
-    coin; every other observation edge is an independent decoy. The
-    names outside the variable rows are the same for every formula.
+    parity, and the flunk edge prices a wrong commitment. rows lists, per
+    variable, its row vertex, true entry, false entry and whether it is
+    universal. clause_members lists, per clause, the observation edges
+    that share that clause's coin; every other observation edge is an
+    independent decoy. The names outside the variable rows are the same
+    for every formula.
     """
 
-    n: int
-    m: int
-    variables: tuple[DepVariable, ...]
+    rows: tuple[tuple[str, str, str, bool], ...]
     clause_members: tuple[tuple[str, ...], ...]
 
-    default_edge = "default"
     enter_edge = "enter"
     exam_entry = "exam.r0"
     parity_rooms = ("exam.odd", "exam.even")
     parity_entries = ("exam.go.odd", "exam.go.even")
     choice_edges = ("exam.choice.odd", "exam.choice.even")
-    exit_edges = ("exam.exit.odd", "exam.exit.even")
     flunk_edges = ("exam.flunk.odd", "exam.flunk.even")
-    far_rooms = ("exam.odd.far", "exam.even.far")
 
     @cached_property
-    def entry_map(self) -> dict[str, DepVariable]:
-        return {var.entry: var for var in self.variables}
-
-    @cached_property
-    def step_map(self) -> dict[str, str]:
-        steps: dict[str, str] = {}
-        for var in self.variables:
-            for vertex, edge in zip(var.true_path, var.true_steps):
-                steps[vertex] = edge
-            for vertex, edge in zip(var.false_path, var.false_steps):
-                steps[vertex] = edge
-            steps[var.out] = var.link
-        return steps
+    def row_at(self) -> dict[str, int]:
+        return {row[0]: k for k, row in enumerate(self.rows)}
 
 
 def dep_layout(formula: QbfFormula) -> DepLayout:
-    """Deterministic naming plan for `qbf_to_ctpdep` on this formula."""
-    if formula.m == 0:
-        raise InvalidInstanceError("the exam needs at least one clause")
-    m = formula.m
-    variables = []
-    for i in range(1, formula.n + 1):
-        base = f"x{i}"
-        slots = range(1, m + 1)
-        variables.append(DepVariable(
-            index=i,
-            universal=formula.quantifiers[i - 1] == "A",
-            entry=base,
-            out=f"{base}.out",
-            true_entry=f"{base}.true",
-            false_entry=f"{base}.false",
-            true_path=tuple(f"{base}.t{l}" for l in slots),
-            false_path=tuple(f"{base}.f{l}" for l in slots),
-            true_steps=tuple(f"{base}.t.step{l}" for l in range(1, m))
-            + (f"{base}.t.done",),
-            false_steps=tuple(f"{base}.f.step{l}" for l in range(1, m))
-            + (f"{base}.f.done",),
-            true_obs=tuple(f"{base}.obs.t{l}" for l in slots),
-            false_obs=tuple(f"{base}.obs.f{l}" for l in slots),
-            link=f"{base}.next",
-        ))
-    members = []
-    for l, clause in enumerate(formula.clauses, start=1):
-        seen: set[tuple[int, bool]] = set()
-        ids = []
-        for lit in clause:
-            i, side = abs(lit), lit > 0
-            if (i, side) in seen:
-                continue
-            seen.add((i, side))
-            var = variables[i - 1]
-            ids.append(var.true_obs[l - 1] if side else var.false_obs[l - 1])
-        members.append(tuple(ids))
-    return DepLayout(n=formula.n, m=m, variables=tuple(variables),
-                     clause_members=tuple(members))
+    """The layout of the graph `qbf_to_ctpdep` builds on this formula."""
+    return _dep_game(formula, None)[2]
 
 
 def qbf_to_ctpdep(formula: QbfFormula,
@@ -312,9 +242,20 @@ def qbf_to_ctpdep(formula: QbfFormula,
     least 2^-(u+1) in expectation when the game is unwinnable, so h must
     lie strictly between 0 and that bound; the default is 2^-(u+2). A
     winnable game is walked for free, which makes the enter edge the
-    unique optimal first move exactly when a winning plan exists.
+    unique optimal first move exactly when a winning plan exists. The
+    same build records `dep_layout`.
     """
-    layout = dep_layout(formula)
+    instance, fee, _ = _dep_game(formula, h)
+    return instance, fee
+
+
+def _dep_game(formula: QbfFormula, h: Fraction | int | str | None,
+              ) -> tuple[CtpInstance, Fraction, DepLayout]:
+    """The instance and fee of `qbf_to_ctpdep`, plus the layout read off
+    the edge ids the builder returned."""
+    if formula.m == 0:
+        raise InvalidInstanceError("the exam needs at least one clause")
+    n, m = formula.n, formula.m
     universals = sum(1 for q in formula.quantifiers if q == "A")
     limit = Fraction(1, 1 << (universals + 1))
     fee = Fraction(1, 1 << (universals + 2)) if h is None else as_fraction(h)
@@ -323,63 +264,69 @@ def qbf_to_ctpdep(formula: QbfFormula,
             f"the direct fee must lie strictly between 0 and {limit}, "
             f"got {fee}")
 
+    lay = DepLayout
     builder = InstanceBuilder(Variant.DEPENDENT)
     builder.set_endpoints("s", "t")
-    builder.add_edge("s", "t", fee, id=layout.default_edge, directed=True)
-    builder.add_edge("s", layout.variables[0].entry, 0,
-                     id=layout.enter_edge, directed=True)
-    for var in layout.variables:
-        block = HALF if var.universal else Fraction(0)
-        builder.add_edge(var.entry, var.true_path[0], 0,
-                         id=var.true_entry, directed=True, block_p=block)
-        builder.add_edge(var.entry, var.false_path[0], 0,
-                         id=var.false_entry, directed=True, block_p=block)
-        for path, steps, obs, tag in (
-                (var.true_path, var.true_steps, var.true_obs, "t"),
-                (var.false_path, var.false_steps, var.false_obs, "f")):
-            for l in range(1, layout.m):
+    builder.add_edge("s", "t", fee, id="default", directed=True)
+    builder.add_edge("s", "x1", 0, id=lay.enter_edge, directed=True)
+    rows = []
+    # each literal's observation edge per clause, in building order
+    slots: dict[tuple[int, int], str] = {}
+    for i, quantifier in enumerate(formula.quantifiers, start=1):
+        universal = quantifier == "A"
+        block = HALF if universal else Fraction(0)
+        entry, out = f"x{i}", f"x{i}.out"
+        paths = [[f"x{i}.{tag}{l}" for l in range(1, m + 1)] + [out]
+                 for tag in "tf"]
+        true_entry, false_entry = (
+            builder.add_edge(entry, path[0], 0, id=f"x{i}.{side}",
+                             directed=True, block_p=block)
+            for path, side in zip(paths, ("true", "false")))
+        rows.append((entry, true_entry, false_entry, universal))
+        for path, tag, sign in zip(paths, "tf", (1, -1)):
+            for l in range(1, m + 1):
                 builder.add_edge(path[l - 1], path[l], 0,
-                                 id=steps[l - 1], directed=True)
-            builder.add_edge(path[-1], var.out, 0,
-                             id=steps[-1], directed=True)
-            for l in range(1, layout.m + 1):
-                builder.add_edge(f"{var.entry}.o{tag}{l}", path[l - 1], 0,
-                                 id=obs[l - 1], directed=True, block_p=HALF)
-        target = (layout.variables[var.index].entry
-                  if var.index < layout.n else layout.exam_entry)
-        builder.add_edge(var.out, target, 0, id=var.link, directed=True)
-    for which in (0, 1):
-        room = layout.parity_rooms[which]
-        far = layout.far_rooms[which]
-        builder.add_edge(layout.exam_entry, room, 0,
-                         id=layout.parity_entries[which], directed=True)
-        builder.add_edge(room, far, 0, id=layout.choice_edges[which],
+                                 id=f"x{i}.{tag}.step{l}" if l < m
+                                 else f"x{i}.{tag}.done", directed=True)
+            for l in range(1, m + 1):
+                slots[sign * i, l] = builder.add_edge(
+                    f"{entry}.o{tag}{l}", path[l - 1], 0,
+                    id=f"x{i}.obs.{tag}{l}", directed=True, block_p=HALF)
+        builder.add_edge(out, f"x{i + 1}" if i < n else lay.exam_entry, 0,
+                         id=f"x{i}.next", directed=True)
+    for which, side in enumerate(("odd", "even")):
+        room = lay.parity_rooms[which]
+        far = f"{room}.far"
+        builder.add_edge(lay.exam_entry, room, 0,
+                         id=lay.parity_entries[which], directed=True)
+        builder.add_edge(room, far, 0, id=lay.choice_edges[which],
                          directed=True, block_p=HALF)
-        builder.add_edge(far, "t", 0, id=layout.exit_edges[which],
+        builder.add_edge(far, "t", 0, id=f"exam.exit.{side}", directed=True)
+        builder.add_edge(room, "t", 1, id=lay.flunk_edges[which],
                          directed=True)
-        builder.add_edge(room, "t", 1, id=layout.flunk_edges[which],
-                         directed=True)
+    # a repeated literal shares its clause's one slot
+    members = tuple(tuple(dict.fromkeys(slots[lit, l] for lit in clause))
+                    for l, clause in enumerate(formula.clauses, start=1))
 
     # The net. Row r of a table reads the parents low bit first, and
     # value 1 means blocked.
-    for var in layout.variables:
-        if var.universal:
-            builder.add_variable(var.true_entry, (), (HALF,))
+    for _, true_entry, false_entry, universal in rows:
+        if universal:
+            builder.add_variable(true_entry, (), (HALF,))
             # blocked exactly when the sibling entry is open
-            builder.add_variable(var.false_entry, (var.true_entry,), (1, 0))
-    member_ids = {eid for ids in layout.clause_members for eid in ids}
+            builder.add_variable(false_entry, (true_entry,), (1, 0))
+    member_ids = {eid for ids in members for eid in ids}
     roots = []
-    for ids in layout.clause_members:
+    for ids in members:
         root = ids[0]
         builder.add_variable(root, (), (HALF,))
         for other in ids[1:]:
             # a straight copy of the clause coin
             builder.add_variable(other, (root,), (0, 1))
         roots.append(root)
-    for var in layout.variables:
-        for eid in (*var.true_obs, *var.false_obs):
-            if eid not in member_ids:
-                builder.add_variable(eid, (), (HALF,))
+    for eid in slots.values():
+        if eid not in member_ids:
+            builder.add_variable(eid, (), (HALF,))
     previous = None
     for l, root in enumerate(roots, start=1):
         aux = f"exam.parity.{l}"
@@ -390,9 +337,9 @@ def qbf_to_ctpdep(formula: QbfFormula,
             # odd count so far, updated by whether this coin is open
             builder.add_variable(aux, (previous, root), (1, 0, 0, 1))
         previous = aux
-    builder.add_variable(layout.choice_edges[0], (previous,), (1, 0))
-    builder.add_variable(layout.choice_edges[1], (previous,), (0, 1))
-    return builder.build(), fee
+    builder.add_variable(lay.choice_edges[0], (previous,), (1, 0))
+    builder.add_variable(lay.choice_edges[1], (previous,), (0, 1))
+    return builder.build(), fee, DepLayout(tuple(rows), members)
 
 
 def assignment_walk_policy(formula: QbfFormula) -> AssignmentWalkPolicy:
@@ -412,11 +359,13 @@ class AssignmentWalkPolicy(Policy):
     including this one, and takes the entry of the last. A universal
     row's value comes from its entry pair, visible on arrival with
     exactly one entry open, so the walk there is forced; an existential
-    row's value is the plan's choice under the values before it. At the
-    exam entrance the walk counts the clause coins it has seen open and
-    commits to the room of matching parity; unseen coins count as
-    blocked, which never happens under a winning plan. A blocked choice
-    edge falls back to the flunk edge so the walk stays total off plan.
+    row's value is the plan's choice under the values before it. On a
+    vertex with a single way out (a row's path, its link, a far room)
+    the walk takes it. At the exam entrance the walk counts the clause
+    coins it has seen open and commits to the room of matching parity;
+    unseen coins count as blocked, which never happens under a winning
+    plan. A blocked choice edge falls back to the flunk edge so the walk
+    stays total off plan.
     """
 
     layout: DepLayout
@@ -426,11 +375,11 @@ class AssignmentWalkPolicy(Policy):
                         belief) -> tuple[bool, ...] | None:
         """Values of the first `count` variables, None if one is unread."""
         values: list[bool] = []
-        for var in self.layout.variables[:count]:
-            if var.universal:
-                status = belief.status(var.true_entry)
+        for _, true_entry, false_entry, universal in self.layout.rows[:count]:
+            if universal:
+                status = belief.status(true_entry)
                 if status is None:
-                    other = belief.status(var.false_entry)
+                    other = belief.status(false_entry)
                     if other is None:
                         return None
                     status = not other
@@ -449,35 +398,26 @@ class AssignmentWalkPolicy(Policy):
             return Action.halt()
         if pos == instance.s:
             return Action.move(lay.enter_edge)
-        var = lay.entry_map.get(pos)
-        if var is not None:
-            values = self._values_through(var.index, belief)
+        k = lay.row_at.get(pos)
+        if k is not None:
+            values = self._values_through(k + 1, belief)
             if values is None:
                 return None
-            return Action.move(var.true_entry if values[-1]
-                               else var.false_entry)
-        step = lay.step_map.get(pos)
-        if step is not None:
-            return Action.move(step)
+            _, true_entry, false_entry, _ = lay.rows[k]
+            return Action.move(true_entry if values[-1] else false_entry)
+        moves = instance.moves_from(pos)
+        if len(moves) == 1:
+            return Action.move(next(iter(moves)))
         if pos == lay.exam_entry:
-            parity = 0
-            for ids in lay.clause_members:
-                status = None
-                for eid in ids:
-                    seen = belief.status(eid)
-                    if seen is not None:
-                        status = seen
-                        break
-                if status:
-                    parity ^= 1
-            return Action.move(lay.parity_entries[0 if parity else 1])
+            # a clause's members share its coin, so one seen open opens it
+            odd = sum(any(belief.status(eid) for eid in ids)
+                      for ids in lay.clause_members) % 2
+            return Action.move(lay.parity_entries[0 if odd else 1])
         if pos in lay.parity_rooms:
             which = lay.parity_rooms.index(pos)
             if belief.status(lay.choice_edges[which]) is True:
                 return Action.move(lay.choice_edges[which])
             return Action.move(lay.flunk_edges[which])
-        if pos in lay.far_rooms:
-            return Action.move(lay.exit_edges[lay.far_rooms.index(pos)])
         return None
 
 
@@ -1073,7 +1013,6 @@ __all__ = [
     "CoverSensingPolicy",
     "CtpReductionCertificate",
     "DepLayout",
-    "DepVariable",
     "SensingCertificate",
     "VcInstance",
     "assignment_walk_policy",

@@ -6,7 +6,7 @@ import json
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -519,6 +519,67 @@ class TestExitCodes:
         assert err.startswith("error: bad rational ")
         assert err.count("\n") == 1
 
+    COIN = {"id": "coin", "parents": [], "cpt": [["1/2", "1/2"]]}
+    SENSE = {"vertex": "s", "edge": "coin", "cost": "1/1"}
+
+    @pytest.mark.parametrize("variant, key, value, message", [
+        ("dependent", "dependency", {"variables": [COIN, COIN]},
+         "duplicate net variable 'coin'"),
+        ("dependent", "dependency", {"variables": [COIN, {
+            "id": "x", "parents": ["coin", "coin"],
+            "cpt": [["1/2", "1/2"]] * 4}]},
+         "variable 'x' repeats a parent"),
+        ("dependent", "dependency", {"variables": [{
+            "id": "x", "parents": ["coin"], "cpt": [["1/2", "1/2"]] * 2},
+            COIN]},
+         "variable 'x' uses parent 'coin' that is not listed before it"),
+        ("dependent", "dependency", {"variables": [{
+            "id": "coin", "parents": [], "cpt": [["1/2", "1/2"]] * 2}]},
+         "variable 'coin' needs 1 rows, got 2"),
+        ("dependent", "dependency", {"variables": []},
+         "uncertain edge 'coin' has no dependency variable"),
+        ("dependent", "dependency", {"variables": [COIN, {
+            "id": "sure", "parents": [], "cpt": [["1/2", "1/2"]]}]},
+         "variable 'sure' names a sure edge"),
+        ("sensing", "vertices", ["s", "t", "s"], "duplicate vertex name"),
+        ("sensing", "t", "s", "s and t must differ"),
+        ("sensing", "edges", [{"id": "coin", "tail": "s", "head": "z",
+                               "cost": "1/1", "block_p": "1/2"}],
+         "edge 'coin' leaves the vertex set"),
+        ("sensing", "sensing", {"entries": [{**SENSE, "vertex": "z"}]},
+         "sensing vertex 'z' is not a vertex"),
+        ("sensing", "sensing", {"entries": [{**SENSE, "cost": "inf"}]},
+         "sensing costs must be finite"),
+        ("sensing", "sensing", {"entries": [SENSE, SENSE]},
+         "duplicate sensing entry ('s', 'coin')"),
+    ], ids=["duplicate-variable", "repeated-parent", "parent-listed-later",
+            "cpt-row-count", "uncertain-edge-without-variable",
+            "variable-names-sure-edge", "duplicate-vertex", "s-equals-t",
+            "edge-leaves-vertex-set", "unknown-sensing-vertex",
+            "infinite-sensing-cost", "duplicate-sensing-entry"])
+    def test_structural_refusal_is_input_error(self, tmp_path, capsys,
+                                               variant, key, value, message):
+        # a sure edge and a fair coin from s to t, the coin either a net
+        # variable or sensed from s, with one section replaced
+        data = {"variant": variant, "s": "s", "t": "t",
+                "vertices": ["s", "t"],
+                "edges": [{"id": "sure", "tail": "s", "head": "t",
+                           "cost": "2/1"},
+                          {"id": "coin", "tail": "s", "head": "t",
+                           "cost": "1/1", "block_p": "1/2"}]}
+        if variant == "dependent":
+            data["dependency"] = {"variables": [self.COIN]}
+        else:
+            data["sensing"] = {"entries": [self.SENSE]}
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 0
+        capsys.readouterr()
+        data[key] = value
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @given(text=st.one_of(
         st.text(st.characters(blacklist_categories=("Cs",))),
         near_qdimacs()))
@@ -605,6 +666,23 @@ class TestExitCodes:
         assert err.startswith(
             "internal check failed: the fee sandwich failed: B0 = ")
         assert err.count("\n") == 1
+
+    def test_each_fee_check_names_its_own_failing_size(self, monkeypatch,
+                                                       capsys):
+        # h moved halfway to B1 at (4, 3): the sandwich still holds there
+        # and only the gap identity fails, so only the gap names that size
+        def shifted(n, m):
+            cert = certificate(n, m)
+            if (n, m) == (4, 3):
+                cert = replace(cert, h=(cert.h + cert.B1) / 2)
+            return cert
+
+        monkeypatch.setattr("ctplab.cli.certificate", shifted)
+        assert main(["verify", "ctp-cert", "--json"]) == 1
+        checks = {check["id"]: (check["status"], check["actual"])
+                  for check in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["fee-sandwich-B0-h-B1"] == ("pass", "32 sizes")
+        assert checks["fee-gap-identity"] == ("fail", "(n=4, m=3)")
 
     def test_failed_self_check_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr("ctplab.cli.qbf_eval",

@@ -126,6 +126,31 @@ def test_gadget_names_are_spelled_in_gadgets_alone():
     assert found == []
 
 
+def _strings_by_statement(node: ast.AST, stmt: ast.stmt | None = None):
+    """(innermost statement, text) for each string constant under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield stmt, child.value
+        yield from _strings_by_statement(
+            child, child if isinstance(child, ast.stmt) else stmt)
+
+
+def test_dependent_game_names_are_spelled_once():
+    # the dependent game graph spells each id where it adds that edge or
+    # vertex, and its walker reads the ids the build returned; a second
+    # naming pass would spell them again
+    fragments = (".obs.", ".step", ".done", "exam.go.", "exam.choice.",
+                 "exam.flunk.", "exam.exit.")
+    spelled: dict[str, set[int]] = {fragment: set() for fragment in fragments}
+    for stmt, text in _strings_by_statement(ast.parse(
+            (Path(ctplab.__file__).parent / "reductions.py").read_text())):
+        for fragment in fragments:
+            if fragment in text:
+                spelled[fragment].add(stmt.lineno)
+    assert {fragment: sorted(lines) for fragment, lines in spelled.items()
+            if len(lines) != 1} == {}
+
+
 def test_three_exception_classes():
     # one class per exit code: bad input 2, a cap 3, a broken invariant 1
     defined = {(value.__module__, value.__qualname__)
