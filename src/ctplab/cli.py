@@ -23,7 +23,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Iterator
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -193,92 +194,60 @@ def random_disjoint_instance(stream: SplitMix64) -> CtpInstance:
 # ---------------------------------------------------------------------------
 # verify suites
 
-@dataclass
-class CheckResult:
-    id: str
-    status: str
-    expected: str
-    actual: str
-
-
-@dataclass
-class VerifyReport:
-    suite: str
-    checks: list[CheckResult]
-    elapsed: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "elapsed_seconds": round(self.elapsed, 3),
-            "passed": self.passed,
-            "checks": [vars(c) for c in self.checks],
-        }
-
-
 def _show(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
         return format_rational(value)
-    if value is None:
-        return "none"
     return str(value)
 
 
-class _Checker:
-    def __init__(self) -> None:
-        self.checks: list[CheckResult] = []
-
-    def equal(self, cid: str, expected, actual) -> None:
-        status = "pass" if expected == actual else "fail"
-        self.checks.append(CheckResult(cid, status, _show(expected),
-                                       _show(actual)))
-
-    def holds(self, cid: str, condition: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(
-            cid, "pass" if condition else "fail", "holds",
-            detail or ("holds" if condition else "fails")))
+def _equal(cid: str, expected, actual) -> dict:
+    """A report row: passes when `expected == actual`."""
+    return {"id": cid, "status": "pass" if expected == actual else "fail",
+            "expected": _show(expected), "actual": _show(actual)}
 
 
-def _suite_gadgets(args) -> list[CheckResult]:
-    out = _Checker()
+def _holds(cid: str, condition: bool, detail: str = "") -> dict:
+    """A report row: passes when `condition` holds."""
+    return {"id": cid, "status": "pass" if condition else "fail",
+            "expected": "holds",
+            "actual": detail or ("holds" if condition else "fails")}
+
+
+def _suite_gadgets(args) -> Iterator[dict]:
     lengths = ([as_fraction(args.L)] if args.L
                else [Fraction(3, 2), Fraction(2)])
     for length in lengths:
         instance, handle = baiting_harness(length)
         result = solve(instance)
         expected = forward_policy_cost(length, length)
-        out.equal(f"solver-matches-forward-walk-L={length}",
-                  Cost.of(expected), result.optimal_cost)
-        out.equal(f"first-step-enters-corridor-L={length}",
-                  str(Action.move(handle.path_edges[0])),
-                  str(result.optimal_first_action))
+        yield _equal(f"solver-matches-forward-walk-L={length}",
+                     Cost.of(expected), result.optimal_cost)
+        yield _equal(f"first-step-enters-corridor-L={length}",
+                     str(Action.move(handle.path_edges[0])),
+                     str(result.optimal_first_action))
     for m in range(1, 9):
         cert = certificate(2, m)
         length = cert.L
         forward = forward_policy_cost(length, length)
-        out.holds(f"forward-under-three-quarters-m={m}",
-                  forward < Fraction(3, 4), _show(forward))
+        yield _holds(f"forward-under-three-quarters-m={m}",
+                     forward < Fraction(3, 4), _show(forward))
         sections = section_count(length)
         bail = min(bailout_policy_cost(length, j, 1)
                    for j in range(1, sections + 1))
-        out.holds(f"forward-beats-every-bailout-m={m}", forward < bail,
-                  f"forward {_show(forward)} best bailout {_show(bail)}")
+        yield _holds(f"forward-beats-every-bailout-m={m}", forward < bail,
+                     f"forward {_show(forward)} best bailout {_show(bail)}")
         spur = detour_price(length)
-        out.holds(f"detour-return-beats-second-corridor-m={m}",
-                  2 * spur + 2 < 3 * length / 2)
-        out.holds(f"second-corridor-beats-triple-spur-m={m}",
-                  3 * length / 2 < 2 * spur + 3 * spur / 4 + spur)
-        out.holds(f"guard-blocking-floor-m={m}",
-                  cert.p1 > 1 - Fraction(2, 3 * length + 1))
+        yield _holds(f"detour-return-beats-second-corridor-m={m}",
+                     2 * spur + 2 < 3 * length / 2)
+        yield _holds(f"second-corridor-beats-triple-spur-m={m}",
+                     3 * length / 2 < 2 * spur + 3 * spur / 4 + spur)
+        yield _holds(f"guard-blocking-floor-m={m}",
+                     cert.p1 > 1 - Fraction(2, 3 * length + 1))
         retry = spur + 2
-        out.holds(f"retry-recursion-contracts-m={m}",
-                  retry < 1 + cert.p1 * (1 + retry))
+        yield _holds(f"retry-recursion-contracts-m={m}",
+                     retry < 1 + cert.p1 * (1 + retry))
     if args.trials:
         length = Fraction(2)
         instance, handle = baiting_harness(length)
@@ -288,14 +257,12 @@ def _suite_gadgets(args) -> list[CheckResult]:
                              seed=args.seed)
         target = float(forward_policy_cost(length, length))
         gap = abs(mean - target)
-        out.holds("simulated-mean-within-4-sigma",
-                  gap <= 4 * sem or sem == 0,
-                  f"mean {mean:.6f} target {target:.6f} sem {sem:.6f}")
-    return out.checks
+        yield _holds("simulated-mean-within-4-sigma",
+                     gap <= 4 * sem or sem == 0,
+                     f"mean {mean:.6f} target {target:.6f} sem {sem:.6f}")
 
 
-def _suite_ctpdep(args) -> list[CheckResult]:
-    out = _Checker()
+def _suite_ctpdep(args) -> Iterator[dict]:
     for formula, winnable in GAME_BATTERY:
         if (args.n not in (None, formula.n)
                 or args.m not in (None, formula.m)):
@@ -307,15 +274,13 @@ def _suite_ctpdep(args) -> list[CheckResult]:
         result = solve(instance, belief_cap=args.cap)
         label = f"n={formula.n}-m={formula.m}-{'win' if winnable else 'loss'}"
         move = "enter" if winnable else "default"
-        out.equal(f"first-move-{label}", str(Action.move(move)),
-                  str(result.optimal_first_action))
+        yield _equal(f"first-move-{label}", str(Action.move(move)),
+                     str(result.optimal_first_action))
         cost = Cost.zero() if winnable else Cost.of(fee)
-        out.equal(f"optimal-cost-{label}", cost, result.optimal_cost)
-    return out.checks
+        yield _equal(f"optimal-cost-{label}", cost, result.optimal_cost)
 
 
-def _suite_ctp_cert(args) -> list[CheckResult]:
-    out = _Checker()
+def _suite_ctp_cert(args) -> Iterator[dict]:
     sizes = [(n, m)
              for n in ([args.n] if args.n is not None else [2, 4, 6, 8])
              for m in ([args.m] if args.m is not None else range(1, 9))]
@@ -328,9 +293,9 @@ def _suite_ctp_cert(args) -> list[CheckResult]:
         gap = Fraction(1, 4 ** (n // 2)) * m * cert.P_rt * cert.P_r0
         if cert.h - cert.B0 != gap:
             gap_miss = f"(n={n}, m={m})"
-    out.holds("fee-sandwich-B0-h-B1", not sandwich_miss,
+    yield _holds("fee-sandwich-B0-h-B1", not sandwich_miss,
               sandwich_miss or f"{len(sizes)} sizes")
-    out.holds("fee-gap-identity", not gap_miss,
+    yield _holds("fee-gap-identity", not gap_miss,
               gap_miss or f"{len(sizes)} sizes")
     for n, m in ((2, 1), (2, 2), (4, 2)):
         if (n, m) not in sizes:
@@ -346,14 +311,12 @@ def _suite_ctp_cert(args) -> list[CheckResult]:
                 break
             edge, position = move
             total += edge.cost.fraction
-        out.holds(f"trip-walks-to-exam-entrance-n={n}-m={m}",
-                  position == "exam.r0")
-        out.equal(f"trip-cost-matches-ledger-n={n}-m={m}", cert.D_pt, total)
-    return out.checks
+        yield _holds(f"trip-walks-to-exam-entrance-n={n}-m={m}",
+                     position == "exam.r0")
+        yield _equal(f"trip-cost-matches-ledger-n={n}-m={m}", cert.D_pt, total)
 
 
-def _suite_sensing(args) -> list[CheckResult]:
-    out = _Checker()
+def _suite_sensing(args) -> Iterator[dict]:
     alpha = as_fraction(args.alpha) if args.alpha else Fraction(1, 2)
     names = [args.graph] if args.graph else ["p3", "k3"]
     for name in names:
@@ -362,23 +325,21 @@ def _suite_sensing(args) -> list[CheckResult]:
         covered = has_vertex_cover(vc)
         result = solve(instance)
         default = result.optimal_first_action == Action.move("default")
-        out.equal(f"default-exactly-when-uncovered-{name}-k={vc.k}",
-                  not covered, default)
+        yield _equal(f"default-exactly-when-uncovered-{name}-k={vc.k}",
+                     not covered, default)
         blind = solve_disjoint_paths(instance)
-        out.equal(f"no-sensing-beaten-exactly-when-covered-{name}-k={vc.k}",
-                  covered, result.optimal_cost < blind.optimal_cost)
-        out.holds(f"cover-gain-positive-{name}-k={vc.k}",
-                  cert.g_prime_lb > 0, _show(cert.g_prime_lb))
-        out.holds(f"overbudget-gain-negative-{name}-k={vc.k}",
-                  cert.g_dprime_ub < 0, _show(cert.g_dprime_ub))
+        yield _equal(f"no-sensing-beaten-exactly-when-covered-{name}-k={vc.k}",
+                     covered, result.optimal_cost < blind.optimal_cost)
+        yield _holds(f"cover-gain-positive-{name}-k={vc.k}",
+                     cert.g_prime_lb > 0, _show(cert.g_prime_lb))
+        yield _holds(f"overbudget-gain-negative-{name}-k={vc.k}",
+                     cert.g_dprime_ub < 0, _show(cert.g_dprime_ub))
         target = Fraction(vc.k + 1 - alpha, vc.k + 1)
-        out.holds(f"all-open-floor-{name}-k={vc.k}",
-                  (1 - cert.eps) ** len(vc.edges) >= target)
-    return out.checks
+        yield _holds(f"all-open-floor-{name}-k={vc.k}",
+                     (1 - cert.eps) ** len(vc.edges) >= target)
 
 
-def _suite_oracle(args) -> list[CheckResult]:
-    out = _Checker()
+def _suite_oracle(args) -> Iterator[dict]:
     seed = args.seed
     agree = 0
     for i in range(25):
@@ -387,7 +348,7 @@ def _suite_oracle(args) -> list[CheckResult]:
         exact = solve(instance)
         if rule.optimal_cost == exact.optimal_cost:
             agree += 1
-    out.equal("index-rule-matches-solver", "25/25", f"{agree}/25")
+    yield _equal("index-rule-matches-solver", "25/25", f"{agree}/25")
     preserved = 0
     normal = 0
     for i in range(20):
@@ -398,8 +359,8 @@ def _suite_oracle(args) -> list[CheckResult]:
         if all(e.block_p == Fraction(1, 2) and e.cost == Cost.zero()
                for e in rewritten.edges if e.uncertain):
             normal += 1
-    out.equal("normal-form-preserves-optimum", "20/20", f"{preserved}/20")
-    out.equal("normal-form-is-all-fair-coins", "20/20", f"{normal}/20")
+    yield _equal("normal-form-preserves-optimum", "20/20", f"{preserved}/20")
+    yield _equal("normal-form-is-all-fair-coins", "20/20", f"{normal}/20")
     match = 0
     for i in range(10):
         instance = random_disjoint_instance(SplitMix64(seed + 2000 + i))
@@ -409,8 +370,7 @@ def _suite_oracle(args) -> list[CheckResult]:
         by_tree = evaluate_exact(instance, policy, mode="tree")
         if by_weather.expected_cost == by_tree.expected_cost:
             match += 1
-    out.equal("weather-and-tree-evaluations-agree", "10/10", f"{match}/10")
-    return out.checks
+    yield _equal("weather-and-tree-evaluations-agree", "10/10", f"{match}/10")
 
 
 _SUITES = {
@@ -569,22 +529,24 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    runner = _SUITES[args.suite]
     start = time.monotonic()
-    checks = runner(args)
+    checks = list(_SUITES[args.suite](args))
     if not checks:
         raise ValueError(f"suite {args.suite}: the filters select no check")
-    report = VerifyReport(args.suite, checks, time.monotonic() - start)
+    elapsed = time.monotonic() - start
+    passed = sum(check["status"] == "pass" for check in checks)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps({"suite": args.suite,
+                          "elapsed_seconds": round(elapsed, 3),
+                          "passed": passed == len(checks),
+                          "checks": checks}, indent=2))
     else:
-        for check in report.checks:
-            print(f"{check.status.upper():4} {check.id}: "
-                  f"expected {check.expected}, got {check.actual}")
-        passed = sum(1 for c in report.checks if c.status == "pass")
-        print(f"suite {report.suite}: {passed}/{len(report.checks)} "
-              f"checks passed in {report.elapsed:.2f}s")
-    return 0 if report.passed else 1
+        for check in checks:
+            print(f"{check['status'].upper():4} {check['id']}: "
+                  f"expected {check['expected']}, got {check['actual']}")
+        print(f"suite {args.suite}: {passed}/{len(checks)} "
+              f"checks passed in {elapsed:.2f}s")
+    return 0 if passed == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,9 +633,7 @@ def main(argv=None) -> int:
 
 
 __all__ = [
-    "CheckResult",
     "GAME_BATTERY",
-    "VerifyReport",
     "build_parser",
     "instance_to_dot",
     "main",

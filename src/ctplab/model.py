@@ -360,10 +360,6 @@ class DependencyNet:
             for p in v.parents:
                 neighbors[v.id].add(p)
                 neighbors[p].add(v.id)
-            for a in v.parents:
-                for b in v.parents:
-                    if a != b:
-                        neighbors[a].add(b)
         seen: set[str] = set()
         groups: list[tuple[NetVariable, ...]] = []
         for v in self.variables:
@@ -913,11 +909,12 @@ class InstanceBuilder:
     def build(self) -> CtpInstance:
         if self.s is None or self.t is None:
             raise InvalidInstanceError("endpoints are not set")
+        # a section of another variant passes through for validation
         dependency = None
-        if self.variant is Variant.DEPENDENT:
+        if self._variables or self.variant is Variant.DEPENDENT:
             dependency = DependencyNet(tuple(self._variables))
         sensing = None
-        if self.variant is Variant.SENSING:
+        if self._sensing or self.variant is Variant.SENSING:
             sensing = SensingSpec(tuple(self._sensing))
         instance = CtpInstance(
             variant=self.variant,

@@ -373,17 +373,13 @@ class AssignmentWalkPolicy(Policy):
 
     def _values_through(self, count: int,
                         belief) -> tuple[bool, ...] | None:
-        """Values of the first `count` variables, None if one is unread."""
+        """Values of the first `count` variables, None if the plan leaves
+        one open. Every row up to `count` has been walked, so each
+        universal row's entries have been seen."""
         values: list[bool] = []
-        for _, true_entry, false_entry, universal in self.layout.rows[:count]:
+        for _, true_entry, _, universal in self.layout.rows[:count]:
             if universal:
-                status = belief.status(true_entry)
-                if status is None:
-                    other = belief.status(false_entry)
-                    if other is None:
-                        return None
-                    status = not other
-                values.append(bool(status))
+                values.append(bool(belief.status(true_entry)))
             else:
                 choice = self.plan.get(tuple(values))
                 if choice is None:
@@ -801,7 +797,7 @@ class VcInstance:
     @staticmethod
     def of(vertices, edges, k: int) -> VcInstance:
         return VcInstance(tuple(vertices),
-                          tuple((u, v) for u, v in edges), int(k))
+                          tuple(tuple(edge) for edge in edges), int(k))
 
 
 _NAMED_GRAPHS = {
@@ -823,8 +819,6 @@ def named_vc(name: str, k: int) -> VcInstance:
 
 def has_vertex_cover(vc: VcInstance) -> bool:
     """Brute-force test for a cover of at most `vc.k` vertices."""
-    if vc.k >= len(vc.vertices):
-        return True
     for combo in itertools.combinations(vc.vertices, vc.k):
         chosen = set(combo)
         if all(u in chosen or v in chosen for u, v in vc.edges):
@@ -928,14 +922,6 @@ def vc_to_sensing(vc: VcInstance, alpha: Fraction | int | str,
     return instance, cert
 
 
-def sensing_cost_bound(vc: VcInstance, cover_size: int,
-                       cert: SensingCertificate) -> Fraction:
-    """Expected sensing spend of a cover walk that pays off: 2 C |S| times
-    the all-open chance of the probe path."""
-    return (2 * cert.C * cover_size
-            * (1 - cert.eps) ** len(vc.edges))
-
-
 @dataclass(frozen=True)
 class CoverSensingPolicy(Policy):
     """Buy every coin status through a fixed node set, then probe.
@@ -1024,6 +1010,5 @@ __all__ = [
     "qbf_to_ctp",
     "qbf_to_ctpdep",
     "reference_trip",
-    "sensing_cost_bound",
     "vc_to_sensing",
 ]

@@ -135,8 +135,6 @@ class _Solver(Policy):
         self.denominator = unit = math.lcm(
             *(cost.fraction.denominator for cost in costs))
         self.total_mass = math.prod(
-            e.block_p.denominator for e in instance.uncertain_edges
-        ) if instance.dependency is None else math.prod(
             math.lcm(*(p.denominator for _, p in comp.rows))
             for comp in instance.joint.components)
         self.bound = {v: _times(b, unit)
@@ -432,21 +430,14 @@ def decompose_into_paths(instance: CtpInstance) -> tuple[PathInfo, ...]:
                 break
             if cur == instance.s:
                 raise InvalidInstanceError("a path loops back to the source")
-            step = [e for e in by_vertex[cur] if e.id != via.id]
-            if len(step) != 1:
-                raise InvalidInstanceError(
-                    f"vertex {cur} does not continue a single path")
-            via = step[0]
+            # the degree check left `cur` exactly one other edge
+            via = [e for e in by_vertex[cur] if e.id != via.id][0]
             cur = via.other_end(cur)
         paths.append(PathInfo(tuple(vertices), tuple(edges)))
     if used != {e.id for e in instance.edges}:
         raise InvalidInstanceError(
             "some edges lie on no s-t path; not a disjoint-path graph")
-    interiors = [p.interior for p in paths]
-    for i, a in enumerate(interiors):
-        for b in interiors[i + 1:]:
-            if a & b:
-                raise InvalidInstanceError("paths share an interior vertex")
+    # two paths could share an interior vertex only by walking back into s
     return tuple(paths)
 
 

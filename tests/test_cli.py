@@ -1,6 +1,7 @@
 """Command line behavior: rendering, files, suites, and exit codes."""
 
 import copy
+import hashlib
 import io
 import json
 import re
@@ -370,6 +371,36 @@ class TestCommands:
         assert data["passed"] is True
         assert {c["status"] for c in data["checks"]} == {"pass"}
 
+    # SHA-256 of the exit code, a newline and the stdout, the elapsed time
+    # masked, of each suite under cheap filters, in text and in JSON
+    @pytest.mark.parametrize("filters, text_digest, json_digest", [
+        (["ctp-cert", "--n", "2", "--m", "1"],
+         "4e4681f4f1a803a9a2dbe0365d048ce30364fefb8ef285cfad654aca664f04b5",
+         "406789ec15134f1b22d08f5a73edf19813476c07d1fcd91665a0eb131bfcccf6"),
+        (["ctpdep", "--n", "2", "--m", "1"],
+         "1d1de2812ce1252e57d5a2fc1a0c6fcc2d71c6f5abf006c14a027a9ce0ca74f5",
+         "c76466eeae462c59aa8d7afc8c2c0066f0a888b4170b10db23ba3f70d69c287f"),
+        (["sensing", "--graph", "p3"],
+         "c4339e2f82e7f9a692b69a1fac2b1919aab2f34e6a1c895c41cf664f348cb484",
+         "92eca1de81d73ec9ffe7802b9e907e04aba949f8a6f52cb3ec2a87bd99cd8feb"),
+        (["gadgets", "--L", "2", "--trials", "64"],
+         "3e0d03d1bf10436632b741d53d8a981c344a1685c53a74186703f58dff41d8b0",
+         "b74f77b889756a03c1e10d3bfa039be3e1e7523dae3915bd13d8992addf1828a"),
+        (["oracle"],
+         "911c143b3e599fe633e0f2668c286b685923c2fc7e49d8842425ab1b79b9e179",
+         "5c5e085702c4bc769a10138cf1744c59444a2e4815795d08239a3797259be9b4"),
+    ], ids=["ctp-cert", "ctpdep", "sensing", "gadgets", "oracle"])
+    def test_verify_reports_are_frozen(self, capsys, filters, text_digest,
+                                       json_digest):
+        for extra, digest in (([], text_digest), (["--json"], json_digest)):
+            code = main(["verify", *filters, *extra])
+            out = re.sub(r"in \d+\.\d\ds\n", "in Xs\n",
+                         capsys.readouterr().out)
+            out = re.sub(r'"elapsed_seconds": [0-9.e-]+',
+                         '"elapsed_seconds": X', out)
+            assert hashlib.sha256(
+                f"{code}\n{out}".encode()).hexdigest() == digest, extra
+
 
 RATIONAL_FIELD = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
@@ -732,6 +763,17 @@ class TestExitCodes:
         assert main([*command, "--graph", "c4"]) == 2
         assert capsys.readouterr().err == (
             "error: unknown graph 'c4'; known: k3, p3\n")
+
+    @pytest.mark.parametrize("command, message", [
+        (["reduce", "sensing"], "reduce sensing needs --graph"),
+        (["reduce", "ctp"], "reduce ctp needs a QDIMACS file"),
+    ], ids=["sensing-without-graph", "ctp-without-formula"])
+    def test_reduce_without_its_input_is_input_error(self, command, message,
+                                                     capsys):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_deep_strata_exceed_cap(self, tmp_path, capsys):
         # one Python frame pair per reveal: 128 sections nest too deep

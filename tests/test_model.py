@@ -193,6 +193,40 @@ class TestBuilderAndValidation:
         b.add_edge("s", "t", math.inf, id="anchor")
         assert b.build().edge_map["anchor"].cost == Cost.infinite()
 
+    @pytest.mark.parametrize("variant, section, message", [
+        (Variant.INDEPENDENT, "sensing",
+         "independent instance with extra sections"),
+        (Variant.INDEPENDENT, "net",
+         "independent instance with extra sections"),
+        (Variant.DEPENDENT, "sensing", "dependent instance with sensing costs"),
+        (Variant.SENSING, "net", "sensing instance with a dependency net"),
+    ], ids=["independent-sensing", "independent-net", "dependent-sensing",
+            "sensing-net"])
+    def test_section_of_another_variant_is_refused(self, variant, section,
+                                                   message):
+        b = InstanceBuilder(variant)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="a", block_p=HALF)
+        b.add_edge("s", "t", 2, id="sure")
+        if section == "sensing":
+            b.add_sensing("s", "a", 0)
+        else:
+            b.add_variable("a", (), ("1/2",))
+        with pytest.raises(InvalidInstanceError) as caught:
+            b.build()
+        assert str(caught.value) == message
+
+    def test_net_chance_outside_unit_interval_rejected(self):
+        b = InstanceBuilder(Variant.DEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 0, id="e", block_p=HALF)
+        b.add_edge("s", "t", 1, id="sure")
+        b.add_variable("e", (), [Fraction(3, 2)])
+        with pytest.raises(InvalidInstanceError) as caught:
+            b.build()
+        assert str(caught.value) == (
+            "variable 'e' has probability 3/2 outside [0, 1]")
+
     def test_unknown_json_key_rejected(self):
         text = instance_to_json(two_path_instance())
         broken = text.replace('"variant"', '"flavor"')

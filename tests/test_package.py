@@ -226,7 +226,6 @@ TEST_ORACLES = {
                               "::test_walk_policy_is_free_on_winnable_games",
     "CoverSensingPolicy": "test_reductions.py::TestSensing"
                           "::test_cover_policy_matches_its_closed_form",
-    "sensing_cost_bound": "test_reductions.py::TestSensing::test_spend_bound",
     "outcome_breakdown":
         "test_policy.py::TestFrozenTreeEvaluation::test_frozen",
 }

@@ -190,6 +190,15 @@ class TestLegality:
         with pytest.raises(InvalidInstanceError, match="variant"):
             evaluate_exact(inst, policy, mode="tree")
 
+    def test_sense_an_edge_already_known(self):
+        policy = RulePolicy(lambda i, b: Action.move("hop")
+                            if b.position == "s" else Action.sense("risky"))
+        with pytest.raises(InvalidInstanceError) as caught:
+            walk_weather(remote_sensing_instance(), policy, Weather(0))
+        assert str(caught.value) == (
+            "sensing risky whose status is already known, "
+            "at m knowing [risky open]")
+
     def test_give_up_requires_sure_edge(self):
         inst = two_path_instance()
         policy = RulePolicy(lambda i, b: Action.give_up("cheap"))

@@ -31,7 +31,6 @@ from ctplab.reductions import (
     qbf_to_ctp,
     qbf_to_ctpdep,
     reference_trip,
-    sensing_cost_bound,
     vc_to_sensing,
 )
 from ctplab.solve import QbfFormula, qbf_eval, solve
@@ -385,6 +384,24 @@ class TestVertexCover:
             VcInstance.of("ab", [("a", "b")], 3)
 
 
+# construction refusals, each with its exact message
+@pytest.mark.parametrize("build, message", [
+    (lambda: VcInstance.of("aab", [], 1), "duplicate graph vertex"),
+    (lambda: VcInstance.of("ab", [("a", "b", "a")], 1),
+     "bad graph edge ('a', 'b', 'a')"),
+    (lambda: vc_to_sensing(named_vc("p3", 1), F(1, 2 ** 40)),
+     "no positive blocking chance keeps the all-open floor "
+     "2199023255551/2199023255552 over 2 coins"),
+    (lambda: qbf_to_ctp(QbfFormula.of(2, ())),
+     "the exam needs at least one clause"),
+], ids=["duplicate-vertex", "three-ended-edge", "alpha-below-2^-32",
+        "no-clauses"])
+def test_refusal_messages(build, message):
+    with pytest.raises(InvalidInstanceError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 class TestSensing:
     def setup_method(self):
         self.path = named_vc("p3", 1)
@@ -442,8 +459,6 @@ class TestSensing:
             self.path_instance).optimal_cost
 
     def test_spend_bound(self):
-        bound = sensing_cost_bound(self.path, 1, self.path_cert)
-        assert bound == 2 * self.path_cert.C * (1 - self.path_cert.eps) ** 2
         policy = CoverSensingPolicy(self.path, ("b",))
         outcome = evaluate_exact(self.path_instance, policy)
         saved = F(4) - outcome.expected_cost.fraction

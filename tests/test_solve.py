@@ -1029,6 +1029,56 @@ class TestDisjointBruteforce:
         with pytest.raises(InvalidInstanceError, match="degree"):
             solve_disjoint_paths(b.build())
 
+    def test_routes_listed_from_t_towards_s(self):
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("a", "s", 1, id="as")
+        b.add_edge("t", "a", 1, id="ta")
+        b.add_edge("t", "s", 3, id="ts")
+        assert decompose_into_paths(b.build()) == (
+            S.PathInfo(("s", "a", "t"), ("as", "ta")),
+            S.PathInfo(("s", "t"), ("ts",)))
+
+    def test_every_small_multigraph_decomposes_or_is_refused(self):
+        # s, t and up to 3 more vertices, up to 5 edges, every other edge
+        # listed head first: each graph is refused, or splits into s-t
+        # paths with disjoint interiors that use each edge exactly once
+        split = refused = 0
+        for extra in range(4):
+            names = ["s", "t", *(f"v{i}" for i in range(extra))]
+            pairs = list(itertools.combinations(names, 2))
+            for count in range(6):
+                for chosen in itertools.combinations_with_replacement(
+                        pairs, count):
+                    b = InstanceBuilder(Variant.INDEPENDENT)
+                    b.set_endpoints("s", "t")
+                    for name in names:
+                        b.add_vertex(name)
+                    for j, (u, v) in enumerate(chosen):
+                        b.add_edge(*((u, v) if j % 2 else (v, u)), 1,
+                                   id=f"e{j}")
+                    instance = b.build()
+                    try:
+                        paths = decompose_into_paths(instance)
+                    except InvalidInstanceError:
+                        refused += 1
+                        continue
+                    split += 1
+                    edges = instance.edge_map
+                    used = [eid for p in paths for eid in p.edges]
+                    assert sorted(used) == sorted(edges), chosen
+                    seen: set[str] = set()
+                    for p in paths:
+                        assert (p.vertices[0], p.vertices[-1]) == ("s", "t")
+                        assert len(set(p.vertices)) == len(p.vertices)
+                        for eid, a, z in zip(p.edges, p.vertices,
+                                             p.vertices[1:]):
+                            assert {edges[eid].tail, edges[eid].head} == {
+                                a, z}, chosen
+                        assert not p.interior & seen, chosen
+                        seen |= p.interior
+        assert split and refused
+
     def test_rejects_directed(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
         b.set_endpoints("s", "t")
@@ -1284,8 +1334,9 @@ class TestQdimacs:
         ("p cnf 2 1\na 1 0\ne \u0662 0\n1 2 0\n", "line 3: bad variable"),
         ("p cnf 2 1\na 1 0\ne 2 0\n1 +2 0\n", "line 4: unreadable"),
         ("p cnf 2 1\na 1 0\ne 2 0\n1_0 0\n", "line 4: unreadable"),
+        ("p cnf x 1\n", "^line 1: malformed header 'p cnf x 1'$"),
     ], ids=["fullwidth-header", "arabic-indic-variable", "plus-literal",
-            "underscore-literal"])
+            "underscore-literal", "letter-header"])
     def test_numbers_are_ascii_digits_only(self, text, where):
         with pytest.raises(ValueError, match=where):
             parse_qdimacs(text)
