@@ -509,6 +509,7 @@ def _cmd_solve(args) -> int:
         print(f"beliefs expanded: {stats.beliefs_expanded}")
         print(f"boundary steps evaluated: {stats.boundary_evaluated}, "
               f"skipped: {stats.boundary_skipped}, cut: {stats.boundary_cut}")
+        print(f"boundary pricings resumed: {stats.boundary_repriced}")
         print(f"branch tables: {stats.branch_tables}, "
               f"regions: {stats.regions}, "
               f"region hits: {stats.region_hits}")

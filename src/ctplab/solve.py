@@ -27,15 +27,22 @@ tiebreak. The heap therefore settles every vertex with the same entry as
 an eager search would, so values and decision trees stay exact, and a
 zero bound reproduces them.
 
-A popped step is priced against a cutoff, the cheapest exact key pushed
-for its vertex (or the stratum's budget) less its price, and gives up
-once its outcomes so far and the bound on the rest pass it: Ballard's
-Star1 pruning of chance nodes (*-minimax, AIJ 1983). An outcome's stratum
-gets the budget that leaves and stops at the first key past it; a
-position worth at most that still gets its exact value and choice. A
-cached patch answers a lookup with no larger budget, or that finds its
-start valued; else it is solved once more, unbudgeted. Cuts are strict,
-so ties are priced and settled by rank, edge id and tiebreak as before.
+A popped step is priced only as far as the next key in its heap, the
+window (Partial Expansion A*, Yoshizumi, Miura & Ishida, AAAI 2000):
+once its exact outcomes so far and the bound on the rest pass it, the sum
+stops and the step goes back, still lazy and under the same rank, edge
+id and tiebreak, keyed by that partial sum, a lower bound strictly above
+its old key. A later pop resumes the sum, reading the finished outcomes
+from the region cache. It is also priced against a cutoff, the cheapest
+exact key pushed for its vertex (or the stratum's budget) less its
+price, and gives up for good once its outcomes and the bound pass that:
+Ballard's Star1 pruning of chance nodes (*-minimax, AIJ 1983). An
+outcome's stratum gets the budget that leaves and stops at the first key
+past it; a position worth at most that still gets its exact value and
+choice. A cached patch answers a lookup with no larger budget, or that
+finds its start valued; else it is solved once more, unbudgeted. The
+window and the cuts are strict, so ties are priced and settled by rank,
+edge id and tiebreak as before.
 
 A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
 of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
@@ -45,8 +52,9 @@ TCS 1991) of the lcm of their chances' denominators. One heap's keys
 share a positive scale, so pops, ties and choices are the rationals',
 and a branch's value is an int sum; `math.inf` marks a step that may
 strand. Branch tables come from `CtpInstance.outcomes`, kept for one
-solve: game 5 of the ctpdep battery prices 6,651 revealing steps from
-75 tables.
+solve: game 5 of the ctpdep battery prices 4,671 revealing steps from
+75 tables, resumes 768 sums and expands 18,548 beliefs (28,344 priced
+to the last outcome).
 """
 from __future__ import annotations
 
@@ -85,8 +93,9 @@ _HALT = Action.halt()  # actions are frozen, so one serves every solve
 class SolveStats:
     """What a search did; the boundary counts split its revealing steps.
 
-    A revealing step is evaluated when priced, cut if that ends at a finite
-    cutoff (`branch_value`), and skipped if never priced.
+    A revealing step is evaluated when first priced, cut if pricing ends at
+    a finite cutoff (`branch_value`), and skipped if never priced;
+    `boundary_repriced` counts the pops that resume an unfinished sum.
     `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, `regions` the strata patches it solved and
     `region_hits` the lookups, the export's too, that found one solved.
@@ -99,6 +108,7 @@ class SolveStats:
     boundary_evaluated: int = 0
     boundary_skipped: int = 0
     boundary_cut: int = 0
+    boundary_repriced: int = 0
     branch_tables: int = 0
     regions: int = 0
     region_hits: int = 0
@@ -128,6 +138,7 @@ class _Solver(Policy):
         self.instance = instance
         self.belief_cap = belief_cap
         self.expanded = self.evaluated = self.steps = self.cut = 0
+        self.repriced = 0
         self.regions = self.region_hits = 0
         costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
         costs += [fee for u in instance.vertices
@@ -169,23 +180,30 @@ class _Solver(Policy):
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
                      position: str, mass: int,
-                     cutoff: int | float = math.inf) -> int | float:
+                     cutoff: int | float = math.inf,
+                     window: int | float = math.inf
+                     ) -> tuple[int | float, bool]:
         """Value once `fresh` is revealed on arrival, in the masks' scale,
-        `mass` their M(K); `math.inf` if an outcome strands the walker or
-        the outcomes and the bound on the rest pass `cutoff`."""
-        floor, total, seen = self.bound.get(position, 0), 0, 0
+        `mass` their M(K), and whether the sum is finished; `math.inf` if
+        an outcome strands the walker or the outcomes and the bound on the
+        rest pass `cutoff`. Once they pass `window` the sum stops, unfinished,
+        at that lower bound; priced outcomes then stay in the region cache."""
+        floor = self.bound.get(position, 0)
+        total, rest = 0, floor * mass  # the bound on the outcomes to come
         for opened_by, blocked_by, prob in self.instance.outcomes(
                 self.tables, fresh, opened, blocked):
+            if total + rest > window:
+                return total + rest, False
             share = _times(prob, mass)
-            budget = cutoff if cutoff == math.inf else (
-                cutoff - total - floor * (mass - seen - share))
+            rest -= floor * share
+            budget = cutoff if cutoff == math.inf else cutoff - total - rest
             values, _ = self.region(opened | opened_by, blocked | blocked_by,
                                     position, share, budget)
             if position not in values or values[position] > budget:
                 self.cut += cutoff < math.inf
-                return math.inf
-            total, seen = total + values[position], seen + share
-        return total
+                return math.inf, True
+            total += values[position]
+        return total, True
 
     def region(self, opened: int, blocked: int, start: str,
                mass: int | None = None,
@@ -230,8 +248,9 @@ class _Solver(Policy):
                         if bit & unknown]
         seq = itertools.count()
         # heap entries: cost, action-rank, edge id, tiebreak, vertex, action,
-        # and for a revealing step not yet priced, (price, fresh, where);
-        # its cost is then price plus the bound, a lower bound
+        # and for a revealing step not yet priced in full, (price, fresh,
+        # where, resumed); its cost is then price plus the bound, or plus the
+        # outcomes priced so far and the bound on the rest: a lower bound
         heap = [(0, 0, "", next(seq), t, _HALT, None)] if t in patch else []
         # tiebreaks in position order, each position's moves before senses
         reveals.sort(key=lambda step: step[0])
@@ -242,7 +261,7 @@ class _Solver(Policy):
             if floor is not None:
                 best[u] = budget
                 heap.append(((price + floor) * mass, rank, edge_id, next(seq),
-                             u, action, (price * mass, fresh, where)))
+                             u, action, (price * mass, fresh, where, False)))
         # every key is distinct, so the pop order is the push order's
         heapq.heapify(heap)
         values: dict[str, int] = {}
@@ -255,16 +274,22 @@ class _Solver(Policy):
             if vertex in values:
                 continue
             if reveal is not None:
-                price, fresh, where = reveal
-                self.evaluated += 1
+                price, fresh, where, resumed = reveal
+                if resumed:
+                    self.repriced += 1
+                else:
+                    self.evaluated += 1
                 bar = best[vertex]
-                rest = self.branch_value(
+                rest, done = self.branch_value(
                     opened, blocked, fresh, where, mass,
-                    bar if bar == math.inf else bar - price)
+                    bar if bar == math.inf else bar - price,
+                    _window(heap) - price)
                 if rest < math.inf:
-                    best[vertex] = price + rest
-                    heapq.heappush(heap, (price + rest, rank, edge_id, tie,
-                                          vertex, action, None))
+                    if done:
+                        best[vertex] = price + rest
+                    heapq.heappush(heap, (
+                        price + rest, rank, edge_id, tie, vertex, action,
+                        None if done else (price, fresh, where, True)))
                 continue
             values[vertex] = cost
             choices[vertex] = action
@@ -292,6 +317,13 @@ def _times(value: Fraction | int, scale: int) -> int:
     if rest:
         raise InternalCheckError(f"{value} times {scale} is not whole")
     return whole
+
+
+def _window(heap: list[tuple]) -> int | float:
+    """The key of the next entry in a patch's heap: a popped step whose
+    lower bound passes it would pop after that entry anyway, so its sum
+    can wait there."""
+    return heap[0][0] if heap else math.inf
 
 
 def _free_space_bound(instance: CtpInstance) -> dict[str, Fraction | int]:
@@ -332,8 +364,9 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     began = time.perf_counter()
     solver = _Solver(instance, belief_cap)
     try:
-        value = solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
-                                    instance.s, solver.total_mass)
+        value, _ = solver.branch_value(
+            0, 0, instance.fresh_at(instance.s, 0), instance.s,
+            solver.total_mass)
     except RecursionError:
         # each reveal nests one stratum deeper on the Python stack
         raise EnumerationCapError(
@@ -350,6 +383,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
                                 solver.steps - solver.evaluated, solver.cut,
+                                solver.repriced,
                                 sum(len(rows) for _, rows in
                                     solver.tables.values()),
                                 solver.regions, solver.region_hits,

@@ -174,20 +174,23 @@ class TestCommands:
         assert data["optimal_cost"] == "0/1 (0.0)"
         assert data["first_action"] == "move(enter)"
         assert {"beliefs_expanded", "boundary_evaluated",
-                "boundary_skipped", "boundary_cut", "branch_tables",
-                "regions", "region_hits"} <= set(data)
+                "boundary_skipped", "boundary_cut", "boundary_repriced",
+                "branch_tables", "regions", "region_hits"} <= set(data)
         stats = solve(load_instance(out)).stats
-        assert (data["boundary_cut"], data["branch_tables"], data["regions"],
+        assert (data["boundary_cut"], data["boundary_repriced"],
+                data["branch_tables"], data["regions"],
                 data["region_hits"]) == (
-            stats.boundary_cut, stats.branch_tables, stats.regions,
-            stats.region_hits)
+            stats.boundary_cut, stats.boundary_repriced, stats.branch_tables,
+            stats.regions, stats.region_hits)
         assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
         assert 0 <= stats.boundary_cut <= stats.boundary_evaluated
         assert main(["solve", str(out)]) == 0
         text = capsys.readouterr().out
         assert (f"boundary steps evaluated: {data['boundary_evaluated']}, "
                 f"skipped: {data['boundary_skipped']}, "
-                f"cut: {data['boundary_cut']}\n") in text
+                f"cut: {data['boundary_cut']}\n"
+                "boundary pricings resumed: "
+                f"{data['boundary_repriced']}\n") in text
         assert (f"branch tables: {data['branch_tables']}, "
                 f"regions: {data['regions']}, "
                 f"region hits: {data['region_hits']}") in text

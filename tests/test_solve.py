@@ -272,10 +272,10 @@ class TestBoundedSearch:
         branch_value = S._Solver.branch_value
 
         def counted(solver, opened, blocked, fresh, position, mass,
-                    cutoff=math.inf):
+                    cutoff=math.inf, window=math.inf):
             priced.append(position)
             return branch_value(solver, opened, blocked, fresh, position,
-                                mass, cutoff)
+                                mass, cutoff, window)
 
         # each patch solve, a second one of a patch included: a key, the
         # positions and the region, kept alive so that ids stay unique
@@ -293,13 +293,16 @@ class TestBoundedSearch:
         solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
                             instance.s, solver.total_mass)
         assert len(solves) == solver.regions == stats.regions
-        assert (solver.evaluated, solver.steps, solver.cut) == (
+        assert (solver.evaluated, solver.steps, solver.cut,
+                solver.repriced) == (
             stats.boundary_evaluated,
             stats.boundary_evaluated + stats.boundary_skipped,
-            stats.boundary_cut)
+            stats.boundary_cut, stats.boundary_repriced)
         assert stats.boundary_cut <= stats.boundary_evaluated
-        # one pricing per evaluated step, plus the root
-        assert len(priced) == stats.boundary_evaluated + 1
+        # one pricing per evaluated step and one per resumed sum, plus the
+        # root
+        assert len(priced) == (stats.boundary_evaluated
+                               + stats.boundary_repriced + 1)
         # every revealing step of every solved patch is one or the other
         steps = 0
         for (opened, blocked, v), patch, _ in solves.values():
@@ -568,8 +571,10 @@ class TestIntegerUnit:
     def test_regions_hold_ints(self, build):
         instance = build()
         solver = S._Solver(instance, 200_000)
-        root = solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
-                                   instance.s, solver.total_mass)
+        root, done = solver.branch_value(
+            0, 0, instance.fresh_at(instance.s, 0), instance.s,
+            solver.total_mass)
+        assert done
         assert Cost.of(Fraction(root, solver.total_mass
                                 * solver.denominator)) == solve(
             instance).optimal_cost
@@ -619,15 +624,15 @@ TREE_OF_DEFAULT = (
 # beliefs expanded, boundary steps evaluated, skipped and cut
 FROZEN_SOLVES = {
     "game0": ("0/1", "move(enter)", "bb55b696db8b29f229eb89bea6646a67"
-              "208d8d3289c57813a5275fde2a64c7cf", 124, 29, 6, 0),
+              "208d8d3289c57813a5275fde2a64c7cf", 98, 25, 6, 0),
     "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 246, 56, 0, 11),
     "game2": ("0/1", "move(enter)", "65f0ddd2eccffc6839fd537ed5ba0f1b"
-              "dae1aa914744464c4ef3a177684284f2", 384, 107, 20, 0),
+              "dae1aa914744464c4ef3a177684284f2", 328, 95, 20, 0),
     "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 701, 157, 0, 14),
     "game4": ("0/1", "move(enter)", "f5044011705e288a82ce15c95f9abf14"
-              "6ce5c5e9213c15565a11069803ff902a", 2352, 575, 32, 0),
+              "6ce5c5e9213c15565a11069803ff902a", 1472, 399, 32, 0),
     "game5": ("0/1", "move(enter)", "ba3e895c054944759f6f4deee0f8dad5"
-              "69fe29041cf7c35cd037a177da3707a9", 28344, 6651, 644, 0),
+              "69fe29041cf7c35cd037a177da3707a9", 18548, 4671, 644, 0),
     "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 641, 146, 16, 24),
     "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 7230, 1499, 0, 29),
     "baiting-2": ("263/512", "move(bg.path000)", "3978831d2ba7ef4c7add7f79"
@@ -635,16 +640,17 @@ FROZEN_SOLVES = {
     "p3": ("3161165579761560626969914950619/"
            "792281625142643375935439503360", "move(visit.b)",
            "273f03560ad4355c68312fda15809bb638467d3e49925604657597a5032883d7",
-           153, 52, 0, 27),
+           148, 48, 0, 25),
 }
 
 
-# name: branch tables, regions, region-cache hits
+# name: branch tables, regions, region-cache hits, resumed pricings
 FROZEN_COUNTERS = {
-    "game0": (14, 47, 55), "game1": (12, 103, 1), "game2": (30, 159, 207),
-    "game3": (26, 298, 1), "game4": (67, 1007, 463),
-    "game5": (75, 11639, 6703), "game6": (15, 250, 1),
-    "game7": (25, 2971, 1), "baiting-2": (8, 15, 16), "p3": (4, 23, 93),
+    "game0": (14, 37, 57, 2), "game1": (12, 103, 19, 18),
+    "game2": (30, 135, 211, 4), "game3": (26, 298, 53, 52),
+    "game4": (67, 639, 527, 64), "game5": (75, 7611, 7471, 768),
+    "game6": (15, 250, 42, 41), "game7": (25, 2971, 578, 577),
+    "baiting-2": (8, 15, 17, 1), "p3": (4, 22, 103, 16),
 }
 
 
@@ -681,8 +687,8 @@ class TestFrozenSolves:
     def test_counters(self, name, frozen_solve):
         result = frozen_solve(name)
         stats = result.stats
-        assert (stats.branch_tables, stats.regions,
-                stats.region_hits) == FROZEN_COUNTERS[name]
+        assert (stats.branch_tables, stats.regions, stats.region_hits,
+                stats.boundary_repriced) == FROZEN_COUNTERS[name]
         # each pricing, and the root, asks for one table or reuses one
         assert stats.branch_tables <= stats.boundary_evaluated + 1
         assert stats.regions <= stats.beliefs_expanded
@@ -709,6 +715,56 @@ def perfbench_solve_inputs():
     for k, (formula, _) in enumerate(GAME_BATTERY):
         inputs[f"game{k}"] = qbf_to_ctpdep(formula)[0]
     return inputs
+
+
+def assert_matches_eager_pricing(instance, windowed=None):
+    """The pricing window changes which outcomes get priced, nothing else;
+    returns the search counts of `windowed`, the instance's `solve`, and of
+    its solve with every revealing step priced to its last outcome."""
+    windowed = windowed or solve(instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "_window", lambda heap: math.inf)
+        eager = solve(instance)
+    assert windowed.optimal_cost == eager.optimal_cost
+    assert windowed.optimal_first_action == eager.optimal_first_action
+    assert windowed.policy.to_json() == eager.policy.to_json()
+    assert eager.stats.boundary_repriced == 0
+    return windowed.stats, eager.stats
+
+
+# name: regions of the eager and the windowed search. Pausing a step can
+# bring a patch's smaller budget first; the patch is then solved once more
+# for the larger one, unbudgeted (twice on toy14)
+REGIONS_GROW = {"toy14": (56, 58)}
+
+
+class TestPricingWindow:
+    """A popped step stops pricing once its outcomes pass the next key in
+    its patch's heap and waits there, still lazy, for its turn."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+    def test_frozen_solves_match_eager_pricing(self, name, frozen_solve):
+        build = FROZEN_BUILDS.get(name)
+        instance = (build() if build else
+                    qbf_to_ctpdep(GAME_BATTERY[int(name[4:])][0])[0])
+        windowed, eager = assert_matches_eager_pricing(
+            instance, frozen_solve(name))
+        assert windowed.regions <= eager.regions
+        assert windowed.beliefs_expanded <= eager.beliefs_expanded
+
+    def test_perfbench_inputs_match_eager_pricing(self):
+        grown = {}
+        for label, instance in perfbench_solve_inputs().items():
+            windowed, eager = assert_matches_eager_pricing(instance)
+            if windowed.regions > eager.regions:
+                grown[label] = (eager.regions, windowed.regions)
+        assert grown == REGIONS_GROW
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def test_random_toys_match_eager_pricing(self, seed):
+        assert_matches_eager_pricing(
+            random_disjoint_instance(SplitMix64(seed)))
 
 
 class TestTextAtTheEdges:
