@@ -513,6 +513,7 @@ def _cmd_solve(args) -> int:
         print(f"branch tables: {stats.branch_tables}, "
               f"regions: {stats.regions}, "
               f"region hits: {stats.region_hits}")
+        print(f"shared hits: {stats.shared_hits}")
         print(f"search: {stats.search_s:.3f} s, "
               f"export and self-check: {stats.export_s:.3f} s")
     return 0

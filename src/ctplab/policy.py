@@ -472,8 +472,9 @@ def _trace(instance: CtpInstance, policy: Policy,
                 "policy is not a function of the belief at "
                 f"{key[0]}|{_text(instance, key[1], key[2], _KEY_WORDS)}")
         record[key] = TreeNode(action, children)
-        # past its root, every node of a solve's tree is a belief it
-        # expanded, so a solve within the belief cap never trips this
+        # a solve's tree can pass its belief count: strata that share a
+        # patch expand it once but are each exported, so a search within
+        # the belief cap can still trip this
         if len(record) > BELIEF_CAP + 1:
             raise EnumerationCapError(
                 f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "

@@ -52,9 +52,28 @@ TCS 1991) of the lcm of their chances' denominators. One heap's keys
 share a positive scale, so pops, ties and choices are the rationals',
 and a branch's value is an int sum; `math.inf` marks a step that may
 strand. Branch tables come from `CtpInstance.outcomes`, kept for one
-solve: game 5 of the ctpdep battery prices 4,671 revealing steps from
-75 tables, resumes 768 sums and expands 18,548 beliefs (28,344 priced
-to the last outcome).
+solve: game 5 of the ctpdep battery prices 206 revealing steps from 75
+tables and resumes 22 sums.
+
+A patch is cached under a key that forgets what its walks cannot use
+(`_Solver.key`): the masks cut down to `CtpInstance.reach` of its start,
+the bits a walk from there can cross, see or sense, and to every bit of
+each joint component that holds one of those still unknown. That is
+exact. A walk from the start crosses, reveals and senses only bits of
+its reach, and `outcomes` conditions only on the components of what a
+step reveals, so a position's value in real units, and the least (value,
+rank, edge id) that picks its choice, depend on nothing the key drops.
+Only the key forgets: walks, `fresh_at`, `outcomes` and deeper strata
+keep the whole masks, so knowledge still grows down every recursion.
+Each entry keeps the M(K) it was solved at. A lookup from a stratum K'
+of another mass rescales the start's value by M(K')/M(K), exactly (a
+remainder raises `InternalCheckError`), and reads its budget B as
+floor(B·M(K)/M(K')). Where every vertex but t reaches every bit, as on
+every independent and sensing input the benchmark solves, the key is the
+whole masks. `beliefs_expanded` counts the positions of the patches
+solved, so a patch that strata share counts once, though the exported
+tree holds it once for each: game 5 expands 319 beliefs (18,548 with
+every patch keyed by every status) and exports a 7,727-node tree.
 """
 from __future__ import annotations
 
@@ -97,8 +116,10 @@ class SolveStats:
     a finite cutoff (`branch_value`), and skipped if never priced;
     `boundary_repriced` counts the pops that resume an unfinished sum.
     `branch_tables` counts the distinct branch tables the search asked
-    `JointModel.branch` for, `regions` the strata patches it solved and
-    `region_hits` the lookups, the export's too, that found one solved.
+    `JointModel.branch` for, `regions` the strata patches it solved,
+    `region_hits` the lookups, the export's too, that found one solved and
+    `shared_hits` those of them answered by a patch solved in another
+    stratum (`_Solver.key`).
     `search_s` and `export_s` are the wall seconds `solve` spent in the
     search and in the tree export with its self-check; they vary from run
     to run, so equality ignores them.
@@ -112,6 +133,7 @@ class SolveStats:
     branch_tables: int = 0
     regions: int = 0
     region_hits: int = 0
+    shared_hits: int = 0
     search_s: float = field(default=0.0, compare=False)
     export_s: float = field(default=0.0, compare=False)
 
@@ -139,7 +161,7 @@ class _Solver(Policy):
         self.belief_cap = belief_cap
         self.expanded = self.evaluated = self.steps = self.cut = 0
         self.repriced = 0
-        self.regions = self.region_hits = 0
+        self.regions = self.region_hits = self.shared_hits = 0
         costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
         costs += [fee for u in instance.vertices
                   for fee in instance.senses_from(u).values()]
@@ -161,15 +183,35 @@ class _Solver(Policy):
                             Action.sense(e))
                            for e, fee in instance.senses_from(u).items()]
                        for u in instance.vertices}
+        every = (1 << len(bits)) - 1
+        # the positions whose walks cannot use every bit; t keeps whole
+        # keys, as no lookup starts there
+        self.keyed = {v: mask for v, mask in instance.reach.items()
+                      if mask != every and v != instance.t}
+        self.hulls: dict[int, int] = {}  # unknown bits -> their components
         self._regions: dict[tuple[int, int, str], tuple] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if belief.position == instance.t:
             return _HALT
-        _, choices = self.region(belief.opened, belief.blocked,
-                                 belief.position)
+        _, choices, _ = self.region(belief.opened, belief.blocked,
+                                    belief.position)
         return choices.get(belief.position)
+
+    def key(self, opened: int, blocked: int, start: str) -> tuple:
+        """The cache key of the patch at `start`: the masks cut down to the
+        bits a walk from there can cross, see or be conditioned on."""
+        keep = self.keyed.get(start)
+        if keep is None:
+            return opened, blocked, start
+        loose = keep & ~(opened | blocked)
+        hull = self.hulls.get(loose)
+        if hull is None:
+            hull = self.hulls[loose] = sum(
+                comp.mask for comp in self.instance.joint.touched(loose))
+        keep |= hull
+        return opened & keep, blocked & keep, start
 
     def mass(self, opened: int, blocked: int) -> int:
         """M(K) of the stratum K the masks reveal: Z times its chance."""
@@ -197,26 +239,40 @@ class _Solver(Policy):
             share = _times(prob, mass)
             rest -= floor * share
             budget = cutoff if cutoff == math.inf else cutoff - total - rest
-            values, _ = self.region(opened | opened_by, blocked | blocked_by,
-                                    position, share, budget)
-            if position not in values or values[position] > budget:
+            values, _, scale = self.region(
+                opened | opened_by, blocked | blocked_by, position, share,
+                budget)
+            value = values.get(position)
+            if value is not None and scale != share:
+                value = _rescale(value, scale, share)
+            if value is None or value > budget:
                 self.cut += cutoff < math.inf
                 return math.inf, True
-            total += values[position]
+            total += value
         return total, True
 
     def region(self, opened: int, blocked: int, start: str,
                mass: int | None = None,
-               budget: int | float = math.inf) -> tuple[dict, dict]:
+               budget: int | float = math.inf) -> tuple[dict, dict, int]:
         """Values and choices over the patch `start` reaches unrevealing,
-        of the positions worth at most `budget`, cached for every position
-        of the patch; `mass` is its M(K), found from the masks if not given."""
-        cached = self._regions.get((opened, blocked, start))
+        of the positions worth at most `budget`, and the M(K) of the stratum
+        that solved the patch, the scale of those values; `mass` is the
+        masks' M(K), found from them if not given. The patch is cached under
+        the `key` of each of its positions, so a stratum that differs only
+        in bits their walks cannot use reads it too."""
+        keyed = self.keyed  # with none, every key is the whole masks
+        cached = self._regions.get(
+            self.key(opened, blocked, start) if keyed
+            else (opened, blocked, start))
         if cached is not None:
-            values, choices, solved = cached
-            if solved is None or start in values or budget <= solved:
+            values, choices, solved, scale, stratum = cached
+            if solved is None or start in values or (
+                    budget if scale == mass or budget == math.inf
+                    else budget * scale // mass) <= solved:
                 self.region_hits += 1
-                return values, choices
+                if keyed and stratum != (opened, blocked):
+                    self.shared_hits += 1
+                return values, choices, scale
             budget = math.inf
         if mass is None:
             mass = self.mass(opened, blocked)
@@ -299,16 +355,22 @@ class _Solver(Policy):
                                           next(seq), u, move, None))
                     if key < best.get(u, -1):
                         best[u] = key
-        region = values, choices, None if budget == math.inf else budget
-        for v in patch:
-            self._regions[(opened, blocked, v)] = region
+        region = (values, choices, None if budget == math.inf else budget,
+                  mass, (opened, blocked))
+        cache = self._regions
+        if keyed:
+            for v in patch:
+                cache[self.key(opened, blocked, v)] = region
+        else:
+            for v in patch:
+                cache[opened, blocked, v] = region
         self.regions += 1
         self.steps += len(reveals)
         self.expanded += len(patch)
         if self.expanded > self.belief_cap:
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
-        return values, choices
+        return values, choices, mass
 
 
 def _times(value: Fraction | int, scale: int) -> int:
@@ -316,6 +378,16 @@ def _times(value: Fraction | int, scale: int) -> int:
     whole, rest = divmod(value.numerator * scale, value.denominator)
     if rest:
         raise InternalCheckError(f"{value} times {scale} is not whole")
+    return whole
+
+
+def _rescale(value: int, scale: int, mass: int) -> int:
+    """`value`, held at M(K) = `scale`, at M(K') = `mass`: strata that share
+    a patch share its real values, so a remainder breaks the invariant."""
+    whole, rest = divmod(value * mass, scale)
+    if rest:
+        raise InternalCheckError(
+            f"{value} at M = {scale} is not whole at M = {mass}")
     return whole
 
 
@@ -387,7 +459,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
                                 sum(len(rows) for _, rows in
                                     solver.tables.values()),
                                 solver.regions, solver.region_hits,
-                                searched - began,
+                                solver.shared_hits, searched - began,
                                 time.perf_counter() - searched))
 
 

@@ -48,6 +48,7 @@ from ctplab.reductions import (
     SensingCertificate,
     certificate,
     named_vc,
+    qbf_to_ctpdep,
     vc_to_sensing,
 )
 from ctplab.solve import SolveStats, parse_qdimacs, qbf_eval, solve
@@ -179,9 +180,11 @@ class TestCommands:
         stats = solve(load_instance(out)).stats
         assert (data["boundary_cut"], data["boundary_repriced"],
                 data["branch_tables"], data["regions"],
-                data["region_hits"]) == (
+                data["region_hits"], data["shared_hits"]) == (
             stats.boundary_cut, stats.boundary_repriced, stats.branch_tables,
-            stats.regions, stats.region_hits)
+            stats.regions, stats.region_hits, stats.shared_hits)
+        # the walk forgets the coins it passed, so strata share patches
+        assert 0 < stats.shared_hits <= stats.region_hits
         assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
         assert 0 <= stats.boundary_cut <= stats.boundary_evaluated
         assert main(["solve", str(out)]) == 0
@@ -193,7 +196,8 @@ class TestCommands:
                 f"{data['boundary_repriced']}\n") in text
         assert (f"branch tables: {data['branch_tables']}, "
                 f"regions: {data['regions']}, "
-                f"region hits: {data['region_hits']}") in text
+                f"region hits: {data['region_hits']}\n"
+                f"shared hits: {data['shared_hits']}\n") in text
 
     def test_solve_reports_phase_times(self, game_file, tmp_path, capsys):
         out = tmp_path / "dep.json"
@@ -243,6 +247,20 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "cap exceeded: the decision tree exceeds the cap of 2 nodes "
+            "past its root"]
+
+    def test_solve_exits_3_on_a_tree_past_the_cap_it_searched_within(
+            self, tmp_path, capsys, monkeypatch):
+        # game 5's search expands 319 beliefs, but strata share patches,
+        # so its tree holds 7,727 nodes
+        path = tmp_path / "game5.json"
+        save_instance(qbf_to_ctpdep(GAME_BATTERY[5][0])[0], path)
+        monkeypatch.setattr(policy_module, "BELIEF_CAP", 1000)
+        assert main(["solve", str(path), "--cap", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "cap exceeded: the decision tree exceeds the cap of 1000 nodes "
             "past its root"]
 
     def test_reduce_ctp_writes_certificate(self, game_file, tmp_path,

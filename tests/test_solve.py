@@ -55,6 +55,7 @@ from ctplab.solve import (
     solve_disjoint_paths,
 )
 from test_model import coin_star
+from test_oracle import random_instance
 
 
 def sure_edge_instance(cost=5):
@@ -578,10 +579,12 @@ class TestIntegerUnit:
         assert Cost.of(Fraction(root, solver.total_mass
                                 * solver.denominator)) == solve(
             instance).optimal_cost
-        for values, _, budget in solver._regions.values():
+        for values, _, budget, scale, stratum in solver._regions.values():
             for value in values.values():
                 assert type(value) is int or value == math.inf
             assert budget is None or type(budget) is int
+            # the M(K) of the stratum the patch was solved at
+            assert type(scale) is int and scale == solver.mass(*stratum)
 
     def test_mass_that_does_not_divide_raises(self):
         instance = ladder_instance(2)
@@ -624,17 +627,17 @@ TREE_OF_DEFAULT = (
 # beliefs expanded, boundary steps evaluated, skipped and cut
 FROZEN_SOLVES = {
     "game0": ("0/1", "move(enter)", "bb55b696db8b29f229eb89bea6646a67"
-              "208d8d3289c57813a5275fde2a64c7cf", 98, 25, 6, 0),
-    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 246, 56, 0, 11),
+              "208d8d3289c57813a5275fde2a64c7cf", 47, 20, 5, 0),
+    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 53, 32, 0, 3),
     "game2": ("0/1", "move(enter)", "65f0ddd2eccffc6839fd537ed5ba0f1b"
-              "dae1aa914744464c4ef3a177684284f2", 328, 95, 20, 0),
-    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 701, 157, 0, 14),
+              "dae1aa914744464c4ef3a177684284f2", 88, 47, 10, 0),
+    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 62, 40, 0, 14),
     "game4": ("0/1", "move(enter)", "f5044011705e288a82ce15c95f9abf14"
-              "6ce5c5e9213c15565a11069803ff902a", 1472, 399, 32, 0),
+              "6ce5c5e9213c15565a11069803ff902a", 144, 95, 8, 0),
     "game5": ("0/1", "move(enter)", "ba3e895c054944759f6f4deee0f8dad5"
-              "69fe29041cf7c35cd037a177da3707a9", 18548, 4671, 644, 0),
-    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 641, 146, 16, 24),
-    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 7230, 1499, 0, 29),
+              "69fe29041cf7c35cd037a177da3707a9", 319, 206, 24, 0),
+    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 65, 32, 4, 4),
+    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 120, 81, 0, 5),
     "baiting-2": ("263/512", "move(bg.path000)", "3978831d2ba7ef4c7add7f79"
                   "811001b10b814d78c8085acacc7e351374ee2b82", 88, 7, 6, 0),
     "p3": ("3161165579761560626969914950619/"
@@ -646,10 +649,10 @@ FROZEN_SOLVES = {
 
 # name: branch tables, regions, region-cache hits, resumed pricings
 FROZEN_COUNTERS = {
-    "game0": (14, 37, 57, 2), "game1": (12, 103, 19, 18),
-    "game2": (30, 135, 211, 4), "game3": (26, 298, 53, 52),
-    "game4": (67, 639, 527, 64), "game5": (75, 7611, 7471, 768),
-    "game6": (15, 250, 42, 41), "game7": (25, 2971, 578, 577),
+    "game0": (14, 18, 68, 1), "game1": (12, 26, 48, 10),
+    "game2": (30, 41, 241, 2), "game3": (26, 33, 42, 8),
+    "game4": (67, 77, 543, 8), "game5": (75, 166, 6922, 22),
+    "game6": (15, 26, 38, 7), "game7": (25, 61, 122, 23),
     "baiting-2": (8, 15, 17, 1), "p3": (4, 22, 103, 16),
 }
 
@@ -692,8 +695,115 @@ class TestFrozenSolves:
         # each pricing, and the root, asks for one table or reuses one
         assert stats.branch_tables <= stats.boundary_evaluated + 1
         assert stats.regions <= stats.beliefs_expanded
-        # so a solve within the belief cap stays within the tree cap
-        assert len(result.policy.nodes) <= stats.beliefs_expanded + 1
+        # a patch serves other strata only where walks forget some bits
+        assert stats.shared_hits <= stats.region_hits
+        assert (stats.shared_hits > 0) == name.startswith("game")
+        # a shared patch is expanded once but exported under every
+        # stratum that reads it, so only the tree cap bounds the tree
+        assert len(result.policy.nodes) <= P.BELIEF_CAP + 1
+
+
+# `CtpInstance.reach` as if each vertex reached every bit: every patch is
+# then keyed by every revealed status
+EVERY_BIT = property(lambda inst: dict.fromkeys(
+    inst.vertices, (1 << len(inst.bits)) - 1))
+
+
+def assert_matches_whole_keys(instance, keyed=None):
+    """Keying a patch by only the bits its walks can use changes which
+    strata share it, nothing else; returns the search counts of `keyed`,
+    the instance's `solve`, and of its solve with whole keys."""
+    keyed = keyed or solve(instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M.CtpInstance, "reach", EVERY_BIT)
+        whole = solve(instance)
+    assert keyed.optimal_cost == whole.optimal_cost
+    assert keyed.optimal_first_action == whole.optimal_first_action
+    assert keyed.policy.to_json() == whole.policy.to_json()
+    assert whole.stats.shared_hits == 0
+    return keyed.stats, whole.stats
+
+
+class TestReachKeys:
+    """A patch is cached under only the statuses a walk from each of its
+    positions can cross, see or be conditioned on; a stratum that differs
+    in the rest reads it, rescaled to its own mass."""
+
+    @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
+    def test_battery_matches_whole_keys(self, k, solve_battery_game):
+        keyed, whole = assert_matches_whole_keys(
+            qbf_to_ctpdep(GAME_BATTERY[k][0])[0], solve_battery_game(k))
+        assert keyed.shared_hits > 0
+        assert keyed.regions < whole.regions
+        assert keyed.beliefs_expanded < whole.beliefs_expanded
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_random_dependent_matches_whole_keys(self, seed):
+        assert_matches_whole_keys(
+            random_instance(random.Random(seed), Variant.DEPENDENT))
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_shared_values_are_rescaled_exactly(self, k):
+        # every pricing of a solve, its window and cutoff included, gives
+        # what it gives in a search that shares no patch across strata
+        instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        branch_value, rescale = S._Solver.branch_value, S._rescale
+        priced, rescaled = [], []
+
+        def recorded(solver, *args):
+            priced.append((args, branch_value(solver, *args)))
+            return priced[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(S._Solver, "branch_value", recorded)
+            patch.setattr(S, "_rescale", lambda value, scale, mass: (
+                rescaled.append(value) or rescale(value, scale, mass)))
+            solve(instance)
+        # these games read finite values across strata of other masses
+        assert any(value > 0 for value in rescaled)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(M.CtpInstance, "reach", EVERY_BIT)
+            for args, got in priced:
+                assert branch_value(S._Solver(instance, 200_000),
+                                    *args) == got
+
+    def test_a_budget_is_read_at_the_entry_scale(self):
+        # a stratum reads a patch of game 3 solved at another mass
+        instance = qbf_to_ctpdep(GAME_BATTERY[3][0])[0]
+        region, shared = S._Solver.region, []
+
+        def recorded(solver, opened, blocked, start, mass=None,
+                     budget=math.inf):
+            got = region(solver, opened, blocked, start, mass, budget)
+            if mass is not None and got[2] != mass and got[0].get(start):
+                *_, scale, stratum = solver._regions[
+                    solver.key(opened, blocked, start)]
+                shared.append(sorted([(mass, opened, blocked),
+                                      (scale, *stratum)]) + [start])
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(S._Solver, "region", recorded)
+            solve(instance)
+        (light, *masks), (heavy, *solved_at), start = shared[0]
+        value = S._Solver(instance, 200_000).region(
+            *solved_at, start, heavy)[0][start]
+        solver = S._Solver(instance, 200_000)
+        # cached one unit short of the start's value, at the heavier mass
+        assert start not in solver.region(
+            *solved_at, start, heavy, value - 1)[0]
+        # the lighter stratum's budget that just admits the value reads
+        # as that value at the entry's scale, so the patch is solved again
+        light_value = S._rescale(value, heavy, light)
+        assert light_value <= value - 1
+        values, _, scale = solver.region(*masks, start, light, light_value)
+        assert (values[start], scale) == (light_value, light)
+
+    def test_a_remainder_raises(self):
+        assert S._rescale(6, 4, 2) == 3
+        with pytest.raises(InternalCheckError, match="not whole"):
+            S._rescale(3, 4, 2)
 
 
 # the solve-indep inputs of perfbench, drawn from its default seed
