@@ -551,6 +551,13 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(checks) else 1
 
 
+# a solve's tree can outgrow its search, as strata that share a patch are
+# each exported, so the tree keeps its own cap
+CAP_HELP = (f"most beliefs a solve's search may expand (default "
+            f"{BELIEF_CAP}); it bounds only the search: the exported "
+            f"decision tree may hold {BELIEF_CAP} nodes whatever this is")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctplab",
@@ -591,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol = sub.add_parser("solve", help="solve or evaluate an instance")
     p_sol.add_argument("instance")
     p_sol.add_argument("--policy", help="decision tree file to evaluate")
-    p_sol.add_argument("--cap", type=int, default=BELIEF_CAP)
+    p_sol.add_argument("--cap", type=int, default=BELIEF_CAP,
+                       help=CAP_HELP)
     p_sol.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_sol.add_argument("--json", action="store_true")
     p_sol.set_defaults(func=_cmd_solve)
@@ -612,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--alpha")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--trials", type=int, default=4096)
-    p_ver.add_argument("--cap", type=int, default=BELIEF_CAP)
+    p_ver.add_argument("--cap", type=int, default=BELIEF_CAP,
+                       help=CAP_HELP)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

@@ -650,66 +650,6 @@ class CtpInstance:
             sight[e.head] |= self.bits[e.id]
         return sight
 
-    @cached_property
-    def reach(self) -> dict[str, int]:
-        """The uncertain bits a walk from each vertex can see or sense.
-
-        `reach[v]` joins what arriving at, or sensing from, each vertex a
-        walk from `v` reaches would reveal, every finite edge taken as
-        crossable and t as a sink, where a walk ends and sees nothing. One
-        pass over the strongly connected components (Tarjan, SIAM J.
-        Comput. 1972) finds it in O(V + E): each component, finished
-        after every one it leads to, joins their bits to its own.
-        """
-        bits, t = self.bits, self.t
-        own = dict(self._sight)
-        for v, fees in self._sense_fees.items():
-            for e in fees:
-                own[v] |= bits[e]
-        own[t] = 0
-        moves = self._moves
-        reach: dict[str, int] = {}
-        order: dict[str, int] = {}
-        low: dict[str, int] = {}
-        slot: dict[str, int] = {}
-        open_: list[str] = []  # visited, its component not yet finished
-
-        def visit(v: str) -> None:
-            order[v] = low[v] = len(order)
-            slot[v] = len(open_)
-            open_.append(v)
-            work.append((v, iter(moves[v].values() if v != t else ())))
-
-        for root in self.vertices:
-            if root in order:
-                continue
-            work: list = []
-            visit(root)
-            while work:
-                v, rest = work[-1]
-                for _, w in rest:
-                    if w not in order:
-                        visit(w)
-                        break
-                    if w in reach:  # a finished component
-                        own[v] |= reach[w]
-                    elif order[w] < low[v]:  # still open: in v's component
-                        low[v] = order[w]
-                else:
-                    work.pop()
-                    if low[v] == order[v]:  # v's component is finished
-                        members = open_[slot[v]:]
-                        del open_[slot[v]:]
-                        for u in members:
-                            own[v] |= own[u]
-                        for u in members:
-                            reach[u] = own[v]
-                    if work:  # its caller joins what v reaches
-                        u = work[-1][0]
-                        own[u] |= own[v]
-                        low[u] = min(low[u], low[v])
-        return reach
-
     def visible_from(self, vertex: str) -> tuple[EdgeSpec, ...]:
         """Uncertain edges whose status shows to a walker at `vertex`.
 

@@ -56,21 +56,23 @@ solve: game 5 of the ctpdep battery prices 206 revealing steps from 75
 tables and resumes 22 sums.
 
 A patch is cached under a key that forgets what its walks cannot use
-(`_Solver.key`): the masks cut down to `CtpInstance.reach` of its start,
-the bits a walk from there can cross, see or sense, and to every bit of
-each joint component that holds one of those still unknown. That is
-exact. A walk from the start crosses, reveals and senses only bits of
-its reach, and `outcomes` conditions only on the components of what a
-step reveals, so a position's value in real units, and the least (value,
-rank, edge id) that picks its choice, depend on nothing the key drops.
-Only the key forgets: walks, `fresh_at`, `outcomes` and deeper strata
-keep the whole masks, so knowledge still grows down every recursion.
-Each entry keeps the M(K) it was solved at. A lookup from a stratum K'
-of another mass rescales the start's value by M(K')/M(K), exactly (a
-remainder raises `InternalCheckError`), and reads its budget B as
-floor(B·M(K)/M(K')). Where every vertex but t reaches every bit, as on
-every independent and sensing input the benchmark solves, the key is the
-whole masks. `beliefs_expanded` counts the positions of the patches
+(`_Solver.key`): the masks cut down to `_reach` of its start, the bits a
+walk from there can cross, see or sense, and to every bit of each joint
+component that holds one of those still unknown. That is exact. A walk
+from the start crosses, reveals and senses only bits of its reach, and
+`outcomes` conditions only on the components of what a step reveals, so
+a position's value in real units, and the least (value, rank, edge id)
+that picks its choice, depend on nothing the key drops. Only the key
+forgets: walks, `fresh_at`, `outcomes` and deeper strata keep the whole
+masks, so knowledge still grows down every recursion. Each entry keeps
+the M(K) it was solved at. A lookup from a stratum K' of another mass
+rescales the start's value by M(K')/M(K), exactly (a remainder raises
+`InternalCheckError`), and reads its budget B as floor(B·M(K)/M(K')).
+Where every vertex but t reaches every bit, as on every independent and
+sensing input the benchmark solves, the key is the whole masks. The
+reach, the move and sense tables, the unit and the free-space bound are
+built on the first solve of an instance and kept while it lives
+(`_static`). `beliefs_expanded` counts the positions of the patches
 solved, so a patch that strata share counts once, though the exported
 tree holds it once for each: game 5 expands 319 beliefs (18,548 with
 every patch keyed by every status) and exports a 7,727-node tree.
@@ -83,6 +85,7 @@ import math
 import re
 import sys
 import time
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -162,32 +165,8 @@ class _Solver(Policy):
         self.expanded = self.evaluated = self.steps = self.cut = 0
         self.repriced = 0
         self.regions = self.region_hits = self.shared_hits = 0
-        costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
-        costs += [fee for u in instance.vertices
-                  for fee in instance.senses_from(u).values()]
-        self.denominator = unit = math.lcm(
-            *(cost.fraction.denominator for cost in costs))
-        self.total_mass = math.prod(
-            math.lcm(*(p.denominator for _, p in comp.rows))
-            for comp in instance.joint.components)
-        self.bound = {v: _times(b, unit)
-                      for v, b in _free_space_bound(instance).items()}
-        bits = instance.bits
-        # each move (cost in 1/D) and the mask it exposes when nothing is known
-        self.moves = {u: [(_times(edge.cost.fraction, unit), edge.id, far,
-                           bits.get(edge.id, 0), instance.fresh_at(far, 0),
-                           Action.move(edge.id))
-                          for edge, far in instance.moves_from(u).values()]
-                      for u in instance.vertices}
-        self.senses = {u: [(_times(fee.fraction, unit), e, bits[e],
-                            Action.sense(e))
-                           for e, fee in instance.senses_from(u).items()]
-                       for u in instance.vertices}
-        every = (1 << len(bits)) - 1
-        # the positions whose walks cannot use every bit; t keeps whole
-        # keys, as no lookup starts there
-        self.keyed = {v: mask for v, mask in instance.reach.items()
-                      if mask != every and v != instance.t}
+        (self.denominator, self.total_mass, self.bound, self.moves,
+         self.senses, self.keyed) = _static(instance)
         self.hulls: dict[int, int] = {}  # unknown bits -> their components
         self._regions: dict[tuple[int, int, str], tuple] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
@@ -260,17 +239,14 @@ class _Solver(Policy):
         masks' M(K), found from them if not given. The patch is cached under
         the `key` of each of its positions, so a stratum that differs only
         in bits their walks cannot use reads it too."""
-        keyed = self.keyed  # with none, every key is the whole masks
-        cached = self._regions.get(
-            self.key(opened, blocked, start) if keyed
-            else (opened, blocked, start))
+        cached = self._regions.get(self.key(opened, blocked, start))
         if cached is not None:
             values, choices, solved, scale, stratum = cached
             if solved is None or start in values or (
                     budget if scale == mass or budget == math.inf
                     else budget * scale // mass) <= solved:
                 self.region_hits += 1
-                if keyed and stratum != (opened, blocked):
+                if stratum != (opened, blocked):
                     self.shared_hits += 1
                 return values, choices, scale
             budget = math.inf
@@ -357,13 +333,8 @@ class _Solver(Policy):
                         best[u] = key
         region = (values, choices, None if budget == math.inf else budget,
                   mass, (opened, blocked))
-        cache = self._regions
-        if keyed:
-            for v in patch:
-                cache[self.key(opened, blocked, v)] = region
-        else:
-            for v in patch:
-                cache[opened, blocked, v] = region
+        for v in patch:
+            self._regions[self.key(opened, blocked, v)] = region
         self.regions += 1
         self.steps += len(reveals)
         self.expanded += len(patch)
@@ -371,6 +342,106 @@ class _Solver(Policy):
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
         return values, choices, mass
+
+
+# `_static` of each instance solved, dropped with the instance
+_STATICS: dict[int, tuple] = {}
+
+
+def _static(instance: CtpInstance) -> tuple:
+    """What a solve reads of `instance` that no knowledge changes: the cost
+    unit D, the total mass Z, the free-space bound in 1/D, each position's
+    moves and senses, and the positions whose walks cannot use every bit,
+    mapped to the bits they can (`_reach`). Built on the first solve of an
+    instance and kept while it lives, so a solve of it again skips this."""
+    static = _STATICS.get(id(instance))
+    if static is not None:
+        return static
+    costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
+    costs += [fee for u in instance.vertices
+              for fee in instance.senses_from(u).values()]
+    unit = math.lcm(*(cost.fraction.denominator for cost in costs))
+    total_mass = math.prod(
+        math.lcm(*(p.denominator for _, p in comp.rows))
+        for comp in instance.joint.components)
+    bound = {v: _times(b, unit)
+             for v, b in _free_space_bound(instance).items()}
+    bits = instance.bits
+    # each move (cost in 1/D) and the mask it exposes when nothing is known
+    moves = {u: [(_times(edge.cost.fraction, unit), edge.id, far,
+                  bits.get(edge.id, 0), instance.fresh_at(far, 0),
+                  Action.move(edge.id))
+                 for edge, far in instance.moves_from(u).values()]
+             for u in instance.vertices}
+    senses = {u: [(_times(fee.fraction, unit), e, bits[e], Action.sense(e))
+                  for e, fee in instance.senses_from(u).items()]
+              for u in instance.vertices}
+    every = (1 << len(bits)) - 1
+    # t keeps whole keys, as no lookup starts there
+    keyed = {v: mask for v, mask in _reach(instance).items()
+             if mask != every and v != instance.t}
+    static = _STATICS[id(instance)] = (
+        unit, total_mass, bound, moves, senses, keyed)
+    weakref.finalize(instance, _STATICS.pop, id(instance), None)
+    return static
+
+
+def _reach(instance: CtpInstance) -> dict[str, int]:
+    """The uncertain bits a walk from each vertex can see or sense.
+
+    `reach[v]` joins what arriving at, or sensing from, each vertex a walk
+    from `v` reaches would reveal, every finite edge taken as crossable
+    and t as a sink, where a walk ends and sees nothing. One pass over the
+    strongly connected components (Tarjan, SIAM J. Comput. 1972) finds it
+    in O(V + E): each component, finished after every one it leads to,
+    joins their bits to its own.
+    """
+    bits, t = instance.bits, instance.t
+    own = {v: 0 if v == t else instance.fresh_at(v, 0) | sum(
+               bits[e] for e in instance.senses_from(v))
+           for v in instance.vertices}
+    reach: dict[str, int] = {}
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    slot: dict[str, int] = {}
+    open_: list[str] = []  # visited, its component not yet finished
+    work: list[tuple] = []  # the walk's path: vertex, its moves not tried
+
+    def visit(v: str) -> None:
+        order[v] = low[v] = len(order)
+        slot[v] = len(open_)
+        open_.append(v)
+        work.append((v, iter(
+            () if v == t else instance.moves_from(v).values())))
+
+    for root in instance.vertices:
+        if root in order:
+            continue
+        visit(root)
+        while work:
+            v, rest = work[-1]
+            for _, w in rest:
+                if w not in order:
+                    visit(w)
+                    break
+                if w in reach:  # a finished component
+                    own[v] |= reach[w]
+                elif order[w] < low[v]:  # still open: in v's component
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:  # v's component is finished
+                    members = open_[slot[v]:]
+                    del open_[slot[v]:]
+                    for u in members:
+                        own[v] |= own[u]
+                    for u in members:
+                        reach[u] = own[v]
+                if work:  # its caller joins what v reaches
+                    u = work[-1][0]
+                    own[u] |= own[v]
+                    low[u] = min(low[u], low[v])
+    return reach
 
 
 def _times(value: Fraction | int, scale: int) -> int:

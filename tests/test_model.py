@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import ctplab.model as model_module
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
@@ -43,7 +43,6 @@ from ctplab.model import (
 from ctplab.reductions import (
     named_vc, qbf_to_ctp, qbf_to_ctpdep, vc_to_sensing)
 from ctplab.solve import QbfFormula
-from test_oracle import random_instance
 from test_sampling import bernoulli
 
 HALF = Fraction(1, 2)
@@ -389,35 +388,6 @@ class TestObservation:
         assert list(inst.moves_from("t")) == ["st"]
         assert list(inst.moves_from("m")) == ["ms", "back"]
 
-    def test_reach_ends_at_t(self):
-        b = InstanceBuilder(Variant.INDEPENDENT)
-        b.set_endpoints("s", "t")
-        b.add_edge("s", "t", 1, id="st")
-        b.add_edge("m", "s", 0, id="back", directed=True, block_p=HALF)
-        b.add_edge("t", "u", 1, id="tu")
-        b.add_edge("u", "v", 1, id="far", block_p=HALF)
-        inst = b.build()
-        back, far = inst.bits["back"], inst.bits["far"]
-        # s sees the edge into it, and m the edge it leaves by; a walk
-        # ends at t, so none from u gets past it to s
-        assert inst.reach == {"s": back, "t": 0, "m": back, "u": far,
-                              "v": far}
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**64 - 1), st.sampled_from(list(Variant)))
-    def test_reach_matches_a_search_from_each_vertex(self, seed, variant):
-        inst = random_instance(random.Random(seed), variant)
-        assert inst.reach == reach_by_search(inst)
-
-    @pytest.mark.parametrize("k", [0, 5])
-    def test_reach_of_battery_games(self, k):
-        inst = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
-        assert inst.reach == reach_by_search(inst)
-        # some walks can no longer use every status
-        every = (1 << len(inst.bits)) - 1
-        assert any(mask != every for v, mask in inst.reach.items()
-                   if v != inst.t)
-
     def test_anchors_are_not_moves(self):
         inst, _ = vc_to_sensing(named_vc("p3", 1), HALF)
         assert inst.edge_map["anchor.a"].cost.is_infinite
@@ -434,25 +404,6 @@ class TestObservation:
         assert belief.status("b") is False
         assert belief.status("c") is None
         assert belief.status("sure") is None
-
-
-def reach_by_search(instance: CtpInstance) -> dict[str, int]:
-    """`CtpInstance.reach` by a search from each vertex on its own."""
-    bits, found = instance.bits, {}
-    for v in instance.vertices:
-        seen, queue, mask = {v}, [v], 0
-        while queue:
-            u = queue.pop()
-            if u == instance.t:
-                continue
-            mask |= instance.fresh_at(u, 0) | sum(
-                bits[e] for e in instance.senses_from(u))
-            for _, w in instance.moves_from(u).values():
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        found[v] = mask
-    return found
 
 
 def xor_net_instance() -> CtpInstance:

@@ -248,7 +248,10 @@ def random_instance(rng: random.Random, variant: Variant):
     if variant is Variant.SENSING:
         for e in uncertain:
             # s twice as likely: a sense before the first move pays most
-            for v in {rng.choice(("s", *names)) for _ in range(2)}:
+            # in draw order, so one seed builds one instance in every
+            # process, whatever the hash seed
+            for v in dict.fromkeys(rng.choice(("s", *names))
+                                   for _ in range(2)):
                 b.add_sensing(v, e, rng.choice(FEES))
     return b.build()
 

@@ -206,7 +206,8 @@ def assert_matches_zero_bound(instance):
     bounded = solve(instance)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(S, "_free_space_bound", zero_bound)
-        eager = solve(instance)
+        # a copy, so the solve builds its tables again
+        eager = solve(dataclasses.replace(instance))
     assert bounded.optimal_cost == eager.optimal_cost
     assert bounded.optimal_first_action == eager.optimal_first_action
     assert bounded.policy.to_json() == eager.policy.to_json()
@@ -703,10 +704,10 @@ class TestFrozenSolves:
         assert len(result.policy.nodes) <= P.BELIEF_CAP + 1
 
 
-# `CtpInstance.reach` as if each vertex reached every bit: every patch is
-# then keyed by every revealed status
-EVERY_BIT = property(lambda inst: dict.fromkeys(
-    inst.vertices, (1 << len(inst.bits)) - 1))
+def every_bit(instance):
+    """`S._reach` as if each vertex reached every bit: every patch is then
+    keyed by every revealed status."""
+    return dict.fromkeys(instance.vertices, (1 << len(instance.bits)) - 1)
 
 
 def assert_matches_whole_keys(instance, keyed=None):
@@ -715,13 +716,73 @@ def assert_matches_whole_keys(instance, keyed=None):
     the instance's `solve`, and of its solve with whole keys."""
     keyed = keyed or solve(instance)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(M.CtpInstance, "reach", EVERY_BIT)
-        whole = solve(instance)
+        patch.setattr(S, "_reach", every_bit)
+        # a copy, so the solve builds its tables again
+        whole = solve(dataclasses.replace(instance))
     assert keyed.optimal_cost == whole.optimal_cost
     assert keyed.optimal_first_action == whole.optimal_first_action
     assert keyed.policy.to_json() == whole.policy.to_json()
     assert whole.stats.shared_hits == 0
     return keyed.stats, whole.stats
+
+
+def reach_by_search(instance):
+    """`S._reach` by a search from each vertex on its own."""
+    bits, found = instance.bits, {}
+    for v in instance.vertices:
+        seen, queue, mask = {v}, [v], 0
+        while queue:
+            u = queue.pop()
+            if u == instance.t:
+                continue
+            mask |= instance.fresh_at(u, 0) | sum(
+                bits[e] for e in instance.senses_from(u))
+            for _, w in instance.moves_from(u).values():
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        found[v] = mask
+    return found
+
+
+class TestReach:
+    def test_reach_ends_at_t(self):
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="st")
+        b.add_edge("m", "s", 0, id="back", directed=True, block_p=Fraction(1, 2))
+        b.add_edge("t", "u", 1, id="tu")
+        b.add_edge("u", "v", 1, id="far", block_p=Fraction(1, 2))
+        inst = b.build()
+        back, far = inst.bits["back"], inst.bits["far"]
+        # s sees the edge into it, and m the edge it leaves by; a walk
+        # ends at t, so none from u gets past it to s
+        assert S._reach(inst) == {"s": back, "t": 0, "m": back, "u": far,
+                                  "v": far}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(list(Variant)))
+    def test_reach_matches_a_search_from_each_vertex(self, seed, variant):
+        inst = random_instance(random.Random(seed), variant)
+        assert S._reach(inst) == reach_by_search(inst)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_reach_of_battery_games(self, k):
+        inst = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+        assert S._reach(inst) == reach_by_search(inst)
+        # some walks can no longer use every status
+        assert S._Solver(inst, 200_000).keyed
+
+    def test_tables_are_built_once_per_instance(self):
+        inst = qbf_to_ctpdep(GAME_BATTERY[0][0])[0]
+        first = S._Solver(inst, 200_000)
+        assert S._Solver(inst, 200_000).moves is first.moves
+        # an equal copy is another instance, with tables of its own
+        copy = dataclasses.replace(inst)
+        assert S._Solver(copy, 200_000).moves is not first.moves
+        key = id(copy)
+        del copy
+        assert key not in S._STATICS
 
 
 class TestReachKeys:
@@ -763,9 +824,10 @@ class TestReachKeys:
         # these games read finite values across strata of other masses
         assert any(value > 0 for value in rescaled)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(M.CtpInstance, "reach", EVERY_BIT)
+            patch.setattr(S, "_reach", every_bit)
+            whole = dataclasses.replace(instance)
             for args, got in priced:
-                assert branch_value(S._Solver(instance, 200_000),
+                assert branch_value(S._Solver(whole, 200_000),
                                     *args) == got
 
     def test_a_budget_is_read_at_the_entry_scale(self):
