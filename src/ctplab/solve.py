@@ -353,7 +353,8 @@ def _static(instance: CtpInstance) -> tuple:
     unit D, the total mass Z, the free-space bound in 1/D, each position's
     moves and senses, and the positions whose walks cannot use every bit,
     mapped to the bits they can (`_reach`). Built on the first solve of an
-    instance and kept while it lives, so a solve of it again skips this."""
+    instance and kept while it lives, so a solve of it again skips this;
+    every solve of the instance reads the same tables and none writes them."""
     static = _STATICS.get(id(instance))
     if static is not None:
         return static
