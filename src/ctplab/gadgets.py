@@ -105,29 +105,6 @@ def early_exit_expectation(length: Fraction | int) -> Fraction:
         - Fraction(1, 1 << n) * span
 
 
-def decomposed_cost(early_exit: Fraction, passing: Fraction,
-                    walk: Fraction, charge: Fraction | int) -> Fraction:
-    """Reassemble a reference policy cost from its outcome split."""
-    return early_exit + passing * (walk + as_fraction(charge))
-
-
-def chain_early_exit_expectation(passing: Fraction, walk: Fraction,
-                                 early_exit: Fraction, copies: int) -> Fraction:
-    """Early-exit mass of `copies` gadgets in series.
-
-    Stopping inside copy i + 1 means paying i full walks first, and only the
-    1 - passing share of that mass stops there; the fold keeps the split
-    identity true for the whole chain with any terminal charge.
-    """
-    if copies < 1:
-        raise InvalidInstanceError("need at least one copy")
-    acc = early_exit
-    for k in range(2, copies + 1):
-        acc = early_exit + passing * (
-            (1 - passing ** (k - 1)) * walk + acc)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # closed forms for one observation gadget
 
@@ -340,8 +317,6 @@ __all__ = [
     "build_baiting",
     "build_observation",
     "ceil_log2",
-    "chain_early_exit_expectation",
-    "decomposed_cost",
     "detour_price",
     "early_exit_expectation",
     "forward_policy_cost",

@@ -264,12 +264,6 @@ def trial_counters(seed: int, trials) -> Iterator[int]:
     return (_mix64(base + _STREAM_SALT * trial) for trial in trials)
 
 
-def trial_stream(seed: int, trial: int) -> SplitMix64:
-    """The stream of trial `trial` under `seed`."""
-    (counter,) = trial_counters(seed, (trial,))
-    return SplitMix64(counter)
-
-
 # ---------------------------------------------------------------------------
 # structure
 
@@ -1048,30 +1042,6 @@ def _sections(instance: CtpInstance, text: Callable[[Fraction | None], str]
     return data
 
 
-def instance_to_dict(instance: CtpInstance) -> dict:
-    """The JSON document of `instance` as plain values: what
-    `instance_to_json` writes, and the oracle its tests compare it with."""
-    text = _rational_texts()
-    return {
-        "variant": instance.variant.value,
-        "s": instance.s,
-        "t": instance.t,
-        "vertices": list(instance.vertices),
-        "edges": [
-            {
-                "id": e.id,
-                "tail": e.tail,
-                "head": e.head,
-                "directed": e.directed,
-                "cost": text(e.cost._value)[1:-1],
-                "block_p": text(e.block_p)[1:-1],
-            }
-            for e in instance.edges
-        ],
-        **_sections(instance, text),
-    }
-
-
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
                int: "an integer", bool: "true or false"}
 
@@ -1188,7 +1158,7 @@ def instance_from_dict(data: dict) -> CtpInstance:
     return instance
 
 
-# one edge of the document, its keys in `instance_to_dict`'s order; its
+# one edge of the document, keys id, tail, head, directed, cost, block_p; its
 # last two slots take `_rational_texts` strings, already quoted
 _JSON_EDGE = ('{\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n'
               '      "directed": %s,\n      "cost": %s,\n      "block_p": %s'
@@ -1201,7 +1171,7 @@ def _json_list(items: list[str]) -> str:
 
 
 def instance_to_json(instance: CtpInstance) -> str:
-    """`json.dumps(instance_to_dict(instance), indent=2)` and a newline.
+    """`json.dumps` of the instance's document, `indent=2`, and a newline.
 
     `indent` turns off the C encoder, so the vertex and edge lists, nearly
     all of a large instance, are written here instead, byte for byte the
@@ -1272,7 +1242,6 @@ __all__ = [
     "format_rational",
     "instance_from_dict",
     "instance_from_json",
-    "instance_to_dict",
     "instance_to_json",
     "load_instance",
     "load_json",
@@ -1284,7 +1253,6 @@ __all__ = [
     "sample_weather",
     "save_instance",
     "trial_counters",
-    "trial_stream",
     "validate_instance",
     "weather_support",
 ]

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .gadgets import BaitingHandle, ObservationHandle
 from .model import (
@@ -179,11 +179,11 @@ class Policy:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One recorded action and the nodes it leads to, each child keyed by
     the `(opened, blocked)` masks its outcome reveals (`(0, 0)` after a
-    step that reveals nothing)."""
+    step that reveals nothing). A tuple, so an exported tree allocates one
+    object per node."""
 
     action: Action | None
     children: tuple[tuple[tuple[int, int], tuple[str, int, int]], ...] = ()
@@ -330,14 +330,17 @@ class EvalResult:
                       p, cost) for event, p, cost in self.rows)
 
 
-def _summed(instance: CtpInstance, rows: list) -> EvalResult:
-    """The expected cost of breakdown rows whose chances must sum to one."""
-    if sum((p for _, p, _ in rows), Fraction(0)) != 1:
+def _summed(instance: CtpInstance, rows: list, weights: list,
+            mass: Fraction | int) -> EvalResult:
+    """The expected cost of breakdown rows, each row's chance its weight
+    over `mass`; the weights must sum to `mass`."""
+    if sum(weights) != mass:
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite row is not multiplied out: below the smallest float, a
     # chance times math.inf is nan
     expected = (math.inf if any(c.is_infinite for _, _, c in rows) else
-                sum(p * c.plain for _, p, c in rows if c.plain))
+                Fraction(sum(w * c.plain for w, (_, _, c) in zip(weights, rows)
+                             if c.plain), mass))
     return EvalResult(Cost.of(expected), tuple(rows), instance)
 
 
@@ -397,15 +400,21 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
 
 def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
           belief: Belief, total: Fraction | int,
+          steps: list[tuple[tuple[str, int, int], Action | None]] | None,
           ) -> tuple[Fraction | int | float, Belief, int | None]:
     """Walk from `belief`, `total` spent, by a policy's `decide` to the
     next reveal, halt or action of None: the total then (`math.inf` after
     None), the belief on arrival and the mask revealed (None once the walk
-    is over). The one stepping loop of `walk_weather`, `simulate` and
-    `_trace`; past `_step_cap` steps it raises."""
+    is over). With `steps`, each step taken is appended to it as the
+    belief's `(position, opened, blocked)` and the action decided there.
+    The one stepping loop of `walk_weather`, `simulate` and `_trace`; past
+    `_step_cap` steps it raises."""
     cap = _step_cap(instance)
     for _ in range(cap):
         action = decide(instance, belief)
+        if steps is not None:
+            steps.append(((belief.position, belief.opened, belief.blocked),
+                          action))
         if action is None:
             return math.inf, belief, None
         price, pos, revealed = _step(instance, belief, action)
@@ -434,8 +443,33 @@ def walk_weather(instance: CtpInstance, policy: Policy,
     while fresh is not None:
         total, belief, fresh = _walk(
             instance, policy.decide,
-            _reveal(belief, fresh, fresh & weather.blocked), total)
+            _reveal(belief, fresh, fresh & weather.blocked), total, None)
     return Cost.infinite() if total == math.inf else Cost.of(total)
+
+
+def _write(instance: CtpInstance,
+           record: dict[tuple[str, int, int], TreeNode],
+           steps: list[tuple[tuple[str, int, int], Action | None]],
+           children: tuple) -> None:
+    """Write one walk's `steps` into `record`: each step leads to the next,
+    revealing nothing, and the last to `children`."""
+    last = len(steps) - 1
+    for i, (key, action) in enumerate(steps):
+        node = TreeNode(action, children if i == last else
+                        ((_NO_REVEAL, steps[i + 1][0]),))
+        # a belief met again with the same action led to the same place
+        seen = record.setdefault(key, node)
+        if seen is not node and seen.action != action:
+            raise InvalidInstanceError(
+                "policy is not a function of the belief at "
+                f"{key[0]}|{_text(instance, key[1], key[2], _KEY_WORDS)}")
+    # a solve's tree can pass its belief count: strata that share a patch
+    # expand it once but are each exported, so a search within the belief
+    # cap can still trip this
+    if len(record) > BELIEF_CAP + 1:
+        raise EnumerationCapError(
+            f"the decision tree exceeds the cap of {BELIEF_CAP} nodes past "
+            "its root")
 
 
 def _trace(instance: CtpInstance, policy: Policy,
@@ -451,89 +485,79 @@ def _trace(instance: CtpInstance, policy: Policy,
     dependent instances too. Every leaf adds one breakdown row, and the
     expected cost is the probability-weighted sum of those rows.
 
+    Chances are ints. An entry carries the weight M = Z·P of the outcomes
+    that led to it, P their chance and Z the product, over the components
+    of `instance.joint`, of the lcm of their chances' denominators, so M
+    is whole. Z is taken from the model here, apart from the solver's
+    tables. An outcome multiplies M by its chance in one `divmod`, and a
+    remainder raises `InternalCheckError`; the leaves' weights must sum to
+    Z, and a leaf's row takes the chance `Fraction(M, Z)`.
+
     Each piece of work is done once per walk, and none of it is text. The
     branch tables come from `CtpInstance.outcomes`, kept only until the
-    walk ends. With `record`, `_walk` steps with a `decide` that notes
-    each step once the next decision shows where it led, under the
-    belief's masks. The walk then fills `record` with the tree and raises
-    `EnumerationCapError` once it holds more than `BELIEF_CAP` nodes past
-    its root.
+    walk ends. With `record`, `_walk` lists the steps it takes, and once it
+    returns `_write` puts them into `record` under the beliefs' masks, one
+    node per step. It raises if a belief is recorded again with another
+    action, or once the tree holds more than `BELIEF_CAP` nodes past its
+    root.
     """
+    mass = math.prod(math.lcm(*(p.denominator for _, p in comp.rows))
+                     for comp in instance.joint.components)
     tables: dict = {}
+    steps: list | None = None if record is None else []
     rows: list[tuple[tuple[tuple[int, int], ...], Fraction, Cost]] = []
-
-    def note(children: tuple = ()) -> None:
-        """Record the step taken last, which led to `children`."""
-        if record is None:
-            return
-        seen = record.get(key)
-        if seen is not None and seen.action != action:
-            raise InvalidInstanceError(
-                "policy is not a function of the belief at "
-                f"{key[0]}|{_text(instance, key[1], key[2], _KEY_WORDS)}")
-        record[key] = TreeNode(action, children)
-        # a solve's tree can pass its belief count: strata that share a
-        # patch expand it once but are each exported, so a search within
-        # the belief cap can still trip this
-        if len(record) > BELIEF_CAP + 1:
-            raise EnumerationCapError(
-                f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
-                "past its root")
-
-    def noting(instance: CtpInstance, belief: Belief) -> Action | None:
-        """`policy.decide`, noting the step before once it shows where
-        that step led."""
-        nonlocal key, action
-        here = (belief.position, belief.opened, belief.blocked)
-        if key is not None:  # the step before led here, revealing none
-            note(((_NO_REVEAL, here),))
-        key, action = here, policy.decide(instance, belief)
-        return action
-
-    def branch(belief: Belief, fresh: int,
-               ) -> list[tuple[tuple[int, int], Fraction, Belief]]:
-        """Reveal mask `fresh` on arrival at `belief`; note and return the
-        outcomes."""
-        pos, opened, blocked = belief.position, belief.opened, belief.blocked
-        children = [((opened_by, blocked_by), prob,
-                     Belief(pos, opened | opened_by, blocked | blocked_by,
-                            instance))
-                    for opened_by, blocked_by, prob in instance.outcomes(
-                        tables, fresh, opened, blocked)]
-        if record is not None:
-            note(tuple((masks, (pos, child.opened, child.blocked))
-                       for masks, _, child in children))
-        return children
-
-    # pending entries: belief, the outcomes that led to it, probability,
-    # cost so far
-    stack: list[tuple[Belief, tuple[tuple[int, int], ...], Fraction,
+    weights: list[int] = []
+    # pending entries: belief, the outcomes that led to it, weight, cost
+    # so far
+    stack: list[tuple[Belief, tuple[tuple[int, int], ...], int,
                       Fraction | int]] = []
 
-    def push(children, event, prob, spent) -> None:
+    def branch(belief: Belief, fresh: int, event: tuple, weight: int,
+               spent: Fraction | int) -> tuple:
+        """Push the outcomes of revealing mask `fresh` on arrival at
+        `belief`; return them as the children of the step that led
+        there."""
+        pos, opened, blocked = belief.position, belief.opened, belief.blocked
+        pushed = []
+        for opened_by, blocked_by, p in instance.outcomes(
+                tables, fresh, opened, blocked):
+            share, rest = divmod(weight * p.numerator, p.denominator)
+            if rest:
+                raise InternalCheckError(
+                    f"an outcome of mask {fresh:#x} has chance {p}, whose "
+                    f"denominator does not divide the mass {mass}")
+            pushed.append((Belief(pos, opened | opened_by,
+                                  blocked | blocked_by, instance),
+                           event + ((opened_by, blocked_by),), share, spent))
         # reversed, so that outcomes pop in the order the model lists them
-        for masks, p, child in reversed(children):
-            stack.append((child, event + (masks,), prob * p, spent))
+        stack.extend(reversed(pushed))
+        return () if record is None else tuple(
+            (child[1][-1], (pos, child[0].opened, child[0].blocked))
+            for child in pushed)
 
-    decide = policy.decide if record is None else noting
     start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
-    key, action = (instance.s, 0, 0), None  # of the step taken last
-    if fresh:
-        push(branch(start, fresh), (), Fraction(1), 0)
+    if fresh:  # the root records no action, only what s shows
+        children = branch(start, fresh, (), mass, 0)
+        if record is not None:
+            record[instance.s, 0, 0] = TreeNode(None, children)
     else:
-        stack.append((start, (), Fraction(1), 0))
+        stack.append((start, (), mass, 0))
     while stack:
-        belief, event, prob, spent = stack.pop()
-        key = None
-        spent, belief, fresh = _walk(instance, decide, belief, spent)
+        belief, event, weight, spent = stack.pop()
+        spent, belief, fresh = _walk(instance, policy.decide, belief, spent,
+                                     steps)
         if fresh is not None:
-            push(branch(belief, fresh), event, prob, spent)
-            continue
-        note()
-        rows.append((event, prob, Cost.of(spent)))
+            children = branch(belief, fresh, event, weight, spent)
+        else:
+            children = ()
+            rows.append((event, Fraction(weight, mass), Cost.of(spent)))
+            weights.append(weight)
+        if steps:
+            _write(instance, record, steps, children)
+            steps.clear()
 
-    return _summed(instance, rows)
+    return _summed(instance, rows, weights, mass)
 
 
 def evaluate_exact(instance: CtpInstance, policy: Policy,
@@ -552,10 +576,10 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     if mode != "weathers":
         raise ValueError(f"unknown evaluation mode {mode!r}")
     every = (1 << len(instance.uncertain_edges)) - 1
-    return _summed(instance, [
-        (((every ^ weather.blocked, weather.blocked),), prob,
-         walk_weather(instance, policy, weather))
-        for weather, prob in weather_support(instance)])
+    rows = [(((every ^ weather.blocked, weather.blocked),), prob,
+             walk_weather(instance, policy, weather))
+            for weather, prob in weather_support(instance)]
+    return _summed(instance, rows, [p for _, p, _ in rows], 1)
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,
@@ -574,9 +598,10 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     """Average realized cost over seeded weather draws.
 
     Deterministic given (seed, trials): trial i's weather is that of
-    `sample_weather` on trial_stream(seed, i), however calls are
-    scheduled. A walk's cost depends only on the statuses it reveals, so
-    the trials of one call share a prefix tree of trajectories. A node is
+    `sample_weather` on the stream of trial i's counter
+    (`trial_counters`), however calls are scheduled. A walk's cost
+    depends only on the statuses it reveals, so the trials of one call
+    share a prefix tree of trajectories. A node is
     a reveal point (the belief on arrival, the mask `fresh` shown there,
     the cost so far), its children are keyed by the blocked bits of
     `fresh`, and a leaf is a realized cost. On a dyadic table a trial
@@ -612,7 +637,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
             if child is None:
                 total, belief, fresh = _walk(
                     instance, policy.decide, _reveal(belief, fresh, blocked),
-                    total)
+                    total, None)
                 child = (float(total) if fresh is None else
                          node(belief, fresh, total))
                 if stored < _TRAJECTORY_MEMO_CAP:

@@ -25,7 +25,6 @@ from ctplab.cli import (
     render_rational,
 )
 from ctplab.gadgets import (
-    decomposed_cost,
     observation_early_exit_expectation,
     observation_pass_cost,
     observation_pass_probability,
@@ -52,6 +51,8 @@ from ctplab.reductions import (
     vc_to_sensing,
 )
 from ctplab.solve import SolveStats, parse_qdimacs, qbf_eval, solve
+
+from oracles import decomposed_cost
 from test_model import coin_star, copy_chain_instance
 
 F = Fraction
@@ -177,12 +178,16 @@ class TestCommands:
         assert {"beliefs_expanded", "boundary_evaluated",
                 "boundary_skipped", "boundary_cut", "boundary_repriced",
                 "branch_tables", "regions", "region_hits"} <= set(data)
-        stats = solve(load_instance(out)).stats
+        result = solve(load_instance(out))
+        stats = result.stats
         assert (data["boundary_cut"], data["boundary_repriced"],
                 data["branch_tables"], data["regions"],
-                data["region_hits"], data["shared_hits"]) == (
+                data["region_hits"], data["shared_hits"],
+                data["tree_nodes"]) == (
             stats.boundary_cut, stats.boundary_repriced, stats.branch_tables,
-            stats.regions, stats.region_hits, stats.shared_hits)
+            stats.regions, stats.region_hits, stats.shared_hits,
+            stats.tree_nodes)
+        assert stats.tree_nodes == len(result.policy.nodes) > 1
         # the walk forgets the coins it passed, so strata share patches
         assert 0 < stats.shared_hits <= stats.region_hits
         assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
@@ -197,7 +202,8 @@ class TestCommands:
         assert (f"branch tables: {data['branch_tables']}, "
                 f"regions: {data['regions']}, "
                 f"region hits: {data['region_hits']}\n"
-                f"shared hits: {data['shared_hits']}\n") in text
+                f"shared hits: {data['shared_hits']}\n"
+                f"tree nodes: {data['tree_nodes']}\n") in text
 
     def test_solve_reports_phase_times(self, game_file, tmp_path, capsys):
         out = tmp_path / "dep.json"

@@ -11,8 +11,6 @@ from ctplab.gadgets import (
     build_baiting,
     build_observation,
     ceil_log2,
-    chain_early_exit_expectation,
-    decomposed_cost,
     detour_price,
     early_exit_expectation,
     forward_policy_cost,
@@ -27,6 +25,8 @@ from ctplab.gadgets import (
 )
 from ctplab.model import (Cost, InstanceBuilder, InvalidInstanceError,
                           Variant, validate_instance)
+
+from oracles import chain_early_exit_expectation, decomposed_cost
 
 F = Fraction
 

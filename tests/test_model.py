@@ -31,18 +31,18 @@ from ctplab.model import (
     as_fraction,
     format_rational,
     instance_from_json,
-    instance_to_dict,
     instance_to_json,
     parse_cost,
     parse_rational,
     sample_weather,
-    trial_stream,
     validate_instance,
     weather_support,
 )
 from ctplab.reductions import (
     named_vc, qbf_to_ctp, qbf_to_ctpdep, vc_to_sensing)
 from ctplab.solve import QbfFormula
+
+from oracles import instance_to_dict, trial_stream
 from test_sampling import bernoulli
 
 HALF = Fraction(1, 2)

@@ -103,8 +103,8 @@ def test_two_edge_building_paths():
 
 def test_writer_builds_no_document_dict():
     # `instance_to_json` writes each edge once, straight from its EdgeSpec;
-    # `instance_to_dict` is the oracle its tests compare it with, so no
-    # code of the package calls it
+    # `instance_to_dict`, the document as a dict, is the oracle its tests
+    # compare it with, and lives with them in tests/oracles.py
     callers = [f"{path.name}:{scope}"
                for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
                for scope in _scopes_calling(ast.parse(path.read_text()),
@@ -213,13 +213,6 @@ def _references(tree: ast.Module, names: set[str], members: set[str]):
 # Names no code of the package calls, kept because a test compares the
 # code that does the work against them: the name, then that test.
 TEST_ORACLES = {
-    "instance_to_dict": "test_model.py::test_json_writer_matches_json_dumps",
-    "trial_stream":
-        "test_sampling.py::TestWeatherMemo::test_matches_the_per_trial_oracle",
-    "decomposed_cost":
-        "test_gadgets.py::TestClosedForms::test_split_reassembles_forward_cost",
-    "chain_early_exit_expectation": "test_gadgets.py::TestClosedForms"
-                                    "::test_chain_split_matches_nested_forward",
     "observation_early_exit_expectation":
         "test_policy.py::TestObservationPolicy::test_two_derivations_agree",
     "assignment_walk_policy": "test_reductions.py::TestDependentGame"

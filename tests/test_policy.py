@@ -19,7 +19,6 @@ import ctplab.policy as policy_module
 from ctplab.gadgets import (
     baiting_harness,
     bailout_policy_cost,
-    decomposed_cost,
     forward_policy_cost,
     observation_early_exit_expectation,
     observation_harness,
@@ -28,9 +27,10 @@ from ctplab.gadgets import (
     pass_cost,
     pass_probability,
 )
-from ctplab.model import (Belief, Cost, EnumerationCapError,
-                          InstanceBuilder, InvalidInstanceError, Variant,
-                          Weather)
+from ctplab.cli import GAME_BATTERY
+from ctplab.model import (Belief, Cost, CtpInstance, EnumerationCapError,
+                          InstanceBuilder, InternalCheckError,
+                          InvalidInstanceError, Variant, Weather)
 from ctplab.policy import (
     Action,
     ActionKind,
@@ -43,8 +43,10 @@ from ctplab.policy import (
     simulate,
     walk_weather,
 )
-from ctplab.reductions import named_vc, vc_to_sensing
+from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
 from ctplab.solve import solve
+
+from oracles import decomposed_cost
 from test_sampling import oracle_simulate
 
 
@@ -342,6 +344,82 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="mode"):
                 evaluate_exact(sure_edge_instance(),
                                RulePolicy(lambda i, b: None), mode=mode)
+
+
+def event_chance(instance, event):
+    """The chance of `event` as the product, in Fractions, of each
+    outcome's chance from `JointModel.branch` given the ones before it."""
+    opened = blocked = 0
+    chance = Fraction(1)
+    for opened_by, blocked_by in event:
+        rows = instance.joint.branch(opened, blocked, opened_by | blocked_by)
+        chance *= next(p for o, b, p in rows if (o, b) == (opened_by,
+                                                           blocked_by))
+        opened, blocked = opened | opened_by, blocked | blocked_by
+    return chance
+
+
+def forward_baiting():
+    instance, handle = baiting_harness(2)
+    return instance, reference_policy("baiting_pi", handle=handle,
+                                      terminal=handle.exit_shortcut)
+
+
+# the tree walk prices a policy, and records it as a tree, on one path
+both_walks = pytest.mark.parametrize(
+    "walk", [evaluate_exact, export_decision_tree], ids=["evaluate", "export"])
+
+
+class TestIntegerChances:
+    """The tree walk carries each chance as an int over the model's total
+    mass; a Fraction product of the model's chances checks it."""
+
+    @pytest.mark.parametrize("case", [f"game{k}" for k in range(8)]
+                             + ["baiting(2)", "vc(p3)"])
+    def test_rows_match_the_fraction_product(self, case,
+                                             solve_battery_game):
+        if case.startswith("game"):
+            k = int(case[4:])
+            instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
+            policy = solve_battery_game(k).policy
+        elif case == "baiting(2)":
+            instance = baiting_harness(2)[0]
+            policy = solve(instance).policy
+        else:
+            instance = vc_to_sensing(named_vc("p3", 1), Fraction(1, 2))[0]
+            policy = solve(instance).policy
+        rows = evaluate_exact(instance, policy).rows
+        assert [p for _, p, _ in rows] == [
+            event_chance(instance, event) for event, _, _ in rows]
+        assert sum(p for _, p, _ in rows) == 1
+
+    @both_walks
+    def test_a_missing_outcome_is_caught(self, walk, monkeypatch):
+        outcomes = CtpInstance.outcomes
+
+        def short(self, *args):
+            rows = outcomes(self, *args)
+            return rows[:-1] if len(rows) > 1 else rows
+
+        monkeypatch.setattr(CtpInstance, "outcomes", short)
+        with pytest.raises(InternalCheckError,
+                           match="outcome probabilities do not sum to one"):
+            walk(*forward_baiting())
+
+    @both_walks
+    def test_a_chance_outside_the_mass_is_caught(self, walk, monkeypatch):
+        # the harness's chances are dyadic, so its total mass is a power of
+        # two, and a third of a chance leaves a remainder
+        outcomes = CtpInstance.outcomes
+
+        def thirds(self, *args):
+            (opened, blocked, p), *rest = outcomes(self, *args)
+            return [(opened, blocked, p / 3), *rest]
+
+        monkeypatch.setattr(CtpInstance, "outcomes", thirds)
+        with pytest.raises(InternalCheckError,
+                           match="whose denominator does not divide"):
+            walk(*forward_baiting())
 
 
 class TestBaitingPolicies:

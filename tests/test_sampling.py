@@ -27,7 +27,6 @@ from ctplab.model import (
     Variant,
     reveal_rule,
     sample_weather,
-    trial_stream,
 )
 from ctplab.policy import (
     Action,
@@ -38,6 +37,8 @@ from ctplab.policy import (
 )
 from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
 from ctplab.solve import solve
+
+from oracles import trial_stream
 
 
 def chances_instance(chances):

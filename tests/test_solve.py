@@ -1115,7 +1115,7 @@ def branch_every_time(instance, policy):
         reveal(start, instance.s, fresh, (), Fraction(1), Fraction(0))
     else:
         walk(start, (), Fraction(1), Fraction(0))
-    return P._summed(instance, rows)
+    return P._summed(instance, rows, [p for _, p, _ in rows], 1)
 
 
 class TestWalkMemo:
