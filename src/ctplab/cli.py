@@ -220,7 +220,7 @@ def _suite_gadgets(args) -> Iterator[dict]:
                else [Fraction(3, 2), Fraction(2)])
     for length in lengths:
         instance, handle = baiting_harness(length)
-        result = solve(instance)
+        result = solve(instance, belief_cap=args.cap)
         expected = forward_policy_cost(length, length)
         yield _equal(f"solver-matches-forward-walk-L={length}",
                      Cost.of(expected), result.optimal_cost)
@@ -323,7 +323,7 @@ def _suite_sensing(args) -> Iterator[dict]:
         vc = named_vc(name, args.k if args.k is not None else 1)
         instance, cert = vc_to_sensing(vc, alpha)
         covered = has_vertex_cover(vc)
-        result = solve(instance)
+        result = solve(instance, belief_cap=args.cap)
         default = result.optimal_first_action == Action.move("default")
         yield _equal(f"default-exactly-when-uncovered-{name}-k={vc.k}",
                      not covered, default)
@@ -345,7 +345,7 @@ def _suite_oracle(args) -> Iterator[dict]:
     for i in range(25):
         instance = random_disjoint_instance(SplitMix64(seed + i))
         rule = solve_disjoint_paths(instance)
-        exact = solve(instance)
+        exact = solve(instance, belief_cap=args.cap)
         if rule.optimal_cost == exact.optimal_cost:
             agree += 1
     yield _equal("index-rule-matches-solver", "25/25", f"{agree}/25")
@@ -354,7 +354,8 @@ def _suite_oracle(args) -> Iterator[dict]:
     for i in range(20):
         instance = random_disjoint_instance(SplitMix64(seed + 1000 + i))
         rewritten = normalize_half_prob(instance)
-        if solve(rewritten).optimal_cost == solve(instance).optimal_cost:
+        if (solve(rewritten, belief_cap=args.cap).optimal_cost
+                == solve(instance, belief_cap=args.cap).optimal_cost):
             preserved += 1
         if all(e.block_p == Fraction(1, 2) and e.cost == Cost.zero()
                for e in rewritten.edges if e.uncertain):
@@ -508,7 +509,7 @@ def _cmd_solve(args) -> int:
         print(f"first action: {first}")
         print(f"beliefs expanded: {stats.beliefs_expanded}")
         print(f"boundary steps evaluated: {stats.boundary_evaluated}, "
-              f"skipped: {stats.boundary_skipped}, cut: {stats.boundary_cut}")
+              f"skipped: {stats.boundary_skipped}")
         print(f"boundary pricings resumed: {stats.boundary_repriced}")
         print(f"branch tables: {stats.branch_tables}, "
               f"regions: {stats.regions}, "

@@ -458,6 +458,13 @@ class JointModel:
     components: Sequence[ComponentTable]
 
     @cached_property
+    def scale(self) -> int:
+        """Z, the product over the components of the lcm of their chances'
+        denominators: Z times the chance of any statuses is whole."""
+        return math.prod(math.lcm(*(p.denominator for _, p in comp.rows))
+                         for comp in self.components)
+
+    @cached_property
     def _component_at(self) -> dict[int, int]:
         return {bit: i for i, comp in enumerate(self.components)
                 for bit in _low_bits(comp.mask)}

@@ -486,10 +486,10 @@ def _trace(instance: CtpInstance, policy: Policy,
     expected cost is the probability-weighted sum of those rows.
 
     Chances are ints. An entry carries the weight M = Z·P of the outcomes
-    that led to it, P their chance and Z the product, over the components
-    of `instance.joint`, of the lcm of their chances' denominators, so M
-    is whole. Z is taken from the model here, apart from the solver's
-    tables. An outcome multiplies M by its chance in one `divmod`, and a
+    that led to it, P their chance and Z `instance.joint.scale`, so M is
+    whole. The solver reads the same Z, but a wrong one either leaves a
+    remainder or cancels in M/Z, so the check still shares no search
+    table. An outcome multiplies M by its chance in one `divmod`, and a
     remainder raises `InternalCheckError`; the leaves' weights must sum to
     Z, and a leaf's row takes the chance `Fraction(M, Z)`.
 
@@ -501,8 +501,7 @@ def _trace(instance: CtpInstance, policy: Policy,
     action, or once the tree holds more than `BELIEF_CAP` nodes past its
     root.
     """
-    mass = math.prod(math.lcm(*(p.denominator for _, p in comp.rows))
-                     for comp in instance.joint.components)
+    mass = instance.joint.scale
     tables: dict = {}
     steps: list | None = None if record is None else []
     rows: list[tuple[tuple[tuple[int, int], ...], Fraction, Cost]] = []

@@ -16,8 +16,9 @@ everything revealed so far, so the one entry point `solve` is exact for
 independent, dependent, and sensing instances alike. Every solve checks
 its value against the tree evaluator (`export_decision_tree`), which
 walks the policy over every outcome and prices its tree in integer
-chances of its own: it takes Z (below) from the joint model, not from
-this module's tables, so the check shares no table with the search.
+chances of its own. Both read Z (below) from the joint model, where a
+wrong Z either raises a remainder or cancels, so the check shares no
+search table.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -36,27 +37,21 @@ once its exact outcomes so far and the bound on the rest pass it, the sum
 stops and the step goes back, still lazy and under the same rank, edge
 id and tiebreak, keyed by that partial sum, a lower bound strictly above
 its old key. A later pop resumes the sum, reading the finished outcomes
-from the region cache. It is also priced against a cutoff, the cheapest
-exact key pushed for its vertex (or the stratum's budget) less its
-price, and gives up for good once its outcomes and the bound pass that:
-Ballard's Star1 pruning of chance nodes (*-minimax, AIJ 1983). An
-outcome's stratum gets the budget that leaves and stops at the first key
-past it; a position worth at most that still gets its exact value and
-choice. A cached patch answers a lookup with no larger budget, or that
-finds its start valued; else it is solved once more, unbudgeted. The
-window and the cuts are strict, so ties are priced and settled by rank,
-edge id and tiebreak as before.
+from the region cache. The window is strict, so ties are priced and
+settled by rank, edge id and tiebreak as before. Every patch is solved in
+full, so a cached patch answers every lookup of its key exactly, and no
+patch is solved twice under one key.
 
 A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
 of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
-costs and fees are multiples of 1/D, and M(K) = Z·P(K) is whole, Z the
-product over the joint model's components (Papadimitriou & Yannakakis,
-TCS 1991) of the lcm of their chances' denominators. One heap's keys
-share a positive scale, so pops, ties and choices are the rationals',
-and a branch's value is an int sum; `math.inf` marks a step that may
-strand. Branch tables come from `CtpInstance.outcomes`, kept for one
-solve: game 5 of the ctpdep battery prices 206 revealing steps from 75
-tables and resumes 22 sums.
+costs and fees are multiples of 1/D, and M(K) = Z·P(K) is whole, Z
+(`JointModel.scale`) the product over the joint model's components
+(Papadimitriou & Yannakakis, TCS 1991) of the lcm of their chances'
+denominators. One heap's keys share a positive scale, so pops, ties and
+choices are the rationals', and a branch's value is an int sum;
+`math.inf` marks a step that may strand. Branch tables come from
+`CtpInstance.outcomes`, kept for one solve: game 5 of the ctpdep
+battery prices 206 revealing steps from 75 tables and resumes 22 sums.
 
 A patch is cached under a key that forgets what its walks cannot use
 (`_Solver.key`): the masks cut down to `_reach` of its start, the bits a
@@ -70,14 +65,13 @@ forgets: walks, `fresh_at`, `outcomes` and deeper strata keep the whole
 masks, so knowledge still grows down every recursion. Each entry keeps
 the M(K) it was solved at. A lookup from a stratum K' of another mass
 rescales the start's value by M(K')/M(K), exactly (a remainder raises
-`InternalCheckError`), and reads its budget B as floor(B·M(K)/M(K')).
-Where every vertex but t reaches every bit, as on every independent and
-sensing input the benchmark solves, the key is the whole masks. The
-reach, the move and sense tables, the unit and the free-space bound are
-built on the first solve of an instance and kept while it lives
-(`_static`). `beliefs_expanded` counts the positions of the patches
-solved, so a patch that strata share counts once, though the exported
-tree holds it once for each: game 5 expands 319 beliefs (18,548 with
+`InternalCheckError`). Where every vertex but t reaches every bit, as on
+every independent and sensing input the benchmark solves, the key is the
+whole masks. The reach, the move and sense tables, the unit and the
+free-space bound are built on the first solve of an instance and kept
+while it lives (`_static`). `beliefs_expanded` counts the positions of
+the patches solved, so a patch that strata share counts once, though the
+exported tree holds it once for each: game 5 expands 319 beliefs (18,548 with
 every patch keyed by every status) and exports a 7,727-node tree
 (`tree_nodes`). The export walks one step per node, so there it takes
 about ten times the search (40 ms against 4 ms, raw, best of 40).
@@ -120,10 +114,9 @@ _HALT = Action.halt()  # actions are frozen, so one serves every solve
 class SolveStats:
     """What a search did; the boundary counts split its revealing steps.
 
-    A revealing step is evaluated when first priced, cut if pricing ends at
-    a finite cutoff (`branch_value`), and skipped if never priced;
-    `boundary_repriced` counts the pops that resume an unfinished sum.
-    `branch_tables` counts the distinct branch tables the search asked
+    A revealing step is evaluated when first priced and skipped if never
+    priced; `boundary_repriced` counts the pops that resume an unfinished
+    sum. `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, `regions` the strata patches it solved,
     `region_hits` the lookups, the export's too, that found one solved and
     `shared_hits` those of them answered by a patch solved in another
@@ -137,7 +130,6 @@ class SolveStats:
     beliefs_expanded: int
     boundary_evaluated: int = 0
     boundary_skipped: int = 0
-    boundary_cut: int = 0
     boundary_repriced: int = 0
     branch_tables: int = 0
     regions: int = 0
@@ -169,8 +161,7 @@ class _Solver(Policy):
     def __init__(self, instance: CtpInstance, belief_cap: int):
         self.instance = instance
         self.belief_cap = belief_cap
-        self.expanded = self.evaluated = self.steps = self.cut = 0
-        self.repriced = 0
+        self.expanded = self.evaluated = self.steps = self.repriced = 0
         self.regions = self.region_hits = self.shared_hits = 0
         (self.denominator, self.total_mass, self.bound, self.moves,
          self.senses, self.keyed) = _static(instance)
@@ -208,14 +199,13 @@ class _Solver(Policy):
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
                      position: str, mass: int,
-                     cutoff: int | float = math.inf,
                      window: int | float = math.inf
                      ) -> tuple[int | float, bool]:
         """Value once `fresh` is revealed on arrival, in the masks' scale,
         `mass` their M(K), and whether the sum is finished; `math.inf` if
-        an outcome strands the walker or the outcomes and the bound on the
-        rest pass `cutoff`. Once they pass `window` the sum stops, unfinished,
-        at that lower bound; priced outcomes then stay in the region cache."""
+        an outcome strands the walker. Once the outcomes and the bound on
+        the rest pass `window` the sum stops, unfinished, at that lower
+        bound; priced outcomes then stay in the region cache."""
         floor = self.bound.get(position, 0)
         total, rest = 0, floor * mass  # the bound on the outcomes to come
         for opened_by, blocked_by, prob in self.instance.outcomes(
@@ -224,39 +214,29 @@ class _Solver(Policy):
                 return total + rest, False
             share = _times(prob, mass)
             rest -= floor * share
-            budget = cutoff if cutoff == math.inf else cutoff - total - rest
             values, _, scale = self.region(
-                opened | opened_by, blocked | blocked_by, position, share,
-                budget)
+                opened | opened_by, blocked | blocked_by, position, share)
             value = values.get(position)
-            if value is not None and scale != share:
-                value = _rescale(value, scale, share)
-            if value is None or value > budget:
-                self.cut += cutoff < math.inf
+            if value is None:
                 return math.inf, True
-            total += value
+            total += value if scale == share else _rescale(value, scale, share)
         return total, True
 
     def region(self, opened: int, blocked: int, start: str,
-               mass: int | None = None,
-               budget: int | float = math.inf) -> tuple[dict, dict, int]:
+               mass: int | None = None) -> tuple[dict, dict, int]:
         """Values and choices over the patch `start` reaches unrevealing,
-        of the positions worth at most `budget`, and the M(K) of the stratum
-        that solved the patch, the scale of those values; `mass` is the
-        masks' M(K), found from them if not given. The patch is cached under
-        the `key` of each of its positions, so a stratum that differs only
-        in bits their walks cannot use reads it too."""
+        and the M(K) of the stratum that solved the patch, the scale of
+        those values; `mass` is the masks' M(K), found from them if not
+        given. The patch is cached under the `key` of each of its
+        positions, so a stratum that differs only in bits their walks
+        cannot use reads it too."""
         cached = self._regions.get(self.key(opened, blocked, start))
         if cached is not None:
-            values, choices, solved, scale, stratum = cached
-            if solved is None or start in values or (
-                    budget if scale == mass or budget == math.inf
-                    else budget * scale // mass) <= solved:
-                self.region_hits += 1
-                if stratum != (opened, blocked):
-                    self.shared_hits += 1
-                return values, choices, scale
-            budget = math.inf
+            values, choices, scale, stratum = cached
+            self.region_hits += 1
+            if stratum != (opened, blocked):
+                self.shared_hits += 1
+            return values, choices, scale
         if mass is None:
             mass = self.mass(opened, blocked)
         t = self.instance.t
@@ -293,12 +273,9 @@ class _Solver(Policy):
         heap = [(0, 0, "", next(seq), t, _HALT, None)] if t in patch else []
         # tiebreaks in position order, each position's moves before senses
         reveals.sort(key=lambda step: step[0])
-        # each revealing position's cheapest exact key pushed, or the budget
-        best = {}
         for u, price, fresh, where, rank, edge_id, action in reveals:
             floor = self.bound.get(where)
             if floor is not None:
-                best[u] = budget
                 heap.append(((price + floor) * mass, rank, edge_id, next(seq),
                              u, action, (price * mass, fresh, where, False)))
         # every key is distinct, so the pop order is the push order's
@@ -308,8 +285,6 @@ class _Solver(Policy):
         while heap:
             cost, rank, edge_id, tie, vertex, action, reveal = \
                 heapq.heappop(heap)
-            if cost > budget:
-                break
             if vertex in values:
                 continue
             if reveal is not None:
@@ -318,14 +293,10 @@ class _Solver(Policy):
                     self.repriced += 1
                 else:
                     self.evaluated += 1
-                bar = best[vertex]
                 rest, done = self.branch_value(
                     opened, blocked, fresh, where, mass,
-                    bar if bar == math.inf else bar - price,
                     _window(heap) - price)
                 if rest < math.inf:
-                    if done:
-                        best[vertex] = price + rest
                     heapq.heappush(heap, (
                         price + rest, rank, edge_id, tie, vertex, action,
                         None if done else (price, fresh, where, True)))
@@ -334,12 +305,9 @@ class _Solver(Policy):
             choices[vertex] = action
             for u, step, via, move in radj.get(vertex, ()):
                 if u not in values:
-                    heapq.heappush(heap, (key := step * mass + cost, 0, via,
+                    heapq.heappush(heap, (step * mass + cost, 0, via,
                                           next(seq), u, move, None))
-                    if key < best.get(u, -1):
-                        best[u] = key
-        region = (values, choices, None if budget == math.inf else budget,
-                  mass, (opened, blocked))
+        region = (values, choices, mass, (opened, blocked))
         for v in patch:
             self._regions[self.key(opened, blocked, v)] = region
         self.regions += 1
@@ -369,9 +337,6 @@ def _static(instance: CtpInstance) -> tuple:
     costs += [fee for u in instance.vertices
               for fee in instance.senses_from(u).values()]
     unit = math.lcm(*(cost.fraction.denominator for cost in costs))
-    total_mass = math.prod(
-        math.lcm(*(p.denominator for _, p in comp.rows))
-        for comp in instance.joint.components)
     bound = {v: _times(b, unit)
              for v, b in _free_space_bound(instance).items()}
     bits = instance.bits
@@ -389,7 +354,7 @@ def _static(instance: CtpInstance) -> tuple:
     keyed = {v: mask for v, mask in _reach(instance).items()
              if mask != every and v != instance.t}
     static = _STATICS[id(instance)] = (
-        unit, total_mass, bound, moves, senses, keyed)
+        unit, instance.joint.scale, bound, moves, senses, keyed)
     weakref.finalize(instance, _STATICS.pop, id(instance), None)
     return static
 
@@ -533,7 +498,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
             f"{result.expected_cost}")
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
-                                solver.steps - solver.evaluated, solver.cut,
+                                solver.steps - solver.evaluated,
                                 solver.repriced,
                                 sum(len(rows) for _, rows in
                                     solver.tables.values()),

@@ -176,27 +176,23 @@ class TestCommands:
         assert data["optimal_cost"] == "0/1 (0.0)"
         assert data["first_action"] == "move(enter)"
         assert {"beliefs_expanded", "boundary_evaluated",
-                "boundary_skipped", "boundary_cut", "boundary_repriced",
+                "boundary_skipped", "boundary_repriced",
                 "branch_tables", "regions", "region_hits"} <= set(data)
         result = solve(load_instance(out))
         stats = result.stats
-        assert (data["boundary_cut"], data["boundary_repriced"],
-                data["branch_tables"], data["regions"],
-                data["region_hits"], data["shared_hits"],
+        assert (data["boundary_repriced"], data["branch_tables"],
+                data["regions"], data["region_hits"], data["shared_hits"],
                 data["tree_nodes"]) == (
-            stats.boundary_cut, stats.boundary_repriced, stats.branch_tables,
-            stats.regions, stats.region_hits, stats.shared_hits,
-            stats.tree_nodes)
+            stats.boundary_repriced, stats.branch_tables, stats.regions,
+            stats.region_hits, stats.shared_hits, stats.tree_nodes)
         assert stats.tree_nodes == len(result.policy.nodes) > 1
         # the walk forgets the coins it passed, so strata share patches
         assert 0 < stats.shared_hits <= stats.region_hits
         assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
-        assert 0 <= stats.boundary_cut <= stats.boundary_evaluated
         assert main(["solve", str(out)]) == 0
         text = capsys.readouterr().out
         assert (f"boundary steps evaluated: {data['boundary_evaluated']}, "
-                f"skipped: {data['boundary_skipped']}, "
-                f"cut: {data['boundary_cut']}\n"
+                f"skipped: {data['boundary_skipped']}\n"
                 "boundary pricings resumed: "
                 f"{data['boundary_repriced']}\n") in text
         assert (f"branch tables: {data['branch_tables']}, "
@@ -766,6 +762,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert main(["verify", "ctpdep", "--n", "2", "--cap", "0"]) == 3
         assert "beliefs exceed the cap of 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["gadgets", "sensing", "oracle"])
+    def test_verify_solves_under_its_cap(self, suite, capsys):
+        # p3 alone expands 126 beliefs, so no sensing check fits in 10
+        assert main(["verify", suite, "--cap", "10"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: ")
+        assert "beliefs exceed the cap of 10" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("filters", [["--n", "3"],
                                          ["--n", "4", "--m", "3"],

@@ -262,10 +262,10 @@ class TestBoundedSearch:
             toy).optimal_cost
         assert result.optimal_cost == Cost.of(1)
 
-    # baiting-2 still skips steps; p3's cutoffs price them instead
+    # baiting-2 skips steps; p3 pauses sums at the window and resumes them
     @pytest.mark.parametrize("build, busy", [
         (lambda: baiting_harness(2)[0], "boundary_skipped"),
-        (lambda: sensing_instance("p3"), "boundary_cut"),
+        (lambda: sensing_instance("p3"), "boundary_repriced"),
     ], ids=["baiting-2", "p3"])
     def test_boundary_counts_add_up(self, build, busy, monkeypatch):
         instance = build()
@@ -274,13 +274,13 @@ class TestBoundedSearch:
         branch_value = S._Solver.branch_value
 
         def counted(solver, opened, blocked, fresh, position, mass,
-                    cutoff=math.inf, window=math.inf):
+                    window=math.inf):
             priced.append(position)
             return branch_value(solver, opened, blocked, fresh, position,
-                                mass, cutoff, window)
+                                mass, window)
 
-        # each patch solve, a second one of a patch included: a key, the
-        # positions and the region, kept alive so that ids stay unique
+        # each patch solve: a key, the positions and the region, kept
+        # alive so that ids stay unique
         solves: dict[int, tuple[tuple, set, tuple]] = {}
 
         class Recorded(dict):
@@ -295,12 +295,10 @@ class TestBoundedSearch:
         solver.branch_value(0, 0, instance.fresh_at(instance.s, 0),
                             instance.s, solver.total_mass)
         assert len(solves) == solver.regions == stats.regions
-        assert (solver.evaluated, solver.steps, solver.cut,
-                solver.repriced) == (
+        assert (solver.evaluated, solver.steps, solver.repriced) == (
             stats.boundary_evaluated,
             stats.boundary_evaluated + stats.boundary_skipped,
-            stats.boundary_cut, stats.boundary_repriced)
-        assert stats.boundary_cut <= stats.boundary_evaluated
+            stats.boundary_repriced)
         # one pricing per evaluated step and one per resumed sum, plus the
         # root
         assert len(priced) == (stats.boundary_evaluated
@@ -323,8 +321,8 @@ class TestBoundedSearch:
 
 def equal_offers_instance():
     """Two one-way moves out of s, worth exactly 4 each: `b` shows a
-    cheaper bound, so it is priced first, and `a` then prices exactly at
-    its cutoff."""
+    cheaper bound, so it is priced first, and `a` then prices exactly up
+    to `b`'s key, its window."""
     b = InstanceBuilder(Variant.INDEPENDENT)
     b.set_endpoints("s", "t")
     b.add_edge("s", "x", 1, id="a", directed=True)
@@ -337,26 +335,26 @@ def equal_offers_instance():
 
 
 class TestCutoffs:
-    """A revealing step stops pricing once it cannot beat its vertex's best
-    exact option, and deeper strata stop at the budget that leaves."""
+    """Cases a Star1 cutoff once pruned: the pricing window and the reach
+    keys keep a false game small, and the window, being strict, still
+    prices a tie in full."""
 
     def test_false_game_fits_a_small_cap(self):
-        # without cutoffs game 7 expands 57,408 beliefs
+        # game 7 expands 121 beliefs; with every step priced eagerly and
+        # every patch keyed by every status it took 57,408
         result = solve(qbf_to_ctpdep(GAME_BATTERY[7][0])[0],
-                       belief_cap=30_000)
+                       belief_cap=1_000)
         assert result.optimal_cost == Cost.of(Fraction(1, 16))
         assert result.optimal_first_action == Action.move("default")
-        assert result.stats.boundary_cut > 0
 
     def test_a_tie_is_priced_not_cut(self):
-        # `a` reaches its cutoff exactly; a cut there would hand s to `b`
+        # `a` reaches its window exactly; a pause there would hand s to `b`
         result = solve(equal_offers_instance())
         assert result.optimal_cost == Cost.of(4)
         assert result.optimal_first_action == Action.move("a")
         assert hashlib.sha256(result.policy.to_json().encode()).hexdigest() \
             == ("6351d9c6a226afd6007ae2a60db65c2b"
                 "f929c460e2a06893d8c64384050b535f")
-        assert result.stats.boundary_cut == 0
         assert_matches_zero_bound(equal_offers_instance())
 
 
@@ -580,10 +578,9 @@ class TestIntegerUnit:
         assert Cost.of(Fraction(root, solver.total_mass
                                 * solver.denominator)) == solve(
             instance).optimal_cost
-        for values, _, budget, scale, stratum in solver._regions.values():
+        for values, _, scale, stratum in solver._regions.values():
             for value in values.values():
                 assert type(value) is int or value == math.inf
-            assert budget is None or type(budget) is int
             # the M(K) of the stratum the patch was solved at
             assert type(scale) is int and scale == solver.mass(*stratum)
 
@@ -625,36 +622,36 @@ FROZEN_BUILDS = {
 TREE_OF_DEFAULT = (
     "0c3411cccb648b7662cc4260bd518fb72e596235b13f0a8242248d78b28c8348")
 # name: optimal cost, first action, sha256 of policy.to_json(),
-# beliefs expanded, boundary steps evaluated, skipped and cut
+# beliefs expanded, boundary steps evaluated and skipped
 FROZEN_SOLVES = {
     "game0": ("0/1", "move(enter)", "bb55b696db8b29f229eb89bea6646a67"
-              "208d8d3289c57813a5275fde2a64c7cf", 47, 20, 5, 0),
-    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 53, 32, 0, 3),
+              "208d8d3289c57813a5275fde2a64c7cf", 47, 20, 5),
+    "game1": ("1/8", "move(default)", TREE_OF_DEFAULT, 53, 32, 0),
     "game2": ("0/1", "move(enter)", "65f0ddd2eccffc6839fd537ed5ba0f1b"
-              "dae1aa914744464c4ef3a177684284f2", 88, 47, 10, 0),
-    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 62, 40, 0, 14),
+              "dae1aa914744464c4ef3a177684284f2", 88, 47, 10),
+    "game3": ("1/8", "move(default)", TREE_OF_DEFAULT, 81, 54, 0),
     "game4": ("0/1", "move(enter)", "f5044011705e288a82ce15c95f9abf14"
-              "6ce5c5e9213c15565a11069803ff902a", 144, 95, 8, 0),
+              "6ce5c5e9213c15565a11069803ff902a", 144, 95, 8),
     "game5": ("0/1", "move(enter)", "ba3e895c054944759f6f4deee0f8dad5"
-              "69fe29041cf7c35cd037a177da3707a9", 319, 206, 24, 0),
-    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 65, 32, 4, 4),
-    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 120, 81, 0, 5),
+              "69fe29041cf7c35cd037a177da3707a9", 319, 206, 24),
+    "game6": ("1/16", "move(default)", TREE_OF_DEFAULT, 65, 32, 4),
+    "game7": ("1/16", "move(default)", TREE_OF_DEFAULT, 121, 82, 0),
     "baiting-2": ("263/512", "move(bg.path000)", "3978831d2ba7ef4c7add7f79"
-                  "811001b10b814d78c8085acacc7e351374ee2b82", 88, 7, 6, 0),
+                  "811001b10b814d78c8085acacc7e351374ee2b82", 88, 7, 6),
     "p3": ("3161165579761560626969914950619/"
            "792281625142643375935439503360", "move(visit.b)",
            "273f03560ad4355c68312fda15809bb638467d3e49925604657597a5032883d7",
-           148, 48, 0, 25),
+           126, 42, 0),
 }
 
 
 # name: branch tables, regions, region-cache hits, resumed pricings
 FROZEN_COUNTERS = {
-    "game0": (14, 18, 68, 1), "game1": (12, 26, 48, 10),
-    "game2": (30, 41, 241, 2), "game3": (26, 33, 42, 8),
+    "game0": (14, 18, 68, 1), "game1": (12, 26, 49, 10),
+    "game2": (30, 41, 241, 2), "game3": (30, 42, 79, 16),
     "game4": (67, 77, 543, 8), "game5": (75, 166, 6922, 22),
-    "game6": (15, 26, 38, 7), "game7": (25, 61, 122, 23),
-    "baiting-2": (8, 15, 17, 1), "p3": (4, 22, 103, 16),
+    "game6": (15, 26, 41, 8), "game7": (25, 62, 127, 24),
+    "baiting-2": (8, 15, 17, 1), "p3": (4, 19, 92, 14),
 }
 
 
@@ -677,7 +674,7 @@ class TestFrozenSolves:
         got = (str(result.optimal_cost), str(result.optimal_first_action),
                hashlib.sha256(result.policy.to_json().encode()).hexdigest(),
                stats.beliefs_expanded, stats.boundary_evaluated,
-               stats.boundary_skipped, stats.boundary_cut)
+               stats.boundary_skipped)
         assert got == FROZEN_SOLVES[name]
 
     @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
@@ -806,7 +803,7 @@ class TestReachKeys:
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_shared_values_are_rescaled_exactly(self, k):
-        # every pricing of a solve, its window and cutoff included, gives
+        # every pricing of a solve, its window included, gives
         # what it gives in a search that shares no patch across strata
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         branch_value, rescale = S._Solver.branch_value, S._rescale
@@ -829,38 +826,6 @@ class TestReachKeys:
             for args, got in priced:
                 assert branch_value(S._Solver(whole, 200_000),
                                     *args) == got
-
-    def test_a_budget_is_read_at_the_entry_scale(self):
-        # a stratum reads a patch of game 3 solved at another mass
-        instance = qbf_to_ctpdep(GAME_BATTERY[3][0])[0]
-        region, shared = S._Solver.region, []
-
-        def recorded(solver, opened, blocked, start, mass=None,
-                     budget=math.inf):
-            got = region(solver, opened, blocked, start, mass, budget)
-            if mass is not None and got[2] != mass and got[0].get(start):
-                *_, scale, stratum = solver._regions[
-                    solver.key(opened, blocked, start)]
-                shared.append(sorted([(mass, opened, blocked),
-                                      (scale, *stratum)]) + [start])
-            return got
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(S._Solver, "region", recorded)
-            solve(instance)
-        (light, *masks), (heavy, *solved_at), start = shared[0]
-        value = S._Solver(instance, 200_000).region(
-            *solved_at, start, heavy)[0][start]
-        solver = S._Solver(instance, 200_000)
-        # cached one unit short of the start's value, at the heavier mass
-        assert start not in solver.region(
-            *solved_at, start, heavy, value - 1)[0]
-        # the lighter stratum's budget that just admits the value reads
-        # as that value at the entry's scale, so the patch is solved again
-        light_value = S._rescale(value, heavy, light)
-        assert light_value <= value - 1
-        values, _, scale = solver.region(*masks, start, light, light_value)
-        assert (values[start], scale) == (light_value, light)
 
     def test_a_remainder_raises(self):
         assert S._rescale(6, 4, 2) == 3
@@ -904,10 +869,9 @@ def assert_matches_eager_pricing(instance, windowed=None):
     return windowed.stats, eager.stats
 
 
-# name: regions of the eager and the windowed search. Pausing a step can
-# bring a patch's smaller budget first; the patch is then solved once more
-# for the larger one, unbudgeted (twice on toy14)
-REGIONS_GROW = {"toy14": (56, 58)}
+# name: regions of the eager and the windowed search, where the windowed
+# one solves more; none does, as each patch is solved once per key
+REGIONS_GROW = {}
 
 
 class TestPricingWindow:
@@ -937,6 +901,30 @@ class TestPricingWindow:
     def test_random_toys_match_eager_pricing(self, seed):
         assert_matches_eager_pricing(
             random_disjoint_instance(SplitMix64(seed)))
+
+
+class TestEachPatchOnce:
+    """A cached patch is exact for every lookup of its key, so `region`
+    solves a patch only when its start's key is missing from the cache.
+    Overlapping patches may still write a shared position's key twice."""
+
+    def test_perfbench_inputs_solve_no_cached_patch(self):
+        region = S._Solver.region
+        again: dict[str, int] = {}
+
+        def recorded(solver, opened, blocked, start, *args):
+            key = solver.key(opened, blocked, start)
+            cached = solver._regions.get(key)
+            got = region(solver, opened, blocked, start, *args)
+            if cached is not None and solver._regions[key] is not cached:
+                again[label] = again.get(label, 0) + 1
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(S._Solver, "region", recorded)
+            for label, instance in perfbench_solve_inputs().items():
+                solve(instance)
+        assert again == {}
 
 
 class TestTextAtTheEdges:
