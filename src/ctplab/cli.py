@@ -486,12 +486,12 @@ def _cmd_solve(args) -> int:
             print(json.dumps({
                 "expected_cost": render_cost(outcome.expected_cost,
                                              args.precision),
-                "outcomes": len(outcome.rows),
+                "outcomes": len(outcome.leaves),
             }))
         else:
             print("expected cost: "
                   f"{render_cost(outcome.expected_cost, args.precision)}")
-            print(f"outcome branches: {len(outcome.rows)}")
+            print(f"outcome branches: {len(outcome.leaves)}")
         return 0
     result = solve(instance, belief_cap=args.cap)
     first = (str(result.optimal_first_action)

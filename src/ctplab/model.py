@@ -626,6 +626,19 @@ class CtpInstance:
         return self._moves[vertex]
 
     @cached_property
+    def legal_moves(self) -> dict[tuple[str, str], tuple]:
+        """`moves_from` as one table keyed by `(vertex, edge id)`: the
+        move's plain price, its far end, the edge's bit (0 if it is sure)
+        and the mask arriving at the far end shows when nothing is known
+        (`fresh_at` its AND with the unknown bits). The table the policy
+        walks take each step from."""
+        bits, sight, t = self.bits, self._sight, self.t
+        return {(u, edge_id): (edge.cost.plain, far, bits.get(edge_id, 0),
+                               0 if far == t else sight[far])
+                for u, moves in self._moves.items()
+                for edge_id, (edge, far) in moves.items()}
+
+    @cached_property
     def _sense_fees(self) -> dict[str, dict[str, Cost]]:
         table: dict[str, dict[str, Cost]] = {v: {} for v in self.vertices}
         if self.variant is Variant.SENSING and self.sensing is not None:

@@ -10,24 +10,24 @@ The evaluator walks a depth-first stack of observation outcomes, which
 copes with gadget chains far too long to enumerate; it prices every
 policy and exports decision trees. A walk keeps its branch tables from
 `CtpInstance.outcomes` only until it ends, and writes no text: tree
-nodes are keyed by a belief's masks, and breakdown rows hold the masks
+nodes are keyed by a belief's masks, and breakdown leaves hold the masks
 of their outcomes. Text is written only at the edges, in `to_json`,
-`outcome_breakdown`, `describe_belief` and error messages.
+`describe_belief` and error messages.
 Replaying the policy on every weather of the support
 (`evaluate_exact(..., mode="weathers")`) stays as the independent oracle
 that the walk is checked against.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
-obeys the solver's move rule: `CtpInstance.moves_from` and `senses_from`
-list what may be done where, and arrival reveals `fresh_at`. A walk's
-beliefs hold masks, and a reveal ORs the revealed bits into them; a
-weather walk splits them into open and blocked by one AND with the
-weather's blocked mask. `walk_weather`, `simulate` and the evaluator
-share one stepping loop (`_walk`), which runs from one reveal to the
-next and counts its step cap from the last reveal. The simulator keeps
-the walks its trials share in a prefix tree of trajectories; on a
-dyadic table a trial decides a one-edge reveal from that edge's draw
-alone.
+obeys the solver's move rule: `CtpInstance.moves_from` (read as one
+table, `legal_moves`) and `senses_from` list what may be done where, and
+arrival reveals `fresh_at`. A walk's beliefs hold masks, and a reveal
+ORs the revealed bits into them; a weather walk splits them into open
+and blocked by one AND with the weather's blocked mask. `walk_weather`,
+`simulate` and the evaluator share one stepping loop (`_walk`), which
+runs from one reveal to the next and counts its step cap from the last
+reveal. The simulator keeps the walks its trials share in a prefix tree
+of trajectories; on a dyadic table a trial decides a one-edge reveal
+from that edge's draw alone.
 
 Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
 skip zero prices. The only floats are `math.inf`, for a walk the policy
@@ -309,39 +309,41 @@ def load_policy(path: str | Path, instance: CtpInstance,
 class EvalResult:
     """Exact expected cost plus the per-event decomposition behind it.
 
-    Each row of `rows` is (event, chance, cost). An event is the outcomes
-    along one branch of the walk, each as the `(opened, blocked)` masks
-    it reveals over the numbering of `instance`; `outcome_breakdown`
-    writes them as text labels the first time it is read.
+    Each leaf of `leaves` is (event, weight, spent): an event is the
+    outcomes along one branch of the walk, each as the `(opened,
+    blocked)` masks it reveals over the numbering of `instance`, its
+    chance is the weight over `mass`, and `spent` is the plain cost of
+    that branch (`math.inf` if the policy declares it infeasible). `rows`
+    writes each leaf as (event, chance, `Cost`) the first time it is
+    read, so a solve that only prices the tree builds none.
     """
 
     expected_cost: Cost
-    rows: tuple[tuple[tuple[tuple[int, int], ...], Fraction, Cost], ...]
+    leaves: tuple[tuple[tuple[tuple[int, int], ...], Fraction | int,
+                        Fraction | int | float], ...]
+    mass: Fraction | int
     instance: CtpInstance = field(repr=False)
 
     @cached_property
-    def outcome_breakdown(self) -> tuple[tuple[str, Fraction, Cost], ...]:
-        """The rows, each event written `id=open,id=blocked ; ...` (ids
-        sorted within an outcome), or "no observations" when it shows
-        nothing; each outcome's text is written once."""
-        text = cache(partial(_text, self.instance))
-        return tuple((" ; ".join(text(*masks, _LABEL_WORDS)
-                                 for masks in event) or "no observations",
-                      p, cost) for event, p, cost in self.rows)
+    def rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], Fraction,
+                                  Cost], ...]:
+        mass = self.mass
+        return tuple((event, Fraction(weight, mass), Cost.of(spent))
+                     for event, weight, spent in self.leaves)
 
 
-def _summed(instance: CtpInstance, rows: list, weights: list,
+def _summed(instance: CtpInstance, leaves: list,
             mass: Fraction | int) -> EvalResult:
-    """The expected cost of breakdown rows, each row's chance its weight
-    over `mass`; the weights must sum to `mass`."""
-    if sum(weights) != mass:
+    """The expected cost of `(event, weight, spent)` leaves, each leaf's
+    chance its weight over `mass`; the weights must sum to `mass`."""
+    if sum(weight for _, weight, _ in leaves) != mass:
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite row is not multiplied out: below the smallest float, a
     # chance times math.inf is nan
-    expected = (math.inf if any(c.is_infinite for _, _, c in rows) else
-                Fraction(sum(w * c.plain for w, (_, _, c) in zip(weights, rows)
-                             if c.plain), mass))
-    return EvalResult(Cost.of(expected), tuple(rows), instance)
+    expected = (math.inf if any(spent == math.inf for _, _, spent in leaves)
+                else Fraction(sum(weight * spent for _, weight, spent in leaves
+                                  if spent), mass))
+    return EvalResult(Cost.of(expected), tuple(leaves), mass, instance)
 
 
 def _step_cap(instance: CtpInstance) -> int:
@@ -359,16 +361,19 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
     """Plain price, next position and the mask of the edges it reveals
     (None at halt).
 
-    Legal exactly when the solver could take it: moves and fees come from
-    `CtpInstance.moves_from`/`senses_from`, arrival reveals `fresh_at`.
+    Legal exactly when the solver could take it. A move or a give-up is
+    one lookup in `CtpInstance.legal_moves`, the table of `moves_from`,
+    where a miss is an unknown edge or one that cannot be taken out of
+    here; arrival reveals what `fresh_at` says. Fees come from
+    `senses_from`.
     """
-    pos = belief.position
-    if action.kind is ActionKind.HALT:
+    pos, kind = belief.position, action.kind
+    if kind is ActionKind.HALT:
         if pos != instance.t:
             raise _illegal("halt away from the target", belief)
         return 0, pos, None
     edge_id = action.edge
-    if action.kind is ActionKind.SENSE:
+    if kind is ActionKind.SENSE:
         fee = instance.senses_from(pos).get(edge_id)
         if fee is None:
             if instance.variant is not Variant.SENSING:
@@ -380,26 +385,25 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
             raise _illegal(
                 f"sensing {edge_id} whose status is already known", belief)
         return fee.plain, pos, instance.bits[edge_id]
-    move = instance.moves_from(pos).get(edge_id)
+    move = instance.legal_moves.get((pos, edge_id))
     if move is None:
         if edge_id not in instance.edge_map:
             raise _illegal(f"unknown edge {edge_id!r}", belief)
         raise _illegal(f"edge {edge_id} cannot be taken out of {pos}", belief)
-    edge, far = move
-    if edge.uncertain:
-        if action.kind is ActionKind.GIVE_UP:
+    price, far, bit, sight = move
+    opened, blocked = belief.opened, belief.blocked
+    if bit:
+        if kind is ActionKind.GIVE_UP:
             raise _illegal(f"give-up edge {edge_id} is not always open",
                            belief)
-        status = belief.status(edge_id)
-        if status is not True:
-            state = "blocked" if status is False else "unobserved"
+        if not opened & bit:
+            state = "blocked" if blocked & bit else "unobserved"
             raise _illegal(f"edge {edge_id} is {state}", belief)
-    return edge.cost.plain, far, instance.fresh_at(
-        far, belief.opened | belief.blocked)
+    return price, far, sight & ~(opened | blocked)
 
 
 def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
-          belief: Belief, total: Fraction | int,
+          belief: Belief, total: Fraction | int, cap: int,
           steps: list[tuple[tuple[str, int, int], Action | None]] | None,
           ) -> tuple[Fraction | int | float, Belief, int | None]:
     """Walk from `belief`, `total` spent, by a policy's `decide` to the
@@ -407,9 +411,9 @@ def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
     None), the belief on arrival and the mask revealed (None once the walk
     is over). With `steps`, each step taken is appended to it as the
     belief's `(position, opened, blocked)` and the action decided there.
-    The one stepping loop of `walk_weather`, `simulate` and `_trace`; past
-    `_step_cap` steps it raises."""
-    cap = _step_cap(instance)
+    The one stepping loop of `walk_weather`, `simulate` and `_trace`, each
+    of which reads `cap` from `_step_cap` once; past `cap` steps it
+    raises."""
     for _ in range(cap):
         action = decide(instance, belief)
         if steps is not None:
@@ -440,10 +444,11 @@ def walk_weather(instance: CtpInstance, policy: Policy,
     """Run the policy against one fixed weather; return the realized cost."""
     belief = Belief(instance.s, 0, 0, instance)
     fresh, total = instance.fresh_at(instance.s, 0), 0
+    cap = _step_cap(instance)
     while fresh is not None:
         total, belief, fresh = _walk(
             instance, policy.decide,
-            _reveal(belief, fresh, fresh & weather.blocked), total, None)
+            _reveal(belief, fresh, fresh & weather.blocked), total, cap, None)
     return Cost.infinite() if total == math.inf else Cost.of(total)
 
 
@@ -451,18 +456,19 @@ def _write(instance: CtpInstance,
            record: dict[tuple[str, int, int], TreeNode],
            steps: list[tuple[tuple[str, int, int], Action | None]],
            children: tuple) -> None:
-    """Write one walk's `steps` into `record`: each step leads to the next,
-    revealing nothing, and the last to `children`."""
-    last = len(steps) - 1
-    for i, (key, action) in enumerate(steps):
-        node = TreeNode(action, children if i == last else
-                        ((_NO_REVEAL, steps[i + 1][0]),))
+    """Write one walk's `steps` into `record`, last first: the last step
+    leads to `children`, and each other one to the next, revealing
+    nothing. Each node is one tuple, built without the Python frame of
+    `TreeNode`'s own `__new__`."""
+    for key, action in reversed(steps):
+        node = tuple.__new__(TreeNode, (action, children))
         # a belief met again with the same action led to the same place
         seen = record.setdefault(key, node)
         if seen is not node and seen.action != action:
             raise InvalidInstanceError(
                 "policy is not a function of the belief at "
                 f"{key[0]}|{_text(instance, key[1], key[2], _KEY_WORDS)}")
+        children = ((_NO_REVEAL, key),)
     # a solve's tree can pass its belief count: strata that share a patch
     # expand it once but are each exported, so a search within the belief
     # cap can still trip this
@@ -482,8 +488,9 @@ def _trace(instance: CtpInstance, policy: Policy,
     triggers a branch: arriving where unrevealed edges become visible, or
     sensing. Branch probabilities come from the joint model conditioned on
     everything revealed so far, which makes the evaluation exact for
-    dependent instances too. Every leaf adds one breakdown row, and the
-    expected cost is the probability-weighted sum of those rows.
+    dependent instances too. Every leaf of the walk adds one breakdown
+    row, and the expected cost is the probability-weighted sum of their
+    costs.
 
     Chances are ints. An entry carries the weight M = Z·P of the outcomes
     that led to it, P their chance and Z `instance.joint.scale`, so M is
@@ -491,21 +498,22 @@ def _trace(instance: CtpInstance, policy: Policy,
     remainder or cancels in M/Z, so the check still shares no search
     table. An outcome multiplies M by its chance in one `divmod`, and a
     remainder raises `InternalCheckError`; the leaves' weights must sum to
-    Z, and a leaf's row takes the chance `Fraction(M, Z)`.
+    Z. A leaf stays `(event, M, spent)`, and `EvalResult.rows` writes its
+    chance `Fraction(M, Z)` and its `Cost` only when read.
 
     Each piece of work is done once per walk, and none of it is text. The
     branch tables come from `CtpInstance.outcomes`, kept only until the
     walk ends. With `record`, `_walk` lists the steps it takes, and once it
     returns `_write` puts them into `record` under the beliefs' masks, one
-    node per step. It raises if a belief is recorded again with another
+    tuple per step. It raises if a belief is recorded again with another
     action, or once the tree holds more than `BELIEF_CAP` nodes past its
     root.
     """
-    mass = instance.joint.scale
+    mass, cap = instance.joint.scale, _step_cap(instance)
     tables: dict = {}
     steps: list | None = None if record is None else []
-    rows: list[tuple[tuple[tuple[int, int], ...], Fraction, Cost]] = []
-    weights: list[int] = []
+    leaves: list[tuple[tuple[tuple[int, int], ...], int,
+                       Fraction | int | float]] = []
     # pending entries: belief, the outcomes that led to it, weight, cost
     # so far
     stack: list[tuple[Belief, tuple[tuple[int, int], ...], int,
@@ -545,18 +553,17 @@ def _trace(instance: CtpInstance, policy: Policy,
     while stack:
         belief, event, weight, spent = stack.pop()
         spent, belief, fresh = _walk(instance, policy.decide, belief, spent,
-                                     steps)
+                                     cap, steps)
         if fresh is not None:
             children = branch(belief, fresh, event, weight, spent)
         else:
             children = ()
-            rows.append((event, Fraction(weight, mass), Cost.of(spent)))
-            weights.append(weight)
+            leaves.append((event, weight, spent))
         if steps:
             _write(instance, record, steps, children)
             steps.clear()
 
-    return _summed(instance, rows, weights, mass)
+    return _summed(instance, leaves, mass)
 
 
 def evaluate_exact(instance: CtpInstance, policy: Policy,
@@ -575,10 +582,10 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     if mode != "weathers":
         raise ValueError(f"unknown evaluation mode {mode!r}")
     every = (1 << len(instance.uncertain_edges)) - 1
-    rows = [(((every ^ weather.blocked, weather.blocked),), prob,
-             walk_weather(instance, policy, weather))
-            for weather, prob in weather_support(instance)]
-    return _summed(instance, rows, [p for _, p, _ in rows], 1)
+    return _summed(instance, [
+        (((every ^ weather.blocked, weather.blocked),), prob,
+         walk_weather(instance, policy, weather).plain)
+        for weather, prob in weather_support(instance)], 1)
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,
@@ -620,7 +627,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
 
     root = node(Belief(instance.s, 0, 0, instance),
                 instance.fresh_at(instance.s, 0), 0)
-    stored = 1
+    stored, cap = 1, _step_cap(instance)
     samples: list[float] = []
     for trial, counter in enumerate(trial_counters(seed, range(trials))):
         here, shut = root, None
@@ -636,7 +643,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
             if child is None:
                 total, belief, fresh = _walk(
                     instance, policy.decide, _reveal(belief, fresh, blocked),
-                    total, None)
+                    total, cap, None)
                 child = (float(total) if fresh is None else
                          node(belief, fresh, total))
                 if stored < _TRAJECTORY_MEMO_CAP:

@@ -73,8 +73,9 @@ while it lives (`_static`). `beliefs_expanded` counts the positions of
 the patches solved, so a patch that strata share counts once, though the
 exported tree holds it once for each: game 5 expands 319 beliefs (18,548 with
 every patch keyed by every status) and exports a 7,727-node tree
-(`tree_nodes`). The export walks one step per node, so there it takes
-about ten times the search (40 ms against 4 ms, raw, best of 40).
+(`tree_nodes`). The export walks one step per node, each one cache
+lookup (`_Solver.cached`), so there it takes about seven times the
+search (27 ms against 4 ms, raw, best of 60).
 """
 from __future__ import annotations
 
@@ -170,11 +171,16 @@ class _Solver(Policy):
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        if belief.position == instance.t:
+        """The choice at `belief` of the patch it lies in: one `cached`
+        lookup, as the export finds every patch its walks reach solved,
+        and a `region` solve only on a miss."""
+        position = belief.position
+        if position == instance.t:
             return _HALT
-        _, choices, _ = self.region(belief.opened, belief.blocked,
-                                    belief.position)
-        return choices.get(belief.position)
+        opened, blocked = belief.opened, belief.blocked
+        patch = (self.cached(opened, blocked, position)
+                 or self.region(opened, blocked, position))
+        return patch[1].get(position)
 
     def key(self, opened: int, blocked: int, start: str) -> tuple:
         """The cache key of the patch at `start`: the masks cut down to the
@@ -222,6 +228,17 @@ class _Solver(Policy):
             total += value if scale == share else _rescale(value, scale, share)
         return total, True
 
+    def cached(self, opened: int, blocked: int, start: str) -> tuple | None:
+        """The cache entry `(values, choices, scale, stratum)` of the patch
+        at `start` under these masks, or None; each hit counts in
+        `region_hits`, and in `shared_hits` if another stratum solved it."""
+        cached = self._regions.get(self.key(opened, blocked, start))
+        if cached is not None:
+            self.region_hits += 1
+            if cached[3] != (opened, blocked):
+                self.shared_hits += 1
+        return cached
+
     def region(self, opened: int, blocked: int, start: str,
                mass: int | None = None) -> tuple[dict, dict, int]:
         """Values and choices over the patch `start` reaches unrevealing,
@@ -230,13 +247,9 @@ class _Solver(Policy):
         given. The patch is cached under the `key` of each of its
         positions, so a stratum that differs only in bits their walks
         cannot use reads it too."""
-        cached = self._regions.get(self.key(opened, blocked, start))
+        cached = self.cached(opened, blocked, start)
         if cached is not None:
-            values, choices, scale, stratum = cached
-            self.region_hits += 1
-            if stratum != (opened, blocked):
-                self.shared_hits += 1
-            return values, choices, scale
+            return cached[:3]
         if mass is None:
             mass = self.mass(opened, blocked)
         t = self.instance.t

@@ -8,13 +8,17 @@ agree:
 - `trial_stream` is the stream of one Monte Carlo trial, which
   `simulate` and the sampling tests draw from;
 - `decomposed_cost` and `chain_early_exit_expectation` split a reference
-  policy's closed-form cost by outcome.
+  policy's closed-form cost by outcome;
+- `outcome_breakdown` writes an evaluation's breakdown rows with text
+  labels, which the frozen breakdown digests are taken over.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
 from ctplab.model import (
+    Cost,
     CtpInstance,
     InvalidInstanceError,
     SplitMix64,
@@ -23,6 +27,7 @@ from ctplab.model import (
     as_fraction,
     trial_counters,
 )
+from ctplab.policy import _LABEL_WORDS, EvalResult, _text
 
 
 def instance_to_dict(instance: CtpInstance) -> dict:
@@ -53,6 +58,17 @@ def trial_stream(seed: int, trial: int) -> SplitMix64:
     """The stream of trial `trial` under `seed`."""
     (counter,) = trial_counters(seed, (trial,))
     return SplitMix64(counter)
+
+
+def outcome_breakdown(result: EvalResult,
+                      ) -> tuple[tuple[str, Fraction, Cost], ...]:
+    """The rows of `result`, each event written `id=open,id=blocked ; ...`
+    (ids sorted within an outcome), or "no observations" when it shows
+    nothing; each outcome's text is written once."""
+    text = cache(partial(_text, result.instance))
+    return tuple((" ; ".join(text(*masks, _LABEL_WORDS)
+                             for masks in event) or "no observations",
+                  p, cost) for event, p, cost in result.rows)
 
 
 def decomposed_cost(early_exit: Fraction, passing: Fraction,

@@ -311,10 +311,11 @@ class TestCommands:
                      "--policy", "baiting_pi", "--policy-out", str(tree)]) == 0
         capsys.readouterr()
 
+        # no breakdown row is built, so no label is written either
         def unwritten(self):
-            raise AssertionError("solve --policy wrote breakdown labels")
+            raise AssertionError("solve --policy built breakdown rows")
 
-        monkeypatch.setattr(policy_module.EvalResult, "outcome_breakdown",
+        monkeypatch.setattr(policy_module.EvalResult, "rows",
                             property(unwritten))
         assert main(["solve", str(out), "--policy", str(tree)]) == 0
         assert "outcome branches: 8\n" in capsys.readouterr().out

@@ -219,8 +219,6 @@ TEST_ORACLES = {
                               "::test_walk_policy_is_free_on_winnable_games",
     "CoverSensingPolicy": "test_reductions.py::TestSensing"
                           "::test_cover_policy_matches_its_closed_form",
-    "outcome_breakdown":
-        "test_policy.py::TestFrozenTreeEvaluation::test_frozen",
 }
 
 

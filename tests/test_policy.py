@@ -46,7 +46,7 @@ from ctplab.policy import (
 from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
 from ctplab.solve import solve
 
-from oracles import decomposed_cost
+from oracles import decomposed_cost, outcome_breakdown
 from test_sampling import oracle_simulate
 
 
@@ -207,21 +207,6 @@ class TestLegality:
         with pytest.raises(InvalidInstanceError, match="always open"):
             evaluate_exact(inst, policy, mode="tree")
 
-    @pytest.mark.parametrize("walk", [
-        lambda inst, policy: evaluate_exact(inst, policy, mode="tree"),
-        lambda inst, policy: walk_weather(inst, policy, Weather(0)),
-    ], ids=["tree", "weather"])
-    @pytest.mark.parametrize("make, action", [
-        (anchor_instance, Action.move("anchor")),
-        (one_way_instance, Action.move("back")),
-        (remote_sensing_instance, Action.sense("risky")),
-    ], ids=["anchor", "against-direction", "sense-without-entry"])
-    def test_move_rule_refusals(self, make, action, walk):
-        policy = RulePolicy(lambda i, b: action)
-        with pytest.raises(InvalidInstanceError,
-                           match="cannot be taken out of s|no sensing entry"):
-            walk(make(), policy)
-
     def test_endless_walk_hits_cap(self):
         inst = hop_out_instance()
         policy = RulePolicy(lambda i, b_: Action.move("hop"))
@@ -250,6 +235,57 @@ class TestLegality:
             got = simulate(inst, policy, 64, seed)
             assert (got[0].hex(), got[1].hex()) == (want[0].hex(),
                                                     want[1].hex())
+
+    def test_cap_is_read_from_step_cap(self, monkeypatch):
+        # at a cap of 4 the blocked weather's 5 steps after `c` shows do
+        # not fit, and every walker says so; the open weather's 2 still do
+        monkeypatch.setattr(policy_module, "_step_cap", lambda inst: 4)
+        inst, policy = zigzag_instance(), RulePolicy(zigzag)
+        assert walk_weather(inst, policy, Weather(0)) == Cost.of(4)
+        for walk in (lambda: evaluate_exact(inst, policy, mode="tree"),
+                     lambda: evaluate_exact(inst, policy, mode="weathers"),
+                     lambda: walk_weather(inst, policy,
+                                          Weather(inst.bits["c"])),
+                     lambda: simulate(inst, policy, 64, 4)):
+            with pytest.raises(EnumerationCapError) as caught:
+                walk()
+            assert str(caught.value) == (
+                "no arrival within 4 steps; last at t knowing [c blocked]")
+
+    @pytest.mark.parametrize("walk", [
+        lambda inst, policy: evaluate_exact(inst, policy, mode="tree"),
+        lambda inst, policy: evaluate_exact(inst, policy, mode="weathers"),
+        # every uncertain edge blocked: the outcome the tree walk pops
+        # first and the weather the weathers mode lists first
+        lambda inst, policy: walk_weather(
+            inst, policy, Weather((1 << len(inst.uncertain_edges)) - 1)),
+    ], ids=["tree", "weathers", "weather"])
+    @pytest.mark.parametrize("make, rule, message", [
+        (anchor_instance, lambda b: Action.move("anchor"),
+         "edge anchor cannot be taken out of s, at s knowing nothing"),
+        (one_way_instance, lambda b: Action.move("back"),
+         "edge back cannot be taken out of s, at s knowing nothing"),
+        (remote_sensing_instance, lambda b: Action.sense("risky"),
+         "no sensing entry for 'risky' from s, at s knowing nothing"),
+        (two_path_instance, lambda b: Action.move("cheap"),
+         "edge cheap is blocked, at s knowing [cheap blocked]"),
+        (remote_sensing_instance,
+         lambda b: Action.move("direct" if b.position == "s" else "risky"),
+         "edge risky is unobserved, at t knowing nothing"),
+        (two_path_instance, lambda b: Action.give_up("cheap"),
+         "give-up edge cheap is not always open, at s knowing "
+         "[cheap blocked]"),
+        (sure_edge_instance, lambda b: Action.move("nope"),
+         "unknown edge 'nope', at s knowing nothing"),
+        (sure_edge_instance, lambda b: Action.halt(),
+         "halt away from the target, at s knowing nothing"),
+    ], ids=["anchor", "against-direction", "sense-without-entry", "blocked",
+            "unobserved", "give-up-uncertain", "unknown-edge", "halt-away"])
+    def test_move_rule_refusals(self, make, rule, message, walk):
+        # every walker refuses a step with the same words, letter for letter
+        with pytest.raises(InvalidInstanceError) as caught:
+            walk(make(), RulePolicy(lambda i, b: rule(b)))
+        assert str(caught.value) == message
 
     def test_policy_must_be_a_function_of_the_belief(self):
         # at s with nothing known it first hops to m, then takes `out`
@@ -283,10 +319,10 @@ class TestEvaluate:
         inst = two_path_instance()
         result = evaluate_exact(inst, RulePolicy(take_cheap_else_sure),
                                 mode="tree")
-        total = sum((p for _, p, _ in result.outcome_breakdown), Fraction(0))
+        breakdown = outcome_breakdown(result)
+        total = sum((p for _, p, _ in breakdown), Fraction(0))
         assert total == 1
-        recombined = sum((p * c.plain for _, p, c in result.outcome_breakdown),
-                         Fraction(0))
+        recombined = sum((p * c.plain for _, p, c in breakdown), Fraction(0))
         assert Cost.of(recombined) == result.expected_cost
 
     def test_declaring_infeasible_costs_infinity(self):
@@ -304,7 +340,8 @@ class TestEvaluate:
 
         result = evaluate_exact(inst, RulePolicy(rule), mode="tree")
         assert result.expected_cost.is_infinite
-        labels = {label: cost for label, _, cost in result.outcome_breakdown}
+        labels = {label: cost
+                  for label, _, cost in outcome_breakdown(result)}
         assert labels["only=blocked"].is_infinite
         assert labels["only=open"] == Cost.of(1)
 
@@ -662,9 +699,9 @@ class TestFrozenTreeEvaluation:
         inst, policy = _pinned_case(name)
         result = evaluate_exact(inst, policy, mode="tree")
         assert str(result.expected_cost) == expected
-        assert len(result.outcome_breakdown) == rows
+        assert len(outcome_breakdown(result)) == rows
         text = "\n".join(f"{label}\t{prob}\t{cost}"
-                         for label, prob, cost in result.outcome_breakdown)
+                         for label, prob, cost in outcome_breakdown(result))
         assert _sha256(text) == breakdown_sha
         exported, tree = export_decision_tree(inst, policy)
         assert exported == result
@@ -672,7 +709,8 @@ class TestFrozenTreeEvaluation:
 
     def test_baiting_rows_in_order(self):
         inst, policy = _pinned_case("baiting")
-        breakdown = evaluate_exact(inst, policy, mode="tree").outcome_breakdown
+        breakdown = outcome_breakdown(evaluate_exact(inst, policy,
+                                                     mode="tree"))
         cuts = [f"bg.cut{i:03d}" for i in range(1, 8)]
         want = []
         for opened in range(6, -1, -1):

@@ -54,6 +54,7 @@ from ctplab.solve import (
     solve,
     solve_disjoint_paths,
 )
+from oracles import outcome_breakdown
 from test_model import coin_star
 from test_oracle import random_instance
 
@@ -171,7 +172,7 @@ class TestSolveIndependent:
             assert ids == sorted(ids), key
         # breakdown rows in the model's order: zb's outcomes, then ya's
         walked = evaluate_exact(inst, result.policy)
-        assert [label for label, _, _ in walked.outcome_breakdown] == [
+        assert [label for label, _, _ in outcome_breakdown(walked)] == [
             "zz=blocked",
             "zz=open ; ya=blocked,zb=blocked",
             "zz=open ; ya=open,zb=blocked",
@@ -186,7 +187,7 @@ class TestSolveIndependent:
         # one row per weather, in support order: the listed edges' rows
         # multiplied out, zz slowest and blocked first; labels in id order
         assert [(label, str(cost)) for label, _, cost in
-                by_weather.outcome_breakdown] == [
+                outcome_breakdown(by_weather)] == [
             ("ya=blocked,zb=blocked,zz=blocked", "10/1"),
             ("ya=open,zb=blocked,zz=blocked", "10/1"),
             ("ya=blocked,zb=open,zz=blocked", "10/1"),
@@ -958,7 +959,7 @@ class TestTextAtTheEdges:
             assert back.to_json() == text, label
             assert json.dumps(json.loads(text), indent=2,
                               sort_keys=True) == text, label
-            for row in evaluate_exact(instance, back).outcome_breakdown:
+            for row in outcome_breakdown(evaluate_exact(instance, back)):
                 rows.update("{}\t{}\t{}\t{}\n".format(label, *row).encode())
         assert rows.hexdigest() == (
             "2c410e3be3e6287e03296a048a5f603a0d43c1b4eedffe8b840a93d9317868cd")
@@ -1071,7 +1072,8 @@ def branch_every_time(instance, policy):
     rows = []
 
     def leaf(labels, prob, cost):
-        rows.append((" ; ".join(labels) or "no observations", prob, cost))
+        rows.append((" ; ".join(labels) or "no observations", prob,
+                     cost.plain))
 
     def walk(belief, labels, prob, spent):
         for _ in range(cap):
@@ -1103,7 +1105,7 @@ def branch_every_time(instance, policy):
         reveal(start, instance.s, fresh, (), Fraction(1), Fraction(0))
     else:
         walk(start, (), Fraction(1), Fraction(0))
-    return P._summed(instance, rows, [p for _, p, _ in rows], 1)
+    return P._summed(instance, rows, 1)
 
 
 class TestWalkMemo:
@@ -1116,7 +1118,7 @@ class TestWalkMemo:
         result = solve_battery_game(k)
         walked = evaluate_exact(instance, result.policy, mode="tree")
         oracle = branch_every_time(instance, result.policy)
-        assert (walked.expected_cost, walked.outcome_breakdown) == (
+        assert (walked.expected_cost, outcome_breakdown(walked)) == (
             oracle.expected_cost, oracle.rows)
         assert walked.expected_cost == result.optimal_cost
         components = instance.joint.components
