@@ -516,6 +516,7 @@ def _cmd_solve(args) -> int:
               f"region hits: {stats.region_hits}")
         print(f"shared hits: {stats.shared_hits}")
         print(f"tree nodes: {stats.tree_nodes}")
+        print(f"graph nodes: {stats.graph_nodes}")
         print(f"search: {stats.search_s:.3f} s, "
               f"export and self-check: {stats.export_s:.3f} s")
     return 0

@@ -15,7 +15,10 @@ of their outcomes. Text is written only at the edges, in `to_json`,
 `describe_belief` and error messages.
 Replaying the policy on every weather of the support
 (`evaluate_exact(..., mode="weathers")`) stays as the independent oracle
-that the walk is checked against.
+that the walk is checked against. A policy that decides by a key of the
+belief, as the solver's does, is priced one graph node per key instead
+(`export_keyed_tree`), which writes the tree from that graph and is
+checked against the walk.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` (read as one
@@ -130,6 +133,8 @@ def action_from_dict(data: dict | None) -> Action | None:
 _KEY_WORDS = ("B", "O")
 _LABEL_WORDS = ("blocked", "open")
 _NO_REVEAL = (0, 0)  # the outcome masks of a step that reveals nothing
+_STAY_ROWS = ((0, 0, 1),)  # its one outcome row, at chance 1
+_NEW = object()  # a key no node is built for yet
 
 
 def _text(instance: CtpInstance, opened: int, blocked: int,
@@ -525,7 +530,7 @@ def _trace(instance: CtpInstance, policy: Policy,
         `belief`; return them as the children of the step that led
         there."""
         pos, opened, blocked = belief.position, belief.opened, belief.blocked
-        pushed = []
+        pushed, children = [], []
         for opened_by, blocked_by, p in instance.outcomes(
                 tables, fresh, opened, blocked):
             share, rest = divmod(weight * p.numerator, p.denominator)
@@ -533,14 +538,15 @@ def _trace(instance: CtpInstance, policy: Policy,
                 raise InternalCheckError(
                     f"an outcome of mask {fresh:#x} has chance {p}, whose "
                     f"denominator does not divide the mass {mass}")
-            pushed.append((Belief(pos, opened | opened_by,
-                                  blocked | blocked_by, instance),
-                           event + ((opened_by, blocked_by),), share, spent))
+            masks = (opened_by, blocked_by)
+            below = (pos, opened | opened_by, blocked | blocked_by)
+            pushed.append((Belief(*below, instance), event + (masks,), share,
+                           spent))
+            if record is not None:
+                children.append((masks, below))
         # reversed, so that outcomes pop in the order the model lists them
         stack.extend(reversed(pushed))
-        return () if record is None else tuple(
-            (child[1][-1], (pos, child[0].opened, child[0].blocked))
-            for child in pushed)
+        return tuple(children)
 
     start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
@@ -594,6 +600,187 @@ def export_decision_tree(instance: CtpInstance, policy: Policy,
     nodes: dict[tuple[str, int, int], TreeNode] = {}
     result = _trace(instance, policy, nodes)
     return result, DecisionTreePolicy(instance, nodes, (instance.s, 0, 0))
+
+
+def export_keyed_tree(instance: CtpInstance,
+                      key: Callable[[int, int, str], tuple],
+                      choose: Callable[..., Action | None],
+                      ) -> tuple[Cost, DecisionTreePolicy, int]:
+    """Price a policy that decides by a key of the belief, one graph node
+    per key, and write its decision tree from that graph: the price, the
+    tree `export_decision_tree` writes of the same policy, and the number
+    of graph nodes.
+
+    `key(opened, blocked, position)` is a belief's key: three items keep
+    every status, and a fourth is the cut, the bits whose statuses the key
+    keeps. `choose(key, opened, blocked, position)` is the action there.
+    The first belief of a key builds its node with one `choose`, one
+    `_step` and, on a reveal, one `CtpInstance.outcomes` call; every other
+    belief of the key reuses the node, its tree children its own masks
+    ORed with the outcome masks. All beliefs at t share one node, as
+    halting reads no status; the root's chance node is one node too.
+
+    Local checks, which read only the instance, make the graph's price
+    the price of the tree it writes. At each node the move's bit, the
+    bits arriving can show and the joint components a reveal touches lie
+    inside the cut, so each belief of the key takes the same step to the
+    same outcomes at the same chances; each child's cut lies inside the
+    parent's plus the bits just revealed, so each has the same child keys.
+    A failed check, or a cycle among the nodes (which the skip of a belief
+    already written would hide), raises `InternalCheckError`. As in
+    `export_decision_tree`, a belief written before with another action is
+    refused, and the tree holds at most `BELIEF_CAP` nodes past its root.
+
+    Weights M = Z·P flow down from the root in integer chances, as in
+    `_trace`: each node after every node that leads to it (the reverse of
+    the order the depth-first pass finished them in), one exact `divmod`
+    per outcome, and the terminal weights must sum to Z. Weight times
+    price is summed per price denominator, so only the total is a
+    `Fraction`; an action of None that is reached makes it `math.inf`.
+    """
+    t, s, mass = instance.t, instance.s, instance.joint.scale
+    every = (1 << len(instance.bits)) - 1
+    tables: dict = {}
+    # key -> its node [key, action, price numerator, price denominator,
+    # outcomes, weight], made when a built node first names the key as a
+    # child. An outcome is (masks, far position, child node, chance
+    # numerator, chance denominator). The weight is _NEW until the node is
+    # built and None until every belief below the key's first one is
+    # written
+    graph: dict[tuple, list] = {}
+    order: list[list] = []  # each node after every node it leads to
+    record: dict[tuple[str, int, int], TreeNode] = {}
+    at_t = (0, 0, t, 0)
+    root = (s, 0, 0)
+    fresh = instance.fresh_at(s, 0)
+
+    def where(belief: tuple[str, int, int]) -> str:
+        pos, opened, blocked = belief
+        return f"{pos}|{_text(instance, opened, blocked, _KEY_WORDS)}"
+
+    start = [key(0, 0, s) if not fresh else (), None, 0, 1, (), _NEW]
+    graph[start[0]] = start
+    # pending beliefs with their nodes; (None, node) finishes a node
+    stack: list[tuple] = [(root, start)]
+    while stack:
+        belief, node = stack.pop()
+        if belief is None:  # every belief below its first one is written
+            node[5] = 0
+            order.append(node)
+            continue
+        new = node[5] is _NEW
+        if new:  # the first belief of the node's key builds it
+            k, found = node[0], []
+            pos, opened, blocked = belief
+            if not k:  # the root: a chance node over what s shows
+                price, far, shown, cut = 0, s, fresh, -1
+            elif (action := choose(k, opened, blocked, pos)) is None:
+                shown = None
+            else:
+                node[1] = action
+                price, far, shown = _step(
+                    instance, Belief(pos, opened, blocked, instance), action)
+                cut = k[3] if len(k) > 3 else every
+                # a key that keeps every status passes every check
+                if shown is not None and cut != every:
+                    if action.kind is ActionKind.SENSE:
+                        bit = sight = shown
+                    else:
+                        _, _, bit, sight = instance.legal_moves[
+                            pos, action.edge]
+                    if bit & ~cut:
+                        raise InternalCheckError(
+                            f"the key at {where(belief)} drops the status "
+                            f"of {action}")
+                    if sight & ~cut:
+                        raise InternalCheckError(
+                            f"the key at {where(belief)} drops a status "
+                            f"that {action} can show")
+            if shown is not None:
+                node[2], node[3] = price.as_integer_ratio()
+                if shown:
+                    rows = instance.outcomes(tables, shown, opened, blocked)
+                    if tables[shown][0] & ~cut:
+                        raise InternalCheckError(
+                            f"the key at {where(belief)} drops a status "
+                            f"that the chances of mask {shown:#x} depend on")
+                else:
+                    rows = _STAY_ROWS
+                for opened_by, blocked_by, p in rows:
+                    child = at_t if far == t else key(
+                        opened | opened_by, blocked | blocked_by, far)
+                    if (child[3] if len(child) > 3 else every) & ~(
+                            cut | shown):
+                        raise InternalCheckError(
+                            f"the key of a child of {where(belief)} keeps "
+                            "statuses that its parent's drops")
+                    below = graph.setdefault(
+                        child, [child, None, 0, 1, (), _NEW])
+                    numerator, denominator = p.as_integer_ratio()
+                    found.append(((opened_by, blocked_by), far, below,
+                                  numerator, denominator))
+            node[4] = found
+            if found:
+                node[5] = None
+                stack.append((None, node))
+            else:
+                node[5] = 0
+                order.append(node)
+        elif node[5] is None:
+            raise InternalCheckError(
+                f"the policy loops through the key at {where(belief)}")
+        action = node[1]
+        _, opened, blocked = belief
+        children = []
+        for masks, far, below, _, _ in node[4]:
+            down = (far, opened | masks[0], blocked | masks[1])
+            children.append((masks, down))
+            stack.append((down, below))
+        written = tuple.__new__(TreeNode, (action, tuple(children)))
+        seen = record.setdefault(belief, written)
+        if seen is not written:
+            if seen.action is not action and seen.action != action:
+                raise InvalidInstanceError(
+                    "policy is not a function of the belief at "
+                    f"{where(belief)}")
+            if not new:  # a belief met again leads where it led before
+                del stack[len(stack) - len(children):]
+                continue
+        # strata that share a patch are each written out, so a search
+        # within the belief cap can still pass this
+        elif len(record) > BELIEF_CAP + 1:
+            raise EnumerationCapError(
+                f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
+                "past its root")
+
+    start[5] = mass
+    ends, infinite = 0, False
+    totals: dict[int, int] = {}  # price denominator -> weighted numerators
+    for _, action, numerator, denominator, found, weight in reversed(order):
+        if numerator:
+            totals[denominator] = totals.get(denominator, 0) + (
+                weight * numerator)
+        if not found:
+            ends += weight
+            infinite = infinite or action is None
+        for _, _, below, numerator, denominator in found:
+            if denominator == 1:  # the one outcome of a step showing nothing
+                below[5] += weight
+                continue
+            share, rest = divmod(weight * numerator, denominator)
+            if rest:
+                raise InternalCheckError(
+                    f"an outcome of chance {numerator}/{denominator} does "
+                    f"not divide the mass {mass}")
+            below[5] += share
+    if ends != mass:
+        raise InternalCheckError("outcome probabilities do not sum to one")
+    # an infinite price is not multiplied out
+    unit = math.lcm(*totals)
+    value = Cost.infinite() if infinite else Cost.of(Fraction(
+        sum(total * (unit // denominator)
+            for denominator, total in totals.items()), mass * unit))
+    return value, DecisionTreePolicy(instance, record, root), len(graph)
 
 
 _TRAJECTORY_MEMO_CAP = 4096

@@ -14,11 +14,12 @@ from `CtpInstance.senses_from`, and a move reveals what `fresh_at` says
 arriving at its far end exposes. Branch probabilities always condition on
 everything revealed so far, so the one entry point `solve` is exact for
 independent, dependent, and sensing instances alike. Every solve checks
-its value against the tree evaluator (`export_decision_tree`), which
-walks the policy over every outcome and prices its tree in integer
-chances of its own. Both read Z (below) from the joint model, where a
-wrong Z either raises a remainder or cancels, so the check shares no
-search table.
+its value against the price of the policy it returns
+(`export_keyed_tree`): one graph node per cache key (`_Solver.key`, below),
+priced in integer chances of its own and checked at each node against
+the instance alone, and the full decision tree written from that graph.
+Both read Z (below) from the joint model, where a wrong Z either raises
+a remainder or cancels, so the check shares no search table.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -71,11 +72,12 @@ whole masks. The reach, the move and sense tables, the unit and the
 free-space bound are built on the first solve of an instance and kept
 while it lives (`_static`). `beliefs_expanded` counts the positions of
 the patches solved, so a patch that strata share counts once, though the
-exported tree holds it once for each: game 5 expands 319 beliefs (18,548 with
-every patch keyed by every status) and exports a 7,727-node tree
-(`tree_nodes`). The export walks one step per node, each one cache
-lookup (`_Solver.cached`), so there it takes about seven times the
-search (27 ms against 4 ms, raw, best of 60).
+exported tree holds it once for each: game 5 expands 319 beliefs (18,548
+with every patch keyed by every status) and exports a 7,727-node tree
+(`tree_nodes`) from 186 graph nodes (`graph_nodes`). The export takes one
+step and one cache lookup (`_Solver.choose`) per graph node and one tuple
+per tree node, about 9 ms against the search's 3.5 ms there (raw, best
+of 30); stepping once per tree node took 25 ms.
 """
 from __future__ import annotations
 
@@ -106,6 +108,7 @@ from .policy import (
     DecisionTreePolicy,
     Policy,
     export_decision_tree,
+    export_keyed_tree,
 )
 
 _HALT = Action.halt()  # actions are frozen, so one serves every solve
@@ -119,13 +122,15 @@ class SolveStats:
     priced; `boundary_repriced` counts the pops that resume an unfinished
     sum. `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, `regions` the strata patches it solved,
-    `region_hits` the lookups, the export's too, that found one solved and
-    `shared_hits` those of them answered by a patch solved in another
-    stratum (`_Solver.key`). `tree_nodes` counts the nodes of the exported
-    tree: the export walks one step per node, so it sets that phase's cost.
-    `search_s` and `export_s` are the wall seconds `solve` spent in the
-    search and in the tree export with its self-check; they vary from run
-    to run, so equality ignores them.
+    `region_hits` the lookups, the export's one per graph node too, that
+    found one solved and `shared_hits` those of them answered by a patch
+    solved in another stratum (`_Solver.key`). `tree_nodes` counts the
+    nodes of the exported tree, each written as one tuple, and
+    `graph_nodes` the nodes of the graph the self-check priced, one per
+    key; the export steps once per graph node. `search_s` and `export_s`
+    are the wall seconds `solve` spent in the search and in the export
+    with its self-check; they vary from run to run, so equality ignores
+    them.
     """
 
     beliefs_expanded: int
@@ -137,6 +142,7 @@ class SolveStats:
     region_hits: int = 0
     shared_hits: int = 0
     tree_nodes: int = 0
+    graph_nodes: int = 0
     search_s: float = field(default=0.0, compare=False)
     export_s: float = field(default=0.0, compare=False)
 
@@ -167,24 +173,34 @@ class _Solver(Policy):
         (self.denominator, self.total_mass, self.bound, self.moves,
          self.senses, self.keyed) = _static(instance)
         self.hulls: dict[int, int] = {}  # unknown bits -> their components
-        self._regions: dict[tuple[int, int, str], tuple] = {}
+        self._regions: dict[tuple, tuple] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        """The choice at `belief` of the patch it lies in: one `cached`
-        lookup, as the export finds every patch its walks reach solved,
-        and a `region` solve only on a miss."""
-        position = belief.position
-        if position == instance.t:
+        """`choose` at the belief's own key: the tree walk's oracle."""
+        at = belief.opened, belief.blocked, belief.position
+        return self.choose(self.key(*at), *at)
+
+    def choose(self, key: tuple, opened: int, blocked: int,
+               position: str) -> Action | None:
+        """The choice at a belief of cache key `key` in the patch it lies
+        in: one lookup, counted as `region` counts it, as the export finds
+        every patch it reaches solved, and a `region` solve on a miss."""
+        if position == self.instance.t:
             return _HALT
-        opened, blocked = belief.opened, belief.blocked
-        patch = (self.cached(opened, blocked, position)
-                 or self.region(opened, blocked, position))
+        patch = self._regions.get(key)
+        if patch is None:
+            return self.region(opened, blocked, position)[1].get(position)
+        self.region_hits += 1
+        if patch[3] != (opened, blocked):
+            self.shared_hits += 1
         return patch[1].get(position)
 
     def key(self, opened: int, blocked: int, start: str) -> tuple:
         """The cache key of the patch at `start`: the masks cut down to the
-        bits a walk from there can cross, see or be conditioned on."""
+        bits a walk from there can cross, see or be conditioned on, then
+        start and, where some bit is cut, the cut, which the rest of the
+        key fixes."""
         keep = self.keyed.get(start)
         if keep is None:
             return opened, blocked, start
@@ -194,7 +210,7 @@ class _Solver(Policy):
             hull = self.hulls[loose] = sum(
                 comp.mask for comp in self.instance.joint.touched(loose))
         keep |= hull
-        return opened & keep, blocked & keep, start
+        return opened & keep, blocked & keep, start, keep
 
     def mass(self, opened: int, blocked: int) -> int:
         """M(K) of the stratum K the masks reveal: Z times its chance."""
@@ -228,17 +244,6 @@ class _Solver(Policy):
             total += value if scale == share else _rescale(value, scale, share)
         return total, True
 
-    def cached(self, opened: int, blocked: int, start: str) -> tuple | None:
-        """The cache entry `(values, choices, scale, stratum)` of the patch
-        at `start` under these masks, or None; each hit counts in
-        `region_hits`, and in `shared_hits` if another stratum solved it."""
-        cached = self._regions.get(self.key(opened, blocked, start))
-        if cached is not None:
-            self.region_hits += 1
-            if cached[3] != (opened, blocked):
-                self.shared_hits += 1
-        return cached
-
     def region(self, opened: int, blocked: int, start: str,
                mass: int | None = None) -> tuple[dict, dict, int]:
         """Values and choices over the patch `start` reaches unrevealing,
@@ -246,9 +251,14 @@ class _Solver(Policy):
         those values; `mass` is the masks' M(K), found from them if not
         given. The patch is cached under the `key` of each of its
         positions, so a stratum that differs only in bits their walks
-        cannot use reads it too."""
-        cached = self.cached(opened, blocked, start)
+        cannot use reads it too. Each lookup that finds it counts in
+        `region_hits`, and in `shared_hits` if another stratum solved
+        it."""
+        cached = self._regions.get(self.key(opened, blocked, start))
         if cached is not None:
+            self.region_hits += 1
+            if cached[3] != (opened, blocked):
+                self.shared_hits += 1
             return cached[:3]
         if mass is None:
             mass = self.mass(opened, blocked)
@@ -504,11 +514,11 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     expected = Cost.of(value if value == math.inf else Fraction(
         value, solver.total_mass * solver.denominator))
     searched = time.perf_counter()
-    result, tree = export_decision_tree(instance, solver)
-    if result.expected_cost != expected:
+    priced, tree, graph_nodes = export_keyed_tree(instance, solver.key,
+                                                  solver.choose)
+    if priced != expected:
         raise InternalCheckError(
-            f"solver value {expected} but its exported tree prices "
-            f"{result.expected_cost}")
+            f"solver value {expected} but its exported tree prices {priced}")
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(solver.expanded, solver.evaluated,
                                 solver.steps - solver.evaluated,
@@ -517,7 +527,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
                                     solver.tables.values()),
                                 solver.regions, solver.region_hits,
                                 solver.shared_hits, len(tree.nodes),
-                                searched - began,
+                                graph_nodes, searched - began,
                                 time.perf_counter() - searched))
 
 

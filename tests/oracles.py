@@ -10,13 +10,19 @@ agree:
 - `decomposed_cost` and `chain_early_exit_expectation` split a reference
   policy's closed-form cost by outcome;
 - `outcome_breakdown` writes an evaluation's breakdown rows with text
-  labels, which the frozen breakdown digests are taken over.
+  labels, which the frozen breakdown digests are taken over;
+- `walked_solve` walks the tree of a solve's own search step by step
+  (`export_decision_tree`), where `solve` writes it from a graph of
+  its keys (`export_keyed_tree`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
 
+import pytest
+
+import ctplab.solve as S
 from ctplab.model import (
     Cost,
     CtpInstance,
@@ -27,7 +33,13 @@ from ctplab.model import (
     as_fraction,
     trial_counters,
 )
-from ctplab.policy import _LABEL_WORDS, EvalResult, _text
+from ctplab.policy import (
+    _LABEL_WORDS,
+    DecisionTreePolicy,
+    EvalResult,
+    _text,
+    export_decision_tree,
+)
 
 
 def instance_to_dict(instance: CtpInstance) -> dict:
@@ -69,6 +81,24 @@ def outcome_breakdown(result: EvalResult,
     return tuple((" ; ".join(text(*masks, _LABEL_WORDS)
                              for masks in event) or "no observations",
                   p, cost) for event, p, cost in result.rows)
+
+
+def walked_solve(instance: CtpInstance, belief_cap: int = S.BELIEF_CAP,
+                 ) -> tuple[S.OptResult, EvalResult, DecisionTreePolicy]:
+    """`solve(instance, belief_cap)`, then `export_decision_tree` of the
+    solver whose keys that solve wrote its tree from: the walk prices and
+    writes the same policy one tree node at a time."""
+    solvers = []
+    keyed = S.export_keyed_tree
+
+    def recorded(instance, key, choose):
+        solvers.append(key.__self__)
+        return keyed(instance, key, choose)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "export_keyed_tree", recorded)
+        result = S.solve(instance, belief_cap)
+    return (result, *export_decision_tree(instance, solvers[0]))
 
 
 def decomposed_cost(early_exit: Fraction, passing: Fraction,

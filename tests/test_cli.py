@@ -182,10 +182,13 @@ class TestCommands:
         stats = result.stats
         assert (data["boundary_repriced"], data["branch_tables"],
                 data["regions"], data["region_hits"], data["shared_hits"],
-                data["tree_nodes"]) == (
+                data["tree_nodes"], data["graph_nodes"]) == (
             stats.boundary_repriced, stats.branch_tables, stats.regions,
-            stats.region_hits, stats.shared_hits, stats.tree_nodes)
+            stats.region_hits, stats.shared_hits, stats.tree_nodes,
+            stats.graph_nodes)
         assert stats.tree_nodes == len(result.policy.nodes) > 1
+        # the leaves at t share one graph node
+        assert 1 < stats.graph_nodes < stats.tree_nodes
         # the walk forgets the coins it passed, so strata share patches
         assert 0 < stats.shared_hits <= stats.region_hits
         assert 0 < stats.branch_tables <= stats.boundary_evaluated + 1
@@ -199,7 +202,8 @@ class TestCommands:
                 f"regions: {data['regions']}, "
                 f"region hits: {data['region_hits']}\n"
                 f"shared hits: {data['shared_hits']}\n"
-                f"tree nodes: {data['tree_nodes']}\n") in text
+                f"tree nodes: {data['tree_nodes']}\n"
+                f"graph nodes: {data['graph_nodes']}\n") in text
 
     def test_solve_reports_phase_times(self, game_file, tmp_path, capsys):
         out = tmp_path / "dep.json"

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctplab.model import Belief, Cost, InstanceBuilder, Variant
 from ctplab.policy import ActionKind
-from ctplab.solve import solve
+from oracles import walked_solve
 
 VERTICES = ("s", "t", "a", "b", "c")
 CHANCES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
@@ -195,8 +195,11 @@ class Oracle:
 
 
 def check(instance):
-    """The solver's optimum and first actions, priced by the oracle."""
-    result = solve(instance)
+    """The solver's optimum and first actions, priced by the oracle; the
+    tree the solve writes from its keys is the one its search walks."""
+    result, walked, tree = walked_solve(instance)
+    assert result.policy.nodes == tree.nodes
+    assert walked.expected_cost == result.optimal_cost
     oracle = Oracle(instance)
     s, root = instance.s, frozenset()
     optimum = oracle.arrive(root, s)

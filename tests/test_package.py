@@ -56,12 +56,14 @@ def _scopes_naming(node: ast.AST, name: str, scope: str = "<module>"):
 def test_one_stepping_loop():
     # `_walk` is the package's only stepping loop: `walk_weather`,
     # `simulate` and the outcome walk all step a policy through it, so
-    # they share one step cap and one cap message
+    # they share one step cap and one cap message. The keyed export takes
+    # one step per graph node, through the same move rule, and loops over
+    # none
     callers = [f"{path.name}:{scope}"
                for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
                for scope in _scopes_naming(ast.parse(path.read_text()),
                                            "_step")]
-    assert callers == ["policy.py:_walk"]
+    assert callers == ["policy.py:_walk", "policy.py:export_keyed_tree"]
 
 
 def test_one_mix():

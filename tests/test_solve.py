@@ -54,7 +54,7 @@ from ctplab.solve import (
     solve,
     solve_disjoint_paths,
 )
-from oracles import outcome_breakdown
+from oracles import outcome_breakdown, walked_solve
 from test_model import coin_star
 from test_oracle import random_instance
 
@@ -131,15 +131,13 @@ class TestSolveIndependent:
             solve(inst, belief_cap=3)
 
     def test_self_check_failure_raises(self, monkeypatch):
-        exported = S.export_decision_tree
+        exported = S.export_keyed_tree
 
-        def skewed(instance, policy):
-            result, tree = exported(instance, policy)
-            return dataclasses.replace(
-                result, expected_cost=Cost.of(
-                    result.expected_cost.plain + 1)), tree
+        def skewed(instance, key, choose):
+            value, tree, nodes = exported(instance, key, choose)
+            return Cost.of(value.plain + 1), tree, nodes
 
-        monkeypatch.setattr(S, "export_decision_tree", skewed)
+        monkeypatch.setattr(S, "export_keyed_tree", skewed)
         with pytest.raises(InternalCheckError, match="exported tree"):
             solve(two_path_instance())
 
@@ -646,13 +644,14 @@ FROZEN_SOLVES = {
 }
 
 
-# name: branch tables, regions, region-cache hits, resumed pricings
+# name: branch tables, regions, region-cache hits, resumed pricings,
+# graph nodes of the export
 FROZEN_COUNTERS = {
-    "game0": (14, 18, 68, 1), "game1": (12, 26, 49, 10),
-    "game2": (30, 41, 241, 2), "game3": (30, 42, 79, 16),
-    "game4": (67, 77, 543, 8), "game5": (75, 166, 6922, 22),
-    "game6": (15, 26, 41, 8), "game7": (25, 62, 127, 24),
-    "baiting-2": (8, 15, 17, 1), "p3": (4, 19, 92, 14),
+    "game0": (14, 18, 44, 1, 32), "game1": (12, 26, 49, 10, 2),
+    "game2": (30, 41, 95, 2, 62), "game3": (30, 42, 79, 16, 2),
+    "game4": (67, 77, 177, 8, 98), "game5": (75, 166, 404, 22, 186),
+    "game6": (15, 26, 41, 8, 2), "game7": (25, 62, 127, 24, 2),
+    "baiting-2": (8, 15, 17, 1, 17), "p3": (4, 19, 92, 14, 22),
 }
 
 
@@ -690,7 +689,8 @@ class TestFrozenSolves:
         result = frozen_solve(name)
         stats = result.stats
         assert (stats.branch_tables, stats.regions, stats.region_hits,
-                stats.boundary_repriced) == FROZEN_COUNTERS[name]
+                stats.boundary_repriced, stats.graph_nodes) \
+            == FROZEN_COUNTERS[name]
         # each pricing, and the root, asks for one table or reuses one
         assert stats.branch_tables <= stats.boundary_evaluated + 1
         assert stats.regions <= stats.beliefs_expanded
@@ -698,8 +698,163 @@ class TestFrozenSolves:
         assert stats.shared_hits <= stats.region_hits
         assert (stats.shared_hits > 0) == name.startswith("game")
         # a shared patch is expanded once but exported under every
-        # stratum that reads it, so only the tree cap bounds the tree
+        # stratum that reads it, so only the tree cap bounds the tree;
+        # the graph holds each key once, and every leaf at t in one node
         assert len(result.policy.nodes) <= P.BELIEF_CAP + 1
+        assert stats.graph_nodes <= stats.tree_nodes == len(
+            result.policy.nodes)
+
+
+def assert_matches_tree_walk(instance, belief_cap=P.BELIEF_CAP):
+    """`solve` writes its tree from a graph of its search's keys; the walk
+    of the same search (`export_decision_tree`) writes the same tree node
+    for node, and both it and `evaluate_exact` price it at the optimum."""
+    result, walked, tree = walked_solve(instance, belief_cap)
+    assert result.policy.nodes == tree.nodes
+    assert result.policy.root == tree.root
+    assert walked.expected_cost == result.optimal_cost
+    assert evaluate_exact(instance, result.policy).expected_cost \
+        == result.optimal_cost
+    return result
+
+
+def corridor_instance():
+    """s walks to m, which shows `far`; past m, n shows `late`."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "m", 1, id="walk")
+    b.add_edge("m", "t", 1, id="far", block_p=Fraction(1, 2))
+    b.add_edge("m", "n", 1, id="on")
+    b.add_edge("n", "t", 1, id="late", block_p=Fraction(1, 2))
+    b.add_edge("s", "t", 10, id="out")
+    return b.build()
+
+
+def hidden_twin_instance():
+    """m shows `seen`; its twin `hidden`, which no walk from s sees, shares
+    its coin, so the chances at m depend on both."""
+    coin, low, high = Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+    b = InstanceBuilder(Variant.DEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "m", 1, id="walk")
+    b.add_edge("m", "t", 1, id="seen", block_p=(low + high) / 2)
+    b.add_edge("u", "t", 1, id="hidden", block_p=(low + high) / 2)
+    b.add_edge("s", "t", 10, id="out")
+    b.add_variable("coin", (), [coin])
+    b.add_variable("seen", ("coin",), [low, high])
+    b.add_variable("hidden", ("coin",), [high, low])
+    return b.build()
+
+
+def searched(instance):
+    """A solver that has searched `instance`."""
+    solver = S._Solver(instance, P.BELIEF_CAP)
+    solver.branch_value(0, 0, instance.fresh_at(instance.s, 0), instance.s,
+                        solver.total_mass)
+    return solver
+
+
+def dropping_key(solver, edge, where=None):
+    """`solver.key` whose cut leaves out the bit of `edge` at `where`, or
+    at every position; the masks stay as the solver cut them, so no two
+    beliefs share a node they did not share before."""
+    every, drop = (1 << len(solver.instance.bits)) - 1, \
+        solver.instance.bits[edge]
+
+    def key(opened, blocked, start):
+        k = solver.key(opened, blocked, start)
+        if where not in (None, start):
+            return k
+        return (*k[:3], (k[3] if len(k) > 3 else every) & ~drop)
+
+    return key
+
+
+class TestKeyedExport:
+    """`solve` prices one graph node per search key and writes its tree
+    from that graph; the step-by-step tree walk is its oracle."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+    def test_frozen_solves(self, name):
+        build = FROZEN_BUILDS.get(name)
+        result = assert_matches_tree_walk(
+            build() if build else
+            qbf_to_ctpdep(GAME_BATTERY[int(name[4:])][0])[0])
+        assert hashlib.sha256(result.policy.to_json().encode()).hexdigest() \
+            == FROZEN_SOLVES[name][2]
+
+    @pytest.mark.parametrize("length", [Fraction(3, 2), 2, 4, 8, 16])
+    def test_baiting(self, length):
+        assert_matches_tree_walk(baiting_harness(length)[0])
+
+    @pytest.mark.parametrize("graph", ["p3", "k3"])
+    def test_sensing(self, graph):
+        assert_matches_tree_walk(sensing_instance(graph))
+
+    def test_perfbench_inputs(self):
+        for instance in perfbench_solve_inputs().values():
+            assert_matches_tree_walk(instance)
+
+    def test_a_cut_without_the_move_raises(self):
+        # the walker takes the gamble once s shows it open
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="gamble", block_p=Fraction(1, 2))
+        b.add_edge("s", "t", 10, id="sure")
+        instance = b.build()
+        solver = searched(instance)
+        with pytest.raises(InternalCheckError,
+                           match="drops the status of move.gamble."):
+            P.export_keyed_tree(instance, dropping_key(solver, "gamble"),
+                                solver.choose)
+
+    def test_a_cut_without_what_a_step_shows_raises(self):
+        instance = corridor_instance()
+        solver = searched(instance)
+        with pytest.raises(InternalCheckError,
+                           match="drops a status that move.walk. can show"):
+            P.export_keyed_tree(instance, dropping_key(solver, "far"),
+                                solver.choose)
+
+    def test_a_cut_without_a_touched_component_raises(self):
+        instance = hidden_twin_instance()
+        solver = searched(instance)
+        assert solve(instance).optimal_first_action == Action.move("walk")
+        with pytest.raises(InternalCheckError,
+                           match="chances of mask 0x1 depend on"):
+            P.export_keyed_tree(instance, dropping_key(solver, "hidden"),
+                                solver.choose)
+        # the search's own keys keep the twin
+        P.export_keyed_tree(instance, solver.key, solver.choose)
+
+    def test_a_child_that_keeps_more_raises(self):
+        # s's key drops `late`, which m's keeps and the walk to m does
+        # not show
+        instance = corridor_instance()
+        solver = searched(instance)
+        with pytest.raises(InternalCheckError,
+                           match="keeps statuses that its parent's drops"):
+            P.export_keyed_tree(instance,
+                                dropping_key(solver, "late", "s"),
+                                solver.choose)
+
+    def test_a_cycle_raises(self):
+        # a policy that walks back and forth between s and m forever
+        instance = corridor_instance()
+
+        class Pacing(P.Policy):
+            def decide(self, instance, belief):
+                return Action.move("walk")
+
+            def choose(self, key, opened, blocked, position):
+                return Action.move("walk")
+
+        with pytest.raises(InternalCheckError, match="loops through"):
+            P.export_keyed_tree(instance, searched(instance).key,
+                                Pacing().choose)
+        # the tree walk runs into its step cap instead
+        with pytest.raises(EnumerationCapError, match="no arrival"):
+            export_decision_tree(instance, Pacing())
 
 
 def every_bit(instance):
