@@ -452,12 +452,7 @@ def _cmd_gadget(args) -> int:
     fallback = as_fraction(args.fallback)
     harness = observation_harness if observing else baiting_harness
     instance, handle = harness(length, charge=charge, fallback=fallback)
-    out_path = Path(args.out) if args.out else Path(
-        f"{args.kind}.instance.json")
-    save_instance(instance, out_path)
-    print(f"wrote {out_path} ({len(instance.vertices)} vertices, "
-          f"{len(instance.edges)} edges)")
-    if args.policy:
+    if args.policy:  # built and priced before any file is written
         last = handle.third if observing else handle
         terminal = "charge" if charge is not None else last.exit_shortcut
         if args.policy == "baiting_pi_j":
@@ -467,13 +462,18 @@ def _cmd_gadget(args) -> int:
         else:
             walker = reference_policy(args.policy, handle=handle,
                                       terminal=terminal)
-        outcome, tree = export_decision_tree(instance, walker)
+        price, tree = export_decision_tree(instance, walker)
+    out_path = Path(args.out) if args.out else Path(
+        f"{args.kind}.instance.json")
+    save_instance(instance, out_path)
+    print(f"wrote {out_path} ({len(instance.vertices)} vertices, "
+          f"{len(instance.edges)} edges)")
+    if args.policy:
         policy_path = (Path(args.policy_out) if args.policy_out
                        else out_path.with_name(f"{args.policy}.tree.json"))
         policy_path.write_text(tree.to_json())
         print(f"wrote {policy_path}")
-        print("expected cost: "
-              f"{render_cost(outcome.expected_cost, args.precision)}")
+        print(f"expected cost: {render_cost(price, args.precision)}")
     return 0
 
 

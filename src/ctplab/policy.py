@@ -8,17 +8,17 @@ reference policies for the baiting and observation gadgets.
 
 The evaluator walks a depth-first stack of observation outcomes, which
 copes with gadget chains far too long to enumerate; it prices every
-policy and exports decision trees. A walk keeps its branch tables from
-`CtpInstance.outcomes` only until it ends, and writes no text: tree
-nodes are keyed by a belief's masks, and breakdown leaves hold the masks
-of their outcomes. Text is written only at the edges, in `to_json`,
-`describe_belief` and error messages.
-Replaying the policy on every weather of the support
-(`evaluate_exact(..., mode="weathers")`) stays as the independent oracle
-that the walk is checked against. A policy that decides by a key of the
-belief, as the solver's does, is priced one graph node per key instead
-(`export_keyed_tree`), which writes the tree from that graph and is
-checked against the walk.
+policy, one breakdown row per leaf. Replaying the policy on every weather
+of the support (`evaluate_exact(..., mode="weathers")`) stays as the
+independent oracle that the walk is checked against. Decision trees have
+one writer, `export_keyed_tree`: it prices a policy one graph node per
+key of the belief and writes the tree from that graph.
+`export_decision_tree` keys each belief by itself, and the solver keys
+by its search's cache keys. The walk and the writer keep their branch
+tables from `CtpInstance.outcomes` only until they end, and write no
+text: tree nodes are keyed by a belief's masks, and breakdown leaves
+hold the masks of their outcomes. Text is written only at the edges, in
+`to_json`, `describe_belief` and error messages.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` (read as one
@@ -28,9 +28,10 @@ ORs the revealed bits into them; a weather walk splits them into open
 and blocked by one AND with the weather's blocked mask. `walk_weather`,
 `simulate` and the evaluator share one stepping loop (`_walk`), which
 runs from one reveal to the next and counts its step cap from the last
-reveal. The simulator keeps the walks its trials share in a prefix tree
-of trajectories; on a dyadic table a trial decides a one-edge reveal
-from that edge's draw alone.
+reveal; the tree writer takes one step per graph node and refuses a
+loop as a cycle among its nodes. The simulator keeps the walks its
+trials share in a prefix tree of trajectories; on a dyadic table a trial
+decides a one-edge reveal from that edge's draw alone.
 
 Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
 skip zero prices. The only floats are `math.inf`, for a walk the policy
@@ -132,7 +133,6 @@ def action_from_dict(data: dict | None) -> Action | None:
 # how a tree key and an outcome label write a status: blocked, open
 _KEY_WORDS = ("B", "O")
 _LABEL_WORDS = ("blocked", "open")
-_NO_REVEAL = (0, 0)  # the outcome masks of a step that reveals nothing
 _STAY_ROWS = ((0, 0, 1),)  # its one outcome row, at chance 1
 _NEW = object()  # a key no node is built for yet
 
@@ -187,8 +187,9 @@ class Policy:
 class TreeNode(NamedTuple):
     """One recorded action and the nodes it leads to, each child keyed by
     the `(opened, blocked)` masks its outcome reveals (`(0, 0)` after a
-    step that reveals nothing). A tuple, so an exported tree allocates one
-    object per node."""
+    step that reveals nothing). Written by `export_keyed_tree` alone, or
+    read back by `DecisionTreePolicy.from_dict`. A tuple, so an exported
+    tree allocates one object per node."""
 
     action: Action | None
     children: tuple[tuple[tuple[int, int], tuple[str, int, int]], ...] = ()
@@ -409,21 +410,15 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
 
 def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
           belief: Belief, total: Fraction | int, cap: int,
-          steps: list[tuple[tuple[str, int, int], Action | None]] | None,
           ) -> tuple[Fraction | int | float, Belief, int | None]:
     """Walk from `belief`, `total` spent, by a policy's `decide` to the
     next reveal, halt or action of None: the total then (`math.inf` after
     None), the belief on arrival and the mask revealed (None once the walk
-    is over). With `steps`, each step taken is appended to it as the
-    belief's `(position, opened, blocked)` and the action decided there.
-    The one stepping loop of `walk_weather`, `simulate` and `_trace`, each
-    of which reads `cap` from `_step_cap` once; past `cap` steps it
-    raises."""
+    is over). The one stepping loop of `walk_weather`, `simulate` and
+    `_trace`, each of which reads `cap` from `_step_cap` once; past `cap`
+    steps it raises."""
     for _ in range(cap):
         action = decide(instance, belief)
-        if steps is not None:
-            steps.append(((belief.position, belief.opened, belief.blocked),
-                          action))
         if action is None:
             return math.inf, belief, None
         price, pos, revealed = _step(instance, belief, action)
@@ -453,39 +448,11 @@ def walk_weather(instance: CtpInstance, policy: Policy,
     while fresh is not None:
         total, belief, fresh = _walk(
             instance, policy.decide,
-            _reveal(belief, fresh, fresh & weather.blocked), total, cap, None)
+            _reveal(belief, fresh, fresh & weather.blocked), total, cap)
     return Cost.infinite() if total == math.inf else Cost.of(total)
 
 
-def _write(instance: CtpInstance,
-           record: dict[tuple[str, int, int], TreeNode],
-           steps: list[tuple[tuple[str, int, int], Action | None]],
-           children: tuple) -> None:
-    """Write one walk's `steps` into `record`, last first: the last step
-    leads to `children`, and each other one to the next, revealing
-    nothing. Each node is one tuple, built without the Python frame of
-    `TreeNode`'s own `__new__`."""
-    for key, action in reversed(steps):
-        node = tuple.__new__(TreeNode, (action, children))
-        # a belief met again with the same action led to the same place
-        seen = record.setdefault(key, node)
-        if seen is not node and seen.action != action:
-            raise InvalidInstanceError(
-                "policy is not a function of the belief at "
-                f"{key[0]}|{_text(instance, key[1], key[2], _KEY_WORDS)}")
-        children = ((_NO_REVEAL, key),)
-    # a solve's tree can pass its belief count: strata that share a patch
-    # expand it once but are each exported, so a search within the belief
-    # cap can still trip this
-    if len(record) > BELIEF_CAP + 1:
-        raise EnumerationCapError(
-            f"the decision tree exceeds the cap of {BELIEF_CAP} nodes past "
-            "its root")
-
-
-def _trace(instance: CtpInstance, policy: Policy,
-           record: dict[tuple[str, int, int], TreeNode] | None,
-           ) -> EvalResult:
+def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
     """Evaluate by enumerating observation outcomes depth first.
 
     Between observations the walk is deterministic, so each pending entry
@@ -508,15 +475,10 @@ def _trace(instance: CtpInstance, policy: Policy,
 
     Each piece of work is done once per walk, and none of it is text. The
     branch tables come from `CtpInstance.outcomes`, kept only until the
-    walk ends. With `record`, `_walk` lists the steps it takes, and once it
-    returns `_write` puts them into `record` under the beliefs' masks, one
-    tuple per step. It raises if a belief is recorded again with another
-    action, or once the tree holds more than `BELIEF_CAP` nodes past its
-    root.
+    walk ends. The walk writes no tree: `export_keyed_tree` does.
     """
     mass, cap = instance.joint.scale, _step_cap(instance)
     tables: dict = {}
-    steps: list | None = None if record is None else []
     leaves: list[tuple[tuple[tuple[int, int], ...], int,
                        Fraction | int | float]] = []
     # pending entries: belief, the outcomes that led to it, weight, cost
@@ -525,12 +487,11 @@ def _trace(instance: CtpInstance, policy: Policy,
                       Fraction | int]] = []
 
     def branch(belief: Belief, fresh: int, event: tuple, weight: int,
-               spent: Fraction | int) -> tuple:
+               spent: Fraction | int) -> None:
         """Push the outcomes of revealing mask `fresh` on arrival at
-        `belief`; return them as the children of the step that led
-        there."""
+        `belief`."""
         pos, opened, blocked = belief.position, belief.opened, belief.blocked
-        pushed, children = [], []
+        pushed = []
         for opened_by, blocked_by, p in instance.outcomes(
                 tables, fresh, opened, blocked):
             share, rest = divmod(weight * p.numerator, p.denominator)
@@ -538,36 +499,26 @@ def _trace(instance: CtpInstance, policy: Policy,
                 raise InternalCheckError(
                     f"an outcome of mask {fresh:#x} has chance {p}, whose "
                     f"denominator does not divide the mass {mass}")
-            masks = (opened_by, blocked_by)
-            below = (pos, opened | opened_by, blocked | blocked_by)
-            pushed.append((Belief(*below, instance), event + (masks,), share,
-                           spent))
-            if record is not None:
-                children.append((masks, below))
+            pushed.append((Belief(pos, opened | opened_by,
+                                  blocked | blocked_by, instance),
+                           event + ((opened_by, blocked_by),), share, spent))
         # reversed, so that outcomes pop in the order the model lists them
         stack.extend(reversed(pushed))
-        return tuple(children)
 
     start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
-    if fresh:  # the root records no action, only what s shows
-        children = branch(start, fresh, (), mass, 0)
-        if record is not None:
-            record[instance.s, 0, 0] = TreeNode(None, children)
+    if fresh:
+        branch(start, fresh, (), mass, 0)
     else:
         stack.append((start, (), mass, 0))
     while stack:
         belief, event, weight, spent = stack.pop()
         spent, belief, fresh = _walk(instance, policy.decide, belief, spent,
-                                     cap, steps)
+                                     cap)
         if fresh is not None:
-            children = branch(belief, fresh, event, weight, spent)
+            branch(belief, fresh, event, weight, spent)
         else:
-            children = ()
             leaves.append((event, weight, spent))
-        if steps:
-            _write(instance, record, steps, children)
-            steps.clear()
 
     return _summed(instance, leaves, mass)
 
@@ -584,7 +535,7 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     walk is checked against.
     """
     if mode == "tree":
-        return _trace(instance, policy, None)
+        return _trace(instance, policy)
     if mode != "weathers":
         raise ValueError(f"unknown evaluation mode {mode!r}")
     every = (1 << len(instance.uncertain_edges)) - 1
@@ -595,11 +546,16 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,
-                         ) -> tuple[EvalResult, DecisionTreePolicy]:
-    """Unfold `policy` over every belief it can reach, as an explicit tree."""
-    nodes: dict[tuple[str, int, int], TreeNode] = {}
-    result = _trace(instance, policy, nodes)
-    return result, DecisionTreePolicy(instance, nodes, (instance.s, 0, 0))
+                         ) -> tuple[Cost, DecisionTreePolicy]:
+    """Unfold `policy` over every belief it can reach, as an explicit tree,
+    and its price: `export_keyed_tree` with each belief its own key."""
+    def choose(_, opened: int, blocked: int, position: str) -> Action | None:
+        return policy.decide(instance,
+                             Belief(position, opened, blocked, instance))
+
+    price, tree, _ = export_keyed_tree(instance, lambda *belief: belief,
+                                       choose)
+    return price, tree
 
 
 def export_keyed_tree(instance: CtpInstance,
@@ -608,8 +564,9 @@ def export_keyed_tree(instance: CtpInstance,
                       ) -> tuple[Cost, DecisionTreePolicy, int]:
     """Price a policy that decides by a key of the belief, one graph node
     per key, and write its decision tree from that graph: the price, the
-    tree `export_decision_tree` writes of the same policy, and the number
-    of graph nodes.
+    tree and the number of graph nodes. The package's one tree writer:
+    `export_decision_tree` keys each belief by itself, and `solve` by its
+    search's cache keys.
 
     `key(opened, blocked, position)` is a belief's key: three items keep
     every status, and a fourth is the cut, the bits whose statuses the key
@@ -617,8 +574,7 @@ def export_keyed_tree(instance: CtpInstance,
     The first belief of a key builds its node with one `choose`, one
     `_step` and, on a reveal, one `CtpInstance.outcomes` call; every other
     belief of the key reuses the node, its tree children its own masks
-    ORed with the outcome masks. All beliefs at t share one node, as
-    halting reads no status; the root's chance node is one node too.
+    ORed with the outcome masks. The root's chance node is one node too.
 
     Local checks, which read only the instance, make the graph's price
     the price of the tree it writes. At each node the move's bit, the
@@ -627,9 +583,9 @@ def export_keyed_tree(instance: CtpInstance,
     same outcomes at the same chances; each child's cut lies inside the
     parent's plus the bits just revealed, so each has the same child keys.
     A failed check, or a cycle among the nodes (which the skip of a belief
-    already written would hide), raises `InternalCheckError`. As in
-    `export_decision_tree`, a belief written before with another action is
-    refused, and the tree holds at most `BELIEF_CAP` nodes past its root.
+    already written would hide), raises `InternalCheckError`: with each
+    belief its own key, a cycle is a policy that walks in a loop. The tree
+    holds at most `BELIEF_CAP` nodes past its root.
 
     Weights M = Z·P flow down from the root in integer chances, as in
     `_trace`: each node after every node that leads to it (the reverse of
@@ -638,7 +594,7 @@ def export_keyed_tree(instance: CtpInstance,
     price is summed per price denominator, so only the total is a
     `Fraction`; an action of None that is reached makes it `math.inf`.
     """
-    t, s, mass = instance.t, instance.s, instance.joint.scale
+    s, mass = instance.s, instance.joint.scale
     every = (1 << len(instance.bits)) - 1
     tables: dict = {}
     # key -> its node [key, action, price numerator, price denominator,
@@ -650,7 +606,6 @@ def export_keyed_tree(instance: CtpInstance,
     graph: dict[tuple, list] = {}
     order: list[list] = []  # each node after every node it leads to
     record: dict[tuple[str, int, int], TreeNode] = {}
-    at_t = (0, 0, t, 0)
     root = (s, 0, 0)
     fresh = instance.fresh_at(s, 0)
 
@@ -668,8 +623,7 @@ def export_keyed_tree(instance: CtpInstance,
             node[5] = 0
             order.append(node)
             continue
-        new = node[5] is _NEW
-        if new:  # the first belief of the node's key builds it
+        if node[5] is _NEW:  # the first belief of the node's key builds it
             k, found = node[0], []
             pos, opened, blocked = belief
             if not k:  # the root: a chance node over what s shows
@@ -707,8 +661,7 @@ def export_keyed_tree(instance: CtpInstance,
                 else:
                     rows = _STAY_ROWS
                 for opened_by, blocked_by, p in rows:
-                    child = at_t if far == t else key(
-                        opened | opened_by, blocked | blocked_by, far)
+                    child = key(opened | opened_by, blocked | blocked_by, far)
                     if (child[3] if len(child) > 3 else every) & ~(
                             cut | shown):
                         raise InternalCheckError(
@@ -737,18 +690,14 @@ def export_keyed_tree(instance: CtpInstance,
             children.append((masks, down))
             stack.append((down, below))
         written = tuple.__new__(TreeNode, (action, tuple(children)))
-        seen = record.setdefault(belief, written)
-        if seen is not written:
-            if seen.action is not action and seen.action != action:
-                raise InvalidInstanceError(
-                    "policy is not a function of the belief at "
-                    f"{where(belief)}")
-            if not new:  # a belief met again leads where it led before
-                del stack[len(stack) - len(children):]
-                continue
+        if record.setdefault(belief, written) is not written:
+            # a belief met again, by a key its masks fix, leads where it
+            # led before
+            del stack[len(stack) - len(children):]
+            continue
         # strata that share a patch are each written out, so a search
         # within the belief cap can still pass this
-        elif len(record) > BELIEF_CAP + 1:
+        if len(record) > BELIEF_CAP + 1:
             raise EnumerationCapError(
                 f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
                 "past its root")
@@ -830,7 +779,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
             if child is None:
                 total, belief, fresh = _walk(
                     instance, policy.decide, _reveal(belief, fresh, blocked),
-                    total, cap, None)
+                    total, cap)
                 child = (float(total) if fresh is None else
                          node(belief, fresh, total))
                 if stored < _TRAJECTORY_MEMO_CAP:

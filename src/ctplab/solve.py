@@ -68,11 +68,13 @@ the M(K) it was solved at. A lookup from a stratum K' of another mass
 rescales the start's value by M(K')/M(K), exactly (a remainder raises
 `InternalCheckError`). Where every vertex but t reaches every bit, as on
 every independent and sensing input the benchmark solves, the key is the
-whole masks. The reach, the move and sense tables, the unit and the
-free-space bound are built on the first solve of an instance and kept
-while it lives (`_static`). `beliefs_expanded` counts the positions of
-the patches solved, so a patch that strata share counts once, though the
-exported tree holds it once for each: game 5 expands 319 beliefs (18,548
+whole masks. At t, where a walk ends, it keeps none, so the export
+writes every belief at t from one graph node. The reach, the move and
+sense tables, the unit and the free-space bound are built on the first
+solve of an instance and kept while it lives (`_static`).
+`beliefs_expanded` counts the positions of the patches solved, so a
+patch that strata share counts once, though the exported tree holds it
+once for each: game 5 expands 319 beliefs (18,548
 with every patch keyed by every status) and exports a 7,727-node tree
 (`tree_nodes`) from 186 graph nodes (`graph_nodes`). The export takes one
 step and one cache lookup (`_Solver.choose`) per graph node and one tuple
@@ -177,7 +179,8 @@ class _Solver(Policy):
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        """`choose` at the belief's own key: the tree walk's oracle."""
+        """`choose` at the belief's own key: the search as a `Policy`, for
+        walks that step it one belief at a time."""
         at = belief.opened, belief.blocked, belief.position
         return self.choose(self.key(*at), *at)
 
@@ -373,9 +376,9 @@ def _static(instance: CtpInstance) -> tuple:
                   for e, fee in instance.senses_from(u).items()]
               for u in instance.vertices}
     every = (1 << len(bits)) - 1
-    # t keeps whole keys, as no lookup starts there
-    keyed = {v: mask for v, mask in _reach(instance).items()
-             if mask != every and v != instance.t}
+    # a walk ends at t, so its key keeps no status: no lookup starts there,
+    # and the export writes every belief at t from one graph node
+    keyed = {v: mask for v, mask in _reach(instance).items() if mask != every}
     static = _STATICS[id(instance)] = (
         unit, instance.joint.scale, bound, moves, senses, keyed)
     weakref.finalize(instance, _STATICS.pop, id(instance), None)
@@ -678,10 +681,10 @@ def solve_disjoint_paths(instance: CtpInstance) -> OptResult:
             f"the decision tree would hold {size} nodes, past the cap of "
             f"{BELIEF_CAP} nodes past its root")
     checked, tree = export_decision_tree(instance, CommittingPolicy(routes))
-    if checked.expected_cost != expected:
+    if checked != expected:
         raise InternalCheckError(
             f"index rule prices {expected} but its exported tree prices "
-            f"{checked.expected_cost}")
+            f"{checked}")
     nodes = len(tree.nodes)
     return OptResult(expected, _first_action(tree), tree,
                      SolveStats(nodes, tree_nodes=nodes))

@@ -11,9 +11,10 @@ agree:
   policy's closed-form cost by outcome;
 - `outcome_breakdown` writes an evaluation's breakdown rows with text
   labels, which the frozen breakdown digests are taken over;
-- `walked_solve` walks the tree of a solve's own search step by step
-  (`export_decision_tree`), where `solve` writes it from a graph of
-  its keys (`export_keyed_tree`).
+- `walked_tree` walks a policy one step at a time and records each step
+  as a tree node, where `export_decision_tree` and `solve` write the
+  tree from a graph of keys (`export_keyed_tree`); `walked_solve` and
+  `walked_index_rule` walk the policy a solve wrote its tree of.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import pytest
 
 import ctplab.solve as S
 from ctplab.model import (
+    Belief,
     Cost,
     CtpInstance,
     InvalidInstanceError,
@@ -35,10 +37,12 @@ from ctplab.model import (
 )
 from ctplab.policy import (
     _LABEL_WORDS,
+    ActionKind,
     DecisionTreePolicy,
     EvalResult,
+    Policy,
+    TreeNode,
     _text,
-    export_decision_tree,
 )
 
 
@@ -83,22 +87,106 @@ def outcome_breakdown(result: EvalResult,
                   p, cost) for event, p, cost in result.rows)
 
 
-def walked_solve(instance: CtpInstance, belief_cap: int = S.BELIEF_CAP,
-                 ) -> tuple[S.OptResult, EvalResult, DecisionTreePolicy]:
-    """`solve(instance, belief_cap)`, then `export_decision_tree` of the
-    solver whose keys that solve wrote its tree from: the walk prices and
-    writes the same policy one tree node at a time."""
-    solvers = []
-    keyed = S.export_keyed_tree
+def walked_tree(instance: CtpInstance, policy: Policy,
+                ) -> tuple[Cost, DecisionTreePolicy]:
+    """`policy` walked one step at a time down every outcome, each step
+    recorded as the tree node of its belief and each leaf priced in
+    `Fraction`s: the price and tree `export_decision_tree` writes.
 
-    def recorded(instance, key, choose):
-        solvers.append(key.__self__)
-        return keyed(instance, key, choose)
+    It steps by `moves_from`, `senses_from` and `fresh_at`, branches by
+    `JointModel.branch` and trusts each step to be legal. A belief met
+    again is walked again, so a policy that gives one belief two actions,
+    or comes back to a belief before the next reveal (a loop), raises."""
+    nodes: dict[tuple[str, int, int], TreeNode] = {}
+    price, infinite = Fraction(0), False
+
+    def record(belief, action, children) -> None:
+        if nodes.setdefault(belief, TreeNode(action, children)) != (
+                action, children):
+            raise ValueError(f"the policy is not a function of {belief}")
+
+    def outcomes(pos, opened, blocked, fresh) -> list:
+        """Each outcome's masks, the belief it leads to and its chance."""
+        return [((by_open, by_block),
+                 (pos, opened | by_open, blocked | by_block), p)
+                for by_open, by_block, p in instance.joint.branch(
+                    opened, blocked, fresh)]
+
+    # pending beliefs, with their chance and the cost spent reaching them
+    stack: list[tuple[tuple[str, int, int], Fraction, Fraction]] = []
+    root, fresh = (instance.s, 0, 0), instance.fresh_at(instance.s, 0)
+    if fresh:
+        rows = outcomes(*root, fresh)
+        record(root, None, tuple(row[:2] for row in rows))
+        stack += [(below, p, Fraction(0)) for _, below, p in reversed(rows)]
+    else:
+        stack.append((root, Fraction(1), Fraction(0)))
+    while stack:
+        belief, chance, spent = stack.pop()
+        since_reveal = set()
+        while True:
+            if belief in since_reveal:
+                raise ValueError(f"the policy loops through {belief}")
+            since_reveal.add(belief)
+            pos, opened, blocked = belief
+            action = policy.decide(instance,
+                                   Belief(pos, opened, blocked, instance))
+            if action is None or action.kind is ActionKind.HALT:
+                record(belief, action, ())
+                infinite = infinite or action is None
+                price += chance * spent
+                break
+            if action.kind is ActionKind.SENSE:
+                far, fresh = pos, instance.bits[action.edge]
+                spent += instance.senses_from(pos)[action.edge].fraction
+            else:
+                edge, far = instance.moves_from(pos)[action.edge]
+                fresh = instance.fresh_at(far, opened | blocked)
+                spent += edge.cost.fraction
+            if not fresh:
+                record(belief, action, (((0, 0), (far, opened, blocked)),))
+                belief = (far, opened, blocked)
+                continue
+            rows = outcomes(far, opened, blocked, fresh)
+            record(belief, action, tuple(row[:2] for row in rows))
+            stack += [(below, chance * p, spent)
+                      for _, below, p in reversed(rows)]
+            break
+    return (Cost.infinite() if infinite else Cost.of(price),
+            DecisionTreePolicy(instance, nodes, root))
+
+
+def _walked(run, name: str, policy_of, instance: CtpInstance, *args):
+    """`run(instance, *args)` with `S.<name>` recording its arguments, and
+    `walked_tree` of the policy `policy_of` picks from them."""
+    calls = []
+    exported = getattr(S, name)
+
+    def recorded(*call):
+        calls.append(call)
+        return exported(*call)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(S, "export_keyed_tree", recorded)
-        result = S.solve(instance, belief_cap)
-    return (result, *export_decision_tree(instance, solvers[0]))
+        patch.setattr(S, name, recorded)
+        result = run(instance, *args)
+    return (result, *walked_tree(instance, policy_of(*calls[0])))
+
+
+def walked_solve(instance: CtpInstance, belief_cap: int = S.BELIEF_CAP,
+                 ) -> tuple[S.OptResult, Cost, DecisionTreePolicy]:
+    """`solve(instance, belief_cap)`, then `walked_tree` of the solver
+    whose keys that solve wrote its tree from."""
+    return _walked(S.solve, "export_keyed_tree",
+                   lambda instance, key, choose: key.__self__, instance,
+                   belief_cap)
+
+
+def walked_index_rule(instance: CtpInstance,
+                      ) -> tuple[S.OptResult, Cost, DecisionTreePolicy]:
+    """`solve_disjoint_paths(instance)`, then `walked_tree` of the
+    committing policy whose tree it wrote."""
+    return _walked(S.solve_disjoint_paths, "export_decision_tree",
+                   lambda instance, policy: policy, instance)
 
 
 def decomposed_cost(early_exit: Fraction, passing: Fraction,

@@ -351,6 +351,22 @@ class TestCommands:
             assert f"expected cost: {render_cost(Cost.of(price))}" in (
                 captured.out)
 
+    @pytest.mark.parametrize("rounds", [0, 8])
+    def test_gadget_rounds_out_of_range_write_nothing(self, tmp_path, capsys,
+                                                      rounds):
+        # the L = 2 corridor has 7 sections: the policy is refused before
+        # the harness or its tree is written
+        out = tmp_path / "harness.json"
+        code = main(["gadget", "baiting", "--L", "2", "-o", str(out),
+                     "--policy", "baiting_pi_j", "--rounds", str(rounds)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: rounds must lie in [1, 7], got {rounds}\n")
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_command_lines_run(self, tmp_path, monkeypatch, capsys):
         """Every `ctplab` line of README's command-line section runs, in
         order, next to a 2-variable game file, and exits 0: the verify

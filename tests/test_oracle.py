@@ -196,10 +196,11 @@ class Oracle:
 
 def check(instance):
     """The solver's optimum and first actions, priced by the oracle; the
-    tree the solve writes from its keys is the one its search walks."""
+    tree the solve writes from its keys is the one a step-by-step walk of
+    its search records."""
     result, walked, tree = walked_solve(instance)
     assert result.policy.nodes == tree.nodes
-    assert walked.expected_cost == result.optimal_cost
+    assert walked == result.optimal_cost
     oracle = Oracle(instance)
     s, root = instance.s, frozenset()
     optimum = oracle.arrive(root, s)

@@ -66,6 +66,19 @@ def test_one_stepping_loop():
     assert callers == ["policy.py:_walk", "policy.py:export_keyed_tree"]
 
 
+def test_one_tree_writer():
+    # every decision tree is written by `export_keyed_tree`, and read back
+    # by `DecisionTreePolicy.from_dict`; `export_decision_tree` and `solve`
+    # both write through the first, and the module level only annotates
+    scopes = [f"{path.name}:{scope}"
+              for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+              for scope in _scopes_naming(ast.parse(path.read_text()),
+                                          "TreeNode")]
+    assert sorted(set(scopes)) == ["policy.py:<module>",
+                                   "policy.py:export_keyed_tree",
+                                   "policy.py:from_dict"]
+
+
 def test_one_mix():
     # `_mix64` is the package's only SplitMix64 mix: every word a weather
     # draws, whole or one edge at a time, is mixed there

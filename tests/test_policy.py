@@ -46,7 +46,7 @@ from ctplab.policy import (
 from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
 from ctplab.solve import solve
 
-from oracles import decomposed_cost, outcome_breakdown
+from oracles import decomposed_cost, outcome_breakdown, walked_tree
 from test_sampling import oracle_simulate
 
 
@@ -288,15 +288,15 @@ class TestLegality:
         assert str(caught.value) == message
 
     def test_policy_must_be_a_function_of_the_belief(self):
-        # at s with nothing known it first hops to m, then takes `out`
+        # at s with nothing known it first hops to m, then takes `out`:
+        # the export asks once per belief, so it sees s again, a loop
         answers = iter(["hop", "hop", "out"])
         policy = RulePolicy(lambda i, b_: Action.halt()
                             if b_.position == "t"
                             else Action.move(next(answers)))
-        with pytest.raises(InvalidInstanceError) as caught:
+        with pytest.raises(InternalCheckError) as caught:
             export_decision_tree(hop_out_instance(), policy)
-        assert str(caught.value) == (
-            "policy is not a function of the belief at s|")
+        assert str(caught.value) == "the policy loops through the key at s|"
 
 
 class TestEvaluate:
@@ -443,8 +443,14 @@ class TestIntegerChances:
                            match="outcome probabilities do not sum to one"):
             walk(*forward_baiting())
 
-    @both_walks
-    def test_a_chance_outside_the_mass_is_caught(self, walk, monkeypatch):
+    @pytest.mark.parametrize("walk, message", [
+        (evaluate_exact, "an outcome of mask 0x1 has chance 1/6, whose "
+         "denominator does not divide the mass 128"),
+        (export_decision_tree,
+         "an outcome of chance 1/6 does not divide the mass 128"),
+    ], ids=["evaluate", "export"])
+    def test_a_chance_outside_the_mass_is_caught(self, walk, message,
+                                                 monkeypatch):
         # the harness's chances are dyadic, so its total mass is a power of
         # two, and a third of a chance leaves a remainder
         outcomes = CtpInstance.outcomes
@@ -454,9 +460,9 @@ class TestIntegerChances:
             return [(opened, blocked, p / 3), *rest]
 
         monkeypatch.setattr(CtpInstance, "outcomes", thirds)
-        with pytest.raises(InternalCheckError,
-                           match="whose denominator does not divide"):
+        with pytest.raises(InternalCheckError) as caught:
             walk(*forward_baiting())
+        assert str(caught.value) == message
 
 
 class TestBaitingPolicies:
@@ -558,7 +564,7 @@ class TestDecisionTrees:
                                   terminal=handle.exit_shortcut)
         original, tree = export_decision_tree(inst, policy)
         replayed = evaluate_exact(inst, tree, mode="weathers")
-        assert replayed.expected_cost == original.expected_cost
+        assert replayed.expected_cost == original
 
     def test_json_round_trip(self):
         inst, handle = baiting_harness(Fraction(3, 2))
@@ -568,7 +574,7 @@ class TestDecisionTrees:
         back = DecisionTreePolicy.from_json(tree.to_json(), inst)
         assert back == tree
         replayed = evaluate_exact(inst, back, mode="tree")
-        assert replayed.expected_cost == original.expected_cost
+        assert replayed.expected_cost == original
 
     def test_one_json_replays_on_two_numberings(self):
         # x is bit 1 in one instance and y in the other: each load parses
@@ -648,6 +654,37 @@ class TestDecisionTrees:
                 gc.enable()
 
 
+def assert_matches_step_walk(inst, policy):
+    """`export_decision_tree` writes, from a graph keyed by each belief,
+    the tree the step-by-step walk records, node for node, and the walk
+    and `evaluate_exact` price it the same."""
+    price, tree = export_decision_tree(inst, policy)
+    walked, want = walked_tree(inst, policy)
+    assert (tree.nodes, tree.root) == (want.nodes, want.root)
+    assert price == walked == evaluate_exact(inst, policy).expected_cost
+
+
+class TestOneTreeWriter:
+    """Every reference policy `ctplab gadget --policy` exports goes through
+    the one tree writer; the step-by-step walk is its oracle."""
+
+    @pytest.mark.parametrize("length", [2, 8, 16])
+    def test_baiting(self, length):
+        inst, handle = baiting_harness(length)
+        assert_matches_step_walk(inst, reference_policy(
+            "baiting_pi", handle=handle, terminal=handle.exit_shortcut))
+        for rounds in range(1, handle.n + 1):
+            assert_matches_step_walk(inst, reference_policy(
+                "baiting_pi_j", handle=handle, rounds=rounds,
+                fallback="fallback"))
+
+    @pytest.mark.parametrize("length", [9, 16])
+    def test_observation(self, length):
+        inst, handle = observation_harness(length, charge=0)
+        assert_matches_step_walk(inst, reference_policy(
+            "og_pi_g", handle=handle, terminal="charge"))
+
+
 def _pinned_case(name):
     if name == "baiting":
         inst, handle = baiting_harness(2)
@@ -704,8 +741,12 @@ class TestFrozenTreeEvaluation:
                          for label, prob, cost in outcome_breakdown(result))
         assert _sha256(text) == breakdown_sha
         exported, tree = export_decision_tree(inst, policy)
-        assert exported == result
+        assert exported == result.expected_cost
         assert _sha256(tree.to_json()) == tree_sha
+        # the one tree writer records what the step-by-step walk records
+        walked, want = walked_tree(inst, policy)
+        assert (tree.nodes, tree.root) == (want.nodes, want.root)
+        assert walked == exported
 
     def test_baiting_rows_in_order(self):
         inst, policy = _pinned_case("baiting")

@@ -54,7 +54,7 @@ from ctplab.solve import (
     solve,
     solve_disjoint_paths,
 )
-from oracles import outcome_breakdown, walked_solve
+from oracles import outcome_breakdown, walked_index_rule, walked_solve
 from test_model import coin_star
 from test_oracle import random_instance
 
@@ -304,7 +304,9 @@ class TestBoundedSearch:
                                + stats.boundary_repriced + 1)
         # every revealing step of every solved patch is one or the other
         steps = 0
-        for (opened, blocked, v), patch, _ in solves.values():
+        for (_, _, v, *_), patch, region in solves.values():
+            # the stratum's own masks: t's key keeps none of them
+            opened, blocked = region[3]
             known = M.Belief(v, opened, blocked, instance)
             seen = opened | blocked
             for u in patch - {instance.t}:
@@ -706,13 +708,14 @@ class TestFrozenSolves:
 
 
 def assert_matches_tree_walk(instance, belief_cap=P.BELIEF_CAP):
-    """`solve` writes its tree from a graph of its search's keys; the walk
-    of the same search (`export_decision_tree`) writes the same tree node
-    for node, and both it and `evaluate_exact` price it at the optimum."""
+    """`solve` writes its tree from a graph of its search's keys; the
+    step-by-step walk of the same search (`walked_tree`) records the same
+    tree node for node, and both it and `evaluate_exact` price it at the
+    optimum."""
     result, walked, tree = walked_solve(instance, belief_cap)
     assert result.policy.nodes == tree.nodes
     assert result.policy.root == tree.root
-    assert walked.expected_cost == result.optimal_cost
+    assert walked == result.optimal_cost
     assert evaluate_exact(instance, result.policy).expected_cost \
         == result.optimal_cost
     return result
@@ -839,7 +842,8 @@ class TestKeyedExport:
                                 solver.choose)
 
     def test_a_cycle_raises(self):
-        # a policy that walks back and forth between s and m forever
+        # a policy that walks back and forth between s and m forever: once
+        # m has shown `far`, it comes back to m knowing the same
         instance = corridor_instance()
 
         class Pacing(P.Policy):
@@ -849,12 +853,16 @@ class TestKeyedExport:
             def choose(self, key, opened, blocked, position):
                 return Action.move("walk")
 
-        with pytest.raises(InternalCheckError, match="loops through"):
+        with pytest.raises(InternalCheckError) as caught:
             P.export_keyed_tree(instance, searched(instance).key,
                                 Pacing().choose)
-        # the tree walk runs into its step cap instead
-        with pytest.raises(EnumerationCapError, match="no arrival"):
+        assert str(caught.value) == (
+            "the policy loops through the key at m|far=O")
+        # keyed by each belief, it loops through the same one
+        with pytest.raises(InternalCheckError) as caught:
             export_decision_tree(instance, Pacing())
+        assert str(caught.value) == (
+            "the policy loops through the key at m|far=O")
 
 
 def every_bit(instance):
@@ -1296,7 +1304,7 @@ class TestWalkMemo:
         monkeypatch.setattr(JointModel, "branch", counted)
         priced, tree = export_decision_tree(instance, result.policy)
         assert tree.to_json() == result.policy.to_json()
-        assert priced.expected_cost == result.optimal_cost
+        assert priced == result.optimal_cost
         # 2,047 calls when every branch asked the model
         assert len(calls) <= 40
 
@@ -1388,6 +1396,18 @@ class TestDisjointBruteforce:
         brute = solve_disjoint_paths(inst)
         full = solve(inst)
         assert brute.optimal_cost == full.optimal_cost
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_tree_matches_the_step_walk(self, i):
+        # the committing policy's tree, written from a graph keyed by each
+        # belief, is the step-by-step walk's node for node, and all three
+        # prices agree on the perfbench toys
+        toy = random_disjoint_instance(SplitMix64(PERFBENCH_SEED + 1000 + i))
+        result, walked, tree = walked_index_rule(toy)
+        assert result.policy.nodes == tree.nodes
+        assert result.policy.root == tree.root
+        assert walked == result.optimal_cost == evaluate_exact(
+            toy, result.policy).expected_cost
 
     def test_decomposition_shape(self):
         paths = decompose_into_paths(three_path_instance(0))
@@ -1531,10 +1551,8 @@ class TestDisjointBruteforce:
         exported = S.export_decision_tree
 
         def skewed(instance, policy):
-            result, tree = exported(instance, policy)
-            return dataclasses.replace(
-                result, expected_cost=Cost.of(
-                    result.expected_cost.plain + 1)), tree
+            price, tree = exported(instance, policy)
+            return Cost.of(price.plain + 1), tree
 
         monkeypatch.setattr(S, "export_decision_tree", skewed)
         with pytest.raises(InternalCheckError, match="index rule"):
