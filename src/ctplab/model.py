@@ -18,8 +18,8 @@ as open masks, and `JointModel.branch` returns outcome masks. `fresh_at`
 is what an arrival adds, `outcomes` branches on it, and the id-sorted
 text of keys, labels and messages is built only where it is written.
 
-All arithmetic is exact: walks add `Cost.plain` numbers, the solver ints
-in its own unit, and `Cost` parses, validates, compares and prints them.
+All arithmetic is exact: walks and the search add ints in units of 1/D
+(`CtpInstance.cost_unit`); `Cost` parses, validates, compares and prints.
 """
 
 from __future__ import annotations
@@ -90,6 +90,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def times(value: Fraction | int, scale: int) -> int:
+    """`value * scale` as an `int`; a remainder breaks the unit's invariant."""
+    whole, rest = divmod(value.numerator * scale, value.denominator)
+    if rest:
+        raise InternalCheckError(f"{value} times {scale} is not whole")
+    return whole
+
+
 def parse_probability(text: str) -> Fraction:
     p = parse_rational(text)
     if not 0 <= p <= 1:
@@ -105,9 +113,9 @@ def parse_probability(text: str) -> Fraction:
 class Cost:
     """Nonnegative travel cost, possibly infinite, as a result reports it.
 
-    Infinity dominates every finite value. Computations add `plain`
-    numbers, where infinity is `math.inf`, and `Cost.of` turns a sum back
-    into a `Cost`.
+    Infinity dominates every finite value. Computations add ints in whole
+    units of 1/D (`CtpInstance.cost_unit`), where infinity is `math.inf`,
+    and `Cost.of` turns a sum, divided once, back into a `Cost`.
     """
 
     _value: Fraction | None
@@ -142,16 +150,6 @@ class Cost:
         if self._value is None:
             raise ValueError("infinite cost has no finite value")
         return self._value
-
-    @property
-    def plain(self) -> Fraction | int | float:
-        """The value walks compute with: an `int` when integral (int sums
-        are far cheaper), else the Fraction, and `math.inf` when infinite;
-        `Cost.of(c.plain) == c` for every cost."""
-        value = self._value
-        if value is None:
-            return math.inf
-        return value.numerator if value.denominator == 1 else value
 
     def __lt__(self, other: Cost) -> bool:
         if not isinstance(other, Cost):
@@ -626,14 +624,22 @@ class CtpInstance:
         return self._moves[vertex]
 
     @cached_property
+    def cost_unit(self) -> int:
+        """D, the lcm of the denominators of all finite costs and fees."""
+        costs = [x.cost._value for x in self.edges + (
+            self.sensing.entries if self.sensing else ())]
+        return math.lcm(*{c.denominator for c in costs if c is not None})
+
+    @cached_property
     def legal_moves(self) -> dict[tuple[str, str], tuple]:
         """`moves_from` as one table keyed by `(vertex, edge id)`: the
-        move's plain price, its far end, the edge's bit (0 if it is sure)
-        and the mask arriving at the far end shows when nothing is known
-        (`fresh_at` its AND with the unknown bits). The table the policy
-        walks take each step from."""
-        bits, sight, t = self.bits, self._sight, self.t
-        return {(u, edge_id): (edge.cost.plain, far, bits.get(edge_id, 0),
+        move's price in units of 1/D (`cost_unit`), its far end, the
+        edge's bit (0 if it is sure) and the mask arriving at the far end
+        shows when nothing is known (`fresh_at` its AND with the unknown
+        bits). The table the policy walks take each step from."""
+        bits, sight, t, unit = self.bits, self._sight, self.t, self.cost_unit
+        return {(u, edge_id): (times(edge.cost.fraction, unit), far,
+                               bits.get(edge_id, 0),
                                0 if far == t else sight[far])
                 for u, moves in self._moves.items()
                 for edge_id, (edge, far) in moves.items()}
@@ -1272,6 +1278,7 @@ __all__ = [
     "reveal_rule",
     "sample_weather",
     "save_instance",
+    "times",
     "trial_counters",
     "validate_instance",
     "weather_support",

@@ -33,9 +33,9 @@ loop as a cycle among its nodes. The simulator keeps the walks its
 trials share in a prefix tree of trajectories; on a dyadic table a trial
 decides a one-edge reveal from that edge's draw alone.
 
-Expected costs are exact: the walks add plain numbers (`Cost.plain`) and
-skip zero prices. The only floats are `math.inf`, for a walk the policy
-declares infeasible, and the simulator's summary statistics.
+Costs are exact: every walk adds ints in units of 1/D, as the search
+does, and divides once. The only floats are `math.inf`, for a walk the
+policy declares infeasible, and the simulator's samples and statistics.
 """
 from __future__ import annotations
 
@@ -64,6 +64,7 @@ from .model import (
     require_type,
     reveal_rule,
     sample_weather,
+    times,
     trial_counters,
     weather_support,
 )
@@ -318,24 +319,29 @@ class EvalResult:
     Each leaf of `leaves` is (event, weight, spent): an event is the
     outcomes along one branch of the walk, each as the `(opened,
     blocked)` masks it reveals over the numbering of `instance`, its
-    chance is the weight over `mass`, and `spent` is the plain cost of
-    that branch (`math.inf` if the policy declares it infeasible). `rows`
+    chance is the weight over `mass`, and `spent` is that branch's cost
+    in 1/D (`math.inf` if the policy declares it infeasible). `rows`
     writes each leaf as (event, chance, `Cost`) the first time it is
     read, so a solve that only prices the tree builds none.
     """
 
     expected_cost: Cost
     leaves: tuple[tuple[tuple[tuple[int, int], ...], Fraction | int,
-                        Fraction | int | float], ...]
+                        int | float], ...]
     mass: Fraction | int
     instance: CtpInstance = field(repr=False)
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], Fraction,
                                   Cost], ...]:
-        mass = self.mass
-        return tuple((event, Fraction(weight, mass), Cost.of(spent))
+        mass, unit = self.mass, self.instance.cost_unit
+        return tuple((event, Fraction(weight, mass), _cost(spent, unit))
                      for event, weight, spent in self.leaves)
+
+
+def _cost(total: Fraction | int | float, scale: int) -> Cost:
+    """`total` units of 1/`scale` as a `Cost`; `math.inf` is infinite."""
+    return Cost.of(total if total == math.inf else Fraction(total, scale))
 
 
 def _summed(instance: CtpInstance, leaves: list,
@@ -347,9 +353,9 @@ def _summed(instance: CtpInstance, leaves: list,
     # an infinite row is not multiplied out: below the smallest float, a
     # chance times math.inf is nan
     expected = (math.inf if any(spent == math.inf for _, _, spent in leaves)
-                else Fraction(sum(weight * spent for _, weight, spent in leaves
-                                  if spent), mass))
-    return EvalResult(Cost.of(expected), tuple(leaves), mass, instance)
+                else sum(weight * spent for _, weight, spent in leaves))
+    return EvalResult(_cost(expected, mass * instance.cost_unit),
+                      tuple(leaves), mass, instance)
 
 
 def _step_cap(instance: CtpInstance) -> int:
@@ -363,9 +369,9 @@ def _illegal(message: str, belief: Belief) -> InvalidInstanceError:
 
 
 def _step(instance: CtpInstance, belief: Belief, action: Action,
-          ) -> tuple[Fraction | int, str, int | None]:
-    """Plain price, next position and the mask of the edges it reveals
-    (None at halt).
+          ) -> tuple[int, str, int | None]:
+    """Price in units of 1/D, next position and the mask of the edges it
+    reveals (None at halt).
 
     Legal exactly when the solver could take it. A move or a give-up is
     one lookup in `CtpInstance.legal_moves`, the table of `moves_from`,
@@ -390,7 +396,8 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         if belief.status(edge_id) is not None:
             raise _illegal(
                 f"sensing {edge_id} whose status is already known", belief)
-        return fee.plain, pos, instance.bits[edge_id]
+        return (times(fee.fraction, instance.cost_unit), pos,
+                instance.bits[edge_id])
     move = instance.legal_moves.get((pos, edge_id))
     if move is None:
         if edge_id not in instance.edge_map:
@@ -409,21 +416,20 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
 
 
 def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
-          belief: Belief, total: Fraction | int, cap: int,
-          ) -> tuple[Fraction | int | float, Belief, int | None]:
-    """Walk from `belief`, `total` spent, by a policy's `decide` to the
-    next reveal, halt or action of None: the total then (`math.inf` after
-    None), the belief on arrival and the mask revealed (None once the walk
-    is over). The one stepping loop of `walk_weather`, `simulate` and
-    `_trace`, each of which reads `cap` from `_step_cap` once; past `cap`
-    steps it raises."""
+          belief: Belief, total: int,
+          ) -> tuple[int | float, Belief, int | None]:
+    """Walk from `belief`, `total` spent in 1/D, by a policy's `decide` to
+    the next reveal, halt or action of None: the total then (`math.inf`
+    after None), the belief on arrival and the mask revealed (None once
+    the walk is over). The one stepping loop of `walk_weather`, `simulate`
+    and `_trace`; past `_step_cap` steps it raises."""
+    cap = _step_cap(instance)
     for _ in range(cap):
         action = decide(instance, belief)
         if action is None:
             return math.inf, belief, None
         price, pos, revealed = _step(instance, belief, action)
-        if price:  # neither a zero price nor a zero total builds a Fraction
-            total = total + price if total else price
+        total += price
         if revealed is None:
             return total, belief, None
         belief = Belief(pos, belief.opened, belief.blocked, instance)
@@ -439,17 +445,22 @@ def _reveal(belief: Belief, fresh: int, blocked: int) -> Belief:
                   belief.blocked | blocked, belief.instance)
 
 
-def walk_weather(instance: CtpInstance, policy: Policy,
-                 weather: Weather) -> Cost:
-    """Run the policy against one fixed weather; return the realized cost."""
+def _weather_total(instance: CtpInstance, policy: Policy,
+                   weather: Weather) -> int | float:
+    """`walk_weather`'s cost in units of 1/D, `math.inf` if infinite."""
     belief = Belief(instance.s, 0, 0, instance)
     fresh, total = instance.fresh_at(instance.s, 0), 0
-    cap = _step_cap(instance)
     while fresh is not None:
         total, belief, fresh = _walk(
             instance, policy.decide,
-            _reveal(belief, fresh, fresh & weather.blocked), total, cap)
-    return Cost.infinite() if total == math.inf else Cost.of(total)
+            _reveal(belief, fresh, fresh & weather.blocked), total)
+    return total
+
+
+def walk_weather(instance: CtpInstance, policy: Policy,
+                 weather: Weather) -> Cost:
+    """Run the policy against one fixed weather; return the realized cost."""
+    return _cost(_weather_total(instance, policy, weather), instance.cost_unit)
 
 
 def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
@@ -464,30 +475,28 @@ def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
     row, and the expected cost is the probability-weighted sum of their
     costs.
 
-    Chances are ints. An entry carries the weight M = Z·P of the outcomes
-    that led to it, P their chance and Z `instance.joint.scale`, so M is
-    whole. The solver reads the same Z, but a wrong one either leaves a
-    remainder or cancels in M/Z, so the check still shares no search
-    table. An outcome multiplies M by its chance in one `divmod`, and a
-    remainder raises `InternalCheckError`; the leaves' weights must sum to
-    Z. A leaf stays `(event, M, spent)`, and `EvalResult.rows` writes its
-    chance `Fraction(M, Z)` and its `Cost` only when read.
+    Chances and costs are ints: an entry carries its cost so far in 1/D
+    and the weight M = Z·P of the outcomes that led to it, P their chance
+    and Z `instance.joint.scale`. The solver reads the same Z and D, but a
+    wrong one leaves a remainder or cancels in M/(Z·D), so the check
+    shares no search table. An outcome multiplies M by its chance in one
+    `divmod`, a remainder raising `InternalCheckError`, and the leaves'
+    weights must sum to Z. A leaf `(event, M, spent)` is divided only when
+    `EvalResult.rows` is read.
 
     Each piece of work is done once per walk, and none of it is text. The
     branch tables come from `CtpInstance.outcomes`, kept only until the
     walk ends. The walk writes no tree: `export_keyed_tree` does.
     """
-    mass, cap = instance.joint.scale, _step_cap(instance)
+    mass = instance.joint.scale
     tables: dict = {}
-    leaves: list[tuple[tuple[tuple[int, int], ...], int,
-                       Fraction | int | float]] = []
+    leaves: list[tuple[tuple[tuple[int, int], ...], int, int | float]] = []
     # pending entries: belief, the outcomes that led to it, weight, cost
     # so far
-    stack: list[tuple[Belief, tuple[tuple[int, int], ...], int,
-                      Fraction | int]] = []
+    stack: list[tuple[Belief, tuple[tuple[int, int], ...], int, int]] = []
 
     def branch(belief: Belief, fresh: int, event: tuple, weight: int,
-               spent: Fraction | int) -> None:
+               spent: int) -> None:
         """Push the outcomes of revealing mask `fresh` on arrival at
         `belief`."""
         pos, opened, blocked = belief.position, belief.opened, belief.blocked
@@ -513,8 +522,7 @@ def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
         stack.append((start, (), mass, 0))
     while stack:
         belief, event, weight, spent = stack.pop()
-        spent, belief, fresh = _walk(instance, policy.decide, belief, spent,
-                                     cap)
+        spent, belief, fresh = _walk(instance, policy.decide, belief, spent)
         if fresh is not None:
             branch(belief, fresh, event, weight, spent)
         else:
@@ -541,7 +549,7 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
     every = (1 << len(instance.uncertain_edges)) - 1
     return _summed(instance, [
         (((every ^ weather.blocked, weather.blocked),), prob,
-         walk_weather(instance, policy, weather).plain)
+         _weather_total(instance, policy, weather))
         for weather, prob in weather_support(instance)], 1)
 
 
@@ -591,18 +599,17 @@ def export_keyed_tree(instance: CtpInstance,
     `_trace`: each node after every node that leads to it (the reverse of
     the order the depth-first pass finished them in), one exact `divmod`
     per outcome, and the terminal weights must sum to Z. Weight times
-    price is summed per price denominator, so only the total is a
-    `Fraction`; an action of None that is reached makes it `math.inf`.
+    price, in 1/D, sums to one int, divided once by Z·D; an action of None
+    that is reached makes the price `math.inf`.
     """
     s, mass = instance.s, instance.joint.scale
     every = (1 << len(instance.bits)) - 1
     tables: dict = {}
-    # key -> its node [key, action, price numerator, price denominator,
-    # outcomes, weight], made when a built node first names the key as a
-    # child. An outcome is (masks, far position, child node, chance
-    # numerator, chance denominator). The weight is _NEW until the node is
-    # built and None until every belief below the key's first one is
-    # written
+    # key -> its node [key, action, price in 1/D, outcomes, weight], made when
+    # a built node first names the key as a child. An outcome is (masks, far
+    # position, child node, chance numerator, chance denominator). The weight
+    # is _NEW until the node is built and None until every belief below the
+    # key's first one is written
     graph: dict[tuple, list] = {}
     order: list[list] = []  # each node after every node it leads to
     record: dict[tuple[str, int, int], TreeNode] = {}
@@ -613,17 +620,17 @@ def export_keyed_tree(instance: CtpInstance,
         pos, opened, blocked = belief
         return f"{pos}|{_text(instance, opened, blocked, _KEY_WORDS)}"
 
-    start = [key(0, 0, s) if not fresh else (), None, 0, 1, (), _NEW]
+    start = [key(0, 0, s) if not fresh else (), None, 0, (), _NEW]
     graph[start[0]] = start
     # pending beliefs with their nodes; (None, node) finishes a node
     stack: list[tuple] = [(root, start)]
     while stack:
         belief, node = stack.pop()
         if belief is None:  # every belief below its first one is written
-            node[5] = 0
+            node[4] = 0
             order.append(node)
             continue
-        if node[5] is _NEW:  # the first belief of the node's key builds it
+        if node[4] is _NEW:  # the first belief of the node's key builds it
             k, found = node[0], []
             pos, opened, blocked = belief
             if not k:  # the root: a chance node over what s shows
@@ -651,7 +658,7 @@ def export_keyed_tree(instance: CtpInstance,
                             f"the key at {where(belief)} drops a status "
                             f"that {action} can show")
             if shown is not None:
-                node[2], node[3] = price.as_integer_ratio()
+                node[2] = price
                 if shown:
                     rows = instance.outcomes(tables, shown, opened, blocked)
                     if tables[shown][0] & ~cut:
@@ -668,24 +675,24 @@ def export_keyed_tree(instance: CtpInstance,
                             f"the key of a child of {where(belief)} keeps "
                             "statuses that its parent's drops")
                     below = graph.setdefault(
-                        child, [child, None, 0, 1, (), _NEW])
+                        child, [child, None, 0, (), _NEW])
                     numerator, denominator = p.as_integer_ratio()
                     found.append(((opened_by, blocked_by), far, below,
                                   numerator, denominator))
-            node[4] = found
+            node[3] = found
             if found:
-                node[5] = None
+                node[4] = None
                 stack.append((None, node))
             else:
-                node[5] = 0
+                node[4] = 0
                 order.append(node)
-        elif node[5] is None:
+        elif node[4] is None:
             raise InternalCheckError(
                 f"the policy loops through the key at {where(belief)}")
         action = node[1]
         _, opened, blocked = belief
         children = []
-        for masks, far, below, _, _ in node[4]:
+        for masks, far, below, _, _ in node[3]:
             down = (far, opened | masks[0], blocked | masks[1])
             children.append((masks, down))
             stack.append((down, below))
@@ -702,33 +709,27 @@ def export_keyed_tree(instance: CtpInstance,
                 f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
                 "past its root")
 
-    start[5] = mass
-    ends, infinite = 0, False
-    totals: dict[int, int] = {}  # price denominator -> weighted numerators
-    for _, action, numerator, denominator, found, weight in reversed(order):
-        if numerator:
-            totals[denominator] = totals.get(denominator, 0) + (
-                weight * numerator)
+    start[4] = mass
+    ends, total, infinite = 0, 0, False
+    for _, action, price, found, weight in reversed(order):
+        total += weight * price
         if not found:
             ends += weight
             infinite = infinite or action is None
         for _, _, below, numerator, denominator in found:
             if denominator == 1:  # the one outcome of a step showing nothing
-                below[5] += weight
+                below[4] += weight
                 continue
             share, rest = divmod(weight * numerator, denominator)
             if rest:
                 raise InternalCheckError(
                     f"an outcome of chance {numerator}/{denominator} does "
                     f"not divide the mass {mass}")
-            below[5] += share
+            below[4] += share
     if ends != mass:
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite price is not multiplied out
-    unit = math.lcm(*totals)
-    value = Cost.infinite() if infinite else Cost.of(Fraction(
-        sum(total * (unit // denominator)
-            for denominator, total in totals.items()), mass * unit))
+    value = _cost(math.inf if infinite else total, mass * instance.cost_unit)
     return value, DecisionTreePolicy(instance, record, root), len(graph)
 
 
@@ -763,7 +764,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
 
     root = node(Belief(instance.s, 0, 0, instance),
                 instance.fresh_at(instance.s, 0), 0)
-    stored, cap = 1, _step_cap(instance)
+    stored, unit = 1, instance.cost_unit
     samples: list[float] = []
     for trial, counter in enumerate(trial_counters(seed, range(trials))):
         here, shut = root, None
@@ -779,8 +780,9 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
             if child is None:
                 total, belief, fresh = _walk(
                     instance, policy.decide, _reveal(belief, fresh, blocked),
-                    total, cap)
-                child = (float(total) if fresh is None else
+                    total)
+                # int / int rounds correctly, as float of the cost does
+                child = (total / unit if fresh is None else
                          node(belief, fresh, total))
                 if stored < _TRAJECTORY_MEMO_CAP:
                     children[blocked] = child

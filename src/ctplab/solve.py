@@ -18,8 +18,9 @@ its value against the price of the policy it returns
 (`export_keyed_tree`): one graph node per cache key (`_Solver.key`, below),
 priced in integer chances of its own and checked at each node against
 the instance alone, and the full decision tree written from that graph.
-Both read Z (below) from the joint model, where a wrong Z either raises
-a remainder or cancels, so the check shares no search table.
+Both read Z (below) from the joint model and D from the instance, where
+a wrong Z or D either raises a remainder or cancels, so the check shares
+no search table.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -45,14 +46,15 @@ patch is solved twice under one key.
 
 A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
 of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
-costs and fees are multiples of 1/D, and M(K) = Z·P(K) is whole, Z
-(`JointModel.scale`) the product over the joint model's components
-(Papadimitriou & Yannakakis, TCS 1991) of the lcm of their chances'
-denominators. One heap's keys share a positive scale, so pops, ties and
-choices are the rationals', and a branch's value is an int sum;
-`math.inf` marks a step that may strand. Branch tables come from
-`CtpInstance.outcomes`, kept for one solve: game 5 of the ctpdep
-battery prices 206 revealing steps from 75 tables and resumes 22 sums.
+costs and fees are multiples of 1/D (`CtpInstance.cost_unit`), and
+M(K) = Z·P(K) is whole, Z (`JointModel.scale`) the product over the
+joint model's components (Papadimitriou & Yannakakis, TCS 1991) of the
+lcm of their chances' denominators. One heap's keys share a positive
+scale, so pops, ties and choices are the rationals', and a branch's
+value is an int sum; `math.inf` marks a step that may strand. Branch
+tables come from `CtpInstance.outcomes`, kept for one solve: game 5 of
+the ctpdep battery prices 206 revealing steps from 75 tables and
+resumes 22 sums.
 
 A patch is cached under a key that forgets what its walks cannot use
 (`_Solver.key`): the masks cut down to `_reach` of its start, the bits a
@@ -70,8 +72,8 @@ rescales the start's value by M(K')/M(K), exactly (a remainder raises
 every independent and sensing input the benchmark solves, the key is the
 whole masks. At t, where a walk ends, it keeps none, so the export
 writes every belief at t from one graph node. The reach, the move and
-sense tables, the unit and the free-space bound are built on the first
-solve of an instance and kept while it lives (`_static`).
+sense tables and the free-space bound, each in units of 1/D, are built
+on the first solve of an instance and kept while it lives (`_static`).
 `beliefs_expanded` counts the positions of the patches solved, so a
 patch that strata share counts once, though the exported tree holds it
 once for each: game 5 expands 319 beliefs (18,548
@@ -104,6 +106,7 @@ from .model import (
     InternalCheckError,
     InvalidInstanceError,
     Variant,
+    times,
 )
 from .policy import (
     Action,
@@ -218,7 +221,7 @@ class _Solver(Policy):
     def mass(self, opened: int, blocked: int) -> int:
         """M(K) of the stratum K the masks reveal: Z times its chance."""
         known = opened | blocked
-        return _times(math.prod(
+        return times(math.prod(
             sum(p for row, p in comp.rows if row & known == opened & comp.mask)
             for comp in self.instance.joint.touched(known)), self.total_mass)
 
@@ -237,7 +240,7 @@ class _Solver(Policy):
                 self.tables, fresh, opened, blocked):
             if total + rest > window:
                 return total + rest, False
-            share = _times(prob, mass)
+            share = times(prob, mass)
             rest -= floor * share
             values, _, scale = self.region(
                 opened | opened_by, blocked | blocked_by, position, share)
@@ -359,20 +362,15 @@ def _static(instance: CtpInstance) -> tuple:
     static = _STATICS.get(id(instance))
     if static is not None:
         return static
-    costs = [e.cost for e in instance.edges if not e.cost.is_infinite]
-    costs += [fee for u in instance.vertices
-              for fee in instance.senses_from(u).values()]
-    unit = math.lcm(*(cost.fraction.denominator for cost in costs))
-    bound = {v: _times(b, unit)
-             for v, b in _free_space_bound(instance).items()}
-    bits = instance.bits
+    unit, bound, bits = (instance.cost_unit, _free_space_bound(instance),
+                         instance.bits)
     # each move (cost in 1/D) and the mask it exposes when nothing is known
-    moves = {u: [(_times(edge.cost.fraction, unit), edge.id, far,
+    moves = {u: [(times(edge.cost.fraction, unit), edge.id, far,
                   bits.get(edge.id, 0), instance.fresh_at(far, 0),
                   Action.move(edge.id))
                  for edge, far in instance.moves_from(u).values()]
              for u in instance.vertices}
-    senses = {u: [(_times(fee.fraction, unit), e, bits[e], Action.sense(e))
+    senses = {u: [(times(fee.fraction, unit), e, bits[e], Action.sense(e))
                   for e, fee in instance.senses_from(u).items()]
               for u in instance.vertices}
     every = (1 << len(bits)) - 1
@@ -443,14 +441,6 @@ def _reach(instance: CtpInstance) -> dict[str, int]:
     return reach
 
 
-def _times(value: Fraction | int, scale: int) -> int:
-    """`value * scale` as an `int`; a remainder breaks the unit's invariant."""
-    whole, rest = divmod(value.numerator * scale, value.denominator)
-    if rest:
-        raise InternalCheckError(f"{value} times {scale} is not whole")
-    return whole
-
-
 def _rescale(value: int, scale: int, mass: int) -> int:
     """`value`, held at M(K) = `scale`, at M(K') = `mass`: strata that share
     a patch share its real values, so a remainder breaks the invariant."""
@@ -468,18 +458,19 @@ def _window(heap: list[tuple]) -> int | float:
     return heap[0][0] if heap else math.inf
 
 
-def _free_space_bound(instance: CtpInstance) -> dict[str, Fraction | int]:
-    """Plain distance to t from each vertex that can reach it, in free space.
+def _free_space_bound(instance: CtpInstance) -> dict[str, int]:
+    """Distance in 1/D to t from each vertex that can reach it, in free space.
 
     Every uncertain edge counts as open, so no weather and no revealed
     knowledge lets a walk from `v` reach t for less than `bound[v]`; a
     vertex missing from the map cannot reach t at all.
     """
-    into: dict[str, list[tuple[str, Fraction | int]]] = {}
+    into: dict[str, list[tuple[str, int]]] = {}
     for u in instance.vertices:
         for edge, far in instance.moves_from(u).values():
-            into.setdefault(far, []).append((u, edge.cost.plain))
-    bound: dict[str, Fraction | int] = {}
+            into.setdefault(far, []).append(
+                (u, times(edge.cost.fraction, instance.cost_unit)))
+    bound: dict[str, int] = {}
     heap = [(0, instance.t)]
     while heap:
         cost, v = heapq.heappop(heap)

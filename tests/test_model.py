@@ -74,15 +74,8 @@ class TestCost:
         assert not Cost.infinite() < Cost.infinite()
 
     def test_infinity_absorbs(self):
-        assert Cost.of(Cost.infinite().plain + 3) == Cost.infinite()
-
-    def test_plain_round_trips(self):
-        for cost in (Cost.zero(), Cost.of(0), Cost.of(7), Cost.of("7/2"),
-                     Cost.infinite()):
-            assert Cost.of(cost.plain) == cost
-        assert type(Cost.of(7).plain) is int
-        assert Cost.of("7/2").plain == Fraction(7, 2)
-        assert Cost.infinite().plain == math.inf
+        # a walk's total is `math.inf` once it strands, whatever it adds
+        assert Cost.of(math.inf + 3) == Cost.infinite()
 
     def test_refuses_inexact_floats(self):
         for bad in (0.5, float("nan"), -math.inf, 2.0):

@@ -105,6 +105,19 @@ def _scopes_calling(node: ast.AST, name: str, scope: str = "<module>"):
         yield from _scopes_calling(child, name, inner)
 
 
+def test_one_cost_unit():
+    # D, the lcm of the cost and fee denominators, is taken in
+    # `CtpInstance.cost_unit` alone: the walks, the tree writer and the
+    # search all read it there, so a wrong D shows in all of them. The
+    # other lcm is Z's, over the chances of one joint component
+    scopes = [f"{path.name}:{scope}"
+              for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+              for scope in _scopes_calling(ast.parse(path.read_text()),
+                                           "lcm")]
+    assert scopes == ["model.py:JointModel.scale",
+                      "model.py:CtpInstance.cost_unit"]
+
+
 def test_two_edge_building_paths():
     # an edge is built by the builder or by the loader, each with its own
     # per-edge fast path; a third path would have to be made fast again

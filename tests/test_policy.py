@@ -322,7 +322,8 @@ class TestEvaluate:
         breakdown = outcome_breakdown(result)
         total = sum((p for _, p, _ in breakdown), Fraction(0))
         assert total == 1
-        recombined = sum((p * c.plain for _, p, c in breakdown), Fraction(0))
+        recombined = sum((p * c.fraction for _, p, c in breakdown),
+                         Fraction(0))
         assert Cost.of(recombined) == result.expected_cost
 
     def test_declaring_infeasible_costs_infinity(self):

@@ -142,18 +142,49 @@ class TestFrozenSimulate:
             (20260819, 7): ("0x1.4924924924925p-3", "0x1.4924924924925p-6"),
             (20260819, 500): ("0x1.1b645a1cac083p-2", "0x1.12d38e95f108bp-7"),
         },
+        # fractional costs, D = 16 in both (3/16 and 3/2 at baiting 3/2,
+        # 3/16 and 1/4 at observation 16): each sample is the walk's int
+        # total over D, rounded as float of the exact cost rounds
+        "baiting-3/2": {
+            (1, 1): ("0x1.8000000000000p-3", "0x0.0p+0"),
+            (1, 7): ("0x1.3b6db6db6db6ep-1", "0x1.97c1498c31f03p-2"),
+            (1, 500): ("0x1.9cccccccccccdp-2", "0x1.291b6e1d0ac20p-6"),
+            (11, 1): ("0x1.8000000000000p-2", "0x0.0p+0"),
+            (11, 7): ("0x1.edb6db6db6db7p-3", "0x1.1b47f40bf9ac6p-5"),
+            (11, 500): ("0x1.8be76c8b43958p-2", "0x1.0e67071890bffp-6"),
+            (20260819, 1): ("0x1.8000000000000p-2", "0x0.0p+0"),
+            (20260819, 7): ("0x1.b6db6db6db6dbp-3", "0x1.b6db6db6db6dcp-6"),
+            (20260819, 500): ("0x1.7c8b439581062p-2", "0x1.8baff32bdbc45p-7"),
+        },
+        "observation-16": {
+            (1, 1): ("0x1.0000000000000p-2", "0x0.0p+0"),
+            (1, 7): ("0x1.1249249249249p-1", "0x1.f8fc68883e3cep-3"),
+            (1, 500): ("0x1.049ba5e353f7dp-1", "0x1.17739c6b3ce43p-6"),
+            (11, 1): ("0x1.0000000000000p-1", "0x0.0p+0"),
+            (11, 7): ("0x1.4924924924925p-2", "0x1.79b545654ce5dp-5"),
+            (11, 500): ("0x1.f95810624dd2fp-2", "0x1.0700d1448db43p-6"),
+            (20260819, 1): ("0x1.0000000000000p-1", "0x0.0p+0"),
+            (20260819, 7): ("0x1.2492492492492p-2", "0x1.2492492492493p-5"),
+            (20260819, 500): ("0x1.f7ced916872b0p-2", "0x1.e8948bb53aba2p-7"),
+        },
         # a winnable game: the solved policy walks every weather for free
         "game2": {key: ("0x0.0p+0", "0x0.0p+0")
                   for key in [(seed, trials) for seed in (1, 11, 20260819)
                               for trials in (1, 7, 500)]},
     }
 
-    @pytest.mark.parametrize("name", ["baiting", "observation", "game2"])
+    @pytest.mark.parametrize("name", ["baiting", "observation", "game2",
+                                      "baiting-3/2", "observation-16"])
     def test_frozen(self, name):
         if name == "baiting":
             inst, policy = baiting_case()
-        elif name == "observation":
-            inst, handle = observation_harness(9, charge=0)
+        elif name == "baiting-3/2":
+            inst, handle = baiting_harness(Fraction(3, 2))
+            policy = reference_policy("baiting_pi", handle=handle,
+                                      terminal=handle.exit_shortcut)
+        elif name.startswith("observation"):
+            inst, handle = observation_harness(
+                16 if name == "observation-16" else 9, charge=0)
             policy = reference_policy("og_pi_g", handle=handle,
                                       terminal="charge")
         else:

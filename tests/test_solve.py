@@ -135,7 +135,7 @@ class TestSolveIndependent:
 
         def skewed(instance, key, choose):
             value, tree, nodes = exported(instance, key, choose)
-            return Cost.of(value.plain + 1), tree, nodes
+            return Cost.of(value.fraction + 1), tree, nodes
 
         monkeypatch.setattr(S, "export_keyed_tree", skewed)
         with pytest.raises(InternalCheckError, match="exported tree"):
@@ -1018,6 +1018,98 @@ def perfbench_solve_inputs():
     return inputs
 
 
+def patch_unit(patch, unit):
+    """Make `CtpInstance.cost_unit` read `unit(D)`, D the true one, on every
+    instance built after the patch (a built one keeps its cached tables)."""
+    true = M.CtpInstance.cost_unit.func
+    patch.setattr(M.CtpInstance, "cost_unit",
+                  property(lambda self: unit(true(self))))
+
+
+def baiting_three_halves():
+    """`baiting_harness(3/2)`, whose section costs are 3/16 (D = 16), and
+    its forward policy."""
+    instance, handle = baiting_harness(Fraction(3, 2))
+    return instance, reference_policy("baiting_pi", handle=handle,
+                                      terminal=handle.exit_shortcut)
+
+
+def third_fees_solved():
+    """`third_fee_instance` (fees in sevenths and thirds, D = 21) and its
+    optimal policy."""
+    instance = third_fee_instance()
+    return instance, solve(instance).policy
+
+
+def lcm_of_costs(instance):
+    """The lcm of the denominators of the finite costs and fees, read
+    straight from the instance's edges and sensing entries."""
+    costs = [x.cost for x in instance.edges + (
+        instance.sensing.entries if instance.sensing else ())]
+    return math.lcm(*(c.fraction.denominator for c in costs
+                      if not c.is_infinite))
+
+
+class TestCostUnit:
+    """D has one derivation, `CtpInstance.cost_unit`, read by the walks,
+    the tree writer and the search alike: a D that does not divide a cost
+    raises wherever it is read, and a multiple of it changes nothing."""
+
+    @pytest.mark.parametrize("run", [
+        lambda inst, policy: P.walk_weather(inst, policy, M.Weather(0)),
+        lambda inst, policy: evaluate_exact(inst, policy, mode="tree"),
+        lambda inst, policy: evaluate_exact(inst, policy, mode="weathers"),
+        lambda inst, policy: export_decision_tree(inst, policy),
+        lambda inst, policy: solve(inst),
+    ], ids=["walk_weather", "tree", "weathers", "export", "solve"])
+    def test_a_unit_that_does_not_divide_a_cost_raises(self, monkeypatch,
+                                                       run):
+        patch_unit(monkeypatch, lambda unit: unit // 2)
+        instance, policy = baiting_three_halves()
+        assert instance.cost_unit == 8
+        with pytest.raises(InternalCheckError,
+                           match="^3/16 times 8 is not whole$"):
+            run(instance, policy)
+
+    @pytest.mark.parametrize("build", [baiting_three_halves,
+                                       third_fees_solved],
+                             ids=["baiting-3/2", "third-fees"])
+    def test_a_multiple_of_the_unit_changes_nothing(self, monkeypatch,
+                                                    build):
+        def outputs():
+            instance, policy = build()
+            price, tree = export_decision_tree(instance, policy)
+            solved = solve(instance)
+            return (
+                instance.cost_unit // lcm_of_costs(instance),
+                [P.walk_weather(instance, policy, weather)
+                 for weather, _ in M.weather_support(instance)],
+                [(result.expected_cost, result.rows) for result in (
+                    evaluate_exact(instance, policy, mode=mode)
+                    for mode in ("tree", "weathers"))],
+                price, tree.to_json(),
+                solved.optimal_cost, solved.optimal_first_action,
+                solved.policy.to_json(),
+                P.simulate(instance, policy, 500, 7))
+
+        want = outputs()
+        patch_unit(monkeypatch, lambda unit: 3 * unit)
+        got = outputs()
+        assert (want[0], got[0]) == (1, 3)
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("name", sorted(UNIT_BUILDS))
+    def test_the_solver_reads_the_instance_unit(self, name):
+        instance = UNIT_BUILDS[name]()
+        assert instance.cost_unit == lcm_of_costs(instance) == S._Solver(
+            instance, 200_000).denominator
+
+    def test_the_solver_reads_the_unit_on_perfbench_inputs(self):
+        for label, instance in perfbench_solve_inputs().items():
+            assert instance.cost_unit == lcm_of_costs(instance) == S._Solver(
+                instance, 200_000).denominator, label
+
+
 def assert_matches_eager_pricing(instance, windowed=None):
     """The pricing window changes which outcomes get priced, nothing else;
     returns the search counts of `windowed`, the instance's `solve`, and of
@@ -1228,15 +1320,16 @@ def branch_every_time(instance, policy):
     """The outcome walk with `JointModel.branch` asked at every branch.
 
     A plain recursion over the same move rule, with no table kept and
-    every cost a Fraction: the oracle for the memoized walk.
+    every cost a Fraction: the oracle for the memoized walk. Returns the
+    expected cost and the breakdown rows, labels written as
+    `outcome_breakdown` writes them.
     """
     joint = instance.joint
     cap = P._step_cap(instance)
     rows = []
 
     def leaf(labels, prob, cost):
-        rows.append((" ; ".join(labels) or "no observations", prob,
-                     cost.plain))
+        rows.append((" ; ".join(labels) or "no observations", prob, cost))
 
     def walk(belief, labels, prob, spent):
         for _ in range(cap):
@@ -1246,7 +1339,7 @@ def branch_every_time(instance, policy):
             price, nxt, revealed = P._step(instance, belief, action)
             if revealed is None:
                 return leaf(labels, prob, Cost.of(spent))
-            spent += price
+            spent += Fraction(price, instance.cost_unit)
             if revealed:
                 return reveal(belief, nxt, revealed, labels, prob, spent)
             belief = Belief(nxt, belief.opened, belief.blocked, instance)
@@ -1268,7 +1361,9 @@ def branch_every_time(instance, policy):
         reveal(start, instance.s, fresh, (), Fraction(1), Fraction(0))
     else:
         walk(start, (), Fraction(1), Fraction(0))
-    return P._summed(instance, rows, 1)
+    if any(cost.is_infinite for _, _, cost in rows):
+        return Cost.infinite(), tuple(rows)
+    return Cost.of(sum(p * cost.fraction for _, p, cost in rows)), tuple(rows)
 
 
 class TestWalkMemo:
@@ -1280,9 +1375,8 @@ class TestWalkMemo:
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         result = solve_battery_game(k)
         walked = evaluate_exact(instance, result.policy, mode="tree")
-        oracle = branch_every_time(instance, result.policy)
         assert (walked.expected_cost, outcome_breakdown(walked)) == (
-            oracle.expected_cost, oracle.rows)
+            branch_every_time(instance, result.policy))
         assert walked.expected_cost == result.optimal_cost
         components = instance.joint.components
         if math.prod(len(comp.rows) for comp in components) <= 4096:
@@ -1552,7 +1646,7 @@ class TestDisjointBruteforce:
 
         def skewed(instance, policy):
             price, tree = exported(instance, policy)
-            return Cost.of(price.plain + 1), tree
+            return Cost.of(price.fraction + 1), tree
 
         monkeypatch.setattr(S, "export_decision_tree", skewed)
         with pytest.raises(InternalCheckError, match="index rule"):
