@@ -441,12 +441,15 @@ class ComponentTable:
     """Joint support of one dependency component, projected onto its edges.
 
     `mask` sets the bits of its uncertain edges. Each row pairs an open mask
-    over them with that projection's prior probability, auxiliary variables
-    summed out; rows are sorted by open flags over the id-sorted edges.
+    over them with that projection's prior probability as an int weight
+    over `total`, auxiliary variables summed out; `total` is the lcm of the
+    chances' denominators, so the weights sum to it. Rows are sorted by
+    open flags over the id-sorted edges.
     """
 
     mask: int
-    rows: tuple[tuple[int, Fraction], ...]
+    rows: tuple[tuple[int, int], ...]
+    total: int
 
 
 @dataclass(frozen=True)
@@ -457,10 +460,9 @@ class JointModel:
 
     @cached_property
     def scale(self) -> int:
-        """Z, the product over the components of the lcm of their chances'
-        denominators: Z times the chance of any statuses is whole."""
-        return math.prod(math.lcm(*(p.denominator for _, p in comp.rows))
-                         for comp in self.components)
+        """Z, the product of the components' totals (each the lcm of its
+        chances' denominators): Z times the chance of any statuses is whole."""
+        return math.prod(comp.total for comp in self.components)
 
     @cached_property
     def _component_at(self) -> dict[int, int]:
@@ -474,47 +476,46 @@ class JointModel:
                 for i in sorted({at[bit] for bit in _low_bits(mask)})]
 
     def branch(self, opened: int, blocked: int, fresh: int,
-               ) -> list[tuple[int, int, Fraction]]:
+               ) -> list[tuple[int, int, int, int]]:
         """Joint outcomes over the bits of `fresh`, given the statuses of
-        masks `opened` and `blocked`, as rows (opened, blocked, chance).
+        masks `opened` and `blocked`, as rows (opened, blocked, weight,
+        total): an outcome's chance is its weight, a positive int, over the
+        total, which every row of the call shares and its weights sum to.
 
         Components multiply out in model order, each one's outcomes sorted
         by open flags over its fresh bits, lowest bit first, False first.
-        Chances are exact, positive and sum to one; more than `BELIEF_CAP`
-        outcomes raise `EnumerationCapError` before any is built.
+        More than `BELIEF_CAP` outcomes raise `EnumerationCapError` before
+        any is built.
         """
         factors = []
         for comp in self.touched(fresh):
             known = (opened | blocked) & comp.mask
             picks = fresh & comp.mask
-            proj: dict[int, Fraction] = {}
-            for row, prob in comp.rows:
+            proj: dict[int, int] = {}
+            for row, weight in comp.rows:
                 if row & known == opened & known:  # agrees with the masks
                     key = row & picks
-                    proj[key] = proj.get(key, Fraction(0)) + prob
-            total = sum(proj.values())
-            if total == 0:
+                    proj[key] = proj.get(key, 0) + weight
+            if not proj:
                 # every status revealed came from a weather or an outcome
                 # of positive chance, so only a broken invariant gets here
                 raise InternalCheckError(
                     "revealed statuses are inconsistent in the component "
                     f"of mask {comp.mask:#x}")
-            factors.append([(key, picks ^ key, p / total) for key, p in sorted(
+            factors.append([(key, picks ^ key, w) for key, w in sorted(
                 proj.items(), key=_by_flags(list(_low_bits(picks))))])
         size = math.prod(map(len, factors))
         if size > BELIEF_CAP:
             raise EnumerationCapError(
                 f"{size} outcomes of one observation exceed the cap of "
                 f"{BELIEF_CAP}")
-        partial: list[tuple[int, int, Fraction]] = [(0, 0, Fraction(1))]
+        partial = [(0, 0, 1)]
         for outcomes in factors:
-            partial = [(got | add, shut | more, pa * pb)
-                       for got, shut, pa in partial
-                       for add, more, pb in outcomes]
-        if sum(p for _, _, p in partial) != 1:
-            raise InternalCheckError(
-                f"outcomes of mask {fresh:#x} do not sum to 1")
-        return partial
+            partial = [(got | add, shut | more, wa * wb)
+                       for got, shut, wa in partial
+                       for add, more, wb in outcomes]
+        total = sum(w for _, _, w in partial)
+        return [(got, shut, w, total) for got, shut, w in partial]
 
 
 _LEAF_CAP = 1 << 22
@@ -539,7 +540,7 @@ def _component_table(variables: Sequence[NetVariable],
                 raise EnumerationCapError(
                     f"dependency component support exceeds {_LEAF_CAP} rows")
             key = sum(bit for e, bit in ordered if assign[e] == 0)
-            rows[key] = rows.get(key, Fraction(0)) + prob
+            rows[key] = rows.get(key, 0) + prob
             continue
         var = variables[i]
         row = 0
@@ -550,8 +551,10 @@ def _component_table(variables: Sequence[NetVariable],
             if p:
                 stack.append((i + 1, value, prob * p))
     bits = [bit for _, bit in ordered]
-    return ComponentTable(sum(bits), tuple(sorted(rows.items(),
-                                                  key=_by_flags(bits))))
+    total = math.lcm(*(p.denominator for p in rows.values()))
+    return ComponentTable(sum(bits), tuple(sorted(
+        [(key, total // p.denominator * p.numerator)
+         for key, p in rows.items()], key=_by_flags(bits))), total)
 
 
 class _EdgeTables(Sequence):
@@ -566,7 +569,9 @@ class _EdgeTables(Sequence):
 
     def __getitem__(self, i: int) -> ComponentTable:
         p, bit = self._edges[i].block_p, 1 << i  # as `CtpInstance.bits`
-        return ComponentTable(bit, ((0, p), (bit, 1 - p)))
+        return ComponentTable(bit, ((0, p.numerator),
+                                    (bit, p.denominator - p.numerator)),
+                              p.denominator)
 
 
 def build_joint(instance: CtpInstance) -> JointModel:
@@ -702,9 +707,9 @@ class CtpInstance:
                       + [(e, False) for e in self.edges_in(blocked)])
 
     def outcomes(self, tables: dict, fresh: int, opened: int, blocked: int,
-                 ) -> list[tuple[int, int, Fraction]]:
+                 ) -> list[tuple[int, int, int, int]]:
         """`joint.branch(opened, blocked, fresh)`, memoized: the rows
-        (opened, blocked, chance) over the edges of mask `fresh`.
+        (opened, blocked, weight, total) over the edges of mask `fresh`.
 
         `tables` memoizes the rows for one caller: `tables[fresh]` holds
         the mask of the dependency components `fresh` touches and the
@@ -805,7 +810,8 @@ def _validate_net(instance: CtpInstance) -> None:
     for edge in instance.uncertain_edges:
         bit = uncertain[edge.id]
         (comp,) = joint.touched(bit)
-        marginal = sum(p for row, p in comp.rows if not row & bit)
+        marginal = Fraction(sum(w for row, w in comp.rows if not row & bit),
+                            comp.total)
         if marginal != edge.block_p:
             raise InvalidInstanceError(
                 f"edge {edge.id!r} stores block_p {edge.block_p} but the "
@@ -966,11 +972,11 @@ def weather_support(instance: CtpInstance) -> list[tuple[Weather, Fraction]]:
     if count > _SUPPORT_CAP:
         raise EnumerationCapError(
             f"{count} weathers exceed the cap of {_SUPPORT_CAP}")
-    acc: list[tuple[int, Fraction]] = [(0, Fraction(1))]
+    acc = [(0, 1)]
     for comp in joint.components:
-        acc = [(blocked | (comp.mask ^ row), p * rp)
-               for blocked, p in acc for row, rp in comp.rows]
-    return [(Weather(blocked), p) for blocked, p in acc]
+        acc = [(blocked | (comp.mask ^ row), w * rw)
+               for blocked, w in acc for row, rw in comp.rows]
+    return [(Weather(blocked), Fraction(w, joint.scale)) for blocked, w in acc]
 
 
 def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:

@@ -134,7 +134,7 @@ def action_from_dict(data: dict | None) -> Action | None:
 # how a tree key and an outcome label write a status: blocked, open
 _KEY_WORDS = ("B", "O")
 _LABEL_WORDS = ("blocked", "open")
-_STAY_ROWS = ((0, 0, 1),)  # its one outcome row, at chance 1
+_STAY_ROWS = ((0, 0, 1, 1),)  # its one outcome row, at chance 1/1
 _NEW = object()  # a key no node is built for yet
 
 
@@ -459,7 +459,16 @@ def _weather_total(instance: CtpInstance, policy: Policy,
 
 def walk_weather(instance: CtpInstance, policy: Policy,
                  weather: Weather) -> Cost:
-    """Run the policy against one fixed weather; return the realized cost."""
+    """Run the policy against one fixed weather; return the realized cost.
+    A weather the joint model gives chance 0 raises InvalidInstanceError:
+    some component holds no row, or a row of weight 0, for its statuses.
+    Only a net can: an independent edge blocks at a chance inside (0, 1).
+    """
+    shut = weather.blocked
+    if instance.dependency is not None and any(
+            not dict(comp.rows).get(comp.mask & ~shut)
+            for comp in instance.joint.components):
+        raise InvalidInstanceError(f"weather {shut:#x} has chance 0")
     return _cost(_weather_total(instance, policy, weather), instance.cost_unit)
 
 
@@ -479,9 +488,10 @@ def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
     and the weight M = Z·P of the outcomes that led to it, P their chance
     and Z `instance.joint.scale`. The solver reads the same Z and D, but a
     wrong one leaves a remainder or cancels in M/(Z·D), so the check
-    shares no search table. An outcome multiplies M by its chance in one
-    `divmod`, a remainder raising `InternalCheckError`, and the leaves'
-    weights must sum to Z. A leaf `(event, M, spent)` is divided only when
+    shares no search table. An outcome multiplies M by its weight and
+    divides by its total (`JointModel.branch`) in one `divmod`, a
+    remainder raising `InternalCheckError`, and the leaves' weights must
+    sum to Z. A leaf `(event, M, spent)` is divided only when
     `EvalResult.rows` is read.
 
     Each piece of work is done once per walk, and none of it is text. The
@@ -501,13 +511,13 @@ def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
         `belief`."""
         pos, opened, blocked = belief.position, belief.opened, belief.blocked
         pushed = []
-        for opened_by, blocked_by, p in instance.outcomes(
+        for opened_by, blocked_by, w, t in instance.outcomes(
                 tables, fresh, opened, blocked):
-            share, rest = divmod(weight * p.numerator, p.denominator)
+            share, rest = divmod(weight * w, t)
             if rest:
                 raise InternalCheckError(
-                    f"an outcome of mask {fresh:#x} has chance {p}, whose "
-                    f"denominator does not divide the mass {mass}")
+                    f"an outcome of mask {fresh:#x} has chance {w}/{t}, "
+                    f"whose denominator does not divide the mass {mass}")
             pushed.append((Belief(pos, opened | opened_by,
                                   blocked | blocked_by, instance),
                            event + ((opened_by, blocked_by),), share, spent))
@@ -607,9 +617,9 @@ def export_keyed_tree(instance: CtpInstance,
     tables: dict = {}
     # key -> its node [key, action, price in 1/D, outcomes, weight], made when
     # a built node first names the key as a child. An outcome is (masks, far
-    # position, child node, chance numerator, chance denominator). The weight
-    # is _NEW until the node is built and None until every belief below the
-    # key's first one is written
+    # position, child node, chance weight, chance total), as the model's row.
+    # The weight is _NEW until the node is built and None until every belief
+    # below the key's first one is written
     graph: dict[tuple, list] = {}
     order: list[list] = []  # each node after every node it leads to
     record: dict[tuple[str, int, int], TreeNode] = {}
@@ -667,7 +677,7 @@ def export_keyed_tree(instance: CtpInstance,
                             f"that the chances of mask {shown:#x} depend on")
                 else:
                     rows = _STAY_ROWS
-                for opened_by, blocked_by, p in rows:
+                for opened_by, blocked_by, w, t in rows:
                     child = key(opened | opened_by, blocked | blocked_by, far)
                     if (child[3] if len(child) > 3 else every) & ~(
                             cut | shown):
@@ -676,9 +686,7 @@ def export_keyed_tree(instance: CtpInstance,
                             "statuses that its parent's drops")
                     below = graph.setdefault(
                         child, [child, None, 0, (), _NEW])
-                    numerator, denominator = p.as_integer_ratio()
-                    found.append(((opened_by, blocked_by), far, below,
-                                  numerator, denominator))
+                    found.append(((opened_by, blocked_by), far, below, w, t))
             node[3] = found
             if found:
                 node[4] = None
@@ -716,15 +724,12 @@ def export_keyed_tree(instance: CtpInstance,
         if not found:
             ends += weight
             infinite = infinite or action is None
-        for _, _, below, numerator, denominator in found:
-            if denominator == 1:  # the one outcome of a step showing nothing
-                below[4] += weight
-                continue
-            share, rest = divmod(weight * numerator, denominator)
+        for _, _, below, w, t in found:
+            share, rest = divmod(weight * w, t)
             if rest:
                 raise InternalCheckError(
-                    f"an outcome of chance {numerator}/{denominator} does "
-                    f"not divide the mass {mass}")
+                    f"an outcome of chance {w}/{t} does not divide the mass "
+                    f"{mass}")
             below[4] += share
     if ends != mass:
         raise InternalCheckError("outcome probabilities do not sum to one")

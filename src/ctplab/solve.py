@@ -47,14 +47,15 @@ patch is solved twice under one key.
 A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
 of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
 costs and fees are multiples of 1/D (`CtpInstance.cost_unit`), and
-M(K) = Z·P(K) is whole, Z (`JointModel.scale`) the product over the
-joint model's components (Papadimitriou & Yannakakis, TCS 1991) of the
-lcm of their chances' denominators. One heap's keys share a positive
-scale, so pops, ties and choices are the rationals', and a branch's
-value is an int sum; `math.inf` marks a step that may strand. Branch
-tables come from `CtpInstance.outcomes`, kept for one solve: game 5 of
-the ctpdep battery prices 206 revealing steps from 75 tables and
-resumes 22 sums.
+M(K) = Z·P(K) is whole, Z (`JointModel.scale`) the product of the
+totals of the joint model's components (Papadimitriou & Yannakakis, TCS
+1991), each the lcm of its chances' denominators. A branch's rows hold
+int weights over one total, so an outcome's share of M(K) is one exact
+division (`_rescale`). One heap's keys share a positive scale, so pops,
+ties and choices are the rationals', and a branch's value is an int
+sum; `math.inf` marks a step that may strand. Branch tables come from
+`CtpInstance.outcomes`, kept for one solve: game 5 of the ctpdep
+battery prices 206 revealing steps from 75 tables and resumes 22 sums.
 
 A patch is cached under a key that forgets what its walks cannot use
 (`_Solver.key`): the masks cut down to `_reach` of its start, the bits a
@@ -219,11 +220,14 @@ class _Solver(Policy):
         return opened & keep, blocked & keep, start, keep
 
     def mass(self, opened: int, blocked: int) -> int:
-        """M(K) of the stratum K the masks reveal: Z times its chance."""
+        """M(K) of the stratum K the masks reveal, Z times its chance: the
+        product over the components of the summed weight of the rows that
+        agree with the masks, a component's total where they set none of
+        its bits."""
         known = opened | blocked
-        return times(math.prod(
-            sum(p for row, p in comp.rows if row & known == opened & comp.mask)
-            for comp in self.instance.joint.touched(known)), self.total_mass)
+        return math.prod(
+            sum(w for row, w in comp.rows if row & known == opened & comp.mask)
+            for comp in self.instance.joint.components)
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
                      position: str, mass: int,
@@ -236,11 +240,11 @@ class _Solver(Policy):
         bound; priced outcomes then stay in the region cache."""
         floor = self.bound.get(position, 0)
         total, rest = 0, floor * mass  # the bound on the outcomes to come
-        for opened_by, blocked_by, prob in self.instance.outcomes(
+        for opened_by, blocked_by, weight, whole in self.instance.outcomes(
                 self.tables, fresh, opened, blocked):
             if total + rest > window:
                 return total + rest, False
-            share = times(prob, mass)
+            share = _rescale(weight, whole, mass)
             rest -= floor * share
             values, _, scale = self.region(
                 opened | opened_by, blocked | blocked_by, position, share)

@@ -108,8 +108,9 @@ def walked_tree(instance: CtpInstance, policy: Policy,
     def outcomes(pos, opened, blocked, fresh) -> list:
         """Each outcome's masks, the belief it leads to and its chance."""
         return [((by_open, by_block),
-                 (pos, opened | by_open, blocked | by_block), p)
-                for by_open, by_block, p in instance.joint.branch(
+                 (pos, opened | by_open, blocked | by_block),
+                 Fraction(weight, total))
+                for by_open, by_block, weight, total in instance.joint.branch(
                     opened, blocked, fresh)]
 
     # pending beliefs, with their chance and the cost spent reaching them

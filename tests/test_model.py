@@ -440,8 +440,8 @@ class TestDependentJoint:
         assert inst.bits == {"e_true": 1, "e_false": 2}
         outcomes = inst.joint.branch(0, 0, 3)
         assert len(outcomes) == 2
-        assert all(p == HALF for _, _, p in outcomes)
-        for opened, blocked, _ in outcomes:
+        assert all(Fraction(w, t) == HALF for _, _, w, t in outcomes)
+        for opened, blocked, _, _ in outcomes:
             assert opened | blocked == 3
             assert len(inst.edges_in(opened)) == 1
 
@@ -449,8 +449,8 @@ class TestDependentJoint:
         inst = xor_net_instance()
         e_true, e_false = inst.bits["e_true"], inst.bits["e_false"]
         assert inst.joint.branch(0, 0, e_true) == [
-            (0, e_true, HALF), (e_true, 0, HALF)]
-        assert inst.joint.branch(0, e_false, e_true) == [(e_true, 0, 1)]
+            (0, e_true, 1, 2), (e_true, 0, 1, 2)]
+        assert inst.joint.branch(0, e_false, e_true) == [(e_true, 0, 1, 1)]
 
     def test_weather_support_is_exclusive(self):
         inst = xor_net_instance()
@@ -471,15 +471,14 @@ class TestDependentJoint:
         b.add_variable("e", ("a", "b"), [0, 1, 0, 0])
         inst = b.build()
         e = inst.bits["e"]
-        assert inst.joint.branch(0, 0, e) == [
-            (0, e, Fraction(1, 4)), (e, 0, Fraction(3, 4))]
+        assert inst.joint.branch(0, 0, e) == [(0, e, 1, 4), (e, 0, 3, 4)]
 
     def test_long_copy_chain_loads(self):
         # one Python frame per variable would pass the recursion limit
         inst = instance_from_json(instance_to_json(copy_chain_instance(1100)))
         (comp,) = inst.joint.components
         assert comp.mask == inst.bits["e"]
-        assert comp.rows == ((0, HALF), (comp.mask, HALF))
+        assert (comp.rows, comp.total) == (((0, 1), (comp.mask, 1)), 2)
 
     def test_component_support_cap(self, monkeypatch):
         monkeypatch.setattr(model_module, "_LEAF_CAP", 3)
@@ -523,7 +522,7 @@ class TestIndependentJoint:
         assert "bits" not in vars(star)
         assert len(joint.components) == 3
         assert list(joint.components) == [
-            ComponentTable(bit, ((0, HALF), (bit, HALF))) for bit in (1, 2, 4)]
+            ComponentTable(bit, ((0, 1), (bit, 1)), 2) for bit in (1, 2, 4)]
         assert star.bits == {"c00": 1, "c01": 2, "c02": 4}
 
 
@@ -587,13 +586,19 @@ class TestBranchByWeathers:
 
     @pytest.mark.parametrize("name", [
         "game0", "game1", "game2", "game3", "game4", "game6", "baiting-2",
-        "uneven"])
+        "uneven", "odd-chances", "third-fees"])
     def test_matches_grouped_weathers(self, name):
+        from test_solve import odd_chance_instance, third_fee_instance
+
         if name.startswith("game"):
             k = int(name[4:])
             inst = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         elif name == "baiting-2":
             inst = baiting_harness(2)[0]
+        elif name == "odd-chances":
+            inst = odd_chance_instance()
+        elif name == "third-fees":
+            inst = third_fee_instance()
         else:
             inst = uneven_net_instance()
         support = weather_support(inst)
@@ -610,7 +615,41 @@ class TestBranchByWeathers:
             got = inst.joint.branch(opened, blocked, fresh)
             want = branch_by_weathers(support, opened, blocked, fresh)
             assert len(got) == len(want)
-            assert {(o, b): p for o, b, p in got} == want
+            assert {(o, b): Fraction(w, t) for o, b, w, t in got} == want
+            # one total per call, positive weights that sum to it
+            (total,) = {t for _, _, _, t in got}
+            assert all(w > 0 for _, _, w, _ in got)
+            assert sum(w for _, _, w, _ in got) == total
+
+
+def z_by_chances(inst: CtpInstance) -> int:
+    """Z as the product over the components of the lcm of their chances'
+    denominators, read from the chances themselves."""
+    return math.prod(
+        math.lcm(*(Fraction(w, comp.total).denominator for _, w in comp.rows))
+        for comp in inst.joint.components)
+
+
+class TestChanceUnit:
+    """Each component holds int weights over one total, the lcm of its
+    chances' denominators, and Z is the product of the totals."""
+
+    @pytest.mark.parametrize("name", [
+        *(f"game{k}" for k in range(len(GAME_BATTERY))), "odd-chances",
+        "third-fees", "third-net", "ladder-6", "uneven"])
+    def test_z_is_the_product_of_the_chance_lcms(self, name):
+        from test_solve import UNIT_BUILDS
+
+        if name.startswith("game"):
+            inst = qbf_to_ctpdep(GAME_BATTERY[int(name[4:])][0])[0]
+        elif name == "uneven":
+            inst = uneven_net_instance()
+        else:
+            inst = UNIT_BUILDS[name]()
+        assert inst.joint.scale == z_by_chances(inst)
+        for comp in inst.joint.components:
+            assert all(type(w) is int and w > 0 for _, w in comp.rows)
+            assert sum(w for _, w in comp.rows) == comp.total
 
 
 class TestWeathers:

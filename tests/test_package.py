@@ -109,13 +109,50 @@ def test_one_cost_unit():
     # D, the lcm of the cost and fee denominators, is taken in
     # `CtpInstance.cost_unit` alone: the walks, the tree writer and the
     # search all read it there, so a wrong D shows in all of them. The
-    # other lcm is Z's, over the chances of one joint component
+    # other lcm is a joint component's total, over its chances, and Z is
+    # the product of the totals
     scopes = [f"{path.name}:{scope}"
               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
               for scope in _scopes_calling(ast.parse(path.read_text()),
                                            "lcm")]
-    assert scopes == ["model.py:JointModel.scale",
+    assert scopes == ["model.py:_component_table",
                       "model.py:CtpInstance.cost_unit"]
+
+
+def _functions(node: ast.AST, scope: str = ""):
+    """Each function under `node` by its dotted name, with its class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{scope}{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, f"{name}.")
+
+
+def test_one_chance_unit():
+    # a chance on the search's and the walks' path is an int weight over
+    # an int total, as `JointModel.branch` returns it: each consumer
+    # divides once, in ints, and no Fraction comes back
+    chance_path = {"model.py:JointModel.branch", "solve.py:_Solver.mass",
+                   "solve.py:_Solver.branch_value", "policy.py:_trace",
+                   "policy.py:export_keyed_tree"}
+    banned = {"Fraction", "times", "as_integer_ratio", "numerator",
+              "denominator"}
+    found, named = set(), []
+    for path in sorted(Path(ctplab.__file__).parent.glob("*.py")):
+        for name, function in _functions(ast.parse(path.read_text())):
+            where = f"{path.name}:{name}"
+            if where not in chance_path:
+                continue
+            found.add(where)
+            named += [(where, getattr(node, "id", None) or node.attr)
+                      for node in ast.walk(function)
+                      if isinstance(node, (ast.Name, ast.Attribute))
+                      and {getattr(node, "id", None),
+                           getattr(node, "attr", None)} & banned]
+    assert found == chance_path
+    assert named == []
 
 
 def test_two_edge_building_paths():

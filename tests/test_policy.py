@@ -201,6 +201,21 @@ class TestLegality:
             "sensing risky whose status is already known, "
             "at m knowing [risky open]")
 
+    def test_weather_of_chance_zero_is_refused(self, solve_battery_game):
+        # game 0's net gives the statuses of 0xf6 chance 0 (its component
+        # of mask 0xd4 holds no row for them): the weather is refused up
+        # front, before any step of the policy could be blamed
+        instance = qbf_to_ctpdep(GAME_BATTERY[0][0])[0]
+        policy = solve_battery_game(0).policy
+        with pytest.raises(InvalidInstanceError) as caught:
+            walk_weather(instance, policy, Weather(246))
+        assert str(caught.value) == "weather 0xf6 has chance 0"
+        # every weather of the support still walks to its cost, 0
+        rows = evaluate_exact(instance, policy, mode="weathers").rows
+        assert [walk_weather(instance, policy, Weather(blocked))
+                for ((_, blocked),), _, _ in rows] == [
+            cost for _, _, cost in rows] == [Cost.of(0)] * 16
+
     def test_give_up_requires_sure_edge(self):
         inst = two_path_instance()
         policy = RulePolicy(lambda i, b: Action.give_up("cheap"))
@@ -391,8 +406,8 @@ def event_chance(instance, event):
     chance = Fraction(1)
     for opened_by, blocked_by in event:
         rows = instance.joint.branch(opened, blocked, opened_by | blocked_by)
-        chance *= next(p for o, b, p in rows if (o, b) == (opened_by,
-                                                           blocked_by))
+        chance *= next(Fraction(w, t) for o, b, w, t in rows
+                       if (o, b) == (opened_by, blocked_by))
         opened, blocked = opened | opened_by, blocked | blocked_by
     return chance
 
@@ -449,16 +464,20 @@ class TestIntegerChances:
          "denominator does not divide the mass 128"),
         (export_decision_tree,
          "an outcome of chance 1/6 does not divide the mass 128"),
-    ], ids=["evaluate", "export"])
+        # the search's first branch is the one outcome of what s shows,
+        # nothing: chance 1/1, tripled to 1/3
+        (lambda instance, _: solve(instance),
+         "1 at M = 3 is not whole at M = 128"),
+    ], ids=["evaluate", "export", "solve"])
     def test_a_chance_outside_the_mass_is_caught(self, walk, message,
                                                  monkeypatch):
         # the harness's chances are dyadic, so its total mass is a power of
-        # two, and a third of a chance leaves a remainder
+        # two, and a row whose total is tripled leaves a remainder
         outcomes = CtpInstance.outcomes
 
         def thirds(self, *args):
-            (opened, blocked, p), *rest = outcomes(self, *args)
-            return [(opened, blocked, p / 3), *rest]
+            (opened, blocked, weight, total), *rest = outcomes(self, *args)
+            return [(opened, blocked, weight, 3 * total), *rest]
 
         monkeypatch.setattr(CtpInstance, "outcomes", thirds)
         with pytest.raises(InternalCheckError) as caught:

@@ -523,7 +523,7 @@ class TestIntegerUnit:
         fresh = instance.fresh_at("s", 0)
         searched = S._Solver(instance, 200_000)
         searched.branch_value(0, 0, fresh, "s", searched.total_mass)
-        for opened, blocked, _ in instance.outcomes({}, fresh, 0, 0):
+        for opened, blocked, _, _ in instance.outcomes({}, fresh, 0, 0):
             belief = Belief("s", opened, blocked, instance)
             unsearched = S._Solver(instance, 200_000)
             assert unsearched.decide(instance, belief) == searched.decide(
@@ -970,20 +970,27 @@ class TestReachKeys:
         # every pricing of a solve, its window included, gives
         # what it gives in a search that shares no patch across strata
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
-        branch_value, rescale = S._Solver.branch_value, S._rescale
+        branch_value, region = S._Solver.branch_value, S._Solver.region
         priced, rescaled = [], []
 
         def recorded(solver, *args):
             priced.append((args, branch_value(solver, *args)))
             return priced[-1][1]
 
+        def read(solver, opened, blocked, start, mass=None):
+            # a patch solved at another M(K) than the outcome's share
+            values, choices, scale = region(solver, opened, blocked, start,
+                                            mass)
+            if mass is not None and scale != mass:
+                rescaled.append(values.get(start, math.inf))
+            return values, choices, scale
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(S._Solver, "branch_value", recorded)
-            patch.setattr(S, "_rescale", lambda value, scale, mass: (
-                rescaled.append(value) or rescale(value, scale, mass)))
+            patch.setattr(S._Solver, "region", read)
             solve(instance)
         # these games read finite values across strata of other masses
-        assert any(value > 0 for value in rescaled)
+        assert any(0 < value < math.inf for value in rescaled)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(S, "_reach", every_bit)
             whole = dataclasses.replace(instance)
@@ -1347,13 +1354,15 @@ def branch_every_time(instance, policy):
 
     def reveal(belief, position, fresh, labels, prob, spent):
         opened, blocked = belief.opened, belief.blocked
-        for opened_by, blocked_by, p in joint.branch(opened, blocked, fresh):
+        for opened_by, blocked_by, weight, total in joint.branch(
+                opened, blocked, fresh):
             got = sorted([(e, "open") for e in instance.edges_in(opened_by)]
                          + [(e, "blocked")
                             for e in instance.edges_in(blocked_by)])
             label = ",".join(f"{e}={status}" for e, status in got)
             walk(Belief(position, opened | opened_by, blocked | blocked_by,
-                        instance), labels + (label,), prob * p, spent)
+                        instance), labels + (label,),
+                 prob * Fraction(weight, total), spent)
 
     start = Belief(instance.s, 0, 0, instance)
     fresh = instance.fresh_at(instance.s, 0)
