@@ -90,11 +90,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def times(value: Fraction | int, scale: int) -> int:
-    """`value * scale` as an `int`; a remainder breaks the unit's invariant."""
-    whole, rest = divmod(value.numerator * scale, value.denominator)
+def times(value: int, num: int, den: int) -> int:
+    """`value * num / den`, exactly: the package's one division of ints
+    in a unit (D, Z or M(K)), where a remainder breaks the unit's
+    invariant."""
+    whole, rest = divmod(value * num, den)
     if rest:
-        raise InternalCheckError(f"{value} times {scale} is not whole")
+        raise InternalCheckError(f"{value} times {num}/{den} is not whole")
     return whole
 
 
@@ -643,8 +645,9 @@ class CtpInstance:
         shows when nothing is known (`fresh_at` its AND with the unknown
         bits). The table the policy walks take each step from."""
         bits, sight, t, unit = self.bits, self._sight, self.t, self.cost_unit
-        return {(u, edge_id): (times(edge.cost.fraction, unit), far,
-                               bits.get(edge_id, 0),
+        return {(u, edge_id): (times(unit,
+                                     *edge.cost.fraction.as_integer_ratio()),
+                               far, bits.get(edge_id, 0),
                                0 if far == t else sight[far])
                 for u, moves in self._moves.items()
                 for edge_id, (edge, far) in moves.items()}

@@ -11,8 +11,9 @@ copes with gadget chains far too long to enumerate; it prices every
 policy, one breakdown row per leaf. Replaying the policy on every weather
 of the support (`evaluate_exact(..., mode="weathers")`) stays as the
 independent oracle that the walk is checked against. Decision trees have
-one writer, `export_keyed_tree`: it prices a policy one graph node per
-key of the belief and writes the tree from that graph.
+one writer, `export_keyed_tree`, in two passes: a key pass that builds,
+checks and prices one graph node per key of the belief, and a tree pass
+that writes one tree node per belief from that graph.
 `export_decision_tree` keys each belief by itself, and the solver keys
 by its search's cache keys. The walk and the writer keep their branch
 tables from `CtpInstance.outcomes` only until they end, and write no
@@ -28,10 +29,10 @@ ORs the revealed bits into them; a weather walk splits them into open
 and blocked by one AND with the weather's blocked mask. `walk_weather`,
 `simulate` and the evaluator share one stepping loop (`_walk`), which
 runs from one reveal to the next and counts its step cap from the last
-reveal; the tree writer takes one step per graph node and refuses a
-loop as a cycle among its nodes. The simulator keeps the walks its
-trials share in a prefix tree of trajectories; on a dyadic table a trial
-decides a one-edge reveal from that edge's draw alone.
+reveal; the tree writer's key pass takes one step per graph node and
+refuses a loop as a cycle among its nodes. The simulator keeps the walks
+its trials share in a prefix tree of trajectories; on a dyadic table a
+trial decides a one-edge reveal from that edge's draw alone.
 
 Costs are exact: every walk adds ints in units of 1/D, as the search
 does, and divides once. The only floats are `math.inf`, for a walk the
@@ -396,8 +397,8 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         if belief.status(edge_id) is not None:
             raise _illegal(
                 f"sensing {edge_id} whose status is already known", belief)
-        return (times(fee.fraction, instance.cost_unit), pos,
-                instance.bits[edge_id])
+        return (times(instance.cost_unit, *fee.fraction.as_integer_ratio()),
+                pos, instance.bits[edge_id])
     move = instance.legal_moves.get((pos, edge_id))
     if move is None:
         if edge_id not in instance.edge_map:
@@ -489,9 +490,9 @@ def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
     and Z `instance.joint.scale`. The solver reads the same Z and D, but a
     wrong one leaves a remainder or cancels in M/(Z·D), so the check
     shares no search table. An outcome multiplies M by its weight and
-    divides by its total (`JointModel.branch`) in one `divmod`, a
-    remainder raising `InternalCheckError`, and the leaves' weights must
-    sum to Z. A leaf `(event, M, spent)` is divided only when
+    divides by its total (`JointModel.branch`) in one exact division
+    (`times`), a remainder raising `InternalCheckError`, and the leaves'
+    weights must sum to Z. A leaf `(event, M, spent)` is divided only when
     `EvalResult.rows` is read.
 
     Each piece of work is done once per walk, and none of it is text. The
@@ -513,14 +514,10 @@ def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
         pushed = []
         for opened_by, blocked_by, w, t in instance.outcomes(
                 tables, fresh, opened, blocked):
-            share, rest = divmod(weight * w, t)
-            if rest:
-                raise InternalCheckError(
-                    f"an outcome of mask {fresh:#x} has chance {w}/{t}, "
-                    f"whose denominator does not divide the mass {mass}")
             pushed.append((Belief(pos, opened | opened_by,
                                   blocked | blocked_by, instance),
-                           event + ((opened_by, blocked_by),), share, spent))
+                           event + ((opened_by, blocked_by),),
+                           times(weight, w, t), spent))
         # reversed, so that outcomes pop in the order the model lists them
         stack.extend(reversed(pushed))
 
@@ -589,10 +586,14 @@ def export_keyed_tree(instance: CtpInstance,
     `key(opened, blocked, position)` is a belief's key: three items keep
     every status, and a fourth is the cut, the bits whose statuses the key
     keeps. `choose(key, opened, blocked, position)` is the action there.
-    The first belief of a key builds its node with one `choose`, one
-    `_step` and, on a reveal, one `CtpInstance.outcomes` call; every other
-    belief of the key reuses the node, its tree children its own masks
-    ORed with the outcome masks. The root's chance node is one node too.
+
+    Two passes. The key pass goes depth first over the first belief of
+    each key and builds its node with one `choose`, one `_step` and, on a
+    reveal, one `CtpInstance.outcomes` call; a belief whose key is built
+    already is skipped. The root's chance node is one node too. The tree
+    pass then writes one tree node per belief from the graph, each
+    belief's children its own masks ORed with the outcome masks of its
+    key's node.
 
     Local checks, which read only the instance, make the graph's price
     the price of the tree it writes. At each node the move's bit, the
@@ -600,17 +601,17 @@ def export_keyed_tree(instance: CtpInstance,
     inside the cut, so each belief of the key takes the same step to the
     same outcomes at the same chances; each child's cut lies inside the
     parent's plus the bits just revealed, so each has the same child keys.
-    A failed check, or a cycle among the nodes (which the skip of a belief
-    already written would hide), raises `InternalCheckError`: with each
-    belief its own key, a cycle is a policy that walks in a loop. The tree
-    holds at most `BELIEF_CAP` nodes past its root.
+    A failed check, or a cycle among the nodes, raises
+    `InternalCheckError`: with each belief its own key, a cycle is a
+    policy that walks in a loop. The graph and the tree each hold at most
+    `BELIEF_CAP` nodes past their root.
 
     Weights M = Z·P flow down from the root in integer chances, as in
     `_trace`: each node after every node that leads to it (the reverse of
-    the order the depth-first pass finished them in), one exact `divmod`
-    per outcome, and the terminal weights must sum to Z. Weight times
-    price, in 1/D, sums to one int, divided once by Z·D; an action of None
-    that is reached makes the price `math.inf`.
+    the order the key pass finished them in), one exact division
+    (`times`) per outcome, and the terminal weights must sum to Z. Weight
+    times price, in 1/D, sums to one int, divided once by Z·D; an action
+    of None that is reached makes the price `math.inf`.
     """
     s, mass = instance.s, instance.joint.scale
     every = (1 << len(instance.bits)) - 1
@@ -618,13 +619,14 @@ def export_keyed_tree(instance: CtpInstance,
     # key -> its node [key, action, price in 1/D, outcomes, weight], made when
     # a built node first names the key as a child. An outcome is (masks, far
     # position, child node, chance weight, chance total), as the model's row.
-    # The weight is _NEW until the node is built and None until every belief
-    # below the key's first one is written
+    # The weight is _NEW until the node is built and None until every node
+    # below it is finished
     graph: dict[tuple, list] = {}
     order: list[list] = []  # each node after every node it leads to
-    record: dict[tuple[str, int, int], TreeNode] = {}
     root = (s, 0, 0)
     fresh = instance.fresh_at(s, 0)
+    past_cap = (f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
+                "past its root")
 
     def where(belief: tuple[str, int, int]) -> str:
         pos, opened, blocked = belief
@@ -632,90 +634,69 @@ def export_keyed_tree(instance: CtpInstance,
 
     start = [key(0, 0, s) if not fresh else (), None, 0, (), _NEW]
     graph[start[0]] = start
-    # pending beliefs with their nodes; (None, node) finishes a node
+    # the key pass: first beliefs of keys with their nodes; (None, node)
+    # finishes a node once every node below it is finished
     stack: list[tuple] = [(root, start)]
     while stack:
         belief, node = stack.pop()
-        if belief is None:  # every belief below its first one is written
+        if belief is None:
             node[4] = 0
             order.append(node)
             continue
-        if node[4] is _NEW:  # the first belief of the node's key builds it
-            k, found = node[0], []
-            pos, opened, blocked = belief
-            if not k:  # the root: a chance node over what s shows
-                price, far, shown, cut = 0, s, fresh, -1
-            elif (action := choose(k, opened, blocked, pos)) is None:
-                shown = None
-            else:
-                node[1] = action
-                price, far, shown = _step(
-                    instance, Belief(pos, opened, blocked, instance), action)
-                cut = k[3] if len(k) > 3 else every
-                # a key that keeps every status passes every check
-                if shown is not None and cut != every:
-                    if action.kind is ActionKind.SENSE:
-                        bit = sight = shown
-                    else:
-                        _, _, bit, sight = instance.legal_moves[
-                            pos, action.edge]
-                    if bit & ~cut:
-                        raise InternalCheckError(
-                            f"the key at {where(belief)} drops the status "
-                            f"of {action}")
-                    if sight & ~cut:
-                        raise InternalCheckError(
-                            f"the key at {where(belief)} drops a status "
-                            f"that {action} can show")
-            if shown is not None:
-                node[2] = price
-                if shown:
-                    rows = instance.outcomes(tables, shown, opened, blocked)
-                    if tables[shown][0] & ~cut:
-                        raise InternalCheckError(
-                            f"the key at {where(belief)} drops a status "
-                            f"that the chances of mask {shown:#x} depend on")
-                else:
-                    rows = _STAY_ROWS
-                for opened_by, blocked_by, w, t in rows:
-                    child = key(opened | opened_by, blocked | blocked_by, far)
-                    if (child[3] if len(child) > 3 else every) & ~(
-                            cut | shown):
-                        raise InternalCheckError(
-                            f"the key of a child of {where(belief)} keeps "
-                            "statuses that its parent's drops")
-                    below = graph.setdefault(
-                        child, [child, None, 0, (), _NEW])
-                    found.append(((opened_by, blocked_by), far, below, w, t))
-            node[3] = found
-            if found:
-                node[4] = None
-                stack.append((None, node))
-            else:
-                node[4] = 0
-                order.append(node)
-        elif node[4] is None:
+        if node[4] is None:
             raise InternalCheckError(
                 f"the policy loops through the key at {where(belief)}")
-        action = node[1]
-        _, opened, blocked = belief
-        children = []
-        for masks, far, below, _, _ in node[3]:
-            down = (far, opened | masks[0], blocked | masks[1])
-            children.append((masks, down))
-            stack.append((down, below))
-        written = tuple.__new__(TreeNode, (action, tuple(children)))
-        if record.setdefault(belief, written) is not written:
-            # a belief met again, by a key its masks fix, leads where it
-            # led before
-            del stack[len(stack) - len(children):]
+        if node[4] is not _NEW:  # an earlier belief of its key built it
             continue
-        # strata that share a patch are each written out, so a search
-        # within the belief cap can still pass this
-        if len(record) > BELIEF_CAP + 1:
-            raise EnumerationCapError(
-                f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
-                "past its root")
+        k, found = node[0], []
+        pos, opened, blocked = belief
+        if not k:  # the root: a chance node over what s shows
+            price, far, shown, cut = 0, s, fresh, -1
+        elif (action := choose(k, opened, blocked, pos)) is None:
+            shown = None
+        else:
+            node[1] = action
+            price, far, shown = _step(
+                instance, Belief(pos, opened, blocked, instance), action)
+            cut = k[3] if len(k) > 3 else every
+            # a key that keeps every status passes every check
+            if shown is not None and cut != every:
+                if action.kind is ActionKind.SENSE:
+                    bit = sight = shown
+                else:
+                    _, _, bit, sight = instance.legal_moves[pos, action.edge]
+                if bit & ~cut:
+                    raise InternalCheckError(
+                        f"the key at {where(belief)} drops the status of "
+                        f"{action}")
+                if sight & ~cut:
+                    raise InternalCheckError(
+                        f"the key at {where(belief)} drops a status that "
+                        f"{action} can show")
+        if shown is not None:
+            node[2] = price
+            if shown:
+                rows = instance.outcomes(tables, shown, opened, blocked)
+                if tables[shown][0] & ~cut:
+                    raise InternalCheckError(
+                        f"the key at {where(belief)} drops a status that "
+                        f"the chances of mask {shown:#x} depend on")
+            else:
+                rows = _STAY_ROWS
+            for opened_by, blocked_by, w, t in rows:
+                child = key(opened | opened_by, blocked | blocked_by, far)
+                if (child[3] if len(child) > 3 else every) & ~(cut | shown):
+                    raise InternalCheckError(
+                        f"the key of a child of {where(belief)} keeps "
+                        "statuses that its parent's drops")
+                below = graph.setdefault(child, [child, None, 0, (), _NEW])
+                found.append(((opened_by, blocked_by), far, below, w, t))
+            if len(graph) > BELIEF_CAP + 1:
+                raise EnumerationCapError(past_cap)
+        node[3], node[4] = found, None
+        stack.append((None, node))
+        stack.extend(((far, opened | masks[0], blocked | masks[1]), below)
+                     for masks, far, below, _, _ in found)
 
     start[4] = mass
     ends, total, infinite = 0, 0, False
@@ -725,16 +706,28 @@ def export_keyed_tree(instance: CtpInstance,
             ends += weight
             infinite = infinite or action is None
         for _, _, below, w, t in found:
-            share, rest = divmod(weight * w, t)
-            if rest:
-                raise InternalCheckError(
-                    f"an outcome of chance {w}/{t} does not divide the mass "
-                    f"{mass}")
-            below[4] += share
+            below[4] += times(weight, w, t)
     if ends != mass:
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite price is not multiplied out
     value = _cost(math.inf if infinite else total, mass * instance.cost_unit)
+
+    # the tree pass: one tree node per belief, written from its key's node
+    record: dict[tuple[str, int, int], TreeNode] = {}
+    stack = [(root, start)]
+    while stack:
+        belief, node = stack.pop()
+        _, opened, blocked = belief
+        children = []
+        for masks, far, below, _, _ in node[3]:
+            down = (far, opened | masks[0], blocked | masks[1])
+            children.append((masks, down))
+            stack.append((down, below))
+        record[belief] = tuple.__new__(TreeNode, (node[1], tuple(children)))
+        # strata that share a patch are each written out, so a search
+        # within the belief cap can still pass this
+        if len(record) > BELIEF_CAP + 1:
+            raise EnumerationCapError(past_cap)
     return value, DecisionTreePolicy(instance, record, root), len(graph)
 
 

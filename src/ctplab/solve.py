@@ -15,9 +15,10 @@ arriving at its far end exposes. Branch probabilities always condition on
 everything revealed so far, so the one entry point `solve` is exact for
 independent, dependent, and sensing instances alike. Every solve checks
 its value against the price of the policy it returns
-(`export_keyed_tree`): one graph node per cache key (`_Solver.key`, below),
-priced in integer chances of its own and checked at each node against
-the instance alone, and the full decision tree written from that graph.
+(`export_keyed_tree`), in two passes: a key pass that builds one graph
+node per cache key (`_Solver.key`, below), checks each against the
+instance alone and prices the graph in integer chances of its own, then
+a tree pass that writes the full decision tree from that graph.
 Both read Z (below) from the joint model and D from the instance, where
 a wrong Z or D either raises a remainder or cancels, so the check shares
 no search table.
@@ -51,11 +52,12 @@ M(K) = Z·P(K) is whole, Z (`JointModel.scale`) the product of the
 totals of the joint model's components (Papadimitriou & Yannakakis, TCS
 1991), each the lcm of its chances' denominators. A branch's rows hold
 int weights over one total, so an outcome's share of M(K) is one exact
-division (`_rescale`). One heap's keys share a positive scale, so pops,
-ties and choices are the rationals', and a branch's value is an int
-sum; `math.inf` marks a step that may strand. Branch tables come from
-`CtpInstance.outcomes`, kept for one solve: game 5 of the ctpdep
-battery prices 206 revealing steps from 75 tables and resumes 22 sums.
+division (`model.times`, the package's only one). One heap's keys share
+a positive scale, so pops, ties and choices are the rationals', and a
+branch's value is an int sum; `math.inf` marks a step that may strand.
+Branch tables come from `CtpInstance.outcomes`, kept for one solve: game
+5 of the ctpdep battery prices 206 revealing steps from 75 tables and
+resumes 22 sums.
 
 A patch is cached under a key that forgets what its walks cannot use
 (`_Solver.key`): the masks cut down to `_reach` of its start, the bits a
@@ -79,10 +81,11 @@ on the first solve of an instance and kept while it lives (`_static`).
 patch that strata share counts once, though the exported tree holds it
 once for each: game 5 expands 319 beliefs (18,548
 with every patch keyed by every status) and exports a 7,727-node tree
-(`tree_nodes`) from 186 graph nodes (`graph_nodes`). The export takes one
-step and one cache lookup (`_Solver.choose`) per graph node and one tuple
-per tree node, about 9 ms against the search's 3.5 ms there (raw, best
-of 30); stepping once per tree node took 25 ms.
+(`tree_nodes`) from 186 graph nodes (`graph_nodes`). The export's key
+pass takes one step and one cache lookup (`_Solver.choose`) per graph
+node and prices the graph, about 2 ms there, and its tree pass writes
+one tuple per tree node, about 8 ms, against the search's 2.5 ms (raw,
+best of 30); stepping once per tree node took 25 ms.
 """
 from __future__ import annotations
 
@@ -244,14 +247,14 @@ class _Solver(Policy):
                 self.tables, fresh, opened, blocked):
             if total + rest > window:
                 return total + rest, False
-            share = _rescale(weight, whole, mass)
+            share = times(mass, weight, whole)
             rest -= floor * share
             values, _, scale = self.region(
                 opened | opened_by, blocked | blocked_by, position, share)
             value = values.get(position)
             if value is None:
                 return math.inf, True
-            total += value if scale == share else _rescale(value, scale, share)
+            total += value if scale == share else times(value, share, scale)
         return total, True
 
     def region(self, opened: int, blocked: int, start: str,
@@ -369,12 +372,13 @@ def _static(instance: CtpInstance) -> tuple:
     unit, bound, bits = (instance.cost_unit, _free_space_bound(instance),
                          instance.bits)
     # each move (cost in 1/D) and the mask it exposes when nothing is known
-    moves = {u: [(times(edge.cost.fraction, unit), edge.id, far,
-                  bits.get(edge.id, 0), instance.fresh_at(far, 0),
-                  Action.move(edge.id))
+    moves = {u: [(times(unit, *edge.cost.fraction.as_integer_ratio()),
+                  edge.id, far, bits.get(edge.id, 0),
+                  instance.fresh_at(far, 0), Action.move(edge.id))
                  for edge, far in instance.moves_from(u).values()]
              for u in instance.vertices}
-    senses = {u: [(times(fee.fraction, unit), e, bits[e], Action.sense(e))
+    senses = {u: [(times(unit, *fee.fraction.as_integer_ratio()), e,
+                   bits[e], Action.sense(e))
                   for e, fee in instance.senses_from(u).items()]
               for u in instance.vertices}
     every = (1 << len(bits)) - 1
@@ -445,16 +449,6 @@ def _reach(instance: CtpInstance) -> dict[str, int]:
     return reach
 
 
-def _rescale(value: int, scale: int, mass: int) -> int:
-    """`value`, held at M(K) = `scale`, at M(K') = `mass`: strata that share
-    a patch share its real values, so a remainder breaks the invariant."""
-    whole, rest = divmod(value * mass, scale)
-    if rest:
-        raise InternalCheckError(
-            f"{value} at M = {scale} is not whole at M = {mass}")
-    return whole
-
-
 def _window(heap: list[tuple]) -> int | float:
     """The key of the next entry in a patch's heap: a popped step whose
     lower bound passes it would pop after that entry anyway, so its sum
@@ -473,7 +467,8 @@ def _free_space_bound(instance: CtpInstance) -> dict[str, int]:
     for u in instance.vertices:
         for edge, far in instance.moves_from(u).values():
             into.setdefault(far, []).append(
-                (u, times(edge.cost.fraction, instance.cost_unit)))
+                (u, times(instance.cost_unit,
+                         *edge.cost.fraction.as_integer_ratio())))
     bound: dict[str, int] = {}
     heap = [(0, instance.t)]
     while heap:

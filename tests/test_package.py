@@ -133,12 +133,11 @@ def _functions(node: ast.AST, scope: str = ""):
 def test_one_chance_unit():
     # a chance on the search's and the walks' path is an int weight over
     # an int total, as `JointModel.branch` returns it: each consumer
-    # divides once, in ints, and no Fraction comes back
+    # divides once, in ints, through `times`, and no Fraction comes back
     chance_path = {"model.py:JointModel.branch", "solve.py:_Solver.mass",
                    "solve.py:_Solver.branch_value", "policy.py:_trace",
                    "policy.py:export_keyed_tree"}
-    banned = {"Fraction", "times", "as_integer_ratio", "numerator",
-              "denominator"}
+    banned = {"Fraction", "as_integer_ratio", "numerator", "denominator"}
     found, named = set(), []
     for path in sorted(Path(ctplab.__file__).parent.glob("*.py")):
         for name, function in _functions(ast.parse(path.read_text())):
@@ -153,6 +152,18 @@ def test_one_chance_unit():
                            getattr(node, "attr", None)} & banned]
     assert found == chance_path
     assert named == []
+
+
+def test_one_exact_division():
+    # `model.times` is the package's one exact division of ints: a cost
+    # in units of 1/D, an outcome's share of a weight and a value moved
+    # to another M(K) all go through it, so each raises the same text on
+    # a remainder
+    scopes = [f"{path.name}:{scope}"
+              for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+              for scope in _scopes_calling(ast.parse(path.read_text()),
+                                           "divmod")]
+    assert scopes == ["model.py:times"]
 
 
 def test_two_edge_building_paths():

@@ -707,12 +707,21 @@ class TestFrozenSolves:
             result.policy.nodes)
 
 
+def assert_is_a_tree(tree):
+    """Each node of `tree` but its root is named as a child exactly once,
+    and the root never: the tree pass writes each belief once."""
+    named = [child for node in tree.nodes.values()
+             for _, child in node.children]
+    assert sorted(named) == sorted(set(tree.nodes) - {tree.root})
+
+
 def assert_matches_tree_walk(instance, belief_cap=P.BELIEF_CAP):
     """`solve` writes its tree from a graph of its search's keys; the
     step-by-step walk of the same search (`walked_tree`) records the same
     tree node for node, and both it and `evaluate_exact` price it at the
     optimum."""
     result, walked, tree = walked_solve(instance, belief_cap)
+    assert_is_a_tree(result.policy)
     assert result.policy.nodes == tree.nodes
     assert result.policy.root == tree.root
     assert walked == result.optimal_cost
@@ -776,6 +785,24 @@ def dropping_key(solver, edge, where=None):
 class TestKeyedExport:
     """`solve` prices one graph node per search key and writes its tree
     from that graph; the step-by-step tree walk is its oracle."""
+
+    def test_the_key_pass_chooses_once_per_key(self, monkeypatch):
+        # game 5's graph holds 186 nodes and its tree 7,727; the key pass
+        # builds every node before the tree pass meets the cap
+        instance = qbf_to_ctpdep(GAME_BATTERY[5][0])[0]
+        solver, chosen = searched(instance), []
+
+        def choose(*belief):
+            chosen.append(belief)
+            return solver.choose(*belief)
+
+        monkeypatch.setattr(P, "BELIEF_CAP", 186)
+        with pytest.raises(EnumerationCapError) as caught:
+            P.export_keyed_tree(instance, solver.key, choose)
+        assert str(caught.value) == (
+            "the decision tree exceeds the cap of 186 nodes past its root")
+        assert len(chosen) == 186
+        assert len({solver.key(*belief) for _, *belief in chosen}) == 186
 
     @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
     def test_frozen_solves(self, name):
@@ -999,9 +1026,10 @@ class TestReachKeys:
                                     *args) == got
 
     def test_a_remainder_raises(self):
-        assert S._rescale(6, 4, 2) == 3
-        with pytest.raises(InternalCheckError, match="not whole"):
-            S._rescale(3, 4, 2)
+        assert M.times(6, 2, 4) == 3
+        with pytest.raises(InternalCheckError,
+                           match="^3 times 2/4 is not whole$"):
+            M.times(3, 2, 4)
 
 
 # the solve-indep inputs of perfbench, drawn from its default seed
@@ -1075,7 +1103,7 @@ class TestCostUnit:
         instance, policy = baiting_three_halves()
         assert instance.cost_unit == 8
         with pytest.raises(InternalCheckError,
-                           match="^3/16 times 8 is not whole$"):
+                           match="^8 times 3/16 is not whole$"):
             run(instance, policy)
 
     @pytest.mark.parametrize("build", [baiting_three_halves,
