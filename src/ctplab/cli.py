@@ -13,9 +13,11 @@ Subcommands:
 * `verify` runs a named check suite and reports one line per check.
 
 Exit codes: 0 success; 1 verify checks failed or a self-check failed
-(`InternalCheckError`); 2 bad input (`InvalidInstanceError`, any other
-`ValueError`, or `OSError`); 3 an enumeration or step cap was exceeded
-(`EnumerationCapError`). The three classes live in `ctplab.model`.
+(`InternalCheckError`), which includes `solve --policy` on a tree whose
+moves go round in a loop, refused as a cycle among its beliefs; 2 bad
+input (`InvalidInstanceError`, any other `ValueError`, or `OSError`); 3
+an enumeration or step cap was exceeded (`EnumerationCapError`). The
+three classes live in `ctplab.model`.
 """
 from __future__ import annotations
 
@@ -486,12 +488,12 @@ def _cmd_solve(args) -> int:
             print(json.dumps({
                 "expected_cost": render_cost(outcome.expected_cost,
                                              args.precision),
-                "outcomes": len(outcome.leaves),
+                "outcomes": outcome.leaves,
             }))
         else:
             print("expected cost: "
                   f"{render_cost(outcome.expected_cost, args.precision)}")
-            print(f"outcome branches: {len(outcome.leaves)}")
+            print(f"outcome branches: {outcome.leaves}")
         return 0
     result = solve(instance, belief_cap=args.cap)
     first = (str(result.optimal_first_action)

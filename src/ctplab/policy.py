@@ -6,19 +6,19 @@ explicit decision-tree representation with JSON round-tripping, one exact
 evaluator, a seeded Monte Carlo simulator, and the library of named
 reference policies for the baiting and observation gadgets.
 
-The evaluator walks a depth-first stack of observation outcomes, which
-copes with gadget chains far too long to enumerate; it prices every
-policy, one breakdown row per leaf. Replaying the policy on every weather
-of the support (`evaluate_exact(..., mode="weathers")`) stays as the
+Policies are priced by one walk, `price_keyed_graph`: it builds, checks
+and prices one graph node per key of the belief, and counts the nodes
+and leaves of the tree that graph unrolls to, which copes with gadget
+chains far too long to enumerate. `evaluate_exact` and
+`export_decision_tree` key each belief by itself, and the solver keys by
+its search's cache keys. Replaying the policy on every weather of the
+support (`evaluate_exact(..., mode="weathers")`) stays as the
 independent oracle that the walk is checked against. Decision trees have
-one writer, `export_keyed_tree`, in two passes: a key pass that builds,
-checks and prices one graph node per key of the belief, and a tree pass
-that writes one tree node per belief from that graph.
-`export_decision_tree` keys each belief by itself, and the solver keys
-by its search's cache keys. The walk and the writer keep their branch
-tables from `CtpInstance.outcomes` only until they end, and write no
-text: tree nodes are keyed by a belief's masks, and breakdown leaves
-hold the masks of their outcomes. Text is written only at the edges, in
+one writer, `export_keyed_tree`: after the pricing walk, a tree pass
+writes one tree node per belief from the graph, once the count says the
+tree fits under the cap. The walk keeps its branch tables from
+`CtpInstance.outcomes` only until it ends, and writes no text: nodes are
+keyed by a belief's masks. Text is written only at the edges, in
 `to_json`, `describe_belief` and error messages.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
@@ -26,13 +26,13 @@ obeys the solver's move rule: `CtpInstance.moves_from` (read as one
 table, `legal_moves`) and `senses_from` list what may be done where, and
 arrival reveals `fresh_at`. A walk's beliefs hold masks, and a reveal
 ORs the revealed bits into them; a weather walk splits them into open
-and blocked by one AND with the weather's blocked mask. `walk_weather`,
-`simulate` and the evaluator share one stepping loop (`_walk`), which
-runs from one reveal to the next and counts its step cap from the last
-reveal; the tree writer's key pass takes one step per graph node and
-refuses a loop as a cycle among its nodes. The simulator keeps the walks
-its trials share in a prefix tree of trajectories; on a dyadic table a
-trial decides a one-edge reveal from that edge's draw alone.
+and blocked by one AND with the weather's blocked mask. `walk_weather`
+and `simulate` share one stepping loop (`_walk`), which runs from one
+reveal to the next and counts its step cap from the last reveal; the
+pricing walk takes one step per graph node and refuses a loop as a cycle
+among its nodes. The simulator keeps the walks its trials share in a
+prefix tree of trajectories; on a dyadic table a trial decides a
+one-edge reveal from that edge's draw alone.
 
 Costs are exact: every walk adds ints in units of 1/D, as the search
 does, and divides once. The only floats are `math.inf`, for a walk the
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
@@ -315,48 +315,17 @@ def load_policy(path: str | Path, instance: CtpInstance,
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Exact expected cost plus the per-event decomposition behind it.
-
-    Each leaf of `leaves` is (event, weight, spent): an event is the
-    outcomes along one branch of the walk, each as the `(opened,
-    blocked)` masks it reveals over the numbering of `instance`, its
-    chance is the weight over `mass`, and `spent` is that branch's cost
-    in 1/D (`math.inf` if the policy declares it infeasible). `rows`
-    writes each leaf as (event, chance, `Cost`) the first time it is
-    read, so a solve that only prices the tree builds none.
-    """
+    """Exact expected cost and the number of outcome branches behind it:
+    the leaves of the outcome tree in mode "tree", the weathers of the
+    support in mode "weathers"."""
 
     expected_cost: Cost
-    leaves: tuple[tuple[tuple[tuple[int, int], ...], Fraction | int,
-                        int | float], ...]
-    mass: Fraction | int
-    instance: CtpInstance = field(repr=False)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], Fraction,
-                                  Cost], ...]:
-        mass, unit = self.mass, self.instance.cost_unit
-        return tuple((event, Fraction(weight, mass), _cost(spent, unit))
-                     for event, weight, spent in self.leaves)
+    leaves: int
 
 
 def _cost(total: Fraction | int | float, scale: int) -> Cost:
     """`total` units of 1/`scale` as a `Cost`; `math.inf` is infinite."""
     return Cost.of(total if total == math.inf else Fraction(total, scale))
-
-
-def _summed(instance: CtpInstance, leaves: list,
-            mass: Fraction | int) -> EvalResult:
-    """The expected cost of `(event, weight, spent)` leaves, each leaf's
-    chance its weight over `mass`; the weights must sum to `mass`."""
-    if sum(weight for _, weight, _ in leaves) != mass:
-        raise InternalCheckError("outcome probabilities do not sum to one")
-    # an infinite row is not multiplied out: below the smallest float, a
-    # chance times math.inf is nan
-    expected = (math.inf if any(spent == math.inf for _, _, spent in leaves)
-                else sum(weight * spent for _, weight, spent in leaves))
-    return EvalResult(_cost(expected, mass * instance.cost_unit),
-                      tuple(leaves), mass, instance)
 
 
 def _step_cap(instance: CtpInstance) -> int:
@@ -422,8 +391,8 @@ def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
     """Walk from `belief`, `total` spent in 1/D, by a policy's `decide` to
     the next reveal, halt or action of None: the total then (`math.inf`
     after None), the belief on arrival and the mask revealed (None once
-    the walk is over). The one stepping loop of `walk_weather`, `simulate`
-    and `_trace`; past `_step_cap` steps it raises."""
+    the walk is over). The one stepping loop of `walk_weather` and
+    `simulate`; past `_step_cap` steps it raises."""
     cap = _step_cap(instance)
     for _ in range(cap):
         action = decide(instance, belief)
@@ -473,173 +442,136 @@ def walk_weather(instance: CtpInstance, policy: Policy,
     return _cost(_weather_total(instance, policy, weather), instance.cost_unit)
 
 
-def _trace(instance: CtpInstance, policy: Policy) -> EvalResult:
-    """Evaluate by enumerating observation outcomes depth first.
+def _each_belief(instance: CtpInstance, policy: Policy,
+                 ) -> tuple[Callable[..., tuple], Callable[..., Action | None]]:
+    """The `key` and `choose` of `price_keyed_graph` that key each belief
+    by itself and ask `policy` at it."""
+    def choose(_, opened: int, blocked: int, position: str) -> Action | None:
+        return policy.decide(instance,
+                             Belief(position, opened, blocked, instance))
 
-    Between observations the walk is deterministic, so each pending entry
-    walks until the policy halts, declares the situation infeasible, or
-    triggers a branch: arriving where unrevealed edges become visible, or
-    sensing. Branch probabilities come from the joint model conditioned on
-    everything revealed so far, which makes the evaluation exact for
-    dependent instances too. Every leaf of the walk adds one breakdown
-    row, and the expected cost is the probability-weighted sum of their
-    costs.
-
-    Chances and costs are ints: an entry carries its cost so far in 1/D
-    and the weight M = Z·P of the outcomes that led to it, P their chance
-    and Z `instance.joint.scale`. The solver reads the same Z and D, but a
-    wrong one leaves a remainder or cancels in M/(Z·D), so the check
-    shares no search table. An outcome multiplies M by its weight and
-    divides by its total (`JointModel.branch`) in one exact division
-    (`times`), a remainder raising `InternalCheckError`, and the leaves'
-    weights must sum to Z. A leaf `(event, M, spent)` is divided only when
-    `EvalResult.rows` is read.
-
-    Each piece of work is done once per walk, and none of it is text. The
-    branch tables come from `CtpInstance.outcomes`, kept only until the
-    walk ends. The walk writes no tree: `export_keyed_tree` does.
-    """
-    mass = instance.joint.scale
-    tables: dict = {}
-    leaves: list[tuple[tuple[tuple[int, int], ...], int, int | float]] = []
-    # pending entries: belief, the outcomes that led to it, weight, cost
-    # so far
-    stack: list[tuple[Belief, tuple[tuple[int, int], ...], int, int]] = []
-
-    def branch(belief: Belief, fresh: int, event: tuple, weight: int,
-               spent: int) -> None:
-        """Push the outcomes of revealing mask `fresh` on arrival at
-        `belief`."""
-        pos, opened, blocked = belief.position, belief.opened, belief.blocked
-        pushed = []
-        for opened_by, blocked_by, w, t in instance.outcomes(
-                tables, fresh, opened, blocked):
-            pushed.append((Belief(pos, opened | opened_by,
-                                  blocked | blocked_by, instance),
-                           event + ((opened_by, blocked_by),),
-                           times(weight, w, t), spent))
-        # reversed, so that outcomes pop in the order the model lists them
-        stack.extend(reversed(pushed))
-
-    start = Belief(instance.s, 0, 0, instance)
-    fresh = instance.fresh_at(instance.s, 0)
-    if fresh:
-        branch(start, fresh, (), mass, 0)
-    else:
-        stack.append((start, (), mass, 0))
-    while stack:
-        belief, event, weight, spent = stack.pop()
-        spent, belief, fresh = _walk(instance, policy.decide, belief, spent)
-        if fresh is not None:
-            branch(belief, fresh, event, weight, spent)
-        else:
-            leaves.append((event, weight, spent))
-
-    return _summed(instance, leaves, mass)
+    return (lambda *belief: belief), choose
 
 
 def evaluate_exact(instance: CtpInstance, policy: Policy,
                    mode: str = "tree") -> EvalResult:
-    """Exact expected cost of `policy`, with a per-event breakdown.
+    """Exact expected cost of `policy` and its number of outcome branches.
 
-    mode "tree" walks the observation outcomes, one breakdown row per
-    leaf, and copes with instances whose weather support is far too
-    large to list. mode "weathers" replays the policy against every
-    weather of the support instead, one row per weather, its event the
-    whole weather as one outcome; it is the independent oracle the tree
-    walk is checked against.
+    mode "tree" prices the outcome tree by its graph, each belief its own
+    key (`price_keyed_graph`), and writes no tree; it copes with instances
+    whose weather support is far too large to list, and refuses a policy
+    that reaches more than `BELIEF_CAP + 1` beliefs. mode "weathers"
+    replays the policy against every weather of the support instead, one
+    branch per weather; it is the independent oracle the tree mode is
+    checked against.
     """
     if mode == "tree":
-        return _trace(instance, policy)
+        price, _, leaves, _ = price_keyed_graph(
+            instance, *_each_belief(instance, policy))
+        return EvalResult(price, leaves)
     if mode != "weathers":
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    every = (1 << len(instance.uncertain_edges)) - 1
-    return _summed(instance, [
-        (((every ^ weather.blocked, weather.blocked),), prob,
-         _weather_total(instance, policy, weather))
-        for weather, prob in weather_support(instance)], 1)
+    rows = [(prob, _weather_total(instance, policy, weather))
+            for weather, prob in weather_support(instance)]
+    if sum(prob for prob, _ in rows) != 1:
+        raise InternalCheckError("outcome probabilities do not sum to one")
+    # an infinite row is not multiplied out: below the smallest float, a
+    # chance times math.inf is nan
+    expected = (math.inf if any(spent == math.inf for _, spent in rows)
+                else sum(prob * spent for prob, spent in rows))
+    return EvalResult(_cost(expected, instance.cost_unit), len(rows))
 
 
 def export_decision_tree(instance: CtpInstance, policy: Policy,
                          ) -> tuple[Cost, DecisionTreePolicy]:
     """Unfold `policy` over every belief it can reach, as an explicit tree,
     and its price: `export_keyed_tree` with each belief its own key."""
-    def choose(_, opened: int, blocked: int, position: str) -> Action | None:
-        return policy.decide(instance,
-                             Belief(position, opened, blocked, instance))
-
-    price, tree, _ = export_keyed_tree(instance, lambda *belief: belief,
-                                       choose)
+    price, tree, _, _ = export_keyed_tree(instance,
+                                          *_each_belief(instance, policy))
     return price, tree
 
 
-def export_keyed_tree(instance: CtpInstance,
+def _past_cap() -> str:
+    return (f"the decision tree exceeds the cap of {BELIEF_CAP} nodes past "
+            "its root")
+
+
+def price_keyed_graph(instance: CtpInstance,
                       key: Callable[[int, int, str], tuple],
                       choose: Callable[..., Action | None],
-                      ) -> tuple[Cost, DecisionTreePolicy, int]:
+                      ) -> tuple[Cost, dict[tuple, list], int, int]:
     """Price a policy that decides by a key of the belief, one graph node
-    per key, and write its decision tree from that graph: the price, the
-    tree and the number of graph nodes. The package's one tree writer:
-    `export_decision_tree` keys each belief by itself, and `solve` by its
-    search's cache keys.
+    per key: the price, the graph, the number of leaves of the tree it
+    unrolls to and the number of that tree's nodes. The package's one
+    pricing walk: `evaluate_exact` and `export_decision_tree` key each
+    belief by itself, and `solve` by its search's cache keys.
 
     `key(opened, blocked, position)` is a belief's key: three items keep
     every status, and a fourth is the cut, the bits whose statuses the key
     keeps. `choose(key, opened, blocked, position)` is the action there.
+    The graph maps each key to its node, the root's first; a node is
+    `[key, action, price in 1/D, outcomes, weight, tree nodes, leaves]`,
+    an outcome `(masks, far position, child node, chance weight, chance
+    total)` as the model's row, and the last two fields count the subtree
+    the node unrolls to.
 
-    Two passes. The key pass goes depth first over the first belief of
-    each key and builds its node with one `choose`, one `_step` and, on a
-    reveal, one `CtpInstance.outcomes` call; a belief whose key is built
-    already is skipped. The root's chance node is one node too. The tree
-    pass then writes one tree node per belief from the graph, each
-    belief's children its own masks ORed with the outcome masks of its
-    key's node.
+    The walk goes depth first over the first belief of each key, the
+    outcomes of a step in the model's order, and builds its node with one
+    `choose`, one `_step` and, on a reveal, one `CtpInstance.outcomes`
+    call; a belief whose key is built already is skipped. The root's
+    chance node is one node too. A node is finished once every node below
+    it is, and then counts its subtree: 1 plus its children's nodes, and
+    the sum of its children's leaves, or 1 leaf if it has no children.
 
     Local checks, which read only the instance, make the graph's price
-    the price of the tree it writes. At each node the move's bit, the
+    the price of the tree it unrolls to. At each node the move's bit, the
     bits arriving can show and the joint components a reveal touches lie
     inside the cut, so each belief of the key takes the same step to the
     same outcomes at the same chances; each child's cut lies inside the
     parent's plus the bits just revealed, so each has the same child keys.
     A failed check, or a cycle among the nodes, raises
     `InternalCheckError`: with each belief its own key, a cycle is a
-    policy that walks in a loop. The graph and the tree each hold at most
-    `BELIEF_CAP` nodes past their root.
+    policy that walks in a loop. The graph holds at most `BELIEF_CAP`
+    nodes past its root.
 
-    Weights M = Z·P flow down from the root in integer chances, as in
-    `_trace`: each node after every node that leads to it (the reverse of
-    the order the key pass finished them in), one exact division
-    (`times`) per outcome, and the terminal weights must sum to Z. Weight
-    times price, in 1/D, sums to one int, divided once by Z·D; an action
-    of None that is reached makes the price `math.inf`.
+    Chances and costs are ints. Weights M = Z·P, Z `instance.joint.scale`
+    and P the chance of reaching a node, flow down from the root: each
+    node after every node that leads to it (the reverse of the order the
+    walk finished them in), one exact division (`times`) per outcome, a
+    remainder raising `InternalCheckError`, and the terminal weights must
+    sum to Z. The solver reads the same Z and D, but a wrong one leaves a
+    remainder or cancels in M/(Z·D), so the check shares no search table.
+    Weight times price, in 1/D, sums to one int, divided once by Z·D; an
+    action of None that is reached makes the price `math.inf`.
     """
     s, mass = instance.s, instance.joint.scale
     every = (1 << len(instance.bits)) - 1
     tables: dict = {}
-    # key -> its node [key, action, price in 1/D, outcomes, weight], made when
-    # a built node first names the key as a child. An outcome is (masks, far
-    # position, child node, chance weight, chance total), as the model's row.
-    # The weight is _NEW until the node is built and None until every node
-    # below it is finished
+    # key -> its node, made when a built node first names the key as a
+    # child. The weight is _NEW until the node is built and None until
+    # every node below it is finished
     graph: dict[tuple, list] = {}
     order: list[list] = []  # each node after every node it leads to
-    root = (s, 0, 0)
     fresh = instance.fresh_at(s, 0)
-    past_cap = (f"the decision tree exceeds the cap of {BELIEF_CAP} nodes "
-                "past its root")
 
     def where(belief: tuple[str, int, int]) -> str:
         pos, opened, blocked = belief
         return f"{pos}|{_text(instance, opened, blocked, _KEY_WORDS)}"
 
-    start = [key(0, 0, s) if not fresh else (), None, 0, (), _NEW]
+    start = [key(0, 0, s) if not fresh else (), None, 0, (), _NEW, 1, 1]
     graph[start[0]] = start
-    # the key pass: first beliefs of keys with their nodes; (None, node)
-    # finishes a node once every node below it is finished
-    stack: list[tuple] = [(root, start)]
+    # first beliefs of keys with their nodes; (None, node) finishes a node
+    # once every node below it is finished
+    stack: list[tuple] = [((s, 0, 0), start)]
     while stack:
         belief, node = stack.pop()
         if belief is None:
+            if node[3]:
+                size = leaves = 0
+                for _, _, below, _, _ in node[3]:
+                    size += below[5]
+                    leaves += below[6]
+                node[5], node[6] = size + 1, leaves
             node[4] = 0
             order.append(node)
             continue
@@ -689,18 +621,20 @@ def export_keyed_tree(instance: CtpInstance,
                     raise InternalCheckError(
                         f"the key of a child of {where(belief)} keeps "
                         "statuses that its parent's drops")
-                below = graph.setdefault(child, [child, None, 0, (), _NEW])
+                below = graph.setdefault(child,
+                                         [child, None, 0, (), _NEW, 1, 1])
                 found.append(((opened_by, blocked_by), far, below, w, t))
             if len(graph) > BELIEF_CAP + 1:
-                raise EnumerationCapError(past_cap)
+                raise EnumerationCapError(_past_cap())
         node[3], node[4] = found, None
         stack.append((None, node))
+        # reversed, so that outcomes pop in the order the model lists them
         stack.extend(((far, opened | masks[0], blocked | masks[1]), below)
-                     for masks, far, below, _, _ in found)
+                     for masks, far, below, _, _ in reversed(found))
 
     start[4] = mass
     ends, total, infinite = 0, 0, False
-    for _, action, price, found, weight in reversed(order):
+    for _, action, price, found, weight, _, _ in reversed(order):
         total += weight * price
         if not found:
             ends += weight
@@ -711,10 +645,32 @@ def export_keyed_tree(instance: CtpInstance,
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite price is not multiplied out
     value = _cost(math.inf if infinite else total, mass * instance.cost_unit)
+    return value, graph, start[6], start[5]
 
-    # the tree pass: one tree node per belief, written from its key's node
+
+def export_keyed_tree(instance: CtpInstance,
+                      key: Callable[[int, int, str], tuple],
+                      choose: Callable[..., Action | None],
+                      ) -> tuple[Cost, DecisionTreePolicy, int, int]:
+    """Price a policy that decides by a key of the belief by its graph
+    (`price_keyed_graph`), then write its decision tree from that graph:
+    the price, the tree, the number of graph nodes and the number of tree
+    nodes. The package's one tree writer: `export_decision_tree` keys each
+    belief by itself, and `solve` by its search's cache keys.
+
+    The tree pass writes one tree node per belief, each belief's children
+    its own masks ORed with the outcome masks of its key's node. A tree of
+    more than `BELIEF_CAP` nodes past its root is refused from the graph's
+    count, before any tree node is written.
+    """
+    price, graph, _, size = price_keyed_graph(instance, key, choose)
+    # strata that share a patch are each written out, so a search within
+    # the belief cap can still pass this
+    if size > BELIEF_CAP + 1:
+        raise EnumerationCapError(_past_cap())
+    root = (instance.s, 0, 0)
     record: dict[tuple[str, int, int], TreeNode] = {}
-    stack = [(root, start)]
+    stack = [(root, next(iter(graph.values())))]
     while stack:
         belief, node = stack.pop()
         _, opened, blocked = belief
@@ -724,11 +680,8 @@ def export_keyed_tree(instance: CtpInstance,
             children.append((masks, down))
             stack.append((down, below))
         record[belief] = tuple.__new__(TreeNode, (node[1], tuple(children)))
-        # strata that share a patch are each written out, so a search
-        # within the belief cap can still pass this
-        if len(record) > BELIEF_CAP + 1:
-            raise EnumerationCapError(past_cap)
-    return value, DecisionTreePolicy(instance, record, root), len(graph)
+    return (price, DecisionTreePolicy(instance, record, root), len(graph),
+            size)
 
 
 _TRAJECTORY_MEMO_CAP = 4096

@@ -15,13 +15,15 @@ arriving at its far end exposes. Branch probabilities always condition on
 everything revealed so far, so the one entry point `solve` is exact for
 independent, dependent, and sensing instances alike. Every solve checks
 its value against the price of the policy it returns
-(`export_keyed_tree`), in two passes: a key pass that builds one graph
-node per cache key (`_Solver.key`, below), checks each against the
-instance alone and prices the graph in integer chances of its own, then
-a tree pass that writes the full decision tree from that graph.
-Both read Z (below) from the joint model and D from the instance, where
-a wrong Z or D either raises a remainder or cancels, so the check shares
-no search table.
+(`export_keyed_tree`): the package's one pricing walk
+(`policy.price_keyed_graph`) builds one graph node per cache key
+(`_Solver.key`, below), checks each against the instance alone, prices
+the graph in integer chances of its own and counts the nodes of the
+tree it unrolls to; a tree past the cap is refused from that count, and
+otherwise a tree pass writes the full decision tree from the graph. The
+walk reads Z (below) from the joint model and D from the instance,
+where a wrong Z or D either raises a remainder or cancels, so the check
+shares no search table.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -81,11 +83,12 @@ on the first solve of an instance and kept while it lives (`_static`).
 patch that strata share counts once, though the exported tree holds it
 once for each: game 5 expands 319 beliefs (18,548
 with every patch keyed by every status) and exports a 7,727-node tree
-(`tree_nodes`) from 186 graph nodes (`graph_nodes`). The export's key
-pass takes one step and one cache lookup (`_Solver.choose`) per graph
-node and prices the graph, about 2 ms there, and its tree pass writes
-one tuple per tree node, about 8 ms, against the search's 2.5 ms (raw,
-best of 30); stepping once per tree node took 25 ms.
+(`tree_nodes`, counted from the graph) from 186 graph nodes
+(`graph_nodes`). The pricing walk takes one step and one cache lookup
+(`_Solver.choose`) per graph node and prices the graph, about 2 ms
+there, and the tree pass writes one tuple per tree node, about 8 ms,
+against the search's 2.5 ms (raw, best of 30); stepping once per tree
+node took 25 ms.
 """
 from __future__ import annotations
 
@@ -134,12 +137,12 @@ class SolveStats:
     `region_hits` the lookups, the export's one per graph node too, that
     found one solved and `shared_hits` those of them answered by a patch
     solved in another stratum (`_Solver.key`). `tree_nodes` counts the
-    nodes of the exported tree, each written as one tuple, and
-    `graph_nodes` the nodes of the graph the self-check priced, one per
-    key; the export steps once per graph node. `search_s` and `export_s`
-    are the wall seconds `solve` spent in the search and in the export
-    with its self-check; they vary from run to run, so equality ignores
-    them.
+    nodes of the exported tree from the graph, before each is written as
+    one tuple, and `graph_nodes` the nodes of the graph the self-check
+    priced, one per key; the export steps once per graph node.
+    `search_s` and `export_s` are the wall seconds `solve` spent in the
+    search and in the export with its self-check; they vary from run to
+    run, so equality ignores them.
     """
 
     beliefs_expanded: int
@@ -507,8 +510,8 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     expected = Cost.of(value if value == math.inf else Fraction(
         value, solver.total_mass * solver.denominator))
     searched = time.perf_counter()
-    priced, tree, graph_nodes = export_keyed_tree(instance, solver.key,
-                                                  solver.choose)
+    priced, tree, graph_nodes, tree_nodes = export_keyed_tree(
+        instance, solver.key, solver.choose)
     if priced != expected:
         raise InternalCheckError(
             f"solver value {expected} but its exported tree prices {priced}")
@@ -519,7 +522,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
                                 sum(len(rows) for _, rows in
                                     solver.tables.values()),
                                 solver.regions, solver.region_hits,
-                                solver.shared_hits, len(tree.nodes),
+                                solver.shared_hits, tree_nodes,
                                 graph_nodes, searched - began,
                                 time.perf_counter() - searched))
 

@@ -9,8 +9,13 @@ agree:
   `simulate` and the sampling tests draw from;
 - `decomposed_cost` and `chain_early_exit_expectation` split a reference
   policy's closed-form cost by outcome;
-- `outcome_breakdown` writes an evaluation's breakdown rows with text
-  labels, which the frozen breakdown digests are taken over;
+- `trace` prices a policy by walking its observation outcomes depth
+  first, one breakdown row per leaf, where `evaluate_exact` prices it by
+  a graph of its beliefs (`price_keyed_graph`); `traced_evaluate` checks
+  the two against each other, and `by_weathers` writes the weathers
+  mode's rows, one per weather of the support;
+- `outcome_breakdown` writes a breakdown's rows with text labels, which
+  the frozen breakdown digests are taken over;
 - `walked_tree` walks a policy one step at a time and records each step
   as a tree node, where `export_decision_tree` and `solve` write the
   tree from a graph of keys (`export_keyed_tree`); `walked_solve` and
@@ -18,8 +23,10 @@ agree:
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import pytest
 
@@ -28,12 +35,15 @@ from ctplab.model import (
     Belief,
     Cost,
     CtpInstance,
+    InternalCheckError,
     InvalidInstanceError,
     SplitMix64,
     _rational_texts,
     _sections,
     as_fraction,
+    times,
     trial_counters,
+    weather_support,
 )
 from ctplab.policy import (
     _LABEL_WORDS,
@@ -42,7 +52,11 @@ from ctplab.policy import (
     EvalResult,
     Policy,
     TreeNode,
+    _cost,
     _text,
+    _walk,
+    _weather_total,
+    evaluate_exact,
 )
 
 
@@ -76,7 +90,128 @@ def trial_stream(seed: int, trial: int) -> SplitMix64:
     return SplitMix64(counter)
 
 
-def outcome_breakdown(result: EvalResult,
+@dataclass(frozen=True)
+class Breakdown:
+    """An exact expected cost and the per-event decomposition behind it.
+
+    Each leaf of `leaves` is (event, weight, spent): an event is the
+    outcomes along one branch of the walk, each as the `(opened,
+    blocked)` masks it reveals over the numbering of `instance`, its
+    chance is the weight over `mass`, and `spent` is that branch's cost
+    in 1/D (`math.inf` if the policy declares it infeasible). `rows`
+    writes each leaf as (event, chance, `Cost`).
+    """
+
+    expected_cost: Cost
+    leaves: tuple[tuple[tuple[tuple[int, int], ...], Fraction | int,
+                        int | float], ...]
+    mass: Fraction | int
+    instance: CtpInstance = field(repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], Fraction,
+                                  Cost], ...]:
+        mass, unit = self.mass, self.instance.cost_unit
+        return tuple((event, Fraction(weight, mass), _cost(spent, unit))
+                     for event, weight, spent in self.leaves)
+
+
+def _summed(instance: CtpInstance, leaves: list,
+            mass: Fraction | int) -> Breakdown:
+    """The expected cost of `(event, weight, spent)` leaves, each leaf's
+    chance its weight over `mass`; the weights must sum to `mass`."""
+    if sum(weight for _, weight, _ in leaves) != mass:
+        raise InternalCheckError("outcome probabilities do not sum to one")
+    # an infinite row is not multiplied out: below the smallest float, a
+    # chance times math.inf is nan
+    expected = (math.inf if any(spent == math.inf for _, _, spent in leaves)
+                else sum(weight * spent for _, weight, spent in leaves))
+    return Breakdown(_cost(expected, mass * instance.cost_unit),
+                     tuple(leaves), mass, instance)
+
+
+def trace(instance: CtpInstance, policy: Policy) -> Breakdown:
+    """Price `policy` by enumerating observation outcomes depth first.
+
+    Between observations the walk is deterministic, so each pending entry
+    walks (`_walk`, with its step cap) until the policy halts, declares
+    the situation infeasible, or triggers a branch: arriving where
+    unrevealed edges become visible, or sensing. Branch chances come from
+    `CtpInstance.outcomes`, conditioned on everything revealed so far.
+    Every leaf of the walk adds one breakdown row, in the order the model
+    lists the outcomes. An entry carries its cost so far in 1/D and the
+    int weight M = Z·P of the outcomes that led to it, Z
+    `instance.joint.scale`; an outcome multiplies M by its chance in one
+    exact division (`times`), and the leaves' weights must sum to Z. It
+    holds only its stack, one entry per pending outcome, and no node per
+    belief.
+    """
+    mass = instance.joint.scale
+    tables: dict = {}
+    leaves: list[tuple[tuple[tuple[int, int], ...], int, int | float]] = []
+    # pending entries: belief, the outcomes that led to it, weight, cost
+    # so far
+    stack: list[tuple[Belief, tuple[tuple[int, int], ...], int, int]] = []
+
+    def branch(belief: Belief, fresh: int, event: tuple, weight: int,
+               spent: int) -> None:
+        """Push the outcomes of revealing mask `fresh` on arrival at
+        `belief`."""
+        pos, opened, blocked = belief.position, belief.opened, belief.blocked
+        pushed = []
+        for opened_by, blocked_by, w, t in instance.outcomes(
+                tables, fresh, opened, blocked):
+            pushed.append((Belief(pos, opened | opened_by,
+                                  blocked | blocked_by, instance),
+                           event + ((opened_by, blocked_by),),
+                           times(weight, w, t), spent))
+        # reversed, so that outcomes pop in the order the model lists them
+        stack.extend(reversed(pushed))
+
+    start = Belief(instance.s, 0, 0, instance)
+    fresh = instance.fresh_at(instance.s, 0)
+    if fresh:
+        branch(start, fresh, (), mass, 0)
+    else:
+        stack.append((start, (), mass, 0))
+    while stack:
+        belief, event, weight, spent = stack.pop()
+        spent, belief, fresh = _walk(instance, policy.decide, belief, spent)
+        if fresh is not None:
+            branch(belief, fresh, event, weight, spent)
+        else:
+            leaves.append((event, weight, spent))
+    return _summed(instance, leaves, mass)
+
+
+def by_weathers(instance: CtpInstance, policy: Policy) -> Breakdown:
+    """`policy` replayed on every weather of the support, one row per
+    weather, its event the whole weather as one outcome: the rows behind
+    `evaluate_exact(..., mode="weathers")`."""
+    every = (1 << len(instance.uncertain_edges)) - 1
+    return _summed(instance, [
+        (((every ^ weather.blocked, weather.blocked),), prob,
+         _weather_total(instance, policy, weather))
+        for weather, prob in weather_support(instance)], 1)
+
+
+def traced_evaluate(instance: CtpInstance, policy: Policy,
+                    mode: str = "tree") -> EvalResult:
+    """`evaluate_exact`, and in mode "tree" `trace` of the same policy,
+    which must give the same cost and as many leaves. An error of the
+    first is raised as it is."""
+    result = evaluate_exact(instance, policy, mode)
+    if mode == "tree":
+        walked = trace(instance, policy)
+        if (result.expected_cost, result.leaves) != (
+                walked.expected_cost, len(walked.leaves)):
+            raise AssertionError(
+                f"evaluate_exact gives {result}, the outcome walk "
+                f"{walked.expected_cost} over {len(walked.leaves)} leaves")
+    return result
+
+
+def outcome_breakdown(result: Breakdown,
                       ) -> tuple[tuple[str, Fraction, Cost], ...]:
     """The rows of `result`, each event written `id=open,id=blocked ; ...`
     (ids sorted within an outcome), or "no observations" when it shows

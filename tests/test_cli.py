@@ -54,6 +54,7 @@ from ctplab.solve import SolveStats, parse_qdimacs, qbf_eval, solve
 
 from oracles import decomposed_cost
 from test_model import coin_star, copy_chain_instance
+from test_policy import hop_out_instance
 
 F = Fraction
 
@@ -307,20 +308,19 @@ class TestCommands:
         assert data == {"expected_cost": "263/512 (0.513671875)",
                         "outcomes": 8}
 
-    def test_solve_policy_counts_rows_without_labels(self, tmp_path,
-                                                     capsys, monkeypatch):
+    def test_solve_policy_counts_leaves_without_a_tree(self, tmp_path,
+                                                       capsys, monkeypatch):
         out = tmp_path / "bait.json"
         tree = tmp_path / "pi.json"
         assert main(["gadget", "baiting", "--L", "2", "-o", str(out),
                      "--policy", "baiting_pi", "--policy-out", str(tree)]) == 0
         capsys.readouterr()
 
-        # no breakdown row is built, so no label is written either
-        def unwritten(self):
-            raise AssertionError("solve --policy built breakdown rows")
+        # pricing counts the leaves by the graph and writes no tree
+        def unwritten(*args):
+            raise AssertionError("solve --policy wrote a decision tree")
 
-        monkeypatch.setattr(policy_module.EvalResult, "rows",
-                            property(unwritten))
+        monkeypatch.setattr(policy_module, "export_keyed_tree", unwritten)
         assert main(["solve", str(out), "--policy", str(tree)]) == 0
         assert "outcome branches: 8\n" in capsys.readouterr().out
         assert main(["solve", str(out), "--policy", str(tree),
@@ -709,6 +709,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: decision tree has no action at s knowing "
             "[x open, y blocked]\n")
+
+    def test_a_looping_tree_is_a_key_cycle(self, tmp_path, capsys):
+        # the tree moves back and forth along `hop` between s and m; priced
+        # with each belief its own key, it meets s again before any reveal,
+        # a cycle among its nodes, as `export_decision_tree` does
+        instance = tmp_path / "inst.json"
+        save_instance(hop_out_instance(), instance)
+        hop = {"action": {"kind": "move", "edge": "hop"}}
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"nodes": {"s|": hop, "m|": hop},
+                                    "root": "s|"}))
+        assert main(["solve", str(instance), "--policy", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "internal check failed: the policy loops through the key at "
+            "s|\n")
 
     @pytest.mark.parametrize("text", [DEEP_JSON, "{"], ids=["deep", "cut"])
     @pytest.mark.parametrize("as_policy", [False, True],

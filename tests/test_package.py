@@ -54,16 +54,16 @@ def _scopes_naming(node: ast.AST, name: str, scope: str = "<module>"):
 
 
 def test_one_stepping_loop():
-    # `_walk` is the package's only stepping loop: `walk_weather`,
-    # `simulate` and the outcome walk all step a policy through it, so
-    # they share one step cap and one cap message. The keyed export takes
-    # one step per graph node, through the same move rule, and loops over
-    # none
+    # `_walk` is the package's only stepping loop: `walk_weather` and
+    # `simulate` both step a policy through it, so they share one step cap
+    # and one cap message. The pricing walk, behind `evaluate_exact` and
+    # every export, takes one step per graph node, through the same move
+    # rule, and loops over none
     callers = [f"{path.name}:{scope}"
                for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
                for scope in _scopes_naming(ast.parse(path.read_text()),
                                            "_step")]
-    assert callers == ["policy.py:_walk", "policy.py:export_keyed_tree"]
+    assert callers == ["policy.py:_walk", "policy.py:price_keyed_graph"]
 
 
 def test_one_tree_writer():
@@ -119,6 +119,18 @@ def test_one_cost_unit():
                       "model.py:CtpInstance.cost_unit"]
 
 
+def test_one_pricing_walk():
+    # `price_keyed_graph` is the package's one walk over a policy's
+    # outcomes: `evaluate_exact`, `export_decision_tree` and `solve` all
+    # price through it. In policy.py only it asks `CtpInstance.outcomes`
+    # for branch tables, and only it and `_step` divide through `times`;
+    # the weather walks read no branch table
+    tree = ast.parse((Path(ctplab.__file__).parent / "policy.py").read_text())
+    assert list(_scopes_calling(tree, "outcomes")) == ["price_keyed_graph"]
+    assert list(_scopes_calling(tree, "times")) == ["_step",
+                                                   "price_keyed_graph"]
+
+
 def _functions(node: ast.AST, scope: str = ""):
     """Each function under `node` by its dotted name, with its class."""
     for child in ast.iter_child_nodes(node):
@@ -135,7 +147,8 @@ def test_one_chance_unit():
     # an int total, as `JointModel.branch` returns it: each consumer
     # divides once, in ints, through `times`, and no Fraction comes back
     chance_path = {"model.py:JointModel.branch", "solve.py:_Solver.mass",
-                   "solve.py:_Solver.branch_value", "policy.py:_trace",
+                   "solve.py:_Solver.branch_value",
+                   "policy.py:price_keyed_graph",
                    "policy.py:export_keyed_tree"}
     banned = {"Fraction", "as_integer_ratio", "numerator", "denominator"}
     found, named = set(), []

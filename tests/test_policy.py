@@ -35,6 +35,7 @@ from ctplab.policy import (
     Action,
     ActionKind,
     DecisionTreePolicy,
+    EvalResult,
     Policy,
     action_from_dict,
     evaluate_exact,
@@ -46,7 +47,13 @@ from ctplab.policy import (
 from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
 from ctplab.solve import solve
 
-from oracles import decomposed_cost, outcome_breakdown, walked_tree
+from oracles import (
+    by_weathers,
+    decomposed_cost,
+    outcome_breakdown,
+    trace,
+    walked_tree,
+)
 from test_sampling import oracle_simulate
 from test_solve import assert_is_a_tree
 
@@ -212,7 +219,9 @@ class TestLegality:
             walk_weather(instance, policy, Weather(246))
         assert str(caught.value) == "weather 0xf6 has chance 0"
         # every weather of the support still walks to its cost, 0
-        rows = evaluate_exact(instance, policy, mode="weathers").rows
+        rows = by_weathers(instance, policy).rows
+        assert evaluate_exact(instance, policy, mode="weathers") == (
+            EvalResult(Cost.of(0), 16))
         assert [walk_weather(instance, policy, Weather(blocked))
                 for ((_, blocked),), _, _ in rows] == [
             cost for _, _, cost in rows] == [Cost.of(0)] * 16
@@ -226,9 +235,14 @@ class TestLegality:
     def test_endless_walk_hits_cap(self):
         inst = hop_out_instance()
         policy = RulePolicy(lambda i, b_: Action.move("hop"))
-        # every walker steps through `_walk`, so all give its one message
-        for walk in (lambda: evaluate_exact(inst, policy, mode="tree"),
-                     lambda: evaluate_exact(inst, policy, mode="weathers"),
+        # the tree mode keys each belief by itself, so it meets s again as
+        # a cycle among its nodes, as the export does
+        with pytest.raises(InternalCheckError) as caught:
+            evaluate_exact(inst, policy, mode="tree")
+        assert str(caught.value) == "the policy loops through the key at s|"
+        # every walker of one weather steps through `_walk`, so all give
+        # its one message
+        for walk in (lambda: evaluate_exact(inst, policy, mode="weathers"),
                      lambda: simulate(inst, policy, 3, 0)):
             with pytest.raises(EnumerationCapError) as caught:
                 walk()
@@ -237,7 +251,9 @@ class TestLegality:
 
     def test_cap_counts_from_the_last_reveal(self, monkeypatch):
         # 8 steps in all on the blocked weather, 3 before `c` shows and 5
-        # after: at a cap of 5 between two reveals every walker prices it
+        # after: at a cap of 5 between two reveals every walker of
+        # `_walk` prices it, and so does the tree mode, which takes no step
+        # cap
         monkeypatch.setattr(policy_module, "_step_cap", lambda inst: 5)
         inst, policy = zigzag_instance(), RulePolicy(zigzag)
         for mode in ("tree", "weathers"):
@@ -254,12 +270,16 @@ class TestLegality:
 
     def test_cap_is_read_from_step_cap(self, monkeypatch):
         # at a cap of 4 the blocked weather's 5 steps after `c` shows do
-        # not fit, and every walker says so; the open weather's 2 still do
+        # not fit, and every walker of `_walk` says so; the open weather's
+        # 2 still do. The tree mode takes one step per belief and no step
+        # cap, so the package's own `evaluate_exact` still prices both
+        # weathers (the traced one would not: its oracle walks by `_walk`)
         monkeypatch.setattr(policy_module, "_step_cap", lambda inst: 4)
         inst, policy = zigzag_instance(), RulePolicy(zigzag)
         assert walk_weather(inst, policy, Weather(0)) == Cost.of(4)
-        for walk in (lambda: evaluate_exact(inst, policy, mode="tree"),
-                     lambda: evaluate_exact(inst, policy, mode="weathers"),
+        assert policy_module.evaluate_exact(inst, policy, mode="tree") == (
+            EvalResult(Cost.of(Fraction(19, 2)), 2))
+        for walk in (lambda: evaluate_exact(inst, policy, mode="weathers"),
                      lambda: walk_weather(inst, policy,
                                           Weather(inst.bits["c"])),
                      lambda: simulate(inst, policy, 64, 4)):
@@ -333,9 +353,10 @@ class TestEvaluate:
 
     def test_breakdown_is_exact_decomposition(self):
         inst = two_path_instance()
-        result = evaluate_exact(inst, RulePolicy(take_cheap_else_sure),
-                                mode="tree")
-        breakdown = outcome_breakdown(result)
+        policy = RulePolicy(take_cheap_else_sure)
+        result = evaluate_exact(inst, policy, mode="tree")
+        breakdown = outcome_breakdown(trace(inst, policy))
+        assert len(breakdown) == result.leaves
         total = sum((p for _, p, _ in breakdown), Fraction(0))
         assert total == 1
         recombined = sum((p * c.fraction for _, p, c in breakdown),
@@ -357,8 +378,8 @@ class TestEvaluate:
 
         result = evaluate_exact(inst, RulePolicy(rule), mode="tree")
         assert result.expected_cost.is_infinite
-        labels = {label: cost
-                  for label, _, cost in outcome_breakdown(result)}
+        labels = {label: cost for label, _, cost in
+                  outcome_breakdown(trace(inst, RulePolicy(rule)))}
         assert labels["only=blocked"].is_infinite
         assert labels["only=open"] == Cost.of(1)
 
@@ -442,7 +463,8 @@ class TestIntegerChances:
         else:
             instance = vc_to_sensing(named_vc("p3", 1), Fraction(1, 2))[0]
             policy = solve(instance).policy
-        rows = evaluate_exact(instance, policy).rows
+        rows = trace(instance, policy).rows
+        assert evaluate_exact(instance, policy).leaves == len(rows)
         assert [p for _, p, _ in rows] == [
             event_chance(instance, event) for event, _, _ in rows]
         assert sum(p for _, p, _ in rows) == 1
@@ -755,9 +777,10 @@ class TestFrozenTreeEvaluation:
         inst, policy = _pinned_case(name)
         result = evaluate_exact(inst, policy, mode="tree")
         assert str(result.expected_cost) == expected
-        assert len(outcome_breakdown(result)) == rows
+        breakdown = outcome_breakdown(trace(inst, policy))
+        assert len(breakdown) == result.leaves == rows
         text = "\n".join(f"{label}\t{prob}\t{cost}"
-                         for label, prob, cost in outcome_breakdown(result))
+                         for label, prob, cost in breakdown)
         assert _sha256(text) == breakdown_sha
         exported, tree = export_decision_tree(inst, policy)
         assert exported == result.expected_cost
@@ -769,8 +792,7 @@ class TestFrozenTreeEvaluation:
 
     def test_baiting_rows_in_order(self):
         inst, policy = _pinned_case("baiting")
-        breakdown = outcome_breakdown(evaluate_exact(inst, policy,
-                                                     mode="tree"))
+        breakdown = outcome_breakdown(trace(inst, policy))
         cuts = [f"bg.cut{i:03d}" for i in range(1, 8)]
         want = []
         for opened in range(6, -1, -1):

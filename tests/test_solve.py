@@ -54,7 +54,13 @@ from ctplab.solve import (
     solve,
     solve_disjoint_paths,
 )
-from oracles import outcome_breakdown, walked_index_rule, walked_solve
+from oracles import (
+    by_weathers,
+    outcome_breakdown,
+    trace,
+    walked_index_rule,
+    walked_solve,
+)
 from test_model import coin_star
 from test_oracle import random_instance
 
@@ -134,8 +140,8 @@ class TestSolveIndependent:
         exported = S.export_keyed_tree
 
         def skewed(instance, key, choose):
-            value, tree, nodes = exported(instance, key, choose)
-            return Cost.of(value.fraction + 1), tree, nodes
+            value, *rest = exported(instance, key, choose)
+            return Cost.of(value.fraction + 1), *rest
 
         monkeypatch.setattr(S, "export_keyed_tree", skewed)
         with pytest.raises(InternalCheckError, match="exported tree"):
@@ -170,7 +176,9 @@ class TestSolveIndependent:
             assert ids == sorted(ids), key
         # breakdown rows in the model's order: zb's outcomes, then ya's
         walked = evaluate_exact(inst, result.policy)
-        assert [label for label, _, _ in outcome_breakdown(walked)] == [
+        assert walked.leaves == 5
+        assert [label for label, _, _ in
+                outcome_breakdown(trace(inst, result.policy))] == [
             "zz=blocked",
             "zz=open ; ya=blocked,zb=blocked",
             "zz=open ; ya=open,zb=blocked",
@@ -184,8 +192,9 @@ class TestSolveIndependent:
         assert by_weather.expected_cost == result.optimal_cost
         # one row per weather, in support order: the listed edges' rows
         # multiplied out, zz slowest and blocked first; labels in id order
+        assert by_weather.leaves == 8
         assert [(label, str(cost)) for label, _, cost in
-                outcome_breakdown(by_weather)] == [
+                outcome_breakdown(by_weathers(inst, replayed))] == [
             ("ya=blocked,zb=blocked,zz=blocked", "10/1"),
             ("ya=open,zb=blocked,zz=blocked", "10/1"),
             ("ya=blocked,zb=open,zz=blocked", "10/1"),
@@ -722,6 +731,10 @@ def assert_matches_tree_walk(instance, belief_cap=P.BELIEF_CAP):
     optimum."""
     result, walked, tree = walked_solve(instance, belief_cap)
     assert_is_a_tree(result.policy)
+    # the pricing walk counts the tree's nodes and leaves from the graph
+    assert result.stats.tree_nodes == len(result.policy.nodes)
+    assert evaluate_exact(instance, result.policy).leaves == sum(
+        not node.children for node in result.policy.nodes.values())
     assert result.policy.nodes == tree.nodes
     assert result.policy.root == tree.root
     assert walked == result.optimal_cost
@@ -804,6 +817,26 @@ class TestKeyedExport:
         assert len(chosen) == 186
         assert len({solver.key(*belief) for _, *belief in chosen}) == 186
 
+    def test_a_tree_past_the_cap_is_refused_from_its_count(self,
+                                                           monkeypatch):
+        # the n = 6 pair-clause game: its 976 graph nodes unroll to
+        # 15,224,991 tree nodes and 2^21 leaves, counted from the graph
+        formula = parse_qdimacs(
+            "p cnf 6 3\na 1 0\ne 2 0\na 3 0\ne 4 0\na 5 0\ne 6 0\n"
+            "1 2 0\n3 4 0\n5 6 0\n")
+        instance = qbf_to_ctpdep(formula)[0]
+        solver = searched(instance)
+        price, graph, leaves, nodes = P.price_keyed_graph(
+            instance, solver.key, solver.choose)
+        assert (price, len(graph), leaves, nodes) == (
+            Cost.of(0), 976, 2 ** 21, 15_224_991)
+        # the export refuses the tree before it writes a node of it
+        monkeypatch.setattr(P, "TreeNode", None)
+        with pytest.raises(EnumerationCapError) as caught:
+            P.export_keyed_tree(instance, solver.key, solver.choose)
+        assert str(caught.value) == (
+            "the decision tree exceeds the cap of 200000 nodes past its root")
+
     @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
     def test_frozen_solves(self, name):
         build = FROZEN_BUILDS.get(name)
@@ -884,12 +917,12 @@ class TestKeyedExport:
             P.export_keyed_tree(instance, searched(instance).key,
                                 Pacing().choose)
         assert str(caught.value) == (
-            "the policy loops through the key at m|far=O")
+            "the policy loops through the key at m|far=B")
         # keyed by each belief, it loops through the same one
         with pytest.raises(InternalCheckError) as caught:
             export_decision_tree(instance, Pacing())
         assert str(caught.value) == (
-            "the policy loops through the key at m|far=O")
+            "the policy loops through the key at m|far=B")
 
 
 def every_bit(instance):
@@ -1119,9 +1152,10 @@ class TestCostUnit:
                 instance.cost_unit // lcm_of_costs(instance),
                 [P.walk_weather(instance, policy, weather)
                  for weather, _ in M.weather_support(instance)],
-                [(result.expected_cost, result.rows) for result in (
-                    evaluate_exact(instance, policy, mode=mode)
-                    for mode in ("tree", "weathers"))],
+                [(evaluate_exact(instance, policy, mode=mode),
+                  walk(instance, policy).rows)
+                 for mode, walk in (("tree", trace),
+                                    ("weathers", by_weathers))],
                 price, tree.to_json(),
                 solved.optimal_cost, solved.optimal_first_action,
                 solved.policy.to_json(),
@@ -1249,7 +1283,9 @@ class TestTextAtTheEdges:
             assert back.to_json() == text, label
             assert json.dumps(json.loads(text), indent=2,
                               sort_keys=True) == text, label
-            for row in outcome_breakdown(evaluate_exact(instance, back)):
+            breakdown = outcome_breakdown(trace(instance, back))
+            assert evaluate_exact(instance, back).leaves == len(breakdown)
+            for row in breakdown:
                 rows.update("{}\t{}\t{}\t{}\n".format(label, *row).encode())
         assert rows.hexdigest() == (
             "2c410e3be3e6287e03296a048a5f603a0d43c1b4eedffe8b840a93d9317868cd")
@@ -1412,7 +1448,8 @@ class TestWalkMemo:
         instance = qbf_to_ctpdep(GAME_BATTERY[k][0])[0]
         result = solve_battery_game(k)
         walked = evaluate_exact(instance, result.policy, mode="tree")
-        assert (walked.expected_cost, outcome_breakdown(walked)) == (
+        assert (walked.expected_cost,
+                outcome_breakdown(trace(instance, result.policy))) == (
             branch_every_time(instance, result.policy))
         assert walked.expected_cost == result.optimal_cost
         components = instance.joint.components
@@ -1451,9 +1488,14 @@ class TestWalkMemo:
             solve_disjoint_paths(inst)
         with pytest.raises(EnumerationCapError, match="decision tree"):
             solve(inst)
-        # pricing without a tree is not capped
+        # pricing, which writes no tree, still keeps one graph node per
+        # belief, and the graph is capped alike
         paths = CommittingPolicy(decompose_into_paths(inst))
-        assert not evaluate_exact(inst, paths).expected_cost.is_infinite
+        with pytest.raises(EnumerationCapError) as caught:
+            evaluate_exact(inst, paths)
+        assert str(caught.value) == (
+            f"the decision tree exceeds the cap of {nodes - 2} nodes past "
+            "its root")
 
 
 def three_path_instance(case):
