@@ -556,11 +556,12 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(checks) else 1
 
 
-# a solve's tree can outgrow its search, as strata that share a patch are
-# each exported, so the tree keeps its own cap
+# a solve's tree can outgrow its search, as strata that share a patch each
+# get their own tree nodes, so the tree keeps its own cap
 CAP_HELP = (f"most beliefs a solve's search may expand (default "
-            f"{BELIEF_CAP}); it bounds only the search: the exported "
-            f"decision tree may hold {BELIEF_CAP} nodes whatever this is")
+            f"{BELIEF_CAP}); it bounds the search. The policy's graph "
+            f"holds at most {BELIEF_CAP} nodes, and the decision tree cap "
+            f"of {BELIEF_CAP} nodes applies only when a tree is written")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,7 +46,7 @@ class EnumerationCapError(RuntimeError):
 
 
 # Beliefs one solve may expand before it gives up (`ctplab solve --cap`);
-# an exported decision tree is held to the same size.
+# a policy's graph, and a decision tree when written, keep the same cap.
 BELIEF_CAP = 200_000
 
 

@@ -13,13 +13,13 @@ chains far too long to enumerate. `evaluate_exact` and
 `export_decision_tree` key each belief by itself, and the solver keys by
 its search's cache keys. Replaying the policy on every weather of the
 support (`evaluate_exact(..., mode="weathers")`) stays as the
-independent oracle that the walk is checked against. Decision trees have
-one writer, `export_keyed_tree`: after the pricing walk, a tree pass
-writes one tree node per belief from the graph, once the count says the
-tree fits under the cap. The walk keeps its branch tables from
-`CtpInstance.outcomes` only until it ends, and writes no text: nodes are
-keyed by a belief's masks. Text is written only at the edges, in
-`to_json`, `describe_belief` and error messages.
+independent oracle that the walk is checked against. The one explicit
+policy, `DecisionTreePolicy`, holds one node per graph node under its
+key (`export_keyed_graph`); a graph keyed by the search's keys is
+unrolled into a tree only when `to_json` writes it. The walk keeps its
+branch tables from `CtpInstance.outcomes` only until it ends, and writes
+no text: nodes are keyed by a belief's masks. Text is written only at
+the edges, in `to_json`, `describe_belief` and error messages.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` (read as one
@@ -186,33 +186,43 @@ class Policy:
         raise NotImplementedError
 
 
+# each belief its own key, as a decision tree keys its nodes
+def _belief_key(opened: int, blocked: int, position: str,
+                ) -> tuple[str, int, int]:
+    return position, opened, blocked
+
+
 class TreeNode(NamedTuple):
     """One recorded action and the nodes it leads to, each child keyed by
     the `(opened, blocked)` masks its outcome reveals (`(0, 0)` after a
-    step that reveals nothing). Written by `export_keyed_tree` alone, or
-    read back by `DecisionTreePolicy.from_dict`. A tuple, so an exported
-    tree allocates one object per node."""
+    step that reveals nothing). Written by `export_keyed_graph` and
+    `unrolled`, or read back by `DecisionTreePolicy.from_dict`. A tuple,
+    so a policy allocates one object per node."""
 
     action: Action | None
-    children: tuple[tuple[tuple[int, int], tuple[str, int, int]], ...] = ()
+    children: tuple[tuple[tuple[int, int], tuple], ...] = ()
 
 
 @dataclass(frozen=True)
 class DecisionTreePolicy(Policy):
-    """Explicit policy: one recorded action per reachable belief.
+    """Explicit policy: one recorded action per key of a reachable belief.
 
-    Nodes are keyed by a belief's `(position, opened, blocked)`, over the
-    numbering of `instance`: the instance the tree was exported on or
-    loaded against. `decide` is one dict lookup; a belief over an instance
-    that numbers its edges otherwise is refused. Text is written only at
-    the edges: `to_json` writes a key as `position|id=O,id=B` and an
-    outcome as `id=open,id=blocked` (ids sorted), and `from_json` and
-    `from_dict` parse them back into masks.
+    Nodes are held under `key(opened, blocked, position)`, which starts
+    with the position, over the numbering of `instance`. Keyed by each
+    belief (`from_json`, `export_decision_tree`), the nodes are a decision
+    tree; keyed by a solve's search, each node is listed before every
+    node it leads to, and `unrolled` writes the tree. `decide` is one key
+    and one lookup; a belief over an instance that numbers its edges
+    otherwise is refused. `to_json` writes a key as `position|id=O,id=B`
+    and an outcome as `id=open,id=blocked` (ids sorted), and `from_json`
+    and `from_dict` parse them back into masks.
     """
 
     instance: CtpInstance = field(repr=False)
-    nodes: Mapping[tuple[str, int, int], TreeNode]
-    root: tuple[str, int, int] | None = None
+    nodes: Mapping[tuple, TreeNode]
+    root: tuple | None = None
+    key: Callable[[int, int, str], tuple] = field(
+        default=_belief_key, repr=False, compare=False)
 
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         if (belief.instance is not self.instance
@@ -220,12 +230,39 @@ class DecisionTreePolicy(Policy):
             raise InvalidInstanceError(
                 "decision tree was built on an instance that numbers its "
                 "uncertain edges differently")
-        node = self.nodes.get((belief.position, belief.opened,
-                               belief.blocked))
+        node = self.nodes.get(self.key(belief.opened, belief.blocked,
+                                       belief.position))
         if node is None:
             raise InvalidInstanceError(
                 f"decision tree has no action {describe_belief(belief)}")
         return node.action
+
+    def unrolled(self) -> DecisionTreePolicy:
+        """The decision tree, keyed by beliefs, where each is not its own
+        key: a belief's children are its masks ORed with its key's outcome
+        masks. A tree of more than `BELIEF_CAP` nodes past its root is
+        refused from a count over the keys, before any node is written."""
+        if self.key is _belief_key:
+            return self
+        # key -> (its tree's size, action, [(masks, position, child's)])
+        linked: dict[tuple, tuple] = {}
+        for k, (action, children) in reversed(self.nodes.items()):
+            below = [(masks, child[0], linked[child])
+                     for masks, child in children]
+            linked[k] = (1 + sum(node[0] for _, _, node in below), action,
+                         below)
+        if linked[self.root][0] > BELIEF_CAP + 1:
+            raise EnumerationCapError(_past_cap())
+        tree, stack = {}, [((self.instance.s, 0, 0), linked[self.root])]
+        while stack:
+            belief, (_, action, children) = stack.pop()
+            down = []
+            for masks, far, node in children:
+                below = (far, belief[1] | masks[0], belief[2] | masks[1])
+                down.append((masks, below))
+                stack.append((below, node))
+            tree[belief] = tuple.__new__(TreeNode, (action, tuple(down)))
+        return DecisionTreePolicy(self.instance, tree, (self.instance.s, 0, 0))
 
     @classmethod
     def from_dict(cls, data: dict, instance: CtpInstance,
@@ -266,18 +303,19 @@ class DecisionTreePolicy(Policy):
         return cls(instance, nodes, key(data.get("root")))
 
     def to_json(self) -> str:
-        """The tree as `json.dumps(..., indent=2, sort_keys=True)` writes it
-        with text keys and labels, written node by node into one join;
-        each mask pair's text is written once."""
-        text = cache(partial(_text, self.instance))
+        """The tree (`unrolled`) as `json.dumps(..., indent=2,
+        sort_keys=True)` writes it with text keys and labels, node by node
+        into one join; each mask pair's text is written once."""
+        tree = self.unrolled()
+        nodes, text = tree.nodes, cache(partial(_text, self.instance))
         quote = encode_basestring_ascii
 
         def key(node: tuple[str, int, int]) -> str:
             return f"{node[0]}|{text(node[1], node[2], _KEY_WORDS)}"
 
         parts, sep = ['{\n  "nodes": {'], "\n"
-        for written, node in sorted((key(node), node) for node in self.nodes):
-            action = self.nodes[node].action
+        for written, node in sorted((key(node), node) for node in nodes):
+            action = nodes[node].action
             if action is None:
                 act = "null"
             elif action.edge is None:
@@ -289,12 +327,12 @@ class DecisionTreePolicy(Policy):
                 f"        {quote(label)}: {quote(child)}"
                 for label, child in sorted(
                     (text(*masks, _LABEL_WORDS), key(child))
-                    for masks, child in self.nodes[node].children))
+                    for masks, child in nodes[node].children))
             kids = f"{{\n{kids}\n      }}" if kids else "{}"
             parts.append(f'{sep}    {quote(written)}: {{\n      "action": '
                          f'{act},\n      "children": {kids}\n    }}')
             sep = ",\n"
-        root = "null" if self.root is None else quote(key(self.root))
+        root = "null" if tree.root is None else quote(key(tree.root))
         close = "}" if len(parts) == 1 else "\n  }"
         parts.append(f'{close},\n  "root": {root}\n}}')
         return "".join(parts)
@@ -446,11 +484,8 @@ def _each_belief(instance: CtpInstance, policy: Policy,
                  ) -> tuple[Callable[..., tuple], Callable[..., Action | None]]:
     """The `key` and `choose` of `price_keyed_graph` that key each belief
     by itself and ask `policy` at it."""
-    def choose(_, opened: int, blocked: int, position: str) -> Action | None:
-        return policy.decide(instance,
-                             Belief(position, opened, blocked, instance))
-
-    return (lambda *belief: belief), choose
+    return _belief_key, lambda _, opened, blocked, position: policy.decide(
+        instance, Belief(position, opened, blocked, instance))
 
 
 def evaluate_exact(instance: CtpInstance, policy: Policy,
@@ -485,10 +520,8 @@ def evaluate_exact(instance: CtpInstance, policy: Policy,
 def export_decision_tree(instance: CtpInstance, policy: Policy,
                          ) -> tuple[Cost, DecisionTreePolicy]:
     """Unfold `policy` over every belief it can reach, as an explicit tree,
-    and its price: `export_keyed_tree` with each belief its own key."""
-    price, tree, _, _ = export_keyed_tree(instance,
-                                          *_each_belief(instance, policy))
-    return price, tree
+    and its price: `export_keyed_graph` with each belief its own key."""
+    return export_keyed_graph(instance, *_each_belief(instance, policy))[:2]
 
 
 def _past_cap() -> str:
@@ -499,29 +532,30 @@ def _past_cap() -> str:
 def price_keyed_graph(instance: CtpInstance,
                       key: Callable[[int, int, str], tuple],
                       choose: Callable[..., Action | None],
-                      ) -> tuple[Cost, dict[tuple, list], int, int]:
+                      ) -> tuple[Cost, list[list], int, int]:
     """Price a policy that decides by a key of the belief, one graph node
     per key: the price, the graph, the number of leaves of the tree it
     unrolls to and the number of that tree's nodes. The package's one
     pricing walk: `evaluate_exact` and `export_decision_tree` key each
     belief by itself, and `solve` by its search's cache keys.
 
-    `key(opened, blocked, position)` is a belief's key: three items keep
-    every status, and a fourth is the cut, the bits whose statuses the key
-    keeps. `choose(key, opened, blocked, position)` is the action there.
-    The graph maps each key to its node, the root's first; a node is
-    `[key, action, price in 1/D, outcomes, weight, tree nodes, leaves]`,
-    an outcome `(masks, far position, child node, chance weight, chance
-    total)` as the model's row, and the last two fields count the subtree
-    the node unrolls to.
+    `key(opened, blocked, position)` is a belief's key: the position and
+    the masks, and a fourth item where the key keeps only some statuses,
+    the cut, its bits. `choose(key, opened, blocked, position)` is the
+    action there. The graph lists its nodes from the root, the key of s
+    knowing nothing, each before every node it leads to; a node is `[key,
+    action, price in 1/D, outcomes, weight, tree nodes, leaves]`, an
+    outcome `(masks, far position, child node, chance weight, chance
+    total)` as the model's row.
 
     The walk goes depth first over the first belief of each key, the
     outcomes of a step in the model's order, and builds its node with one
     `choose`, one `_step` and, on a reveal, one `CtpInstance.outcomes`
     call; a belief whose key is built already is skipped. The root's
-    chance node is one node too. A node is finished once every node below
-    it is, and then counts its subtree: 1 plus its children's nodes, and
-    the sum of its children's leaves, or 1 leaf if it has no children.
+    chance node, where s shows something, is one node too. A node is
+    finished once every node below it is, and then counts its subtree: 1
+    plus its children's nodes, and the sum of its children's leaves, or 1
+    leaf if it has no children.
 
     Local checks, which read only the instance, make the graph's price
     the price of the tree it unrolls to. At each node the move's bit, the
@@ -539,10 +573,8 @@ def price_keyed_graph(instance: CtpInstance,
     node after every node that leads to it (the reverse of the order the
     walk finished them in), one exact division (`times`) per outcome, a
     remainder raising `InternalCheckError`, and the terminal weights must
-    sum to Z. The solver reads the same Z and D, but a wrong one leaves a
-    remainder or cancels in M/(Z·D), so the check shares no search table.
-    Weight times price, in 1/D, sums to one int, divided once by Z·D; an
-    action of None that is reached makes the price `math.inf`.
+    sum to Z. Weight times price, in 1/D, sums to one int, divided once
+    by Z·D; an action of None that is reached makes the price `math.inf`.
     """
     s, mass = instance.s, instance.joint.scale
     every = (1 << len(instance.bits)) - 1
@@ -555,10 +587,9 @@ def price_keyed_graph(instance: CtpInstance,
     fresh = instance.fresh_at(s, 0)
 
     def where(belief: tuple[str, int, int]) -> str:
-        pos, opened, blocked = belief
-        return f"{pos}|{_text(instance, opened, blocked, _KEY_WORDS)}"
+        return f"{belief[0]}|{_text(instance, *belief[1:], _KEY_WORDS)}"
 
-    start = [key(0, 0, s) if not fresh else (), None, 0, (), _NEW, 1, 1]
+    start = [key(0, 0, s), None, 0, (), _NEW, 1, 1]
     graph[start[0]] = start
     # first beliefs of keys with their nodes; (None, node) finishes a node
     # once every node below it is finished
@@ -582,7 +613,7 @@ def price_keyed_graph(instance: CtpInstance,
             continue
         k, found = node[0], []
         pos, opened, blocked = belief
-        if not k:  # the root: a chance node over what s shows
+        if node is start and fresh:  # a chance node over what s shows
             price, far, shown, cut = 0, s, fresh, -1
         elif (action := choose(k, opened, blocked, pos)) is None:
             shown = None
@@ -633,8 +664,9 @@ def price_keyed_graph(instance: CtpInstance,
                      for masks, far, below, _, _ in reversed(found))
 
     start[4] = mass
+    order.reverse()  # now each node before every node it leads to
     ends, total, infinite = 0, 0, False
-    for _, action, price, found, weight, _, _ in reversed(order):
+    for _, action, price, found, weight, _, _ in order:
         total += weight * price
         if not found:
             ends += weight
@@ -645,43 +677,21 @@ def price_keyed_graph(instance: CtpInstance,
         raise InternalCheckError("outcome probabilities do not sum to one")
     # an infinite price is not multiplied out
     value = _cost(math.inf if infinite else total, mass * instance.cost_unit)
-    return value, graph, start[6], start[5]
+    return value, order, start[6], start[5]
 
 
-def export_keyed_tree(instance: CtpInstance,
-                      key: Callable[[int, int, str], tuple],
-                      choose: Callable[..., Action | None],
-                      ) -> tuple[Cost, DecisionTreePolicy, int, int]:
-    """Price a policy that decides by a key of the belief by its graph
-    (`price_keyed_graph`), then write its decision tree from that graph:
-    the price, the tree, the number of graph nodes and the number of tree
-    nodes. The package's one tree writer: `export_decision_tree` keys each
-    belief by itself, and `solve` by its search's cache keys.
-
-    The tree pass writes one tree node per belief, each belief's children
-    its own masks ORed with the outcome masks of its key's node. A tree of
-    more than `BELIEF_CAP` nodes past its root is refused from the graph's
-    count, before any tree node is written.
-    """
+def export_keyed_graph(instance: CtpInstance,
+                       key: Callable[[int, int, str], tuple],
+                       choose: Callable[..., Action | None],
+                       ) -> tuple[Cost, DecisionTreePolicy, int]:
+    """The price of a policy that decides by a key of the belief
+    (`price_keyed_graph`), the policy as one `TreeNode` per graph node
+    under its key, and the number of nodes of the tree it unrolls to."""
     price, graph, _, size = price_keyed_graph(instance, key, choose)
-    # strata that share a patch are each written out, so a search within
-    # the belief cap can still pass this
-    if size > BELIEF_CAP + 1:
-        raise EnumerationCapError(_past_cap())
-    root = (instance.s, 0, 0)
-    record: dict[tuple[str, int, int], TreeNode] = {}
-    stack = [(root, next(iter(graph.values())))]
-    while stack:
-        belief, node = stack.pop()
-        _, opened, blocked = belief
-        children = []
-        for masks, far, below, _, _ in node[3]:
-            down = (far, opened | masks[0], blocked | masks[1])
-            children.append((masks, down))
-            stack.append((down, below))
-        record[belief] = tuple.__new__(TreeNode, (node[1], tuple(children)))
-    return (price, DecisionTreePolicy(instance, record, root), len(graph),
-            size)
+    nodes = {k: tuple.__new__(TreeNode, (action, tuple(
+                 (masks, below[0]) for masks, _, below, _, _ in found)))
+             for k, action, _, found, _, _, _ in graph}
+    return price, DecisionTreePolicy(instance, nodes, graph[0][0], key), size
 
 
 _TRAJECTORY_MEMO_CAP = 4096

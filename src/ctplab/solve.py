@@ -15,15 +15,14 @@ arriving at its far end exposes. Branch probabilities always condition on
 everything revealed so far, so the one entry point `solve` is exact for
 independent, dependent, and sensing instances alike. Every solve checks
 its value against the price of the policy it returns
-(`export_keyed_tree`): the package's one pricing walk
+(`export_keyed_graph`): the package's one pricing walk
 (`policy.price_keyed_graph`) builds one graph node per cache key
-(`_Solver.key`, below), checks each against the instance alone, prices
-the graph in integer chances of its own and counts the nodes of the
-tree it unrolls to; a tree past the cap is refused from that count, and
-otherwise a tree pass writes the full decision tree from the graph. The
-walk reads Z (below) from the joint model and D from the instance,
-where a wrong Z or D either raises a remainder or cancels, so the check
-shares no search table.
+(`_cut_key`, below), checks each against the instance alone, prices the
+graph in integer chances of its own and counts the nodes of the tree it
+unrolls to. The policy is that graph; its tree is unrolled only when
+`to_json` writes it. The walk reads Z (below) from the joint model and
+D from the instance, where a wrong Z or D either raises a remainder or
+cancels, so the check shares no search table.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -62,7 +61,7 @@ Branch tables come from `CtpInstance.outcomes`, kept for one solve: game
 resumes 22 sums.
 
 A patch is cached under a key that forgets what its walks cannot use
-(`_Solver.key`): the masks cut down to `_reach` of its start, the bits a
+(`_cut_key`): the masks cut down to `_reach` of its start, the bits a
 walk from there can cross, see or sense, and to every bit of each joint
 component that holds one of those still unknown. That is exact. A walk
 from the start crosses, reveals and senses only bits of its reach, and
@@ -75,20 +74,16 @@ the M(K) it was solved at. A lookup from a stratum K' of another mass
 rescales the start's value by M(K')/M(K), exactly (a remainder raises
 `InternalCheckError`). Where every vertex but t reaches every bit, as on
 every independent and sensing input the benchmark solves, the key is the
-whole masks. At t, where a walk ends, it keeps none, so the export
-writes every belief at t from one graph node. The reach, the move and
-sense tables and the free-space bound, each in units of 1/D, are built
-on the first solve of an instance and kept while it lives (`_static`).
+whole masks. At t, where a walk ends, it keeps none, so every belief
+at t shares one graph node. The reach, the move and sense tables and
+the free-space bound, each in units of 1/D, are built on the first
+solve of an instance and kept while it lives (`_static`).
 `beliefs_expanded` counts the positions of the patches solved, so a
-patch that strata share counts once, though the exported tree holds it
-once for each: game 5 expands 319 beliefs (18,548
-with every patch keyed by every status) and exports a 7,727-node tree
-(`tree_nodes`, counted from the graph) from 186 graph nodes
-(`graph_nodes`). The pricing walk takes one step and one cache lookup
-(`_Solver.choose`) per graph node and prices the graph, about 2 ms
-there, and the tree pass writes one tuple per tree node, about 8 ms,
-against the search's 2.5 ms (raw, best of 30); stepping once per tree
-node took 25 ms.
+patch that strata share counts once, though the unrolled tree holds it
+once for each: game 5 expands 319 beliefs (18,548 with every patch
+keyed by every status) and returns 186 graph nodes (`graph_nodes`),
+which unroll to a 7,727-node tree (`tree_nodes`, counted from the
+graph).
 """
 from __future__ import annotations
 
@@ -120,7 +115,7 @@ from .policy import (
     DecisionTreePolicy,
     Policy,
     export_decision_tree,
-    export_keyed_tree,
+    export_keyed_graph,
 )
 
 _HALT = Action.halt()  # actions are frozen, so one serves every solve
@@ -134,12 +129,11 @@ class SolveStats:
     priced; `boundary_repriced` counts the pops that resume an unfinished
     sum. `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, `regions` the strata patches it solved,
-    `region_hits` the lookups, the export's one per graph node too, that
-    found one solved and `shared_hits` those of them answered by a patch
-    solved in another stratum (`_Solver.key`). `tree_nodes` counts the
-    nodes of the exported tree from the graph, before each is written as
-    one tuple, and `graph_nodes` the nodes of the graph the self-check
-    priced, one per key; the export steps once per graph node.
+    `region_hits` the search's lookups that found one solved and
+    `shared_hits` those of them answered by a patch solved in another
+    stratum (`_cut_key`). `graph_nodes` counts the nodes of the returned
+    policy, one per key, and `tree_nodes` those of the tree it unrolls
+    to, counted from the graph (for the index rule both count its tree).
     `search_s` and `export_s` are the wall seconds `solve` spent in the
     search and in the export with its self-check; they vary from run to
     run, so equality ignores them.
@@ -161,7 +155,8 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class OptResult:
-    """An exact optimum with the decision tree that achieves it.
+    """An exact optimum with the policy that achieves it: for `solve`, its
+    graph of search keys, which `policy.to_json()` unrolls to a tree.
 
     `optimal_first_action` is None when edges are already visible at the
     start, so the first decision depends on what they show and no single
@@ -174,8 +169,8 @@ class OptResult:
     stats: SolveStats
 
 
-class _Solver(Policy):
-    """Belief-space search; once solved it replays its choices as a policy."""
+class _Solver:
+    """Belief-space search; once solved, `choose` replays its choices."""
 
     def __init__(self, instance: CtpInstance, belief_cap: int):
         self.instance = instance
@@ -184,46 +179,20 @@ class _Solver(Policy):
         self.regions = self.region_hits = self.shared_hits = 0
         (self.denominator, self.total_mass, self.bound, self.moves,
          self.senses, self.keyed) = _static(instance)
-        self.hulls: dict[int, int] = {}  # unknown bits -> their components
+        self.key = _cut_key(instance, self.keyed)
         self._regions: dict[tuple, tuple] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
-
-    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        """`choose` at the belief's own key: the search as a `Policy`, for
-        walks that step it one belief at a time."""
-        at = belief.opened, belief.blocked, belief.position
-        return self.choose(self.key(*at), *at)
 
     def choose(self, key: tuple, opened: int, blocked: int,
                position: str) -> Action | None:
         """The choice at a belief of cache key `key` in the patch it lies
-        in: one lookup, counted as `region` counts it, as the export finds
-        every patch it reaches solved, and a `region` solve on a miss."""
+        in: one lookup, which the search's counters leave out, and a
+        `region` solve on a miss."""
         if position == self.instance.t:
             return _HALT
-        patch = self._regions.get(key)
-        if patch is None:
-            return self.region(opened, blocked, position)[1].get(position)
-        self.region_hits += 1
-        if patch[3] != (opened, blocked):
-            self.shared_hits += 1
+        patch = (self._regions.get(key)
+                 or self.region(opened, blocked, position))
         return patch[1].get(position)
-
-    def key(self, opened: int, blocked: int, start: str) -> tuple:
-        """The cache key of the patch at `start`: the masks cut down to the
-        bits a walk from there can cross, see or be conditioned on, then
-        start and, where some bit is cut, the cut, which the rest of the
-        key fixes."""
-        keep = self.keyed.get(start)
-        if keep is None:
-            return opened, blocked, start
-        loose = keep & ~(opened | blocked)
-        hull = self.hulls.get(loose)
-        if hull is None:
-            hull = self.hulls[loose] = sum(
-                comp.mask for comp in self.instance.joint.touched(loose))
-        keep |= hull
-        return opened & keep, blocked & keep, start, keep
 
     def mass(self, opened: int, blocked: int) -> int:
         """M(K) of the stratum K the masks reveal, Z times its chance: the
@@ -273,8 +242,7 @@ class _Solver(Policy):
         cached = self._regions.get(self.key(opened, blocked, start))
         if cached is not None:
             self.region_hits += 1
-            if cached[3] != (opened, blocked):
-                self.shared_hits += 1
+            self.shared_hits += cached[3] != (opened, blocked)
             return cached[:3]
         if mass is None:
             mass = self.mass(opened, blocked)
@@ -394,6 +362,26 @@ def _static(instance: CtpInstance) -> tuple:
     return static
 
 
+def _cut_key(instance: CtpInstance, keyed: dict[str, int]):
+    """`key(opened, blocked, start)`, a patch's cache key: start, the masks
+    cut down to the bits a walk from there can cross, see or be
+    conditioned on, and the cut where some bit is cut. It holds no search
+    table, so the policy a solve returns keys its nodes by it."""
+    hulls: dict[int, int] = {}  # unknown bits -> their components
+
+    def key(opened: int, blocked: int, start: str) -> tuple:
+        keep = keyed.get(start)
+        if keep is None:
+            return start, opened, blocked
+        if (loose := keep & ~(opened | blocked)) not in hulls:
+            hulls[loose] = sum(
+                comp.mask for comp in instance.joint.touched(loose))
+        keep |= hulls[loose]
+        return start, opened & keep, blocked & keep, keep
+
+    return key
+
+
 def _reach(instance: CtpInstance) -> dict[str, int]:
     """The uncertain bits a walk from each vertex can see or sense.
 
@@ -485,12 +473,12 @@ def _free_space_bound(instance: CtpInstance) -> dict[str, int]:
     return bound
 
 
-def _first_action(tree: DecisionTreePolicy) -> Action | None:
-    node = tree.nodes[tree.root]
+def _first_action(policy: DecisionTreePolicy) -> Action | None:
+    node = policy.nodes[policy.root]
     if node.action is not None:
         return node.action
     # chance root: a single first action exists only if all outcomes agree
-    seen = {tree.nodes[child].action for _, child in node.children}
+    seen = {policy.nodes[child].action for _, child in node.children}
     return seen.pop() if len(seen) == 1 else None
 
 
@@ -510,12 +498,12 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     expected = Cost.of(value if value == math.inf else Fraction(
         value, solver.total_mass * solver.denominator))
     searched = time.perf_counter()
-    priced, tree, graph_nodes, tree_nodes = export_keyed_tree(
-        instance, solver.key, solver.choose)
+    priced, policy, tree_nodes = export_keyed_graph(instance, solver.key,
+                                                    solver.choose)
     if priced != expected:
         raise InternalCheckError(
-            f"solver value {expected} but its exported tree prices {priced}")
-    return OptResult(expected, _first_action(tree), tree,
+            f"solver value {expected} but its policy prices {priced}")
+    return OptResult(expected, _first_action(policy), policy,
                      SolveStats(solver.expanded, solver.evaluated,
                                 solver.steps - solver.evaluated,
                                 solver.repriced,
@@ -523,7 +511,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
                                     solver.tables.values()),
                                 solver.regions, solver.region_hits,
                                 solver.shared_hits, tree_nodes,
-                                graph_nodes, searched - began,
+                                len(policy.nodes), searched - began,
                                 time.perf_counter() - searched))
 
 
@@ -680,7 +668,7 @@ def solve_disjoint_paths(instance: CtpInstance) -> OptResult:
             f"{checked}")
     nodes = len(tree.nodes)
     return OptResult(expected, _first_action(tree), tree,
-                     SolveStats(nodes, tree_nodes=nodes))
+                     SolveStats(nodes, tree_nodes=nodes, graph_nodes=nodes))
 
 
 # The old name that perfbench/workloads.py resolves; delete it with that call.

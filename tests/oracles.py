@@ -17,9 +17,10 @@ agree:
 - `outcome_breakdown` writes a breakdown's rows with text labels, which
   the frozen breakdown digests are taken over;
 - `walked_tree` walks a policy one step at a time and records each step
-  as a tree node, where `export_decision_tree` and `solve` write the
-  tree from a graph of keys (`export_keyed_tree`); `walked_solve` and
-  `walked_index_rule` walk the policy a solve wrote its tree of.
+  as a tree node, where `export_decision_tree` and `solve` write a graph
+  of keys (`export_keyed_graph`) that `DecisionTreePolicy.unrolled`
+  writes the tree from; `walked_solve` and `walked_index_rule` walk the
+  policy a solve wrote its graph of.
 """
 from __future__ import annotations
 
@@ -308,13 +309,26 @@ def _walked(run, name: str, policy_of, instance: CtpInstance, *args):
     return (result, *walked_tree(instance, policy_of(*calls[0])))
 
 
+@dataclass(frozen=True)
+class KeyedChoices(Policy):
+    """`choose` at each belief's `key`, as a `Policy`: a solver's choices,
+    asked one belief at a time."""
+
+    key: object
+    choose: object
+
+    def decide(self, instance: CtpInstance, belief: Belief):
+        at = belief.opened, belief.blocked, belief.position
+        return self.choose(self.key(*at), *at)
+
+
 def walked_solve(instance: CtpInstance, belief_cap: int = S.BELIEF_CAP,
                  ) -> tuple[S.OptResult, Cost, DecisionTreePolicy]:
-    """`solve(instance, belief_cap)`, then `walked_tree` of the solver
-    whose keys that solve wrote its tree from."""
-    return _walked(S.solve, "export_keyed_tree",
-                   lambda instance, key, choose: key.__self__, instance,
-                   belief_cap)
+    """`solve(instance, belief_cap)`, then `walked_tree` of the choices of
+    the solver whose keys that solve wrote its graph by."""
+    return _walked(S.solve, "export_keyed_graph",
+                   lambda instance, key, choose: KeyedChoices(key, choose),
+                   instance, belief_cap)
 
 
 def walked_index_rule(instance: CtpInstance,

@@ -31,6 +31,7 @@ from ctplab.gadgets import (
 )
 from ctplab.model import (
     Cost,
+    EnumerationCapError,
     InstanceBuilder,
     InvalidInstanceError,
     SplitMix64,
@@ -187,7 +188,9 @@ class TestCommands:
             stats.boundary_repriced, stats.branch_tables, stats.regions,
             stats.region_hits, stats.shared_hits, stats.tree_nodes,
             stats.graph_nodes)
-        assert stats.tree_nodes == len(result.policy.nodes) > 1
+        # the policy holds its graph; its tree is written only in to_json
+        assert stats.graph_nodes == len(result.policy.nodes) > 1
+        assert stats.tree_nodes == len(result.policy.unrolled().nodes)
         # the leaves at t share one graph node
         assert 1 < stats.graph_nodes < stats.tree_nodes
         # the walk forgets the coins it passed, so strata share patches
@@ -256,19 +259,26 @@ class TestCommands:
             "cap exceeded: the decision tree exceeds the cap of 2 nodes "
             "past its root"]
 
-    def test_solve_exits_3_on_a_tree_past_the_cap_it_searched_within(
+    def test_solve_writes_no_tree_past_the_cap_it_searched_within(
             self, tmp_path, capsys, monkeypatch):
         # game 5's search expands 319 beliefs, but strata share patches,
-        # so its tree holds 7,727 nodes
+        # so its 186 graph nodes unroll to 7,727 tree nodes: `solve` holds
+        # the graph, and only writing the tree meets the tree cap
+        instance = qbf_to_ctpdep(GAME_BATTERY[5][0])[0]
         path = tmp_path / "game5.json"
-        save_instance(qbf_to_ctpdep(GAME_BATTERY[5][0])[0], path)
+        save_instance(instance, path)
         monkeypatch.setattr(policy_module, "BELIEF_CAP", 1000)
-        assert main(["solve", str(path), "--cap", "1000"]) == 3
+        assert main(["solve", str(path), "--cap", "1000", "--json"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "cap exceeded: the decision tree exceeds the cap of 1000 nodes "
-            "past its root"]
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert (data["optimal_cost"], data["first_action"],
+                data["graph_nodes"], data["tree_nodes"]) == (
+            "0/1 (0.0)", "move(enter)", 186, 7727)
+        with pytest.raises(EnumerationCapError) as caught:
+            solve(instance, belief_cap=1000).policy.to_json()
+        assert str(caught.value) == (
+            "the decision tree exceeds the cap of 1000 nodes past its root")
 
     def test_reduce_ctp_writes_certificate(self, game_file, tmp_path,
                                            capsys):
@@ -320,7 +330,8 @@ class TestCommands:
         def unwritten(*args):
             raise AssertionError("solve --policy wrote a decision tree")
 
-        monkeypatch.setattr(policy_module, "export_keyed_tree", unwritten)
+        monkeypatch.setattr(policy_module, "export_keyed_graph", unwritten)
+        monkeypatch.setattr(DecisionTreePolicy, "unrolled", unwritten)
         assert main(["solve", str(out), "--policy", str(tree)]) == 0
         assert "outcome branches: 8\n" in capsys.readouterr().out
         assert main(["solve", str(out), "--policy", str(tree),

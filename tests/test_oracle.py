@@ -196,10 +196,10 @@ class Oracle:
 
 def check(instance):
     """The solver's optimum and first actions, priced by the oracle; the
-    tree the solve writes from its keys is the one a step-by-step walk of
-    its search records."""
+    tree the solve's graph of keys unrolls to is the one a step-by-step
+    walk of its search records."""
     result, walked, tree = walked_solve(instance)
-    assert result.policy.nodes == tree.nodes
+    assert result.policy.unrolled().nodes == tree.nodes
     assert walked == result.optimal_cost
     oracle = Oracle(instance)
     s, root = instance.s, frozenset()

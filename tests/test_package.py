@@ -67,16 +67,19 @@ def test_one_stepping_loop():
 
 
 def test_one_tree_writer():
-    # every decision tree is written by `export_keyed_tree`, and read back
-    # by `DecisionTreePolicy.from_dict`; `export_decision_tree` and `solve`
-    # both write through the first, and the module level only annotates
+    # every explicit policy is written by `export_keyed_graph`, one node
+    # per graph node, and read back by `DecisionTreePolicy.from_dict`;
+    # `export_decision_tree` and `solve` both write through the first. A
+    # tree node per belief is written only by `unrolled`, for `to_json`,
+    # and the module level only annotates
     scopes = [f"{path.name}:{scope}"
               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
               for scope in _scopes_naming(ast.parse(path.read_text()),
                                           "TreeNode")]
     assert sorted(set(scopes)) == ["policy.py:<module>",
-                                   "policy.py:export_keyed_tree",
-                                   "policy.py:from_dict"]
+                                   "policy.py:export_keyed_graph",
+                                   "policy.py:from_dict",
+                                   "policy.py:unrolled"]
 
 
 def test_one_mix():
@@ -149,7 +152,7 @@ def test_one_chance_unit():
     chance_path = {"model.py:JointModel.branch", "solve.py:_Solver.mass",
                    "solve.py:_Solver.branch_value",
                    "policy.py:price_keyed_graph",
-                   "policy.py:export_keyed_tree"}
+                   "policy.py:export_keyed_graph"}
     banned = {"Fraction", "as_integer_ratio", "numerator", "denominator"}
     found, named = set(), []
     for path in sorted(Path(ctplab.__file__).parent.glob("*.py")):

@@ -660,7 +660,7 @@ class TestDecisionTrees:
         text = result.policy.to_json()
         assert '"m|1|a,b=O=O,c|d=B"' in text
         back = DecisionTreePolicy.from_json(text, inst)
-        assert back == result.policy
+        assert back == result.policy.unrolled()
         assert back.to_json() == text
         assert evaluate_exact(inst, back) == evaluate_exact(inst,
                                                             result.policy)

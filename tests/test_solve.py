@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -137,14 +139,14 @@ class TestSolveIndependent:
             solve(inst, belief_cap=3)
 
     def test_self_check_failure_raises(self, monkeypatch):
-        exported = S.export_keyed_tree
+        exported = S.export_keyed_graph
 
         def skewed(instance, key, choose):
             value, *rest = exported(instance, key, choose)
             return Cost.of(value.fraction + 1), *rest
 
-        monkeypatch.setattr(S, "export_keyed_tree", skewed)
-        with pytest.raises(InternalCheckError, match="exported tree"):
+        monkeypatch.setattr(S, "export_keyed_graph", skewed)
+        with pytest.raises(InternalCheckError, match="its policy prices"):
             solve(two_path_instance())
 
     def test_listing_order_is_not_id_order(self):
@@ -294,7 +296,7 @@ class TestBoundedSearch:
         class Recorded(dict):
             def __setitem__(self, key, region):
                 solves.setdefault(id(region), (key, set(), region))[1].add(
-                    key[2])
+                    key[0])
                 super().__setitem__(key, region)
 
         monkeypatch.setattr(S._Solver, "branch_value", counted)
@@ -313,7 +315,7 @@ class TestBoundedSearch:
                                + stats.boundary_repriced + 1)
         # every revealing step of every solved patch is one or the other
         steps = 0
-        for (_, _, v, *_), patch, region in solves.values():
+        for (v, *_), patch, region in solves.values():
             # the stratum's own masks: t's key keeps none of them
             opened, blocked = region[3]
             known = M.Belief(v, opened, blocked, instance)
@@ -533,10 +535,10 @@ class TestIntegerUnit:
         searched = S._Solver(instance, 200_000)
         searched.branch_value(0, 0, fresh, "s", searched.total_mass)
         for opened, blocked, _, _ in instance.outcomes({}, fresh, 0, 0):
-            belief = Belief("s", opened, blocked, instance)
+            at = opened, blocked, "s"
             unsearched = S._Solver(instance, 200_000)
-            assert unsearched.decide(instance, belief) == searched.decide(
-                instance, belief)
+            assert unsearched.choose(unsearched.key(*at), *at) \
+                == searched.choose(searched.key(*at), *at)
             assert unsearched.region(opened, blocked, "s") == \
                 searched.region(opened, blocked, "s")
 
@@ -655,14 +657,14 @@ FROZEN_SOLVES = {
 }
 
 
-# name: branch tables, regions, region-cache hits, resumed pricings,
-# graph nodes of the export
+# name: branch tables, regions, the search's region-cache hits and shared
+# hits, resumed pricings, graph nodes of the export
 FROZEN_COUNTERS = {
-    "game0": (14, 18, 44, 1, 32), "game1": (12, 26, 49, 10, 2),
-    "game2": (30, 41, 95, 2, 62), "game3": (30, 42, 79, 16, 2),
-    "game4": (67, 77, 177, 8, 98), "game5": (75, 166, 404, 22, 186),
-    "game6": (15, 26, 41, 8, 2), "game7": (25, 62, 127, 24, 2),
-    "baiting-2": (8, 15, 17, 1, 17), "p3": (4, 19, 92, 14, 22),
+    "game0": (14, 18, 13, 12, 1, 32), "game1": (12, 26, 48, 45, 10, 2),
+    "game2": (30, 41, 34, 33, 2, 62), "game3": (30, 42, 78, 75, 16, 2),
+    "game4": (67, 77, 80, 79, 8, 98), "game5": (75, 166, 219, 215, 22, 186),
+    "game6": (15, 26, 40, 37, 8, 2), "game7": (25, 62, 126, 120, 24, 2),
+    "baiting-2": (8, 15, 1, 0, 1, 17), "p3": (4, 19, 71, 0, 14, 22),
 }
 
 
@@ -700,47 +702,79 @@ class TestFrozenSolves:
         result = frozen_solve(name)
         stats = result.stats
         assert (stats.branch_tables, stats.regions, stats.region_hits,
-                stats.boundary_repriced, stats.graph_nodes) \
-            == FROZEN_COUNTERS[name]
+                stats.shared_hits, stats.boundary_repriced,
+                stats.graph_nodes) == FROZEN_COUNTERS[name]
         # each pricing, and the root, asks for one table or reuses one
         assert stats.branch_tables <= stats.boundary_evaluated + 1
         assert stats.regions <= stats.beliefs_expanded
         # a patch serves other strata only where walks forget some bits
         assert stats.shared_hits <= stats.region_hits
         assert (stats.shared_hits > 0) == name.startswith("game")
-        # a shared patch is expanded once but exported under every
+        # a shared patch is expanded once but unrolled under every
         # stratum that reads it, so only the tree cap bounds the tree;
-        # the graph holds each key once, and every leaf at t in one node
-        assert len(result.policy.nodes) <= P.BELIEF_CAP + 1
-        assert stats.graph_nodes <= stats.tree_nodes == len(
-            result.policy.nodes)
+        # the policy holds its graph, each key once and every leaf at t
+        # in one node
+        assert stats.graph_nodes == len(result.policy.nodes) \
+            <= P.BELIEF_CAP + 1
+        assert stats.graph_nodes <= stats.tree_nodes
 
 
 def assert_is_a_tree(tree):
     """Each node of `tree` but its root is named as a child exactly once,
-    and the root never: the tree pass writes each belief once."""
+    and the root never: the tree holds each belief once."""
     named = [child for node in tree.nodes.values()
              for _, child in node.children]
     assert sorted(named) == sorted(set(tree.nodes) - {tree.root})
 
 
+def unrolling_fails(policy):
+    raise AssertionError("a decision tree was unrolled")
+
+
 def assert_matches_tree_walk(instance, belief_cap=P.BELIEF_CAP):
-    """`solve` writes its tree from a graph of its search's keys; the
-    step-by-step walk of the same search (`walked_tree`) records the same
-    tree node for node, and both it and `evaluate_exact` price it at the
-    optimum."""
+    """`solve` returns a graph of its search's keys and unrolls no tree:
+    with the unroller failing it returns the same. The tree the graph
+    unrolls to is the one the step-by-step walk of the same search
+    (`walked_tree`) records, node for node, the graph decides as that
+    tree at each of its beliefs, and the walk and `evaluate_exact` price
+    it at the optimum."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(P.DecisionTreePolicy, "unrolled", unrolling_fails)
+        unwritten = solve(instance, belief_cap)
     result, walked, tree = walked_solve(instance, belief_cap)
-    assert_is_a_tree(result.policy)
+    assert (unwritten.optimal_cost, unwritten.optimal_first_action,
+            unwritten.stats, unwritten.policy) == (
+        result.optimal_cost, result.optimal_first_action, result.stats,
+        result.policy)
+    unrolled = result.policy.unrolled()
+    assert_is_a_tree(unrolled)
+    assert (unrolled.nodes, unrolled.root) == (tree.nodes, tree.root)
+    for position, opened, blocked in unrolled.nodes:
+        belief = Belief(position, opened, blocked, instance)
+        assert result.policy.decide(instance, belief) \
+            == unrolled.decide(instance, belief)
     # the pricing walk counts the tree's nodes and leaves from the graph
-    assert result.stats.tree_nodes == len(result.policy.nodes)
-    assert evaluate_exact(instance, result.policy).leaves == sum(
-        not node.children for node in result.policy.nodes.values())
-    assert result.policy.nodes == tree.nodes
-    assert result.policy.root == tree.root
-    assert walked == result.optimal_cost
-    assert evaluate_exact(instance, result.policy).expected_cost \
-        == result.optimal_cost
+    assert result.stats.graph_nodes == len(result.policy.nodes)
+    assert result.stats.tree_nodes == len(unrolled.nodes)
+    priced = evaluate_exact(instance, result.policy)
+    assert priced.leaves == sum(
+        not node.children for node in unrolled.nodes.values())
+    assert walked == priced.expected_cost == result.optimal_cost
     return result
+
+
+def pair_clause_game(n):
+    """forall x1 exists x2 ... exists xn: (x1 or x2) and (x3 or x4) and
+    ..., a true game, through `qbf_to_ctpdep`."""
+    formula = QbfFormula.of(n, [(i, i + 1) for i in range(1, n, 2)])
+    return qbf_to_ctpdep(formula)[0]
+
+
+# n: beliefs expanded, graph nodes and tree nodes of the solve
+PAIR_CLAUSE_GAMES = {
+    6: (2_221, 976, 15_224_991),
+    8: (15_971, 4_790, 489_777_562_175),
+}
 
 
 def corridor_instance():
@@ -796,12 +830,14 @@ def dropping_key(solver, edge, where=None):
 
 
 class TestKeyedExport:
-    """`solve` prices one graph node per search key and writes its tree
-    from that graph; the step-by-step tree walk is its oracle."""
+    """`solve` prices one graph node per search key and returns that
+    graph; the step-by-step tree walk is the oracle of the tree it
+    unrolls to."""
 
     def test_the_key_pass_chooses_once_per_key(self, monkeypatch):
-        # game 5's graph holds 186 nodes and its tree 7,727; the key pass
-        # builds every node before the tree pass meets the cap
+        # game 5's graph holds 186 nodes and its tree 7,727; the export
+        # builds every node with one choice per key, and writing the tree
+        # meets the cap without choosing again
         instance = qbf_to_ctpdep(GAME_BATTERY[5][0])[0]
         solver, chosen = searched(instance), []
 
@@ -810,32 +846,71 @@ class TestKeyedExport:
             return solver.choose(*belief)
 
         monkeypatch.setattr(P, "BELIEF_CAP", 186)
+        _, policy, nodes = P.export_keyed_graph(instance, solver.key, choose)
+        assert (len(policy.nodes), nodes) == (186, 7727)
+        assert len(chosen) == 186
+        assert len({solver.key(*belief) for _, *belief in chosen}) == 186
         with pytest.raises(EnumerationCapError) as caught:
-            P.export_keyed_tree(instance, solver.key, choose)
+            policy.to_json()
         assert str(caught.value) == (
             "the decision tree exceeds the cap of 186 nodes past its root")
         assert len(chosen) == 186
-        assert len({solver.key(*belief) for _, *belief in chosen}) == 186
 
     def test_a_tree_past_the_cap_is_refused_from_its_count(self,
                                                            monkeypatch):
         # the n = 6 pair-clause game: its 976 graph nodes unroll to
         # 15,224,991 tree nodes and 2^21 leaves, counted from the graph
-        formula = parse_qdimacs(
-            "p cnf 6 3\na 1 0\ne 2 0\na 3 0\ne 4 0\na 5 0\ne 6 0\n"
-            "1 2 0\n3 4 0\n5 6 0\n")
-        instance = qbf_to_ctpdep(formula)[0]
+        instance = pair_clause_game(6)
         solver = searched(instance)
         price, graph, leaves, nodes = P.price_keyed_graph(
             instance, solver.key, solver.choose)
         assert (price, len(graph), leaves, nodes) == (
             Cost.of(0), 976, 2 ** 21, 15_224_991)
-        # the export refuses the tree before it writes a node of it
+        # the solve returns its graph; writing it refuses the tree before
+        # any node of it is written
+        result = solve(instance)
         monkeypatch.setattr(P, "TreeNode", None)
         with pytest.raises(EnumerationCapError) as caught:
-            P.export_keyed_tree(instance, solver.key, solver.choose)
+            result.policy.to_json()
         assert str(caught.value) == (
             "the decision tree exceeds the cap of 200000 nodes past its root")
+
+    @pytest.mark.parametrize("n", sorted(PAIR_CLAUSE_GAMES))
+    def test_pair_clause_games(self, n):
+        # trees of 1.5e7 and 4.9e11 nodes, never written: the solve holds
+        # one node per key
+        result = solve(pair_clause_game(n))
+        stats = result.stats
+        assert (str(result.optimal_cost), str(result.optimal_first_action),
+                stats.beliefs_expanded, stats.graph_nodes,
+                stats.tree_nodes) == ("0/1", "move(enter)",
+                                      *PAIR_CLAUSE_GAMES[n])
+        assert len(result.policy.nodes) == stats.graph_nodes
+
+    def test_the_policy_holds_no_search(self, monkeypatch):
+        # the returned policy keys its nodes by the search's cut key, which
+        # holds only the reach table and the hulls: reference counting
+        # frees the solver, its region cache and branch tables once the
+        # solve returns
+        solvers = []
+
+        class Watched(S._Solver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(weakref.ref(self))
+
+        monkeypatch.setattr(S, "_Solver", Watched)
+        instance = qbf_to_ctpdep(GAME_BATTERY[5][0])[0]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = solve(instance)
+            assert [ref() for ref in solvers] == [None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert hashlib.sha256(result.policy.to_json().encode()).hexdigest() \
+            == FROZEN_SOLVES["game5"][2]
 
     @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
     def test_frozen_solves(self, name):
@@ -868,16 +943,16 @@ class TestKeyedExport:
         solver = searched(instance)
         with pytest.raises(InternalCheckError,
                            match="drops the status of move.gamble."):
-            P.export_keyed_tree(instance, dropping_key(solver, "gamble"),
-                                solver.choose)
+            P.export_keyed_graph(instance, dropping_key(solver, "gamble"),
+                                 solver.choose)
 
     def test_a_cut_without_what_a_step_shows_raises(self):
         instance = corridor_instance()
         solver = searched(instance)
         with pytest.raises(InternalCheckError,
                            match="drops a status that move.walk. can show"):
-            P.export_keyed_tree(instance, dropping_key(solver, "far"),
-                                solver.choose)
+            P.export_keyed_graph(instance, dropping_key(solver, "far"),
+                                 solver.choose)
 
     def test_a_cut_without_a_touched_component_raises(self):
         instance = hidden_twin_instance()
@@ -885,10 +960,10 @@ class TestKeyedExport:
         assert solve(instance).optimal_first_action == Action.move("walk")
         with pytest.raises(InternalCheckError,
                            match="chances of mask 0x1 depend on"):
-            P.export_keyed_tree(instance, dropping_key(solver, "hidden"),
-                                solver.choose)
+            P.export_keyed_graph(instance, dropping_key(solver, "hidden"),
+                                 solver.choose)
         # the search's own keys keep the twin
-        P.export_keyed_tree(instance, solver.key, solver.choose)
+        P.export_keyed_graph(instance, solver.key, solver.choose)
 
     def test_a_child_that_keeps_more_raises(self):
         # s's key drops `late`, which m's keeps and the walk to m does
@@ -897,9 +972,9 @@ class TestKeyedExport:
         solver = searched(instance)
         with pytest.raises(InternalCheckError,
                            match="keeps statuses that its parent's drops"):
-            P.export_keyed_tree(instance,
-                                dropping_key(solver, "late", "s"),
-                                solver.choose)
+            P.export_keyed_graph(instance,
+                                 dropping_key(solver, "late", "s"),
+                                 solver.choose)
 
     def test_a_cycle_raises(self):
         # a policy that walks back and forth between s and m forever: once
@@ -914,8 +989,8 @@ class TestKeyedExport:
                 return Action.move("walk")
 
         with pytest.raises(InternalCheckError) as caught:
-            P.export_keyed_tree(instance, searched(instance).key,
-                                Pacing().choose)
+            P.export_keyed_graph(instance, searched(instance).key,
+                                 Pacing().choose)
         assert str(caught.value) == (
             "the policy loops through the key at m|far=B")
         # keyed by each belief, it loops through the same one
@@ -1486,8 +1561,12 @@ class TestWalkMemo:
         monkeypatch.setattr(P, "BELIEF_CAP", nodes - 2)
         with pytest.raises(EnumerationCapError, match="decision tree"):
             solve_disjoint_paths(inst)
+        # `solve` holds its graph, where every leaf at t shares a node:
+        # only writing its tree meets the tree cap
+        result = solve(inst)
+        assert result.stats.graph_nodes < nodes - 2 < result.stats.tree_nodes
         with pytest.raises(EnumerationCapError, match="decision tree"):
-            solve(inst)
+            result.policy.to_json()
         # pricing, which writes no tree, still keeps one graph node per
         # belief, and the graph is capped alike
         paths = CommittingPolicy(decompose_into_paths(inst))
@@ -1579,6 +1658,9 @@ class TestDisjointBruteforce:
         result, walked, tree = walked_index_rule(toy)
         assert result.policy.nodes == tree.nodes
         assert result.policy.root == tree.root
+        # the index rule's graph is its tree
+        assert result.stats.graph_nodes == result.stats.tree_nodes == len(
+            tree.nodes)
         assert walked == result.optimal_cost == evaluate_exact(
             toy, result.policy).expected_cost
 
