@@ -252,7 +252,7 @@ class DecisionTreePolicy(Policy):
             linked[k] = (1 + sum(node[0] for _, _, node in below), action,
                          below)
         if linked[self.root][0] > BELIEF_CAP + 1:
-            raise EnumerationCapError(_past_cap())
+            raise EnumerationCapError(_past_cap("tree"))
         tree, stack = {}, [((self.instance.s, 0, 0), linked[self.root])]
         while stack:
             belief, (_, action, children) = stack.pop()
@@ -524,9 +524,9 @@ def export_decision_tree(instance: CtpInstance, policy: Policy,
     return export_keyed_graph(instance, *_each_belief(instance, policy))[:2]
 
 
-def _past_cap() -> str:
-    return (f"the decision tree exceeds the cap of {BELIEF_CAP} nodes past "
-            "its root")
+def _past_cap(form: str) -> str:  # "tree", or "graph" of search keys
+    return (f"the decision {form} exceeds the cap of {BELIEF_CAP} nodes "
+            "past its root")
 
 
 def price_keyed_graph(instance: CtpInstance,
@@ -566,7 +566,8 @@ def price_keyed_graph(instance: CtpInstance,
     A failed check, or a cycle among the nodes, raises
     `InternalCheckError`: with each belief its own key, a cycle is a
     policy that walks in a loop. The graph holds at most `BELIEF_CAP`
-    nodes past its root.
+    nodes past its root; past it, a graph of search keys is refused by
+    name, a graph with each belief its own key as a decision tree.
 
     Chances and costs are ints. Weights M = Z·P, Z `instance.joint.scale`
     and P the chance of reaching a node, flow down from the root: each
@@ -646,22 +647,26 @@ def price_keyed_graph(instance: CtpInstance,
                         f"the chances of mask {shown:#x} depend on")
             else:
                 rows = _STAY_ROWS
+            dropped = ~(cut | shown)
             for opened_by, blocked_by, w, t in rows:
                 child = key(opened | opened_by, blocked | blocked_by, far)
-                if (child[3] if len(child) > 3 else every) & ~(cut | shown):
+                if (child[3] if len(child) > 3 else every) & dropped:
                     raise InternalCheckError(
                         f"the key of a child of {where(belief)} keeps "
                         "statuses that its parent's drops")
-                below = graph.setdefault(child,
-                                         [child, None, 0, (), _NEW, 1, 1])
+                below = graph.get(child)
+                if below is None:
+                    below = graph[child] = [child, None, 0, (), _NEW, 1, 1]
                 found.append(((opened_by, blocked_by), far, below, w, t))
             if len(graph) > BELIEF_CAP + 1:
-                raise EnumerationCapError(_past_cap())
+                raise EnumerationCapError(_past_cap(
+                    "tree" if key is _belief_key else "graph"))
         node[3], node[4] = found, None
         stack.append((None, node))
         # reversed, so that outcomes pop in the order the model lists them
-        stack.extend(((far, opened | masks[0], blocked | masks[1]), below)
-                     for masks, far, below, _, _ in reversed(found))
+        for (opened_by, blocked_by), far, below, _, _ in reversed(found):
+            stack.append(((far, opened | opened_by, blocked | blocked_by),
+                          below))
 
     start[4] = mass
     order.reverse()  # now each node before every node it leads to
@@ -688,10 +693,13 @@ def export_keyed_graph(instance: CtpInstance,
     (`price_keyed_graph`), the policy as one `TreeNode` per graph node
     under its key, and the number of nodes of the tree it unrolls to."""
     price, graph, _, size = price_keyed_graph(instance, key, choose)
-    nodes = {k: tuple.__new__(TreeNode, (action, tuple(
-                 (masks, below[0]) for masks, _, below, _, _ in found)))
-             for k, action, _, found, _, _, _ in graph}
-    return price, DecisionTreePolicy(instance, nodes, graph[0][0], key), size
+    root, nodes = graph[0][0], {}
+    graph.reverse()
+    while graph:  # root first; a graph node is freed once it is written
+        k, action, _, found, _, _, _ = graph.pop()
+        nodes[k] = tuple.__new__(TreeNode, (action, tuple(
+            [(masks, below[0]) for masks, _, below, _, _ in found])))
+    return price, DecisionTreePolicy(instance, nodes, root, key), size
 
 
 _TRAJECTORY_MEMO_CAP = 4096

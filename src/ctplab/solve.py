@@ -74,9 +74,11 @@ the M(K) it was solved at. A lookup from a stratum K' of another mass
 rescales the start's value by M(K')/M(K), exactly (a remainder raises
 `InternalCheckError`). Where every vertex but t reaches every bit, as on
 every independent and sensing input the benchmark solves, the key is the
-whole masks. At t, where a walk ends, it keeps none, so every belief
-at t shares one graph node. The reach, the move and sense tables and
-the free-space bound, each in units of 1/D, are built on the first
+whole masks, built with no call: a solved patch is stored under the keys
+of all its positions in one call (`keys`), and `key` is called only for
+a start in `keyed`. At t, where a walk ends, it keeps none, so every
+belief at t shares one graph node. The reach, the move and sense tables
+and the free-space bound, each in units of 1/D, are built on the first
 solve of an instance and kept while it lives (`_static`).
 `beliefs_expanded` counts the positions of the patches solved, so a
 patch that strata share counts once, though the unrolled tree holds it
@@ -88,7 +90,6 @@ graph).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import re
 import sys
@@ -179,7 +180,7 @@ class _Solver:
         self.regions = self.region_hits = self.shared_hits = 0
         (self.denominator, self.total_mass, self.bound, self.moves,
          self.senses, self.keyed) = _static(instance)
-        self.key = _cut_key(instance, self.keyed)
+        self.key, self.keys = _cut_key(instance, self.keyed)
         self._regions: dict[tuple, tuple] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
@@ -239,15 +240,20 @@ class _Solver:
         cannot use reads it too. Each lookup that finds it counts in
         `region_hits`, and in `shared_hits` if another stratum solved
         it."""
-        cached = self._regions.get(self.key(opened, blocked, start))
+        regions = self._regions
+        # a start outside `keyed` keys by the whole masks (`_cut_key`)
+        cached = regions.get((start, opened, blocked) if start not in
+                             self.keyed else self.key(opened, blocked, start))
         if cached is not None:
             self.region_hits += 1
             self.shared_hits += cached[3] != (opened, blocked)
             return cached[:3]
         if mass is None:
             mass = self.mass(opened, blocked)
-        t = self.instance.t
-        unknown = ~(opened | blocked)
+        t, moves, senses, bound = (self.instance.t, self.moves, self.senses,
+                                   self.bound)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        closed, unknown = ~opened, ~(opened | blocked)
         # the patch, the unrevealing moves into each of its positions, and
         # the revealing steps out of them, each tagged with where it starts
         patch = {start}
@@ -258,40 +264,44 @@ class _Solver:
             u = queue.pop()
             if u == t:
                 continue
-            for cost, edge_id, far, bit, exposed, action in self.moves[u]:
-                if bit & ~opened:
+            for cost, edge_id, far, bit, exposed, action in moves[u]:
+                if bit & closed:
                     continue
                 fresh = exposed & unknown
                 if fresh:
                     reveals.append((u, cost, fresh, far, 0, edge_id, action))
                     continue
-                radj.setdefault(far, []).append((u, cost, edge_id, action))
+                into = radj.get(far)
+                if into is None:
+                    radj[far] = [(u, cost, edge_id, action)]
+                else:
+                    into.append((u, cost, edge_id, action))
                 if far not in patch:
                     patch.add(far)
                     queue.append(far)
-            reveals += [(u, fee, bit, u, 1, edge_id, action)
-                        for fee, edge_id, bit, action in self.senses[u]
-                        if bit & unknown]
-        seq = itertools.count()
+            for fee, edge_id, bit, action in senses[u]:
+                if bit & unknown:
+                    reveals.append((u, fee, bit, u, 1, edge_id, action))
         # heap entries: cost, action-rank, edge id, tiebreak, vertex, action,
         # and for a revealing step not yet priced in full, (price, fresh,
         # where, resumed); its cost is then price plus the bound, or plus the
         # outcomes priced so far and the bound on the rest: a lower bound
-        heap = [(0, 0, "", next(seq), t, _HALT, None)] if t in patch else []
+        seq = 0  # the tiebreaks, in push order
+        heap = [(0, 0, "", seq, t, _HALT, None)] if t in patch else []
         # tiebreaks in position order, each position's moves before senses
         reveals.sort(key=lambda step: step[0])
         for u, price, fresh, where, rank, edge_id, action in reveals:
-            floor = self.bound.get(where)
+            floor = bound.get(where)
             if floor is not None:
-                heap.append(((price + floor) * mass, rank, edge_id, next(seq),
-                             u, action, (price * mass, fresh, where, False)))
+                seq += 1
+                heap.append(((price + floor) * mass, rank, edge_id, seq, u,
+                             action, (price * mass, fresh, where, False)))
         # every key is distinct, so the pop order is the push order's
         heapq.heapify(heap)
         values: dict[str, int] = {}
         choices: dict[str, Action] = {}
         while heap:
-            cost, rank, edge_id, tie, vertex, action, reveal = \
-                heapq.heappop(heap)
+            cost, rank, edge_id, tie, vertex, action, reveal = heappop(heap)
             if vertex in values:
                 continue
             if reveal is not None:
@@ -300,11 +310,12 @@ class _Solver:
                     self.repriced += 1
                 else:
                     self.evaluated += 1
+                # the window: the next entry's key, where the sum can wait
                 rest, done = self.branch_value(
                     opened, blocked, fresh, where, mass,
-                    _window(heap) - price)
+                    (heap[0][0] if heap else math.inf) - price)
                 if rest < math.inf:
-                    heapq.heappush(heap, (
+                    heappush(heap, (
                         price + rest, rank, edge_id, tie, vertex, action,
                         None if done else (price, fresh, where, True)))
                 continue
@@ -312,11 +323,12 @@ class _Solver:
             choices[vertex] = action
             for u, step, via, move in radj.get(vertex, ()):
                 if u not in values:
-                    heapq.heappush(heap, (step * mass + cost, 0, via,
-                                          next(seq), u, move, None))
+                    seq += 1
+                    heappush(heap, (step * mass + cost, 0, via, seq, u, move,
+                                    None))
         region = (values, choices, mass, (opened, blocked))
-        for v in patch:
-            self._regions[self.key(opened, blocked, v)] = region
+        for key in self.keys(opened, blocked, patch):
+            regions[key] = region
         self.regions += 1
         self.steps += len(reveals)
         self.expanded += len(patch)
@@ -365,8 +377,10 @@ def _static(instance: CtpInstance) -> tuple:
 def _cut_key(instance: CtpInstance, keyed: dict[str, int]):
     """`key(opened, blocked, start)`, a patch's cache key: start, the masks
     cut down to the bits a walk from there can cross, see or be
-    conditioned on, and the cut where some bit is cut. It holds no search
-    table, so the policy a solve returns keys its nodes by it."""
+    conditioned on, and the cut where some bit is cut; a start outside
+    `keyed` keys by the whole masks. `keys(opened, blocked, starts)` is
+    the key of each of `starts`, one call for a whole patch. They hold no
+    search table, so the policy a solve returns keys its nodes by `key`."""
     hulls: dict[int, int] = {}  # unknown bits -> their components
 
     def key(opened: int, blocked: int, start: str) -> tuple:
@@ -379,7 +393,11 @@ def _cut_key(instance: CtpInstance, keyed: dict[str, int]):
         keep |= hulls[loose]
         return start, opened & keep, blocked & keep, keep
 
-    return key
+    def keys(opened: int, blocked: int, starts: set[str]) -> list[tuple]:
+        return [(v, opened, blocked) if v not in keyed
+                else key(opened, blocked, v) for v in starts]
+
+    return key, keys
 
 
 def _reach(instance: CtpInstance) -> dict[str, int]:
@@ -438,13 +456,6 @@ def _reach(instance: CtpInstance) -> dict[str, int]:
                     own[u] |= own[v]
                     low[u] = min(low[u], low[v])
     return reach
-
-
-def _window(heap: list[tuple]) -> int | float:
-    """The key of the next entry in a patch's heap: a popped step whose
-    lower bound passes it would pop after that entry anyway, so its sum
-    can wait there."""
-    return heap[0][0] if heap else math.inf
 
 
 def _free_space_bound(instance: CtpInstance) -> dict[str, int]:

@@ -245,8 +245,9 @@ class TestCommands:
             "cap exceeded: 4096 outcomes of one observation exceed the cap "
             "of 1000"]
 
-    def test_solve_exits_3_past_the_tree_cap(self, game_file, tmp_path,
-                                             capsys, monkeypatch):
+    def test_solve_exits_3_past_the_graph_cap(self, game_file, tmp_path,
+                                              capsys, monkeypatch):
+        # `solve` returns its graph, so the cap that trips is the graph's
         out = tmp_path / "dep.json"
         assert main(["reduce", "ctpdep", str(game_file),
                      "-o", str(out)]) == 0
@@ -256,7 +257,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "cap exceeded: the decision tree exceeds the cap of 2 nodes "
+            "cap exceeded: the decision graph exceeds the cap of 2 nodes "
             "past its root"]
 
     def test_solve_writes_no_tree_past_the_cap_it_searched_within(

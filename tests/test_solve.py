@@ -628,6 +628,9 @@ class TestIntegerUnit:
 FROZEN_BUILDS = {
     "baiting-2": lambda: baiting_harness(2)[0],
     "p3": lambda: sensing_instance("p3"),
+    # perfbench's largest solve-indep op; its walks reach every status
+    "toy14.nf": lambda: normalize_half_prob(
+        random_disjoint_instance(SplitMix64(20261833))),
 }
 
 # every unwinnable game is solved by taking the default edge at once
@@ -654,6 +657,8 @@ FROZEN_SOLVES = {
            "792281625142643375935439503360", "move(visit.b)",
            "273f03560ad4355c68312fda15809bb638467d3e49925604657597a5032883d7",
            126, 42, 0),
+    "toy14.nf": ("7287/1024", "None", "4c143eaaf32b13eebe23105c9828a325"
+                 "64b114eeacc463c89f1c4aa06dec0050", 4332, 471, 5),
 }
 
 
@@ -665,6 +670,7 @@ FROZEN_COUNTERS = {
     "game4": (67, 77, 80, 79, 8, 98), "game5": (75, 166, 219, 215, 22, 186),
     "game6": (15, 26, 40, 37, 8, 2), "game7": (25, 62, 126, 120, 24, 2),
     "baiting-2": (8, 15, 1, 0, 1, 17), "p3": (4, 19, 71, 0, 14, 22),
+    "toy14.nf": (10, 433, 871, 0, 395, 558),
 }
 
 
@@ -1259,8 +1265,15 @@ def assert_matches_eager_pricing(instance, windowed=None):
     returns the search counts of `windowed`, the instance's `solve`, and of
     its solve with every revealing step priced to its last outcome."""
     windowed = windowed or solve(instance)
+    branch_value = S._Solver.branch_value
+
+    def eager_sum(solver, opened, blocked, fresh, position, mass,
+                  window=math.inf):
+        # the window dropped: each sum runs to its last outcome
+        return branch_value(solver, opened, blocked, fresh, position, mass)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(S, "_window", lambda heap: math.inf)
+        patch.setattr(S._Solver, "branch_value", eager_sum)
         eager = solve(instance)
     assert windowed.optimal_cost == eager.optimal_cost
     assert windowed.optimal_first_action == eager.optimal_first_action
@@ -1325,6 +1338,36 @@ class TestEachPatchOnce:
             for label, instance in perfbench_solve_inputs().items():
                 solve(instance)
         assert again == {}
+
+
+class TestRegionKeys:
+    """A patch is stored with one `keys` call, and looked up without a
+    `key` call where its start keeps every status: every cache entry must
+    still sit under `key` of its position in the stratum that solved it,
+    keyed or with whole masks."""
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["keyed", "whole"])
+    @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+    def test_entries_sit_under_their_key(self, name, whole):
+        build = FROZEN_BUILDS.get(name)
+        instance = (build() if build else
+                    qbf_to_ctpdep(GAME_BATTERY[int(name[4:])][0])[0])
+        with pytest.MonkeyPatch.context() as patch:
+            if whole:
+                patch.setattr(S, "_reach", every_bit)
+                # a copy, so the solve builds its tables again
+                instance = dataclasses.replace(instance)
+            solver = searched(instance)
+        # with whole masks no start is keyed; else t at least keeps none
+        assert (solver.keyed == {}) == whole
+        regions = solver._regions
+        for key, (values, _, _, stratum) in regions.items():
+            assert solver.key(*stratum, key[0]) == key
+            # each position the patch settled is found from its own key
+            for v in values:
+                assert solver.key(*stratum, v) in regions
+        assert len({id(region) for region in regions.values()}) \
+            <= solver.regions
 
 
 class TestTextAtTheEdges:
