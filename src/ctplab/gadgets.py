@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import ceil
 
 from .model import (Cost, CtpInstance, InstanceBuilder,
                     InvalidInstanceError, Variant, as_fraction)
@@ -35,12 +37,7 @@ def ceil_log2(value: Fraction | int) -> int:
     x = as_fraction(value)
     if x <= 0:
         raise InvalidInstanceError(f"ceil_log2 needs a positive value, got {x}")
-    z = 0
-    power = Fraction(1)
-    while power < x:
-        power *= 2
-        z += 1
-    return z
+    return (ceil(x) - 1).bit_length()
 
 
 def section_count(length: Fraction | int) -> int:
@@ -175,25 +172,32 @@ class BaitingHandle:
         return len(self.sections)
 
 
+@cache
+def _corridor_suffixes(n: int) -> tuple[tuple[str, ...], ...]:
+    """The name suffixes of a corridor's n sections, n + 1 path edges and
+    n cut edges, for `build_baiting` to put after a gadget's prefix."""
+    return (tuple(f".v{i:03d}" for i in range(1, n + 1)),
+            tuple(f".path{i:03d}" for i in range(n + 1)),
+            tuple(f".cut{i:03d}" for i in range(1, n + 1)))
+
+
 def build_baiting(builder: InstanceBuilder, entry: str, exit: str, sink: str,
                   length: Fraction | int, prefix: str) -> BaitingHandle:
-    """Add one baiting gadget between `entry` and `exit` to `builder`."""
+    """Add one baiting gadget between `entry` and `exit` to `builder`:
+    vertices entry, exit, sink and the sections in corridor order, then the
+    path, the cuts and the two sure shortcuts, the path and the cuts as two
+    `add_edges` runs named from suffix tables kept per section count."""
     span = as_fraction(length)
     n = section_count(span)
-    step = Cost.of(span / (n + 1))  # one shared Cost for every path edge
+    sections, path_edges, cut_edges = (
+        tuple(map(prefix.__add__, suffixes))
+        for suffixes in _corridor_suffixes(n))
     for name in (entry, exit, sink):
         builder.add_vertex(name)
-    sections = tuple(builder.add_vertex(f"{prefix}.v{i:03d}")
-                     for i in range(1, n + 1))
     stops = (entry, *sections, exit)
-    path_edges = tuple(
-        builder.add_edge(stops[i], stops[i + 1], step,
-                         id=f"{prefix}.path{i:03d}")
-        for i in range(n + 1))
-    cut_edges = tuple(
-        builder.add_edge(sections[i - 1], sink, Cost.zero(),
-                         id=f"{prefix}.cut{i:03d}", block_p=HALF)
-        for i in range(1, n + 1))
+    builder.add_edges(path_edges, stops[:-1], stops[1:],
+                      Cost.of(span / (n + 1)))
+    builder.add_edges(cut_edges, sections, (sink,) * n, Cost.zero(), HALF)
     entry_shortcut = builder.add_edge(entry, sink, span, id=f"{prefix}.exit_u")
     exit_shortcut = builder.add_edge(exit, sink, span, id=f"{prefix}.exit_v")
     return BaitingHandle(entry, exit, sink, span, sections, path_edges,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
+from itertools import repeat
 from pathlib import Path
 
 
@@ -57,7 +58,11 @@ class InternalCheckError(RuntimeError):
 # ---------------------------------------------------------------------------
 # rationals
 
-def as_fraction(value: Fraction | int | str) -> Fraction:
+# an exact rational as the package takes one: a "num/den" string too
+Rational = Fraction | int | str
+
+
+def as_fraction(value: Rational) -> Fraction:
     if type(value) is Fraction:
         return value  # immutable, so shared rather than copied
     if isinstance(value, str):
@@ -123,7 +128,7 @@ class Cost:
     _value: Fraction | None
 
     @staticmethod
-    def of(value: Cost | Fraction | int | float | str) -> Cost:
+    def of(value: Cost | Rational | float) -> Cost:
         if isinstance(value, Cost):
             return value
         if isinstance(value, str):
@@ -612,8 +617,7 @@ class CtpInstance:
 
     @cached_property
     def _moves(self) -> dict[str, dict[str, tuple[EdgeSpec, str]]]:
-        table: dict[str, dict[str, tuple[EdgeSpec, str]]] = {
-            v: {} for v in self.vertices}
+        table = {v: {} for v in self.vertices}
         for e in self.edges:
             if not e.cost.is_infinite:
                 table[e.tail][e.id] = (e, e.head)
@@ -654,7 +658,7 @@ class CtpInstance:
 
     @cached_property
     def _sense_fees(self) -> dict[str, dict[str, Cost]]:
-        table: dict[str, dict[str, Cost]] = {v: {} for v in self.vertices}
+        table = {v: {} for v in self.vertices}
         if self.variant is Variant.SENSING and self.sensing is not None:
             for entry in sorted(self.sensing.entries, key=lambda x: x.edge):
                 table[entry.vertex][entry.edge] = entry.cost
@@ -758,8 +762,8 @@ class CtpInstance:
                           e.block_p.denominator) for e in self.uncertain_edges)
             return rows, None, all(not den & (den - 1) and 1 < den <= _SPAN64
                                    for _, _, den in rows)
-        position = {v.id: i for i, v in enumerate(self.dependency.variables)}
         variables = self.dependency.variables
+        position = {v.id: i for i, v in enumerate(variables)}
         return (tuple(tuple((bits.get(var.id), p.numerator, p.denominator)
                             for p in var.cpt) for var in variables),
                 tuple(tuple(position[p] for p in var.parents)
@@ -891,7 +895,10 @@ def validate_instance(instance: CtpInstance) -> None:
 # building
 
 class InstanceBuilder:
-    """Mutable assembly surface; `build` validates and freezes."""
+    """Mutable assembly surface; `build` validates and freezes.
+
+    Vertices keep the order they are first named in, an edge naming its
+    tail and then its head; edges keep the order they are added in."""
 
     def __init__(self, variant: Variant):
         self.variant = variant
@@ -906,29 +913,46 @@ class InstanceBuilder:
         self._vertices.setdefault(vertex, None)
         return vertex
 
-    def add_edge(self, tail: str, head: str, cost: Cost | Fraction | int | str,
+    def add_edge(self, tail: str, head: str, cost: Cost | Rational,
                  *, id: str | None = None, directed: bool = False,
-                 block_p: Fraction | int | str = _SURE) -> str:
-        edges = self._edges
+                 block_p: Rational = _SURE) -> str:
+        """`add_edges` for one edge; an edge without an `id` takes the
+        first free e{k:04d}, counting up from k = the number of edges."""
         if id is None:
-            id = f"e{len(edges):04d}"
-        if id in edges:
-            raise InvalidInstanceError(f"duplicate edge id {id!r}")
-        # `add_vertex` inlined: a key already present keeps its place
-        self._vertices[tail] = self._vertices[head] = None
-        edges[id] = EdgeSpec(
-            id, tail, head, cost if type(cost) is Cost else Cost.of(cost),
-            directed, as_fraction(block_p))
+            k = len(self._edges)
+            while f"e{k:04d}" in self._edges:
+                k += 1
+            id = f"e{k:04d}"
+        self.add_edges([id], [tail], [head], cost, block_p, directed)
         return id
 
+    def add_edges(self, ids: Sequence[str], tails: Sequence[str],
+                  heads: Sequence[str], cost: Cost | Rational,
+                  block_p: Rational = _SURE,
+                  directed: bool = False) -> None:
+        """Add edge ids[k] from tails[k] to heads[k] for each k of the three
+        equal-length sequences, all of one cost, chance and direction. Ids
+        that repeat change nothing and raise naming the first repeat."""
+        edges = self._edges
+        if len(set(ids)) < len(ids) or not edges.keys().isdisjoint(ids):
+            seen = set(edges)
+            raise InvalidInstanceError("duplicate edge id %r" % next(
+                i for i in ids if i in seen or seen.add(i)))
+        edges.update(zip(ids, map(EdgeSpec, ids, tails, heads,
+                                  repeat(Cost.of(cost)), repeat(directed),
+                                  repeat(as_fraction(block_p)))))
+        vertices = self._vertices
+        for tail, head in zip(tails, heads):
+            vertices[tail] = vertices[head] = None
+
     def add_variable(self, id: str, parents: Sequence[str] = (),
-                     p_one: Sequence[Fraction | int | str] = ()) -> str:
+                     p_one: Sequence[Rational] = ()) -> str:
         self._variables.append(NetVariable(
-            id, tuple(parents), tuple(as_fraction(p) for p in p_one)))
+            id, tuple(parents), tuple(map(as_fraction, p_one))))
         return id
 
     def add_sensing(self, vertex: str, edge: str,
-                    cost: Cost | Fraction | int | str) -> None:
+                    cost: Cost | Rational) -> None:
         self._sensing.append(SensingEntry(vertex, edge, Cost.of(cost)))
 
     def set_endpoints(self, s: str, t: str) -> None:
@@ -939,21 +963,14 @@ class InstanceBuilder:
         if self.s is None or self.t is None:
             raise InvalidInstanceError("endpoints are not set")
         # a section of another variant passes through for validation
-        dependency = None
+        dependency = sensing = None
         if self._variables or self.variant is Variant.DEPENDENT:
             dependency = DependencyNet(tuple(self._variables))
-        sensing = None
         if self._sensing or self.variant is Variant.SENSING:
             sensing = SensingSpec(tuple(self._sensing))
-        instance = CtpInstance(
-            variant=self.variant,
-            vertices=tuple(self._vertices),
-            edges=tuple(self._edges.values()),
-            s=self.s,
-            t=self.t,
-            dependency=dependency,
-            sensing=sensing,
-        )
+        instance = CtpInstance(self.variant, tuple(self._vertices),
+                               tuple(self._edges.values()), self.s, self.t,
+                               dependency, sensing)
         validate_instance(instance)
         return instance
 
@@ -1180,15 +1197,8 @@ def instance_from_dict(data: dict) -> CtpInstance:
                 require_type(item.get("edge"), str, "sensing edge"),
                 parse_cost(item.get("cost"))))
         sensing = SensingSpec(tuple(entries))
-    instance = CtpInstance(
-        variant=variant,
-        vertices=tuple(data["vertices"]),
-        edges=tuple(edges),
-        s=data["s"],
-        t=data["t"],
-        dependency=dependency,
-        sensing=sensing,
-    )
+    instance = CtpInstance(variant, tuple(data["vertices"]), tuple(edges),
+                           data["s"], data["t"], dependency, sensing)
     validate_instance(instance)
     return instance
 

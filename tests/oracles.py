@@ -20,7 +20,11 @@ agree:
   as a tree node, where `export_decision_tree` and `solve` write a graph
   of keys (`export_keyed_graph`) that `DecisionTreePolicy.unrolled`
   writes the tree from; `walked_solve` and `walked_index_rule` walk the
-  policy a solve wrote its graph of.
+  policy a solve wrote its graph of;
+- `ceil_log2_by_doubling` doubles a Fraction up to a value, where
+  `ceil_log2` takes the bit length of an int, and `edge_by_edge_baiting`
+  adds a baiting gadget one `add_edge` call per edge, where
+  `build_baiting` lays its path and its cuts as two `add_edges` runs.
 """
 from __future__ import annotations
 
@@ -32,10 +36,12 @@ from functools import cache, cached_property, partial
 import pytest
 
 import ctplab.solve as S
+from ctplab.gadgets import BaitingHandle
 from ctplab.model import (
     Belief,
     Cost,
     CtpInstance,
+    InstanceBuilder,
     InternalCheckError,
     InvalidInstanceError,
     SplitMix64,
@@ -360,3 +366,46 @@ def chain_early_exit_expectation(passing: Fraction, walk: Fraction,
         acc = early_exit + passing * (
             (1 - passing ** (k - 1)) * walk + acc)
     return acc
+
+
+def ceil_log2_by_doubling(value: Fraction | int) -> int:
+    """Smallest z >= 0 with 2**z >= value, by doubling a Fraction from 1."""
+    x = as_fraction(value)
+    if x <= 0:
+        raise InvalidInstanceError(f"ceil_log2 needs a positive value, got {x}")
+    z = 0
+    power = Fraction(1)
+    while power < x:
+        power *= 2
+        z += 1
+    return z
+
+
+def edge_by_edge_baiting(builder: InstanceBuilder, entry: str, exit: str,
+                         sink: str, length: Fraction | int,
+                         prefix: str) -> BaitingHandle:
+    """`build_baiting`, each section added by `add_vertex` and each edge
+    by its own `add_edge` call."""
+    span = as_fraction(length)
+    if span <= 1:
+        raise InvalidInstanceError(f"corridor length must exceed 1, got {span}")
+    n = (1 << ceil_log2_by_doubling(4 * span)) - 1
+    step = Cost.of(span / (n + 1))
+    for name in (entry, exit, sink):
+        builder.add_vertex(name)
+    sections = tuple(builder.add_vertex(f"{prefix}.v{i:03d}")
+                     for i in range(1, n + 1))
+    stops = (entry, *sections, exit)
+    path_edges = tuple(
+        builder.add_edge(stops[i], stops[i + 1], step,
+                         id=f"{prefix}.path{i:03d}")
+        for i in range(n + 1))
+    cut_edges = tuple(
+        builder.add_edge(sections[i - 1], sink, Cost.zero(),
+                         id=f"{prefix}.cut{i:03d}",
+                         block_p=Fraction(1, 2))
+        for i in range(1, n + 1))
+    entry_shortcut = builder.add_edge(entry, sink, span, id=f"{prefix}.exit_u")
+    exit_shortcut = builder.add_edge(exit, sink, span, id=f"{prefix}.exit_v")
+    return BaitingHandle(entry, exit, sink, span, sections, path_edges,
+                         cut_edges, entry_shortcut, exit_shortcut)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import ctplab.gadgets
 from ctplab.gadgets import (
     bailout_policy_cost,
     baiting_harness,
@@ -24,9 +25,10 @@ from ctplab.gadgets import (
     section_count,
 )
 from ctplab.model import (Cost, InstanceBuilder, InvalidInstanceError,
-                          Variant, validate_instance)
+                          Variant, instance_to_json, validate_instance)
 
-from oracles import chain_early_exit_expectation, decomposed_cost
+from oracles import (ceil_log2_by_doubling, chain_early_exit_expectation,
+                     decomposed_cost, edge_by_edge_baiting)
 
 F = Fraction
 
@@ -52,6 +54,19 @@ class TestSectionCount:
         with pytest.raises(InvalidInstanceError,
                            match="ceil_log2 needs a positive"):
             ceil_log2(0)
+
+    # positive rationals at most 1, exact powers of two, and rationals a
+    # hair above or below a power of two
+    @given(st.one_of(
+        st.fractions(min_value=0, max_value=1).filter(lambda x: x > 0),
+        st.integers(-70, 70).map(lambda k: F(2) ** k),
+        st.builds(lambda k, d, sign: F(2) ** k * (1 + sign * F(1, d)),
+                  st.integers(-70, 70), st.integers(2, 1 << 80),
+                  st.sampled_from((-1, 1))),
+        st.fractions(min_value=0, max_denominator=1 << 40).filter(
+            lambda x: x > 0)))
+    def test_ceil_log2_matches_doubling(self, value):
+        assert ceil_log2(value) == ceil_log2_by_doubling(value)
 
     @given(st.integers(min_value=2, max_value=400))
     def test_count_is_enough_sections(self, twice):
@@ -235,3 +250,20 @@ class TestBuilders:
         inst = builder.build()
         assert "one.cut001" in inst.edge_map
         assert "two.cut001" in inst.edge_map
+
+
+class TestBaitingRuns:
+    """`build_baiting` lays its path and its cuts as two `add_edges` runs;
+    `oracles.edge_by_edge_baiting` adds the same gadget one edge at a time."""
+
+    @pytest.mark.parametrize("make, length", [
+        (baiting_harness, F(3, 2)), (baiting_harness, 2),
+        (baiting_harness, 9), (baiting_harness, 24), (baiting_harness, 40),
+        (observation_harness, 16)])
+    def test_runs_match_edge_by_edge(self, monkeypatch, make, length):
+        fast, fast_handle = make(length)
+        monkeypatch.setattr(ctplab.gadgets, "build_baiting",
+                            edge_by_edge_baiting)
+        slow, slow_handle = make(length)
+        assert instance_to_json(fast) == instance_to_json(slow)
+        assert fast_handle == slow_handle

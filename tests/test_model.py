@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ctplab.model as model_module
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
@@ -116,6 +116,22 @@ class TestBuilderAndValidation:
         b.add_edge("a", "b", 1, id="e")
         with pytest.raises(InvalidInstanceError):
             b.add_edge("b", "c", 1, id="e")
+
+    def test_unnamed_edge_takes_the_first_free_name(self):
+        # e{k:04d}, counting up from k = the number of edges: a name given
+        # by hand is skipped, not refused
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("a", "c")
+        assert b.add_edge("a", "b", 1) == "e0000"
+        b.add_edge("a", "b", 1, id="e0002")
+        b.add_edge("a", "b", 1, id="e0003")
+        assert b.add_edge("b", "c", 1) == "e0004"
+        assert b.add_edge("b", "c", 1) == "e0005"
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("a", "c")
+        b.add_edge("a", "b", 1, id="e0001")
+        assert b.add_edge("a", "c", 1) == "e0002"
+        assert [e.id for e in b.build().edges] == ["e0001", "e0002"]
 
     def test_loop_rejected(self):
         b = InstanceBuilder(Variant.INDEPENDENT)
@@ -292,6 +308,68 @@ def test_loader_messages(case):
     with pytest.raises(InvalidInstanceError) as caught:
         instance_from_json(json.dumps(data))
     assert str(caught.value) == message
+
+
+# a run's endpoints: s and t are named before it, a and b before it when
+# `known` holds them, and c and d are new unless an earlier edge names them
+RUN_ENDPOINT = st.sampled_from(["s", "t", "a", "b", "c", "d"])
+
+
+class TestEdgeRuns:
+    """`add_edges` against the same edges added one `add_edge` at a time,
+    and against the vertex order spelled out by hand."""
+
+    @staticmethod
+    def started(known) -> InstanceBuilder:
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        for vertex in known:
+            b.add_vertex(vertex)
+        b.add_edge("s", "t", 4, id="direct")
+        return b
+
+    @example(known=[], edges=[("c", "d")], directed=False)
+    @given(known=st.lists(st.sampled_from(["a", "b"]), unique=True),
+           edges=st.lists(st.tuples(RUN_ENDPOINT, RUN_ENDPOINT).filter(
+               lambda edge: edge[0] != edge[1]), min_size=1, max_size=8),
+           directed=st.booleans())
+    def test_run_equals_edges_one_at_a_time(self, known, edges, directed):
+        ids = [f"r{k}" for k in range(len(edges))]
+        tails = [tail for tail, _ in edges]
+        heads = [head for _, head in edges]
+        by_run = self.started(known)
+        by_run.add_edges(ids, tails, heads, Fraction(1, 3), HALF, directed)
+        by_edge = self.started(known)
+        for eid, tail, head in zip(ids, tails, heads):
+            by_edge.add_edge(tail, head, Fraction(1, 3), id=eid,
+                             directed=directed, block_p=HALF)
+        text = instance_to_json(by_run.build())
+        assert text == instance_to_json(by_edge.build())
+        # every edge names its tail and then its head
+        named = ["s", "t", *known]
+        for tail, head in edges:
+            named += [tail, head]
+        assert json.loads(text)["vertices"] == list(dict.fromkeys(named))
+
+    @pytest.mark.parametrize("ids, earlier, first", [
+        (["x", "y", "x"], [], "x"),
+        (["x", "y", "y", "x"], [], "y"),
+        (["x", "y", "x"], ["y"], "y"),
+        (["x", "x", "y"], ["y"], "x"),
+        (["direct"], [], "direct"),
+    ])
+    def test_repeated_id_names_its_first_repeat_and_changes_nothing(
+            self, ids, earlier, first):
+        b = self.started([])
+        untouched = self.started([])
+        for eid in earlier:
+            b.add_edge("s", "t", 1, id=eid)
+            untouched.add_edge("s", "t", 1, id=eid)
+        with pytest.raises(InvalidInstanceError) as caught:
+            b.add_edges(ids, ["p"] * len(ids), ["q"] * len(ids), 1)
+        assert str(caught.value) == f"duplicate edge id {first!r}"
+        assert instance_to_json(b.build()) == instance_to_json(
+            untouched.build())
 
 
 class TestEdgeSpecValue:

@@ -94,12 +94,15 @@ def test_one_mix():
 
 
 def _scopes_calling(node: ast.AST, name: str, scope: str = "<module>"):
-    """The innermost function, with its class, around each call of `name`."""
+    """The innermost function, with its class, around each call of `name`,
+    `map(name, ...)` included."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and name in (
-                getattr(child.func, "id", None),
-                getattr(child.func, "attr", None)):
-            yield scope
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", None) == "map" and child.args:
+                func = child.args[0]
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                yield scope
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
@@ -183,13 +186,14 @@ def test_one_exact_division():
 
 
 def test_two_edge_building_paths():
-    # an edge is built by the builder or by the loader, each with its own
-    # per-edge fast path; a third path would have to be made fast again
+    # an edge is built by the builder, a run at a time, or by the loader,
+    # each with its own fast path; a third path would have to be made
+    # fast again
     callers = [f"{path.name}:{scope}"
                for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
                for scope in _scopes_calling(ast.parse(path.read_text()),
                                             "EdgeSpec")]
-    assert callers == ["model.py:InstanceBuilder.add_edge",
+    assert callers == ["model.py:InstanceBuilder.add_edges",
                        "model.py:instance_from_dict"]
 
 
