@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 
 class InvalidInstanceError(ValueError):
@@ -282,16 +283,16 @@ class Variant(Enum):
 _SURE = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     """One edge; `block_p` is the marginal blocking probability.
 
     Zero `block_p` means surely traversable. In a dependent instance the
-    stored value must agree with the marginal the net induces. Slots keep
-    the 60,000 edges of a large reduction free of per-edge dicts, and
-    `__init__` stores each field straight into its slot, skipping the
-    `object.__setattr__` call per field that a generated frozen
-    `__init__` makes; the fields stay frozen to every other assignment.
+    stored value must agree with the marginal the net induces. A named
+    tuple, equal to the plain tuple of its fields, copied with `_replace`:
+    the 60,000 edges of a large reduction carry no per-edge dict, and the
+    builder and the loader make each one with no Python frame. Edges come
+    in runs that share one `cost` and one `block_p` object, so the
+    validator and the writer work once per run.
     """
 
     id: str
@@ -300,15 +301,6 @@ class EdgeSpec:
     cost: Cost
     directed: bool = False
     block_p: Fraction = _SURE
-
-    def __init__(self, id: str, tail: str, head: str, cost: Cost,
-                 directed: bool = False, block_p: Fraction = _SURE):
-        _set_id(self, id)
-        _set_tail(self, tail)
-        _set_head(self, head)
-        _set_cost(self, cost)
-        _set_directed(self, directed)
-        _set_block_p(self, block_p)
 
     @property
     def uncertain(self) -> bool:
@@ -320,15 +312,6 @@ class EdgeSpec:
         if vertex == self.head:
             return self.tail
         raise ValueError(f"{vertex} is not an endpoint of edge {self.id}")
-
-
-# the setters of `EdgeSpec`'s slots, which get past its frozen `__setattr__`
-_set_id = EdgeSpec.id.__set__
-_set_tail = EdgeSpec.tail.__set__
-_set_head = EdgeSpec.head.__set__
-_set_cost = EdgeSpec.cost.__set__
-_set_directed = EdgeSpec.directed.__set__
-_set_block_p = EdgeSpec.block_p.__set__
 
 
 @dataclass(frozen=True)
@@ -839,8 +822,10 @@ def validate_instance(instance: CtpInstance) -> None:
         raise InvalidInstanceError("s and t must differ")
 
     seen_edges: set[str] = set()
-    for e in instance.edges:
-        eid, tail, head, p = e.id, e.tail, e.head, e.block_p
+    # the cost and chance objects of the edge before, which passed; none
+    # before the first edge
+    last_cost = last_p = object()
+    for eid, tail, head, cost, _, p in instance.edges:
         if eid in seen_edges:
             raise InvalidInstanceError(f"duplicate edge id {eid!r}")
         seen_edges.add(eid)
@@ -848,13 +833,16 @@ def validate_instance(instance: CtpInstance) -> None:
             raise InvalidInstanceError(f"edge {eid!r} leaves the vertex set")
         if tail == head:
             raise InvalidInstanceError(f"edge {eid!r} is a loop")
+        if cost is last_cost and p is last_p:
+            continue
         num = p.numerator
         if not 0 <= num < p.denominator:
             raise InvalidInstanceError(
                 f"edge {eid!r} has block_p {p}, need [0, 1)")
-        if num and e.cost._value is None:
+        if num and cost._value is None:
             raise InvalidInstanceError(
                 f"edge {eid!r} is uncertain and infinite")
+        last_cost, last_p = cost, p
 
     if instance.variant is Variant.DEPENDENT:
         if instance.dependency is None:
@@ -923,7 +911,7 @@ class InstanceBuilder:
             while f"e{k:04d}" in self._edges:
                 k += 1
             id = f"e{k:04d}"
-        self.add_edges([id], [tail], [head], cost, block_p, directed)
+        self.add_edges((id,), (tail,), (head,), cost, block_p, directed)
         return id
 
     def add_edges(self, ids: Sequence[str], tails: Sequence[str],
@@ -934,13 +922,14 @@ class InstanceBuilder:
         equal-length sequences, all of one cost, chance and direction. Ids
         that repeat change nothing and raise naming the first repeat."""
         edges = self._edges
-        if len(set(ids)) < len(ids) or not edges.keys().isdisjoint(ids):
+        if (not edges.keys().isdisjoint(ids)
+                or len(ids) > 1 and len(set(ids)) < len(ids)):
             seen = set(edges)
             raise InvalidInstanceError("duplicate edge id %r" % next(
                 i for i in ids if i in seen or seen.add(i)))
-        edges.update(zip(ids, map(EdgeSpec, ids, tails, heads,
-                                  repeat(Cost.of(cost)), repeat(directed),
-                                  repeat(as_fraction(block_p)))))
+        edges.update(zip(ids, map(tuple.__new__, repeat(EdgeSpec), zip(
+            ids, tails, heads, repeat(Cost.of(cost)), repeat(directed),
+            repeat(as_fraction(block_p))))))
         vertices = self._vertices
         for tail, head in zip(tails, heads):
             vertices[tail] = vertices[head] = None
@@ -1160,7 +1149,8 @@ def instance_from_dict(data: dict) -> CtpInstance:
                 and isinstance(head, str)):
             raise InvalidInstanceError(
                 f"edge #{i} needs a string id and string endpoints")
-        edges.append(EdgeSpec(eid, tail, head, cost, directed, p))
+        edges.append(tuple.__new__(EdgeSpec, (eid, tail, head, cost,
+                                              directed, p)))
     dependency = None
     if "dependency" in data:
         dep = data["dependency"]
@@ -1203,11 +1193,10 @@ def instance_from_dict(data: dict) -> CtpInstance:
     return instance
 
 
-# one edge of the document, keys id, tail, head, directed, cost, block_p; its
-# last two slots take `_rational_texts` strings, already quoted
-_JSON_EDGE = ('{\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n'
-              '      "directed": %s,\n      "cost": %s,\n      "block_p": %s'
-              '\n    }')
+# one edge of the document after its head: keys directed, cost and block_p,
+# the last two filled with `_rational_texts` strings, already quoted
+_JSON_EDGE_END = (',\n      "directed": %s,\n      "cost": %s,\n'
+                  '      "block_p": %s\n    }')
 
 
 def _json_list(items: list[str]) -> str:
@@ -1220,8 +1209,9 @@ def instance_to_json(instance: CtpInstance) -> str:
 
     `indent` turns off the C encoder, so the vertex and edge lists, nearly
     all of a large instance, are written here instead, byte for byte the
-    same: strings escaped as `json.dumps` escapes them, and one template
-    per edge filled straight from its `EdgeSpec`, with no dict between.
+    same: strings escaped as `json.dumps` escapes them, and each edge
+    written straight from its `EdgeSpec`, with no dict between, its id,
+    tail and head per edge and the rest once per run of shared objects.
     Only the small dependency and sensing sections go through `json.dumps`.
     """
     text = _rational_texts()
@@ -1231,12 +1221,20 @@ def instance_to_json(instance: CtpInstance) -> str:
         "s": esc(instance.s),
         "t": esc(instance.t),
         "vertices": _json_list(list(map(esc, instance.vertices))),
-        "edges": _json_list([
-            _JSON_EDGE % (esc(e.id), esc(e.tail), esc(e.head),
-                          "true" if e.directed else "false",
-                          text(e.cost._value), text(e.block_p))
-            for e in instance.edges]),
     }
+    edges = []
+    # a run of edges shares its cost, direction and chance objects, and so
+    # the text that ends each of its edges
+    last_cost = last_directed = last_p = object()
+    for eid, tail, head, cost, directed, p in instance.edges:
+        if (cost is not last_cost or p is not last_p
+                or directed is not last_directed):
+            last_cost, last_directed, last_p = cost, directed, p
+            end = _JSON_EDGE_END % ("true" if directed else "false",
+                                    text(cost._value), text(p))
+        edges.append(f'{{\n      "id": {esc(eid)},\n      "tail": '
+                     f'{esc(tail)},\n      "head": {esc(head)}{end}')
+    members["edges"] = _json_list(edges)
     for key, value in _sections(instance, text).items():
         members[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
     return "{\n" + ",\n".join(

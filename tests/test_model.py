@@ -6,7 +6,7 @@ import math
 import pickle
 import random
 import sys
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -165,7 +165,7 @@ class TestBuilderAndValidation:
                                          Fraction(-1, 2), -1])
     def test_block_p_outside_range_rejected_directly(self, block_p):
         inst = two_path_instance()
-        edges = tuple(replace(e, block_p=block_p) if e.id == "xt" else e
+        edges = tuple(e._replace(block_p=block_p) if e.id == "xt" else e
                       for e in inst.edges)
         with pytest.raises(InvalidInstanceError, match="need \\[0, 1\\)"):
             validate_instance(replace(inst, edges=edges))
@@ -373,21 +373,25 @@ class TestEdgeRuns:
 
 
 class TestEdgeSpecValue:
+    """An edge is a named tuple: read-only fields, `_replace` for a
+    changed copy, and the value of the plain tuple of its fields."""
+
     def test_fields_are_frozen(self):
         edge = two_path_instance().edge_map["xt"]
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             edge.cost = Cost.zero()
 
     def test_equal_by_value(self):
         edge = two_path_instance().edge_map["xt"]
-        twin = replace(edge, cost=parse_cost("0/1"))
+        twin = edge._replace(cost=parse_cost("0/1"))
         assert twin == edge and twin is not edge
         assert hash(twin) == hash(edge)
-        third = replace(edge, block_p=Fraction(1, 3))
+        third = edge._replace(block_p=Fraction(1, 3))
         assert third != edge and third.block_p == Fraction(1, 3)
+        assert edge == tuple(edge) and hash(edge) == hash(tuple(edge))
 
     def test_no_instance_dict(self):
-        # slots keep a large reduction's edges small
+        # a tuple keeps a large reduction's edges small
         assert not hasattr(two_path_instance().edges[0], "__dict__")
 
     def test_reduction_round_trips(self):
@@ -400,8 +404,12 @@ class TestEdgeSpecValue:
         assert EdgeSpec(id="e", tail="a", head="b", cost=cost,
                         directed=False, block_p=Fraction(0)) == edge
         assert EdgeSpec("e", "a", "b", cost) == edge
-        assert EdgeSpec("e", "a", "b", cost, block_p=HALF) == replace(
-            edge, block_p=HALF)
+        assert EdgeSpec("e", "a", "b", cost, block_p=HALF) == edge._replace(
+            block_p=HALF)
+        # the builder's and the loader's form
+        made = tuple.__new__(EdgeSpec, ("e", "a", "b", cost, False, HALF))
+        assert type(made) is EdgeSpec
+        assert made == EdgeSpec("e", "a", "b", cost, block_p=HALF)
 
     def test_default_block_p_is_shared(self):
         edge = EdgeSpec("e", "a", "b", Cost.zero())
@@ -415,16 +423,19 @@ class TestEdgeSpecValue:
             EdgeSpec(id="e", tail="a", cost=Cost.zero())
 
     def test_fields_in_order(self):
-        assert [f.name for f in fields(EdgeSpec)] == [
-            "id", "tail", "head", "cost", "directed", "block_p"]
+        assert EdgeSpec._fields == (
+            "id", "tail", "head", "cost", "directed", "block_p")
+        assert EdgeSpec._field_defaults == {
+            "directed": False, "block_p": model_module._SURE}
 
     def test_copies_are_equal(self):
         edge = two_path_instance().edge_map["xt"]
-        for twin in (replace(edge), copy.copy(edge), copy.deepcopy(edge),
+        for twin in (edge._replace(), copy.copy(edge), copy.deepcopy(edge),
                      pickle.loads(pickle.dumps(edge))):
+            assert type(twin) is EdgeSpec
             assert twin == edge and hash(twin) == hash(edge)
             assert repr(twin) == repr(edge)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 twin.block_p = HALF
 
 
@@ -851,6 +862,26 @@ def shared_rational_instance() -> CtpInstance:
     return b.build()
 
 
+def run_boundary_instance() -> CtpInstance:
+    """Consecutive edges that share their cost and chance objects, hold
+    equal but distinct ones, or differ in value or direction alone."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    cost, twin, third = Cost.of(HALF), Cost.of(Fraction(1, 2)), Fraction(1, 3)
+    for k, (c, p, directed) in enumerate([
+            (cost, third, False), (cost, third, False),
+            (twin, third, False), (twin, Fraction(1, 3), False),
+            (twin, Fraction(1, 3), True), (cost, HALF, True),
+            (Cost.of(2), HALF, True), (Cost.infinite(), 0, True),
+            (Cost.infinite(), model_module._SURE, False),
+            (cost, model_module._SURE, False), (cost, HALF, False)]):
+        b.add_edge(f"v{k}", f"v{k + 1}", c, id=f"e{k}", block_p=p,
+                   directed=directed)
+    b.add_edge("s", "v0", 0, id="in")
+    b.add_edge("v11", "t", 0, id="out")
+    return b.build()
+
+
 WRITER_CASES = {
     "qbf_to_ctp(2,1)": lambda: qbf_to_ctp(QbfFormula.of(2, ((1,),)))[0],
     **{f"ctpdep game {k}": (lambda k=k: qbf_to_ctpdep(GAME_BATTERY[k][0])[0])
@@ -864,6 +895,7 @@ WRITER_CASES = {
     "odd names": odd_names_instance,
     "no edges": edgeless_instance,
     "shared rational": shared_rational_instance,
+    "run boundaries": run_boundary_instance,
 }
 
 
@@ -874,6 +906,64 @@ def test_json_writer_matches_json_dumps(case):
     text = instance_to_json(inst)
     assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
     assert instance_from_json(text) == inst
+
+
+class TestRunBoundaries:
+    """The writer and the validator handle an edge's cost and chance once
+    per run of edges sharing those objects: every run boundary must
+    still write and refuse as an edge-by-edge pass does."""
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.booleans()), min_size=1, max_size=12))
+    def test_writer_matches_the_oracle(self, picks):
+        # each edge picks its cost and chance objects by index: equal
+        # values as distinct objects, shared objects and other values
+        costs = [Cost.of(HALF), Cost.of(Fraction(1, 2)), Cost.of(HALF),
+                 Cost.of(3), Cost.infinite()]
+        chances = [Fraction(1, 3), Fraction(1, 3), HALF, Fraction(0),
+                   model_module._SURE]
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("v0", f"v{len(picks)}")
+        for k, (c, p, directed) in enumerate(picks):
+            if c == 4:  # an infinite edge must be sure
+                p = 3 + p % 2
+            b.add_edge(f"v{k}", f"v{k + 1}", costs[c], id=f"e{k}",
+                       block_p=chances[p], directed=directed)
+        inst = b.build()
+        text = instance_to_json(inst)
+        assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+        assert instance_from_json(text) == inst
+
+    @staticmethod
+    def refusal(edges) -> str:
+        """The message `validate_instance` refuses `edges` with, each
+        `(id, cost, block_p)` on a path from s to t."""
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("v0", f"v{len(edges)}")
+        for k, (eid, cost, p) in enumerate(edges):
+            b.add_edge(f"v{k}", f"v{k + 1}", cost, id=eid, block_p=p)
+        with pytest.raises(InvalidInstanceError) as caught:
+            b.build()
+        return str(caught.value)
+
+    @pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(1), -HALF])
+    def test_bad_block_p_after_a_good_edge_of_its_cost(self, p):
+        cost = Cost.of(2)
+        good = [("g1", cost, HALF), ("g2", cost, HALF)]
+        for bad in ([("bad", cost, p)], [("bad", cost, p), ("next", cost, p)]):
+            assert self.refusal(good + bad) == (
+                f"edge 'bad' has block_p {p}, need [0, 1)")
+
+    def test_uncertain_infinite_after_a_good_edge_of_its_chance(self):
+        good = [("g1", Cost.of(1), HALF), ("g2", Cost.of(1), HALF)]
+        assert self.refusal(good + [("bad", Cost.infinite(), HALF)]) == (
+            "edge 'bad' is uncertain and infinite")
+
+    def test_uncertain_infinite_after_a_good_edge_of_its_cost(self):
+        anchor = Cost.infinite()
+        good = [("g1", anchor, model_module._SURE), ("g2", anchor, 0)]
+        assert self.refusal(good + [("bad", anchor, HALF)]) == (
+            "edge 'bad' is uncertain and infinite")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

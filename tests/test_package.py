@@ -93,16 +93,23 @@ def test_one_mix():
         assert scopes == ["model.py:<module>", "model.py:_mix64"], constant
 
 
-def _scopes_calling(node: ast.AST, name: str, scope: str = "<module>"):
+def _called(call: ast.Call) -> tuple[set, list[ast.expr]]:
+    """The names of the function `call` calls, `map(f, ...)` calling f,
+    and the arguments it passes that function."""
+    func, args = call.func, call.args
+    if getattr(func, "id", None) == "map" and args:
+        func, args = args[0], args[1:]
+    return {getattr(func, "id", None), getattr(func, "attr", None)}, args
+
+
+def _scopes_calling(node: ast.AST, name, scope: str = "<module>"):
     """The innermost function, with its class, around each call of `name`,
-    `map(name, ...)` included."""
+    `map(name, ...)` included, or around each call that `name`, a test of
+    an `ast.Call`, accepts."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            if getattr(func, "id", None) == "map" and child.args:
-                func = child.args[0]
-            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
-                yield scope
+        if isinstance(child, ast.Call) and (
+                name(child) if callable(name) else name in _called(child)[0]):
+            yield scope
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
@@ -185,6 +192,20 @@ def test_one_exact_division():
     assert scopes == ["model.py:times"]
 
 
+def _makes_edge(call: ast.Call) -> bool:
+    """Whether `call` makes an `EdgeSpec`: calls the class or its
+    `_make`, copies an edge by `_replace`, or calls `tuple.__new__` on the
+    class, once or mapped over `repeat(EdgeSpec)`."""
+    names, args = _called(call)
+    if names & {"EdgeSpec", "_make", "_replace"}:
+        return True
+    first = args[0] if args else None
+    if (isinstance(first, ast.Call)
+            and getattr(first.func, "id", None) == "repeat" and first.args):
+        first = first.args[0]
+    return "__new__" in names and getattr(first, "id", None) == "EdgeSpec"
+
+
 def test_two_edge_building_paths():
     # an edge is built by the builder, a run at a time, or by the loader,
     # each with its own fast path; a third path would have to be made
@@ -192,9 +213,19 @@ def test_two_edge_building_paths():
     callers = [f"{path.name}:{scope}"
                for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
                for scope in _scopes_calling(ast.parse(path.read_text()),
-                                            "EdgeSpec")]
+                                            _makes_edge)]
     assert callers == ["model.py:InstanceBuilder.add_edges",
                        "model.py:instance_from_dict"]
+    # the scan sees each form an edge can be made in
+    forms = ("EdgeSpec('e', 'a', 'b', cost)", "EdgeSpec._make(fields)",
+             "edge._replace(cost=cost)", "tuple.__new__(EdgeSpec, fields)",
+             "map(tuple.__new__, repeat(EdgeSpec), rows)",
+             "map(EdgeSpec, ids, tails, heads)")
+    for form in forms:
+        tree = ast.parse(f"def third():\n    return {form}")
+        assert list(_scopes_calling(tree, _makes_edge)) == ["third"], form
+    assert list(_scopes_calling(ast.parse(
+        "tuple.__new__(TreeNode, fields)"), _makes_edge)) == []
 
 
 def test_writer_builds_no_document_dict():
