@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -263,11 +263,11 @@ class SplitMix64:
         return out
 
 
-def trial_counters(seed: int, trials) -> Iterator[int]:
+def trial_counters(seed: int, trials) -> list[int]:
     """The counter each trial of `trials` (ints) starts its stream from:
     a stable, independent stream per Monte Carlo trial."""
     base = _mix64(seed)
-    return (_mix64(base + _STREAM_SALT * trial) for trial in trials)
+    return [_mix64(base + _STREAM_SALT * trial) for trial in trials]
 
 
 # ---------------------------------------------------------------------------
@@ -1000,10 +1000,11 @@ def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
 
 
 def reveal_rule(instance: CtpInstance, fresh: int,
-                ) -> Callable[[int], int] | None:
-    """The rule that decides, from a trial's counter alone, which edges of
-    mask `fresh` its weather blocks, or None when only the whole weather
-    (`sample_weather`) decides them.
+                states: Iterable[int]) -> list[bool] | None:
+    """For a nonzero mask `fresh`: whether the weather of each trial,
+    given by its counter in `states`, blocks the one edge of `fresh`,
+    decided from the counter alone; or None when only the whole weather
+    (`sample_weather`) decides the bits of `fresh`.
 
     On a dyadic table (see `draw_table`), row i takes the word of counter
     state + (i+1) * GOLDEN whatever the other rows draw, so one edge is
@@ -1012,14 +1013,12 @@ def reveal_rule(instance: CtpInstance, fresh: int,
     with rejections, so their rows have no fixed word; a reveal of
     several edges takes the whole draw, which decides them all at once.
     """
-    if not fresh:
-        return lambda state: 0
     rows, _, dyadic = instance.draw_table
     if not dyadic or fresh & (fresh - 1):
         return None
     _, num, den = rows[fresh.bit_length() - 1]
     step, low = fresh.bit_length() * _GOLDEN, den - 1
-    return lambda state: fresh if _mix64(state + step) & low < num else 0
+    return [_mix64(state + step) & low < num for state in states]
 
 
 # ---------------------------------------------------------------------------

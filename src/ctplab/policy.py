@@ -30,9 +30,10 @@ and blocked by one AND with the weather's blocked mask. `walk_weather`
 and `simulate` share one stepping loop (`_walk`), which runs from one
 reveal to the next and counts its step cap from the last reveal; the
 pricing walk takes one step per graph node and refuses a loop as a cycle
-among its nodes. The simulator keeps the walks its trials share in a
-prefix tree of trajectories; on a dyadic table a trial decides a
-one-edge reveal from that edge's draw alone.
+among its nodes. The simulator takes its trials in blocks and walks
+once for each group of trials that have shown the same statuses,
+splitting the group at each reveal; on a dyadic table a one-edge reveal
+is decided from that edge's draw alone.
 
 Costs are exact: every walk adds ints in units of 1/D, as the search
 does, and divides once. The only floats are `math.inf`, for a walk the
@@ -45,7 +46,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
+from heapq import heappop, heappush
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import not_
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -372,14 +376,17 @@ def _step_cap(instance: CtpInstance) -> int:
     return max(64, 16 * len(instance.edges))
 
 
-def _illegal(message: str, belief: Belief) -> InvalidInstanceError:
+def _illegal(message: str, instance: CtpInstance, pos: str, opened: int,
+             blocked: int) -> InvalidInstanceError:
+    belief = Belief(pos, opened, blocked, instance)
     return InvalidInstanceError(f"{message}, {describe_belief(belief)}")
 
 
-def _step(instance: CtpInstance, belief: Belief, action: Action,
-          ) -> tuple[int, str, int | None]:
+def _step(instance: CtpInstance, pos: str, opened: int, blocked: int,
+          action: Action) -> tuple[int, str, int | None]:
     """Price in units of 1/D, next position and the mask of the edges it
-    reveals (None at halt).
+    reveals (None at halt), from `pos` with statuses `opened` and
+    `blocked` known.
 
     Legal exactly when the solver could take it. A move or a give-up is
     one lookup in `CtpInstance.legal_moves`, the table of `moves_from`,
@@ -387,10 +394,11 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
     here; arrival reveals what `fresh_at` says. Fees come from
     `senses_from`.
     """
-    pos, kind = belief.position, action.kind
+    kind = action.kind
+    where = (instance, pos, opened, blocked)
     if kind is ActionKind.HALT:
         if pos != instance.t:
-            raise _illegal("halt away from the target", belief)
+            raise _illegal("halt away from the target", *where)
         return 0, pos, None
     edge_id = action.edge
     if kind is ActionKind.SENSE:
@@ -398,28 +406,28 @@ def _step(instance: CtpInstance, belief: Belief, action: Action,
         if fee is None:
             if instance.variant is not Variant.SENSING:
                 raise _illegal("sensing is not available in this variant",
-                               belief)
+                               *where)
             raise _illegal(f"no sensing entry for {edge_id!r} from {pos}",
-                           belief)
-        if belief.status(edge_id) is not None:
+                           *where)
+        bit = instance.bits[edge_id]
+        if (opened | blocked) & bit:
             raise _illegal(
-                f"sensing {edge_id} whose status is already known", belief)
+                f"sensing {edge_id} whose status is already known", *where)
         return (times(instance.cost_unit, *fee.fraction.as_integer_ratio()),
-                pos, instance.bits[edge_id])
+                pos, bit)
     move = instance.legal_moves.get((pos, edge_id))
     if move is None:
         if edge_id not in instance.edge_map:
-            raise _illegal(f"unknown edge {edge_id!r}", belief)
-        raise _illegal(f"edge {edge_id} cannot be taken out of {pos}", belief)
+            raise _illegal(f"unknown edge {edge_id!r}", *where)
+        raise _illegal(f"edge {edge_id} cannot be taken out of {pos}", *where)
     price, far, bit, sight = move
-    opened, blocked = belief.opened, belief.blocked
     if bit:
         if kind is ActionKind.GIVE_UP:
             raise _illegal(f"give-up edge {edge_id} is not always open",
-                           belief)
+                           *where)
         if not opened & bit:
             state = "blocked" if blocked & bit else "unobserved"
-            raise _illegal(f"edge {edge_id} is {state}", belief)
+            raise _illegal(f"edge {edge_id} is {state}", *where)
     return price, far, sight & ~(opened | blocked)
 
 
@@ -432,15 +440,17 @@ def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
     the walk is over). The one stepping loop of `walk_weather` and
     `simulate`; past `_step_cap` steps it raises."""
     cap = _step_cap(instance)
+    opened, blocked = belief.opened, belief.blocked
     for _ in range(cap):
         action = decide(instance, belief)
         if action is None:
             return math.inf, belief, None
-        price, pos, revealed = _step(instance, belief, action)
+        price, pos, revealed = _step(instance, belief.position, opened,
+                                     blocked, action)
         total += price
         if revealed is None:
             return total, belief, None
-        belief = Belief(pos, belief.opened, belief.blocked, instance)
+        belief = Belief(pos, opened, blocked, instance)
         if revealed:
             return total, belief, revealed
     raise EnumerationCapError(
@@ -620,8 +630,7 @@ def price_keyed_graph(instance: CtpInstance,
             shown = None
         else:
             node[1] = action
-            price, far, shown = _step(
-                instance, Belief(pos, opened, blocked, instance), action)
+            price, far, shown = _step(instance, pos, opened, blocked, action)
             cut = k[3] if len(k) > 3 else every
             # a key that keeps every status passes every check
             if shown is not None and cut != every:
@@ -702,7 +711,9 @@ def export_keyed_graph(instance: CtpInstance,
     return price, DecisionTreePolicy(instance, nodes, root, key), size
 
 
-_TRAJECTORY_MEMO_CAP = 4096
+# Trials `simulate` takes at a time: beside the samples, it holds only
+# one block's groups, counters and whole draws.
+_TRIAL_BLOCK = 4096
 
 
 def simulate(instance: CtpInstance, policy: Policy, trials: int,
@@ -712,59 +723,73 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     Deterministic given (seed, trials): trial i's weather is that of
     `sample_weather` on the stream of trial i's counter
     (`trial_counters`), however calls are scheduled. A walk's cost
-    depends only on the statuses it reveals, so the trials of one call
-    share a prefix tree of trajectories. A node is
-    a reveal point (the belief on arrival, the mask `fresh` shown there,
-    the cost so far), its children are keyed by the blocked bits of
-    `fresh`, and a leaf is a realized cost. On a dyadic table a trial
-    decides a one-edge reveal from that edge's word alone (`reveal_rule`);
-    for any other reveal it draws its whole weather, once per trial, and
-    reads the bits of `fresh`. It walks (`_walk`) only where a child is
-    missing; the first `_TRAJECTORY_MEMO_CAP` (4,096) nodes and leaves
-    are kept. Trial i thus takes exactly the steps of
-    `walk_weather` on its weather, with the same cap and errors, and the
+    depends only on the statuses it reveals, so the trials of a block
+    of `_TRIAL_BLOCK` that have shown the same statuses form a group,
+    which waits on a heap keyed by its first trial. Its walk (`_walk`)
+    runs once and ends in a cost, which every trial of the group takes,
+    or in a reveal of mask `fresh`, which splits the group in one loop.
+    A one-edge reveal on a dyadic table is decided from that edge's word
+    alone (`reveal_rule`); any other reveal draws each trial's whole
+    weather, once per trial and block. Walks thus run in the order of
+    (first trial, depth), as walking the trials one by one, each shared
+    walk once, would run them: trial i takes exactly the steps of
+    `walk_weather` on its weather, the first error is the same, and the
     outputs are bit-identical to walking every trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-
-    def node(belief: Belief, fresh: int, total) -> tuple:
-        return belief, fresh, total, {}, reveal_rule(instance, fresh)
-
-    root = node(Belief(instance.s, 0, 0, instance),
-                instance.fresh_at(instance.s, 0), 0)
-    stored, unit = 1, instance.cost_unit
+    unit, decide = instance.cost_unit, policy.decide
     samples: list[float] = []
-    for trial, counter in enumerate(trial_counters(seed, range(trials))):
-        here, shut = root, None
-        while type(here) is tuple:
-            belief, fresh, total, children, rule = here
-            if rule is not None:
-                blocked = rule(counter)
+    for first in range(0, trials, _TRIAL_BLOCK):
+        states = trial_counters(
+            seed, range(first, min(first + _TRIAL_BLOCK, trials)))
+        shut: list[int | None] = [None] * len(states)
+        values = [0.0] * len(states)
+        # (first trial, belief before its walk, total, trials)
+        heap: list[tuple] = []
+        belief, fresh, total = (Belief(instance.s, 0, 0, instance),
+                                instance.fresh_at(instance.s, 0), 0)
+        group = range(len(states))
+        while True:
+            if fresh is None:
+                if total == math.inf:
+                    raise InvalidInstanceError(
+                        f"trial {first + group[0]} hit a weather the "
+                        "policy declares infeasible")
+                value = total / unit  # int / int rounds as float(cost)
+                for trial in group:
+                    values[trial] = value
+            elif not fresh:  # s shows nothing: the block walks on whole
+                heappush(heap, (0, belief, total, group))
             else:
-                if shut is None:
-                    shut = sample_weather(instance, SplitMix64(counter)).blocked
-                blocked = shut & fresh
-            child = children.get(blocked)
-            if child is None:
-                total, belief, fresh = _walk(
-                    instance, policy.decide, _reveal(belief, fresh, blocked),
-                    total)
-                # int / int rounds correctly, as float of the cost does
-                child = (total / unit if fresh is None else
-                         node(belief, fresh, total))
-                if stored < _TRAJECTORY_MEMO_CAP:
-                    children[blocked] = child
-                    stored += 1
-            here = child
-        if here == math.inf:
-            raise InvalidInstanceError(
-                f"trial {trial} hit a weather the policy declares infeasible")
-        samples.append(here)
+                hits = reveal_rule(instance, fresh,
+                                   map(states.__getitem__, group))
+                if hits is not None:
+                    parts = [(fresh, list(compress(group, hits))),
+                             (0, list(compress(group, map(not_, hits))))]
+                else:
+                    split: dict[int, list[int]] = {}
+                    for trial in group:
+                        if shut[trial] is None:
+                            shut[trial] = sample_weather(
+                                instance, SplitMix64(states[trial])).blocked
+                        split.setdefault(shut[trial] & fresh, []).append(trial)
+                    parts = split.items()
+                for bits, part in parts:
+                    if part:
+                        heappush(heap, (part[0], _reveal(belief, fresh, bits),
+                                        total, part))
+            if not heap:
+                break
+            _, belief, total, group = heappop(heap)
+            total, belief, fresh = _walk(instance, decide, belief, total)
+        samples += values
     mean = math.fsum(samples) / trials
     if trials == 1:
         return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in samples) / (trials - 1)
+    # the same term per trial as (x - mean) ** 2, worked out once per value
+    square = {x: (x - mean) ** 2 for x in set(samples)}
+    var = math.fsum(map(square.__getitem__, samples)) / (trials - 1)
     return mean, math.sqrt(var / trials)
 
 

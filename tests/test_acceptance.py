@@ -174,7 +174,8 @@ def test_c09_solver_agrees_with_independent_oracles():
 
 def test_c10_simulation_confirms_the_forward_formula():
     """A million seeded trials of the forward walker land within four
-    sigma of 263/512, and reruns with the seed are bit-identical."""
+    sigma of 263/512, reruns with the seed are bit-identical, and the
+    million trials keep their pinned mean and sem to the bit."""
     length = F(2)
     instance, handle = baiting_harness(length)
     policy = reference_policy("baiting_pi", handle=handle,
@@ -183,6 +184,8 @@ def test_c10_simulation_confirms_the_forward_formula():
     small_two = simulate(instance, policy, 2048, seed=SEED)
     assert small_one == small_two
     mean, sem = simulate(instance, policy, 1_000_000, seed=SEED)
+    assert (mean.hex(), sem.hex()) == ("0x1.06cd07852f7f5p-1",
+                                       "0x1.cf3d047182b82p-12")
     target = float(forward_policy_cost(length, length))
     assert forward_policy_cost(length, length) == F(263, 512)
     assert abs(mean - target) <= 4 * sem

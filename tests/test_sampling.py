@@ -2,15 +2,20 @@
 
 The blocked edges `sample_weather` draws, the stream state it leaves
 behind, and the `(mean, sem)` pairs `simulate` returns are pinned at the
-values of the original `Fraction`-and-`uniform_below` draw. The one-edge
-rule of `simulate` and its prefix tree of walks must reproduce every one
-of them exactly. `SplitMix64.hits` is also checked against that original
-rule, kept here as the slow oracle.
+values of the original `Fraction`-and-`uniform_below` draw. `simulate`
+runs its trials in blocks; in a block, the trials that share a walk form
+a group, each walk runs once for its group, in the order of (first
+trial, depth), and a reveal splits its group by the one-edge rule or by
+each trial's whole draw. That must reproduce every pin exactly, call
+`decide` at each decide point of a block once and in that order, and
+hold no more per trial than its sample. `SplitMix64.hits` is also
+checked against the original rule, kept here as the slow oracle.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -327,6 +332,19 @@ class FirstOpen(Policy):
                                 "sure"))
 
 
+class OpenEdge(Policy):
+    """On `chances_instance([1/2] * 3)`: take e0, e1 or e2 seen open,
+    else declare the weather infeasible."""
+
+    def decide(self, instance, belief):
+        if belief.position == "t":
+            return Action.halt()
+        for e in ("e0", "e1", "e2"):
+            if belief.status(e):
+                return Action.move(e)
+        return None
+
+
 class Bounce(Policy):
     """Hop back and forth along `hop` forever, never reaching t."""
 
@@ -407,16 +425,16 @@ def walk_error(inst, policy, seed, trials, error):
 
 
 class TestWeatherMemo:
-    """`simulate`'s trajectory tree against walking every trial's whole
-    weather, with the tree stored whole and capped at 1 and 4 nodes."""
+    """`simulate`'s blocks of trials against walking every trial's whole
+    weather, with every trial in one block and in blocks of 1 and 4."""
 
-    @pytest.mark.parametrize("cap", [None, 1, 4])
+    @pytest.mark.parametrize("block", [None, 1, 4])
     @pytest.mark.parametrize("name", ["baiting", "observation", "non-dyadic",
                                       "dyadic-star", "game2", "sensing"])
-    def test_matches_the_per_trial_oracle(self, monkeypatch, name, cap):
+    def test_matches_the_per_trial_oracle(self, monkeypatch, name, block):
         inst, policy = simulation_case(name)
-        if cap is not None:
-            monkeypatch.setattr(policy_module, "_TRAJECTORY_MEMO_CAP", cap)
+        if block is not None:
+            monkeypatch.setattr(policy_module, "_TRIAL_BLOCK", block)
         for seed in (4, 20260819):
             for trials in (1, 2, 300):
                 want, calls, points = oracle_simulate(inst, policy, trials,
@@ -425,19 +443,60 @@ class TestWeatherMemo:
                 got = simulate(inst, counted, trials, seed)
                 assert (got[0].hex(), got[1].hex()) == (
                     want[0].hex(), want[1].hex()), (seed, trials)
-                # each decide point is walked once while the tree holds
-                # it, and every trial walks from the root at cap 1
-                if cap is None:
+                # each decide point is walked once in its block, and every
+                # trial walks alone in blocks of 1
+                if block is None:
                     assert counted.decisions == points
-                elif cap == 1:
+                elif block == 1:
                     assert counted.decisions == calls
                 else:
                     assert points <= counted.decisions <= calls
 
-    @pytest.mark.parametrize("cap", [None, 1, 4])
-    def test_step_cap_message_matches_walk_weather(self, monkeypatch, cap):
-        if cap is not None:
-            monkeypatch.setattr(policy_module, "_TRAJECTORY_MEMO_CAP", cap)
+    @pytest.mark.parametrize("name", ["baiting", "observation", "non-dyadic",
+                                      "dyadic-star", "game2", "sensing"])
+    def test_decides_in_trial_order_at_first_visits(self, name):
+        # the walk of a group runs when its first trial's would, walking
+        # the trials one by one: `decide` sees each point of the trials'
+        # paths (its step and belief) once, in the order of first visits
+        inst, policy = simulation_case(name)
+        for seed in (4, 20260819):
+            want, seen = [], set()
+            for trial in range(300):
+                path = []
+                walk_weather(inst, RecordingPolicy(policy, path),
+                             sample_weather(inst, trial_stream(seed, trial)))
+                for point in enumerate(path):
+                    if point not in seen:
+                        seen.add(point)
+                        want.append(point[1])
+            got = []
+            simulate(inst, RecordingPolicy(policy, got), 300, seed)
+            assert got == want, seed
+
+    @pytest.mark.parametrize("name", ["non-dyadic", "dyadic-star"])
+    def test_whole_draws_once_per_trial_across_blocks(self, monkeypatch,
+                                                      name):
+        # s shows several edges at once, so every trial draws its whole
+        # weather, once, whichever of the 75 blocks of 4 it falls in
+        inst, policy = simulation_case(name)
+        want = oracle_simulate(inst, policy, 300, 4)[0]
+        draws = []
+
+        def counted(instance, stream):
+            draws.append(stream._state)
+            return sample_weather(instance, stream)
+
+        monkeypatch.setattr(policy_module, "sample_weather", counted)
+        monkeypatch.setattr(policy_module, "_TRIAL_BLOCK", 4)
+        got = simulate(inst, policy, 300, 4)
+        assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
+        assert draws == [trial_stream(4, trial)._state
+                         for trial in range(300)]
+
+    @pytest.mark.parametrize("block", [None, 1, 4])
+    def test_step_cap_message_matches_walk_weather(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(policy_module, "_TRIAL_BLOCK", block)
         inst = bounce_instance()
         for seed in range(6):
             want = walk_error(inst, Bounce(), seed, 1, EnumerationCapError)
@@ -446,11 +505,11 @@ class TestWeatherMemo:
                 simulate(inst, Bounce(), 40, seed)
             assert str(caught.value) == want
 
-    @pytest.mark.parametrize("cap", [None, 1, 4])
+    @pytest.mark.parametrize("block", [None, 1, 4])
     def test_illegal_step_message_matches_walk_weather(self, monkeypatch,
-                                                       cap):
-        if cap is not None:
-            monkeypatch.setattr(policy_module, "_TRAJECTORY_MEMO_CAP", cap)
+                                                       block):
+        if block is not None:
+            monkeypatch.setattr(policy_module, "_TRIAL_BLOCK", block)
         for chances in ([Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)],
                         [Fraction(1, 4), Fraction(1, 2), Fraction(1, 8)]):
             inst = chances_instance(chances)
@@ -466,16 +525,6 @@ class TestWeatherMemo:
         # all three edges blocked is infeasible; under seed 16 that weather
         # first shows at trial 36, after 29 repeats of the other seven
         inst = chances_instance([Fraction(1, 2)] * 3)
-
-        class Rule(Policy):
-            def decide(self, instance, belief):
-                if belief.position == "t":
-                    return Action.halt()
-                for e in ("e0", "e1", "e2"):
-                    if belief.status(e):
-                        return Action.move(e)
-                return None
-
         seen = []
         for trial in range(100):
             blocked = sample_weather(inst, trial_stream(16, trial)).blocked
@@ -485,7 +534,33 @@ class TestWeatherMemo:
         assert trial == 36
         assert len(seen) - len(set(seen)) == 29
         with pytest.raises(InvalidInstanceError, match=r"^trial 36 "):
-            simulate(inst, Rule(), 100, seed=16)
+            simulate(inst, OpenEdge(), 100, seed=16)
+
+    def test_infeasible_trial_is_numbered_across_blocks(self, monkeypatch):
+        # in blocks of 5, trial 36 is the second trial of the block from 35
+        monkeypatch.setattr(policy_module, "_TRIAL_BLOCK", 5)
+        inst = chances_instance([Fraction(1, 2)] * 3)
+        with pytest.raises(InvalidInstanceError, match=r"^trial 36 "):
+            simulate(inst, OpenEdge(), 100, seed=16)
+
+    def test_memory_grows_only_by_the_samples(self):
+        # past the first blocks a trial adds one reference to the samples
+        # list: its groups, counter and draw go with its block, and the
+        # trials of a group share their cost's float
+        inst, policy = baiting_case()
+        simulate(inst, policy, 8, 7)  # fill the instance's lazy tables
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                simulate(inst, policy, trials, 7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(8_192), peak(40_000)
+        assert large - small <= 8 * (40_000 - 8_192) + 64 * 1024, (
+            small, large)
 
 
 def oracle_net(stream, parents, cpts):
@@ -615,26 +690,28 @@ DYADIC_TABLES = {size: dyadic_table(size)
 
 
 class TestRevealRule:
-    """A trajectory node decides a one-edge reveal from the trial's
-    counter alone; that must equal the whole weather's draw on that edge.
-    Any other reveal has no rule and takes the whole draw."""
+    """A group of trials decides a one-edge reveal from each trial's
+    counter alone; that must equal each whole weather's draw on that
+    edge. Any other reveal has no rule and takes the whole draw."""
 
     @pytest.mark.parametrize("size", sorted(DYADIC_TABLES))
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**64 - 1), st.data())
-    def test_one_edge_matches_lane_hits(self, size, state, data):
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                    max_size=5), st.data())
+    def test_one_edge_matches_lane_hits(self, size, states, data):
         inst = DYADIC_TABLES[size]
         # any row, and often the first, the last, or rows 255 and 256
         row = data.draw(st.integers(min_value=0, max_value=size - 1)
                         | st.sampled_from([r for r in (0, 255, 256, size - 1)
                                            if r < size]))
-        whole = sample_weather(inst, SplitMix64(state)).blocked
-        assert reveal_rule(inst, 1 << row)(state) == whole & 1 << row
+        whole = [sample_weather(inst, SplitMix64(state)).blocked
+                 for state in states]
+        assert reveal_rule(inst, 1 << row, states) == [
+            bool(blocked & 1 << row) for blocked in whole]
 
     def test_other_reveals_have_no_rule(self):
         for inst in (sampling_case("non-dyadic"), sampling_case("game1")):
-            assert reveal_rule(inst, 0b1) is None
-            assert reveal_rule(inst, 0b11) is None
-            assert reveal_rule(inst, 0)(12345) == 0
-        assert reveal_rule(DYADIC_TABLES[7], 0b101) is None
-        assert reveal_rule(DYADIC_TABLES[7], 0)(12345) == 0
+            assert reveal_rule(inst, 0b1, [12345]) is None
+            assert reveal_rule(inst, 0b11, [12345]) is None
+        assert reveal_rule(DYADIC_TABLES[7], 0b101, [12345]) is None
+        assert reveal_rule(DYADIC_TABLES[7], 0b100, []) == []

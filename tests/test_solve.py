@@ -1525,7 +1525,9 @@ def branch_every_time(instance, policy):
             action = policy.decide(instance, belief)
             if action is None:
                 return leaf(labels, prob, Cost.infinite())
-            price, nxt, revealed = P._step(instance, belief, action)
+            price, nxt, revealed = P._step(
+                instance, belief.position, belief.opened, belief.blocked,
+                action)
             if revealed is None:
                 return leaf(labels, prob, Cost.of(spent))
             spent += Fraction(price, instance.cost_unit)
