@@ -27,12 +27,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from array import array
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import repeat
+from operator import not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -194,13 +197,38 @@ _STREAM_SALT = 0xD1B54A32D192ED03
 _SPAN64 = 1 << 64
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
+def _mix64(x: int, lanes: int = _MASK64) -> int:
+    """SplitMix64's mix of x mod 2^64; with the lane mask of a packed x
+    (`_pack`), of each of its lanes at once.
+
+    Lane j is bits 128j to 128j+63, the bits `lanes` sets. Each shift is
+    masked back to the lanes, and a lane times a 64-bit constant stays
+    below 2^128, so no carry crosses into the next lane: every lane
+    mixes exactly as it would alone.
+    """
+    x &= lanes
+    x = ((x ^ (x >> 30) & lanes) * _MIX1) & lanes
+    x = ((x ^ (x >> 27) & lanes) * _MIX2) & lanes
+    return x ^ (x >> 31) & lanes
+
+
+def _pack(words: Iterable[int]) -> tuple[int, int, int]:
+    """`words`, each reduced mod 2^64, one to a lane of one int (see
+    `_mix64`); the int that holds 1 in each lane; and the lane count."""
+    words = list(words)
+    try:
+        words = array("Q", words)
+    except OverflowError:  # a word below 0 or from 2^64 up
+        words = array("Q", [word & _MASK64 for word in words])
+    packed = array("Q", bytes(16 * len(words)))
+    packed[::2] = words
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    ones = int.from_bytes((b"\1" + bytes(15)) * len(words), "little")
+    return int.from_bytes(packed, "little"), ones, len(words)
 
 
 class SplitMix64:
@@ -265,9 +293,19 @@ class SplitMix64:
 
 def trial_counters(seed: int, trials) -> list[int]:
     """The counter each trial of `trials` (ints) starts its stream from:
-    a stable, independent stream per Monte Carlo trial."""
-    base = _mix64(seed)
-    return [_mix64(base + _STREAM_SALT * trial) for trial in trials]
+    a stable, independent stream per Monte Carlo trial.
+
+    Trial t's counter is the mix of `_mix64(seed)` + t * SALT, which
+    depends on t mod 2^64 alone; all of them mix in one lane call.
+    """
+    packed, ones, count = _pack(trials)
+    # trial * SALT + base stays below 2^128 in every lane
+    mixed = _mix64(packed * _STREAM_SALT + _mix64(seed) * ones,
+                   ones * _MASK64)
+    words = array("Q", mixed.to_bytes(16 * count, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1009,16 +1047,24 @@ def reveal_rule(instance: CtpInstance, fresh: int,
     On a dyadic table (see `draw_table`), row i takes the word of counter
     state + (i+1) * GOLDEN whatever the other rows draw, so one edge is
     decided alone, with exactly the outcome of the whole draw, by
-    word & (den - 1) < num. Nets and other denominators draw in order
-    with rejections, so their rows have no fixed word; a reveal of
-    several edges takes the whole draw, which decides them all at once.
+    word & (den - 1) < num. The counters, each taken mod 2^64, pack
+    one to a lane, and one `_mix64` lane call makes every trial's word;
+    the test runs on all lanes at once too. Nets and other denominators
+    draw in order with rejections, so their rows have no fixed word; a
+    reveal of several edges takes the whole draw, which decides them all
+    at once.
     """
     rows, _, dyadic = instance.draw_table
     if not dyadic or fresh & (fresh - 1):
         return None
     _, num, den = rows[fresh.bit_length() - 1]
-    step, low = fresh.bit_length() * _GOLDEN, den - 1
-    return [_mix64(state + step) & low < num for state in states]
+    packed, ones, count = _pack(states)
+    step = fresh.bit_length() * _GOLDEN & _MASK64
+    mixed = _mix64(packed + step * ones, ones * _MASK64)
+    # a lane's bit 64, byte 8 of its 16, is set when word & (den - 1)
+    # + 2^64 - num reaches 2^64, that is when the edge is open
+    opens = (mixed & (den - 1) * ones) + (_SPAN64 - num) * ones
+    return list(map(not_, opens.to_bytes(16 * count, "little")[8::16]))
 
 
 # ---------------------------------------------------------------------------

@@ -722,19 +722,20 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
 
     Deterministic given (seed, trials): trial i's weather is that of
     `sample_weather` on the stream of trial i's counter
-    (`trial_counters`), however calls are scheduled. A walk's cost
-    depends only on the statuses it reveals, so the trials of a block
-    of `_TRIAL_BLOCK` that have shown the same statuses form a group,
-    which waits on a heap keyed by its first trial. Its walk (`_walk`)
-    runs once and ends in a cost, which every trial of the group takes,
-    or in a reveal of mask `fresh`, which splits the group in one loop.
-    A one-edge reveal on a dyadic table is decided from that edge's word
-    alone (`reveal_rule`); any other reveal draws each trial's whole
-    weather, once per trial and block. Walks thus run in the order of
-    (first trial, depth), as walking the trials one by one, each shared
-    walk once, would run them: trial i takes exactly the steps of
-    `walk_weather` on its weather, the first error is the same, and the
-    outputs are bit-identical to walking every trial.
+    (`trial_counters`, one lane-parallel mix per block), however calls
+    are scheduled. A walk's cost depends only on the statuses it
+    reveals, so the trials of a block of `_TRIAL_BLOCK` that have shown
+    the same statuses form a group, which waits on a heap keyed by its
+    first trial. Its walk (`_walk`) runs once and ends in a cost, which
+    every trial of the group takes, or in a reveal of mask `fresh`,
+    which splits the group in one loop. A one-edge reveal on a dyadic
+    table is decided from that edge's word alone, the group's words
+    mixed in one lane call (`reveal_rule`); any other reveal draws each
+    trial's whole weather, once per trial and block. Walks thus run in
+    the order of (first trial, depth), as walking the trials one by
+    one, each shared walk once, would run them: trial i takes exactly
+    the steps of `walk_weather` on its weather, the first error is the
+    same, and the outputs are bit-identical to walking every trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

@@ -84,7 +84,9 @@ def test_one_tree_writer():
 
 def test_one_mix():
     # `_mix64` is the package's only SplitMix64 mix: every word a weather
-    # draws, whole or one edge at a time, is mixed there
+    # draws and every trial counter is mixed there, one word at a time
+    # (`next64`) or a block's counters or a group's one-edge words at
+    # once, one to a lane (`trial_counters`, `reveal_rule`)
     for constant in ("_MIX1", "_MIX2"):
         scopes = [f"{path.name}:{scope}"
                   for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))

@@ -9,14 +9,18 @@ trial, depth), and a reveal splits its group by the one-edge rule or by
 each trial's whole draw. That must reproduce every pin exactly, call
 `decide` at each decide point of a block once and in that order, and
 hold no more per trial than its sample. `SplitMix64.hits` is also
-checked against the original rule, kept here as the slow oracle.
+checked against the original rule, kept here as the slow oracle, and
+the lane-parallel mix of `trial_counters` and `reveal_rule` against a
+scalar SplitMix64 mix written here.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +34,10 @@ from ctplab.model import (
     InvalidInstanceError,
     SplitMix64,
     Variant,
+    _mix64,
     reveal_rule,
     sample_weather,
+    trial_counters,
 )
 from ctplab.policy import (
     Action,
@@ -689,6 +695,34 @@ DYADIC_TABLES = {size: dyadic_table(size)
                  for size in (1, 7, 255, 256, 257, 600)}
 
 
+def random_words(count, seed):
+    """`count` words below 2^64 from a generator seeded with `seed`."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(64) for _ in range(count)]
+
+
+# A fixed group of 4,096 counters: 0, 1 and 2^64 - 1 first, then
+# counters below 0 and from 2^64 up, which name their value mod 2^64,
+# then random ones. Its whole draws on the large tables are computed
+# for its first 256 counters only, since 4,096 of them take seconds there.
+GROUP = [0, 1, 2**64 - 1, -1, 2**64, 2**64 + 1, -2**70 - 3, 5 * 2**64 + 7]
+GROUP += random_words(4096 - len(GROUP), 1)
+
+
+def group_counts(size):
+    """The prefixes of `GROUP` whose whole draws the test compares with
+    on `DYADIC_TABLES[size]`."""
+    return (0, 1, 256, 4096) if size <= 7 else (0, 1, 256)
+
+
+@cache
+def group_draws(size):
+    """The blocked mask of each of `GROUP`'s counters on that table."""
+    inst = DYADIC_TABLES[size]
+    return [sample_weather(inst, SplitMix64(state)).blocked
+            for state in GROUP[:max(group_counts(size))]]
+
+
 class TestRevealRule:
     """A group of trials decides a one-edge reveal from each trial's
     counter alone; that must equal each whole weather's draw on that
@@ -704,8 +738,13 @@ class TestRevealRule:
         row = data.draw(st.integers(min_value=0, max_value=size - 1)
                         | st.sampled_from([r for r in (0, 255, 256, size - 1)
                                            if r < size]))
-        whole = [sample_weather(inst, SplitMix64(state)).blocked
-                 for state in states]
+        # or, in place of the drawn list, a prefix of `GROUP`
+        count = data.draw(st.none() | st.sampled_from(group_counts(size)))
+        if count is None:
+            whole = [sample_weather(inst, SplitMix64(state)).blocked
+                     for state in states]
+        else:
+            states, whole = GROUP[:count], group_draws(size)[:count]
         assert reveal_rule(inst, 1 << row, states) == [
             bool(blocked & 1 << row) for blocked in whole]
 
@@ -715,3 +754,59 @@ class TestRevealRule:
             assert reveal_rule(inst, 0b11, [12345]) is None
         assert reveal_rule(DYADIC_TABLES[7], 0b101, [12345]) is None
         assert reveal_rule(DYADIC_TABLES[7], 0b100, []) == []
+
+
+def scalar_mix(x):
+    """SplitMix64's mix of one word x mod 2^64 (Steele, Lea and Flood)."""
+    x %= 2**64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB % 2**64
+    return x ^ x >> 31
+
+
+def packed(words):
+    """`words` one to a 128-bit lane: word j in bits 128j to 128j+63."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words),
+                          "little")
+
+
+class TestLaneMix:
+    """`_mix64` mixes every lane of a packed int as the scalar mix mixes
+    that word alone, and `trial_counters` and `reveal_rule`, which pack
+    their counters, take every int mod 2^64 as the scalar rule does."""
+
+    @pytest.mark.parametrize("count", [1, 2, 255, 256, 257, 4096])
+    @pytest.mark.parametrize("end", [0, 1, 2**64 - 1])
+    def test_lanes_match_the_scalar_mix(self, count, end):
+        words = random_words(count, count)
+        words[0] = words[-1] = end  # the first and the last lane
+        lanes = packed([2**64 - 1] * count)
+        want = packed([scalar_mix(w) for w in words])
+        assert _mix64(packed(words), lanes) == want
+        # bits between the lanes are ignored
+        assert _mix64(packed(words) | lanes << 64, lanes) == want
+
+    def test_one_word_is_the_scalar_mix(self):
+        for x in (0, 1, 2**64 - 1, 2**64, -1, -2**64 - 5, 3 * 2**70 + 11):
+            assert _mix64(x) == scalar_mix(x), x
+
+    @pytest.mark.parametrize("seed", [0, 20260819, -1, 2**64 + 7])
+    def test_trial_counters_match_the_scalar_rule(self, seed):
+        def counter(trial):
+            return scalar_mix(scalar_mix(seed) + 0xD1B54A32D192ED03 * trial)
+
+        assert trial_counters(seed, range(0)) == []
+        for trials in (range(4090, 4100), range(0, 4097), range(8191, 8193),
+                       [-1, -2**64, 2**64, 2**64 + 5, 2**70 - 3, 3, 3]):
+            assert trial_counters(seed, trials) == [
+                counter(t) for t in trials]
+
+    @pytest.mark.parametrize("size", [7, 600])
+    def test_reveal_rule_matches_the_scalar_rule(self, size):
+        inst = DYADIC_TABLES[size]
+        rows = inst.draw_table[0]
+        for row in {0, 1, size // 2, size - 1}:
+            _, num, den = rows[row]
+            golden = 0x9E3779B97F4A7C15 * (row + 1)
+            assert reveal_rule(inst, 1 << row, GROUP) == [
+                scalar_mix(state + golden) % den < num for state in GROUP]
