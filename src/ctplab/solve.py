@@ -22,7 +22,9 @@ graph in integer chances of its own and counts the nodes of the tree it
 unrolls to. The policy is that graph; its tree is unrolled only when
 `to_json` writes it. The walk reads Z (below) from the joint model and
 D from the instance, where a wrong Z or D either raises a remainder or
-cancels, so the check shares no search table.
+cancels, so the check shares no search table. The export only reads
+the search (`_Solver.choose`); where an outcome at s strands the walker
+and stops the root sum, `solve` solves the other outcomes at s itself.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -136,8 +138,9 @@ class SolveStats:
     policy, one per key, and `tree_nodes` those of the tree it unrolls
     to, counted from the graph (for the index rule both count its tree).
     `search_s` and `export_s` are the wall seconds `solve` spent in the
-    search and in the export with its self-check; they vary from run to
-    run, so equality ignores them.
+    search, every patch solve, and in the export with its self-check,
+    which solves none; they vary from run to run, so equality ignores
+    them.
     """
 
     beliefs_expanded: int
@@ -186,24 +189,15 @@ class _Solver:
 
     def choose(self, key: tuple, opened: int, blocked: int,
                position: str) -> Action | None:
-        """The choice at a belief of cache key `key` in the patch it lies
-        in: one lookup, which the search's counters leave out, and a
-        `region` solve on a miss."""
-        if position == self.instance.t:
-            return _HALT
-        patch = (self._regions.get(key)
-                 or self.region(opened, blocked, position))
+        """The choice at a belief of cache key `key` in the patch the search
+        solved: one lookup, which the search's counters leave out. The
+        export never extends the search, so a miss raises an error."""
+        patch = self._regions.get(key)
+        if patch is None:
+            raise InternalCheckError(
+                f"the export reached a belief at {position} that the search "
+                "never solved")
         return patch[1].get(position)
-
-    def mass(self, opened: int, blocked: int) -> int:
-        """M(K) of the stratum K the masks reveal, Z times its chance: the
-        product over the components of the summed weight of the rows that
-        agree with the masks, a component's total where they set none of
-        its bits."""
-        known = opened | blocked
-        return math.prod(
-            sum(w for row, w in comp.rows if row & known == opened & comp.mask)
-            for comp in self.instance.joint.components)
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
                      position: str, mass: int,
@@ -231,15 +225,16 @@ class _Solver:
         return total, True
 
     def region(self, opened: int, blocked: int, start: str,
-               mass: int | None = None) -> tuple[dict, dict, int]:
+               mass: int) -> tuple[dict, dict, int]:
         """Values and choices over the patch `start` reaches unrevealing,
         and the M(K) of the stratum that solved the patch, the scale of
-        those values; `mass` is the masks' M(K), found from them if not
-        given. The patch is cached under the `key` of each of its
-        positions, so a stratum that differs only in bits their walks
-        cannot use reads it too. Each lookup that finds it counts in
-        `region_hits`, and in `shared_hits` if another stratum solved
-        it."""
+        those values; `mass` is the masks' M(K), carried down by `times`.
+        Only the search calls it, never the export. The patch is cached
+        under the `key` of each of its positions, so a stratum that
+        differs only in bits their walks cannot use reads it too. Each
+        lookup that finds it counts in `region_hits`, and in `shared_hits`
+        if another stratum solved it (for a stranded root, `solve`'s
+        lookups of the outcomes at s count too)."""
         regions = self._regions
         # a start outside `keyed` keys by the whole masks (`_cut_key`)
         cached = regions.get((start, opened, blocked) if start not in
@@ -248,8 +243,6 @@ class _Solver:
             self.region_hits += 1
             self.shared_hits += cached[3] != (opened, blocked)
             return cached[:3]
-        if mass is None:
-            mass = self.mass(opened, blocked)
         t, moves, senses, bound = (self.instance.t, self.moves, self.senses,
                                    self.bound)
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -497,17 +490,23 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
     """Exact optimum of an independent, dependent or sensing instance."""
     began = time.perf_counter()
     solver = _Solver(instance, belief_cap)
+    s, mass = instance.s, solver.total_mass
+    fresh = instance.fresh_at(s, 0)
     try:
-        value, _ = solver.branch_value(
-            0, 0, instance.fresh_at(instance.s, 0), instance.s,
-            solver.total_mass)
+        value, _ = solver.branch_value(0, 0, fresh, s, mass)
+        if value == math.inf:
+            # the sum stopped at an outcome that strands the walker; the
+            # export reads every outcome at s, so the rest are solved here
+            for opened, blocked, weight, whole in instance.outcomes(
+                    solver.tables, fresh, 0, 0):
+                solver.region(opened, blocked, s, times(mass, weight, whole))
     except RecursionError:
         # each reveal nests one stratum deeper on the Python stack
         raise EnumerationCapError(
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
     expected = Cost.of(value if value == math.inf else Fraction(
-        value, solver.total_mass * solver.denominator))
+        value, mass * solver.denominator))
     searched = time.perf_counter()
     priced, policy, tree_nodes = export_keyed_graph(instance, solver.key,
                                                     solver.choose)

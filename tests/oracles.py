@@ -21,6 +21,9 @@ agree:
   of keys (`export_keyed_graph`) that `DecisionTreePolicy.unrolled`
   writes the tree from; `walked_solve` and `walked_index_rule` walk the
   policy a solve wrote its graph of;
+- `stratum_mass` finds a knowledge stratum's M(K) = Z·P(K) from its
+  masks by a scan of the joint model's rows, where the search carries it
+  down from the root, one exact division per outcome;
 - `ceil_log2_by_doubling` doubles a Fraction up to a value, where
   `ceil_log2` takes the bit length of an int, and `edge_by_edge_baiting`
   adds a baiting gadget one `add_edge` call per edge, where
@@ -343,6 +346,17 @@ def walked_index_rule(instance: CtpInstance,
     committing policy whose tree it wrote."""
     return _walked(S.solve_disjoint_paths, "export_decision_tree",
                    lambda instance, policy: policy, instance)
+
+
+def stratum_mass(instance: CtpInstance, opened: int, blocked: int) -> int:
+    """M(K) of the stratum K the masks reveal, Z times its chance: the
+    product over the components of the summed weight of the rows that
+    agree with the masks, a component's total where they set none of its
+    bits."""
+    known = opened | blocked
+    return math.prod(
+        sum(w for row, w in comp.rows if row & known == opened & comp.mask)
+        for comp in instance.joint.components)
 
 
 def decomposed_cost(early_exit: Fraction, passing: Fraction,

@@ -56,6 +56,7 @@ from ctplab.solve import SolveStats, parse_qdimacs, qbf_eval, solve
 from oracles import decomposed_cost
 from test_model import coin_star, copy_chain_instance
 from test_policy import hop_out_instance
+from test_solve import gate_corridor_instance
 
 F = Fraction
 
@@ -865,6 +866,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("cap exceeded: ")
         assert err.count("\n") == 1
+
+    def test_deep_strata_behind_a_stranded_outcome_exceed_cap(self, tmp_path,
+                                                             capsys):
+        # `gate` shows blocked first and strands the walker at s; the
+        # search then solves the open outcome, whose 72-section corridor
+        # nests past the recursion limit, inside the search
+        path = tmp_path / "gate.json"
+        save_instance(gate_corridor_instance(72), path)
+        assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "cap exceeded: knowledge strata nest deeper than the recursion "
+            "limit of 1000"]
+        assert "Traceback" not in captured.err
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -146,6 +146,18 @@ def test_one_pricing_walk():
                                                    "price_keyed_graph"]
 
 
+def test_one_way_into_the_search():
+    # a patch is solved only by the search: the sum of a revealing step,
+    # and `solve` finishing the outcomes at s past one that strands the
+    # walker. The export reads the patches the search solved, so its time
+    # is export alone and a RecursionError in any patch solve is caught
+    callers = [f"{path.name}:{scope}"
+               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+               for scope in _scopes_calling(ast.parse(path.read_text()),
+                                            "region")]
+    assert callers == ["solve.py:_Solver.branch_value", "solve.py:solve"]
+
+
 def _functions(node: ast.AST, scope: str = ""):
     """Each function under `node` by its dotted name, with its class."""
     for child in ast.iter_child_nodes(node):
@@ -161,7 +173,7 @@ def test_one_chance_unit():
     # a chance on the search's and the walks' path is an int weight over
     # an int total, as `JointModel.branch` returns it: each consumer
     # divides once, in ints, through `times`, and no Fraction comes back
-    chance_path = {"model.py:JointModel.branch", "solve.py:_Solver.mass",
+    chance_path = {"model.py:JointModel.branch",
                    "solve.py:_Solver.branch_value",
                    "policy.py:price_keyed_graph",
                    "policy.py:export_keyed_graph"}

@@ -19,7 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
-from ctplab.gadgets import baiting_harness, forward_policy_cost
+from ctplab.gadgets import (
+    baiting_harness,
+    build_baiting,
+    forward_policy_cost,
+)
 import ctplab.model as M
 import ctplab.policy as P
 import ctplab.solve as S
@@ -59,6 +63,7 @@ from ctplab.solve import (
 from oracles import (
     by_weathers,
     outcome_breakdown,
+    stratum_mass,
     trace,
     walked_index_rule,
     walked_solve,
@@ -525,22 +530,25 @@ class TestIntegerUnit:
             chance = sum(p for weather, p in support
                          if weather.blocked & (opened | blocked) == blocked)
             if chance:
-                assert solver.mass(opened, blocked) \
+                assert stratum_mass(instance, opened, blocked) \
                     == chance * solver.total_mass
-        assert solver.mass(0, 0) == solver.total_mass
+        assert stratum_mass(instance, 0, 0) == solver.total_mass
 
-    def test_decide_finds_the_mass_from_the_masks(self):
+    def test_an_unsearched_solver_cannot_choose(self):
+        # `choose` reads the patches the search solved and solves none
         instance = odd_chance_instance()
         fresh = instance.fresh_at("s", 0)
         searched = S._Solver(instance, 200_000)
         searched.branch_value(0, 0, fresh, "s", searched.total_mass)
         for opened, blocked, _, _ in instance.outcomes({}, fresh, 0, 0):
             at = opened, blocked, "s"
+            assert searched.choose(searched.key(*at), *at) is not None
             unsearched = S._Solver(instance, 200_000)
-            assert unsearched.choose(unsearched.key(*at), *at) \
-                == searched.choose(searched.key(*at), *at)
-            assert unsearched.region(opened, blocked, "s") == \
-                searched.region(opened, blocked, "s")
+            with pytest.raises(InternalCheckError,
+                               match="^the export reached a belief at s "
+                                     "that the search never solved$"):
+                unsearched.choose(unsearched.key(*at), *at)
+            assert unsearched._regions == {}
 
     def test_both_fees_are_paid(self):
         result = solve(third_fee_instance())
@@ -594,7 +602,8 @@ class TestIntegerUnit:
             for value in values.values():
                 assert type(value) is int or value == math.inf
             # the M(K) of the stratum the patch was solved at
-            assert type(scale) is int and scale == solver.mass(*stratum)
+            assert type(scale) is int \
+                and scale == stratum_mass(instance, *stratum)
 
     def test_mass_that_does_not_divide_raises(self):
         instance = ladder_instance(2)
@@ -795,6 +804,19 @@ def corridor_instance():
     return b.build()
 
 
+def gate_corridor_instance(length):
+    """s shows `gate` (1/2, cost 1) into u, a baiting gadget of `length`
+    runs from u to v, and a sure edge of cost 0 leads from v to t. Once
+    `gate` shows blocked the walker is stranded at s, and that outcome
+    comes first at s, so the search's root sum stops before the open one."""
+    b = InstanceBuilder(Variant.INDEPENDENT)
+    b.set_endpoints("s", "t")
+    b.add_edge("s", "u", 1, id="gate", block_p=Fraction(1, 2))
+    build_baiting(b, "u", "v", "t", length, "bg")
+    b.add_edge("v", "t", 0, id="home")
+    return b.build()
+
+
 def hidden_twin_instance():
     """m shows `seen`; its twin `hidden`, which no walk from s sees, shares
     its coin, so the chances at m depend on both."""
@@ -833,6 +855,13 @@ def dropping_key(solver, edge, where=None):
         return (*k[:3], (k[3] if len(k) > 3 else every) & ~drop)
 
     return key
+
+
+def own_choice(solver):
+    """`solver.choose` at the solver's own key of each belief, whatever key
+    the export is given: a mutant key then reaches the export's checks
+    and not a missing patch."""
+    return lambda _, *belief: solver.choose(solver.key(*belief), *belief)
 
 
 class TestKeyedExport:
@@ -950,7 +979,7 @@ class TestKeyedExport:
         with pytest.raises(InternalCheckError,
                            match="drops the status of move.gamble."):
             P.export_keyed_graph(instance, dropping_key(solver, "gamble"),
-                                 solver.choose)
+                                 own_choice(solver))
 
     def test_a_cut_without_what_a_step_shows_raises(self):
         instance = corridor_instance()
@@ -958,7 +987,7 @@ class TestKeyedExport:
         with pytest.raises(InternalCheckError,
                            match="drops a status that move.walk. can show"):
             P.export_keyed_graph(instance, dropping_key(solver, "far"),
-                                 solver.choose)
+                                 own_choice(solver))
 
     def test_a_cut_without_a_touched_component_raises(self):
         instance = hidden_twin_instance()
@@ -967,7 +996,7 @@ class TestKeyedExport:
         with pytest.raises(InternalCheckError,
                            match="chances of mask 0x1 depend on"):
             P.export_keyed_graph(instance, dropping_key(solver, "hidden"),
-                                 solver.choose)
+                                 own_choice(solver))
         # the search's own keys keep the twin
         P.export_keyed_graph(instance, solver.key, solver.choose)
 
@@ -980,7 +1009,7 @@ class TestKeyedExport:
                            match="keeps statuses that its parent's drops"):
             P.export_keyed_graph(instance,
                                  dropping_key(solver, "late", "s"),
-                                 solver.choose)
+                                 own_choice(solver))
 
     def test_a_cycle_raises(self):
         # a policy that walks back and forth between s and m forever: once
@@ -1004,6 +1033,44 @@ class TestKeyedExport:
             export_decision_tree(instance, Pacing())
         assert str(caught.value) == (
             "the policy loops through the key at m|far=B")
+
+
+class TestStrandedRoot:
+    """An outcome at s that strands the walker stops the root sum; `solve`
+    then solves the other outcomes at s inside the search, and the export
+    reads what the search solved."""
+
+    def test_the_export_solves_no_patch(self):
+        instance = gate_corridor_instance(64)
+        region, export = S._Solver.region, S.export_keyed_graph
+        exporting = []
+
+        def searched_only(solver, *args):
+            if exporting:
+                raise AssertionError("the export solved a patch")
+            return region(solver, *args)
+
+        def exported(*args):
+            exporting.append(True)
+            return export(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(S._Solver, "region", searched_only)
+            patch.setattr(S, "export_keyed_graph", exported)
+            result = solve(instance)
+        assert exporting
+        stats = result.stats
+        assert (result.optimal_cost, stats.beliefs_expanded,
+                stats.graph_nodes, stats.tree_nodes) == (
+            Cost.infinite(), 66_816, 516, 771)
+        # the open outcome's policy is the walk into the corridor
+        assert result.optimal_first_action is None
+        assert {result.policy.nodes[child].action for _, child in
+                result.policy.nodes[result.policy.root].children} == {
+            None, Action.move("gate")}
+
+    def test_matches_tree_walk(self):
+        assert_matches_tree_walk(gate_corridor_instance(4))
 
 
 def every_bit(instance):
@@ -1118,11 +1185,11 @@ class TestReachKeys:
             priced.append((args, branch_value(solver, *args)))
             return priced[-1][1]
 
-        def read(solver, opened, blocked, start, mass=None):
+        def read(solver, opened, blocked, start, mass):
             # a patch solved at another M(K) than the outcome's share
             values, choices, scale = region(solver, opened, blocked, start,
                                             mass)
-            if mass is not None and scale != mass:
+            if scale != mass:
                 rescaled.append(values.get(start, math.inf))
             return values, choices, scale
 
@@ -1481,7 +1548,7 @@ class TestBranchMemo:
             solver = S._Solver(instance, 200_000)
             opened, blocked = masks(instance, known)
             fresh = instance.fresh_at(position, opened | blocked)
-            mass = solver.mass(opened, blocked)
+            mass = stratum_mass(instance, opened, blocked)
             first = solver.branch_value(opened, blocked, fresh, position,
                                         mass)
             tables = tables_copy(solver.tables)
