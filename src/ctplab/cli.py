@@ -14,10 +14,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 verify checks failed or a self-check failed
 (`InternalCheckError`), which includes `solve --policy` on a tree whose
-moves go round in a loop, refused as a cycle among its beliefs; 2 bad
-input (`InvalidInstanceError`, any other `ValueError`, or `OSError`); 3
-an enumeration or step cap was exceeded (`EnumerationCapError`). The
-three classes live in `ctplab.model`.
+moves go round in a loop, refused as a belief met again before any
+reveal; 2 bad input (`InvalidInstanceError`, any other `ValueError`, or
+`OSError`); 3 an enumeration cap was exceeded (`EnumerationCapError`).
+The three classes live in `ctplab.model`.
 """
 from __future__ import annotations
 

@@ -1039,10 +1039,10 @@ def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
 
 def reveal_rule(instance: CtpInstance, fresh: int,
                 states: Iterable[int]) -> list[bool] | None:
-    """For a nonzero mask `fresh`: whether the weather of each trial,
-    given by its counter in `states`, blocks the one edge of `fresh`,
-    decided from the counter alone; or None when only the whole weather
-    (`sample_weather`) decides the bits of `fresh`.
+    """For a mask `fresh` of one edge: whether the weather of each trial,
+    given by its counter in `states`, blocks that edge, decided from the
+    counter alone; or None for any other mask, or when only the whole
+    weather (`sample_weather`) decides the bits of `fresh`.
 
     On a dyadic table (see `draw_table`), row i takes the word of counter
     state + (i+1) * GOLDEN whatever the other rows draw, so one edge is
@@ -1055,7 +1055,7 @@ def reveal_rule(instance: CtpInstance, fresh: int,
     at once.
     """
     rows, _, dyadic = instance.draw_table
-    if not dyadic or fresh & (fresh - 1):
+    if not dyadic or fresh.bit_count() != 1:
         return None
     _, num, den = rows[fresh.bit_length() - 1]
     packed, ones, count = _pack(states)

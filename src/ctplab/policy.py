@@ -28,12 +28,11 @@ arrival reveals `fresh_at`. A walk's beliefs hold masks, and a reveal
 ORs the revealed bits into them; a weather walk splits them into open
 and blocked by one AND with the weather's blocked mask. `walk_weather`
 and `simulate` share one stepping loop (`_walk`), which runs from one
-reveal to the next and counts its step cap from the last reveal; the
-pricing walk takes one step per graph node and refuses a loop as a cycle
-among its nodes. The simulator takes its trials in blocks and walks
-once for each group of trials that have shown the same statuses,
-splitting the group at each reveal; on a dyadic table a one-edge reveal
-is decided from that edge's draw alone.
+reveal to the next; the pricing walk takes one step per graph node.
+Both refuse a belief met again before any reveal (`_loop_error`). The
+simulator walks its trials in blocks, once for each group of trials
+that have shown the same statuses, splitting the group at each reveal;
+on a dyadic table a one-edge reveal is decided from that edge's draw.
 
 Costs are exact: every walk adds ints in units of 1/D, as the search
 does, and divides once. The only floats are `math.inf`, for a walk the
@@ -370,10 +369,11 @@ def _cost(total: Fraction | int | float, scale: int) -> Cost:
     return Cost.of(total if total == math.inf else Fraction(total, scale))
 
 
-def _step_cap(instance: CtpInstance) -> int:
-    """Steps a walk may take between two reveals. The masks hold still
-    until the next one, so a longer walk repeats a belief: it loops."""
-    return max(64, 16 * len(instance.edges))
+def _loop_error(instance: CtpInstance, pos: str, *masks: int,
+                ) -> InternalCheckError:
+    """The refusal of a policy back at a belief before any reveal."""
+    return InternalCheckError("the policy loops through the key at "
+                              f"{pos}|{_text(instance, *masks, _KEY_WORDS)}")
 
 
 def _illegal(message: str, instance: CtpInstance, pos: str, opened: int,
@@ -438,10 +438,11 @@ def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
     the next reveal, halt or action of None: the total then (`math.inf`
     after None), the belief on arrival and the mask revealed (None once
     the walk is over). The one stepping loop of `walk_weather` and
-    `simulate`; past `_step_cap` steps it raises."""
-    cap = _step_cap(instance)
-    opened, blocked = belief.opened, belief.blocked
-    for _ in range(cap):
+    `simulate`. The masks hold still up to a reveal, so a position stood
+    on twice repeats a belief (`_loop_error`)."""
+    opened, blocked, seen = belief.opened, belief.blocked, set()
+    while belief.position not in seen:
+        seen.add(belief.position)
         action = decide(instance, belief)
         if action is None:
             return math.inf, belief, None
@@ -453,8 +454,7 @@ def _walk(instance: CtpInstance, decide: Callable[..., Action | None],
         belief = Belief(pos, opened, blocked, instance)
         if revealed:
             return total, belief, revealed
-    raise EnumerationCapError(
-        f"no arrival within {cap} steps; last {describe_belief(belief)}")
+    raise _loop_error(instance, belief.position, opened, blocked)
 
 
 def _reveal(belief: Belief, fresh: int, blocked: int) -> Belief:
@@ -573,7 +573,7 @@ def price_keyed_graph(instance: CtpInstance,
     inside the cut, so each belief of the key takes the same step to the
     same outcomes at the same chances; each child's cut lies inside the
     parent's plus the bits just revealed, so each has the same child keys.
-    A failed check, or a cycle among the nodes, raises
+    A failed check, or a cycle among the nodes (`_loop_error`), raises
     `InternalCheckError`: with each belief its own key, a cycle is a
     policy that walks in a loop. The graph holds at most `BELIEF_CAP`
     nodes past its root; past it, a graph of search keys is refused by
@@ -618,8 +618,7 @@ def price_keyed_graph(instance: CtpInstance,
             order.append(node)
             continue
         if node[4] is None:
-            raise InternalCheckError(
-                f"the policy loops through the key at {where(belief)}")
+            raise _loop_error(instance, *belief)
         if node[4] is not _NEW:  # an earlier belief of its key built it
             continue
         k, found = node[0], []

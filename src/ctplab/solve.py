@@ -117,6 +117,7 @@ from .policy import (
     Action,
     DecisionTreePolicy,
     Policy,
+    _cost,
     export_decision_tree,
     export_keyed_graph,
 )
@@ -505,8 +506,7 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
         raise EnumerationCapError(
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
-    expected = Cost.of(value if value == math.inf else Fraction(
-        value, mass * solver.denominator))
+    expected = _cost(value, mass * solver.denominator)
     searched = time.perf_counter()
     priced, policy, tree_nodes = export_keyed_graph(instance, solver.key,
                                                     solver.choose)

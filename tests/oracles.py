@@ -144,7 +144,7 @@ def trace(instance: CtpInstance, policy: Policy) -> Breakdown:
     """Price `policy` by enumerating observation outcomes depth first.
 
     Between observations the walk is deterministic, so each pending entry
-    walks (`_walk`, with its step cap) until the policy halts, declares
+    walks (`_walk`, which refuses a loop) until the policy halts, declares
     the situation infeasible, or triggers a branch: arriving where
     unrevealed edges become visible, or sensing. Branch chances come from
     `CtpInstance.outcomes`, conditioned on everything revealed so far.

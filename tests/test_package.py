@@ -55,15 +55,41 @@ def _scopes_naming(node: ast.AST, name: str, scope: str = "<module>"):
 
 def test_one_stepping_loop():
     # `_walk` is the package's only stepping loop: `walk_weather` and
-    # `simulate` both step a policy through it, so they share one step cap
-    # and one cap message. The pricing walk, behind `evaluate_exact` and
-    # every export, takes one step per graph node, through the same move
-    # rule, and loops over none
+    # `simulate` both step a policy through it, so they share one loop
+    # rule and one loop message. The pricing walk, behind `evaluate_exact`
+    # and every export, takes one step per graph node, through the same
+    # move rule, and loops over none
     callers = [f"{path.name}:{scope}"
                for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
                for scope in _scopes_naming(ast.parse(path.read_text()),
                                            "_step")]
     assert callers == ["policy.py:_walk", "policy.py:price_keyed_graph"]
+
+
+def _scopes_spelling(node: ast.AST, text: str, scope: str = "<module>"):
+    """The innermost function around each string constant holding `text`."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                and text in child.value):
+            yield scope
+        yield from _scopes_spelling(
+            child, text, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+
+def test_one_loop_message():
+    # a policy that comes back to a belief with nothing revealed loops,
+    # and both walks refuse it with one error, spelled in one helper:
+    # `_walk` when it stands on a position twice, the pricing walk when
+    # it meets one of its nodes again below itself
+    spelled = [f"{path.name}:{scope}"
+               for path in sorted(Path(ctplab.__file__).parent.glob("*.py"))
+               for scope in _scopes_spelling(ast.parse(path.read_text()),
+                                             "loops through")]
+    assert spelled == ["policy.py:_loop_error"]
+    tree = ast.parse((Path(ctplab.__file__).parent / "policy.py").read_text())
+    assert list(_scopes_calling(tree, "_loop_error")) == [
+        "_walk", "price_keyed_graph"]
 
 
 def test_one_tree_writer():

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-import ctplab.policy as policy_module
 from ctplab.gadgets import (
     baiting_harness,
     bailout_policy_cost,
@@ -28,9 +27,9 @@ from ctplab.gadgets import (
     pass_probability,
 )
 from ctplab.cli import GAME_BATTERY
-from ctplab.model import (Belief, Cost, CtpInstance, EnumerationCapError,
-                          InstanceBuilder, InternalCheckError,
-                          InvalidInstanceError, Variant, Weather)
+from ctplab.model import (Belief, Cost, CtpInstance, InstanceBuilder,
+                          InternalCheckError, InvalidInstanceError, Variant,
+                          Weather)
 from ctplab.policy import (
     Action,
     ActionKind,
@@ -44,8 +43,9 @@ from ctplab.policy import (
     simulate,
     walk_weather,
 )
-from ctplab.reductions import named_vc, qbf_to_ctpdep, vc_to_sensing
-from ctplab.solve import solve
+from ctplab.reductions import (named_vc, qbf_to_ctp, qbf_to_ctpdep,
+                               vc_to_sensing)
+from ctplab.solve import QbfFormula, solve
 
 from oracles import (
     by_weathers,
@@ -54,7 +54,7 @@ from oracles import (
     trace,
     walked_tree,
 )
-from test_sampling import oracle_simulate
+from test_sampling import CountingPolicy, oracle_simulate
 from test_solve import assert_is_a_tree
 
 
@@ -232,29 +232,29 @@ class TestLegality:
         with pytest.raises(InvalidInstanceError, match="always open"):
             evaluate_exact(inst, policy, mode="tree")
 
-    def test_endless_walk_hits_cap(self):
+    def test_endless_walk_loops(self):
         inst = hop_out_instance()
         policy = RulePolicy(lambda i, b_: Action.move("hop"))
-        # the tree mode keys each belief by itself, so it meets s again as
-        # a cycle among its nodes, as the export does
-        with pytest.raises(InternalCheckError) as caught:
-            evaluate_exact(inst, policy, mode="tree")
-        assert str(caught.value) == "the policy loops through the key at s|"
-        # every walker of one weather steps through `_walk`, so all give
-        # its one message
-        for walk in (lambda: evaluate_exact(inst, policy, mode="weathers"),
-                     lambda: simulate(inst, policy, 3, 0)):
-            with pytest.raises(EnumerationCapError) as caught:
+        # every walker meets s again with nothing revealed and gives the
+        # one loop message: the pricing walk, behind the tree mode and the
+        # export, as a cycle among its nodes, and `_walk`, behind the
+        # weathers mode, `walk_weather` and `simulate`, as a position stood
+        # on twice since the last reveal
+        for walk in (lambda: evaluate_exact(inst, policy, mode="tree"),
+                     lambda: evaluate_exact(inst, policy, mode="weathers"),
+                     lambda: walk_weather(inst, policy, Weather(0)),
+                     lambda: simulate(inst, policy, 3, 0),
+                     lambda: export_decision_tree(inst, policy)):
+            with pytest.raises(InternalCheckError) as caught:
                 walk()
             assert str(caught.value) == (
-                "no arrival within 64 steps; last at s knowing nothing")
+                "the policy loops through the key at s|")
 
-    def test_cap_counts_from_the_last_reveal(self, monkeypatch):
-        # 8 steps in all on the blocked weather, 3 before `c` shows and 5
-        # after: at a cap of 5 between two reveals every walker of
-        # `_walk` prices it, and so does the tree mode, which takes no step
-        # cap
-        monkeypatch.setattr(policy_module, "_step_cap", lambda inst: 5)
+    def test_seen_positions_restart_at_each_reveal(self):
+        # on the blocked weather the walk goes up s, a and b to m, where
+        # `c` shows, and then back down over b, a and s to t: it stands on
+        # s, a and b twice, but never twice since the last reveal, so
+        # every walker prices it
         inst, policy = zigzag_instance(), RulePolicy(zigzag)
         for mode in ("tree", "weathers"):
             assert evaluate_exact(inst, policy, mode=mode).expected_cost == (
@@ -268,25 +268,18 @@ class TestLegality:
             assert (got[0].hex(), got[1].hex()) == (want[0].hex(),
                                                     want[1].hex())
 
-    def test_cap_is_read_from_step_cap(self, monkeypatch):
-        # at a cap of 4 the blocked weather's 5 steps after `c` shows do
-        # not fit, and every walker of `_walk` says so; the open weather's
-        # 2 still do. The tree mode takes one step per belief and no step
-        # cap, so the package's own `evaluate_exact` still prices both
-        # weathers (the traced one would not: its oracle walks by `_walk`)
-        monkeypatch.setattr(policy_module, "_step_cap", lambda inst: 4)
-        inst, policy = zigzag_instance(), RulePolicy(zigzag)
-        assert walk_weather(inst, policy, Weather(0)) == Cost.of(4)
-        assert policy_module.evaluate_exact(inst, policy, mode="tree") == (
-            EvalResult(Cost.of(Fraction(19, 2)), 2))
-        for walk in (lambda: evaluate_exact(inst, policy, mode="weathers"),
-                     lambda: walk_weather(inst, policy,
-                                          Weather(inst.bits["c"])),
-                     lambda: simulate(inst, policy, 64, 4)):
-            with pytest.raises(EnumerationCapError) as caught:
-                walk()
-            assert str(caught.value) == (
-                "no arrival within 4 steps; last at t knowing [c blocked]")
+    def test_a_loop_is_refused_at_its_first_repeat(self):
+        # on the reduction of forall x1 exists x2: (x1), a policy that
+        # always moves `enter` goes s -> x1, where x1's two edges show, then
+        # x1 -> s -> x1: it stands on x1 again with nothing new revealed,
+        # and is refused there after 3 decisions
+        inst = qbf_to_ctp(QbfFormula.of(2, ((1,),)))[0]
+        policy = CountingPolicy(RulePolicy(lambda i, b_: Action.move("enter")))
+        with pytest.raises(InternalCheckError) as caught:
+            walk_weather(inst, policy, Weather(0))
+        assert str(caught.value) == (
+            "the policy loops through the key at x1|x1.false=O,x1.true=O")
+        assert policy.decisions == 3
 
     @pytest.mark.parametrize("walk", [
         lambda inst, policy: evaluate_exact(inst, policy, mode="tree"),

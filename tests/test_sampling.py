@@ -29,8 +29,8 @@ import ctplab.policy as policy_module
 from ctplab.cli import GAME_BATTERY
 from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
-    EnumerationCapError,
     InstanceBuilder,
+    InternalCheckError,
     InvalidInstanceError,
     SplitMix64,
     Variant,
@@ -500,14 +500,14 @@ class TestWeatherMemo:
                          for trial in range(300)]
 
     @pytest.mark.parametrize("block", [None, 1, 4])
-    def test_step_cap_message_matches_walk_weather(self, monkeypatch, block):
+    def test_loop_message_matches_walk_weather(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(policy_module, "_TRIAL_BLOCK", block)
         inst = bounce_instance()
         for seed in range(6):
-            want = walk_error(inst, Bounce(), seed, 1, EnumerationCapError)
-            assert want.startswith("no arrival within 64 steps; last at ")
-            with pytest.raises(EnumerationCapError) as caught:
+            want = walk_error(inst, Bounce(), seed, 1, InternalCheckError)
+            assert want.startswith("the policy loops through the key at m|")
+            with pytest.raises(InternalCheckError) as caught:
                 simulate(inst, Bounce(), 40, seed)
             assert str(caught.value) == want
 
@@ -754,6 +754,13 @@ class TestRevealRule:
             assert reveal_rule(inst, 0b11, [12345]) is None
         assert reveal_rule(DYADIC_TABLES[7], 0b101, [12345]) is None
         assert reveal_rule(DYADIC_TABLES[7], 0b100, []) == []
+        # an empty mask decides no edge: not the last row's draw, nor an
+        # IndexError where the table has no row
+        b = InstanceBuilder(Variant.INDEPENDENT)
+        b.set_endpoints("s", "t")
+        b.add_edge("s", "t", 1, id="sure")
+        for inst in (*DYADIC_TABLES.values(), b.build()):
+            assert reveal_rule(inst, 0, trial_counters(1, range(4))) is None
 
 
 def scalar_mix(x):

@@ -1581,7 +1581,8 @@ def branch_every_time(instance, policy):
     `outcome_breakdown` writes them.
     """
     joint = instance.joint
-    cap = P._step_cap(instance)
+    # a walk of more steps between two reveals stands on some vertex twice
+    cap = len(instance.vertices) + 1
     rows = []
 
     def leaf(labels, prob, cost):
