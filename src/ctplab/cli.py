@@ -16,7 +16,8 @@ Exit codes: 0 success; 1 verify checks failed or a self-check failed
 (`InternalCheckError`), which includes `solve --policy` on a tree whose
 moves go round in a loop, refused as a belief met again before any
 reveal; 2 bad input (`InvalidInstanceError`, any other `ValueError`, or
-`OSError`); 3 an enumeration cap was exceeded (`EnumerationCapError`).
+`OSError`), a usage error such as an option the command does not take
+included; 3 an enumeration cap was exceeded (`EnumerationCapError`).
 The three classes live in `ctplab.model`.
 """
 from __future__ import annotations
@@ -218,6 +219,8 @@ def _holds(cid: str, condition: bool, detail: str = "") -> dict:
 
 
 def _suite_gadgets(args) -> Iterator[dict]:
+    if "seed" in args.given and not args.trials:
+        raise ValueError("verify gadgets: --seed needs --trials above 0")
     lengths = ([as_fraction(args.L)] if args.L
                else [Fraction(3, 2), Fraction(2)])
     for length in lengths:
@@ -319,10 +322,10 @@ def _suite_ctp_cert(args) -> Iterator[dict]:
 
 
 def _suite_sensing(args) -> Iterator[dict]:
-    alpha = as_fraction(args.alpha) if args.alpha else Fraction(1, 2)
+    alpha = as_fraction(args.alpha)
     names = [args.graph] if args.graph else ["p3", "k3"]
     for name in names:
-        vc = named_vc(name, args.k if args.k is not None else 1)
+        vc = named_vc(name, args.k)
         instance, cert = vc_to_sensing(vc, alpha)
         covered = has_vertex_cover(vc)
         result = solve(instance, belief_cap=args.cap)
@@ -376,12 +379,13 @@ def _suite_oracle(args) -> Iterator[dict]:
     yield _equal("weather-and-tree-evaluations-agree", "10/10", f"{match}/10")
 
 
+# each suite's checks and the filters they read, as keys of `_OPTIONS`
 _SUITES = {
-    "gadgets": _suite_gadgets,
-    "ctpdep": _suite_ctpdep,
-    "ctp-cert": _suite_ctp_cert,
-    "sensing": _suite_sensing,
-    "oracle": _suite_oracle,
+    "gadgets": (_suite_gadgets, ["--L", "--seed", "--trials", "--cap"]),
+    "ctpdep": (_suite_ctpdep, ["--n", "--m", "--cap"]),
+    "ctp-cert": (_suite_ctp_cert, ["--n", "--m"]),
+    "sensing": (_suite_sensing, ["--graph", "--k", "--alpha", "--cap"]),
+    "oracle": (_suite_oracle, ["--seed", "--cap"]),
 }
 
 
@@ -409,19 +413,12 @@ def _cmd_qbf(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.target == "sensing":
-        if not args.graph:
-            raise InvalidInstanceError(
-                "reduce sensing needs --graph")
-        vc = named_vc(args.graph, args.k if args.k is not None else 1)
-        alpha = as_fraction(args.alpha) if args.alpha else Fraction(1, 2)
-        instance, cert = vc_to_sensing(vc, alpha)
+        vc = named_vc(args.graph, args.k)
+        instance, cert = vc_to_sensing(vc, as_fraction(args.alpha))
         stem = args.graph
         summary = (f"eps {cert.eps} visit fee "
                    f"{render_rational(cert.C, args.precision)}")
     else:
-        if not args.formula:
-            raise InvalidInstanceError(
-                f"reduce {args.target} needs a QDIMACS file")
         formula = parse_qdimacs(Path(args.formula).read_text())
         stem = Path(args.formula).stem
         if args.target == "ctpdep":
@@ -449,6 +446,10 @@ def _cmd_gadget(args) -> int:
     if args.policy and (args.policy == "og_pi_g") != observing:
         raise InvalidInstanceError(
             f"policy {args.policy} does not walk the {args.kind} gadget")
+    if "rounds" in args.given and args.policy != "baiting_pi_j":
+        raise ValueError("gadget: --rounds needs --policy baiting_pi_j")
+    if not args.policy and args.given & {"policy_out", "precision"}:
+        raise ValueError("gadget: --policy-out and --precision need --policy")
     length = as_fraction(args.L)
     charge = as_fraction(args.charge) if args.charge else None
     fallback = as_fraction(args.fallback)
@@ -480,6 +481,9 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.policy and "cap" in args.given:
+        raise ValueError("solve: --cap does not apply to --policy, whose "
+                         f"pricing walk keeps its {BELIEF_CAP}-node cap")
     instance = load_instance(args.instance)
     if args.policy:
         policy = load_policy(args.policy, instance)
@@ -537,7 +541,7 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_verify(args) -> int:
     start = time.monotonic()
-    checks = list(_SUITES[args.suite](args))
+    checks = list(_SUITES[args.suite][0](args))
     if not checks:
         raise ValueError(f"suite {args.suite}: the filters select no check")
     elapsed = time.monotonic() - start
@@ -564,79 +568,108 @@ CAP_HELP = (f"most beliefs a solve's search may expand (default "
             f"of {BELIEF_CAP} nodes applies only when a tree is written")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input, in one line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+class _Given(argparse.Action):
+    """Stores an option and adds its dest to `given`, so that a command
+    can refuse the option on a path that does not read it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
+# the add_argument keywords of each option that a reduce target or verify
+# suite takes, or more than one command takes, by its flags
+_OPTIONS = {
+    "-o --out": {},
+    "--precision": {"type": int, "default": DEFAULT_PRECISION},
+    "--json": {"action": "store_true"},
+    "--cap": {"type": int, "default": BELIEF_CAP, "help": CAP_HELP},
+    "--L": {"help": "corridor length"},
+    "--h": {"help": "direct fee override"},
+    "--graph": {"help": "builtin graph name"},
+    "--k": {"type": int, "default": 1},
+    "--alpha": {"default": "1/2"},
+    "--n": {"type": int},
+    "--m": {"type": int},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--trials": {"type": int, "default": 4096},
+}
+
+
+def _command(sub, name: str, func, options, required=(), **kwargs):
+    """The parser of `name` under `sub`, run by `func`, with the `options`
+    of `_OPTIONS`; those in `required` must be given. No option is
+    abbreviated, so `--h` is no `--help` where `--h` is not taken."""
+    parser = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    parser.set_defaults(func=func)
+    for flags in options:
+        keywords = {"action": _Given, **_OPTIONS[flags]}
+        parser.add_argument(*flags.split(), required=flags in required,
+                            **keywords)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctplab",
         description="Exact laboratory for Canadian Traveler constructions.")
+    parser.set_defaults(given=frozenset())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_qbf = sub.add_parser("qbf", help="evaluate a QDIMACS game")
+    p_qbf = _command(sub, "qbf", _cmd_qbf, ["--json"],
+                     help="evaluate a QDIMACS game")
     p_qbf.add_argument("formula")
     p_qbf.add_argument("--cap", type=int, default=QBF_CAP)
-    p_qbf.add_argument("--json", action="store_true")
-    p_qbf.set_defaults(func=_cmd_qbf)
 
-    p_red = sub.add_parser("reduce", help="translate a game or a graph")
-    p_red.add_argument("target", choices=["ctpdep", "ctp", "sensing"])
-    p_red.add_argument("formula", nargs="?",
-                       help="QDIMACS file for ctpdep and ctp")
-    p_red.add_argument("-o", "--out")
-    p_red.add_argument("--h", help="direct fee override for ctpdep")
-    p_red.add_argument("--graph", help="builtin graph name")
-    p_red.add_argument("--k", type=int)
-    p_red.add_argument("--alpha")
-    p_red.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_red.set_defaults(func=_cmd_reduce)
+    targets = sub.add_parser("reduce", help="translate a game or a graph"
+                             ).add_subparsers(dest="target", required=True)
+    for target, options in (("ctpdep", ["--h"]), ("ctp", []),
+                            ("sensing", ["--graph", "--k", "--alpha"])):
+        p_red = _command(targets, target, _cmd_reduce,
+                         ["-o --out", "--precision", *options],
+                         required=["--graph"])
+        if target != "sensing":
+            p_red.add_argument("formula", help="QDIMACS file")
 
-    p_gad = sub.add_parser("gadget", help="materialize a gadget harness")
+    p_gad = _command(sub, "gadget", _cmd_gadget,
+                     ["--L", "-o --out", "--precision"], required=["--L"],
+                     help="materialize a gadget harness")
     p_gad.add_argument("kind", choices=["baiting", "observation"])
-    p_gad.add_argument("--L", required=True, help="corridor length")
     p_gad.add_argument("--charge")
     p_gad.add_argument("--fallback", default="1")
-    p_gad.add_argument("-o", "--out")
     p_gad.add_argument("--policy",
                        choices=["baiting_pi", "baiting_pi_j", "og_pi_g"])
-    p_gad.add_argument("--rounds", type=int, default=1)
-    p_gad.add_argument("--policy-out")
-    p_gad.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_gad.set_defaults(func=_cmd_gadget)
+    p_gad.add_argument("--rounds", type=int, default=1, action=_Given)
+    p_gad.add_argument("--policy-out", action=_Given)
 
-    p_sol = sub.add_parser("solve", help="solve or evaluate an instance")
+    p_sol = _command(sub, "solve", _cmd_solve,
+                     ["--cap", "--precision", "--json"],
+                     help="solve or evaluate an instance")
     p_sol.add_argument("instance")
     p_sol.add_argument("--policy", help="decision tree file to evaluate")
-    p_sol.add_argument("--cap", type=int, default=BELIEF_CAP,
-                       help=CAP_HELP)
-    p_sol.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_sol.add_argument("--json", action="store_true")
-    p_sol.set_defaults(func=_cmd_solve)
 
-    p_dot = sub.add_parser("export-dot", help="render as Graphviz text")
+    p_dot = _command(sub, "export-dot", _cmd_export_dot,
+                     ["-o --out", "--precision"],
+                     help="render as Graphviz text")
     p_dot.add_argument("instance")
-    p_dot.add_argument("-o", "--out")
-    p_dot.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_dot.set_defaults(func=_cmd_export_dot)
 
-    p_ver = sub.add_parser("verify", help="run a check suite")
-    p_ver.add_argument("suite", choices=sorted(_SUITES))
-    p_ver.add_argument("--L")
-    p_ver.add_argument("--n", type=int)
-    p_ver.add_argument("--m", type=int)
-    p_ver.add_argument("--graph", help="builtin graph name")
-    p_ver.add_argument("--k", type=int)
-    p_ver.add_argument("--alpha")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_ver.add_argument("--trials", type=int, default=4096)
-    p_ver.add_argument("--cap", type=int, default=BELIEF_CAP,
-                       help=CAP_HELP)
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=_cmd_verify)
+    suites = sub.add_parser("verify", help="run a check suite"
+                            ).add_subparsers(dest="suite", required=True)
+    for suite, (_, filters) in _SUITES.items():
+        _command(suites, suite, _cmd_verify, [*filters, "--json"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -64,6 +64,7 @@ from .model import (
     SplitMix64,
     Variant,
     Weather,
+    _require_keys,
     load_json,
     require_type,
     reveal_rule,
@@ -128,7 +129,7 @@ class Action:
 def action_from_dict(data: dict | None) -> Action | None:
     if data is None:
         return None
-    require_type(data, dict, "action")
+    _require_keys(data, {"kind", "edge"}, "action")
     return Action(ActionKind(data.get("kind")), data.get("edge"))
 
 
@@ -274,7 +275,7 @@ class DecisionTreePolicy(Policy):
         `instance`. A key or label that `to_json` writes for no belief or
         outcome on `instance` would never match: that node, child or root
         is left out."""
-        require_type(data, dict, "decision tree")
+        _require_keys(data, {"nodes", "root"}, "decision tree")
         vertices = frozenset(instance.vertices)
 
         def key(text) -> tuple[str, int, int] | None:
@@ -293,7 +294,7 @@ class DecisionTreePolicy(Policy):
         for text, raw in require_type(data.get("nodes"), dict,
                                       "decision tree nodes").items():
             where = f"decision tree node {text!r}"
-            raw = require_type(raw, dict, where)
+            _require_keys(raw, {"action", "children"}, where)
             children = require_type(raw.get("children", {}), dict,
                                     f"children of {where}")
             action = action_from_dict(raw.get("action"))

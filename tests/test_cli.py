@@ -303,6 +303,16 @@ class TestCommands:
         instance = load_instance(out)
         assert instance.sensing is not None
 
+    def test_reduce_sensing_defaults(self, tmp_path, capsys):
+        # --k 1 and --alpha 1/2 are the parser's defaults, spelled once
+        for name, extra in (("short", []), ("long", ["--k", "1", "--alpha",
+                                                     "1/2"])):
+            assert main(["reduce", "sensing", "--graph", "p3", *extra,
+                         "-o", str(tmp_path / f"{name}.json")]) == 0
+        for suffix in (".json", ".cert.json"):
+            assert ((tmp_path / f"short{suffix}").read_bytes()
+                    == (tmp_path / f"long{suffix}").read_bytes())
+
     def test_gadget_policy_flow(self, tmp_path, capsys):
         out = tmp_path / "bait.json"
         tree = tmp_path / "pi.json"
@@ -485,6 +495,38 @@ def near_qdimacs(draw):
 
 # nested past Python's recursion limit, which the JSON decoder obeys
 DEEP_JSON = "[" * 5000
+
+# the 43 (command, option) pairs that one flat parser for `reduce` and one
+# for `verify` accepted and no code read, and two more options read on
+# some paths only: each a command line that is valid without the option,
+# run next to game.qdimacs, bait.json and walker.json
+VALUES = {"--L": "2", "--n": "2", "--m": "1", "--graph": "p3", "--k": "1",
+          "--alpha": "1/2", "--seed": "5", "--trials": "64", "--cap": "1000",
+          "--h": "1/3"}
+UNREAD = [
+    *(["verify", suite, flag, VALUES[flag]]
+      for suite, flags in {
+          "gadgets": "--n --m --graph --k --alpha",
+          "ctpdep": "--L --graph --k --alpha --seed --trials",
+          "ctp-cert": "--L --graph --k --alpha --seed --trials --cap",
+          "sensing": "--L --n --m --seed --trials",
+          "oracle": "--L --n --m --graph --k --alpha --trials"}.items()
+      for flag in flags.split()),
+    *(["reduce", target, "game.qdimacs", flag, VALUES[flag]]
+      for target, flags in (("ctpdep", "--graph --k --alpha"),
+                            ("ctp", "--h --graph --k --alpha"))
+      for flag in flags.split()),
+    ["reduce", "sensing", "game.qdimacs", "--graph", "p3"],
+    ["reduce", "sensing", "--graph", "p3", "--h", "1/3"],
+    ["gadget", "baiting", "--L", "2", "--rounds", "3"],
+    ["gadget", "baiting", "--L", "2", "--policy-out", "walker.json"],
+    ["gadget", "baiting", "--L", "2", "--precision", "5"],
+    ["solve", "bait.json", "--policy", "walker.json", "--cap", "1"],
+    # read only with --policy baiting_pi_j, and only with trials to run
+    ["gadget", "baiting", "--L", "2", "--policy", "baiting_pi",
+     "--rounds", "3"],
+    ["verify", "gadgets", "--L", "2", "--trials", "0", "--seed", "5"],
+]
 
 
 class TestExitCodes:
@@ -846,8 +888,10 @@ class TestExitCodes:
             "error: unknown graph 'c4'; known: k3, p3\n")
 
     @pytest.mark.parametrize("command, message", [
-        (["reduce", "sensing"], "reduce sensing needs --graph"),
-        (["reduce", "ctp"], "reduce ctp needs a QDIMACS file"),
+        (["reduce", "sensing"], "ctplab reduce sensing: the following "
+                                "arguments are required: --graph"),
+        (["reduce", "ctp"], "ctplab reduce ctp: the following arguments "
+                            "are required: formula"),
     ], ids=["sensing-without-graph", "ctp-without-formula"])
     def test_reduce_without_its_input_is_input_error(self, command, message,
                                                      capsys):
@@ -883,9 +927,61 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
+        # a usage error is bad input: exit 2 and one line, no usage block.
+        # An option goes after the suite's name, which names its parser
+        for argv in (["verify", "nope"], ["verify", "--cap", "10", "sensing"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "error: ctplab verify: argument suite: invalid choice: ")
+            assert captured.err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["verify", "nope"])
-        assert info.value.code == 2
+            main(["verify", "sensing", "--help"])
+        assert info.value.code == 0
+        assert "--graph" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", UNREAD, ids=shlex.join)
+    def test_an_option_no_code_reads_is_refused(self, tmp_path, capsys,
+                                                monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "game.qdimacs").write_text(GAME)
+        assert main(["gadget", "baiting", "--L", "2", "-o", "bait.json",
+                     "--policy", "baiting_pi", "--policy-out",
+                     "walker.json"]) == 0
+        capsys.readouterr()
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert {path: path.read_bytes()
+                for path in tmp_path.iterdir()} == files
+
+    @pytest.mark.parametrize("level", ["top", "node", "action"])
+    def test_unknown_key_in_a_tree_is_input_error(self, tmp_path, capsys,
+                                                  level):
+        # each level of a tree file refuses a key it does not know, as an
+        # instance or a certificate file does
+        instance = tmp_path / "bait.json"
+        tree = tmp_path / "walker.json"
+        assert main(["gadget", "baiting", "--L", "2", "-o", str(instance),
+                     "--policy", "baiting_pi", "--policy-out",
+                     str(tree)]) == 0
+        capsys.readouterr()
+        data = json.loads(tree.read_text())
+        node = data["nodes"][data["root"]]
+        place = {"top": data, "node": node, "action": node["action"]}[level]
+        place["extra"] = 1
+        tree.write_text(json.dumps(data))
+        assert main(["solve", str(instance), "--policy", str(tree)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown keys ['extra'] in ")
+        assert captured.err.count("\n") == 1
 
 
 def _instance_documents():

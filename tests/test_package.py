@@ -388,11 +388,19 @@ TEST_ORACLES = {
                           "::test_cover_policy_matches_its_closed_form",
 }
 
+# Methods that no code of the package calls because a stdlib base class
+# calls them, so no scan of the package's source can see their caller:
+# the module and method, then the base class that calls it.
+STDLIB_HOOKS = {
+    "cli.py:error": "argparse.ArgumentParser, at every usage error",
+}
+
 
 def test_no_dead_code_in_src():
     # every name src/ctplab defines has a caller in the package or in the
     # benchmark, or is a test's oracle: a method one taken as an
-    # attribute. Dunder methods are called by Python itself.
+    # attribute. Dunder methods are called by Python itself, and each
+    # stdlib hook by its base class; a hook that is gone fails too.
     root = Path(__file__).parents[1]
     package = sorted((root / "src" / "ctplab").glob("*.py"))
     names: set[str] = set()
@@ -411,4 +419,4 @@ def test_no_dead_code_in_src():
                         ast.parse(path.read_text()))
                     if name not in (members if member else names)
                     and not (name.startswith("__") and name.endswith("__")))
-    assert unused == []
+    assert unused == sorted(STDLIB_HOOKS)
