@@ -107,7 +107,7 @@ GAME_BATTERY: tuple[tuple[QbfFormula, bool], ...] = (
 def _decimal(value: Fraction, precision: int) -> str:
     """`value` as a decimal with `precision` significant digits."""
     with localcontext() as ctx:
-        ctx.prec = max(1, precision)
+        ctx.prec = precision
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
@@ -220,7 +220,7 @@ def _holds(cid: str, condition: bool, detail: str = "") -> dict:
 
 def _suite_gadgets(args) -> Iterator[dict]:
     if "seed" in args.given and not args.trials:
-        raise ValueError("verify gadgets: --seed needs --trials above 0")
+        raise ValueError("ctplab verify gadgets: --seed needs --trials above 0")
     lengths = ([as_fraction(args.L)] if args.L
                else [Fraction(3, 2), Fraction(2)])
     for length in lengths:
@@ -447,9 +447,10 @@ def _cmd_gadget(args) -> int:
         raise InvalidInstanceError(
             f"policy {args.policy} does not walk the {args.kind} gadget")
     if "rounds" in args.given and args.policy != "baiting_pi_j":
-        raise ValueError("gadget: --rounds needs --policy baiting_pi_j")
+        raise ValueError("ctplab gadget: --rounds needs --policy baiting_pi_j")
     if not args.policy and args.given & {"policy_out", "precision"}:
-        raise ValueError("gadget: --policy-out and --precision need --policy")
+        raise ValueError(
+            "ctplab gadget: --policy-out and --precision need --policy")
     length = as_fraction(args.L)
     charge = as_fraction(args.charge) if args.charge else None
     fallback = as_fraction(args.fallback)
@@ -482,7 +483,7 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.policy and "cap" in args.given:
-        raise ValueError("solve: --cap does not apply to --policy, whose "
+        raise ValueError("ctplab solve: --cap does not apply to --policy, whose "
                          f"pricing walk keeps its {BELIEF_CAP}-node cap")
     instance = load_instance(args.instance)
     if args.policy:
@@ -569,7 +570,16 @@ CAP_HELP = (f"most beliefs a solve's search may expand (default "
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as bad input, in one line."""
+    """Reports a usage error as bad input, in one line that names the
+    command whose parser refused the arguments."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's unknown options up to the root
+        # parser, which would report them under its own name
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -584,11 +594,21 @@ class _Given(argparse.Action):
         namespace.given = {*getattr(namespace, "given", ()), self.dest}
 
 
+def _digits(text: str) -> int:
+    """A `--precision` value: a count of significant digits, at least 1."""
+    digits = int(text)
+    if digits < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a count of significant digits of at least 1, "
+            f"got {text!r}")
+    return digits
+
+
 # the add_argument keywords of each option that a reduce target or verify
 # suite takes, or more than one command takes, by its flags
 _OPTIONS = {
     "-o --out": {},
-    "--precision": {"type": int, "default": DEFAULT_PRECISION},
+    "--precision": {"type": _digits, "default": DEFAULT_PRECISION},
     "--json": {"action": "store_true"},
     "--cap": {"type": int, "default": BELIEF_CAP, "help": CAP_HELP},
     "--L": {"help": "corridor length"},

@@ -24,12 +24,14 @@ All arithmetic is exact: walks and the search add ints in units of 1/D
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -57,6 +59,29 @@ BELIEF_CAP = 200_000
 
 class InternalCheckError(RuntimeError):
     """A broken invariant (`ctplab` exit 1): a self-check failed."""
+
+
+@contextmanager
+def _gc_paused():
+    """Turns the cyclic garbage collector off for the body, if it was on.
+
+    A `with` block or a decorator (`@_gc_paused()`) for a body that
+    builds many objects and no reference cycle: CPython starts a
+    collection every few hundred allocations, and each rescans what the
+    body has built so far. No result changes, since only unreachable
+    cycles are ever collected, and the tests check that each paused call
+    leaves none behind. The switch is process-wide, so this assumes one
+    thread drives ctplab, as the CLI and the benchmark do. A collector
+    that was off (a nested pause, or the caller's choice) stays off, and
+    one that was on is turned back on however the body ends.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -1294,6 +1319,7 @@ def load_json(text: str):
         raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
 
 
+@_gc_paused()
 def instance_from_json(text: str) -> CtpInstance:
     return instance_from_dict(load_json(text))
 

@@ -51,6 +51,7 @@ from .model import (
     InternalCheckError,
     InvalidInstanceError,
     Variant,
+    _gc_paused,
     as_fraction,
     format_rational,
     load_json,
@@ -555,6 +556,7 @@ def reference_trip(formula: QbfFormula) -> tuple[str, ...]:
     return _game_graph(formula)[2]
 
 
+@_gc_paused()
 def _game_graph(formula: QbfFormula) -> tuple[
         CtpInstance, CtpReductionCertificate, tuple[str, ...]]:
     """The graph and certificate of `qbf_to_ctp`, plus the reference trip

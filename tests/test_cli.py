@@ -956,10 +956,27 @@ class TestExitCodes:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        # named after the command that refused it: a reduce target or a
+        # verify suite, or the command itself
+        command = argv[:2] if argv[0] in ("reduce", "verify") else argv[:1]
+        assert captured.err.startswith(f"error: ctplab {' '.join(command)}: ")
         assert captured.err.count("\n") == 1
         assert {path: path.read_bytes()
                 for path in tmp_path.iterdir()} == files
+
+    @pytest.mark.parametrize("digits", ["0", "-4"])
+    def test_precision_below_1_is_a_usage_error(self, tmp_path, capsys,
+                                                monkeypatch, digits):
+        # no rendering has fewer than one significant digit
+        monkeypatch.chdir(tmp_path)
+        assert main(["reduce", "sensing", "--graph", "p3",
+                     "--precision", digits]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ctplab reduce sensing: argument --precision: expected a "
+            f"count of significant digits of at least 1, got '{digits}'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("level", ["top", "node", "action"])
     def test_unknown_key_in_a_tree_is_input_error(self, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Model layer: costs, instances, joints, weathers, serialization."""
 
 import copy
+import gc
 import json
 import math
 import pickle
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ctplab.model as model_module
+import ctplab.reductions as reductions_module
 from ctplab.cli import GAME_BATTERY, random_disjoint_instance
 from ctplab.gadgets import baiting_harness, observation_harness
 from ctplab.model import (
@@ -982,3 +984,98 @@ def test_writer_refuses_a_cost_past_the_digit_limit():
             instance_to_json(inst)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def paused_calls() -> dict:
+    """Each entry point that pauses the collector, on a real input: the
+    function whose frames the pause covers, and the call."""
+    formula = QbfFormula.of(2, ((1,),))
+    text = instance_to_json(qbf_to_ctp(formula)[0])
+    return {
+        "qbf_to_ctp": (reductions_module._game_graph,
+                       lambda: qbf_to_ctp(formula)),
+        "instance_from_json": (instance_from_json,
+                               lambda: instance_from_json(text)),
+    }
+
+
+# each paused call made to raise on a bad argument
+RAISING_CALLS = {
+    "qbf_to_ctp": (InvalidInstanceError,
+                   lambda: qbf_to_ctp(QbfFormula.of(2, ()))),
+    "instance_from_json": (InvalidInstanceError,
+                           lambda: instance_from_json('{"variant": ')),
+}
+
+
+class TestCollectorPause:
+    """`model._gc_paused`: the large build and read run with the cyclic
+    collector off and leave it as they found it."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        return paused_calls()
+
+    @pytest.mark.parametrize("name", sorted(RAISING_CALLS))
+    def test_no_collection_inside_the_call(self, calls, name):
+        # a collection is inside the call when a frame of the paused body
+        # is on the stack as it starts; the one that may follow the
+        # call's last allocation once the collector is back on is not
+        body, call = calls[name]
+        code = getattr(body, "__wrapped__", body).__code__
+        inside = []
+
+        def hook(phase, info):
+            frame = sys._getframe(1) if phase == "start" else None
+            while frame is not None and frame.f_code is not code:
+                frame = frame.f_back
+            if frame is not None:
+                inside.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            call()
+        finally:
+            gc.callbacks.remove(hook)
+        assert inside == []
+
+    @pytest.mark.parametrize("name", sorted(RAISING_CALLS))
+    def test_collector_is_on_after_a_return_and_a_raise(self, calls, name):
+        assert gc.isenabled()
+        calls[name][1]()
+        assert gc.isenabled()
+        error, call = RAISING_CALLS[name]
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", sorted(RAISING_CALLS))
+    def test_collector_off_before_the_call_stays_off(self, calls, name):
+        error, raising = RAISING_CALLS[name]
+        gc.disable()
+        try:
+            calls[name][1]()
+            assert not gc.isenabled()
+            with pytest.raises(error):
+                raising()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", sorted(RAISING_CALLS))
+    def test_no_cycle_is_left_behind(self, calls, name):
+        # what makes the pause safe: the body leaves no garbage that only
+        # the collector could free, with its result held or dropped
+        gc.collect()
+        result = calls[name][1]()
+        assert gc.collect() == 0
+        del result
+        assert gc.collect() == 0
+
+    def test_a_nested_pause_keeps_the_outer_one(self):
+        with model_module._gc_paused():
+            with model_module._gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
