@@ -63,13 +63,13 @@ from .policy import (
     simulate,
 )
 from .reductions import (
+    _game_graph,
     certificate,
     has_vertex_cover,
     named_vc,
     normalize_half_prob,
     qbf_to_ctp,
     qbf_to_ctpdep,
-    reference_trip,
     vc_to_sensing,
 )
 from .solve import (
@@ -221,6 +221,10 @@ def _holds(cid: str, condition: bool, detail: str = "") -> dict:
 def _suite_gadgets(args) -> Iterator[dict]:
     if "seed" in args.given and not args.trials:
         raise ValueError("ctplab verify gadgets: --seed needs --trials above 0")
+    if args.trials < 2 and args.trials != 0:
+        # one trial has no standard error to band its mean
+        raise ValueError("ctplab verify gadgets: --trials must be 0 or at "
+                         f"least 2, got {args.trials}")
     lengths = ([as_fraction(args.L)] if args.L
                else [Fraction(3, 2), Fraction(2)])
     for length in lengths:
@@ -263,7 +267,7 @@ def _suite_gadgets(args) -> Iterator[dict]:
         target = float(forward_policy_cost(length, length))
         gap = abs(mean - target)
         yield _holds("simulated-mean-within-4-sigma",
-                     gap <= 4 * sem or sem == 0,
+                     gap <= 4 * sem,
                      f"mean {mean:.6f} target {target:.6f} sem {sem:.6f}")
 
 
@@ -305,11 +309,10 @@ def _suite_ctp_cert(args) -> Iterator[dict]:
     for n, m in ((2, 1), (2, 2), (4, 2)):
         if (n, m) not in sizes:
             continue
-        formula = QbfFormula.of(n, ((1,),) * m)
-        instance, cert = qbf_to_ctp(formula)
+        instance, cert, trip = _game_graph(QbfFormula.of(n, ((1,),) * m))
         position = instance.s
         total = Fraction(0)
-        for eid in reference_trip(formula):
+        for eid in trip:
             move = instance.moves_from(position).get(eid)
             if move is None:
                 position = None
@@ -594,23 +597,29 @@ class _Given(argparse.Action):
         namespace.given = {*getattr(namespace, "given", ()), self.dest}
 
 
-def _digits(text: str) -> int:
-    """A `--precision` value: a count of significant digits, at least 1."""
-    digits = int(text)
-    if digits < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a count of significant digits of at least 1, "
-            f"got {text!r}")
-    return digits
+def _count_of(what: str):
+    """The type of an option that counts `what`: an integer of at least 1,
+    as no rendering has fewer than 1 digit and no run fits a cap of 0."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected a count of {what} of at least 1, got {text!r}")
+        return value
+
+    return count
 
 
 # the add_argument keywords of each option that a reduce target or verify
 # suite takes, or more than one command takes, by its flags
 _OPTIONS = {
     "-o --out": {},
-    "--precision": {"type": _digits, "default": DEFAULT_PRECISION},
+    "--precision": {"type": _count_of("significant digits"),
+                    "default": DEFAULT_PRECISION},
     "--json": {"action": "store_true"},
-    "--cap": {"type": int, "default": BELIEF_CAP, "help": CAP_HELP},
+    "--cap": {"type": _count_of("beliefs"), "default": BELIEF_CAP,
+              "help": CAP_HELP},
     "--L": {"help": "corridor length"},
     "--h": {"help": "direct fee override"},
     "--graph": {"help": "builtin graph name"},
@@ -646,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qbf = _command(sub, "qbf", _cmd_qbf, ["--json"],
                      help="evaluate a QDIMACS game")
     p_qbf.add_argument("formula")
-    p_qbf.add_argument("--cap", type=int, default=QBF_CAP)
+    p_qbf.add_argument("--cap", type=_count_of("variables"), default=QBF_CAP)
 
     targets = sub.add_parser("reduce", help="translate a game or a graph"
                              ).add_subparsers(dest="target", required=True)

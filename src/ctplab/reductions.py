@@ -11,8 +11,7 @@ makes them checkable:
   statuses, assembled from baiting and observation gadgets plus a guards
   section and an exam section. `certificate` produces the closed-form cost
   ledger whose fee sandwich B0 < h < B1 separates the two outcomes, and
-  `reference_trip` returns the canonical everything-passes walk that the
-  D_pt entry of the ledger prices, as the ids the same build returned.
+  `_game_graph` also returns the everything-passes walk that D_pt prices.
 * `vc_to_sensing` recasts a vertex-cover decision as a sensing walk in
   which buying remote coin statuses beats the default route exactly when
   a small cover exists.
@@ -228,11 +227,6 @@ class DepLayout:
         return {row[0]: k for k, row in enumerate(self.rows)}
 
 
-def dep_layout(formula: QbfFormula) -> DepLayout:
-    """The layout of the graph `qbf_to_ctpdep` builds on this formula."""
-    return _dep_game(formula, None)[2]
-
-
 def qbf_to_ctpdep(formula: QbfFormula,
                   h: Fraction | int | str | None = None,
                   ) -> tuple[CtpInstance, Fraction]:
@@ -243,8 +237,8 @@ def qbf_to_ctpdep(formula: QbfFormula,
     least 2^-(u+1) in expectation when the game is unwinnable, so h must
     lie strictly between 0 and that bound; the default is 2^-(u+2). A
     winnable game is walked for free, which makes the enter edge the
-    unique optimal first move exactly when a winning plan exists. The
-    same build records `dep_layout`.
+    unique optimal first move exactly when a winning plan exists.
+    `_dep_game` also returns the walker's `DepLayout`.
     """
     instance, fee, _ = _dep_game(formula, h)
     return instance, fee
@@ -349,7 +343,7 @@ def assignment_walk_policy(formula: QbfFormula) -> AssignmentWalkPolicy:
     if plan is None:
         raise InvalidInstanceError(
             "the game has no winning plan, so there is no free walk")
-    return AssignmentWalkPolicy(dep_layout(formula), plan)
+    return AssignmentWalkPolicy(_dep_game(formula, None)[2], plan)
 
 
 @dataclass(frozen=True)
@@ -538,29 +532,21 @@ def qbf_to_ctp(formula: QbfFormula,
     lands on the fifth vertex of that clause's exam row exactly when the
     matching literal sits in the clause. The guard corridors thread the
     second vertex of every exam row, and their final junction pays a unit
-    edge into the exam entrance. The same build records `reference_trip`.
+    edge into the exam entrance. `_game_graph` also returns its trip.
     """
     instance, cert, _ = _game_graph(formula)
     return instance, cert
 
 
-def reference_trip(formula: QbfFormula) -> tuple[str, ...]:
-    """Edge ids of the everything-passes walk, start vertex to exam entrance.
-
-    The walk takes the true side of every variable row, runs the full
-    loop of each observation gadget, crosses every corridor end to end,
-    and stops at the exam entrance. Its total cost is the D_pt entry of
-    the certificate for the same formula. The ids are the ones that
-    building the graph of `qbf_to_ctp` returned along the way.
-    """
-    return _game_graph(formula)[2]
-
-
 @_gc_paused()
 def _game_graph(formula: QbfFormula) -> tuple[
         CtpInstance, CtpReductionCertificate, tuple[str, ...]]:
-    """The graph and certificate of `qbf_to_ctp`, plus the reference trip
-    read off the edge ids the builder and the gadgets return."""
+    """The graph and certificate of `qbf_to_ctp`, plus the reference trip:
+    the everything-passes walk from s to the exam entrance, which takes
+    the true side of every variable row, runs the full loop of each
+    observation gadget and crosses every corridor end to end. Its ids are
+    the ones the builders returned, and its cost is the certificate's
+    D_pt."""
     if formula.m == 0:
         raise InvalidInstanceError("the exam needs at least one clause")
     n, m = formula.n, formula.m
@@ -1005,12 +991,10 @@ __all__ = [
     "VcInstance",
     "assignment_walk_policy",
     "certificate",
-    "dep_layout",
     "has_vertex_cover",
     "named_vc",
     "normalize_half_prob",
     "qbf_to_ctp",
     "qbf_to_ctpdep",
-    "reference_trip",
     "vc_to_sensing",
 ]

@@ -18,12 +18,11 @@ from ctplab.gadgets import (
 from ctplab.model import Cost, SplitMix64
 from ctplab.policy import Action, evaluate_exact, reference_policy, simulate
 from ctplab.reductions import (
+    _game_graph,
     certificate,
     named_vc,
     normalize_half_prob,
-    qbf_to_ctp,
     qbf_to_ctpdep,
-    reference_trip,
     vc_to_sensing,
 )
 from ctplab.solve import (
@@ -111,13 +110,12 @@ def test_c06_reference_trip_prices_the_ledger():
     exactly D_pt at the three anchor sizes."""
     frozen = {(2, 1): 331, (2, 2): 777, (4, 2): 1457}
     for (n, m), price in frozen.items():
-        formula = QbfFormula.of(n, ((1,),) * m)
-        instance, cert = qbf_to_ctp(formula)
+        instance, cert, trip = _game_graph(QbfFormula.of(n, ((1,),) * m))
         assert cert.D_pt == price
         edges = {e.id: e for e in instance.edges}
         position = instance.s
         total = F(0)
-        for eid in reference_trip(formula):
+        for eid in trip:
             edge = edges[eid]
             assert position in (edge.tail, edge.head)
             position = edge.head if position == edge.tail else edge.tail

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import ctplab.model as model_module
 import ctplab.policy as policy_module
+import ctplab.reductions as reductions_module
 from ctplab.cli import (
     GAME_BATTERY,
     instance_to_dot,
@@ -46,6 +47,7 @@ from ctplab.policy import DecisionTreePolicy
 from ctplab.reductions import (
     CtpReductionCertificate,
     SensingCertificate,
+    _game_graph,
     certificate,
     named_vc,
     qbf_to_ctpdep,
@@ -437,6 +439,26 @@ class TestCommands:
         assert data["suite"] == "ctp-cert"
         assert data["passed"] is True
         assert {c["status"] for c in data["checks"]} == {"pass"}
+
+    @pytest.mark.parametrize("filters, sizes", [
+        (["--n", "2", "--m", "1"], [(2, 1)]),
+        ([], [(2, 1), (2, 2), (4, 2)])])
+    def test_ctp_cert_builds_each_size_once(self, monkeypatch, capsys,
+                                            filters, sizes):
+        # the trip the suite walks is the one of the graph it built; a
+        # build counts whether the suite reaches it by name or through
+        # qbf_to_ctp
+        built = []
+
+        def counted(formula):
+            built.append((formula.n, formula.m))
+            return _game_graph(formula)
+
+        monkeypatch.setattr(reductions_module, "_game_graph", counted)
+        monkeypatch.setattr("ctplab.cli._game_graph", counted, raising=False)
+        assert main(["verify", "ctp-cert", *filters]) == 0
+        capsys.readouterr()
+        assert built == sizes
 
     # SHA-256 of the exit code, a newline and the stdout, the elapsed time
     # masked, of each suite under cheap filters, in text and in JSON
@@ -847,12 +869,17 @@ class TestExitCodes:
         out = tmp_path / "dep.json"
         main(["reduce", "ctpdep", str(game_file), "-o", str(out)])
         capsys.readouterr()
-        assert main(["solve", str(out), "--cap", "0"]) == 3
+        # 0 is refused as no cap at all, and the least cap, 1, is kept
+        assert main(["solve", str(out), "--cap", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ctplab solve: argument --cap: expected a count of "
+            "beliefs of at least 1, got '0'\n")
+        assert main(["solve", str(out), "--cap", "1"]) == 3
         err = capsys.readouterr().err
-        assert "beliefs exceed the cap of 0" in err
+        assert "beliefs exceed the cap of 1" in err
         assert err.count("\n") == 1
-        assert main(["verify", "ctpdep", "--n", "2", "--cap", "0"]) == 3
-        assert "beliefs exceed the cap of 0" in capsys.readouterr().err
+        assert main(["verify", "ctpdep", "--n", "2", "--cap", "1"]) == 3
+        assert "beliefs exceed the cap of 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["gadgets", "sensing", "oracle"])
     def test_verify_solves_under_its_cap(self, suite, capsys):
@@ -977,6 +1004,43 @@ class TestExitCodes:
             "error: ctplab reduce sensing: argument --precision: expected a "
             f"count of significant digits of at least 1, got '{digits}'\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "bait.json"], ["qbf", "game.qdimacs"],
+        *(["verify", suite]
+          for suite in ("gadgets", "ctpdep", "sensing", "oracle"))],
+        ids=shlex.join)
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_1_is_a_usage_error(self, tmp_path, capsys,
+                                          monkeypatch, argv, cap):
+        # no run finishes under such a cap, so it is bad input, refused
+        # before anything is read, built or solved. qbf caps variables
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "game.qdimacs").write_text(GAME)
+        assert main(["gadget", "baiting", "--L", "2", "-o", "bait.json"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("ctplab.cli.solve", None)
+        monkeypatch.setattr("ctplab.cli.qbf_eval", None)
+        assert main([*argv, "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        command = argv if argv[0] == "verify" else argv[:1]
+        what = "variables" if argv[0] == "qbf" else "beliefs"
+        assert captured.err == (
+            f"error: ctplab {' '.join(command)}: argument --cap: expected a "
+            f"count of {what} of at least 1, got '{cap}'\n")
+
+    @pytest.mark.parametrize("trials", ["1", "-3"])
+    def test_trials_without_a_standard_error_is_a_usage_error(
+            self, capsys, monkeypatch, trials):
+        # one trial's mean has no spread to band, so the 4-sigma row
+        # would pass without checking anything
+        monkeypatch.setattr("ctplab.cli.solve", None)
+        assert main(["verify", "gadgets", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ctplab verify gadgets: --trials must "
+                                f"be 0 or at least 2, got {trials}\n")
 
     @pytest.mark.parametrize("level", ["top", "node", "action"])
     def test_unknown_key_in_a_tree_is_input_error(self, tmp_path, capsys,

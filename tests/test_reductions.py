@@ -22,15 +22,15 @@ from ctplab.reductions import (
     CtpReductionCertificate,
     SensingCertificate,
     VcInstance,
+    _dep_game,
+    _game_graph,
     assignment_walk_policy,
     certificate,
-    dep_layout,
     has_vertex_cover,
     named_vc,
     normalize_half_prob,
     qbf_to_ctp,
     qbf_to_ctpdep,
-    reference_trip,
     vc_to_sensing,
 )
 from ctplab.solve import QbfFormula, qbf_eval, solve
@@ -66,16 +66,16 @@ class TestDepLayout:
             assert len(instance.edges) == 2 + n * (4 * m + 3) + 8
 
     def test_clause_members_follow_literal_sides(self):
-        layout = dep_layout(QbfFormula.of(2, ((1, -2),)))
+        _, _, layout = _dep_game(QbfFormula.of(2, ((1, -2),)), None)
         assert layout.clause_members == (("x1.obs.t1", "x2.obs.f1"),)
 
     def test_duplicate_literals_share_one_slot(self):
-        layout = dep_layout(QbfFormula.of(2, ((1, 1),)))
+        _, _, layout = _dep_game(QbfFormula.of(2, ((1, 1),)), None)
         assert layout.clause_members == (("x1.obs.t1",),)
 
     def test_needs_a_clause(self):
         with pytest.raises(InvalidInstanceError):
-            dep_layout(QbfFormula.of(2, ()))
+            _dep_game(QbfFormula.of(2, ()), None)
 
 
 class TestDependentGame:
@@ -84,8 +84,7 @@ class TestDependentGame:
         assert {e.block_p for e in instance.edges if e.uncertain} == {F(1, 2)}
 
     def test_weather_correlations(self):
-        instance, _ = qbf_to_ctpdep(SAT_TWO)
-        layout = dep_layout(SAT_TWO)
+        instance, _, layout = _dep_game(SAT_TWO, None)
         support = weather_support(instance)
         assert len(support) == 128
         assert sum(prob for _, prob in support) == 1
@@ -271,14 +270,13 @@ class TestUndirectedGame:
         assert chances == {F(1, 2), F(3, 4), cert.p1}
 
     def test_reference_trip_prices_the_certificate(self):
-        instance, cert = qbf_to_ctp(SAT_SMALL)
-        end, total = walk_cost(instance, reference_trip(SAT_SMALL))
+        instance, cert, trip = _game_graph(SAT_SMALL)
+        end, total = walk_cost(instance, trip)
         assert end == "exam.r0"
         assert total == cert.D_pt
 
     def test_odd_variable_count_pads_with_an_existential(self):
-        formula = QbfFormula.of(1, ((1,),))
-        instance, cert = qbf_to_ctp(formula)
+        instance, cert, trip = _game_graph(QbfFormula.of(1, ((1,),)))
         assert cert.provenance["padded"] is True
         assert cert.provenance["source_variables"] == 1
         assert cert.n == 2
@@ -286,7 +284,7 @@ class TestUndirectedGame:
         edges = {e.id: e for e in instance.edges}
         assert edges["x2.true"].block_p == 0
         assert edges["x1.true"].block_p == F(1, 2)
-        end, total = walk_cost(instance, reference_trip(formula))
+        end, total = walk_cost(instance, trip)
         assert end == "exam.r0"
         assert total == cert.D_pt
 
@@ -485,7 +483,7 @@ class TestSensing:
 class TestLayoutGeometry:
     def test_observation_chain_lengths_in_trip(self):
         formula = SAT_SMALL
-        trip = reference_trip(formula)
+        trip = _game_graph(formula)[2]
         length = F(8 * formula.m + 16)
         per_loop = 2 * (section_count(length) + 1)
         per_loop += section_count(second_chain_length(length)) + 1
@@ -512,6 +510,6 @@ class TestLayoutGeometry:
          "bb3ea378654b693f6d6ffb6f92de1dd7d533973d62e50887838963cff15b21f7"),
     ])
     def test_reference_trip_is_pinned(self, n, clauses, length, digest):
-        trip = reference_trip(QbfFormula.of(n, clauses))
+        trip = _game_graph(QbfFormula.of(n, clauses))[2]
         assert len(trip) == length
         assert hashlib.sha256("\n".join(trip).encode()).hexdigest() == digest
