@@ -525,6 +525,8 @@ class JointModel:
     def touched(self, mask: int) -> list[ComponentTable]:
         """The components that set a bit of `mask`, in model order."""
         at = self._component_at
+        if not mask & (mask - 1):  # one bit, or none: one lookup
+            return [self.components[at[mask]]] if mask else []
         return [self.components[i]
                 for i in sorted({at[bit] for bit in _low_bits(mask)})]
 
@@ -555,15 +557,20 @@ class JointModel:
                 raise InternalCheckError(
                     "revealed statuses are inconsistent in the component "
                     f"of mask {comp.mask:#x}")
-            factors.append([(key, picks ^ key, w) for key, w in sorted(
-                proj.items(), key=_by_flags(list(_low_bits(picks))))])
+            if picks & (picks - 1):
+                factors.append([(key, picks ^ key, w) for key, w in sorted(
+                    proj.items(), key=_by_flags(list(_low_bits(picks))))])
+            else:  # one fresh bit: blocked, then open, with no sort
+                factors.append([(key, picks ^ key, proj[key])
+                                for key in (0, picks) if key in proj])
         size = math.prod(map(len, factors))
         if size > BELIEF_CAP:
             raise EnumerationCapError(
                 f"{size} outcomes of one observation exceed the cap of "
                 f"{BELIEF_CAP}")
-        partial = [(0, 0, 1)]
-        for outcomes in factors:
+        # the first factor starts the product: one component multiplies none
+        partial, *rest = factors or [[(0, 0, 1)]]
+        for outcomes in rest:
             partial = [(got | add, shut | more, wa * wb)
                        for got, shut, wa in partial
                        for add, more, wb in outcomes]
@@ -764,13 +771,14 @@ class CtpInstance:
         """`joint.branch(opened, blocked, fresh)`, memoized: the rows
         (opened, blocked, weight, total) over the edges of mask `fresh`.
 
-        `tables` memoizes the rows for one caller: `tables[fresh]` holds
-        the mask of the dependency components `fresh` touches and the
-        rows by (opened, blocked) restricted to it. `branch` reads nothing
-        else, as the components are independent (the factored model of
-        Papadimitriou & Yannakakis, TCS 1991), so a hit returns exactly
-        what a fresh call would, and a miss passes its key straight to
-        `branch`. The rows are never mutated.
+        `tables` memoizes the rows for the callers that share it (a
+        solve's search and its self-check, or one pricing walk):
+        `tables[fresh]` holds the mask of the dependency components
+        `fresh` touches and the rows by (opened, blocked) restricted to
+        it. `branch` reads nothing else, as the components are
+        independent (the factored model of Papadimitriou & Yannakakis,
+        TCS 1991), so a hit returns exactly what a fresh call would, and a
+        miss passes its key straight to `branch`. No rows are mutated.
         """
         memo = tables.get(fresh)
         if memo is None:

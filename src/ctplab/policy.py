@@ -17,9 +17,10 @@ independent oracle that the walk is checked against. The one explicit
 policy, `DecisionTreePolicy`, holds one node per graph node under its
 key (`export_keyed_graph`); a graph keyed by the search's keys is
 unrolled into a tree only when `to_json` writes it. The walk keeps its
-branch tables from `CtpInstance.outcomes` only until it ends, and writes
-no text: nodes are keyed by a belief's masks. Text is written only at
-the edges, in `to_json`, `describe_belief` and error messages.
+branch tables from `CtpInstance.outcomes` only until it ends, or reads
+the search's when `solve` passes them, and writes no text: nodes are
+keyed by a belief's masks. Text is written only at the edges, in
+`to_json`, `describe_belief` and error messages.
 
 Every walk starts by seeing the uncertain edges at s; after that each step
 obeys the solver's move rule: `CtpInstance.moves_from` (read as one
@@ -543,6 +544,7 @@ def _past_cap(form: str) -> str:  # "tree", or "graph" of search keys
 def price_keyed_graph(instance: CtpInstance,
                       key: Callable[[int, int, str], tuple],
                       choose: Callable[..., Action | None],
+                      tables: dict | None = None,
                       ) -> tuple[Cost, list[list], int, int]:
     """Price a policy that decides by a key of the belief, one graph node
     per key: the price, the graph, the number of leaves of the tree it
@@ -562,11 +564,14 @@ def price_keyed_graph(instance: CtpInstance,
     The walk goes depth first over the first belief of each key, the
     outcomes of a step in the model's order, and builds its node with one
     `choose`, one `_step` and, on a reveal, one `CtpInstance.outcomes`
-    call; a belief whose key is built already is skipped. The root's
-    chance node, where s shows something, is one node too. A node is
-    finished once every node below it is, and then counts its subtree: 1
-    plus its children's nodes, and the sum of its children's leaves, or 1
-    leaf if it has no children.
+    call; a belief whose key is built already is skipped. `tables` holds
+    the branch tables of that call, a fresh dict by default; `solve`
+    passes its search's, which hold every table its policy reveals
+    under, so the walk builds none. The root's chance node, where s
+    shows something, is one node too. A node is finished once every node
+    below it is, and then counts its subtree: 1 plus its children's
+    nodes, and the sum of its children's leaves, or 1 leaf if it has no
+    children.
 
     Local checks, which read only the instance, make the graph's price
     the price of the tree it unrolls to. At each node the move's bit, the
@@ -590,7 +595,7 @@ def price_keyed_graph(instance: CtpInstance,
     """
     s, mass = instance.s, instance.joint.scale
     every = (1 << len(instance.bits)) - 1
-    tables: dict = {}
+    tables = {} if tables is None else tables
     # key -> its node, made when a built node first names the key as a
     # child. The weight is _NEW until the node is built and None until
     # every node below it is finished
@@ -697,11 +702,13 @@ def price_keyed_graph(instance: CtpInstance,
 def export_keyed_graph(instance: CtpInstance,
                        key: Callable[[int, int, str], tuple],
                        choose: Callable[..., Action | None],
+                       tables: dict | None = None,
                        ) -> tuple[Cost, DecisionTreePolicy, int]:
     """The price of a policy that decides by a key of the belief
-    (`price_keyed_graph`), the policy as one `TreeNode` per graph node
-    under its key, and the number of nodes of the tree it unrolls to."""
-    price, graph, _, size = price_keyed_graph(instance, key, choose)
+    (`price_keyed_graph`, which reads and fills `tables`), the policy as
+    one `TreeNode` per graph node under its key, and the number of nodes
+    of the tree it unrolls to."""
+    price, graph, _, size = price_keyed_graph(instance, key, choose, tables)
     root, nodes = graph[0][0], {}
     graph.reverse()
     while graph:  # root first; a graph node is freed once it is written

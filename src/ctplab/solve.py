@@ -22,9 +22,11 @@ graph in integer chances of its own and counts the nodes of the tree it
 unrolls to. The policy is that graph; its tree is unrolled only when
 `to_json` writes it. The walk reads Z (below) from the joint model and
 D from the instance, where a wrong Z or D either raises a remainder or
-cancels, so the check shares no search table. The export only reads
-the search (`_Solver.choose`); where an outcome at s strands the walker
-and stops the root sum, `solve` solves the other outcomes at s itself.
+cancels. It reads the search's branch tables, pure functions of the
+joint model, so its independence lies in its walk, its cut checks and
+its weights. The export only reads the search (`_Solver.choose`);
+where an outcome at s strands the walker and stops the root sum,
+`solve` solves the other outcomes at s itself.
 
 Revealing steps are priced lazily. Each enters its stratum's Dijkstra
 keyed by its price plus the free-space distance to t from where it
@@ -58,9 +60,10 @@ int weights over one total, so an outcome's share of M(K) is one exact
 division (`model.times`, the package's only one). One heap's keys share
 a positive scale, so pops, ties and choices are the rationals', and a
 branch's value is an int sum; `math.inf` marks a step that may strand.
-Branch tables come from `CtpInstance.outcomes`, kept for one solve: game
-5 of the ctpdep battery prices 206 revealing steps from 75 tables and
-resumes 22 sums.
+Branch tables come from `CtpInstance.outcomes`, kept for one solve and
+read by its self-check: game 5 of the ctpdep battery prices 206
+revealing steps from 75 tables and resumes 22 sums, and the check asks
+for no table more.
 
 A patch is cached under a key that forgets what its walks cannot use
 (`_cut_key`): the masks cut down to `_reach` of its start, the bits a
@@ -132,12 +135,13 @@ class SolveStats:
     A revealing step is evaluated when first priced and skipped if never
     priced; `boundary_repriced` counts the pops that resume an unfinished
     sum. `branch_tables` counts the distinct branch tables the search asked
-    `JointModel.branch` for, `regions` the strata patches it solved,
-    `region_hits` the search's lookups that found one solved and
-    `shared_hits` those of them answered by a patch solved in another
-    stratum (`_cut_key`). `graph_nodes` counts the nodes of the returned
-    policy, one per key, and `tree_nodes` those of the tree it unrolls
-    to, counted from the graph (for the index rule both count its tree).
+    `JointModel.branch` for, which the export reads and adds none to,
+    `regions` the strata patches it solved, `region_hits` the search's
+    lookups that found one solved and `shared_hits` those of them
+    answered by a patch solved in another stratum (`_cut_key`).
+    `graph_nodes` counts the nodes of the returned policy, one per key,
+    and `tree_nodes` those of the tree it unrolls to, counted from the
+    graph (for the index rule both count its tree).
     `search_s` and `export_s` are the wall seconds `solve` spent in the
     search, every patch solve, and in the export with its self-check,
     which solves none; they vary from run to run, so equality ignores
@@ -507,18 +511,17 @@ def solve(instance: CtpInstance, belief_cap: int = BELIEF_CAP) -> OptResult:
             "knowledge strata nest deeper than the recursion limit of "
             f"{sys.getrecursionlimit()}") from None
     expected = _cost(value, mass * solver.denominator)
+    branch_tables = sum(len(rows) for _, rows in solver.tables.values())
     searched = time.perf_counter()
-    priced, policy, tree_nodes = export_keyed_graph(instance, solver.key,
-                                                    solver.choose)
+    priced, policy, tree_nodes = export_keyed_graph(
+        instance, solver.key, solver.choose, solver.tables)
     if priced != expected:
         raise InternalCheckError(
             f"solver value {expected} but its policy prices {priced}")
     return OptResult(expected, _first_action(policy), policy,
                      SolveStats(solver.expanded, solver.evaluated,
                                 solver.steps - solver.evaluated,
-                                solver.repriced,
-                                sum(len(rows) for _, rows in
-                                    solver.tables.values()),
+                                solver.repriced, branch_tables,
                                 solver.regions, solver.region_hits,
                                 solver.shared_hits, tree_nodes,
                                 len(policy.nodes), searched - began,

@@ -336,7 +336,8 @@ def walked_solve(instance: CtpInstance, belief_cap: int = S.BELIEF_CAP,
     """`solve(instance, belief_cap)`, then `walked_tree` of the choices of
     the solver whose keys that solve wrote its graph by."""
     return _walked(S.solve, "export_keyed_graph",
-                   lambda instance, key, choose: KeyedChoices(key, choose),
+                   lambda instance, key, choose, tables: KeyedChoices(
+                       key, choose),
                    instance, belief_cap)
 
 

@@ -707,6 +707,14 @@ class TestBranchByWeathers:
             want = branch_by_weathers(support, opened, blocked, fresh)
             assert len(got) == len(want)
             assert {(o, b): Fraction(w, t) for o, b, w, t in got} == want
+            # the documented order: components in model order, and within
+            # one its outcomes by open flags over its fresh bits, lowest
+            # bit first, blocked before open
+            flags = [bit for comp in inst.joint.components for bit in
+                     (1 << i for i in range(width)) if fresh & comp.mask & bit]
+            rows = [(o, b) for o, b, _, _ in got]
+            assert rows == sorted(rows, key=lambda row: [
+                row[0] & bit != 0 for bit in flags])
             # one total per call, positive weights that sum to it
             (total,) = {t for _, _, _, t in got}
             assert all(w > 0 for _, _, w, _ in got)

@@ -146,8 +146,8 @@ class TestSolveIndependent:
     def test_self_check_failure_raises(self, monkeypatch):
         exported = S.export_keyed_graph
 
-        def skewed(instance, key, choose):
-            value, *rest = exported(instance, key, choose)
+        def skewed(instance, key, choose, tables):
+            value, *rest = exported(instance, key, choose, tables)
             return Cost.of(value.fraction + 1), *rest
 
         monkeypatch.setattr(S, "export_keyed_graph", skewed)
@@ -1556,6 +1556,38 @@ class TestBranchMemo:
                                         mass)
             assert again == first
             assert tables_copy(solver.tables) == tables
+
+    def test_the_export_asks_for_no_table(self):
+        # the self-check prices from the search's tables: a solve asks the
+        # model once per table it counts, and never inside the export
+        instances = perfbench_solve_inputs()
+        instances.update((name, build()) for name, build in
+                         FROZEN_BUILDS.items())
+        assert set(FROZEN_SOLVES) <= set(instances)
+        branch, export = JointModel.branch, S.export_keyed_graph
+        exporting, calls = [], []
+
+        def counted(self, *args):
+            calls.append(bool(exporting))
+            return branch(self, *args)
+
+        def exported(*args):
+            exporting.append(True)
+            try:
+                return export(*args)
+            finally:
+                exporting.clear()
+
+        got, want = {}, {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(JointModel, "branch", counted)
+            patch.setattr(S, "export_keyed_graph", exported)
+            for label, instance in instances.items():
+                calls.clear()
+                stats = solve(instance).stats
+                got[label] = (len(calls), sum(calls))
+                want[label] = (stats.branch_tables, 0)
+        assert got == want
 
     @pytest.mark.parametrize("k", range(len(GAME_BATTERY)))
     def test_masks_round_trip(self, k):
