@@ -44,11 +44,14 @@ window (Partial Expansion A*, Yoshizumi, Miura & Ishida, AAAI 2000):
 once its exact outcomes so far and the bound on the rest pass it, the sum
 stops and the step goes back, still lazy and under the same rank, edge
 id and tiebreak, keyed by that partial sum, a lower bound strictly above
-its old key. A later pop resumes the sum, reading the finished outcomes
-from the region cache. The window is strict, so ties are priced and
-settled by rank, edge id and tiebreak as before. Every patch is solved in
-full, so a cached patch answers every lookup of its key exactly, and no
-patch is solved twice under one key.
+its old key. The entry keeps the paused sum's state, and a later pop
+resumes it from the next outcome: the entry pops as the least key, so
+its new window is no smaller than the sum it stopped at, and a sum from
+the first outcome would price the same ints in the same order. The
+window is strict, so ties are priced and settled by rank, edge id and
+tiebreak as before. Every patch is solved in full, so a cached patch
+answers every lookup of its key exactly, and no patch is solved twice
+under one key.
 
 A stratum K is the (opened, blocked) masks of a `Belief`, over the bits
 of `CtpInstance.bits`, and holds each value as the int M(K)·D·value:
@@ -79,12 +82,13 @@ the M(K) it was solved at. A lookup from a stratum K' of another mass
 rescales the start's value by M(K')/M(K), exactly (a remainder raises
 `InternalCheckError`). Where every vertex but t reaches every bit, as on
 every independent and sensing input the benchmark solves, the key is the
-whole masks, built with no call: a solved patch is stored under the keys
-of all its positions in one call (`keys`), and `key` is called only for
-a start in `keyed`. At t, where a walk ends, it keeps none, so every
-belief at t shares one graph node. The reach, the move and sense tables
-and the free-space bound, each in units of 1/D, are built on the first
-solve of an instance and kept while it lives (`_static`).
+whole masks, built with no call. The cache holds one entry per stratum,
+the masks part of a key mapped to each position's patch, and `key` is
+called only for a position in `keyed`. At t, where a walk ends, it
+keeps none, so every belief at t shares one graph node. The reach, the
+move and sense tables and the free-space bound, each in units of 1/D,
+are built on the first solve of an instance and kept while it lives
+(`_static`).
 `beliefs_expanded` counts the positions of the patches solved, so a
 patch that strata share counts once, though the unrolled tree holds it
 once for each: game 5 expands 319 beliefs (18,548 with every patch
@@ -103,6 +107,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .model import (
@@ -137,8 +142,9 @@ class SolveStats:
     sum. `branch_tables` counts the distinct branch tables the search asked
     `JointModel.branch` for, which the export reads and adds none to,
     `regions` the strata patches it solved, `region_hits` the search's
-    lookups that found one solved and `shared_hits` those of them
-    answered by a patch solved in another stratum (`_cut_key`).
+    lookups that found one solved (a resumed sum reads none of its
+    finished outcomes again) and `shared_hits` those of them answered by
+    a patch solved in another stratum (`_cut_key`).
     `graph_nodes` counts the nodes of the returned policy, one per key,
     and `tree_nodes` those of the tree it unrolls to, counted from the
     graph (for the index rule both count its tree).
@@ -188,16 +194,19 @@ class _Solver:
         self.regions = self.region_hits = self.shared_hits = 0
         (self.denominator, self.total_mass, self.bound, self.moves,
          self.senses, self.keyed) = _static(instance)
-        self.key, self.keys = _cut_key(instance, self.keyed)
-        self._regions: dict[tuple, tuple] = {}
+        self.key = _cut_key(instance, self.keyed)
+        # the masks part of a key -> {position: its patch}
+        self._regions: dict[tuple, dict[str, tuple]] = {}
         self.tables: dict = {}  # branch tables, for `CtpInstance.outcomes`
 
     def choose(self, key: tuple, opened: int, blocked: int,
                position: str) -> Action | None:
         """The choice at a belief of cache key `key` in the patch the search
-        solved: one lookup, which the search's counters leave out. The
-        export never extends the search, so a miss raises an error."""
-        patch = self._regions.get(key)
+        solved, read from the map of the key's masks part; the search's
+        counters leave it out. The export never extends the search, so a
+        miss raises an error."""
+        patches = self._regions.get(key[1:])
+        patch = None if patches is None else patches.get(position)
         if patch is None:
             raise InternalCheckError(
                 f"the export reached a belief at {position} that the search "
@@ -206,94 +215,103 @@ class _Solver:
 
     def branch_value(self, opened: int, blocked: int, fresh: int,
                      position: str, mass: int,
-                     window: int | float = math.inf
-                     ) -> tuple[int | float, bool]:
+                     window: int | float = math.inf,
+                     paused: tuple | None = None
+                     ) -> tuple[int | float, tuple | None]:
         """Value once `fresh` is revealed on arrival, in the masks' scale,
-        `mass` their M(K), and whether the sum is finished; `math.inf` if
-        an outcome strands the walker. Once the outcomes and the bound on
-        the rest pass `window` the sum stops, unfinished, at that lower
-        bound; priced outcomes then stay in the region cache."""
+        `mass` their M(K), and None once the sum is finished; `math.inf`
+        if an outcome strands the walker. Once the outcomes and the bound
+        on the rest pass `window` the sum stops, unfinished, at that lower
+        bound, and returns its state (rows, next outcome, total, rest) in
+        place of None; passed back as `paused`, the sum resumes from that
+        outcome."""
         floor = self.bound.get(position, 0)
-        total, rest = 0, floor * mass  # the bound on the outcomes to come
-        for opened_by, blocked_by, weight, whole in self.instance.outcomes(
-                self.tables, fresh, opened, blocked):
+        if paused is None:
+            rows = self.instance.outcomes(self.tables, fresh, opened, blocked)
+            at, total, rest = 0, 0, floor * mass  # rest: the outcomes to come
+        else:
+            rows, at, total, rest = paused
+        for opened_by, blocked_by, weight, whole in rows[at:] if at else rows:
             if total + rest > window:
-                return total + rest, False
+                return total + rest, (rows, at, total, rest)
             share = times(mass, weight, whole)
             rest -= floor * share
             values, _, scale = self.region(
                 opened | opened_by, blocked | blocked_by, position, share)
             value = values.get(position)
             if value is None:
-                return math.inf, True
+                return math.inf, None
             total += value if scale == share else times(value, share, scale)
-        return total, True
+            at += 1
+        return total, None
 
     def region(self, opened: int, blocked: int, start: str,
                mass: int) -> tuple[dict, dict, int]:
         """Values and choices over the patch `start` reaches unrevealing,
         and the M(K) of the stratum that solved the patch, the scale of
         those values; `mass` is the masks' M(K), carried down by `times`.
-        Only the search calls it, never the export. The patch is cached
-        under the `key` of each of its positions, so a stratum that
-        differs only in bits their walks cannot use reads it too. Each
-        lookup that finds it counts in `region_hits`, and in `shared_hits`
-        if another stratum solved it (for a stranded root, `solve`'s
-        lookups of the outcomes at s count too)."""
-        regions = self._regions
+        Only the search calls it, never the export. The cache holds one
+        map per stratum, and the patch is filed in it under each of its
+        positions, keyed by the masks part of their `key`, so a stratum
+        that differs only in bits their walks cannot use reads it too.
+        Each lookup that finds it counts in `region_hits`, and in
+        `shared_hits` if another stratum solved it (for a stranded root,
+        `solve`'s lookups of the outcomes at s count too)."""
+        regions, keyed = self._regions, self.keyed
         # a start outside `keyed` keys by the whole masks (`_cut_key`)
-        cached = regions.get((start, opened, blocked) if start not in
-                             self.keyed else self.key(opened, blocked, start))
-        if cached is not None:
+        masks = (opened, blocked)
+        stratum = regions.get(masks if start not in keyed
+                              else self.key(opened, blocked, start)[1:])
+        if stratum is not None and (cached := stratum.get(start)):
             self.region_hits += 1
-            self.shared_hits += cached[3] != (opened, blocked)
+            self.shared_hits += cached[3] != masks
             return cached[:3]
         t, moves, senses, bound = (self.instance.t, self.moves, self.senses,
                                    self.bound)
         heappush, heappop = heapq.heappush, heapq.heappop
         closed, unknown = ~opened, ~(opened | blocked)
-        # the patch, the unrevealing moves into each of its positions, and
-        # the revealing steps out of them, each tagged with where it starts
-        patch = {start}
+        # the unrevealing moves into each position of the patch, whose
+        # keys are the patch, and the revealing steps out of them, each
+        # tagged with where it starts
+        radj: dict[str, list[tuple]] = {start: []}
         queue = [start]
-        radj: dict[str, list[tuple]] = {}
         reveals = []
         while queue:
             u = queue.pop()
             if u == t:
                 continue
-            for cost, edge_id, far, bit, exposed, action in moves[u]:
+            for far, bit, exposed, into in moves[u]:
                 if bit & closed:
                     continue
                 fresh = exposed & unknown
                 if fresh:
+                    _, cost, edge_id, action = into
                     reveals.append((u, cost, fresh, far, 0, edge_id, action))
                     continue
-                into = radj.get(far)
-                if into is None:
-                    radj[far] = [(u, cost, edge_id, action)]
-                else:
-                    into.append((u, cost, edge_id, action))
-                if far not in patch:
-                    patch.add(far)
+                seen = radj.get(far)
+                if seen is None:
+                    radj[far] = [into]
                     queue.append(far)
+                else:
+                    seen.append(into)
             for fee, edge_id, bit, action in senses[u]:
                 if bit & unknown:
                     reveals.append((u, fee, bit, u, 1, edge_id, action))
         # heap entries: cost, action-rank, edge id, tiebreak, vertex, action,
         # and for a revealing step not yet priced in full, (price, fresh,
-        # where, resumed); its cost is then price plus the bound, or plus the
-        # outcomes priced so far and the bound on the rest: a lower bound
+        # where, paused), paused None until its sum first stops; its cost is
+        # then price plus the bound, or plus the outcomes priced so far and
+        # the bound on the rest: a lower bound
         seq = 0  # the tiebreaks, in push order
-        heap = [(0, 0, "", seq, t, _HALT, None)] if t in patch else []
+        heap = [(0, 0, "", seq, t, _HALT, None)] if t in radj else []
         # tiebreaks in position order, each position's moves before senses
-        reveals.sort(key=lambda step: step[0])
+        reveals.sort(key=itemgetter(0))
         for u, price, fresh, where, rank, edge_id, action in reveals:
             floor = bound.get(where)
             if floor is not None:
                 seq += 1
                 heap.append(((price + floor) * mass, rank, edge_id, seq, u,
-                             action, (price * mass, fresh, where, False)))
+                             action, (price * mass, fresh, where, None)))
         # every key is distinct, so the pop order is the push order's
         heapq.heapify(heap)
         values: dict[str, int] = {}
@@ -303,33 +321,43 @@ class _Solver:
             if vertex in values:
                 continue
             if reveal is not None:
-                price, fresh, where, resumed = reveal
-                if resumed:
-                    self.repriced += 1
-                else:
+                price, fresh, where, paused = reveal
+                if paused is None:
                     self.evaluated += 1
+                else:
+                    self.repriced += 1
                 # the window: the next entry's key, where the sum can wait
-                rest, done = self.branch_value(
+                rest, paused = self.branch_value(
                     opened, blocked, fresh, where, mass,
-                    (heap[0][0] if heap else math.inf) - price)
+                    (heap[0][0] if heap else math.inf) - price, paused)
                 if rest < math.inf:
                     heappush(heap, (
                         price + rest, rank, edge_id, tie, vertex, action,
-                        None if done else (price, fresh, where, True)))
+                        None if paused is None
+                        else (price, fresh, where, paused)))
                 continue
             values[vertex] = cost
             choices[vertex] = action
-            for u, step, via, move in radj.get(vertex, ()):
+            for u, step, via, move in radj[vertex]:
                 if u not in values:
                     seq += 1
                     heappush(heap, (step * mass + cost, 0, via, seq, u, move,
                                     None))
-        region = (values, choices, mass, (opened, blocked))
-        for key in self.keys(opened, blocked, patch):
-            regions[key] = region
+        region = (values, choices, mass, masks)
+        # each position under its key's masks part: the stratum's whole
+        # masks, or the cut of a position in `keyed`
+        stratum = None
+        for v in radj:
+            if v in keyed:
+                regions.setdefault(self.key(opened, blocked, v)[1:], {})[v] \
+                    = region
+            else:
+                if stratum is None:
+                    stratum = regions.setdefault(masks, {})
+                stratum[v] = region
         self.regions += 1
         self.steps += len(reveals)
-        self.expanded += len(patch)
+        self.expanded += len(radj)
         if self.expanded > self.belief_cap:
             raise EnumerationCapError(
                 f"{self.expanded} beliefs exceed the cap of {self.belief_cap}")
@@ -352,10 +380,12 @@ def _static(instance: CtpInstance) -> tuple:
         return static
     unit, bound, bits = (instance.cost_unit, _free_space_bound(instance),
                          instance.bits)
-    # each move (cost in 1/D) and the mask it exposes when nothing is known
-    moves = {u: [(times(unit, *edge.cost.fraction.as_integer_ratio()),
-                  edge.id, far, bits.get(edge.id, 0),
-                  instance.fresh_at(far, 0), Action.move(edge.id))
+    # each move's far end, its bit, the mask it exposes when nothing is
+    # known, and its entry in a patch's reverse moves: (u, cost in 1/D,
+    # edge id, action)
+    moves = {u: [(far, bits.get(edge.id, 0), instance.fresh_at(far, 0),
+                  (u, times(unit, *edge.cost.fraction.as_integer_ratio()),
+                   edge.id, Action.move(edge.id)))
                  for edge, far in instance.moves_from(u).values()]
              for u in instance.vertices}
     senses = {u: [(times(unit, *fee.fraction.as_integer_ratio()), e,
@@ -376,9 +406,9 @@ def _cut_key(instance: CtpInstance, keyed: dict[str, int]):
     """`key(opened, blocked, start)`, a patch's cache key: start, the masks
     cut down to the bits a walk from there can cross, see or be
     conditioned on, and the cut where some bit is cut; a start outside
-    `keyed` keys by the whole masks. `keys(opened, blocked, starts)` is
-    the key of each of `starts`, one call for a whole patch. They hold no
-    search table, so the policy a solve returns keys its nodes by `key`."""
+    `keyed` keys by the whole masks. The search files a patch under the
+    key's masks part, one entry per stratum. `key` holds no search
+    table, so the policy a solve returns keys its nodes by it."""
     hulls: dict[int, int] = {}  # unknown bits -> their components
 
     def key(opened: int, blocked: int, start: str) -> tuple:
@@ -391,11 +421,7 @@ def _cut_key(instance: CtpInstance, keyed: dict[str, int]):
         keep |= hulls[loose]
         return start, opened & keep, blocked & keep, keep
 
-    def keys(opened: int, blocked: int, starts: set[str]) -> list[tuple]:
-        return [(v, opened, blocked) if v not in keyed
-                else key(opened, blocked, v) for v in starts]
-
-    return key, keys
+    return key
 
 
 def _reach(instance: CtpInstance) -> dict[str, int]:

@@ -289,20 +289,25 @@ class TestBoundedSearch:
         branch_value = S._Solver.branch_value
 
         def counted(solver, opened, blocked, fresh, position, mass,
-                    window=math.inf):
+                    window=math.inf, paused=None):
             priced.append(position)
             return branch_value(solver, opened, blocked, fresh, position,
-                                mass, window)
+                                mass, window, paused)
 
-        # each patch solve: a key, the positions and the region, kept
+        # each patch solve: a position, the positions and the region, kept
         # alive so that ids stay unique
-        solves: dict[int, tuple[tuple, set, tuple]] = {}
+        solves: dict[int, tuple[str, set, tuple]] = {}
+
+        class Stratum(dict):
+            def __setitem__(self, position, region):
+                solves.setdefault(id(region), (position, set(), region))[
+                    1].add(position)
+                super().__setitem__(position, region)
 
         class Recorded(dict):
-            def __setitem__(self, key, region):
-                solves.setdefault(id(region), (key, set(), region))[1].add(
-                    key[0])
-                super().__setitem__(key, region)
+            # each stratum's map records every position filed in it
+            def setdefault(self, masks, stratum):
+                return super().setdefault(masks, Stratum(stratum))
 
         monkeypatch.setattr(S._Solver, "branch_value", counted)
         solver = S._Solver(instance, 200_000)
@@ -320,7 +325,7 @@ class TestBoundedSearch:
                                + stats.boundary_repriced + 1)
         # every revealing step of every solved patch is one or the other
         steps = 0
-        for (v, *_), patch, region in solves.values():
+        for v, patch, region in solves.values():
             # the stratum's own masks: t's key keeps none of them
             opened, blocked = region[3]
             known = M.Belief(v, opened, blocked, instance)
@@ -591,14 +596,16 @@ class TestIntegerUnit:
     def test_regions_hold_ints(self, build):
         instance = build()
         solver = S._Solver(instance, 200_000)
-        root, done = solver.branch_value(
+        root, paused = solver.branch_value(
             0, 0, instance.fresh_at(instance.s, 0), instance.s,
             solver.total_mass)
-        assert done
+        assert paused is None
         assert Cost.of(Fraction(root, solver.total_mass
                                 * solver.denominator)) == solve(
             instance).optimal_cost
-        for values, _, scale, stratum in solver._regions.values():
+        for values, _, scale, stratum in (
+                region for patches in solver._regions.values()
+                for region in patches.values()):
             for value in values.values():
                 assert type(value) is int or value == math.inf
             # the M(K) of the stratum the patch was solved at
@@ -674,12 +681,12 @@ FROZEN_SOLVES = {
 # name: branch tables, regions, the search's region-cache hits and shared
 # hits, resumed pricings, graph nodes of the export
 FROZEN_COUNTERS = {
-    "game0": (14, 18, 13, 12, 1, 32), "game1": (12, 26, 48, 45, 10, 2),
-    "game2": (30, 41, 34, 33, 2, 62), "game3": (30, 42, 78, 75, 16, 2),
-    "game4": (67, 77, 80, 79, 8, 98), "game5": (75, 166, 219, 215, 22, 186),
-    "game6": (15, 26, 40, 37, 8, 2), "game7": (25, 62, 126, 120, 24, 2),
-    "baiting-2": (8, 15, 1, 0, 1, 17), "p3": (4, 19, 71, 0, 14, 22),
-    "toy14.nf": (10, 433, 871, 0, 395, 558),
+    "game0": (14, 18, 12, 12, 1, 32), "game1": (12, 26, 38, 38, 10, 2),
+    "game2": (30, 41, 32, 32, 2, 62), "game3": (30, 42, 62, 62, 16, 2),
+    "game4": (67, 77, 72, 72, 8, 98), "game5": (75, 166, 197, 197, 22, 186),
+    "game6": (15, 26, 32, 32, 8, 2), "game7": (25, 62, 102, 102, 24, 2),
+    "baiting-2": (8, 15, 0, 0, 1, 17), "p3": (4, 19, 57, 0, 14, 22),
+    "toy14.nf": (10, 433, 476, 0, 395, 558),
 }
 
 
@@ -1335,9 +1342,10 @@ def assert_matches_eager_pricing(instance, windowed=None):
     branch_value = S._Solver.branch_value
 
     def eager_sum(solver, opened, blocked, fresh, position, mass,
-                  window=math.inf):
+                  window=math.inf, paused=None):
         # the window dropped: each sum runs to its last outcome
-        return branch_value(solver, opened, blocked, fresh, position, mass)
+        return branch_value(solver, opened, blocked, fresh, position, mass,
+                            math.inf, paused)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(S._Solver, "branch_value", eager_sum)
@@ -1383,6 +1391,58 @@ class TestPricingWindow:
             random_disjoint_instance(SplitMix64(seed)))
 
 
+def assert_resumes_match_first_pricing(instance):
+    """Each sum of `instance`'s solve that resumes where it paused returns
+    what pricing the step again from its first outcome, under the same
+    window, returns: the same value, finished or paused at the same
+    outcome and sum. That repeat finds every outcome it prices cached and
+    solves no patch. Returns the solve and the resumes checked."""
+    branch_value = S._Solver.branch_value
+    checked = []
+
+    def repeated(solver, opened, blocked, fresh, position, mass,
+                 window=math.inf, paused=None):
+        got = branch_value(solver, opened, blocked, fresh, position, mass,
+                           window, paused)
+        if paused is not None:
+            regions = solver.regions
+            again = branch_value(solver, opened, blocked, fresh, position,
+                                 mass, window)
+            # the value, and None or the same paused state
+            assert again == got
+            assert solver.regions == regions
+            checked.append(position)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S._Solver, "branch_value", repeated)
+        result = solve(instance)
+    assert len(checked) == result.stats.boundary_repriced
+    return result, len(checked)
+
+
+class TestResumedSums:
+    """A paused sum keeps its state, and a resume prices on from its next
+    outcome; pricing the step from its first outcome is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+    def test_frozen_solves_resume_as_they_would_reprice(self, name):
+        build = FROZEN_BUILDS.get(name)
+        instance = (build() if build else
+                    qbf_to_ctpdep(GAME_BATTERY[int(name[4:])][0])[0])
+        result, resumed = assert_resumes_match_first_pricing(instance)
+        assert str(result.optimal_cost) == FROZEN_SOLVES[name][0]
+        assert resumed == FROZEN_COUNTERS[name][4]
+
+    def test_perfbench_inputs_resume_as_they_would_reprice(self):
+        resumed = {}
+        for label, instance in perfbench_solve_inputs().items():
+            resumed[label] = assert_resumes_match_first_pricing(instance)[1]
+        # the normal-form toys resume most of their sums
+        assert resumed["toy14.nf"] == 395
+        assert sum(resumed.values()) > 395
+
+
 class TestEachPatchOnce:
     """A cached patch is exact for every lookup of its key, so `region`
     solves a patch only when its start's key is missing from the cache.
@@ -1391,13 +1451,16 @@ class TestEachPatchOnce:
     def test_perfbench_inputs_solve_no_cached_patch(self):
         region = S._Solver.region
         again: dict[str, int] = {}
+        found = []
 
         def recorded(solver, opened, blocked, start, *args):
-            key = solver.key(opened, blocked, start)
-            cached = solver._regions.get(key)
+            _, *masks = solver.key(opened, blocked, start)
+            cached = solver._regions.get(tuple(masks), {}).get(start)
             got = region(solver, opened, blocked, start, *args)
-            if cached is not None and solver._regions[key] is not cached:
-                again[label] = again.get(label, 0) + 1
+            if cached is not None:
+                found.append(label)
+                if solver._regions[tuple(masks)][start] is not cached:
+                    again[label] = again.get(label, 0) + 1
             return got
 
         with pytest.MonkeyPatch.context() as patch:
@@ -1405,13 +1468,17 @@ class TestEachPatchOnce:
             for label, instance in perfbench_solve_inputs().items():
                 solve(instance)
         assert again == {}
+        # the lookups above read the cache's own layout: a layout they
+        # miss would find nothing
+        assert found
 
 
 class TestRegionKeys:
-    """A patch is stored with one `keys` call, and looked up without a
-    `key` call where its start keeps every status: every cache entry must
-    still sit under `key` of its position in the stratum that solved it,
-    keyed or with whole masks."""
+    """A patch is filed once per stratum, its whole-mask positions in one
+    update, and looked up without a `key` call where its start keeps
+    every status: every cache entry must still sit under the masks part
+    of `key` of its position in the stratum that solved it, keyed or with
+    whole masks."""
 
     @pytest.mark.parametrize("whole", [False, True], ids=["keyed", "whole"])
     @pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
@@ -1428,13 +1495,15 @@ class TestRegionKeys:
         # with whole masks no start is keyed; else t at least keeps none
         assert (solver.keyed == {}) == whole
         regions = solver._regions
-        for key, (values, _, _, stratum) in regions.items():
-            assert solver.key(*stratum, key[0]) == key
-            # each position the patch settled is found from its own key
-            for v in values:
-                assert solver.key(*stratum, v) in regions
-        assert len({id(region) for region in regions.values()}) \
-            <= solver.regions
+        for masks, patches in regions.items():
+            for position, (values, _, _, stratum) in patches.items():
+                assert solver.key(*stratum, position) == (position, *masks)
+                # each position the patch settled is found from its own key
+                for v in values:
+                    _, *cut = solver.key(*stratum, v)
+                    assert v in regions[tuple(cut)]
+        assert len({id(region) for patches in regions.values()
+                    for region in patches.values()}) <= solver.regions
 
 
 class TestTextAtTheEdges:
