@@ -37,7 +37,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import repeat
-from operator import not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -1070,12 +1069,17 @@ def sample_weather(instance: CtpInstance, stream: SplitMix64) -> Weather:
     return Weather(sum(stream.hits(rows, parents)))
 
 
+# `bytes.translate` table that swaps flag bytes 0 and 1
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def reveal_rule(instance: CtpInstance, fresh: int,
-                states: Iterable[int]) -> list[bool] | None:
-    """For a mask `fresh` of one edge: whether the weather of each trial,
-    given by its counter in `states`, blocks that edge, decided from the
-    counter alone; or None for any other mask, or when only the whole
-    weather (`sample_weather`) decides the bits of `fresh`.
+                states: Iterable[int]) -> bytes | None:
+    """For a mask `fresh` of one edge: one flag byte per trial, given by
+    its counter in `states`, that is 1 where the trial's weather blocks
+    that edge and 0 where it does not, decided from the counter alone; or
+    None for any other mask, or when only the whole weather
+    (`sample_weather`) decides the bits of `fresh`.
 
     On a dyadic table (see `draw_table`), row i takes the word of counter
     state + (i+1) * GOLDEN whatever the other rows draw, so one edge is
@@ -1095,9 +1099,10 @@ def reveal_rule(instance: CtpInstance, fresh: int,
     step = fresh.bit_length() * _GOLDEN & _MASK64
     mixed = _mix64(packed + step * ones, ones * _MASK64)
     # a lane's bit 64, byte 8 of its 16, is set when word & (den - 1)
-    # + 2^64 - num reaches 2^64, that is when the edge is open
+    # + 2^64 - num reaches 2^64, that is when the edge is open; the
+    # byte holds no other bit
     opens = (mixed & (den - 1) * ones) + (_SPAN64 - num) * ones
-    return list(map(not_, opens.to_bytes(16 * count, "little")[8::16]))
+    return opens.to_bytes(16 * count, "little")[8::16].translate(_FLIP)
 
 
 # ---------------------------------------------------------------------------

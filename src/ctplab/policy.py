@@ -49,7 +49,6 @@ from functools import cache, partial
 from heapq import heappop, heappush
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import not_
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -65,6 +64,7 @@ from .model import (
     SplitMix64,
     Variant,
     Weather,
+    _FLIP,
     _require_keys,
     load_json,
     require_type,
@@ -125,6 +125,9 @@ class Action:
         if self.kind is ActionKind.HALT:
             return "halt"
         return f"{self.kind.value}({self.edge})"
+
+
+_HALT = Action.halt()  # actions are frozen, so one serves every walk
 
 
 def action_from_dict(data: dict | None) -> Action | None:
@@ -735,14 +738,16 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
     the same statuses form a group, which waits on a heap keyed by its
     first trial. Its walk (`_walk`) runs once and ends in a cost, which
     every trial of the group takes, or in a reveal of mask `fresh`,
-    which splits the group in one loop. A one-edge reveal on a dyadic
-    table is decided from that edge's word alone, the group's words
-    mixed in one lane call (`reveal_rule`); any other reveal draws each
-    trial's whole weather, once per trial and block. Walks thus run in
-    the order of (first trial, depth), as walking the trials one by
-    one, each shared walk once, would run them: trial i takes exactly
-    the steps of `walk_weather` on its weather, the first error is the
-    same, and the outputs are bit-identical to walking every trial.
+    which splits the group. A one-edge reveal on a dyadic table is
+    decided from that edge's word alone, the group's words mixed in one
+    lane call (`reveal_rule`), and `compress` splits the group on the
+    flag bytes it returns and on their complement; any other reveal
+    draws each trial's whole weather, once per trial and block, and
+    splits the group in one loop. Walks thus run in the order of (first
+    trial, depth), as walking the trials one by one, each shared walk
+    once, would run them: trial i takes exactly the steps of
+    `walk_weather` on its weather, the first error is the same, and the
+    outputs are bit-identical to walking every trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -774,7 +779,7 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
                                    map(states.__getitem__, group))
                 if hits is not None:
                     parts = [(fresh, list(compress(group, hits))),
-                             (0, list(compress(group, map(not_, hits))))]
+                             (0, list(compress(group, hits.translate(_FLIP))))]
                 else:
                     split: dict[int, list[int]] = {}
                     for trial in group:
@@ -802,24 +807,51 @@ def simulate(instance: CtpInstance, policy: Policy, trials: int,
 
 
 # ---------------------------------------------------------------------------
-# reference policies: baiting gadget
+# reference policies: one table each
 
-def _forward_through(handle: BaitingHandle, belief: Belief) -> Action | None:
-    """Shared corridor rule: take the first open cut edge, else push on."""
-    pos = belief.position
-    if pos == handle.entry:
-        return Action.move(handle.path_edges[0])
-    if pos in handle.sections:
-        i = handle.sections.index(pos)
-        cut = handle.cut_edges[i]
-        if belief.status(cut):
-            return Action.move(cut)
-        return Action.move(handle.path_edges[i + 1])
-    return None
+class _StepTable(Policy):
+    """A reference policy that decides from `_steps`, a table its
+    `__post_init__` builds once over every position where it acts.
+
+    A position maps to an action, or to a test `(edge, if open, if
+    blocked, if unknown)` on one edge's status whose branches are again
+    actions or tests; a position the table lacks is infeasible. At t the
+    policy halts.
+    """
+
+    _steps: dict
+
+    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
+        if belief.position == instance.t:
+            return _HALT
+        step = self._steps.get(belief.position)
+        while step.__class__ is tuple:
+            edge, if_open, if_blocked, if_unknown = step
+            status = belief.status(edge)
+            step = (if_unknown if status is None
+                    else if_open if status else if_blocked)
+        return step
+
+
+def _corridor(handle: BaitingHandle, rounds: int | None = None,
+              last_cut: str | None = None) -> dict:
+    """The steps of the shared corridor rule: at the entry push on; at
+    each of the first `rounds` sections (all by default) take the open
+    cut edge, else push on, or step back once `last_cut` is seen
+    blocked."""
+    path, cuts = handle.path_edges, handle.cut_edges
+    steps = {}
+    for i, (pos, cut) in enumerate(zip(handle.sections[:rounds], cuts)):
+        on = Action.move(path[i + 1])
+        if last_cut is not None:
+            on = (last_cut, on, Action.move(path[i]), on)
+        steps[pos] = (cut, Action.move(cut), on, on)
+    steps[handle.entry] = Action.move(path[0])
+    return steps
 
 
 @dataclass(frozen=True)
-class BaitingForwardPolicy(Policy):
+class BaitingForwardPolicy(_StepTable):
     """Cross the whole corridor, taking any open cut edge to the sink.
 
     At the gadget exit the policy moves along `terminal`, the edge that
@@ -828,17 +860,16 @@ class BaitingForwardPolicy(Policy):
 
     handle: BaitingHandle
     terminal: str
+    _steps: dict = field(init=False, repr=False, compare=False)
 
-    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
-        if belief.position == instance.t:
-            return Action.halt()
-        if belief.position == self.handle.exit:
-            return Action.move(self.terminal)
-        return _forward_through(self.handle, belief)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_steps", {
+            **_corridor(self.handle),
+            self.handle.exit: Action.move(self.terminal)})
 
 
 @dataclass(frozen=True)
-class BaitingBailoutPolicy(Policy):
+class BaitingBailoutPolicy(_StepTable):
     """Probe the first `rounds` cut edges, then retreat and pay `fallback`.
 
     Advancing, it behaves like the forward policy; once the cut edge at
@@ -849,40 +880,25 @@ class BaitingBailoutPolicy(Policy):
     handle: BaitingHandle
     rounds: int
     fallback: str
+    _steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.rounds <= self.handle.n:
-            raise ValueError(
-                f"rounds must lie in [1, {self.handle.n}], got {self.rounds}")
-
-    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         handle, j = self.handle, self.rounds
-        pos = belief.position
+        if not 1 <= j <= handle.n:
+            raise ValueError(f"rounds must lie in [1, {handle.n}], got {j}")
         last_cut = handle.cut_edges[j - 1]
-        if pos == instance.t:
-            return Action.halt()
-        if pos == handle.entry:
-            if belief.status(last_cut) is False:
-                return Action.give_up(self.fallback)
-            return Action.move(handle.path_edges[0])
-        if pos in handle.sections:
-            i = handle.sections.index(pos)
-            if i >= j:
-                return None
-            cut = handle.cut_edges[i]
-            if belief.status(cut):
-                return Action.move(cut)
-            if belief.status(last_cut) is False:
-                return Action.move(handle.path_edges[i])
-            return Action.move(handle.path_edges[i + 1])
-        return None
+        steps = _corridor(handle, j, last_cut)
+        forward = steps[handle.entry]
+        steps[handle.entry] = (last_cut, forward,
+                               Action.give_up(self.fallback), forward)
+        object.__setattr__(self, "_steps", steps)
 
 
 # ---------------------------------------------------------------------------
 # reference policies: observation gadget
 
 @dataclass(frozen=True)
-class ObservationForwardPolicy(Policy):
+class ObservationForwardPolicy(_StepTable):
     """Push through the observation gadget the way its analysis intends.
 
     Cross the first corridor, noting the inner blocker at the gate; cross
@@ -894,35 +910,25 @@ class ObservationForwardPolicy(Policy):
 
     handle: ObservationHandle
     terminal: str
+    _steps: dict = field(init=False, repr=False, compare=False)
 
-    def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
+    def __post_init__(self) -> None:
         h = self.handle
-        pos = belief.position
-        if pos == instance.t:
-            return Action.halt()
-        if pos == h.gate:
-            if belief.status(h.blocker_out) is None:
-                return Action.move(h.second.path_edges[0])
-            return Action.move(h.sneak)
-        if pos == h.far_gate:
-            if belief.status(h.blocker_in) and belief.status(h.blocker_out):
-                return Action.move(h.blocker_out)
-            return Action.give_up(h.second.exit_shortcut)
-        if pos == h.out_post:
-            return Action.move(h.spur_out)
-        if pos == h.obs:
-            return Action.move(h.spur_in)
-        if pos == h.in_post:
-            return Action.move(h.blocker_in)
-        if pos == h.gate2:
-            return Action.move(h.third.path_edges[0])
-        if pos == h.exit:
-            return Action.move(self.terminal)
-        for corridor in (h.first, h.second, h.third):
-            step = _forward_through(corridor, belief)
-            if step is not None:
-                return step
-        return None
+        sneak = Action.move(h.sneak)
+        bail = Action.give_up(h.second.exit_shortcut)
+        loop = (h.blocker_out, Action.move(h.blocker_out), bail, bail)
+        # a later key wins: the gates over the entries of the corridors
+        # they start, an earlier corridor over a later one
+        object.__setattr__(self, "_steps", {
+            **_corridor(h.third), **_corridor(h.second), **_corridor(h.first),
+            h.exit: Action.move(self.terminal),
+            h.gate2: Action.move(h.third.path_edges[0]),
+            h.in_post: Action.move(h.blocker_in),
+            h.obs: Action.move(h.spur_in),
+            h.out_post: Action.move(h.spur_out),
+            h.far_gate: (h.blocker_in, loop, bail, bail),
+            h.gate: (h.blocker_out, sneak, sneak,
+                     Action.move(h.second.path_edges[0]))})
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,11 @@ from .policy import (
     Action,
     DecisionTreePolicy,
     Policy,
+    _HALT,
     _cost,
     export_decision_tree,
     export_keyed_graph,
 )
-
-_HALT = Action.halt()  # actions are frozen, so one serves every solve
 
 
 @dataclass(frozen=True)
@@ -582,7 +581,7 @@ class CommittingPolicy(Policy):
     def decide(self, instance: CtpInstance, belief: Belief) -> Action | None:
         pos = belief.position
         if pos == instance.t:
-            return Action.halt()
+            return _HALT
         current = self._current(belief)
         if pos == instance.s:
             if current is None:

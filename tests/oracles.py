@@ -24,6 +24,9 @@ agree:
 - `stratum_mass` finds a knowledge stratum's M(K) = Z·P(K) from its
   masks by a scan of the joint model's rows, where the search carries it
   down from the root, one exact division per outcome;
+- `reference_decide` decides for a reference policy by the rules
+  written out step by step, scanning a corridor's sections at each call,
+  where the policies read the same rules from tables they build once;
 - `ceil_log2_by_doubling` doubles a Fraction up to a value, where
   `ceil_log2` takes the bit length of an int, and `edge_by_edge_baiting`
   adds a baiting gadget one `add_edge` call per edge, where
@@ -57,9 +60,13 @@ from ctplab.model import (
 )
 from ctplab.policy import (
     _LABEL_WORDS,
+    Action,
     ActionKind,
+    BaitingBailoutPolicy,
+    BaitingForwardPolicy,
     DecisionTreePolicy,
     EvalResult,
+    ObservationForwardPolicy,
     Policy,
     TreeNode,
     _cost,
@@ -381,6 +388,97 @@ def chain_early_exit_expectation(passing: Fraction, walk: Fraction,
         acc = early_exit + passing * (
             (1 - passing ** (k - 1)) * walk + acc)
     return acc
+
+
+def _forward_through(handle: BaitingHandle, belief: Belief) -> Action | None:
+    """Shared corridor rule: take the first open cut edge, else push on."""
+    pos = belief.position
+    if pos == handle.entry:
+        return Action.move(handle.path_edges[0])
+    if pos in handle.sections:
+        i = handle.sections.index(pos)
+        cut = handle.cut_edges[i]
+        if belief.status(cut):
+            return Action.move(cut)
+        return Action.move(handle.path_edges[i + 1])
+    return None
+
+
+def _baiting_forward(self: BaitingForwardPolicy, instance: CtpInstance,
+                     belief: Belief) -> Action | None:
+    if belief.position == instance.t:
+        return Action.halt()
+    if belief.position == self.handle.exit:
+        return Action.move(self.terminal)
+    return _forward_through(self.handle, belief)
+
+
+def _baiting_bailout(self: BaitingBailoutPolicy, instance: CtpInstance,
+                     belief: Belief) -> Action | None:
+    handle, j = self.handle, self.rounds
+    pos = belief.position
+    last_cut = handle.cut_edges[j - 1]
+    if pos == instance.t:
+        return Action.halt()
+    if pos == handle.entry:
+        if belief.status(last_cut) is False:
+            return Action.give_up(self.fallback)
+        return Action.move(handle.path_edges[0])
+    if pos in handle.sections:
+        i = handle.sections.index(pos)
+        if i >= j:
+            return None
+        cut = handle.cut_edges[i]
+        if belief.status(cut):
+            return Action.move(cut)
+        if belief.status(last_cut) is False:
+            return Action.move(handle.path_edges[i])
+        return Action.move(handle.path_edges[i + 1])
+    return None
+
+
+def _observation_forward(self: ObservationForwardPolicy,
+                         instance: CtpInstance,
+                         belief: Belief) -> Action | None:
+    h = self.handle
+    pos = belief.position
+    if pos == instance.t:
+        return Action.halt()
+    if pos == h.gate:
+        if belief.status(h.blocker_out) is None:
+            return Action.move(h.second.path_edges[0])
+        return Action.move(h.sneak)
+    if pos == h.far_gate:
+        if belief.status(h.blocker_in) and belief.status(h.blocker_out):
+            return Action.move(h.blocker_out)
+        return Action.give_up(h.second.exit_shortcut)
+    if pos == h.out_post:
+        return Action.move(h.spur_out)
+    if pos == h.obs:
+        return Action.move(h.spur_in)
+    if pos == h.in_post:
+        return Action.move(h.blocker_in)
+    if pos == h.gate2:
+        return Action.move(h.third.path_edges[0])
+    if pos == h.exit:
+        return Action.move(self.terminal)
+    for corridor in (h.first, h.second, h.third):
+        step = _forward_through(corridor, belief)
+        if step is not None:
+            return step
+    return None
+
+
+_REFERENCE_RULES = {BaitingForwardPolicy: _baiting_forward,
+                    BaitingBailoutPolicy: _baiting_bailout,
+                    ObservationForwardPolicy: _observation_forward}
+
+
+def reference_decide(policy: Policy, instance: CtpInstance,
+                     belief: Belief) -> Action | None:
+    """What `policy`, a reference policy, decides at `belief`, by its
+    rules run step by step on its handle and parameters."""
+    return _REFERENCE_RULES[type(policy)](policy, instance, belief)
 
 
 def ceil_log2_by_doubling(value: Fraction | int) -> int:

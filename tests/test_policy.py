@@ -37,6 +37,7 @@ from ctplab.policy import (
     EvalResult,
     Policy,
     action_from_dict,
+    describe_belief,
     evaluate_exact,
     export_decision_tree,
     reference_policy,
@@ -51,6 +52,7 @@ from oracles import (
     by_weathers,
     decomposed_cost,
     outcome_breakdown,
+    reference_decide,
     trace,
     walked_tree,
 )
@@ -588,6 +590,55 @@ class TestObservationPolicy:
             observation_pass_cost(length),
             Fraction(0))
         assert result.expected_cost == Cost.of(want)
+
+
+def reference_cases():
+    """Each reference policy on a harness its table is checked on, with
+    the instance, the cut edges of its corridors and its detour blockers,
+    if any: baiting_pi and baiting_pi_j at every `rounds` on baiting
+    harnesses 2 and 8, and og_pi_g on observation harness 16."""
+    for length in (2, 8):
+        inst, handle = baiting_harness(length)
+        policies = {"baiting_pi": reference_policy(
+            "baiting_pi", handle=handle, terminal=handle.exit_shortcut)}
+        for rounds in range(1, handle.n + 1):
+            policies[f"baiting_pi_j-{rounds}"] = reference_policy(
+                "baiting_pi_j", handle=handle, rounds=rounds,
+                fallback="fallback")
+        for name, policy in policies.items():
+            yield pytest.param(inst, policy, handle.cut_edges, (),
+                               id=f"L{length}-{name}")
+    inst, h = observation_harness(16, charge=0)
+    yield pytest.param(
+        inst, reference_policy("og_pi_g", handle=h, terminal="charge"),
+        h.first.cut_edges + h.second.cut_edges + h.third.cut_edges,
+        (h.blocker_in, h.blocker_out), id="L16-og_pi_g")
+
+
+class TestReferenceTables:
+    """The reference policies decide from tables built once; at every
+    vertex they must choose as their rules run step by step do
+    (`oracles.reference_decide`): knowing nothing, knowing one cut edge
+    open or blocked, and under each status of the detour blockers."""
+
+    @pytest.mark.parametrize("inst, policy, cuts, blockers",
+                             reference_cases())
+    def test_tables_match_the_step_rules(self, inst, policy, cuts,
+                                         blockers):
+        masks = [(0, 0)]
+        for e in cuts:
+            masks += [(inst.bits[e], 0), (0, inst.bits[e])]
+        if blockers:
+            # each blocker unknown, open or blocked: its (opened, blocked)
+            first, second = ([(0, 0), (bit, 0), (0, bit)] for bit in
+                             map(inst.bits.__getitem__, blockers))
+            masks += [(o1 | o2, b1 | b2)
+                      for o1, b1 in first for o2, b2 in second]
+        for v in inst.vertices:
+            for opened, blocked in masks:
+                belief = Belief(v, opened, blocked, inst)
+                assert policy.decide(inst, belief) == reference_decide(
+                    policy, inst, belief), describe_belief(belief)
 
 
 class TestDecisionTrees:

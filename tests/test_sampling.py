@@ -725,8 +725,9 @@ def group_draws(size):
 
 class TestRevealRule:
     """A group of trials decides a one-edge reveal from each trial's
-    counter alone; that must equal each whole weather's draw on that
-    edge. Any other reveal has no rule and takes the whole draw."""
+    counter alone, one flag byte each; that must equal each whole
+    weather's draw on that edge. Any other reveal has no rule and takes
+    the whole draw."""
 
     @pytest.mark.parametrize("size", sorted(DYADIC_TABLES))
     @settings(max_examples=80, deadline=None)
@@ -745,15 +746,15 @@ class TestRevealRule:
                      for state in states]
         else:
             states, whole = GROUP[:count], group_draws(size)[:count]
-        assert reveal_rule(inst, 1 << row, states) == [
-            bool(blocked & 1 << row) for blocked in whole]
+        assert reveal_rule(inst, 1 << row, states) == bytes([
+            bool(blocked & 1 << row) for blocked in whole])
 
     def test_other_reveals_have_no_rule(self):
         for inst in (sampling_case("non-dyadic"), sampling_case("game1")):
             assert reveal_rule(inst, 0b1, [12345]) is None
             assert reveal_rule(inst, 0b11, [12345]) is None
         assert reveal_rule(DYADIC_TABLES[7], 0b101, [12345]) is None
-        assert reveal_rule(DYADIC_TABLES[7], 0b100, []) == []
+        assert reveal_rule(DYADIC_TABLES[7], 0b100, []) == b""
         # an empty mask decides no edge: not the last row's draw, nor an
         # IndexError where the table has no row
         b = InstanceBuilder(Variant.INDEPENDENT)
@@ -815,5 +816,5 @@ class TestLaneMix:
         for row in {0, 1, size // 2, size - 1}:
             _, num, den = rows[row]
             golden = 0x9E3779B97F4A7C15 * (row + 1)
-            assert reveal_rule(inst, 1 << row, GROUP) == [
-                scalar_mix(state + golden) % den < num for state in GROUP]
+            assert reveal_rule(inst, 1 << row, GROUP) == bytes([
+                scalar_mix(state + golden) % den < num for state in GROUP])
